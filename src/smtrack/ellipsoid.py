@@ -291,10 +291,12 @@ def optimal_rho(ea: Ellipsoid, eb: Ellipsoid) -> float:
 
     Solves ``sum_i lambda_i/(1 + rho lambda_i) = n beta'(rho)/beta(rho)``
     over a log bracket [1e-10, 1e8] (sign scan, then Brent refinement).
-    Among the roots the one of smallest fused volume is kept, and never one
-    worse than the ``rho = 0`` anchor (which preserves ``ea``); with no root
-    the anchor 0 is returned. ``beta <= 0`` anywhere on the scan certifies
-    disjoint operands and raises :class:`InconsistentSetsError`.
+    The roots and the bracket's upper end (the ``rho -> infinity`` limit,
+    which tends to ``eb`` and which no root marks when the volume falls
+    monotonically in ``rho``) are candidates. The one of smallest fused
+    volume is kept, and never one worse than the ``rho = 0`` anchor (which
+    preserves ``ea``). ``beta <= 0`` anywhere on the scan certifies disjoint
+    operands and raises :class:`InconsistentSetsError`.
     """
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
@@ -318,12 +320,13 @@ def optimal_rho(ea: Ellipsoid, eb: Ellipsoid) -> float:
             )
         return float(np.sum(lam / (1.0 + rho * lam)) - n * dbeta / beta)
 
+    rho_lo, rho_hi = 1e-10, 1e8
     try:
-        roots = scan_roots(defect, 1e-10, 1e8)
+        roots = scan_roots(defect, rho_lo, rho_hi)
     except np.linalg.LinAlgError:
         return 0.0
     best_rho, best_vol = 0.0, ea.log_det
-    for rho in roots:
+    for rho in [*roots, rho_hi]:
         try:
             fused, _ = intersection_bound(ea, eb, rho)
         except (InconsistentSetsError, DegenerateOperandError):

@@ -65,6 +65,76 @@ def grid_min_robust(instance, belief, bounds, points=None, stages=3):
     return best_u, best
 
 
+def cone_terms(instance, belief, u):
+    """Per-output ``(mid, rho, q)`` at input ``u``.
+
+    Output t's certified error bound is ``|mid_t| + sqrt(rho_t) + q_t``, with
+    ``rho_t = g_t(u) P g_t(u)^T``.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    g = instance.regressor(u)
+    mid = instance.f + instance.b0 @ u + g @ belief.center
+    rho = np.einsum("ti,ij,tj->t", g, belief.shape, g)
+    q = np.sqrt(np.clip(np.diag(instance.q_shape), 0.0, None))
+    return mid, rho, q
+
+
+def robust_barrier(instance, belief, bounds, u, z, t_b):
+    """Value, gradient and Hessian of the robust program's barrier at (u, z).
+
+    The function of x = (u, z), assembled densely over all m inputs and l
+    bounds, is::
+
+        t_b sum(z) - sum_{t, +-} log((z_t -+ mid_t(u) - q_t)^2 - rho_t(u))
+                   - sum_i log(u_i - lo_i) - sum_i log(hi_i - u_i),
+
+    over the finite box sides, with mid_t and rho_t as in
+    :func:`cone_terms`. Each cone term -log psi has gradient -grad(psi)/psi
+    and Hessian grad(psi) grad(psi)^T / psi^2 - hess(psi) / psi, where
+    grad(s) = (-+ grad(mid_t), e_t), grad(rho_t) = 2 J_t^T P g_t and
+    hess(rho_t) = 2 J_t^T P J_t with J_t = d g_t / du.
+    """
+    u = np.asarray(u, dtype=float)
+    z = np.asarray(z, dtype=float)
+    l, m, p = instance.l, instance.m, instance.p
+    r = len(instance.v_rows)
+    mid, rho, q = cone_terms(instance, belief, u)
+    g_all = instance.regressor(u)
+    dim = m + l
+    value = t_b * z.sum()
+    grad = np.zeros(dim)
+    grad[m:] = t_b
+    hess = np.zeros((dim, dim))
+    for t in range(l):
+        jac = np.zeros((p, m))
+        for j, wj in enumerate(instance.w_rows):
+            jac[r + j] = wj[t]
+        dmid = instance.b0[t] + jac.T @ belief.center
+        drho = np.zeros(dim)
+        drho[:m] = 2.0 * jac.T @ belief.shape @ g_all[t]
+        d2rho = np.zeros((dim, dim))
+        d2rho[:m, :m] = 2.0 * jac.T @ belief.shape @ jac
+        for sign in (1.0, -1.0):
+            s = z[t] - sign * mid[t] - q[t]
+            ds = np.zeros(dim)
+            ds[:m] = -sign * dmid
+            ds[m + t] = 1.0
+            psi = s * s - rho[t]
+            dpsi = 2.0 * s * ds - drho
+            d2psi = 2.0 * np.outer(ds, ds) - d2rho
+            value -= np.log(psi)
+            grad -= dpsi / psi
+            hess += np.outer(dpsi, dpsi) / psi**2 - d2psi / psi
+    for i in range(m):
+        for slack, sign in ((u[i] - bounds.lower[i], 1.0),
+                            (bounds.upper[i] - u[i], -1.0)):
+            if np.isfinite(slack):
+                value -= np.log(slack)
+                grad[i] -= sign / slack
+                hess[i, i] += 1.0 / slack**2
+    return value, grad, hess
+
+
 def active_value_batch(info, us):
     us = np.atleast_2d(np.asarray(us, dtype=float))
     return (np.einsum("ni,ij,nj->n", us, info.pw, us)

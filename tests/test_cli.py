@@ -2,10 +2,13 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
+from smtrack import cli
 from smtrack.cli import main
+from smtrack.robust import solve_robust
 from smtrack.experiments import scenario, scenario_to_config
 
 
@@ -111,6 +114,20 @@ class TestValidate:
             assert f"PASS {name}" in text
         assert "FAIL" not in text
         assert "6/6 checks passed" in text
+
+    def test_unconverged_robust_solve_fails_its_check(self, capsys,
+                                                      monkeypatch):
+        # A solve that stops at the iteration cap is reported, even when its
+        # recomputed bound still holds on the samples.
+        def capped(*args, **kwargs):
+            return replace(solve_robust(*args, **kwargs), status="max_iter")
+
+        monkeypatch.setattr(cli, "solve_robust", capped)
+        code = main(["validate"])
+        text = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL robust-worst-case: solver status max_iter" in text
+        assert "5/6 checks passed" in text
 
 
 class TestParser:

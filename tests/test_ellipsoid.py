@@ -276,6 +276,18 @@ class TestOptimalRho:
         with pytest.raises(InconsistentSetsError):
             optimal_rho(ea, eb)
 
+    def test_tighter_second_set_is_the_fused_set(self):
+        # Fusing [-2, 2] with [-1, 1]: the fused shape 4(1+rho)/(4rho+1)
+        # falls monotonically toward 1, so no interior root exists and the
+        # volume-optimal choice is the bracket's upper end.
+        ea = Ellipsoid([0.0], [[4.0]])
+        eb = Ellipsoid([0.0], [[1.0]])
+        rho = optimal_rho(ea, eb)
+        assert rho > 0.0
+        fused, _ = intersection_bound(ea, eb, rho)
+        assert_allclose(fused.shape, [[1.0]], atol=1e-6)
+        assert fused.log_det < ea.log_det
+
     def test_anchor_when_second_set_is_uninformative(self):
         # A much larger superset cannot shrink the belief; expect the anchor 0.
         ea = Ellipsoid([0.0], [[1.0]])

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import ParameterBelief
 from smtrack.experiments import scenario
+from smtrack import robust
 from smtrack.robust import (
     BARRIER_GROWTH,
     DUALITY_TARGET,
@@ -25,6 +26,13 @@ import oracles
 def sim1_case(y_ref=5.0 / 23.0):
     spec = scenario("sim1")
     instance = build_instance(spec.model, spec.x0, y_ref)
+    belief = ParameterBelief(spec.belief0)
+    return spec, instance, belief
+
+
+def sim3_case():
+    spec = scenario("sim3")
+    instance = build_instance(spec.model, spec.x0, spec.reference.value(1))
     belief = ParameterBelief(spec.belief0)
     return spec, instance, belief
 
@@ -241,12 +249,115 @@ class TestSolveRobust:
             assert_allclose(warm.u, cold.u, atol=1e-6)
             assert_allclose(warm.objective, cold.objective, atol=1e-8)
 
+    def test_sim3_matches_dense_grid_minimum(self):
+        spec, instance, belief = sim3_case()
+        sol = solve_robust(instance, belief, spec.bounds)
+        _, grid_best = oracles.grid_min_robust(instance, belief, spec.bounds)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - grid_best) <= 1e-3
+
+    def test_sim3_warm_start_agrees_with_cold(self):
+        spec, instance, belief = sim3_case()
+        cold = solve_robust(instance, belief, spec.bounds)
+        for shift in ([0.0, 0.0], [0.5, -0.5], [5.0, 50.0], [3e4, -3e4]):
+            warm = solve_robust(instance, belief, spec.bounds,
+                                u_warm=cold.u + np.array(shift))
+            assert warm.status == "optimal"
+            assert_allclose(warm.u, cold.u, atol=1e-6)
+            assert_allclose(warm.objective, cold.objective, atol=1e-8)
+
+    def test_flat_direction_reaches_optimal(self):
+        # One output, two inputs and no input-dependent uncertainty: every u
+        # with mid(u) = 0 is optimal, and along that line only the box
+        # barrier curves. The Schur complement is then huge across the line
+        # and tiny along it; the solve must still center and stop.
+        instance = TrackingInstance(
+            f=np.array([0.5]),
+            b0=np.array([[1.0, 0.5]]),
+            v_rows=(np.array([[0.3, -0.2]]), np.array([[0.1, 0.4]])),
+            w_rows=(),
+            q_shape=np.array([[0.1]]),
+            x=np.array([1.0, 1.0]),
+        )
+        belief = ParameterBelief(
+            Ellipsoid([0.2, -0.1], [[0.3, 0.1], [0.1, 0.2]]))
+        g = np.array([0.1, 0.5])
+        floor = np.sqrt(g @ belief.shape @ g) + np.sqrt(0.1)
+        for lo, hi in (([-2.0, -2.0], [2.0, 2.0]), ([-4.0, -1.0], [1.5, 2.5])):
+            sol = solve_robust(instance, belief, ControlBounds(lo, hi))
+            assert sol.status == "optimal"
+            assert_allclose(sol.objective, floor, atol=1e-9)
+
     def test_warm_start_outside_box_is_recovered(self):
         _, instance, belief = sim1_case()
         bounds = ControlBounds([-2.0], [2.0])
         cold = solve_robust(instance, belief, bounds)
         warm = solve_robust(instance, belief, bounds, u_warm=np.array([50.0]))
         assert_allclose(warm.u, cold.u, atol=1e-6)
+
+
+class TestBarrierKernel:
+    """The solver's Newton step against the dense barrier of ``oracles``."""
+
+    @staticmethod
+    def interior_points(rng, n_cases=20):
+        for _ in range(n_cases):
+            instance, belief, bounds = oracles.random_tracking_case(rng)
+            lo, hi = bounds.lower, bounds.upper
+            u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size)
+            mid, rho, q = oracles.cone_terms(instance, belief, u)
+            pad = rng.uniform(0.05, 2.0, size=mid.size)
+            z = np.abs(mid) + np.sqrt(rho) + q + pad
+            yield instance, belief, bounds, u, z
+
+    def test_dense_reference_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        for instance, belief, bounds, u, z in self.interior_points(rng, 5):
+            x = np.concatenate([u, z])
+            m = u.size
+
+            def barrier(x):
+                return oracles.robust_barrier(instance, belief, bounds,
+                                              x[:m], x[m:], 3.0)
+
+            _, grad, hess = barrier(x)
+            h = 1e-5
+            for i in range(x.size):
+                e = np.zeros(x.size)
+                e[i] = h
+                fp, gp, _ = barrier(x + e)
+                fm, gm, _ = barrier(x - e)
+                assert_allclose((fp - fm) / (2 * h), grad[i],
+                                rtol=1e-6, atol=1e-6)
+                assert_allclose((gp - gm) / (2 * h), hess[:, i],
+                                rtol=1e-5, atol=1e-5)
+
+    def test_newton_step_matches_dense_reference(self):
+        rng = np.random.default_rng(12)
+        for instance, belief, bounds, u, z in self.interior_points(rng):
+            prog = robust._Barrier(instance, belief, bounds)
+            cones = prog.evaluate(u.tolist(), z.tolist())
+            assert cones is not None
+            for t_b in (1.0, 1e2, 1e4):
+                du, dz, decrement = prog.newton_step(cones, u.tolist(), t_b)
+                _, grad, hess = oracles.robust_barrier(instance, belief,
+                                                       bounds, u, z, t_b)
+                ref = np.linalg.solve(hess, -grad)
+                step = np.concatenate([du, dz])
+                assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+                ref_dec = float(-grad @ ref)
+                assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
+
+    def test_points_outside_the_cones_are_rejected(self):
+        rng = np.random.default_rng(13)
+        for instance, belief, bounds, u, z in self.interior_points(rng, 5):
+            prog = robust._Barrier(instance, belief, bounds)
+            mid, rho, q = oracles.cone_terms(instance, belief, u)
+            edge = np.abs(mid) + np.sqrt(rho) + q
+            assert prog.evaluate(u.tolist(), (edge - 1e-9).tolist()) is None
+            outside = u.copy()
+            outside[0] = bounds.upper[0] + 1e-9
+            assert prog.evaluate(outside.tolist(), z.tolist()) is None
 
 
 class TestSolverContract:
