@@ -13,11 +13,35 @@ parametric families: ``minkowski_sum_bound`` for the sum of two ellipsoids
 and ``intersection_bound`` for their intersection. Both depend on a scalar
 parameter whose volume-optimal value solves a rational root equation;
 ``optimal_tau`` and ``optimal_rho`` solve those equations by a bracketed
-scan, which is also the primitive the set-membership estimator reuses.
+scan.
+
+Intersection is one case of a single fusion kernel, which the
+set-membership estimator also uses: the prior ``E(P, c)`` fused with the
+observation set ``{x : (h - phi x)^T Q^{-1} (h - phi x) <= 1}``, where set
+intersection is ``phi = I``, ``Q = Pb``, ``h = b`` (Fogel & Huang,
+Automatica 1982; Maksarov & Norton, IJC 1996); its member at ``rho > 0``
+is the gain-form posterior of :mod:`smtrack.estimator`. The kernel factors
+once per call: ``Q + 1e-13 (1 + tr Q) I = L L^T``, ``P = R R^T`` and one
+full SVD ``L^{-1} phi R = W diag(sigma) U^T``, with ``L^{-1} [phi R | eps]``
+(``eps = h - phi c``) from one linear solve. With ``nu = sigma^2`` and
+``sigma`` zero-padded to ``dim P`` entries, ``e = W^T L^{-1} eps`` cut to
+those entries and ``|e_perp|^2`` the squared rest of ``W^T L^{-1} eps``,
+every quantity of the family is a scalar rational function of ``rho``::
+
+    beta(rho)  = 1 + rho (1 - |e_perp|^2) - sum rho e_i^2/(1 + rho nu_i)
+    beta'(rho) = 1 - |e_perp|^2 - sum e_i^2/(1 + rho nu_i)^2
+    defect     = sum nu_i/(1 + rho nu_i) - dim beta'/beta
+    d log det  = dim log beta - sum log1p(rho nu_i)
+    center'    = c + (R U) diag(rho sigma/(1 + rho nu)) e
+    shape'     = beta (R U) diag(1/(1 + rho nu)) (R U)^T
+
+The 200-point scan is array arithmetic, candidates are compared by
+``d log det`` and only the winner is built, PSD by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,16 +212,17 @@ def scan_roots(func, lo: float, hi: float, n_scan: int = 200):
     refined by Brent's method to relative tolerance 1e-12.
     """
     grid = np.geomspace(lo, hi, n_scan)
-    vals = np.array([func(g) for g in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(func, grid[i], grid[i + 1], rtol=1e-12)))
+    return _bracket_roots(func, grid, np.array([func(g) for g in grid]))
+
+
+def _bracket_roots(func, grid, vals):
+    """Roots from ``vals = func(grid)``: zeros, and Brent inside sign changes."""
+    a, b = vals[:-1], vals[1:]
+    crossing = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
+    hits = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | crossing))
+    roots = [float(grid[i]) if vals[i] == 0.0
+             else float(brentq(func, grid[i], grid[i + 1], rtol=1e-12))
+             for i in hits.tolist()]
     if len(vals) and vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
@@ -251,15 +276,120 @@ def minkowski_sum_bound(ea: Ellipsoid, eb: Ellipsoid) -> Ellipsoid:
 
 
 # ---------------------------------------------------------------------------
-# Intersection.
+# Intersection: the fusion kernel, shared with the estimator.
 # ---------------------------------------------------------------------------
+
+RHO_BRACKET = (1e-10, 1e8)
+_RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
+
+
+class _Fusion:
+    """The rho-family fusing ``E(P, c)`` with ``{x : |h - phi x|_Q <= 1}``.
+
+    The constructor factors once (module docstring); the rest is scalar
+    arithmetic, apart from building a posterior.
+    """
+
+    def __init__(self, prior: Ellipsoid, phi, q, h):
+        dim = prior.dim
+        # The ridge lets a noise-free direction (singular Q) be factored.
+        ridge = 1e-13 * (1.0 + np.trace(q))
+        try:
+            chol = np.linalg.cholesky(q + ridge * np.eye(q.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateOperandError("noise shape is not PSD") from exc
+        vals, vecs = np.linalg.eigh(prior.shape)
+        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        eps = h - phi @ prior.center
+        white = np.linalg.solve(chol, np.column_stack((phi @ root, eps)))
+        w, sigma, ut = np.linalg.svd(white[:, :dim])
+        proj = w.T @ white[:, dim]
+        k = sigma.size
+        pad = np.zeros(dim - k)
+        self.prior = prior
+        self.dim = dim
+        self.sigma = np.concatenate((sigma, pad))
+        self.nu = self.sigma**2
+        self.e = np.concatenate((proj[:k], pad))
+        self.e2 = self.e**2
+        self.e_perp2 = float(proj[k:] @ proj[k:])
+        self.basis = root @ ut.T
+        self._terms = list(zip(self.nu.tolist(), self.e2.tolist()))
+
+    def at(self, rho):
+        """``(beta, beta', sum nu/(1 + rho nu))`` at one ``rho``, in floats."""
+        info = acc = dacc = 0.0
+        for nu, e2 in self._terms:
+            den = 1.0 + rho * nu
+            info += nu / den
+            acc += e2 / den
+            dacc += e2 / (den * den)
+        slope = 1.0 - self.e_perp2
+        return 1.0 + rho * (slope - acc), slope - dacc, info
+
+    def defect(self, rho):
+        """The scan's defect at one ``rho``: the negated slope of log det."""
+        beta, dbeta, info = self.at(rho)
+        if not beta > 0.0:
+            # Touching sets put a pole here; keep the crossing's sign so the
+            # refinement converges onto the pole location.
+            if dbeta == 0.0:
+                return 0.0
+            return -1e308 if dbeta > 0.0 else 1e308
+        return info - self.dim * dbeta / beta
+
+    def log_det_change(self, rho, beta):
+        """Posterior minus prior log det, ``dim log beta - sum log1p(rho nu)``."""
+        if beta == 0.0:
+            return -math.inf
+        return self.dim * math.log(beta) - sum(
+            math.log1p(rho * nu) for nu, _ in self._terms)
+
+    def posterior(self, rho, beta):
+        """The member at ``rho > 0`` with its ``beta >= 0``, PSD by construction."""
+        den = 1.0 + rho * self.nu
+        center = self.prior.center + self.basis @ (rho * self.sigma * self.e / den)
+        half = self.basis * np.sqrt(beta / den)
+        return Ellipsoid(center, half @ half.T)
+
+    def fuse(self, beta_slack):
+        """Volume-minimal member as ``(rho, beta, set)``; None when disjoint.
+
+        Candidates are the defect roots and the ``rho -> infinity`` edge with
+        ``beta > -beta_slack (1 + rho)`` (then clipped at zero). Only the one
+        of least closed-form log det is built; it replaces the prior, the
+        anchor ``(0, 1, prior)``, only if its built log det is lower.
+        """
+        den = 1.0 + _RHO_GRID[:, None] * self.nu
+        slope = 1.0 - self.e_perp2
+        betas = 1.0 + _RHO_GRID * (slope - (self.e2 / den).sum(axis=1))
+        if np.any(betas <= 0.0):
+            return None
+        dbetas = slope - (self.e2 / den**2).sum(axis=1)
+        defects = (self.nu / den).sum(axis=1) - self.dim * dbetas / betas
+        best_rho, best_beta, best_gap = 0.0, 1.0, 0.0
+        for rho in [*_bracket_roots(self.defect, _RHO_GRID, defects), RHO_BRACKET[1]]:
+            beta = self.at(rho)[0]
+            if not beta > -beta_slack * (1.0 + rho):
+                continue
+            beta = max(beta, 0.0)
+            gap = self.log_det_change(rho, beta)
+            if gap < best_gap:
+                best_rho, best_beta, best_gap = rho, beta, gap
+        if best_rho > 0.0:
+            fused = self.posterior(best_rho, best_beta)
+            if fused.log_det < self.prior.log_det:
+                return best_rho, best_beta, fused
+        return 0.0, 1.0, self.prior
+
 
 def intersection_bound(ea: Ellipsoid, eb: Ellipsoid, rho: float):
     """Outer bound of ``ea ∩ eb`` at fusion parameter ``rho >= 0``.
 
     Returns ``(fused, beta)``. ``rho = 0`` returns ``ea`` unchanged with
     ``beta = 1``; ``beta <= 0`` certifies an empty intersection and raises
-    :class:`InconsistentSetsError`.
+    :class:`InconsistentSetsError`. Singular shapes are allowed: a direction
+    flat in both sets stays flat in the fused set.
     """
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
@@ -267,23 +397,13 @@ def intersection_bound(ea: Ellipsoid, eb: Ellipsoid, rho: float):
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if rho == 0.0:
         return ea, 1.0
-    pa, pb = ea.shape, eb.shape
-    d = eb.center - ea.center
-    m = pa + pb / rho
-    try:
-        m_inv_d = np.linalg.solve(m, d)
-        gain = np.linalg.solve(m, pa).T  # pa @ inv(m), both symmetric
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOperandError("combined shape matrix is singular") from exc
-    beta = float(1.0 + rho - d @ m_inv_d)
+    fusion = _Fusion(ea, np.eye(ea.dim), eb.shape, eb.center)
+    beta = fusion.at(rho)[0]
     if beta <= 0.0:
         raise InconsistentSetsError(
             f"fusion parameter {rho} certifies an empty intersection (beta={beta:.3e})"
         )
-    eye = np.eye(ea.dim)
-    core = (eye - gain) @ pa @ (eye - gain).T + (gain @ pb @ gain.T) / rho
-    fused = Ellipsoid(ea.center + gain @ d, psd_clip(beta * core))
-    return fused, beta
+    return fusion.posterior(rho, beta), beta
 
 
 def optimal_rho(ea: Ellipsoid, eb: Ellipsoid) -> float:
@@ -300,38 +420,7 @@ def optimal_rho(ea: Ellipsoid, eb: Ellipsoid) -> float:
     """
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    lam = _pencil_eigvals(ea.shape, eb.shape)
-    n = ea.dim
-    pa, pb = ea.shape, eb.shape
-    d = eb.center - ea.center
-
-    def beta_pair(rho):
-        m = pa + pb / rho
-        m_inv_d = np.linalg.solve(m, d)
-        beta = 1.0 + rho - d @ m_inv_d
-        dbeta = 1.0 - m_inv_d @ pb @ m_inv_d / rho**2
-        return float(beta), float(dbeta)
-
-    def defect(rho):
-        beta, dbeta = beta_pair(rho)
-        if beta <= 0.0:
-            raise InconsistentSetsError(
-                f"operand sets are disjoint (beta({rho:.3e}) = {beta:.3e})"
-            )
-        return float(np.sum(lam / (1.0 + rho * lam)) - n * dbeta / beta)
-
-    rho_lo, rho_hi = 1e-10, 1e8
-    try:
-        roots = scan_roots(defect, rho_lo, rho_hi)
-    except np.linalg.LinAlgError:
-        return 0.0
-    best_rho, best_vol = 0.0, ea.log_det
-    for rho in [*roots, rho_hi]:
-        try:
-            fused, _ = intersection_bound(ea, eb, rho)
-        except (InconsistentSetsError, DegenerateOperandError):
-            continue
-        vol = fused.log_det
-        if vol < best_vol:
-            best_rho, best_vol = rho, vol
-    return best_rho
+    fused = _Fusion(ea, np.eye(ea.dim), eb.shape, eb.center).fuse(0.0)
+    if fused is None:
+        raise InconsistentSetsError("operand sets are disjoint (beta <= 0 on the scan)")
+    return fused[0]

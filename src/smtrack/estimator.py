@@ -13,14 +13,19 @@ prior parameter ellipsoid gives the posterior::
     shape' = beta(rho) [(I - K phi) P (I - K phi)^T + K Q K^T / rho]
     beta(rho) = 1 + rho - eps^T (Q/rho + phi P phi^T)^{-1} eps
 
-The fusion parameter ``rho`` is chosen to minimize posterior volume: the
-stationarity condition is a scalar root equation in ``rho`` whose candidate
-roots are scanned on a log bracket. The bracket's upper end is a candidate
-too: as ``rho`` grows the posterior tends to the observation set, which is
-the tightest member of the family when ``phi`` has full column rank and the
-observation set is smaller than every interior stationary point. The prior
-(``rho = 0``) is kept only when no candidate is smaller. ``beta <= 0``
-anywhere on the scan certifies that prior and observation sets are disjoint.
+The fusion parameter ``rho`` minimizes posterior volume. The candidates
+are the roots of the stationarity equation on a log bracket and the
+bracket's upper end, where the posterior tends to the observation set (the
+tightest member when ``phi`` has full column rank and every interior
+stationary point is larger). The prior (``rho = 0``) is kept only when no
+candidate is smaller; ``beta <= 0`` on the scan certifies that the prior
+and observation sets are disjoint.
+
+The fusion kernel of :mod:`smtrack.ellipsoid`, shared with
+``intersection_bound``, does the work: per update one Cholesky of ``Q``,
+one eigendecomposition of ``P`` and one SVD of ``L^{-1} phi R``. Then
+``beta``, the defect and each member's log det are scalar rational
+functions of ``rho`` (closed forms in that module's docstring).
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ellipsoid import (
+    DegenerateOperandError,
     Ellipsoid,
     InconsistentSetsError,
+    _Fusion,
     optimal_tau,
     psd_clip,
 )
@@ -48,8 +54,6 @@ __all__ = [
     "innovation_ellipsoid",
 ]
 
-RHO_BRACKET = (1e-10, 1e8)
-RHO_SCAN_POINTS = 200
 BETA_SLACK = 1e-10
 
 
@@ -104,16 +108,7 @@ def build_observation(model: UncertainModel, x, u, y_next) -> Observation:
     ``H = y_next - C A0 x - C B0 u``; regressor columns are ``C Ai x`` then
     ``C Bj u``; the noise shape is ``C R C^T``.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
-    y_next = np.atleast_1d(np.asarray(y_next, dtype=float)).ravel()
-    c = model.c
-    h = y_next - c @ (model.a0 @ x) - c @ (model.b0 @ u)
-    cols = [c @ (ai @ x) for ai in model.a_perturbations]
-    cols += [c @ (bj @ u) for bj in model.b_perturbations]
-    phi = np.column_stack(cols) if cols else np.zeros((model.l, 0))
-    q = c @ model.r_shape @ c.T
-    return Observation(h, phi, q)
+    return _observation(model, model.c, x, u, y_next)
 
 
 def build_state_observation(model: UncertainModel, x, u, x_next) -> Observation:
@@ -123,95 +118,31 @@ def build_state_observation(model: UncertainModel, x, u, x_next) -> Observation:
     perturbation direction excited by ``(x, u)`` is visible, and the noise
     shape is the disturbance bound itself.
     """
+    return _observation(model, None, x, u, x_next)
+
+
+def _observation(model: UncertainModel, out, x, u, target) -> Observation:
+    """Observation of ``target = out x_next``; ``out=None`` is the identity."""
     x = np.asarray(x, dtype=float).ravel()
     u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
-    x_next = np.asarray(x_next, dtype=float).ravel()
-    h = x_next - model.a0 @ x - model.b0 @ u
-    cols = [ai @ x for ai in model.a_perturbations]
-    cols += [bj @ u for bj in model.b_perturbations]
-    phi = np.column_stack(cols) if cols else np.zeros((model.n, 0))
-    return Observation(h, phi, model.r_shape)
-
-
-def _posterior(prior: Ellipsoid, obs: Observation, rho: float):
-    """Posterior (set, beta) at a fixed fusion parameter ``rho > 0``."""
-    p = prior.shape
-    phi = obs.phi
-    q = obs.q_shape
-    eps = obs.h - phi @ prior.center
-    mid = phi @ p @ phi.T + q / rho
-    sol = np.linalg.solve(mid, eps)
-    beta = float(1.0 + rho - eps @ sol)
-    if beta < -BETA_SLACK * (1.0 + rho):
-        return None, beta
-    beta = max(beta, 0.0)
-    gain = np.linalg.solve(mid, phi @ p).T  # P phi^T mid^{-1}
-    eye = np.eye(prior.dim)
-    closed = eye - gain @ phi
-    core = closed @ p @ closed.T + gain @ q @ gain.T / rho
-    fused = Ellipsoid(prior.center + gain @ eps, psd_clip(beta * core))
-    return fused, beta
-
-
-def _defect_terms(prior: Ellipsoid, obs: Observation, rhos: np.ndarray):
-    """Vectorized defect and beta over a batch of rho values."""
-    p = prior.shape
-    phi = obs.phi
-    q = obs.q_shape
-    eps = obs.h - phi @ prior.center
-    ppt = phi @ p @ phi.T
-    lam = _information_eigvals(p, phi, q)
-    n = prior.dim
-    mids = ppt[None, :, :] + q[None, :, :] / rhos[:, None, None]
-    rhs = np.broadcast_to(eps[None, :, None], (rhos.size, eps.size, 1))
-    sols = np.linalg.solve(mids, rhs)[..., 0]
-    betas = 1.0 + rhos - np.einsum("i,bi->b", eps, sols)
-    dbetas = 1.0 - np.einsum("bi,ij,bj->b", sols, q, sols) / rhos**2
-    lhs = np.sum(lam[None, :] / (1.0 + rhos[:, None] * lam[None, :]), axis=1)
-    defects = lhs - n * dbetas / betas
-    return defects, betas
-
-
-def _defect_scalar(prior: Ellipsoid, obs: Observation):
-    """Scalar defect function for root polishing, precomputing invariants."""
-    p = prior.shape
-    phi = obs.phi
-    q = obs.q_shape
-    eps = obs.h - phi @ prior.center
-    ppt = phi @ p @ phi.T
-    lam = _information_eigvals(p, phi, q)
-    n = prior.dim
-
-    def defect(r):
-        sol = np.linalg.solve(ppt + q / r, eps)
-        beta = 1.0 + r - eps @ sol
-        dbeta = 1.0 - sol @ q @ sol / (r * r)
-        lhs = float(np.sum(lam / (1.0 + r * lam)))
-        if beta <= 0.0 or not np.isfinite(beta):
-            # Touching sets put a pole here; keep the crossing's sign so the
-            # refinement converges onto the pole location.
-            if dbeta == 0.0:
-                return 0.0
-            return -1e308 if dbeta > 0.0 else 1e308
-        return lhs - float(n * dbeta / beta)
-
-    return defect
-
-
-def _information_eigvals(p, phi, q):
-    """Eigenvalues of ``P phi^T Q^{-1} phi`` (real, clipped at zero)."""
-    ridge = 1e-13 * (1.0 + np.trace(q))
-    q_reg = q + ridge * np.eye(q.shape[0])
-    info = phi.T @ np.linalg.solve(q_reg, phi)
-    vals = np.linalg.eigvals(p @ info)
-    return np.clip(vals.real, 0.0, None)
+    target = np.atleast_1d(np.asarray(target, dtype=float)).ravel()
+    terms = [model.a0 @ x, model.b0 @ u]
+    terms += [ai @ x for ai in model.a_perturbations]
+    terms += [bj @ u for bj in model.b_perturbations]
+    q = model.r_shape
+    if out is not None:
+        terms = [out @ t for t in terms]
+        q = out @ q @ out.T
+    h = target - terms[0] - terms[1]
+    phi = np.column_stack(terms[2:]) if len(terms) > 2 else np.zeros((h.size, 0))
+    return Observation(h, phi, q)
 
 
 def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
     """Fuse one observation into the belief at the volume-optimal ``rho``.
 
     All defect-equation roots found on the scan bracket are evaluated, and
-    so is the bracket's upper end ``RHO_BRACKET[1]`` (the observation-set
+    so is the bracket's upper end ``ellipsoid.RHO_BRACKET[1]`` (the observation-set
     limit, which no root marks when the volume falls monotonically in
     ``rho``). The posterior of smallest log-volume is kept, never one larger
     than the prior (the ``rho = 0`` anchor, which returns the prior
@@ -228,39 +159,15 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
         raise ValueError(
             f"regressor has {obs.phi.shape[1]} columns, belief dim {prior.dim}"
         )
-    rhos = np.geomspace(*RHO_BRACKET, RHO_SCAN_POINTS)
-    with np.errstate(all="ignore"):
-        defects, betas = _defect_terms(prior, obs, rhos)
-    finite = np.isfinite(betas)
-    if np.any(betas[finite] <= 0.0):
+    fused = _Fusion(prior, obs.phi, obs.q_shape, obs.h).fuse(BETA_SLACK)
+    if fused is None:
         if policy == "raise":
             raise InconsistentObservationError(
                 "observation set is disjoint from the prior parameter set"
             )
         return replace(belief, last_rho=0.0, last_beta=1.0, skipped=True)
-
-    candidates = []
-    ok = np.isfinite(defects)
-    scalar = _defect_scalar(prior, obs)
-    for i in range(rhos.size - 1):
-        if not (ok[i] and ok[i + 1]):
-            continue
-        if defects[i] == 0.0:
-            candidates.append(float(rhos[i]))
-        elif defects[i] * defects[i + 1] < 0.0:
-            candidates.append(float(brentq(scalar, rhos[i], rhos[i + 1], rtol=1e-12)))
-    candidates.append(RHO_BRACKET[1])
-
-    best = (0.0, 1.0, prior, prior.log_det)
-    for rho in candidates:
-        fused, beta = _posterior(prior, obs, rho)
-        if fused is None:
-            continue
-        vol = fused.log_det
-        if vol < best[3]:
-            best = (rho, beta, fused, vol)
-    rho, beta, fused, _ = best
-    return ParameterBelief(fused, last_rho=rho, last_beta=beta, skipped=False)
+    rho, beta, posterior = fused
+    return ParameterBelief(posterior, last_rho=rho, last_beta=beta, skipped=False)
 
 
 def innovation_ellipsoid(belief: ParameterBelief, obs: Observation) -> Ellipsoid:
@@ -276,7 +183,8 @@ def innovation_ellipsoid(belief: ParameterBelief, obs: Observation) -> Ellipsoid
     try:
         q_par = optimal_tau(Ellipsoid(np.zeros(l), ppt),
                             Ellipsoid(np.zeros(l), obs.q_shape))
-    except Exception:
+    except (DegenerateOperandError, RuntimeError):
+        # Singular noise shape, or no bracket (e.g. a zero regressor).
         q_par = 1.0
     shape = (1.0 / q_par + 1.0) * ppt + (q_par + 1.0) * obs.q_shape
     return Ellipsoid(np.zeros(l), psd_clip(shape))

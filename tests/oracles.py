@@ -270,3 +270,38 @@ def random_active_case(rng):
     center = rng.uniform(lo + 0.1, hi - 0.1)
     region = Ellipsoid(center, random_spd(rng, m, jitter=0.05))
     return info, region, ControlBounds(lo, hi)
+
+
+def gain_form_posterior(prior, phi, q, h, rho):
+    """Dense gain-form fusion of ``prior`` with an observation at ``rho > 0``.
+
+    Returns ``(center, shape, beta)`` from ``M = phi P phi^T + Q/rho``,
+    ``K = P phi^T M^{-1}``, ``beta = 1 + rho - eps^T M^{-1} eps`` and the
+    Joseph form ``beta [(I - K phi) P (I - K phi)^T + K Q K^T / rho]``, with
+    ``eps = h - phi c``. No clipping: the shape is returned as computed.
+    """
+    p = prior.shape
+    eps = h - phi @ prior.center
+    mid = phi @ p @ phi.T + q / rho
+    beta = float(1.0 + rho - eps @ np.linalg.solve(mid, eps))
+    gain = np.linalg.solve(mid, phi @ p).T
+    closed = np.eye(prior.dim) - gain @ phi
+    core = closed @ p @ closed.T + gain @ q @ gain.T / rho
+    return prior.center + gain @ eps, beta * core, beta
+
+
+def random_fusion_case(rng, rows, dim, rank=None):
+    """Random consistent ``(prior, phi, q, h, theta)``: ``theta`` is in both sets.
+
+    ``phi`` is ``rows x dim`` of rank ``rank`` (default full); ``h`` is
+    ``phi theta`` plus a noise point drawn inside ``E(q, 0)``.
+    """
+    from smtrack.ellipsoid import Ellipsoid
+
+    rank = min(rows, dim) if rank is None else rank
+    phi = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, dim))
+    prior = Ellipsoid(rng.normal(size=dim), random_spd(rng, dim))
+    q = random_spd(rng, rows)
+    theta = prior.center + 0.9 * (prior.sample_interior(rng) - prior.center)
+    noise = 0.9 * Ellipsoid(np.zeros(rows), q).sample_interior(rng)
+    return prior, phi, q, phi @ theta + noise, theta

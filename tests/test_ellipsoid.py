@@ -252,6 +252,18 @@ class TestIntersectionBound:
         with pytest.raises(ValueError, match="rho"):
             intersection_bound(HAND_SET, HAND_SET, -0.5)
 
+    def test_shared_flat_direction_stays_flat(self):
+        # Both sets are flat along the second axis: the fused set is too, and
+        # an offset along that axis certifies an empty intersection.
+        ea = Ellipsoid([0.0, 0.0], np.diag([4.0, 0.0]))
+        eb = Ellipsoid([1.0, 0.0], np.diag([4.0, 0.0]))
+        fused, beta = intersection_bound(ea, eb, 1.0)
+        assert_allclose(beta, 1.875)
+        assert_allclose(fused.center, [0.5, 0.0], atol=1e-12)
+        assert_allclose(fused.shape, np.diag([3.75, 0.0]), atol=1e-12)
+        with pytest.raises(InconsistentSetsError):
+            intersection_bound(ea, Ellipsoid([1.0, 0.1], eb.shape), 1.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             intersection_bound(HAND_SET, Ellipsoid([0.0], [[1.0]]), 1.0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smtrack.ellipsoid import Ellipsoid, intersection_bound
+import oracles
+from smtrack import estimator
+from smtrack.ellipsoid import Ellipsoid, _Fusion, intersection_bound
 from smtrack.estimator import (
     InconsistentObservationError,
     Observation,
@@ -191,6 +193,89 @@ class TestUpdate:
         assert informative >= 5
 
 
+# (rows, dim, rank of phi): fewer rows than parameters, more rows, and
+# rank-deficient regressors.
+KERNEL_CASES = [(1, 3, None), (2, 4, None), (3, 2, None), (4, 2, None),
+                (3, 3, 1), (4, 3, 2)]
+
+
+class TestFusionKernel:
+    """The closed-form kernel against the dense gain form in ``oracles``."""
+
+    @pytest.mark.parametrize("rows,dim,rank", KERNEL_CASES)
+    def test_members_match_the_dense_gain_form(self, rows, dim, rank):
+        rng = np.random.default_rng(31 + 7 * rows + dim)
+        for _ in range(10):
+            prior, phi, q, h, _ = oracles.random_fusion_case(rng, rows, dim, rank)
+            fusion = _Fusion(prior, phi, q, h)
+            for rho in (1e-3, 1.0, 1e3):
+                beta = fusion.at(rho)[0]
+                post = fusion.posterior(rho, beta)
+                center, shape, beta_ref = oracles.gain_form_posterior(
+                    prior, phi, q, h, rho)
+                assert abs(beta - beta_ref) <= 1e-8 * abs(beta_ref)
+                assert_allclose(post.center, center, rtol=0,
+                                atol=1e-8 * np.abs(center).max())
+                assert_allclose(post.shape, shape, rtol=0,
+                                atol=1e-8 * np.abs(shape).max())
+
+    @pytest.mark.parametrize("rows,dim,rank", KERNEL_CASES)
+    def test_chosen_posterior_beats_a_dense_grid(self, rows, dim, rank):
+        rng = np.random.default_rng(53 + 7 * rows + dim)
+        for _ in range(4):
+            prior, phi, q, h, theta = oracles.random_fusion_case(rng, rows, dim, rank)
+            out = update(ParameterBelief(prior), Observation(h, phi, q))
+            grid_best = prior.log_det
+            for rho in np.geomspace(1e-10, 1e8, 1500):
+                _, shape, beta = oracles.gain_form_posterior(prior, phi, q, h, rho)
+                sign, log_det = np.linalg.slogdet(shape)
+                if beta > 0.0 and sign > 0:
+                    grid_best = min(grid_best, log_det)
+            assert out.set.log_det <= grid_best + 1e-6
+            assert out.set.contains(theta, tol=1e-7)
+
+    @pytest.mark.parametrize("rows,dim,rank", KERNEL_CASES)
+    def test_observation_set_limit_is_psd_without_clipping(self, rows, dim, rank):
+        rng = np.random.default_rng(71 + 7 * rows + dim)
+        for _ in range(10):
+            prior, phi, q, h, _ = oracles.random_fusion_case(rng, rows, dim, rank)
+            fusion = _Fusion(prior, phi, q, h)
+            beta = fusion.at(1e8)[0]
+            shape = fusion.posterior(1e8, beta).shape
+            np.linalg.cholesky(shape)  # positive definite as built
+            closed = prior.log_det + fusion.log_det_change(1e8, beta)
+            # Rounding the stored matrix moves its log det by up to about
+            # dim * eps * cond (2e-6 at dim 4, cond 1e9): slogdet's slack.
+            slack = 2 * dim * np.finfo(float).eps * np.linalg.cond(shape)
+            assert abs(closed - np.linalg.slogdet(shape)[1]) <= 1e-6 + slack
+
+    def test_noise_free_direction(self):
+        # A singular noise shape: one combination of the rows is observed
+        # exactly. The kernel factors Q with a 1e-13 (1 + tr Q) ridge, so the
+        # posterior is flat along that row to rounding (width ratio below
+        # 1e-5) with a finite log det, about 30 below the prior's after one
+        # update, rather than exactly degenerate.
+        rng = np.random.default_rng(89)
+        for _ in range(6):
+            prior, phi, q, h, theta = oracles.random_fusion_case(rng, 2, 3)
+            vals, vecs = np.linalg.eigh(q)
+            q = vecs @ np.diag([0.0, vals[1]]) @ vecs.T
+            row = vecs[:, 0] @ phi
+            belief = ParameterBelief(prior)
+            for step in range(5):
+                noise = 0.9 * Ellipsoid(np.zeros(2), q).sample_interior(rng)
+                out = update(belief, Observation(phi @ theta + noise, phi, q))
+                assert out.set.contains(theta, tol=1e-7)
+                assert out.set.log_det <= belief.set.log_det
+                assert np.isfinite(out.set.log_det)
+                if step == 0:
+                    width = np.sqrt(row @ out.shape @ row)
+                    assert width <= 1e-5 * np.sqrt(row @ prior.shape @ row)
+                    assert out.set.log_det > prior.log_det - 40.0
+                belief = out
+                phi = rng.normal(size=(2, 3))
+
+
 class TestInnovationEllipsoid:
     def test_zero_regressor_doubles_the_noise_bound(self):
         belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
@@ -204,6 +289,17 @@ class TestInnovationEllipsoid:
         obs = Observation(np.zeros(2), np.eye(2), np.eye(2))
         out = innovation_ellipsoid(belief, obs)
         assert_allclose(out.shape, 4.0 * np.eye(2), rtol=1e-9)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # Only a singular noise shape or a missing bracket falls back to 1.
+        def broken(ea, eb):
+            raise TypeError("broken sum fusion")
+
+        monkeypatch.setattr(estimator, "optimal_tau", broken)
+        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
+        obs = Observation(np.zeros(2), np.eye(2), np.eye(2))
+        with pytest.raises(TypeError, match="broken"):
+            innovation_ellipsoid(belief, obs)
 
     def test_contains_simulated_innovations(self):
         spec = scenario("sim1")
