@@ -13,24 +13,43 @@ this quadratic over the intersection of an exploration ellipsoid around the
 robust input (radius proportional to trace(P): exploration anneals away as
 the belief converges) with the input box.
 
-The ellipsoid part is solved exactly: whitening maps it to the unit ball,
-where the quadratic's maximizer satisfies the classical trust-region
-stationarity system, solved through an eigendecomposition and a secular
-equation in the multiplier. Box clipping plus a projected coordinate-ascent
-polish (20 sweeps, never leaving the feasible set, never decreasing the
-objective) handles the cut case, with exact per-face line maximizations and
-the full boundary stationary set as extra starting candidates so small
-problems are solved to grid accuracy.
+The maximizer is exact for up to two inputs (every scenario has one or
+two); ``solve_active`` raises ``ValueError`` for more. Whitening with
+``u = c + S w``, ``S`` the symmetric square root of the region shape ``T``
+(2x2 closed form), maps the region to the unit disk ``|w| <= 1`` and each
+finite box side to a half-plane ``s_k . w <= r_k``; the objective becomes
+``w^T A w + b . w`` with ``A = S PW S`` and ``b = S (2 PW c + PVWx)``. A
+singular ``T`` gives a singular ``S``, so the region stays the segment or
+point it is. The maximum sits at a KKT point of one of finitely many
+active sets (the trust-region subproblem of Moré & Sorensen, SIAM J. Sci.
+Stat. Comput. 1983, with at most four linear cuts), and every candidate is
+enumerated:
+
+- the center, and the interior stationary point when ``A`` is negative
+  definite;
+- the circle's stationary points, ``z_i = b_i / (2 (mu - lam_i))`` in
+  ``A``'s eigenbasis with ``|z| = 1``: the real roots of a quartic in
+  ``mu``, found as eigenvalues of its companion matrix;
+- the hard case, ``mu`` equal to an eigenvalue, where the quartic's root is
+  double and the formula above is 0/0: the pair on each eigenvalue, plus
+  the four eigen-axis points;
+- on each cut's line, the ends of its chord inside the disk and the other
+  cuts (circle-line points and box corners) and the line's own vertex
+  when the objective is concave along it.
+
+With one input the same list is the center, the two ends of
+``[max(lo, c - sqrt(T)), min(hi, c + sqrt(T))]`` and the vertex when
+concave. The best feasible candidate is clipped into the box once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .ellipsoid import Ellipsoid, psd_clip, sym_sqrt
+from .ellipsoid import Ellipsoid, psd_clip
 from .estimator import ParameterBelief
 from .model import UncertainModel
 from .robust import ControlBounds
@@ -41,9 +60,6 @@ __all__ = [
     "build_trust_region",
     "solve_active",
 ]
-
-POLISH_SWEEPS = 20
-
 
 @dataclass(frozen=True)
 class InfoQuadratic:
@@ -131,228 +147,168 @@ def build_trust_region(belief: ParameterBelief, u_ref, ma) -> Ellipsoid:
 
 
 # ---------------------------------------------------------------------------
-# Trust-region subproblem on the unit ball.
+# Exact maximizer over region ∩ box (m <= 2).
 # ---------------------------------------------------------------------------
 
-def _ball_maximizers(quad, lin):
-    """Candidate maximizers of ``w^T quad w + lin . w`` on the unit ball.
+def _sqrt2(t):
+    """Symmetric square root of a 2x2 PSD matrix, in closed form."""
+    a, b, d = t[0][0], 0.5 * (t[0][1] + t[1][0]), t[1][1]
+    root_det = math.sqrt(max(a * d - b * b, 0.0))
+    scale = math.sqrt(a + d + 2.0 * root_det)
+    return [[(a + root_det) / scale, b / scale], [b / scale, (d + root_det) / scale]]
 
-    Classical multiplier system: minimize with H = -2 quad, g = -lin, so a
-    boundary solution solves ``(H + lam I) w = -g`` with ``H + lam I`` PSD,
-    found from the secular equation in ``lam``. Hard-case splits return
-    both signed fills. Interior maximizer included when H is PD.
+
+def _dot(x, y):
+    return sum(xi * yi for xi, yi in zip(x, y))
+
+
+def _segment(quad, lin, lo, hi):
+    """Candidate maximizers of ``quad t^2 + lin t`` on ``[lo, hi]``."""
+    out = [lo, hi]
+    if quad < 0.0:
+        vertex = -lin / (2.0 * quad)
+        if lo < vertex < hi:
+            out.append(vertex)
+    return out
+
+
+def _disk_points(a, b, cuts):
+    """KKT candidates of ``w^T a w + b . w`` on the unit disk cut by ``s . w <= r``.
+
+    ``a`` is a symmetric 2x2 and ``b`` a 2-vector, both as Python floats;
+    ``cuts`` lists the half-planes as ``((s0, s1), r)`` with finite ``r``.
+    Returns ``(objective, w)`` pairs; every ``w`` is feasible, up to
+    rounding on the cut lines.
     """
-    h = -2.0 * quad
-    g = -np.asarray(lin, dtype=float)
-    d, basis = np.linalg.eigh(h)
-    ghat = basis.T @ g
-    scale = 1.0 + float(np.abs(d).max())
-    out = []
-    if d[0] > 0.0:
-        w = -ghat / d
-        if np.linalg.norm(w) <= 1.0:
-            out.append(basis @ w)
-    lam_lo = max(0.0, -d[0])
-    on_floor = np.abs(d + lam_lo) <= 1e-12 * scale
-    free = ~on_floor
-
-    def norm2(lam):
-        return float(np.sum((ghat[free] / (d[free] + lam)) ** 2)
-                     + np.sum((ghat[on_floor] / (d[on_floor] + lam)) ** 2))
-
-    base2 = float(np.sum((ghat[free] / (d[free] + lam_lo)) ** 2)) if free.any() else 0.0
-    floor_active = bool(np.any(np.abs(ghat[on_floor]) > 1e-12 * (1.0 + np.abs(ghat).max())))
-    if floor_active or base2 > 1.0:
-        # Regular case: the norm diverges (or exceeds 1) at lam_lo.
-        lam_hi = lam_lo + scale
-        while norm2(lam_hi) > 1.0:
-            lam_hi = lam_lo + 2.0 * (lam_hi - lam_lo)
-        f = lambda lam: norm2(lam) - 1.0
-        eps = 1e-14 * scale
-        lam = brentq(f, lam_lo + eps, lam_hi, rtol=1e-13) if f(lam_lo + eps) > 0.0 \
-            else lam_lo + eps
-        w = np.zeros_like(ghat)
-        w[free] = -ghat[free] / (d[free] + lam)
-        w[on_floor] = -ghat[on_floor] / (d[on_floor] + lam)
-        out.append(basis @ w)
-    else:
-        # Hard case: fill the deficit along the floor eigenspace.
-        w = np.zeros_like(ghat)
-        if free.any():
-            w[free] = -ghat[free] / (d[free] + lam_lo)
-        alpha = np.sqrt(max(1.0 - base2, 0.0))
-        fill = np.zeros_like(ghat)
-        fill[np.argmax(on_floor)] = 1.0
-        out.append(basis @ (w + alpha * fill))
-        out.append(basis @ (w - alpha * fill))
-    return out
-
-
-def _boundary_stationary(quad, lin):
-    """All stationary points of the quadratic on the unit circle (m = 2)."""
-    vals, basis = np.linalg.eigh(quad)
-    bhat = basis.T @ np.asarray(lin, dtype=float)
-    # (a1 - mu)^2 (a2 - mu)^2 * 4 = bhat1^2 (a2 - mu)^2 + bhat2^2 (a1 - mu)^2
-    p1 = np.array([-1.0, vals[0]])
-    p2 = np.array([-1.0, vals[1]])
-    p1sq, p2sq = np.polymul(p1, p1), np.polymul(p2, p2)
-    poly = np.polysub(4.0 * np.polymul(p1sq, p2sq),
-                      np.polyadd(bhat[0] ** 2 * p2sq, bhat[1] ** 2 * p1sq))
-    out = []
-    scale = 1.0 + float(np.abs(vals).max())
-    for mu in np.roots(poly):
-        if abs(mu.imag) > 1e-8 * (1.0 + abs(mu.real)):
+    cuts = [(s, r) for s, r in cuts if r < math.hypot(s[0], s[1])]   # others hold on all of it
+    mean, half, off = 0.5 * (a[0][0] + a[1][1]), 0.5 * (a[0][0] - a[1][1]), a[0][1]
+    d = math.hypot(half, off)
+    theta = 0.5 * math.atan2(off, half)
+    v1 = (math.cos(theta), math.sin(theta))        # eigenvalue mean + d
+    v2 = (-v1[1], v1[0])                           # eigenvalue mean - d
+    b1 = v1[0] * b[0] + v1[1] * b[1]
+    b2 = v2[0] * b[0] + v2[1] * b[1]
+    # Eigen-axis points; they also cover a = mean * I with b = 0.
+    zs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    if mean + d < 0.0:
+        z = (-b1 / (2.0 * (mean + d)), -b2 / (2.0 * (mean - d)))
+        if z[0] * z[0] + z[1] * z[1] <= 1.0:
+            zs.append(z)
+    # On the circle, z_i = b_i / (2 (mu - lam_i)) with |z| = 1; with
+    # mu = mean + nu this is the depressed quartic
+    # nu^4 - (2 d^2 + B) nu^2 - d (b1^2 - b2^2)/2 nu + d^2 (d^2 - B) = 0,
+    # B = |b|^2 / 4, whose roots are the companion matrix's eigenvalues.
+    bq = 0.25 * (b1 * b1 + b2 * b2)
+    d2 = d * d
+    companion = np.array([[0.0, 2.0 * d2 + bq, 0.5 * d * (b1 * b1 - b2 * b2), d2 * (bq - d2)],
+                          [1.0, 0.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0]])
+    for nu in np.linalg.eigvals(companion).real.tolist():
+        # z scaled by 2 (nu - d)(nu + d), whose sign is restored below.
+        z0, z1 = b1 * (nu + d), b2 * (nu - d)
+        sign = (nu - d) * (nu + d)
+        norm = math.hypot(z0, z1)
+        if sign != 0.0 and norm > 0.0:
+            scale = math.copysign(1.0 / norm, sign)
+            zs.append((z0 * scale, z1 * scale))
+    # Hard case: mu at an eigenvalue, where the quartic's root is double
+    # and the formula above is 0/0.
+    if d > 0.0:
+        z1 = b2 / (4.0 * d)
+        if z1 * z1 <= 1.0:
+            z0 = math.sqrt(1.0 - z1 * z1)
+            zs.extend([(z0, z1), (-z0, z1)])
+        z0 = -b1 / (4.0 * d)
+        if z0 * z0 <= 1.0:
+            z1 = math.sqrt(1.0 - z0 * z0)
+            zs.extend([(z0, z1), (z0, -z1)])
+    points = [w for w in ((z0 * v1[0] + z1 * v2[0], z0 * v1[1] + z1 * v2[1]) for z0, z1 in zs)
+              if all(s[0] * w[0] + s[1] * w[1] <= r for s, r in cuts)]
+    # Each cut's line: the chord inside the disk and the other cuts.
+    for k, (s, r) in enumerate(cuts):
+        ns = math.hypot(s[0], s[1])
+        if ns == 0.0 or abs(r) > ns:
             continue
-        mu = mu.real
-        denom = vals - mu
-        if np.any(np.abs(denom) <= 1e-12 * scale):
-            continue
-        w = -bhat / (2.0 * denom)
-        nw = np.linalg.norm(w)
-        if abs(nw - 1.0) > 1e-6:
-            continue
-        out.append(basis @ (w / nw))
-    # Axis points cover the degenerate splits the polynomial misses.
-    out.extend([basis[:, 0], -basis[:, 0], basis[:, 1], -basis[:, 1]])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Feasible-set helpers and the polish.
-# ---------------------------------------------------------------------------
-
-def _into_region(u, center, t_inv):
-    d = u - center
-    form = float(d @ t_inv @ d)
-    if form > 1.0:
-        u = center + d / np.sqrt(form * (1.0 + 1e-12))
-    return u
-
-def _coordinate_ascent(u, info, center, t_inv, bounds):
-    m = u.size
-    for _ in range(POLISH_SWEEPS):
-        moved = 0.0
-        for a in range(m):
-            d = u - center
-            taa = t_inv[a, a]
-            ga = float(t_inv[a] @ d)
-            slack = 1.0 - float(d @ t_inv @ d)
-            # taa*x^2 + 2 ga*x + (form - 1) <= 0 along the coordinate
-            if taa <= 0.0:
+        w0 = (s[0] * r / (ns * ns), s[1] * r / (ns * ns))
+        e = (-s[1] / ns, s[0] / ns)
+        hi = math.sqrt(1.0 - (r / ns) ** 2)
+        lo = -hi
+        for j, (sj, rj) in enumerate(cuts):
+            if j == k:
                 continue
-            disc = ga * ga + taa * slack
-            if disc < 0.0:
-                disc = 0.0
-            root = np.sqrt(disc)
-            lo_b = (-ga - root) / taa
-            hi_b = (-ga + root) / taa
-            lo = max(lo_b, bounds.lower[a] - u[a])
-            hi = min(hi_b, bounds.upper[a] - u[a])
-            if lo > hi:
+            den = sj[0] * e[0] + sj[1] * e[1]
+            gap = rj - sj[0] * w0[0] - sj[1] * w0[1]
+            if abs(den) <= 1e-12 * math.hypot(sj[0], sj[1]):     # parallel
+                if gap < -1e-12 * (1.0 + abs(rj)):
+                    lo, hi = math.inf, -math.inf
+                    break
                 continue
-            lin = float(2.0 * info.pw[a] @ u + info.pvwx[a])
-            quad = float(info.pw[a, a])
-            cand = [lo, hi]
-            if quad < 0.0:
-                vertex = -lin / (2.0 * quad)
-                if lo < vertex < hi:
-                    cand.append(vertex)
-            gains = [quad * c * c + lin * c for c in cand]
-            best = int(np.argmax(gains))
-            if gains[best] > 0.0:
-                u = u.copy()
-                u[a] += cand[best]
-                moved += gains[best]
-        if moved <= 1e-15 * (1.0 + abs(info.value(u))):
-            break
-    return _into_region(bounds.clip(u), center, t_inv)
+            edge = gap / den
+            if den > 0.0:
+                hi = min(hi, edge)
+            else:
+                lo = max(lo, edge)
+        if lo > hi:
+            continue
+        ae = (a[0][0] * e[0] + a[0][1] * e[1], a[1][0] * e[0] + a[1][1] * e[1])
+        quad = e[0] * ae[0] + e[1] * ae[1]
+        lin = 2.0 * (w0[0] * ae[0] + w0[1] * ae[1]) + b[0] * e[0] + b[1] * e[1]
+        points.extend((w0[0] + t * e[0], w0[1] + t * e[1])
+                      for t in _segment(quad, lin, lo, hi))
+    a00, a01, a11 = a[0][0], a[0][1], a[1][1]
+    return [(w0 * (a00 * w0 + 2.0 * a01 * w1 + b[0]) + w1 * (a11 * w1 + b[1]), (w0, w1))
+            for w0, w1 in points]
 
 
 def solve_active(info: InfoQuadratic, region: Ellipsoid,
                  bounds: ControlBounds) -> np.ndarray:
     """Maximize the information quadratic over region ∩ box.
 
-    Returns the exploring input; the region center (the robust input) is
-    always a candidate, so the returned objective never falls below it.
-    Exact ties resolve to the lexicographically smallest input.
+    Returns the exploring input, exact for ``m <= 2`` inputs; ``m >= 3``
+    raises ``ValueError``. The region center (the robust input) is always
+    a candidate, so the returned objective never falls below it. Exact
+    ties resolve to the lexicographically smallest input.
     """
     center = np.asarray(region.center, dtype=float)
     m = center.size
     if bounds.m != m or info.m != m:
         raise ValueError("input dimension mismatch between region, info, bounds")
-    t = region.shape
-    if float(np.trace(t)) <= 0.0:
+    if m > 2:
+        raise ValueError(f"solve_active is exact for at most m = 2 inputs, got m = {m}")
+    c, q, g = center.tolist(), info.pw.tolist(), info.pvwx.tolist()
+    t = region.shape.tolist()
+    if sum(t[i][i] for i in range(m)) <= 0.0:
         return center.copy()
-    if np.allclose(info.pw, 0.0) and np.allclose(info.pvwx, 0.0):
+    if max(abs(v) for v in g + [x for row in q for x in row]) <= 1e-8:   # objective ~ const
         return center.copy()
-    sroot = sym_sqrt(t)
-    quad = sroot @ info.pw @ sroot
-    lin = sroot @ (2.0 * info.pw @ center + info.pvwx)
+    lower, upper = bounds.lower.tolist(), bounds.upper.tolist()
+    lin = [2.0 * _dot(qi, c) + gi for qi, gi in zip(q, g)]
 
-    w_cands = _ball_maximizers(quad, lin)
+    # Whitened: u = c + S w with |w| <= 1, objective w^T A w + b . w.
+    sroot = [[math.sqrt(t[0][0])]] if m == 1 else _sqrt2(t)
+    sq = [[_dot(si, qj) for qj in zip(*q)] for si in sroot]
+    a = [[_dot(sqi, sj) for sj in sroot] for sqi in sq]               # S is symmetric
+    a[0][-1] = a[-1][0] = 0.5 * (a[0][-1] + a[-1][0])                 # and so is A
+    b = [_dot(si, lin) for si in sroot]
     if m == 1:
-        w_cands.extend([np.array([1.0]), np.array([-1.0])])
-    elif m == 2:
-        w_cands.extend(_boundary_stationary(quad, lin))
-    candidates = [center.copy()] + [center + sroot @ w for w in w_cands]
-    try:
-        t_inv = np.linalg.inv(t)
-    except np.linalg.LinAlgError:
-        t_inv = np.linalg.pinv(t)
-    if m == 2:
-        candidates.extend(_face_maxima(info, center, t_inv, bounds))
+        w_lo = max(-1.0, (lower[0] - c[0]) / sroot[0][0])
+        w_hi = min(1.0, (upper[0] - c[0]) / sroot[0][0])
+        scored = ([(w * (a[0][0] * w + b[0]), (w,)) for w in _segment(a[0][0], b[0], w_lo, w_hi)]
+                  if w_lo <= w_hi else [])
+    else:
+        cuts = []
+        for k in range(2):
+            if math.isfinite(upper[k]):
+                cuts.append((sroot[k], upper[k] - c[k]))
+            if math.isfinite(lower[k]):
+                cuts.append(((-sroot[k][0], -sroot[k][1]), c[k] - lower[k]))
+        scored = _disk_points(a, b, cuts)
 
-    polished = []
-    for u in candidates:
-        u = _into_region(bounds.clip(np.asarray(u, dtype=float)), center, t_inv)
-        polished.append(_coordinate_ascent(u, info, center, t_inv, bounds))
-    values = np.array([info.value(u) for u in polished])
-    best = float(values.max())
-    tol = 1e-12 * (1.0 + abs(best))
-    winners = [u for u, v in zip(polished, values) if v >= best - tol]
-    winners.sort(key=lambda u: tuple(u))
-    return winners[0]
-
-
-def _face_maxima(info, center, t_inv, bounds):
-    """Exact 1-D maximizers on each finite box face cut by the region (m=2)."""
-    out = []
-    for a in range(2):
-        b = 1 - a
-        for val in (bounds.lower[a], bounds.upper[a]):
-            if not np.isfinite(val):
-                continue
-            da = val - center[a]
-            # region slice along coordinate b: tbb x^2 + 2 gab x + caa <= 0
-            tbb = t_inv[b, b]
-            gab = t_inv[a, b] * da
-            caa = t_inv[a, a] * da * da - 1.0
-            if tbb <= 0.0:
-                continue
-            disc = gab * gab - tbb * caa
-            if disc < 0.0:
-                continue
-            root = np.sqrt(disc)
-            lo = center[b] + (-gab - root) / tbb
-            hi = center[b] + (-gab + root) / tbb
-            lo = max(lo, bounds.lower[b])
-            hi = min(hi, bounds.upper[b])
-            if lo > hi:
-                continue
-            quad = float(info.pw[b, b])
-            lin = float(info.pvwx[b] + 2.0 * info.pw[a, b] * val)
-            cand = [lo, hi]
-            if quad < 0.0:
-                vertex = -lin / (2.0 * quad)
-                if lo < vertex < hi:
-                    cand.append(vertex)
-            u = np.empty(2)
-            u[a] = val
-            vals = []
-            for cb in cand:
-                u_try = u.copy()
-                u_try[b] = cb
-                vals.append(info.value(u_try))
-            u[b] = cand[int(np.argmax(vals))]
-            out.append(u)
-    return out
+    scored.append((0.0, (0.0,) * m))                                  # the center
+    best = max(gain for gain, _ in scored)
+    value_c = 0.5 * (_dot(c, lin) + _dot(c, g)) + info.const
+    tol = 1e-12 * (1.0 + abs(value_c + best))
+    u = min([ci + _dot(si, w) for ci, si in zip(c, sroot)]
+            for gain, w in scored if gain >= best - tol)
+    return np.array([min(max(ui, lo), hi) for ui, lo, hi in zip(u, lower, upper)])

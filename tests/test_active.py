@@ -16,7 +16,7 @@ from smtrack.estimator import (
     build_observation,
     build_state_observation,
 )
-from smtrack.experiments import scenario
+from smtrack.experiments import run, scenario, scenario_from_config, scenario_to_config
 from smtrack.model import UncertainModel
 from smtrack.robust import ControlBounds
 
@@ -186,6 +186,63 @@ class TestSolveActive:
             u = solve_active(info, region, bounds)
             _, grid_best = oracles.active_grid_max(info, region, bounds)
             assert abs(info.value(u) - grid_best) <= 1e-4
+
+    def test_singular_region_stays_on_its_segment(self):
+        # A rank-one region is a segment: no move along the shape's null space.
+        cases = [
+            (InfoQuadratic(np.eye(2), np.zeros(2), 0.0),
+             [[1.0, 1.0], [1.0, 1.0]], [1.0, -1.0], [-1.0, -1.0]),
+            (InfoQuadratic(np.diag([1.0, 5.0]), [0.5, 0.2], 0.0),
+             [[4.0, 2.0], [2.0, 1.0]], [1.0, -2.0], [2.0, 1.0]),
+        ]
+        for info, shape, null, expect in cases:
+            u = solve_active(info, Ellipsoid(np.zeros(2), shape), WIDE)
+            assert abs(np.dot(null, u)) / np.linalg.norm(null) <= 1e-9
+            assert_allclose(u, expect, atol=1e-9)
+
+    def test_hard_case_on_anisotropic_region(self):
+        # Recorded sim3 step: the linear term is almost orthogonal to the
+        # long axis, so the circle multiplier equals an eigenvalue.
+        cases = [(InfoQuadratic(np.diag([0.020402, 1.4792e-6]), np.zeros(2), 0.0),
+                  Ellipsoid([-1.4970298598159775, -3.8895095506799895e-06],
+                            np.diag([1.6, 8e4])))]
+        # Random sim3-like regions (Ma = diag(0.2, 1e4)): a long axis of
+        # condition 1e3-1e5, information along it scaled down to match and
+        # the center near that axis, half of them rotated.
+        rng = np.random.default_rng(57)
+        for k in range(6):
+            cond = 10.0 ** rng.uniform(3.0, 5.0)
+            angle = rng.uniform(0.0, np.pi) if k % 2 else 0.0
+            rot = np.array([[np.cos(angle), -np.sin(angle)],
+                            [np.sin(angle), np.cos(angle)]])
+            shape = rng.uniform(0.5, 8.0) * rot @ np.diag([1.0, cond]) @ rot.T
+            pw = np.diag(rng.uniform(0.01, 1.0, size=2) / [1.0, cond])
+            center = rng.normal(size=2) * [1.0, 1e-6]
+            cases.append((InfoQuadratic(pw, np.zeros(2), 0.0), Ellipsoid(center, shape)))
+        box = ControlBounds([-1e4, -1e4], [1e4, 1e4])
+        for info, region in cases:
+            u = solve_active(info, region, box)
+            _, scan = oracles.active_grid_max(info, region, box, n_angle=200001)
+            assert info.value(u) >= scan - 1e-12 * abs(scan)
+
+    def test_more_than_two_inputs_raise(self):
+        info = InfoQuadratic(np.eye(3), np.zeros(3), 0.0)
+        region = Ellipsoid(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="at most m = 2"):
+            solve_active(info, region, ControlBounds(-np.ones(3), np.ones(3)))
+
+    def test_three_input_active_run_reports_the_limit(self):
+        # sim1 with two extra inputs that act on nothing.
+        cfg = scenario_to_config(scenario("sim1"))
+        spare = np.zeros((len(cfg["a0"]), 2))
+        cfg["b0"] = np.hstack([cfg["b0"], spare]).tolist()
+        cfg["b_perturbations"] = [np.hstack([b, spare]).tolist()
+                                  for b in cfg["b_perturbations"]]
+        cfg["u_min"], cfg["u_max"] = cfg["u_min"] * 3, cfg["u_max"] * 3
+        cfg["ma"] = (cfg["ma"][0][0] * np.eye(3)).tolist()
+        record = run(scenario_from_config(cfg), "active", 0, steps=3)
+        assert record.aborted
+        assert "at most m = 2" in record.diagnostic
 
     def test_dimension_mismatch(self):
         info = InfoQuadratic(np.eye(2), np.zeros(2), 0.0)
