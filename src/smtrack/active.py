@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, psd_clip
+from .ellipsoid import Ellipsoid, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 from .robust import ControlBounds
@@ -58,6 +58,7 @@ __all__ = [
     "InfoQuadratic",
     "build_info_quadratic",
     "build_trust_region",
+    "exploration_weight",
     "solve_active",
 ]
 
@@ -71,14 +72,11 @@ class InfoQuadratic:
 
     def __post_init__(self):
         pw = np.atleast_2d(np.asarray(self.pw, dtype=float))
-        pvwx = np.atleast_1d(np.asarray(self.pvwx, dtype=float))
+        pvwx = np.atleast_1d(np.array(self.pvwx, dtype=float))
         if pw.shape[0] != pw.shape[1] or pw.shape[0] != pvwx.size:
             raise ValueError("inconsistent quadratic dimensions")
         pw = 0.5 * (pw + pw.T)
-        pw.flags.writeable = False
-        pvwx.flags.writeable = False
-        object.__setattr__(self, "pw", pw)
-        object.__setattr__(self, "pvwx", pvwx)
+        _set_frozen(self, pw=pw, pvwx=pvwx)
 
     @property
     def m(self) -> int:
@@ -89,61 +87,45 @@ class InfoQuadratic:
         return float(u @ self.pw @ u + self.pvwx @ u + self.const)
 
 
-def _perturbation_rows(model: UncertainModel, output_map: str):
-    if output_map == "tracked":
-        v_rows = [model.c @ ai for ai in model.a_perturbations]
-        w_rows = [model.c @ bj for bj in model.b_perturbations]
-    elif output_map == "state":
-        v_rows = list(model.a_perturbations)
-        w_rows = list(model.b_perturbations)
-    else:
-        raise ValueError(f"output_map must be 'tracked' or 'state', got {output_map!r}")
-    return v_rows, w_rows
-
-
 def build_info_quadratic(model: UncertainModel, belief: ParameterBelief, x,
                          output_map: str = "tracked") -> InfoQuadratic:
     """Assemble the information quadratic at state ``x``.
 
-    ``output_map`` picks the regressor level: "tracked" uses the rows
+    ``output_map`` picks the regressor table: "tracked" uses the rows
     ``C Ai``/``C Bj``; "state" the raw perturbation matrices (what the
     closed-loop driver learns from). The identity
     ``value(u) = tr(phi P phi^T)`` is exact for the matching regressor.
     """
+    if output_map not in ("tracked", "state"):
+        raise ValueError(f"output_map must be 'tracked' or 'state', got {output_map!r}")
+    table = getattr(model, output_map)
     x = np.asarray(x, dtype=float).ravel()
-    v_rows, w_rows = _perturbation_rows(model, output_map)
-    r, s, m = model.r, model.s, model.m
-    shape = belief.shape
-    pxx = shape[:r, :r]
-    pxu = shape[:r, r:]
-    puu = shape[r:, r:]
-    phix = (np.column_stack([vi @ x for vi in v_rows])
-            if r else np.zeros((v_rows[0].shape[0] if v_rows else 1, 0)))
-    const = float(np.einsum("ti,ij,tj->", phix, pxx, phix)) if r else 0.0
-    if s == 0:
-        return InfoQuadratic(np.zeros((m, m)), np.zeros(m), const)
-    wstack = np.stack(w_rows)                    # (s, l', m)
-    pw = np.einsum("atm,ab,btk->mk", wstack, puu, wstack)
-    if r:
-        pvwx = 2.0 * np.einsum("ti,ia,atm->m", phix, pxu, wstack)
-    else:
-        pvwx = np.zeros(m)
-    return InfoQuadratic(psd_clip(pw), pvwx, const)
+    r, shape = model.r, belief.shape
+    phix = table.state_block(x)                  # (l', r)
+    wstack = table.b_stack                       # (s, l', m)
+    const = float(np.einsum("ti,ij,tj->", phix, shape[:r, :r], phix))
+    pw = np.einsum("atm,ab,btk->mk", wstack, shape[r:, r:], wstack)
+    pvwx = 2.0 * np.einsum("ti,ia,atm->m", phix, shape[:r, r:], wstack)
+    return InfoQuadratic(pw, pvwx, const)
 
 
-def build_trust_region(belief: ParameterBelief, u_ref, ma) -> Ellipsoid:
-    """Exploration ellipsoid ``E(trace(P) * Ma, u_ref)`` over the inputs."""
-    u_ref = np.atleast_1d(np.asarray(u_ref, dtype=float))
-    m = u_ref.size
-    ma = np.asarray(ma, dtype=float)
+def exploration_weight(ma, m: int) -> np.ndarray:
+    """``ma`` as a new (m, m) array: a scalar means ``ma I``, a vector the diagonal."""
+    ma = np.array(ma, dtype=float)
     if ma.ndim == 0:
         ma = float(ma) * np.eye(m)
     elif ma.ndim == 1:
         ma = np.diag(ma)
     if ma.shape != (m, m):
         raise ValueError(f"ma has shape {ma.shape}, expected ({m}, {m})")
+    return ma
+
+
+def build_trust_region(belief: ParameterBelief, u_ref, ma) -> Ellipsoid:
+    """Exploration ellipsoid ``E(trace(P) * Ma, u_ref)`` over the inputs."""
+    u_ref = np.atleast_1d(np.asarray(u_ref, dtype=float))
     tr = max(float(np.trace(belief.shape)), 0.0)
-    return Ellipsoid(u_ref, psd_clip(tr * ma))
+    return Ellipsoid(u_ref, tr * exploration_weight(ma, u_ref.size))
 
 
 # ---------------------------------------------------------------------------

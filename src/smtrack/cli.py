@@ -173,9 +173,8 @@ def _check_active_identity(rng) -> str:
     info = build_info_quadratic(model, belief, x, output_map="state")
     for _ in range(25):
         u = rng.normal(size=model.m)
-        obs = build_state_observation(model, x, u,
-                                      np.zeros(model.n))
-        direct = float(np.trace(obs.phi @ belief.shape @ obs.phi.T))
+        phi = model.state.phi(x, u)
+        direct = float(np.trace(phi @ belief.shape @ phi.T))
         if abs(info.value(u) - direct) > 1e-8 * (1.0 + abs(direct)):
             return "information quadratic disagrees with direct evaluation"
     return ""

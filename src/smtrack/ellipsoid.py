@@ -73,6 +73,13 @@ class InconsistentSetsError(RuntimeError):
     """A fusion certified that the operand sets do not intersect."""
 
 
+def _set_frozen(obj, **arrays):
+    """Store arrays on a frozen dataclass, read-only (the caller passes copies)."""
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def psd_clip(mat):
     """Symmetrize ``mat`` and clip negative eigenvalues to zero."""
     sym = 0.5 * (mat + mat.T)
@@ -105,7 +112,7 @@ class Ellipsoid:
     shape: np.ndarray
 
     def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        center = np.atleast_1d(np.array(self.center, dtype=float))
         shape = np.asarray(self.shape, dtype=float)
         if center.ndim != 1:
             raise ValueError(f"center must be a vector, got shape {center.shape}")
@@ -123,10 +130,7 @@ class Ellipsoid:
         eigmin = float(np.linalg.eigvalsh(shape)[0]) if shape.size else 0.0
         if eigmin < -PSD_TOL * (1.0 + tr):
             raise ValueError(f"shape matrix is not PSD (min eigenvalue {eigmin:.3e})")
-        center.flags.writeable = False
-        shape.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "shape", shape)
+        _set_frozen(self, center=center, shape=shape)
 
     @property
     def dim(self) -> int:

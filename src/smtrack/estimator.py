@@ -39,6 +39,7 @@ from .ellipsoid import (
     Ellipsoid,
     InconsistentSetsError,
     _Fusion,
+    _set_frozen,
     optimal_tau,
     psd_clip,
 )
@@ -70,18 +71,14 @@ class Observation:
     q_shape: np.ndarray
 
     def __post_init__(self):
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
+        h = np.atleast_1d(np.array(self.h, dtype=float))
+        phi = np.atleast_2d(np.array(self.phi, dtype=float))
         q = np.atleast_2d(np.asarray(self.q_shape, dtype=float))
         if phi.shape[0] != h.size:
             raise ValueError(f"phi has {phi.shape[0]} rows, h has {h.size}")
         if q.shape != (h.size, h.size):
             raise ValueError(f"q_shape {q.shape} does not match h ({h.size})")
-        for arr in (h, phi, q):
-            arr.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "q_shape", 0.5 * (q + q.T))
+        _set_frozen(self, h=h, phi=phi, q_shape=0.5 * (q + q.T))
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def build_observation(model: UncertainModel, x, u, y_next) -> Observation:
     ``H = y_next - C A0 x - C B0 u``; regressor columns are ``C Ai x`` then
     ``C Bj u``; the noise shape is ``C R C^T``.
     """
-    return _observation(model, model.c, x, u, y_next)
+    return _observation(model.tracked, x, u, y_next)
 
 
 def build_state_observation(model: UncertainModel, x, u, x_next) -> Observation:
@@ -118,24 +115,15 @@ def build_state_observation(model: UncertainModel, x, u, x_next) -> Observation:
     perturbation direction excited by ``(x, u)`` is visible, and the noise
     shape is the disturbance bound itself.
     """
-    return _observation(model, None, x, u, x_next)
+    return _observation(model.state, x, u, x_next)
 
 
-def _observation(model: UncertainModel, out, x, u, target) -> Observation:
-    """Observation of ``target = out x_next``; ``out=None`` is the identity."""
+def _observation(table, x, u, target) -> Observation:
+    """Observation of ``target = M x_next`` from the regressor table of ``M``."""
     x = np.asarray(x, dtype=float).ravel()
     u = np.atleast_1d(np.asarray(u, dtype=float)).ravel()
     target = np.atleast_1d(np.asarray(target, dtype=float)).ravel()
-    terms = [model.a0 @ x, model.b0 @ u]
-    terms += [ai @ x for ai in model.a_perturbations]
-    terms += [bj @ u for bj in model.b_perturbations]
-    q = model.r_shape
-    if out is not None:
-        terms = [out @ t for t in terms]
-        q = out @ q @ out.T
-    h = target - terms[0] - terms[1]
-    phi = np.column_stack(terms[2:]) if len(terms) > 2 else np.zeros((h.size, 0))
-    return Observation(h, phi, q)
+    return Observation(target - table.a0 @ x - table.b0 @ u, table.phi(x, u), table.q)
 
 
 def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active import build_info_quadratic, build_trust_region, solve_active
-from .ellipsoid import Ellipsoid
+from .active import (build_info_quadratic, build_trust_region, exploration_weight,
+                     solve_active)
+from .ellipsoid import Ellipsoid, _set_frozen
 from .estimator import ParameterBelief, build_state_observation, update
 from .model import UncertainModel
 from .robust import ControlBounds, build_instance, solve_known_theta, solve_robust
@@ -117,22 +118,18 @@ class ScenarioSpec:
     def __post_init__(self):
         theta = np.atleast_1d(np.array(self.theta_true, dtype=float))
         x0 = np.array(self.x0, dtype=float).ravel()
-        ma = np.array(self.ma, dtype=float)
-        if ma.ndim == 0:
-            ma = float(ma) * np.eye(self.model.m)
-        elif ma.ndim == 1:
-            ma = np.diag(ma)
+        ma = exploration_weight(self.ma, self.model.m)
+        try:
+            Ellipsoid(np.zeros(self.model.m), ma)
+        except ValueError as exc:
+            raise ValueError(f"ma must be symmetric PSD: {exc}") from None
         if theta.size != self.model.p:
             raise ValueError("theta_true does not match the model parameters")
         if x0.size != self.model.n:
             raise ValueError("x0 does not match the state dimension")
         if self.belief0.dim != self.model.p:
             raise ValueError("belief0 does not match the parameter dimension")
-        for arr in (theta, x0, ma):
-            arr.flags.writeable = False
-        object.__setattr__(self, "theta_true", theta)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "ma", ma)
+        _set_frozen(self, theta_true=theta, x0=x0, ma=ma)
 
 
 @dataclass

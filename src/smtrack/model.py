@@ -11,27 +11,64 @@ with the state and input matrices affine in the unknown parameters::
 The stacked parameter vector is ``theta = [alpha; beta]`` (dimensions r and
 s). The additive disturbance is bounded by the ellipsoid ``E(R, 0)`` in
 state space.
+
+Estimation, control and active learning read the regressor ``phi(x, u) =
+[M A1 x ... M Ar x | M B1 u ... M Bs u]`` of an output map ``M`` from one of
+two tables built once per model: ``state`` (``M = I``, what the closed loop
+learns from) and ``tracked`` (``M = C``, what the controller bounds).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 
-from .ellipsoid import Ellipsoid
+from .ellipsoid import Ellipsoid, _set_frozen
 
-__all__ = ["UncertainModel", "zoh_discretize"]
+__all__ = ["RegressorTable", "UncertainModel", "zoh_discretize"]
 
 
 def _as_matrix(m, rows=None, cols=None, name="matrix"):
-    out = np.atleast_2d(np.asarray(m, dtype=float))
+    out = np.atleast_2d(np.array(m, dtype=float))
     if rows is not None and out.shape[0] != rows:
         raise ValueError(f"{name} has {out.shape[0]} rows, expected {rows}")
     if cols is not None and out.shape[1] != cols:
         raise ValueError(f"{name} has {out.shape[1]} columns, expected {cols}")
     return out
+
+
+def _as_columns(m, rows, cols, name):
+    """``_as_matrix`` with a flat vector read as one column (a single input)."""
+    m = np.asarray(m, dtype=float)
+    return _as_matrix(m[:, None] if m.ndim == 1 else m, rows, cols, name)
+
+
+@dataclass(frozen=True)
+class RegressorTable:
+    """Constant regressor data of one output map ``M``, as read-only arrays:
+    ``a0 = M A0`` (rows x n), ``b0 = M B0`` (rows x m), the stacks ``a_stack``
+    of the ``M Ai`` (r x rows x n) and ``b_stack`` of the ``M Bj``
+    (s x rows x m), either possibly empty, and the noise shape ``q = M R M^T``.
+    """
+
+    a0: np.ndarray
+    b0: np.ndarray
+    a_stack: np.ndarray
+    b_stack: np.ndarray
+    q: np.ndarray
+
+    def __post_init__(self):
+        _set_frozen(self, **{k: np.array(v, dtype=float) for k, v in vars(self).items()})
+
+    def state_block(self, x):
+        """The ``r`` state columns ``[M A1 x ... M Ar x]`` of the regressor."""
+        return (self.a_stack @ x).T
+
+    def phi(self, x, u):
+        """The full regressor ``phi(x, u)``, rows x (r + s)."""
+        return np.concatenate([self.a_stack @ x, self.b_stack @ u]).T
 
 
 @dataclass(frozen=True)
@@ -50,35 +87,32 @@ class UncertainModel:
     b_perturbations: tuple
     c: np.ndarray
     r_shape: np.ndarray
+    state: RegressorTable = field(init=False, repr=False, compare=False)
+    tracked: RegressorTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a0 = _as_matrix(self.a0, name="a0")
         n = a0.shape[0]
         a0 = _as_matrix(a0, n, n, "a0")
-        b0 = np.asarray(self.b0, dtype=float)
-        if b0.ndim == 1:
-            b0 = b0[:, None]  # flat vector means a single-input column
-        b0 = _as_matrix(b0, n, None, "b0")
+        b0 = _as_columns(self.b0, n, None, "b0")
         c = _as_matrix(self.c, None, n, "c")
         r_shape = _as_matrix(self.r_shape, n, n, "r_shape")
         m = b0.shape[1]
         aps = tuple(_as_matrix(ai, n, n, f"a_perturbations[{i}]")
                     for i, ai in enumerate(self.a_perturbations))
-        bps = []
-        for j, bj in enumerate(self.b_perturbations):
-            bj = np.asarray(bj, dtype=float)
-            if bj.ndim == 1:
-                bj = bj[:, None]
-            bps.append(_as_matrix(bj, n, m, f"b_perturbations[{j}]"))
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "r_shape", 0.5 * (r_shape + r_shape.T))
-        object.__setattr__(self, "a_perturbations", aps)
-        object.__setattr__(self, "b_perturbations", tuple(bps))
-        for arr in (self.a0, self.b0, self.c, self.r_shape,
-                    *self.a_perturbations, *self.b_perturbations):
+        bps = tuple(_as_columns(bj, n, m, f"b_perturbations[{j}]")
+                    for j, bj in enumerate(self.b_perturbations))
+        for arr in (*aps, *bps):
             arr.flags.writeable = False
+        object.__setattr__(self, "a_perturbations", aps)
+        object.__setattr__(self, "b_perturbations", bps)
+        _set_frozen(self, a0=a0, b0=b0, c=c, r_shape=0.5 * (r_shape + r_shape.T))
+        a_stack = np.array(aps).reshape(-1, n, n)
+        b_stack = np.array(bps).reshape(-1, n, m)
+        for name, out in (("state", np.eye(n)), ("tracked", c)):
+            object.__setattr__(self, name, RegressorTable(
+                out @ a0, out @ b0, out @ a_stack, out @ b_stack,
+                out @ self.r_shape @ out.T))
 
     @property
     def n(self) -> int:
@@ -148,10 +182,7 @@ def zoh_discretize(a_cont, b_cont, dt: float):
     a_cont = _as_matrix(a_cont, name="a_cont")
     n = a_cont.shape[0]
     a_cont = _as_matrix(a_cont, n, n, "a_cont")
-    b_cont = np.asarray(b_cont, dtype=float)
-    if b_cont.ndim == 1:
-        b_cont = b_cont[:, None]
-    b_cont = _as_matrix(b_cont, n, None, "b_cont")
+    b_cont = _as_columns(b_cont, n, None, "b_cont")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     m = b_cont.shape[1]

@@ -7,6 +7,11 @@ tracking error under parameter vector ``theta`` and output noise ``v`` is::
     f = C A0 x - y_ref,   b0 = C B0,
     g_t(u) = [(C A1 x)_t, ..., (C Ar x)_t, (C B1 u)_t, ..., (C Bs u)_t]
 
+:func:`build_instance` reads the constants from the model's ``tracked``
+regressor table, so a :class:`TrackingInstance` holds ``f``, ``b0``, the
+noise shape ``q_shape = C R C^T``, the state block ``gx`` of ``g`` (the
+columns ``C Ai x``) and the stack ``b_stack`` of the ``C Bj``.
+
 With ``theta`` in the belief ellipsoid ``E(P, th)`` and ``v`` bounded by
 ``E(Q, 0)``, the worst-case magnitude of ``e_t`` over both sets is::
 
@@ -45,7 +50,7 @@ from operator import mul
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, sym_sqrt
+from .ellipsoid import Ellipsoid, _set_frozen, sym_sqrt
 from .estimator import ParameterBelief
 from .model import UncertainModel
 
@@ -76,14 +81,11 @@ class ControlBounds:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.atleast_1d(np.array(self.lower, dtype=float))
+        upper = np.atleast_1d(np.array(self.upper, dtype=float))
         if lower.shape != upper.shape:
             raise ValueError("bound vectors differ in length")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        _set_frozen(self, lower=lower, upper=upper)
 
     @property
     def m(self) -> int:
@@ -107,12 +109,11 @@ class ControlBounds:
 class TrackingInstance:
     """Per-step data of the worst-case tracking program."""
 
-    f: np.ndarray            # (l,)   C A0 x - y_ref
-    b0: np.ndarray           # (l, m) C B0
-    v_rows: tuple            # r matrices, each (l, n): C Ai
-    w_rows: tuple            # s matrices, each (l, m): C Bj
-    q_shape: np.ndarray      # (l, l) output-noise bound C R C^T
-    x: np.ndarray            # (n,)  state the instance was built at
+    f: np.ndarray            # (l,)      C A0 x - y_ref
+    b0: np.ndarray           # (l, m)    C B0
+    gx: np.ndarray           # (l, r)    state block of g: columns C Ai x
+    b_stack: np.ndarray      # (s, l, m) the C Bj
+    q_shape: np.ndarray      # (l, l)    output-noise bound C R C^T
 
     @property
     def l(self) -> int:
@@ -124,16 +125,12 @@ class TrackingInstance:
 
     @property
     def p(self) -> int:
-        return len(self.v_rows) + len(self.w_rows)
+        return self.gx.shape[1] + self.b_stack.shape[0]
 
     def regressor(self, u):
         """Stacked g(u): row t holds g_t(u), shape (l, r+s)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        cols = [vi @ self.x for vi in self.v_rows]
-        cols += [wj @ u for wj in self.w_rows]
-        if not cols:
-            return np.zeros((self.l, 0))
-        return np.column_stack(cols)
+        return np.concatenate([self.gx, (self.b_stack @ u).T], axis=1)
 
 
 @dataclass(frozen=True)
@@ -153,15 +150,9 @@ def build_instance(model: UncertainModel, x, y_ref_next) -> TrackingInstance:
         raise ValueError(f"state has {x.size} entries, expected {model.n}")
     if y_ref.size != model.l:
         raise ValueError(f"reference has {y_ref.size} entries, expected {model.l}")
-    c = model.c
-    return TrackingInstance(
-        f=c @ (model.a0 @ x) - y_ref,
-        b0=c @ model.b0,
-        v_rows=tuple(c @ ai for ai in model.a_perturbations),
-        w_rows=tuple(c @ bj for bj in model.b_perturbations),
-        q_shape=c @ model.r_shape @ c.T,
-        x=x,
-    )
+    t = model.tracked
+    return TrackingInstance(f=t.a0 @ x - y_ref, b0=t.b0, gx=t.state_block(x),
+                            b_stack=t.b_stack, q_shape=t.q)
 
 
 def _error_terms(instance: TrackingInstance, belief: ParameterBelief, u):
@@ -237,18 +228,12 @@ class _Barrier:
         l, m = instance.l, instance.m
         th = belief.center
         sroot = sym_sqrt(belief.shape)
-        r = len(instance.v_rows)
-        base = np.zeros((l, instance.p))
-        if r:
-            base[:, :r] = (np.array(instance.v_rows) @ instance.x).T
-        mid0 = instance.f + base @ th
-        wb = base @ sroot.T
-        midu = np.array(instance.b0, dtype=float)
-        wm = np.zeros((l, instance.p, m))
-        if instance.w_rows:
-            ws = np.array(instance.w_rows).reshape(len(instance.w_rows), -1)
-            midu += (th[r:] @ ws).reshape(l, m)
-            wm += (sroot[:, r:] @ ws).reshape(-1, l, m).transpose(1, 0, 2)
+        gx, r = instance.gx, instance.gx.shape[1]
+        ws = instance.b_stack.reshape(-1, l * m)
+        mid0 = instance.f + gx @ th[:r]
+        wb = gx @ sroot[:, :r].T
+        midu = instance.b0 + (th[r:] @ ws).reshape(l, m)
+        wm = (sroot[:, r:] @ ws).reshape(instance.p, l, m).transpose(1, 0, 2)
 
         lo, hi = bounds.lower, bounds.upper
         width = hi - lo

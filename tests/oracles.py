@@ -19,11 +19,10 @@ def robust_cost_batch(instance, belief, us):
     us = np.atleast_2d(np.asarray(us, dtype=float))
     n_pts = us.shape[0]
     l, p = instance.l, instance.p
-    r = len(instance.v_rows)
+    r = instance.gx.shape[1]
     g = np.zeros((n_pts, l, p))
-    for i, vi in enumerate(instance.v_rows):
-        g[:, :, i] = vi @ instance.x
-    for j, wj in enumerate(instance.w_rows):
+    g[:, :, :r] = instance.gx
+    for j, wj in enumerate(instance.b_stack):
         g[:, :, r + j] = us @ wj.T
     mid = instance.f[None, :] + us @ instance.b0.T + g @ belief.center
     quad = np.einsum("nti,ij,ntj->nt", g, belief.shape, g)
@@ -97,7 +96,7 @@ def robust_barrier(instance, belief, bounds, u, z, t_b):
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
     l, m, p = instance.l, instance.m, instance.p
-    r = len(instance.v_rows)
+    r = instance.gx.shape[1]
     mid, rho, q = cone_terms(instance, belief, u)
     g_all = instance.regressor(u)
     dim = m + l
@@ -107,7 +106,7 @@ def robust_barrier(instance, belief, bounds, u, z, t_b):
     hess = np.zeros((dim, dim))
     for t in range(l):
         jac = np.zeros((p, m))
-        for j, wj in enumerate(instance.w_rows):
+        for j, wj in enumerate(instance.b_stack):
             jac[r + j] = wj[t]
         dmid = instance.b0[t] + jac.T @ belief.center
         drho = np.zeros(dim)
@@ -225,6 +224,20 @@ def random_spd(rng, n, jitter=0.2):
     return m @ m.T + jitter * np.eye(n)
 
 
+def random_model(rng, n=2, m=2, r=2, s=1):
+    """Random uncertain plant with one tracked output."""
+    from smtrack.model import UncertainModel
+
+    return UncertainModel(
+        a0=rng.normal(size=(n, n)),
+        a_perturbations=tuple(rng.normal(size=(n, n)) for _ in range(r)),
+        b0=rng.normal(size=(n, m)),
+        b_perturbations=tuple(rng.normal(size=(n, m)) for _ in range(s)),
+        c=rng.normal(size=(1, n)),
+        r_shape=random_spd(rng, n, jitter=0.05),
+    )
+
+
 def random_tracking_case(rng):
     """Random tracking program (instance, belief, bounds) at desk scale."""
     from smtrack.estimator import ParameterBelief
@@ -237,13 +250,16 @@ def random_tracking_case(rng):
     s = int(rng.integers(0, 3))
     n = 2
     x = rng.normal(size=n)
+    f = rng.normal(scale=2.0, size=l)
+    b0 = rng.normal(size=(l, m))
+    v_rows = [rng.normal(size=(l, n)) for _ in range(r)]
+    w_rows = [rng.normal(size=(l, m)) for _ in range(s)]
     instance = TrackingInstance(
-        f=rng.normal(scale=2.0, size=l),
-        b0=rng.normal(size=(l, m)),
-        v_rows=tuple(rng.normal(size=(l, n)) for _ in range(r)),
-        w_rows=tuple(rng.normal(size=(l, m)) for _ in range(s)),
+        f=f,
+        b0=b0,
+        gx=np.array([vi @ x for vi in v_rows]).reshape(r, l).T,
+        b_stack=np.array(w_rows).reshape(s, l, m),
         q_shape=random_spd(rng, l, jitter=0.05),
-        x=x,
     )
     p = r + s
     belief = ParameterBelief(

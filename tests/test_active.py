@@ -17,24 +17,13 @@ from smtrack.estimator import (
     build_state_observation,
 )
 from smtrack.experiments import run, scenario, scenario_from_config, scenario_to_config
-from smtrack.model import UncertainModel
 from smtrack.robust import ControlBounds
 
 import oracles
+from oracles import random_model
 
 
 WIDE = ControlBounds([-100.0, -100.0], [100.0, 100.0])
-
-
-def random_model(rng, n=2, m=2, r=2, s=1):
-    return UncertainModel(
-        a0=rng.normal(size=(n, n)),
-        a_perturbations=tuple(rng.normal(size=(n, n)) for _ in range(r)),
-        b0=rng.normal(size=(n, m)),
-        b_perturbations=tuple(rng.normal(size=(n, m)) for _ in range(s)),
-        c=rng.normal(size=(1, n)),
-        r_shape=oracles.random_spd(rng, n, jitter=0.05),
-    )
 
 
 class TestInfoQuadratic:
@@ -53,7 +42,7 @@ class TestBuildInfoQuadratic:
         for _ in range(100):
             model = random_model(rng,
                                  r=int(rng.integers(0, 3)),
-                                 s=int(rng.integers(1, 3)))
+                                 s=int(rng.integers(0, 3)))
             p = model.p
             belief = ParameterBelief(
                 Ellipsoid(rng.normal(size=p), oracles.random_spd(rng, p)))

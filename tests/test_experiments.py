@@ -311,5 +311,17 @@ class TestConfigRoundTrip:
         record = run(spec, "fixed", 0, steps=4)
         assert not record.aborted
 
+    def test_ma_of_the_wrong_size_is_rejected_at_load(self):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["ma"] = np.eye(3).tolist()
+        with pytest.raises(ValueError, match="ma"):
+            scenario_from_config(cfg)
+
+    def test_indefinite_ma_is_rejected_at_load(self):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["ma"] = [[-1.0]]
+        with pytest.raises(ValueError, match="ma"):
+            scenario_from_config(cfg)
+
     def test_modes_tuple_is_stable(self):
         assert MODES == ("fixed", "learn", "active", "known_theta")

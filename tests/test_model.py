@@ -5,8 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from smtrack.active import InfoQuadratic
+from smtrack.ellipsoid import Ellipsoid
+from smtrack.estimator import Observation
 from smtrack.experiments import scenario, sim3_continuous
 from smtrack.model import UncertainModel, zoh_discretize
+from smtrack.robust import ControlBounds
 
 
 def two_state_model():
@@ -37,6 +41,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             model.a0[0, 0] = 2.0
 
+    def test_regressor_tables(self):
+        model = two_state_model()
+        for table, out in ((model.state, np.eye(2)), (model.tracked, model.c)):
+            assert_allclose(table.a0, out @ model.a0)
+            assert_allclose(table.b0, out @ model.b0)
+            assert_allclose(table.a_stack, [out @ a for a in model.a_perturbations])
+            assert_allclose(table.b_stack, [out @ b for b in model.b_perturbations])
+            assert_allclose(table.q, out @ model.r_shape @ out.T)
+            for arr in (table.a0, table.b0, table.a_stack, table.b_stack, table.q):
+                assert not arr.flags.writeable
+        x, u = np.array([1.0, -2.0]), np.array([0.5])
+        assert_allclose(model.tracked.phi(x, u), [[0.1, 0.15]])
+        assert model.state.phi(x, u).shape == (2, 2)
+
+    def test_empty_perturbations_give_empty_stacks(self):
+        model = UncertainModel(a0=np.eye(2), a_perturbations=(), b0=np.ones((2, 1)),
+                               b_perturbations=(), c=np.ones((1, 2)), r_shape=np.eye(2))
+        assert model.tracked.a_stack.shape == (0, 1, 2)
+        assert model.tracked.b_stack.shape == (0, 1, 1)
+        assert model.state.phi(np.ones(2), np.ones(1)).shape == (2, 0)
+
     def test_mismatched_perturbation_rejected(self):
         with pytest.raises(ValueError, match="a_perturbations"):
             UncertainModel(
@@ -56,6 +81,22 @@ class TestConstruction:
         dset = model.disturbance_set()
         assert_allclose(dset.center, np.zeros(2))
         assert_allclose(dset.shape, 0.01 * np.eye(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda v, mat: Ellipsoid(v, mat),
+    lambda v, mat: UncertainModel(mat, (mat,), v[:, None], (v[:, None],), v[None, :], mat),
+    lambda v, mat: Observation(v, mat, mat),
+    lambda v, mat: InfoQuadratic(mat, v, 0.0),
+    lambda v, mat: ControlBounds(v, v + 1.0),
+], ids=["Ellipsoid", "UncertainModel", "Observation", "InfoQuadratic", "ControlBounds"])
+def test_constructors_leave_the_callers_arrays_writable(build):
+    v, mat = np.zeros(2), np.eye(2)
+    obj = build(v, mat)
+    assert v.flags.writeable and mat.flags.writeable
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable
 
 
 class TestAssemble:

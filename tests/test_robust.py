@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smtrack.ellipsoid import Ellipsoid
-from smtrack.estimator import ParameterBelief
+from smtrack.estimator import ParameterBelief, build_observation
 from smtrack.experiments import scenario
 from smtrack import robust
 from smtrack.robust import (
@@ -21,6 +21,7 @@ from smtrack.robust import (
 )
 
 import oracles
+from oracles import random_model
 
 
 def sim1_case(y_ref=5.0 / 23.0):
@@ -42,10 +43,9 @@ def noise_free_scalar():
     instance = TrackingInstance(
         f=np.array([0.3]),
         b0=np.array([[1.0]]),
-        v_rows=(),
-        w_rows=(np.array([[0.4]]),),
+        gx=np.zeros((1, 0)),
+        b_stack=np.array([[[0.4]]]),
         q_shape=np.zeros((1, 1)),
-        x=np.array([1.0]),
     )
     belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
     return instance, belief
@@ -71,8 +71,8 @@ class TestBuildInstance:
         _, instance, _ = sim1_case()
         assert_allclose(instance.f, [1.63 - 5.0 / 23.0])
         assert_allclose(instance.b0, [[-0.39]])
-        assert instance.v_rows == ()
-        assert len(instance.w_rows) == 2
+        assert instance.gx.shape == (1, 0)
+        assert instance.b_stack.shape == (2, 1, 1)
         assert_allclose(instance.q_shape, [[1.05]])
 
     def test_dimension_checks(self):
@@ -81,6 +81,21 @@ class TestBuildInstance:
             build_instance(model, np.zeros(2), 0.0)
         with pytest.raises(ValueError, match="reference"):
             build_instance(model, np.zeros(3), [0.0, 1.0])
+
+    def test_regressor_matches_the_tracked_observation(self):
+        # The controller and the estimator read one regressor table.
+        rng = np.random.default_rng(21)
+        models = [scenario(name).model for name in ("sim1", "sim2", "sim3")]
+        models += [random_model(rng, r=r, s=s) for r in range(3) for s in range(3)]
+        for model in models:
+            for _ in range(5):
+                x = rng.normal(size=model.n)
+                u = rng.normal(size=model.m)
+                instance = build_instance(model, x, np.zeros(model.l))
+                obs = build_observation(model, x, u, np.zeros(model.l))
+                assert instance.regressor(u).shape == (model.l, model.p)
+                np.testing.assert_array_equal(instance.regressor(u), obs.phi)
+                assert_allclose(instance.q_shape, obs.q_shape, rtol=1e-15, atol=0.0)
 
     def test_error_decomposition_matches_the_plant(self):
         # f + b0 u + g(u) theta reproduces the undisturbed tracking error.
@@ -220,8 +235,8 @@ class TestSolveRobust:
     def test_parameter_free_instance(self):
         instance, _ = noise_free_scalar()
         bare = TrackingInstance(
-            f=instance.f, b0=instance.b0, v_rows=(), w_rows=(),
-            q_shape=instance.q_shape, x=instance.x)
+            f=instance.f, b0=instance.b0, gx=np.zeros((1, 0)),
+            b_stack=np.zeros((0, 1, 1)), q_shape=instance.q_shape)
         sol = solve_known_theta(bare, np.zeros(0), ControlBounds([-5.0], [5.0]))
         assert sol.status == "optimal"
         assert_allclose(sol.u, [-0.3], atol=1e-6)
@@ -274,10 +289,9 @@ class TestSolveRobust:
         instance = TrackingInstance(
             f=np.array([0.5]),
             b0=np.array([[1.0, 0.5]]),
-            v_rows=(np.array([[0.3, -0.2]]), np.array([[0.1, 0.4]])),
-            w_rows=(),
+            gx=(np.array([[0.3, -0.2], [0.1, 0.4]]) @ np.array([1.0, 1.0]))[None, :],
+            b_stack=np.zeros((0, 1, 2)),
             q_shape=np.array([[0.1]]),
-            x=np.array([1.0, 1.0]),
         )
         belief = ParameterBelief(
             Ellipsoid([0.2, -0.1], [[0.3, 0.1], [0.1, 0.2]]))
