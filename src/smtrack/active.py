@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _set_frozen
+from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 from .robust import ControlBounds
@@ -62,8 +62,8 @@ __all__ = [
     "solve_active",
 ]
 
-@dataclass(frozen=True)
-class InfoQuadratic:
+@dataclass(frozen=True, eq=False)
+class InfoQuadratic(_FrozenArrays):
     """Information objective ``u^T pw u + pvwx . u + const``."""
 
     pw: np.ndarray

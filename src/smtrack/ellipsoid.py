@@ -42,7 +42,8 @@ The 200-point scan is array arithmetic, candidates are compared by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -73,11 +74,55 @@ class InconsistentSetsError(RuntimeError):
     """A fusion certified that the operand sets do not intersect."""
 
 
+def _freeze(value):
+    """Make ``value`` read-only if it is an array, or each array of a tuple."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    return value
+
+
 def _set_frozen(obj, **arrays):
-    """Store arrays on a frozen dataclass, read-only (the caller passes copies)."""
+    """Store arrays (or tuples of them) on a frozen dataclass, read-only.
+
+    The caller passes copies.
+    """
     for name, arr in arrays.items():
-        arr.flags.writeable = False
-        object.__setattr__(obj, name, arr)
+        object.__setattr__(obj, name, _freeze(arr))
+
+
+def _value_equal(a, b):
+    """Field equality: arrays (also inside tuples) by ``np.array_equal``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_value_equal, a, b))
+    return a == b
+
+
+class _FrozenArrays:
+    """Base of the immutable dataclasses that hold read-only arrays.
+
+    Subclasses are declared ``@dataclass(frozen=True, eq=False)`` and store
+    their arrays through :func:`_set_frozen`. Two instances are equal when
+    every compared field is, arrays by value; values cached on an instance
+    are not fields and do not take part. Unpickling (``monte_carlo`` sends
+    every scenario to its workers that way) makes every array of the
+    restored state read-only again, the cached ones included.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_value_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+    def __setstate__(self, state):
+        for value in state.values():
+            _freeze(value)
+        self.__dict__.update(state)
 
 
 def psd_clip(mat):
@@ -91,12 +136,15 @@ def psd_clip(mat):
 
 def sym_sqrt(mat):
     """Symmetric PSD square root (eigenvalues clipped at zero)."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    return _eig_root(*np.linalg.eigh(0.5 * (mat + mat.T)))
+
+
+def _eig_root(vals, vecs):
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
+@dataclass(frozen=True, eq=False)
+class Ellipsoid(_FrozenArrays):
     """Immutable ellipsoid ``E(shape, center)``.
 
     Parameters
@@ -105,7 +153,16 @@ class Ellipsoid:
     shape : (n, n) array_like
         Symmetric PSD matrix. Symmetry is checked to a relative 1e-10,
         positive semidefiniteness up to an eigenvalue slack of
-        ``-1e-9 * (1 + trace)``.
+        ``-1e-9 * (1 + trace)``. The stored shape is symmetrized exactly.
+
+    The eigendecomposition of the shape (:attr:`eigh`), its symmetric
+    square root (:attr:`root`) and :attr:`log_det` are computed on first
+    use, at most once per instance, and the arrays are read-only.
+    ``contains``, ``sample_interior``, the fusion kernel and the robust
+    controller read them, so a set used on every step (a belief that is
+    not updated, the disturbance bound) is decomposed once. They equal
+    what ``np.linalg.eigh``, :func:`sym_sqrt` and ``np.linalg.slogdet``
+    return for the stored shape, bit for bit.
     """
 
     center: np.ndarray
@@ -140,10 +197,20 @@ class Ellipsoid:
     def trace(self) -> float:
         return float(np.trace(self.shape))
 
-    @property
+    @cached_property
     def log_det(self) -> float:
         sign, ld = np.linalg.slogdet(self.shape)
         return float(ld) if sign > 0 else -np.inf
+
+    @cached_property
+    def eigh(self):
+        """``(eigenvalues, eigenvectors)`` of the shape, ascending, read-only."""
+        return _freeze(tuple(np.linalg.eigh(self.shape)))
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Symmetric PSD square root of the shape, read-only."""
+        return _freeze(_eig_root(*self.eigh))
 
     def volume_measures(self):
         """Return ``(trace, log_det)`` of the shape matrix."""
@@ -158,7 +225,7 @@ class Ellipsoid:
         d = np.asarray(x, dtype=float) - self.center
         if d.size != self.dim:
             raise ValueError(f"point dimension {d.size} != {self.dim}")
-        vals, vecs = np.linalg.eigh(self.shape)
+        vals, vecs = self.eigh
         cut = max(vals[-1], 1.0) * 1e-13
         coeff = vecs.T @ d
         small = vals <= cut
@@ -202,7 +269,7 @@ class Ellipsoid:
             return self.center.copy()
         direction = g / norm
         radius = rng.random() ** (1.0 / n)
-        return self.center + sym_sqrt(self.shape) @ (radius * direction)
+        return self.center + self.root @ (radius * direction)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +369,7 @@ class _Fusion:
             chol = np.linalg.cholesky(q + ridge * np.eye(q.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise DegenerateOperandError("noise shape is not PSD") from exc
-        vals, vecs = np.linalg.eigh(prior.shape)
+        vals, vecs = prior.eigh
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))
         eps = h - phi @ prior.center
         white = np.linalg.solve(chol, np.column_stack((phi @ root, eps)))

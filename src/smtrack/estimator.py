@@ -38,6 +38,7 @@ from .ellipsoid import (
     DegenerateOperandError,
     Ellipsoid,
     InconsistentSetsError,
+    _FrozenArrays,
     _Fusion,
     _set_frozen,
     optimal_tau,
@@ -62,8 +63,8 @@ class InconsistentObservationError(InconsistentSetsError):
     """The observation set cannot intersect the prior parameter set."""
 
 
-@dataclass(frozen=True)
-class Observation:
+@dataclass(frozen=True, eq=False)
+class Observation(_FrozenArrays):
     """One linear parameter observation ``H = phi theta + noise``."""
 
     h: np.ndarray

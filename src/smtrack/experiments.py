@@ -29,7 +29,7 @@ import numpy as np
 
 from .active import (build_info_quadratic, build_trust_region, exploration_weight,
                      solve_active)
-from .ellipsoid import Ellipsoid, _set_frozen
+from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
 from .estimator import ParameterBelief, build_state_observation, update
 from .model import UncertainModel
 from .robust import ControlBounds, build_instance, solve_known_theta, solve_robust
@@ -94,13 +94,18 @@ class Reference:
     def to_dict(self):
         return {"kind": self.kind, "params": dict(self.params)}
 
+    def __eq__(self, other):
+        if not isinstance(other, Reference):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
     @classmethod
     def from_dict(cls, d):
         return cls(d["kind"], **d["params"])
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+@dataclass(frozen=True, eq=False)
+class ScenarioSpec(_FrozenArrays):
     """Everything needed to reproduce one closed-loop study."""
 
     name: str

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .ellipsoid import Ellipsoid, _set_frozen
+from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
 
 __all__ = ["RegressorTable", "UncertainModel", "zoh_discretize"]
 
@@ -45,8 +45,8 @@ def _as_columns(m, rows, cols, name):
     return _as_matrix(m[:, None] if m.ndim == 1 else m, rows, cols, name)
 
 
-@dataclass(frozen=True)
-class RegressorTable:
+@dataclass(frozen=True, eq=False)
+class RegressorTable(_FrozenArrays):
     """Constant regressor data of one output map ``M``, as read-only arrays:
     ``a0 = M A0`` (rows x n), ``b0 = M B0`` (rows x m), the stacks ``a_stack``
     of the ``M Ai`` (r x rows x n) and ``b_stack`` of the ``M Bj``
@@ -71,8 +71,8 @@ class RegressorTable:
         return np.concatenate([self.a_stack @ x, self.b_stack @ u]).T
 
 
-@dataclass(frozen=True)
-class UncertainModel:
+@dataclass(frozen=True, eq=False)
+class UncertainModel(_FrozenArrays):
     """Immutable description of the uncertain plant.
 
     ``a_perturbations`` and ``b_perturbations`` are the tuples (Ai), (Bj)
@@ -102,11 +102,8 @@ class UncertainModel:
                     for i, ai in enumerate(self.a_perturbations))
         bps = tuple(_as_columns(bj, n, m, f"b_perturbations[{j}]")
                     for j, bj in enumerate(self.b_perturbations))
-        for arr in (*aps, *bps):
-            arr.flags.writeable = False
-        object.__setattr__(self, "a_perturbations", aps)
-        object.__setattr__(self, "b_perturbations", bps)
-        _set_frozen(self, a0=a0, b0=b0, c=c, r_shape=0.5 * (r_shape + r_shape.T))
+        _set_frozen(self, a0=a0, a_perturbations=aps, b0=b0, b_perturbations=bps,
+                    c=c, r_shape=0.5 * (r_shape + r_shape.T))
         a_stack = np.array(aps).reshape(-1, n, n)
         b_stack = np.array(bps).reshape(-1, n, m)
         for name, out in (("state", np.eye(n)), ("tracked", c)):

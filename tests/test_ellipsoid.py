@@ -17,6 +17,8 @@ from smtrack.ellipsoid import (
     sym_sqrt,
 )
 
+from smtrack.experiments import run, scenario
+
 import property_checks
 
 
@@ -56,6 +58,71 @@ class TestConstruction:
         # Roundoff-scale violations are absorbed, not rejected.
         e = Ellipsoid([0.0], [[-1e-12]])
         assert e.dim == 1
+
+
+class TestCachedDecomposition:
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 3, 4):
+            m = rng.normal(size=(n, n))
+            yield Ellipsoid(rng.normal(size=n), m @ m.T + 0.1 * np.eye(n))
+            yield Ellipsoid(rng.normal(size=n), np.outer(m[0], m[0]))
+        yield HAND_SET
+        yield Ellipsoid(np.zeros(2), np.zeros((2, 2)))
+
+    def test_equals_the_direct_computation_bit_for_bit(self):
+        for e in self.sets():
+            e = Ellipsoid(e.center, e.shape)  # fresh caches
+            vals, vecs = np.linalg.eigh(e.shape)
+            np.testing.assert_array_equal(e.eigh[0], vals)
+            np.testing.assert_array_equal(e.eigh[1], vecs)
+            np.testing.assert_array_equal(e.root, sym_sqrt(e.shape))
+            sign, log_det = np.linalg.slogdet(e.shape)
+            assert e.log_det == (log_det if sign > 0 else -np.inf)
+
+    def test_cached_arrays_are_read_only(self):
+        e = Ellipsoid([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
+        assert e.eigh is e.eigh and e.root is e.root
+        for arr in (*e.eigh, e.root):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            e.root[0, 0] = 1.0
+
+    @staticmethod
+    def count_decompositions(monkeypatch):
+        calls = {"eigh": 0, "slogdet": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_each_set_is_decomposed_once(self, monkeypatch):
+        shape = np.array([[4.0, 1.0], [1.0, 2.0]])
+        log_det = np.linalg.slogdet(shape)[1]
+        calls = self.count_decompositions(monkeypatch)
+        e = Ellipsoid([0.8, 0.7], shape)
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            assert e.contains(e.sample_interior(rng))
+            assert e.log_det == log_det
+        assert calls == {"eigh": 1, "slogdet": 1}
+
+    def test_fixed_mode_decomposes_nothing_per_step(self, monkeypatch):
+        # The belief and the disturbance bound are the same sets on every
+        # step: one eigh each and one slogdet per run, however long.
+        calls = self.count_decompositions(monkeypatch)
+        counts = []
+        for steps in (3, 9):
+            run(scenario("sim2"), "fixed", 0, steps)
+            counts.append(dict(calls))
+            calls.update(eigh=0, slogdet=0)
+        assert counts == [{"eigh": 2, "slogdet": 1}] * 2
 
 
 class TestMembership:

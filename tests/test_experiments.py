@@ -1,6 +1,8 @@
 """Tests for the closed-loop studies, metrics, CSV output, and configs."""
 
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,25 @@ from smtrack.experiments import (
     write_report_csv,
     write_run_csv,
 )
+
+
+def reachable_arrays(obj):
+    """Every ndarray reachable from ``obj`` through attributes and containers."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif hasattr(item, "__dict__"):
+            todo.extend(vars(item).values())
+    return found
 
 
 class TestReference:
@@ -93,6 +114,22 @@ class TestScenarios:
         assert spec.model.l == 2
         assert spec.model.p == 4
         assert_allclose(spec.x0, [250.0, 0.01, 0.01, 0.01])
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenarios_compare_by_value(self, name):
+        spec, again = scenario(name), scenario(name)
+        assert spec.model == again.model
+        assert spec.belief0 == again.belief0
+        assert spec == again
+        spec.belief0.root  # cached values are not compared
+        assert spec.belief0 == again.belief0
+        shape = spec.belief0.shape.copy()
+        shape[0, 0] += 0.5
+        changed = replace(spec.belief0, shape=shape)
+        assert changed != spec.belief0
+        assert replace(spec, belief0=changed) != spec
+        other = Reference("steps", levels=[1.0], breaks=[])
+        assert replace(spec, reference=other) != spec
 
     def test_initial_belief_contains_the_truth(self):
         for name in scenario_names():
@@ -218,6 +255,18 @@ class TestMonteCarlo:
         assert serial.e_bar == parallel.e_bar
         for m in kw["modes"]:
             assert_allclose(serial.j_bar[m], parallel.j_bar[m])
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_pickled_scenarios_keep_their_arrays_read_only(self, name):
+        # Workers receive the scenario through pickle.
+        spec = scenario(name)
+        spec.belief0.root  # the cached decomposition travels along
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert "eigh" in vars(back.belief0) and "root" in vars(back.belief0)
+        arrays = reachable_arrays(back)
+        assert len(arrays) >= 20
+        assert [a for a in arrays if a.flags.writeable] == []
 
     def test_ratios_need_all_three_modes(self):
         report = monte_carlo(scenario("sim1"), modes=("fixed", "learn"),

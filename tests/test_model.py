@@ -1,5 +1,7 @@
 """Tests for the affinely parameterized plant and the ZOH discretization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -83,13 +85,16 @@ class TestConstruction:
         assert_allclose(dset.shape, 0.01 * np.eye(2))
 
 
-@pytest.mark.parametrize("build", [
+every_frozen_class = pytest.mark.parametrize("build", [
     lambda v, mat: Ellipsoid(v, mat),
     lambda v, mat: UncertainModel(mat, (mat,), v[:, None], (v[:, None],), v[None, :], mat),
     lambda v, mat: Observation(v, mat, mat),
     lambda v, mat: InfoQuadratic(mat, v, 0.0),
     lambda v, mat: ControlBounds(v, v + 1.0),
 ], ids=["Ellipsoid", "UncertainModel", "Observation", "InfoQuadratic", "ControlBounds"])
+
+
+@every_frozen_class
 def test_constructors_leave_the_callers_arrays_writable(build):
     v, mat = np.zeros(2), np.eye(2)
     obj = build(v, mat)
@@ -97,6 +102,30 @@ def test_constructors_leave_the_callers_arrays_writable(build):
     for value in vars(obj).values():
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable
+
+
+@every_frozen_class
+def test_instances_compare_by_value(build):
+    v, mat = np.array([0.5, 0.25]), np.array([[2.0, 0.5], [0.5, 1.0]])
+    first, second = build(v, mat), build(v.copy(), mat.copy())
+    assert first is not second
+    assert first == second and not first != second
+    changed = v.copy()
+    changed[1] = 0.75
+    assert build(changed, mat) != first
+    assert first != "something else"
+
+
+def test_models_with_one_changed_entry_differ():
+    model = two_state_model()
+    assert model == two_state_model()
+    a0 = model.a0.copy()
+    a0[1, 0] = 1e-3
+    assert replace(model, a0=a0) != model
+    perturbation = model.a_perturbations[0].copy()
+    perturbation[0, 1] = 1e-3
+    assert replace(model, a_perturbations=(perturbation,)) != model
+    assert replace(model, a_perturbations=()) != model
 
 
 class TestAssemble:

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import ParameterBelief, build_observation
-from smtrack.experiments import scenario
-from smtrack import robust
+from smtrack.experiments import run, scenario
+from smtrack import experiments, robust
 from smtrack.robust import (
     BARRIER_GROWTH,
     DUALITY_TARGET,
@@ -36,6 +36,24 @@ def sim3_case():
     instance = build_instance(spec.model, spec.x0, spec.reference.value(1))
     belief = ParameterBelief(spec.belief0)
     return spec, instance, belief
+
+
+def recorded_solves(name, mode, seeds):
+    """``(instance, belief, bounds, solution)`` of every solve in closed-loop runs."""
+    solves = []
+
+    def recording(instance, belief, bounds, u_warm=None):
+        sol = solve_robust(instance, belief, bounds, u_warm)
+        solves.append((instance, belief, bounds, sol))
+        return sol
+
+    # known_theta reaches the solver through robust.solve_known_theta.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "solve_robust", recording)
+        patch.setattr(robust, "solve_robust", recording)
+        for seed in seeds:
+            assert not run(scenario(name), mode, seed).aborted
+    return solves
 
 
 def noise_free_scalar():
@@ -310,6 +328,32 @@ class TestSolveRobust:
         assert_allclose(warm.u, cold.u, atol=1e-6)
 
 
+class TestExactOneInputOracle:
+    """``solve_robust`` against the exact minimum for one output and one input."""
+
+    @staticmethod
+    def assert_matches_oracle(instance, belief, bounds, sol):
+        _, best = oracles.robust_min_one_input(instance, belief, bounds)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - best) <= 1e-8 * abs(best)
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim1", "learn"), ("sim1", "active"), ("sim2", "fixed"),
+        ("sim2", "learn"), ("sim2", "known_theta")])
+    def test_recorded_closed_loop_instances(self, name, mode):
+        solves = recorded_solves(name, mode, range(3))
+        assert len(solves) == 3 * scenario(name).horizon
+        for instance, belief, bounds, sol in solves:
+            self.assert_matches_oracle(instance, belief, bounds, sol)
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            instance, belief, bounds = oracles.random_tracking_case(rng, l=1, m=1)
+            sol = solve_robust(instance, belief, bounds)
+            self.assert_matches_oracle(instance, belief, bounds, sol)
+
+
 class TestBarrierKernel:
     """The solver's Newton step against the dense barrier of ``oracles``."""
 
@@ -362,6 +406,28 @@ class TestBarrierKernel:
                 ref_dec = float(-grad @ ref)
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
 
+    def test_predictor_is_the_scaled_newton_step_at_the_next_weight(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            instance, belief, bounds = oracles.random_tracking_case(rng)
+            prog = robust._Barrier(instance, belief, bounds)
+            u = (0.5 * (bounds.lower + bounds.upper)).tolist()
+            z = prog.padded_z(u, 1.0)
+            t_b = 1.0
+            while t_b <= 1e4:
+                u, z, _, done = prog.center(u, z, t_b, robust.NEWTON_TOL,
+                                            robust.MAX_NEWTON)
+                assert done
+                if t_b in (1.0, 1e2, 1e4):
+                    t_next = BARRIER_GROWTH * t_b
+                    _, _, du, dz = prog.predict(u, z, t_next)
+                    step = np.concatenate([du, dz])
+                    _, grad, hess = oracles.robust_barrier(
+                        instance, belief, bounds, np.array(u), np.array(z), t_next)
+                    ref = np.linalg.solve(hess, -grad) / BARRIER_GROWTH
+                    assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+                t_b *= BARRIER_GROWTH
+
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
         for instance, belief, bounds, u, z in self.interior_points(rng, 5):
@@ -384,3 +450,16 @@ class TestSolverContract:
         sol = solve_robust(instance, belief, ControlBounds([-25.0], [25.0]))
         assert isinstance(sol, RobustSolution)
         assert sol.newton_iterations > 0
+
+    @pytest.mark.parametrize("name, mode, before", [
+        ("sim2", "fixed", 3829 / 100), ("sim1", "learn", 1519 / 46)],
+        ids=["sim2-fixed", "sim1-learn"])
+    def test_predictor_cuts_the_newton_iterations(self, name, mode, before):
+        # Mean Newton iterations per solve without the predictor, exact and
+        # repeatable: sim2 fixed seed 0 took 3829 over 100 solves (38.29),
+        # sim1 learn seed 0 took 1519 over 46 (33.02). With it they are
+        # 25.88 and 22.15; a predictor that is never taken, or whose step is
+        # always rejected, lands above the bound.
+        solves = recorded_solves(name, mode, [0])
+        mean = np.mean([sol.newton_iterations for *_, sol in solves])
+        assert mean <= 0.75 * before
