@@ -1,19 +1,15 @@
-"""Randomized property suites over the ellipsoid operations.
-
-Each suite returns a list of violation descriptions (empty means pass) so
-callers can run them at different sizes and report failures verbatim.
+"""Consistency checks shared by ``smtrack validate`` (:data:`VALIDATE`) and the
+acceptance suite (:func:`run_all`). Each returns its failures; empty means pass.
 """
 
 import numpy as np
 
-from smtrack.ellipsoid import (
-    Ellipsoid,
-    InconsistentSetsError,
-    intersection_bound,
-    minkowski_sum_bound,
-    optimal_rho,
-    sym_sqrt,
-)
+from . import experiments
+from .active import build_info_quadratic
+from .ellipsoid import (Ellipsoid, InconsistentSetsError, intersection_bound,
+                        minkowski_sum_bound, optimal_rho, sym_sqrt)
+from .estimator import ParameterBelief, build_state_observation, update
+from .robust import build_instance, solve_robust
 
 
 def random_spd(rng, n, jitter=0.3):
@@ -45,8 +41,8 @@ def check_fusion_containment(rng, n_pairs=500, d_max=4, n_samples=20,
             failures.append(f"pair {i}: certified-intersecting sets "
                             f"reported disjoint ({exc})")
             continue
-        if not fused.contains(point, tol):
-            failures.append(f"pair {i}: certified common point escaped")
+        if beta <= 0 or not fused.contains(point, tol):
+            failures.append(f"pair {i}: certified common point escaped (beta {beta:.3g})")
         for _ in range(n_samples):
             x = ea.sample_interior(rng)
             if eb.contains(x) and not fused.contains(x, tol):
@@ -136,3 +132,79 @@ def run_all(rng, scale=1.0):
         "identity_fusion": check_identity_fusion(rng, n_sets=k(50)),
         "optimal_rho_anchor": check_optimal_rho_anchor(rng, n_pairs=k(200)),
     }
+
+
+def check_estimator_contraction(rng):
+    """On sim1 under random inputs the belief keeps theta and never grows."""
+    spec = experiments.scenario("sim1")
+    model, belief, x = spec.model, ParameterBelief(spec.belief0), spec.x0
+    for _ in range(12):
+        u = rng.uniform(-5.0, 5.0, size=model.m)
+        omega = model.disturbance_set().sample_interior(rng)
+        x_next, _ = model.step(x, u, spec.theta_true, omega)
+        new = update(belief, build_state_observation(model, x, u, x_next))
+        if not new.set.contains(spec.theta_true, 1e-7):
+            return ["true parameter escaped the belief"]
+        if new.set.log_det > belief.set.log_det + 1e-9:
+            return ["belief volume grew"]
+        belief, x = new, x_next
+    return []
+
+
+def check_robust_worst_case(rng):
+    """Sampled plants never beat the certified error bound of a sim1 solve."""
+    spec = experiments.scenario("sim1")
+    model, belief = spec.model, ParameterBelief(spec.belief0)
+    target = spec.reference.value(2)
+    sol = solve_robust(build_instance(model, spec.x0, target), belief, spec.bounds)
+    if sol.status != "optimal":
+        return [f"solver status {sol.status}"]
+    for _ in range(200):
+        theta = belief.set.sample_interior(rng)
+        omega = model.disturbance_set().sample_interior(rng)
+        _, y_next = model.step(spec.x0, sol.u, theta, omega)
+        if np.any(np.abs(y_next - target) > sol.z + 1e-6):
+            return ["sampled error exceeded the certified bound"]
+    return []
+
+
+def check_information_identity(rng):
+    """The exploration quadratic equals trace(phi P phi^T) on sim2."""
+    spec = experiments.scenario("sim2")
+    model, belief = spec.model, ParameterBelief(spec.belief0)
+    x = rng.normal(size=model.n)
+    info = build_info_quadratic(model, belief, x, output_map="state")
+    for _ in range(25):
+        u = rng.normal(size=model.m)
+        phi = model.state.phi(x, u)
+        direct = float(np.trace(phi @ belief.shape @ phi.T))
+        if abs(info.value(u) - direct) > 1e-8 * (1.0 + abs(direct)):
+            return ["information quadratic disagrees with direct evaluation"]
+    return []
+
+
+def discretization_deviation():
+    """Largest entries of ``|I + dt Ac - A|`` and ``|dt Bc - B|`` for sim3."""
+    ac, bc, dt = experiments.sim3_continuous()
+    model = experiments.scenario("sim3").model
+    return (float(np.abs(np.eye(ac.shape[0]) + dt * ac - model.a0).max()),
+            float(np.abs(dt * bc - model.b0).max()))
+
+
+def check_discretization(_rng):
+    """The sim3 tables are one forward-Euler step of the continuous model."""
+    dev = max(discretization_deviation())
+    return [f"forward Euler of the continuous model deviates from the "
+            f"tabulated matrices by {dev:.3g}"] if dev > 1e-3 else []
+
+
+VALIDATE = (
+    ("fusion-containment", lambda rng: check_fusion_containment(
+        rng, n_pairs=40, d_max=3, n_samples=0, tol=1e-7)),
+    ("sum-containment", lambda rng: check_sum_containment(
+        rng, n_pairs=40, d_max=3, n_samples=1, tol=1e-7)),
+    ("estimator-contraction", check_estimator_contraction),
+    ("robust-worst-case", check_robust_worst_case),
+    ("information-identity", check_information_identity),
+    ("discretization-consistency", check_discretization),
+)

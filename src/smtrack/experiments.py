@@ -427,6 +427,9 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     is identical for any job count.
     """
     modes = tuple(modes)
+    if not modes:
+        raise ValueError("no mode given; expected at least one of "
+                         f"{', '.join(MODES)}")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")

@@ -7,6 +7,7 @@ evidence rather than tautology.
 
 import numpy as np
 
+from smtrack.checks import random_spd
 from smtrack.ellipsoid import sym_sqrt
 
 
@@ -261,11 +262,6 @@ def active_grid_max(info, region, bounds, n_line=200001, n_angle=20001):
     return us[ok][i], float(vals[i])
 
 
-def random_spd(rng, n, jitter=0.2):
-    m = rng.normal(size=(n, n))
-    return m @ m.T + jitter * np.eye(n)
-
-
 def random_model(rng, n=2, m=2, r=2, s=1):
     """Random uncertain plant with one tracked output."""
     from smtrack.model import UncertainModel
@@ -361,8 +357,8 @@ def random_fusion_case(rng, rows, dim, rank=None):
 
     rank = min(rows, dim) if rank is None else rank
     phi = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, dim))
-    prior = Ellipsoid(rng.normal(size=dim), random_spd(rng, dim))
-    q = random_spd(rng, rows)
+    prior = Ellipsoid(rng.normal(size=dim), random_spd(rng, dim, jitter=0.2))
+    q = random_spd(rng, rows, jitter=0.2)
     theta = prior.center + 0.9 * (prior.sample_interior(rng) - prior.center)
     noise = 0.9 * Ellipsoid(np.zeros(rows), q).sample_interior(rng)
     return prior, phi, q, phi @ theta + noise, theta

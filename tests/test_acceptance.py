@@ -11,15 +11,15 @@ import time
 import numpy as np
 import pytest
 
+from smtrack import checks
 from smtrack.active import build_info_quadratic, solve_active
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import ParameterBelief, build_observation
-from smtrack.experiments import monte_carlo, run, scenario, sim3_continuous
+from smtrack.experiments import monte_carlo, run, scenario
 from smtrack.model import UncertainModel
 from smtrack.robust import solve_robust
 
 import oracles
-import property_checks
 
 
 N_SEED_RUNS = 50
@@ -59,14 +59,10 @@ def test_criterion_01_discretization_golden():
     # The tabulated sim3 plant is documented (sim3_continuous, _sim3, README)
     # as the dt = 0.1 forward-Euler discretization of the continuous aircraft
     # model: A = I + dt Ac, B = dt Bc. zoh_discretize is checked separately
-    # against expm and a series oracle in tests/test_model.py.
+    # against expm and a series oracle in tests/test_model.py. `smtrack
+    # validate` reads the same deviation.
     t0 = time.perf_counter()
-    ac, bc, dt = sim3_continuous()
-    ad = np.eye(ac.shape[0]) + dt * ac
-    bd = dt * bc
-    spec = scenario("sim3")
-    dev_a = float(np.abs(ad - spec.model.a0).max())
-    dev_b = float(np.abs(bd - spec.model.b0).max())
+    dev_a, dev_b = checks.discretization_deviation()
     elapsed = time.perf_counter() - t0
     dev = max(dev_a, dev_b)
     status = "PASS" if dev <= 1e-3 else "FAIL"
@@ -224,7 +220,7 @@ def test_criterion_10_trace_identity():
         )
         p = r + s
         belief = ParameterBelief(
-            Ellipsoid(rng.normal(size=p), oracles.random_spd(rng, p, 0.1)))
+            Ellipsoid(rng.normal(size=p), checks.random_spd(rng, p, 0.1)))
         x = rng.normal(size=n)
         u = rng.normal(size=m)
         info = build_info_quadratic(model, belief, x)
@@ -239,7 +235,7 @@ def test_criterion_10_trace_identity():
 def test_criterion_11_property_suites():
     rng = np.random.default_rng(11)
     t0 = time.perf_counter()
-    results = property_checks.run_all(rng)
+    results = checks.run_all(rng)
     elapsed = time.perf_counter() - t0
     failures = {k: v for k, v in results.items() if v}
     ok = not failures and elapsed < 30

@@ -10,6 +10,7 @@ from smtrack.active import (
     build_trust_region,
     solve_active,
 )
+from smtrack.checks import random_spd
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import (
     ParameterBelief,
@@ -45,7 +46,7 @@ class TestBuildInfoQuadratic:
                                  s=int(rng.integers(0, 3)))
             p = model.p
             belief = ParameterBelief(
-                Ellipsoid(rng.normal(size=p), oracles.random_spd(rng, p)))
+                Ellipsoid(rng.normal(size=p), random_spd(rng, p, jitter=0.2)))
             x = rng.normal(size=model.n)
             u = rng.normal(size=model.m)
             for output_map, builder in (
@@ -79,7 +80,7 @@ class TestBuildInfoQuadratic:
         rng = np.random.default_rng(12)
         model = random_model(rng, r=2, s=0)
         belief = ParameterBelief(
-            Ellipsoid(rng.normal(size=2), oracles.random_spd(rng, 2)))
+            Ellipsoid(rng.normal(size=2), random_spd(rng, 2, jitter=0.2)))
         x = rng.normal(size=2)
         info = build_info_quadratic(model, belief, x, "state")
         assert_allclose(info.pw, 0.0)
@@ -125,7 +126,7 @@ class TestSolveActive:
     def test_linear_objective_hits_the_support_point(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            t = oracles.random_spd(rng, 2)
+            t = random_spd(rng, 2, jitter=0.2)
             center = rng.normal(size=2)
             c_vec = rng.normal(size=2)
             info = InfoQuadratic(np.zeros((2, 2)), c_vec, 0.0)

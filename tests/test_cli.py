@@ -1,12 +1,16 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
 
-from smtrack import cli
+import smtrack
+from smtrack import checks
 from smtrack.cli import main
 from smtrack.robust import solve_robust
 from smtrack.experiments import scenario, scenario_to_config
@@ -102,18 +106,23 @@ class TestMontecarlo:
             main(["montecarlo", "--runs", "1", "--steps", "4",
                   "--modes", "fixed,wild"])
 
+    def test_empty_mode_list(self):
+        with pytest.raises(ValueError, match="mode"):
+            main(["montecarlo", "--runs", "1", "--steps", "4", "--modes", ","])
+
 
 class TestValidate:
     def test_all_checks_pass(self, capsys):
-        code = main(["validate"])
-        text = capsys.readouterr().out
-        assert code == 0
-        for name in ("fusion-containment", "sum-containment",
-                     "estimator-contraction", "robust-worst-case",
-                     "information-identity", "discretization-consistency"):
-            assert f"PASS {name}" in text
-        assert "FAIL" not in text
-        assert "6/6 checks passed" in text
+        for argv in (["validate"], ["validate", "--seed", "7"]):
+            code = main(argv)
+            text = capsys.readouterr().out
+            assert code == 0
+            for name in ("fusion-containment", "sum-containment",
+                         "estimator-contraction", "robust-worst-case",
+                         "information-identity", "discretization-consistency"):
+                assert f"PASS {name}" in text
+            assert "FAIL" not in text
+            assert "6/6 checks passed" in text
 
     def test_unconverged_robust_solve_fails_its_check(self, capsys,
                                                       monkeypatch):
@@ -122,12 +131,24 @@ class TestValidate:
         def capped(*args, **kwargs):
             return replace(solve_robust(*args, **kwargs), status="max_iter")
 
-        monkeypatch.setattr(cli, "solve_robust", capped)
+        monkeypatch.setattr(checks, "solve_robust", capped)
         code = main(["validate"])
         text = capsys.readouterr().out
         assert code == 1
         assert "FAIL robust-worst-case: solver status max_iter" in text
         assert "5/6 checks passed" in text
+
+    def test_import_smtrack_loads_neither_checks_nor_cli(self):
+        src = os.path.dirname(os.path.dirname(smtrack.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import smtrack, sys; "
+                "print(sorted(m for m in sys.modules "
+                "if m in ('smtrack.checks', 'smtrack.cli')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -140,3 +161,15 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--velocity", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "0"],
+        ["simulate", "--steps", "-3"],
+        ["montecarlo", "--runs", "0"],
+        ["montecarlo", "--jobs", "0"],
+    ], ids=["steps-0", "steps-negative", "runs-0", "jobs-0"])
+    def test_count_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smtrack import checks
 from smtrack.ellipsoid import (
     DegenerateOperandError,
     Ellipsoid,
@@ -16,10 +17,7 @@ from smtrack.ellipsoid import (
     scan_roots,
     sym_sqrt,
 )
-
 from smtrack.experiments import run, scenario
-
-import property_checks
 
 
 HAND_SET = Ellipsoid([0.8, 0.7], [[4.0, 1.0], [1.0, 2.0]])
@@ -379,22 +377,22 @@ class TestRandomizedProperties:
 
     def test_fusion_containment(self):
         rng = np.random.default_rng(101)
-        assert property_checks.check_fusion_containment(rng, n_pairs=60) == []
+        assert checks.check_fusion_containment(rng, n_pairs=60) == []
 
     def test_sum_containment(self):
         rng = np.random.default_rng(102)
-        assert property_checks.check_sum_containment(rng, n_pairs=60) == []
+        assert checks.check_sum_containment(rng, n_pairs=60) == []
 
     def test_support_consistency(self):
         rng = np.random.default_rng(103)
-        failures = property_checks.check_support_consistency(
+        failures = checks.check_support_consistency(
             rng, n_sets=4, n_inner=300, n_boundary=30000)
         assert failures == []
 
     def test_identity_fusion(self):
         rng = np.random.default_rng(104)
-        assert property_checks.check_identity_fusion(rng, n_sets=20) == []
+        assert checks.check_identity_fusion(rng, n_sets=20) == []
 
     def test_optimal_rho_anchor(self):
         rng = np.random.default_rng(105)
-        assert property_checks.check_optimal_rho_anchor(rng, n_pairs=60) == []
+        assert checks.check_optimal_rho_anchor(rng, n_pairs=60) == []
