@@ -19,11 +19,19 @@ from .ellipsoid import InconsistentSetsError
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _load_spec(args) -> experiments.ScenarioSpec:
@@ -126,7 +134,7 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one closed-loop simulation")
     _add_spec_args(p_sim)
     p_sim.add_argument("--mode", default="learn", choices=experiments.MODES)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--out", default=None, metavar="CSV")
     p_sim.add_argument("--plot", default=None, metavar="SVG")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -136,7 +144,7 @@ def main(argv=None) -> int:
     p_mc.add_argument("--modes", default="fixed,learn,active",
                       help="comma-separated list of modes")
     p_mc.add_argument("--runs", "-M", type=_positive_int, default=100)
-    p_mc.add_argument("--seed0", type=int, default=0)
+    p_mc.add_argument("--seed0", type=_nonnegative_int, default=0)
     p_mc.add_argument("--jobs", type=_positive_int, default=1)
     p_mc.add_argument("--t-windows", default=None,
                       help="comma-separated error windows, e.g. 10,25,45")
@@ -146,7 +154,7 @@ def main(argv=None) -> int:
     p_mc.set_defaults(func=_cmd_montecarlo)
 
     p_val = sub.add_parser("validate", help="run internal consistency checks")
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_nonnegative_int, default=0)
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)

@@ -155,14 +155,15 @@ class Ellipsoid(_FrozenArrays):
         positive semidefiniteness up to an eigenvalue slack of
         ``-1e-9 * (1 + trace)``. The stored shape is symmetrized exactly.
 
-    The eigendecomposition of the shape (:attr:`eigh`), its symmetric
-    square root (:attr:`root`) and :attr:`log_det` are computed on first
-    use, at most once per instance, and the arrays are read-only.
-    ``contains``, ``sample_interior``, the fusion kernel and the robust
-    controller read them, so a set used on every step (a belief that is
-    not updated, the disturbance bound) is decomposed once. They equal
-    what ``np.linalg.eigh``, :func:`sym_sqrt` and ``np.linalg.slogdet``
-    return for the stored shape, bit for bit.
+    The eigendecomposition of the shape (:attr:`eigh`) is taken once, at
+    construction, where its smallest eigenvalue checks the PSD slack. The
+    symmetric square root (:attr:`root`) and :attr:`log_det` are computed
+    on first use, at most once per instance, and all these arrays are
+    read-only. ``contains``, ``sample_interior``, the fusion kernel and the
+    robust controller read them, so a set is decomposed once, however
+    often it is used. They equal what ``np.linalg.eigh``,
+    :func:`sym_sqrt` and ``np.linalg.slogdet`` return for the stored shape,
+    bit for bit.
     """
 
     center: np.ndarray
@@ -182,12 +183,10 @@ class Ellipsoid(_FrozenArrays):
         scale = 1.0 + np.abs(shape).max(initial=0.0)
         if np.abs(shape - shape.T).max(initial=0.0) > SYMMETRY_TOL * scale:
             raise ValueError("shape matrix is not symmetric")
-        shape = 0.5 * (shape + shape.T)
-        tr = float(np.trace(shape))
-        eigmin = float(np.linalg.eigvalsh(shape)[0]) if shape.size else 0.0
-        if eigmin < -PSD_TOL * (1.0 + tr):
+        _set_frozen(self, center=center, shape=0.5 * (shape + shape.T))
+        eigmin = float(self.eigh[0][0]) if shape.size else 0.0
+        if eigmin < -PSD_TOL * (1.0 + self.trace):
             raise ValueError(f"shape matrix is not PSD (min eigenvalue {eigmin:.3e})")
-        _set_frozen(self, center=center, shape=shape)
 
     @property
     def dim(self) -> int:

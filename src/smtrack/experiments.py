@@ -434,6 +434,10 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
     t_windows = tuple(t_windows) if t_windows is not None else spec.t_windows
+    horizon = int(steps) if steps is not None else spec.horizon
+    for t in t_windows:
+        if not 1 <= t <= horizon:
+            raise ValueError(f"window {t} outside the {horizon}-step horizon")
     tasks = [(spec, mode, seed0 + i, steps) for mode in modes for i in range(n_runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -35,11 +35,13 @@ the Newton step at the next weight ``G t`` (``G = 10``) from ``x(t)`` is
 ``(G - 1) t dx/dt``. Near the optimum the central path is close to affine
 in ``1/t``, ``x(t) = x* + d / t``, so ``x(G t) - x(t) = (1/G - 1) d / t``,
 which is that Newton step times exactly ``1/G``: the predictor is the
-tangent of the path in ``1/t``. It is halved until strictly interior, and
-centering at ``G t`` continues from it. It costs one Newton step and is
-counted as one iteration in ``newton_iterations``; on the shipped
-scenarios it cuts the mean iterations per solve by a third or more
-(sim2 ``fixed`` 36.5 to 24.7, sim3 ``active`` 49.9 to 29.3, seeds 0-4).
+tangent of the path in ``1/t``. Centering at ``G t`` continues from it.
+It costs one Newton step and is counted as one iteration in
+``newton_iterations``; on the shipped scenarios it cuts the mean
+iterations per solve by a third or more (sim2 ``fixed`` 36.5 to 24.7,
+sim3 ``active`` 49.9 to 29.3, seeds 0-4). Predictor and corrector share
+one step routine, which halves a step until strictly interior and passes
+the accepted point's cone values on, so no point is evaluated twice.
 
 Each Newton iteration is one pass over Python floats (:class:`_Barrier`):
 the systems are tiny (every shipped scenario has at most two inputs, two
@@ -237,7 +239,8 @@ class _Barrier:
     where ``rho_t`` is the squared part of ``wb_t`` that ``u`` cannot move,
     so an iteration costs the same for any parameter count ``p``.
     The data are held as nested lists; points ``u`` (``nf``) and ``z``
-    (``l``) are lists of floats.
+    (``l``) are lists of floats, and each point carries its ``cones``
+    (:meth:`evaluate`) from the step that accepted it to the next one.
     """
 
     def __init__(self, instance, belief, bounds):
@@ -417,63 +420,52 @@ class _Barrier:
             z.append(abs(mid) + math.sqrt(sum(map(mul, y, y)) + rho) + q + pad)
         return z
 
-    def center(self, u, z, t_b, tol, max_iter):
-        """Damped Newton toward the center at barrier weight ``t_b``.
+    def advance(self, u, z, cones, du, dz, alpha):
+        """First interior ``(u, z) + 2^-j alpha (du, dz)``, ``j < 40``.
 
-        With a self-concordant barrier the step 1/(1 + lambda) stays
-        strictly feasible and decreasing without a line search; full steps
-        once the decrement is small. Rounding near the boundary is caught
-        by an interior check on the trial point, retried with a halved
-        step. Returns (u, z, iterations, converged).
+        Returns ``(u, z, cones, moved)``: that point and its cones, or the
+        given ones with ``moved`` False if no trial is interior.
         """
-        cones = self.evaluate(u, z)
-        if cones is None:
-            return u, z, 0, False
-        for it in range(max_iter):
-            du, dz, decrement = self.newton_step(cones, u, t_b)
-            if decrement <= 2.0 * tol:
-                return u, z, it, True
-            lam = math.sqrt(max(decrement, 0.0))
-            alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-            for _ in range(40):
-                u_try = [x + alpha * d for x, d in zip(u, du)]
-                z_try = [x + alpha * d for x, d in zip(z, dz)]
-                trial = self.evaluate(u_try, z_try)
-                if trial is not None:
-                    break
-                alpha *= 0.5
-            else:
-                return u, z, it + 1, False
-            u, z, cones = u_try, z_try, trial
-        return u, z, max_iter, False
-
-    def predict(self, u, z, t_b):
-        """Predictor from the center at ``t_b / BARRIER_GROWTH`` toward ``t_b``'s.
-
-        The objective ``t sum(z)`` is linear in the weight ``t``, so at the
-        center ``x(t)`` the Newton step at weight ``t_b`` is
-        ``(t_b - t) dx/dt``. Near the optimum the central path is close to
-        affine in ``1/t``, ``x(t) = x* + d / t``, and its tangent in ``1/t``
-        predicts ``x(t_b) - x(t) = (t / t_b) (t_b - t) dx/dt``. So the
-        predictor step ``(du, dz)`` is the Newton step at ``t_b`` scaled by
-        exactly ``t / t_b = 1 / BARRIER_GROWTH``, and it is taken halved
-        until the point is strictly interior. Returns ``(u, z, du, dz)``
-        with the point reached and the unhalved step.
-        """
-        cones = self.evaluate(u, z)
-        if cones is None:
-            return u, z, [0.0] * len(u), [0.0] * len(z)
-        du, dz, _ = self.newton_step(cones, u, t_b)
-        du = [d / BARRIER_GROWTH for d in du]
-        dz = [d / BARRIER_GROWTH for d in dz]
-        alpha = 1.0
         for _ in range(40):
             u_try = [x + alpha * d for x, d in zip(u, du)]
             z_try = [x + alpha * d for x, d in zip(z, dz)]
-            if self.evaluate(u_try, z_try) is not None:
-                return u_try, z_try, du, dz
+            trial = self.evaluate(u_try, z_try)
+            if trial is not None:
+                return u_try, z_try, trial, True
             alpha *= 0.5
-        return u, z, du, dz
+        return u, z, cones, False
+
+    def center(self, u, z, cones, t_b, tol, max_iter):
+        """Damped Newton toward the center at barrier weight ``t_b``.
+
+        From a point with its ``cones``: with a self-concordant barrier the
+        step 1/(1 + lambda) stays strictly feasible and decreasing without a
+        line search; full steps once the decrement is small. Returns
+        (u, z, cones, iterations, converged).
+        """
+        for it in range(max_iter):
+            du, dz, decrement = self.newton_step(cones, u, t_b)
+            if decrement <= 2.0 * tol:
+                return u, z, cones, it, True
+            lam = math.sqrt(max(decrement, 0.0))
+            alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
+            u, z, cones, moved = self.advance(u, z, cones, du, dz, alpha)
+            if not moved:
+                return u, z, cones, it + 1, False
+        return u, z, cones, max_iter, False
+
+    def predict(self, u, z, cones, t_b):
+        """Predictor from the center at ``t_b / BARRIER_GROWTH`` toward ``t_b``'s.
+
+        The Newton step at ``t_b`` scaled by ``1 / BARRIER_GROWTH``, the
+        tangent of the central path in ``1/t`` (see the module docstring),
+        taken through :meth:`advance`. Returns ``(u, z, cones)``.
+        """
+        du, dz, _ = self.newton_step(cones, u, t_b)
+        du = [d / BARRIER_GROWTH for d in du]
+        dz = [d / BARRIER_GROWTH for d in dz]
+        u, z, cones, _ = self.advance(u, z, cones, du, dz, 1.0)
+        return u, z, cones
 
 
 def _ldl_update(low, dia, alpha, v):
@@ -544,9 +536,11 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
         u0 = np.minimum(np.maximum(u0, lo + inset), hi - inset).tolist()
         stages = stage_schedule(WARM_T_START)
         z0 = prog.padded_z(u0, max(3.0 * l / WARM_T_START, 1e-3))
-        u, z, iters, warm_ok = prog.center(u0, z0, stages[0], STAGE_TOL,
-                                           WARM_PROBE_ITERS)
-        total_iters += iters
+        cones = prog.evaluate(u0, z0)
+        if cones is not None:
+            u, z, cones, iters, warm_ok = prog.center(
+                u0, z0, cones, stages[0], STAGE_TOL, WARM_PROBE_ITERS)
+            total_iters += iters
     if warm_ok:
         stages = stages[1:]
     else:
@@ -557,15 +551,22 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
         u0[fin_lo & ~fin_hi] = lo[fin_lo & ~fin_hi] + 1.0
         u0[fin_hi & ~fin_lo] = hi[fin_hi & ~fin_lo] - 1.0
         u, z = u0.tolist(), prog.padded_z(u0.tolist(), 1.0)
+        cones = prog.evaluate(u, z)
         stages = stage_schedule(1.0)
     status = "optimal"
+    if cones is None:
+        # Only rounding at extreme magnitudes puts the cold start on a
+        # boundary. No stage can leave it; each predictor still counts.
+        total_iters += len(stages) - 1
+        status, stages = "max_iter", []
     for i, t_b in enumerate(stages):
         if warm_ok or i:
             # Every stage but the cold start's first follows a center.
-            u, z, _, _ = prog.predict(u, z, t_b)
+            u, z, cones = prog.predict(u, z, cones, t_b)
             total_iters += 1
         tol = NEWTON_TOL if t_b == stages[-1] else STAGE_TOL
-        u, z, iters, done = prog.center(u, z, t_b, tol, MAX_NEWTON)
+        u, z, cones, iters, done = prog.center(u, z, cones, t_b, tol,
+                                               MAX_NEWTON)
         total_iters += iters
         if not done:
             status = "max_iter"

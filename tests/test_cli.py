@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import smtrack
-from smtrack import checks
+from smtrack import checks, experiments
 from smtrack.cli import main
 from smtrack.robust import solve_robust
 from smtrack.experiments import scenario, scenario_to_config
@@ -110,6 +110,17 @@ class TestMontecarlo:
         with pytest.raises(ValueError, match="mode"):
             main(["montecarlo", "--runs", "1", "--steps", "4", "--modes", ","])
 
+    @pytest.mark.parametrize("windows, bad", [("0,9", 0), ("2,9", 9)])
+    def test_windows_outside_the_horizon_fail_before_any_run(
+            self, windows, bad, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the windows were checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match=f"window {bad} outside"):
+            main(["montecarlo", "--runs", "1", "--steps", "3",
+                  "--modes", "fixed", "--t-windows", windows])
+
 
 class TestValidate:
     def test_all_checks_pass(self, capsys):
@@ -162,14 +173,18 @@ class TestParser:
             main(["simulate", "--velocity", "3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--steps", "0"],
-        ["simulate", "--steps", "-3"],
-        ["montecarlo", "--runs", "0"],
-        ["montecarlo", "--jobs", "0"],
-    ], ids=["steps-0", "steps-negative", "runs-0", "jobs-0"])
-    def test_count_must_be_positive(self, argv, capsys):
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate", "--steps", "0"], "positive integer"),
+        (["simulate", "--steps", "-3"], "positive integer"),
+        (["montecarlo", "--runs", "0"], "positive integer"),
+        (["montecarlo", "--jobs", "0"], "positive integer"),
+        (["simulate", "--seed", "-1"], "non-negative integer"),
+        (["montecarlo", "--seed0", "-1"], "non-negative integer"),
+        (["validate", "--seed", "-1"], "non-negative integer"),
+    ], ids=["steps-0", "steps-negative", "runs-0", "jobs-0",
+            "seed-negative", "seed0-negative", "validate-seed-negative"])
+    def test_count_must_be_positive(self, argv, expected, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err

@@ -89,12 +89,14 @@ class TestCachedDecomposition:
 
     @staticmethod
     def count_decompositions(monkeypatch):
-        calls = {"eigh": 0, "slogdet": 0}
-        for name in calls:
+        # "eig" counts every eigendecomposition, eigh and eigvalsh together.
+        calls = {"eig": 0, "slogdet": 0}
+        for name, key in (("eigh", "eig"), ("eigvalsh", "eig"),
+                          ("slogdet", "slogdet")):
             original = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -105,23 +107,41 @@ class TestCachedDecomposition:
         log_det = np.linalg.slogdet(shape)[1]
         calls = self.count_decompositions(monkeypatch)
         e = Ellipsoid([0.8, 0.7], shape)
+        assert calls == {"eig": 1, "slogdet": 0}  # taken at construction
         rng = np.random.default_rng(20)
         for _ in range(5):
             assert e.contains(e.sample_interior(rng))
             assert e.log_det == log_det
-        assert calls == {"eigh": 1, "slogdet": 1}
+        assert calls == {"eig": 1, "slogdet": 1}
 
     def test_fixed_mode_decomposes_nothing_per_step(self, monkeypatch):
         # The belief and the disturbance bound are the same sets on every
-        # step: one eigh each and one slogdet per run, however long.
+        # step: the scenario's three sets are decomposed once each and one
+        # slogdet is taken per run, however long.
         calls = self.count_decompositions(monkeypatch)
         counts = []
         for steps in (3, 9):
             run(scenario("sim2"), "fixed", 0, steps)
             counts.append(dict(calls))
-            calls.update(eigh=0, slogdet=0)
-        assert counts == [{"eigh": 2, "slogdet": 1}] * 2
+            calls.update(eig=0, slogdet=0)
+        assert counts == [{"eig": 3, "slogdet": 1}] * 2
 
+    @pytest.mark.parametrize("mode", ["fixed", "learn", "known_theta", "active"])
+    def test_each_set_a_run_builds_is_decomposed_once(self, mode, monkeypatch):
+        # Posteriors, point beliefs and trust regions pay one
+        # eigendecomposition each, at construction, and none later.
+        calls = self.count_decompositions(monkeypatch)
+        built = []
+        post_init = Ellipsoid.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Ellipsoid, "__post_init__", counted)
+        run(scenario("sim2"), mode, 0, 6)
+        assert len(built) >= 3
+        assert calls["eig"] == len(built)
 
 class TestMembership:
     def test_unit_ball_boundary_point(self):

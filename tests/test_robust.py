@@ -320,6 +320,14 @@ class TestSolveRobust:
             assert sol.status == "optimal"
             assert_allclose(sol.objective, floor, atol=1e-9)
 
+    def test_cold_start_lost_to_rounding_ends_at_max_iter(self):
+        # At 1e17 the cold start lo + 1 rounds back onto the lower bound, so
+        # no stage can move; the solve reports it instead of failing.
+        _, instance, belief = sim1_case()
+        sol = solve_robust(instance, belief, ControlBounds([1e17], [np.inf]))
+        assert sol.status == "max_iter"
+        assert_allclose(sol.u, [1e17])
+
     def test_warm_start_outside_box_is_recovered(self):
         _, instance, belief = sim1_case()
         bounds = ControlBounds([-2.0], [2.0])
@@ -407,26 +415,59 @@ class TestBarrierKernel:
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
 
     def test_predictor_is_the_scaled_newton_step_at_the_next_weight(self):
+        # The predictor moves by the dense Newton step at the next weight
+        # over BARRIER_GROWTH, halved j >= 0 times to stay interior.
         rng = np.random.default_rng(14)
         for _ in range(20):
             instance, belief, bounds = oracles.random_tracking_case(rng)
             prog = robust._Barrier(instance, belief, bounds)
             u = (0.5 * (bounds.lower + bounds.upper)).tolist()
             z = prog.padded_z(u, 1.0)
+            cones = prog.evaluate(u, z)
             t_b = 1.0
             while t_b <= 1e4:
-                u, z, _, done = prog.center(u, z, t_b, robust.NEWTON_TOL,
-                                            robust.MAX_NEWTON)
+                u, z, cones, _, done = prog.center(
+                    u, z, cones, t_b, robust.NEWTON_TOL, robust.MAX_NEWTON)
                 assert done
                 if t_b in (1.0, 1e2, 1e4):
                     t_next = BARRIER_GROWTH * t_b
-                    _, _, du, dz = prog.predict(u, z, t_next)
-                    step = np.concatenate([du, dz])
+                    u_next, z_next, _ = prog.predict(u, z, cones, t_next)
+                    move = np.subtract(u_next + z_next, u + z)
                     _, grad, hess = oracles.robust_barrier(
                         instance, belief, bounds, np.array(u), np.array(z), t_next)
                     ref = np.linalg.solve(hess, -grad) / BARRIER_GROWTH
-                    assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+                    assert np.linalg.norm(move) > 0.0
+                    j = round(np.log2(np.linalg.norm(ref) / np.linalg.norm(move)))
+                    assert j >= 0
+                    ref = ref / 2.0 ** j
+                    assert np.linalg.norm(move - ref) <= 1e-8 * np.linalg.norm(ref)
                 t_b *= BARRIER_GROWTH
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
+    def test_no_point_is_evaluated_twice_in_a_row(self, name, mode,
+                                                  monkeypatch):
+        # Each accepted point carries its cones to the next Newton step, so
+        # neither the predictor nor the corrector re-evaluates the point the
+        # other has just accepted. Every recorded instance is solved cold and
+        # warm from the previous step's input, as the closed loop does.
+        solves = recorded_solves(name, mode, [0])
+        evaluate = robust._Barrier.evaluate
+        points = []
+
+        def recording(self, u, z):
+            points.append((tuple(u), tuple(z)))
+            return evaluate(self, u, z)
+
+        monkeypatch.setattr(robust._Barrier, "evaluate", recording)
+        u_warm = None
+        for instance, belief, bounds, sol in solves:
+            for warm in (None, u_warm):
+                points.clear()
+                solve_robust(instance, belief, bounds, warm)
+                assert len(points) > 1
+                assert not any(a == b for a, b in zip(points, points[1:]))
+            u_warm = sol.u
 
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
