@@ -7,7 +7,7 @@ import numpy as np
 from . import experiments
 from .active import build_info_quadratic
 from .ellipsoid import (Ellipsoid, InconsistentSetsError, intersection_bound,
-                        minkowski_sum_bound, optimal_rho, sym_sqrt)
+                        minkowski_sum_bound, optimal_rho)
 from .estimator import ParameterBelief, build_state_observation, update
 from .robust import build_instance, solve_robust
 
@@ -83,7 +83,7 @@ def check_support_consistency(rng, n_sets=10, n_inner=1000, n_boundary=100000):
                 break
         g = rng.normal(size=(n_boundary, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        boundary = e.center[None, :] + g @ sym_sqrt(e.shape).T
+        boundary = e.center[None, :] + g @ e.root.T
         reached = float((boundary @ eta).max())
         if hi - reached > 1e-3 * (1.0 + abs(hi)):
             failures.append(f"set {i}: support exceeds boundary max by "

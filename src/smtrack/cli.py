@@ -20,8 +20,11 @@ __all__ = ["main"]
 
 
 def _int_at_least(text: str, low: int, kind: str) -> int:
-    value = int(text)
-    if value < low:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < low:
         raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
     return value
 
@@ -34,17 +37,35 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _windows(text: str) -> tuple:
+    return tuple(_positive_int(s) for s in text.split(","))
+
+
+def _modes(text: str) -> tuple:
+    modes = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not modes or not set(modes) <= set(experiments.MODES):
+        raise argparse.ArgumentTypeError(
+            f"expected modes among {', '.join(experiments.MODES)}, got {text!r}")
+    return modes
+
+
+def _scenario_file(path: str) -> experiments.ScenarioSpec:
+    try:
+        return experiments.load_scenario(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot load scenario {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_spec(args) -> experiments.ScenarioSpec:
-    if getattr(args, "config", None):
-        return experiments.load_scenario(args.config)
-    return experiments.scenario(args.scenario)
+    return args.config or experiments.scenario(args.scenario)
 
 
 def _add_spec_args(p):
     p.add_argument("--scenario", default="sim1",
                    choices=experiments.scenario_names(),
                    help="built-in study to run (default: sim1)")
-    p.add_argument("--config", default=None, metavar="JSON",
+    p.add_argument("--config", type=_scenario_file, default=None, metavar="JSON",
                    help="scenario description file, overrides --scenario")
     p.add_argument("--steps", type=_positive_int, default=None,
                    help="override the scenario horizon")
@@ -73,13 +94,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     spec = _load_spec(args)
-    modes = tuple(s.strip() for s in args.modes.split(",") if s.strip())
-    t_windows = None
-    if args.t_windows:
-        t_windows = tuple(int(s) for s in args.t_windows.split(","))
+    horizon = args.steps or spec.horizon
+    for t in args.t_windows or ():
+        if t > horizon:
+            args.error(f"window {t} outside the {horizon}-step horizon")
     report = experiments.monte_carlo(
-        spec, modes=modes, n_runs=args.runs, seed0=args.seed0,
-        jobs=args.jobs, t_windows=t_windows, steps=args.steps)
+        spec, modes=args.modes, n_runs=args.runs, seed0=args.seed0,
+        jobs=args.jobs, t_windows=args.t_windows, steps=args.steps)
     if args.out:
         experiments.write_report_csv(report, args.out)
     if args.cost_out:
@@ -141,17 +162,17 @@ def main(argv=None) -> int:
 
     p_mc = sub.add_parser("montecarlo", help="average errors over many seeds")
     _add_spec_args(p_mc)
-    p_mc.add_argument("--modes", default="fixed,learn,active",
+    p_mc.add_argument("--modes", type=_modes, default=("fixed", "learn", "active"),
                       help="comma-separated list of modes")
     p_mc.add_argument("--runs", "-M", type=_positive_int, default=100)
     p_mc.add_argument("--seed0", type=_nonnegative_int, default=0)
     p_mc.add_argument("--jobs", type=_positive_int, default=1)
-    p_mc.add_argument("--t-windows", default=None,
+    p_mc.add_argument("--t-windows", type=_windows, default=None,
                       help="comma-separated error windows, e.g. 10,25,45")
     p_mc.add_argument("--out", default=None, metavar="CSV")
     p_mc.add_argument("--cost-out", default=None, metavar="CSV")
     p_mc.add_argument("--plot", default=None, metavar="SVG")
-    p_mc.set_defaults(func=_cmd_montecarlo)
+    p_mc.set_defaults(func=_cmd_montecarlo, error=p_mc.error)
 
     p_val = sub.add_parser("validate", help="run internal consistency checks")
     p_val.add_argument("--seed", type=_nonnegative_int, default=0)

@@ -12,8 +12,10 @@ Two fusion operations return minimal-volume outer bounds within their
 parametric families: ``minkowski_sum_bound`` for the sum of two ellipsoids
 and ``intersection_bound`` for their intersection. Both depend on a scalar
 parameter whose volume-optimal value solves a rational root equation;
-``optimal_tau`` and ``optimal_rho`` solve those equations by a bracketed
-scan.
+``optimal_tau`` and ``optimal_rho`` scan it on a fixed 200-point log grid
+in one array expression and refine its sign changes by one routine,
+``_bracket_roots``. The Minkowski family whitens by the cached ``eigh``
+``Pb = V diag(lambda) V^T`` of the second operand.
 
 Intersection is one case of a single fusion kernel, which the
 set-membership estimator also uses: the prior ``E(P, c)`` fused with the
@@ -52,9 +54,6 @@ __all__ = [
     "DegenerateOperandError",
     "InconsistentSetsError",
     "Ellipsoid",
-    "psd_clip",
-    "sym_sqrt",
-    "scan_roots",
     "minkowski_sum_bound",
     "optimal_tau",
     "intersection_bound",
@@ -125,24 +124,6 @@ class _FrozenArrays:
         self.__dict__.update(state)
 
 
-def psd_clip(mat):
-    """Symmetrize ``mat`` and clip negative eigenvalues to zero."""
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= 0.0:
-        return sym
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-
-
-def sym_sqrt(mat):
-    """Symmetric PSD square root (eigenvalues clipped at zero)."""
-    return _eig_root(*np.linalg.eigh(0.5 * (mat + mat.T)))
-
-
-def _eig_root(vals, vecs):
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
 @dataclass(frozen=True, eq=False)
 class Ellipsoid(_FrozenArrays):
     """Immutable ellipsoid ``E(shape, center)``.
@@ -159,11 +140,10 @@ class Ellipsoid(_FrozenArrays):
     construction, where its smallest eigenvalue checks the PSD slack. The
     symmetric square root (:attr:`root`) and :attr:`log_det` are computed
     on first use, at most once per instance, and all these arrays are
-    read-only. ``contains``, ``sample_interior``, the fusion kernel and the
-    robust controller read them, so a set is decomposed once, however
-    often it is used. They equal what ``np.linalg.eigh``,
-    :func:`sym_sqrt` and ``np.linalg.slogdet`` return for the stored shape,
-    bit for bit.
+    read-only. ``contains``, ``sample_interior``, both fusion families and
+    the robust controller read them, so a set is decomposed once, however
+    often it is used. They equal ``np.linalg.eigh``, ``V diag(sqrt(max(
+    lambda, 0))) V^T`` and ``np.linalg.slogdet`` of the stored shape.
     """
 
     center: np.ndarray
@@ -209,11 +189,8 @@ class Ellipsoid(_FrozenArrays):
     @cached_property
     def root(self) -> np.ndarray:
         """Symmetric PSD square root of the shape, read-only."""
-        return _freeze(_eig_root(*self.eigh))
-
-    def volume_measures(self):
-        """Return ``(trace, log_det)`` of the shape matrix."""
-        return self.trace, self.log_det
+        vals, vecs = self.eigh
+        return _freeze((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership test, tolerant: quadratic form <= 1 + tol.
@@ -275,18 +252,17 @@ class Ellipsoid(_FrozenArrays):
 # Scalar root solving shared by the fusion parameter searches.
 # ---------------------------------------------------------------------------
 
-def scan_roots(func, lo: float, hi: float, n_scan: int = 200):
-    """Roots of ``func`` on [lo, hi] located by a log-spaced sign scan.
+RHO_BRACKET = (1e-10, 1e8)
+_RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
+_TAU_GRID = np.geomspace(1e-12, 1e12, 200)
+
+
+def _bracket_roots(func, grid, vals):
+    """Roots from ``vals = func(grid)``: zeros, and Brent inside sign changes.
 
     Returns the (possibly empty) list of roots, one per sign change,
     refined by Brent's method to relative tolerance 1e-12.
     """
-    grid = np.geomspace(lo, hi, n_scan)
-    return _bracket_roots(func, grid, np.array([func(g) for g in grid]))
-
-
-def _bracket_roots(func, grid, vals):
-    """Roots from ``vals = func(grid)``: zeros, and Brent inside sign changes."""
     a, b = vals[:-1], vals[1:]
     crossing = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
     hits = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | crossing))
@@ -298,17 +274,6 @@ def _bracket_roots(func, grid, vals):
     return roots
 
 
-def _pencil_eigvals(pa, pb):
-    """Eigenvalues of ``pa @ inv(pb)`` for PSD pa, PD pb (real, >= 0)."""
-    try:
-        cho = np.linalg.cholesky(pb)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOperandError("second operand shape is singular") from exc
-    inv_cho = np.linalg.inv(cho)
-    vals = np.linalg.eigvalsh(inv_cho @ pa @ inv_cho.T)
-    return np.clip(vals, 0.0, None)
-
-
 # ---------------------------------------------------------------------------
 # Minkowski sum.
 # ---------------------------------------------------------------------------
@@ -318,17 +283,23 @@ def optimal_tau(ea: Ellipsoid, eb: Ellipsoid) -> float:
 
     Solves ``sum_i 1/(lambda_i + tau) = n / (tau (tau + 1))`` with
     ``lambda_i`` the eigenvalues of ``Pa Pb^{-1}``, bracketed on
-    (1e-12, 1e12).
+    (1e-12, 1e12). ``Pb`` must be positive definite.
     """
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    lam = _pencil_eigvals(ea.shape, eb.shape)
+    vals, vecs = eb.eigh
+    if not vals[0] > 0.0:
+        raise DegenerateOperandError("second operand shape is singular")
+    white = vecs / np.sqrt(vals)
+    lam = np.clip(np.linalg.eigvalsh(white.T @ ea.shape @ white), 0.0, None)
     n = ea.dim
 
     def defect(tau):
         return float(np.sum(1.0 / (lam + tau)) - n / (tau * (tau + 1.0)))
 
-    roots = scan_roots(defect, 1e-12, 1e12)
+    defects = ((1.0 / (lam + _TAU_GRID[:, None])).sum(axis=1)
+               - n / (_TAU_GRID * (_TAU_GRID + 1.0)))
+    roots = _bracket_roots(defect, _TAU_GRID, defects)
     if not roots:
         raise RuntimeError("no bracket for the sum-fusion parameter on (1e-12, 1e12)")
     return roots[0]
@@ -342,15 +313,12 @@ def minkowski_sum_bound(ea: Ellipsoid, eb: Ellipsoid) -> Ellipsoid:
     """
     tau = optimal_tau(ea, eb)
     shape = (1.0 / tau + 1.0) * ea.shape + (tau + 1.0) * eb.shape
-    return Ellipsoid(ea.center + eb.center, psd_clip(shape))
+    return Ellipsoid(ea.center + eb.center, shape)
 
 
 # ---------------------------------------------------------------------------
 # Intersection: the fusion kernel, shared with the estimator.
 # ---------------------------------------------------------------------------
-
-RHO_BRACKET = (1e-10, 1e8)
-_RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
 
 
 class _Fusion:

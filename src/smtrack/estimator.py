@@ -41,8 +41,7 @@ from .ellipsoid import (
     _FrozenArrays,
     _Fusion,
     _set_frozen,
-    optimal_tau,
-    psd_clip,
+    minkowski_sum_bound,
 )
 from .model import UncertainModel
 
@@ -162,18 +161,15 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
 def innovation_ellipsoid(belief: ParameterBelief, obs: Observation) -> Ellipsoid:
     """Outer bound on the innovation ``H - phi center`` (centered at zero).
 
-    Sum of the propagated parameter uncertainty ``E(phi P phi^T, 0)`` and
-    the noise bound ``E(Q, 0)`` with shape ``(1/q + 1) phi P phi^T +
-    (q + 1) Q``; ``q`` is the volume-optimal sum parameter, falling back to
-    1 when an operand is singular.
+    ``minkowski_sum_bound`` of the propagated parameter uncertainty
+    ``E(phi P phi^T, 0)`` and the noise bound ``E(Q, 0)``. When the noise
+    shape is singular or the sum parameter has no bracket (e.g. a zero
+    regressor), it falls back to ``tau = 1``: shape ``2 (phi P phi^T + Q)``.
     """
-    ppt = psd_clip(obs.phi @ belief.shape @ obs.phi.T)
-    l = ppt.shape[0]
+    zero = np.zeros(obs.h.size)
+    spread = Ellipsoid(zero, obs.phi @ belief.shape @ obs.phi.T)
+    noise = Ellipsoid(zero, obs.q_shape)
     try:
-        q_par = optimal_tau(Ellipsoid(np.zeros(l), ppt),
-                            Ellipsoid(np.zeros(l), obs.q_shape))
+        return minkowski_sum_bound(spread, noise)
     except (DegenerateOperandError, RuntimeError):
-        # Singular noise shape, or no bracket (e.g. a zero regressor).
-        q_par = 1.0
-    shape = (1.0 / q_par + 1.0) * ppt + (q_par + 1.0) * obs.q_shape
-    return Ellipsoid(np.zeros(l), psd_clip(shape))
+        return Ellipsoid(zero, 2.0 * (spread.shape + noise.shape))

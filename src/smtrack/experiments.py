@@ -421,6 +421,7 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
                 t_windows=None, steps: int | None = None) -> MonteCarloReport:
     """Across-seed averages per mode; seeds ``seed0 .. seed0 + n_runs - 1``.
 
+    ``t_windows=None`` takes the scenario's windows that fit the horizon.
     Aborted runs are excluded from the averages and counted; the report is
     flagged when exclusions exceed 5% anywhere. ``jobs > 1`` distributes
     runs over processes, folding results in submission order so the report
@@ -433,8 +434,9 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-    t_windows = tuple(t_windows) if t_windows is not None else spec.t_windows
     horizon = int(steps) if steps is not None else spec.horizon
+    t_windows = (tuple(t_windows) if t_windows is not None
+                 else tuple(t for t in spec.t_windows if t <= horizon))
     for t in t_windows:
         if not 1 <= t <= horizon:
             raise ValueError(f"window {t} outside the {horizon}-step horizon")

@@ -8,7 +8,6 @@ evidence rather than tautology.
 import numpy as np
 
 from smtrack.checks import random_spd
-from smtrack.ellipsoid import sym_sqrt
 
 
 def robust_cost_batch(instance, belief, us):
@@ -215,7 +214,8 @@ def active_grid_max(info, region, bounds, n_line=200001, n_angle=20001):
         b = min(hi[0], center[0] + radius)
         cands.append(np.linspace(a, b, n_line)[:, None])
     else:
-        sroot = sym_sqrt(t)
+        vals, vecs = np.linalg.eigh(t)
+        sroot = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
         phis = np.linspace(0.0, 2.0 * np.pi, n_angle)
         ring = center[None, :] + np.column_stack(
             [np.cos(phis), np.sin(phis)]) @ sroot.T

@@ -101,25 +101,34 @@ class TestMontecarlo:
         root = ET.parse(svg).getroot()
         assert root.tag.endswith("svg")
 
-    def test_bad_mode_list(self):
-        with pytest.raises(ValueError, match="mode"):
+    def test_bad_mode_list(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--runs", "1", "--steps", "4",
                   "--modes", "fixed,wild"])
+        assert exc.value.code == 2
+        assert "expected modes among" in capsys.readouterr().err
 
-    def test_empty_mode_list(self):
-        with pytest.raises(ValueError, match="mode"):
+    def test_empty_mode_list(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--runs", "1", "--steps", "4", "--modes", ","])
+        assert exc.value.code == 2
+        assert "expected modes among" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("windows, bad", [("0,9", 0), ("2,9", 9)])
+    @pytest.mark.parametrize("windows, expected", [
+        pytest.param("0,9", "expected a positive integer, got 0", id="0,9-0"),
+        pytest.param("2,9", "window 9 outside the 3-step horizon", id="2,9-9"),
+    ])
     def test_windows_outside_the_horizon_fail_before_any_run(
-            self, windows, bad, monkeypatch):
+            self, windows, expected, monkeypatch, capsys):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the windows were checked")
 
         monkeypatch.setattr(experiments, "run", no_run)
-        with pytest.raises(ValueError, match=f"window {bad} outside"):
+        with pytest.raises(SystemExit) as exc:
             main(["montecarlo", "--runs", "1", "--steps", "3",
                   "--modes", "fixed", "--t-windows", windows])
+        assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
 
 
 class TestValidate:
@@ -181,8 +190,15 @@ class TestParser:
         (["simulate", "--seed", "-1"], "non-negative integer"),
         (["montecarlo", "--seed0", "-1"], "non-negative integer"),
         (["validate", "--seed", "-1"], "non-negative integer"),
+        (["montecarlo", "--t-windows", "a"], "positive integer, got a"),
+        (["montecarlo", "--modes", "bogus"], "expected modes among"),
+        (["simulate", "--config", "/nonexistent.json"],
+         "cannot load scenario /nonexistent.json"),
+        (["simulate", "--config", "/dev/null"], "cannot load scenario /dev/null"),
     ], ids=["steps-0", "steps-negative", "runs-0", "jobs-0",
-            "seed-negative", "seed0-negative", "validate-seed-negative"])
+            "seed-negative", "seed0-negative", "validate-seed-negative",
+            "t-windows-not-a-number", "modes-unknown", "config-missing",
+            "config-not-json"])
     def test_count_must_be_positive(self, argv, expected, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from smtrack import checks
@@ -13,9 +14,6 @@ from smtrack.ellipsoid import (
     minkowski_sum_bound,
     optimal_rho,
     optimal_tau,
-    psd_clip,
-    scan_roots,
-    sym_sqrt,
 )
 from smtrack.experiments import run, scenario
 
@@ -75,9 +73,15 @@ class TestCachedDecomposition:
             vals, vecs = np.linalg.eigh(e.shape)
             np.testing.assert_array_equal(e.eigh[0], vals)
             np.testing.assert_array_equal(e.eigh[1], vecs)
-            np.testing.assert_array_equal(e.root, sym_sqrt(e.shape))
+            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+            np.testing.assert_array_equal(e.root, root)
             sign, log_det = np.linalg.slogdet(e.shape)
             assert e.log_det == (log_det if sign > 0 else -np.inf)
+
+    def test_root_squares_back(self):
+        for e in self.sets():
+            scale = 1.0 + np.abs(e.shape).max()
+            assert_allclose(e.root @ e.root, e.shape, atol=1e-12 * scale)
 
     def test_cached_arrays_are_read_only(self):
         e = Ellipsoid([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
@@ -173,18 +177,17 @@ class TestMembership:
 
 class TestVolumeMeasures:
     def test_hand_case(self):
-        tr, ld = HAND_SET.volume_measures()
-        assert_allclose(tr, 6.0)
-        assert_allclose(ld, np.log(7.0))
+        assert_allclose(HAND_SET.trace, 6.0)
+        assert_allclose(HAND_SET.log_det, np.log(7.0))
 
     def test_identity(self):
-        assert_allclose(Ellipsoid(np.zeros(3), np.eye(3)).volume_measures(),
-                        (3.0, 0.0))
+        e = Ellipsoid(np.zeros(3), np.eye(3))
+        assert_allclose((e.trace, e.log_det), (3.0, 0.0))
 
     def test_scaled_identity(self):
-        tr, ld = Ellipsoid(np.zeros(4), 2.0 * np.eye(4)).volume_measures()
-        assert_allclose(tr, 8.0)
-        assert_allclose(ld, 4.0 * np.log(2.0))
+        e = Ellipsoid(np.zeros(4), 2.0 * np.eye(4))
+        assert_allclose(e.trace, 8.0)
+        assert_allclose(e.log_det, 4.0 * np.log(2.0))
 
     def test_singular_shape_has_minus_inf_log_det(self):
         assert Ellipsoid([0.0, 0.0], np.diag([1.0, 0.0])).log_det == -np.inf
@@ -206,7 +209,7 @@ class TestSupport:
         hi = HAND_SET.support(eta, "max")
         g = rng.normal(size=(20000, 2))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        boundary = HAND_SET.center + g @ sym_sqrt(HAND_SET.shape).T
+        boundary = HAND_SET.center + g @ HAND_SET.root.T
         reached = (boundary @ eta).max()
         assert reached <= hi + 1e-12
         assert hi - reached <= 1e-3 * (1.0 + abs(hi))
@@ -239,30 +242,6 @@ class TestSampling:
         assert_allclose(point.sample_interior(rng), [1.5, -2.0])
 
 
-class TestHelpers:
-    def test_psd_clip_removes_negative_modes(self):
-        clipped = psd_clip(np.array([[1.0, 0.0], [0.0, -3.0]]))
-        assert_allclose(clipped, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_psd_clip_keeps_psd_input(self):
-        mat = np.array([[4.0, 1.0], [1.0, 2.0]])
-        assert_allclose(psd_clip(mat), mat)
-
-    def test_sym_sqrt_squares_back(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(3, 3))
-        p = m @ m.T
-        root = sym_sqrt(p)
-        assert_allclose(root @ root, p, atol=1e-12)
-
-    def test_scan_roots_finds_both_roots(self):
-        roots = scan_roots(lambda x: (x - 1.0) * (x - 3.0), 0.1, 10.0)
-        assert_allclose(roots, [1.0, 3.0], rtol=1e-9)
-
-    def test_scan_roots_empty_when_no_sign_change(self):
-        assert scan_roots(lambda x: 1.0 + x, 0.1, 10.0) == []
-
-
 class TestMinkowskiSum:
     def test_equal_balls_double_the_radius(self):
         ball = Ellipsoid(np.zeros(2), np.eye(2))
@@ -293,6 +272,40 @@ class TestMinkowskiSum:
             out = minkowski_sum_bound(ea, eb)
             expect = (np.sqrt(p) + np.sqrt(q)) ** 2
             assert_allclose(out.shape[0, 0], expect, rtol=1e-8)
+
+    def test_tau_zeroes_the_generalized_eigenvalue_defect(self):
+        # The defect built from scipy's generalized eigenvalues of (Pa, Pb),
+        # independent of the whitening optimal_tau uses.
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = 1 + int(rng.integers(4))
+            ea = Ellipsoid(rng.normal(size=n), checks.random_spd(rng, n))
+            eb = Ellipsoid(rng.normal(size=n), checks.random_spd(rng, n))
+            tau = optimal_tau(ea, eb)
+            lam = scipy.linalg.eigh(ea.shape, eb.shape, eigvals_only=True)
+            scale = n / (tau * (tau + 1.0))
+            defect = np.sum(1.0 / (lam + tau)) - scale
+            assert abs(defect) <= 1e-9 * scale
+
+            def log_det(t):
+                shape = (1.0 / t + 1.0) * ea.shape + (t + 1.0) * eb.shape
+                return np.linalg.slogdet(shape)[1]
+
+            for nearby in (tau * (1.0 - 1e-3), tau * (1.0 + 1e-3)):
+                assert log_det(tau) <= log_det(nearby) + 1e-12
+
+    def test_whitens_by_the_cached_decomposition(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        ea = Ellipsoid([0.0, 1.0], [[3.0, 0.5], [0.5, 1.0]])
+        minkowski_sum_bound(ea, HAND_SET)
+        assert calls == []
 
     def test_singular_second_operand_rejected(self):
         ea = Ellipsoid([0.0], [[1.0]])

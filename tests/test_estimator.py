@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from smtrack import estimator
-from smtrack.ellipsoid import Ellipsoid, _Fusion, intersection_bound
+from smtrack import checks, estimator
+from smtrack.ellipsoid import (Ellipsoid, _Fusion, intersection_bound,
+                               minkowski_sum_bound)
 from smtrack.estimator import (
     InconsistentObservationError,
     Observation,
@@ -290,12 +291,27 @@ class TestInnovationEllipsoid:
         out = innovation_ellipsoid(belief, obs)
         assert_allclose(out.shape, 4.0 * np.eye(2), rtol=1e-9)
 
+    def test_is_the_minkowski_sum_bound_of_its_operands(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            belief = ParameterBelief(
+                Ellipsoid(rng.normal(size=3), checks.random_spd(rng, 3)))
+            obs = Observation(rng.normal(size=2), rng.normal(size=(2, 3)),
+                              checks.random_spd(rng, 2))
+            out = innovation_ellipsoid(belief, obs)
+            zero = np.zeros(2)
+            spread = obs.phi @ belief.shape @ obs.phi.T
+            expect = minkowski_sum_bound(Ellipsoid(zero, spread),
+                                         Ellipsoid(zero, obs.q_shape))
+            np.testing.assert_array_equal(out.center, expect.center)
+            np.testing.assert_array_equal(out.shape, expect.shape)
+
     def test_programming_errors_propagate(self, monkeypatch):
         # Only a singular noise shape or a missing bracket falls back to 1.
         def broken(ea, eb):
             raise TypeError("broken sum fusion")
 
-        monkeypatch.setattr(estimator, "optimal_tau", broken)
+        monkeypatch.setattr(estimator, "minkowski_sum_bound", broken)
         belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
         obs = Observation(np.zeros(2), np.eye(2), np.eye(2))
         with pytest.raises(TypeError, match="broken"):

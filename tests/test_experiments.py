@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smtrack import experiments
 from smtrack.experiments import (
     MODES,
     Reference,
@@ -287,6 +288,19 @@ class TestMonteCarlo:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             monte_carlo(scenario("sim1"), modes=("fixed", "wild"), n_runs=1)
+
+    def test_default_windows_are_those_within_the_horizon(self, monkeypatch):
+        spec = scenario("sim1")
+        report = monte_carlo(spec, modes=("fixed",), n_runs=1, steps=6)
+        assert report.t_windows == (2, 4, 6)
+        assert list(report.e_bar["fixed"]) == [2, 4, 6]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the windows were checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match="window 0 outside the 6-step"):
+            monte_carlo(spec, modes=("fixed",), n_runs=1, t_windows=(0,), steps=6)
 
 
 class TestCsvWriters:
