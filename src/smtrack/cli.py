@@ -52,7 +52,7 @@ def _modes(text: str) -> tuple:
 def _scenario_file(path: str) -> experiments.ScenarioSpec:
     try:
         return experiments.load_scenario(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"cannot load scenario {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -93,14 +93,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    spec = _load_spec(args)
-    horizon = args.steps or spec.horizon
-    for t in args.t_windows or ():
-        if t > horizon:
-            args.error(f"window {t} outside the {horizon}-step horizon")
-    report = experiments.monte_carlo(
-        spec, modes=args.modes, n_runs=args.runs, seed0=args.seed0,
-        jobs=args.jobs, t_windows=args.t_windows, steps=args.steps)
+    try:
+        report = experiments.monte_carlo(
+            _load_spec(args), modes=args.modes, n_runs=args.runs, seed0=args.seed0,
+            jobs=args.jobs, t_windows=args.t_windows, steps=args.steps)
+    except ValueError as exc:  # inputs are checked before any run starts
+        args.error(str(exc))
     if args.out:
         experiments.write_report_csv(report, args.out)
     if args.cost_out:

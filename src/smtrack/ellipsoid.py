@@ -124,6 +124,11 @@ class _FrozenArrays:
         self.__dict__.update(state)
 
 
+def _flat(vals):
+    """Which ascending eigenvalues are flat: ``lambda <= 1e-13 max(lambda_max, 1)``."""
+    return vals <= max(vals[-1], 1.0) * 1e-13
+
+
 @dataclass(frozen=True, eq=False)
 class Ellipsoid(_FrozenArrays):
     """Immutable ellipsoid ``E(shape, center)``.
@@ -202,9 +207,8 @@ class Ellipsoid(_FrozenArrays):
         if d.size != self.dim:
             raise ValueError(f"point dimension {d.size} != {self.dim}")
         vals, vecs = self.eigh
-        cut = max(vals[-1], 1.0) * 1e-13
         coeff = vecs.T @ d
-        small = vals <= cut
+        small = _flat(vals)
         if np.any(small):
             # Out-of-range component means the point is off the degenerate slice.
             resid = np.linalg.norm(coeff[small])
@@ -283,12 +287,13 @@ def optimal_tau(ea: Ellipsoid, eb: Ellipsoid) -> float:
 
     Solves ``sum_i 1/(lambda_i + tau) = n / (tau (tau + 1))`` with
     ``lambda_i`` the eigenvalues of ``Pa Pb^{-1}``, bracketed on
-    (1e-12, 1e12). ``Pb`` must be positive definite.
+    (1e-12, 1e12). ``Pb`` must be positive definite: its smallest
+    eigenvalue above the cut that ``Ellipsoid.contains`` treats as flat.
     """
     if ea.dim != eb.dim:
         raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
     vals, vecs = eb.eigh
-    if not vals[0] > 0.0:
+    if _flat(vals)[0]:
         raise DegenerateOperandError("second operand shape is singular")
     white = vecs / np.sqrt(vals)
     lam = np.clip(np.linalg.eigvalsh(white.T @ ea.shape @ white), 0.0, None)

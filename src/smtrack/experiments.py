@@ -7,6 +7,11 @@ and fuses the resulting state observation into the belief::
 
     robust input -> exploring input -> plant step -> observation -> update
 
+Each completed step keeps one ``(x, u, y_ref, belief)`` record, the belief
+taken after the step's update, and ``_record`` derives every ``RunRecord``
+column from those records, so an aborted run keeps exactly the steps it
+completed.
+
 Modes
 -----
 ``fixed``        control from the never-updated initial belief
@@ -66,14 +71,26 @@ class Reference:
     ``steps`` (piecewise-constant levels switching after given steps) and
     ``const_sine`` (two outputs: a constant and a sinusoid). All extend
     naturally beyond any printed horizon, which the driver needs since step
-    ``k`` tracks the reference at ``k + 1``.
+    ``k`` tracks the reference at ``k + 1``. The parameters are checked
+    here, so a malformed reference fails at load, not at some later step.
     """
 
-    KINDS = ("triangle", "steps", "const_sine")
+    KINDS = {"triangle": ("peak", "up_end"), "steps": ("levels", "breaks"),
+             "const_sine": ("const", "amp", "denom")}
 
     def __init__(self, kind: str, **params):
         if kind not in self.KINDS:
             raise ValueError(f"unknown reference kind {kind!r}")
+        missing = [key for key in self.KINDS[kind] if key not in params]
+        if missing:
+            raise ValueError(f"{kind} reference needs {', '.join(missing)}")
+        if kind == "triangle" and not params["up_end"] > 0:
+            raise ValueError(f"triangle up_end must be positive, got {params['up_end']}")
+        if kind == "steps" and len(params["levels"]) != len(params["breaks"]) + 1:
+            raise ValueError("steps reference needs one more level than breaks, got "
+                             f"{len(params['levels'])} and {len(params['breaks'])}")
+        if kind == "const_sine" and params["denom"] == 0:
+            raise ValueError("const_sine denom must be nonzero")
         self.kind = kind
         self.params = {k: v for k, v in params.items()}
 
@@ -134,12 +151,20 @@ class ScenarioSpec(_FrozenArrays):
             raise ValueError("x0 does not match the state dimension")
         if self.belief0.dim != self.model.p:
             raise ValueError("belief0 does not match the parameter dimension")
+        ref_shape = np.shape(self.reference.value(1))
+        if ref_shape != (self.model.l,):
+            raise ValueError(f"reference values have shape {ref_shape}, "
+                             f"the model has {self.model.l} outputs")
         _set_frozen(self, theta_true=theta, x0=x0, ma=ma)
 
 
 @dataclass
 class RunRecord:
-    """Per-step trajectory, diagnostics, and belief history of one run."""
+    """Per-step trajectory, diagnostics, and belief history of one run.
+
+    Row ``i`` is step ``i + 1``, derived in ``_record`` from that step's
+    ``(x, u, y_ref, belief)``; ``aborted`` is true iff ``diagnostic`` is set.
+    """
 
     scenario: str
     mode: str
@@ -171,17 +196,14 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 def scenario_names():
-    return ("sim1", "sim2", "sim3")
+    return tuple(_SCENARIOS)
+
 
 def scenario(name: str) -> ScenarioSpec:
     """One of the built-in studies: ``sim1``, ``sim2`` or ``sim3``."""
-    if name == "sim1":
-        return _sim1()
-    if name == "sim2":
-        return _sim2()
-    if name == "sim3":
-        return _sim3()
-    raise ValueError(f"unknown scenario {name!r}; pick from {scenario_names()}")
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; pick from {scenario_names()}")
+    return _SCENARIOS[name]()
 
 
 def _chain_model(a_perturbations):
@@ -291,6 +313,9 @@ def _sim3() -> ScenarioSpec:
     )
 
 
+_SCENARIOS = {"sim1": _sim1, "sim2": _sim2, "sim3": _sim3}
+
+
 # ---------------------------------------------------------------------------
 # Single-run driver.
 # ---------------------------------------------------------------------------
@@ -305,18 +330,15 @@ def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> R
     disturbances = model.disturbance_set()
     belief = ParameterBelief(spec.belief0)
     x = spec.x0.copy()
+    y_ref = spec.reference.value(1)
 
-    rows = {nm: [] for nm in ("k", "x", "u", "y", "y_ref", "abs_err", "trace_p",
-                              "log_det_p", "rho", "beta", "skipped",
-                              "contains_true", "centers", "shapes")}
-    aborted = False
+    history = []
     diagnostic = ""
     u_prev = None
     for k in range(1, horizon + 1):
-        y = model.output(x)
-        y_ref = spec.reference.value(k)
         try:
-            instance = build_instance(model, x, spec.reference.value(k + 1))
+            y_ref_next = spec.reference.value(k + 1)
+            instance = build_instance(model, x, y_ref_next)
             if mode == "known_theta":
                 sol = solve_known_theta(instance, spec.theta_true, spec.bounds,
                                         u_warm=u_prev)
@@ -335,44 +357,38 @@ def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> R
                 obs = build_state_observation(model, x, u, x_next)
                 belief = update(belief, obs, policy=spec.update_policy)
         except Exception as exc:  # noqa: BLE001 - runs report, never crash sweeps
-            aborted = True
             diagnostic = f"step {k}: {type(exc).__name__}: {exc}"
             break
-        rows["k"].append(k)
-        rows["x"].append(x)
-        rows["u"].append(u)
-        rows["y"].append(y)
-        rows["y_ref"].append(y_ref)
-        rows["abs_err"].append(float(np.sum(np.abs(y - y_ref))))
-        rows["trace_p"].append(float(np.trace(belief.shape)))
-        rows["log_det_p"].append(belief.set.log_det)
-        rows["rho"].append(belief.last_rho)
-        rows["beta"].append(belief.last_beta)
-        rows["skipped"].append(belief.skipped)
-        rows["contains_true"].append(
-            belief.set.contains(spec.theta_true, CONTAINMENT_TOL))
-        rows["centers"].append(belief.center)
-        rows["shapes"].append(belief.shape)
-        x = x_next
-        u_prev = sol.u
+        history.append((x, u, y_ref, belief))
+        x, y_ref, u_prev = x_next, y_ref_next, sol.u
+    return _record(spec, mode, seed, history, diagnostic)
 
+
+def _record(spec, mode, seed, history, diagnostic) -> RunRecord:
+    """The ``RunRecord`` of the completed steps' ``(x, u, y_ref, belief)``."""
+    model = spec.model
+    n = len(history)
+    xs, us, y_refs, beliefs = zip(*history) if history else ((),) * 4
+    ys = [model.output(x) for x in xs]
+    sets = [belief.set for belief in beliefs]
     return RunRecord(
         scenario=spec.name, mode=mode, seed=seed,
-        k=np.array(rows["k"], dtype=int),
-        x=np.array(rows["x"]).reshape(len(rows["k"]), model.n),
-        u=np.array(rows["u"]).reshape(len(rows["k"]), model.m),
-        y=np.array(rows["y"]).reshape(len(rows["k"]), model.l),
-        y_ref=np.array(rows["y_ref"]).reshape(len(rows["k"]), model.l),
-        abs_err=np.array(rows["abs_err"]),
-        trace_p=np.array(rows["trace_p"]),
-        log_det_p=np.array(rows["log_det_p"]),
-        rho=np.array(rows["rho"]),
-        beta=np.array(rows["beta"]),
-        skipped=np.array(rows["skipped"], dtype=bool),
-        contains_true=np.array(rows["contains_true"], dtype=bool),
-        belief_centers=np.array(rows["centers"]).reshape(len(rows["k"]), model.p),
-        belief_shapes=np.array(rows["shapes"]).reshape(len(rows["k"]), model.p, model.p),
-        aborted=aborted, diagnostic=diagnostic,
+        k=np.arange(1, n + 1),
+        x=np.array(xs).reshape(n, model.n),
+        u=np.array(us).reshape(n, model.m),
+        y=np.array(ys).reshape(n, model.l),
+        y_ref=np.array(y_refs).reshape(n, model.l),
+        abs_err=np.array([float(np.sum(np.abs(y - r))) for y, r in zip(ys, y_refs)]),
+        trace_p=np.array([s.trace for s in sets]),
+        log_det_p=np.array([s.log_det for s in sets]),
+        rho=np.array([b.last_rho for b in beliefs]),
+        beta=np.array([b.last_beta for b in beliefs]),
+        skipped=np.array([b.skipped for b in beliefs], dtype=bool),
+        contains_true=np.array([s.contains(spec.theta_true, CONTAINMENT_TOL)
+                                for s in sets], dtype=bool),
+        belief_centers=np.array([s.center for s in sets]).reshape(n, model.p),
+        belief_shapes=np.array([s.shape for s in sets]).reshape(n, model.p, model.p),
+        aborted=bool(diagnostic), diagnostic=diagnostic,
     )
 
 
@@ -411,17 +427,14 @@ class MonteCarloReport:
     exclusion_flagged: bool
 
 
-def _run_star(args):
-    spec, mode, seed, steps = args
-    return run(spec, mode, seed, steps)
-
-
 def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
                 n_runs: int = 100, seed0: int = 0, jobs: int = 1,
                 t_windows=None, steps: int | None = None) -> MonteCarloReport:
     """Across-seed averages per mode; seeds ``seed0 .. seed0 + n_runs - 1``.
 
     ``t_windows=None`` takes the scenario's windows that fit the horizon.
+    Every input is checked before the first run: a window outside the
+    horizon, or no window at all, raises ``ValueError``.
     Aborted runs are excluded from the averages and counted; the report is
     flagged when exclusions exceed 5% anywhere. ``jobs > 1`` distributes
     runs over processes, folding results in submission order so the report
@@ -440,12 +453,14 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     for t in t_windows:
         if not 1 <= t <= horizon:
             raise ValueError(f"window {t} outside the {horizon}-step horizon")
+    if not t_windows:
+        raise ValueError(f"no error window fits the {horizon}-step horizon")
     tasks = [(spec, mode, seed0 + i, steps) for mode in modes for i in range(n_runs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_star, tasks, chunksize=8))
+            records = list(pool.map(run, *zip(*tasks), chunksize=8))
     else:
-        records = [_run_star(t) for t in tasks]
+        records = [run(*task) for task in tasks]
 
     e_bar = {}
     j_bar = {}
@@ -471,8 +486,7 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
             ratios.setdefault("fixed_vs_active", {})[t] = (e1 - e3) / e3
             ratios.setdefault("learn_vs_active", {})[t] = (e2 - e3) / e3
 
-    total = {m: n_runs for m in modes}
-    flagged = any(excluded[m] > 0.05 * total[m] for m in modes)
+    flagged = any(excluded[m] > 0.05 * n_runs for m in modes)
     return MonteCarloReport(
         scenario=spec.name, modes=modes, n_runs=n_runs, seed0=seed0,
         t_windows=t_windows, e_bar=e_bar, ratios=ratios, j_bar=j_bar,

@@ -37,30 +37,28 @@ def _fmt(v: float) -> str:
 
 
 class LineChart:
-    """Accumulates series, then renders one SVG document."""
+    """Accumulates series, then renders one 640 x 400 SVG document.
 
-    def __init__(self, title: str = "", x_label: str = "", y_label: str = "",
-                 width: int = 640, height: int = 400):
+    Series take the colors of :data:`PALETTE` in the order they are added.
+    """
+
+    def __init__(self, title: str = "", x_label: str = "", y_label: str = ""):
         self.title = title
         self.x_label = x_label
         self.y_label = y_label
-        self.width = width
-        self.height = height
         self.series = []
 
-    def add(self, x, y, label: str = "", color: str | None = None,
-            dash: str = ""):
+    def add(self, x, y, label: str = "", dash: str = ""):
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
         if x.size != y.size:
             raise ValueError("series coordinates differ in length")
-        if color is None:
-            color = PALETTE[len(self.series) % len(PALETTE)]
+        color = PALETTE[len(self.series) % len(PALETTE)]
         self.series.append((x, y, label, color, dash))
 
     def render(self) -> str:
         left, right, top, bottom = 62, 18, 34, 46
-        w, h = self.width, self.height
+        w, h = 640, 400
         px_w = w - left - right
         px_h = h - top - bottom
         finite = [(x[np.isfinite(y)], y[np.isfinite(y)]) for x, y in

@@ -114,19 +114,22 @@ class TestMontecarlo:
         assert exc.value.code == 2
         assert "expected modes among" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("windows, expected", [
-        pytest.param("0,9", "expected a positive integer, got 0", id="0,9-0"),
-        pytest.param("2,9", "window 9 outside the 3-step horizon", id="2,9-9"),
+    @pytest.mark.parametrize("flags, expected", [
+        pytest.param(["--steps", "3", "--t-windows", "0,9"],
+                     "expected a positive integer, got 0", id="0,9-0"),
+        pytest.param(["--steps", "3", "--t-windows", "2,9"],
+                     "window 9 outside the 3-step horizon", id="2,9-9"),
+        pytest.param(["--scenario", "sim3", "--steps", "5"],
+                     "no error window fits the 5-step horizon", id="sim3-none-in-5"),
     ])
     def test_windows_outside_the_horizon_fail_before_any_run(
-            self, windows, expected, monkeypatch, capsys):
+            self, flags, expected, monkeypatch, capsys):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the windows were checked")
 
         monkeypatch.setattr(experiments, "run", no_run)
         with pytest.raises(SystemExit) as exc:
-            main(["montecarlo", "--runs", "1", "--steps", "3",
-                  "--modes", "fixed", "--t-windows", windows])
+            main(["montecarlo", "--runs", "1", "--modes", "fixed"] + flags)
         assert exc.value.code == 2
         assert expected in capsys.readouterr().err
 
@@ -204,3 +207,33 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, ref, expected", [
+        ("sim1", {"kind": "triangle", "params": {"peak": 5.0}}, "needs up_end"),
+        ("sim1", {"kind": "triangle", "params": {"peak": 5.0, "up_end": 0}},
+         "up_end must be positive"),
+        ("sim3", {"kind": "const_sine",
+                  "params": {"const": 250.0, "amp": 6.0, "denom": 0}},
+         "denom must be nonzero"),
+        ("sim1", {"kind": "steps", "params": {"levels": [1.0], "breaks": [5]}},
+         "one more level than breaks"),
+        ("sim1", {"kind": "const_sine",
+                  "params": {"const": 1.0, "amp": 1.0, "denom": 5.0}},
+         "the model has 1 outputs"),
+        ("sim1", {"kind": "steps", "params": {"levels": 1.0, "breaks": []}},
+         "TypeError"),
+    ], ids=["triangle-no-up_end", "triangle-up_end-0", "const_sine-denom-0",
+            "steps-one-level-one-break", "two-outputs-on-sim1",
+            "steps-levels-not-a-list"])
+    def test_config_with_a_bad_reference(self, name, ref, expected, tmp_path,
+                                         capsys):
+        cfg = scenario_to_config(scenario(name))
+        cfg["reference"] = ref
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path), "--steps", "8"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load scenario {path}: " in err
+        assert expected in err

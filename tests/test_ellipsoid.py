@@ -15,6 +15,7 @@ from smtrack.ellipsoid import (
     optimal_rho,
     optimal_tau,
 )
+from smtrack.estimator import Observation, ParameterBelief, innovation_ellipsoid
 from smtrack.experiments import run, scenario
 
 
@@ -316,6 +317,22 @@ class TestMinkowskiSum:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             optimal_tau(Ellipsoid([0.0], [[1.0]]), Ellipsoid(np.zeros(2), np.eye(2)))
+
+    def test_rank_deficient_second_operand_is_rejected(self):
+        # Pb = V V^T with V of rank n - 1 is singular; only rounding makes its
+        # smallest eigenvalue nonzero, so whether it is accepted must not
+        # depend on the sign of that rounding.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            v = rng.normal(size=(n, n - 1))
+            ea = Ellipsoid(np.zeros(n), np.eye(n))
+            eb = Ellipsoid(np.zeros(n), v @ v.T)
+            with pytest.raises(DegenerateOperandError):
+                optimal_tau(ea, eb)
+            obs = Observation(np.zeros(n), np.eye(n), v @ v.T)
+            out = innovation_ellipsoid(ParameterBelief(ea), obs)
+            np.testing.assert_array_equal(out.shape, 2.0 * (np.eye(n) + obs.q_shape))
 
 
 class TestIntersectionBound:

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smtrack import experiments
+from smtrack.estimator import update
 from smtrack.experiments import (
     MODES,
     Reference,
@@ -84,6 +85,18 @@ class TestReference:
         with pytest.raises(ValueError, match="kind"):
             Reference("sawtooth", peak=1.0)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("triangle", {"peak": 5.0}, "needs up_end"),
+        ("triangle", {"peak": 5.0, "up_end": 0}, "up_end must be positive"),
+        ("steps", {"levels": [1.0], "breaks": [5]}, "one more level than breaks"),
+        ("steps", {"levels": [1.0, 2.0]}, "needs breaks"),
+        ("const_sine", {"const": 1.0, "amp": 1.0, "denom": 0}, "denom must be nonzero"),
+    ], ids=["triangle-no-up_end", "triangle-up_end-0", "steps-one-level-one-break",
+            "steps-no-breaks", "const_sine-denom-0"])
+    def test_malformed_parameters_are_rejected(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            Reference(kind, **params)
+
 
 class TestScenarios:
     def test_names(self):
@@ -129,7 +142,9 @@ class TestScenarios:
         changed = replace(spec.belief0, shape=shape)
         assert changed != spec.belief0
         assert replace(spec, belief0=changed) != spec
-        other = Reference("steps", levels=[1.0], breaks=[])
+        # A constant reference with one entry per output of the model.
+        other = (Reference("steps", levels=[1.0], breaks=[]) if spec.model.l == 1
+                 else Reference("const_sine", const=1.0, amp=0.0, denom=1.0))
         assert replace(spec, reference=other) != spec
 
     def test_initial_belief_contains_the_truth(self):
@@ -203,6 +218,68 @@ class TestRun:
         assert record.aborted
         assert record.steps == 0
         assert "step 1" in record.diagnostic
+
+    def test_step_one_abort_keeps_empty_arrays_of_the_right_shape(self):
+        cfg = scenario_to_config(scenario("sim3"))
+        cfg["u_min"] = [1.0, 1.0]
+        cfg["u_max"] = [-1.0, -1.0]
+        record = run(scenario_from_config(cfg), "active", 0, steps=5)
+        assert record.aborted
+        assert record.diagnostic.startswith("step 1:")
+        expected = {"k": (0,), "x": (0, 4), "u": (0, 2), "y": (0, 2),
+                    "y_ref": (0, 2), "abs_err": (0,), "trace_p": (0,),
+                    "log_det_p": (0,), "rho": (0,), "beta": (0,),
+                    "skipped": (0,), "contains_true": (0,),
+                    "belief_centers": (0, 4), "belief_shapes": (0, 4, 4)}
+        assert {f: getattr(record, f).shape for f in expected} == expected
+
+    def test_mid_run_abort_keeps_exactly_the_completed_steps(self, monkeypatch):
+        calls = []
+
+        def failing_third_update(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected")
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "update", failing_third_update)
+        record = run(scenario("sim3"), "learn", 0, steps=10)
+        assert record.aborted
+        assert record.diagnostic.startswith("step 3: RuntimeError: injected")
+        assert record.steps == 2
+        assert_allclose(record.k, [1, 2])
+        expected = {"x": (2, 4), "u": (2, 2), "y": (2, 2), "y_ref": (2, 2),
+                    "abs_err": (2,), "trace_p": (2,), "log_det_p": (2,),
+                    "rho": (2,), "beta": (2,), "skipped": (2,),
+                    "contains_true": (2,), "belief_centers": (2, 4),
+                    "belief_shapes": (2, 4, 4)}
+        assert {f: getattr(record, f).shape for f in expected} == expected
+        whole = run(scenario("sim3"), "learn", 0, steps=2)
+        assert np.array_equal(record.belief_shapes, whole.belief_shapes)
+        assert np.array_equal(record.u, whole.u)
+
+    def test_belief_columns_agree_with_the_kept_shapes(self):
+        record = run(scenario("sim1"), "learn", 0)
+        shapes = record.belief_shapes
+        assert_allclose(record.trace_p, np.trace(shapes, axis1=1, axis2=2),
+                        rtol=1e-12, atol=1e-12)
+        sign, log_det = np.linalg.slogdet(shapes)
+        assert (sign > 0).all()
+        assert_allclose(record.log_det_p, log_det, rtol=1e-12, atol=1e-12)
+
+    def test_each_reference_value_is_read_once(self, monkeypatch):
+        spec = scenario("sim1")
+        calls = []
+        value = Reference.value
+
+        def counted(self, k):
+            calls.append(k)
+            return value(self, k)
+
+        monkeypatch.setattr(Reference, "value", counted)
+        record = run(spec, "learn", 0, steps=10)
+        assert record.steps == 10
+        assert calls == list(range(1, 12))
 
 
 class TestMetrics:
@@ -302,6 +379,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="window 0 outside the 6-step"):
             monte_carlo(spec, modes=("fixed",), n_runs=1, t_windows=(0,), steps=6)
 
+    def test_no_window_within_the_horizon_fails_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the windows were checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match="no error window fits the 5-step"):
+            monte_carlo(scenario("sim3"), modes=("fixed",), n_runs=1, steps=5)
+
 
 class TestCsvWriters:
     def test_run_csv_schema(self, tmp_path):
@@ -384,6 +469,13 @@ class TestConfigRoundTrip:
         cfg = scenario_to_config(scenario("sim1"))
         cfg["ma"] = [[-1.0]]
         with pytest.raises(ValueError, match="ma"):
+            scenario_from_config(cfg)
+
+    def test_reference_of_the_wrong_size_is_rejected_at_load(self):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["reference"] = {"kind": "const_sine",
+                            "params": {"const": 1.0, "amp": 1.0, "denom": 5.0}}
+        with pytest.raises(ValueError, match="the model has 1 outputs"):
             scenario_from_config(cfg)
 
     def test_modes_tuple_is_stable(self):
