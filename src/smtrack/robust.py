@@ -24,8 +24,15 @@ interior-point method: cone barrier ``-log(s^2 - |w|^2)``, damped Newton
 inner iterations, barrier parameter scaled by 10 per outer stage, stopping
 when the duality measure (constraint count / barrier parameter) falls
 below 1e-8. A solve with a warm input first probes a short schedule from
-weight 1e4 near it, and falls back to the cold schedule from weight 1 if
-that fails to center quickly.
+weight ``WARM_T_START`` = 1e4 near it, and falls back to the cold schedule
+from weight 1 if that fails to center quickly;
+:attr:`RobustSolution.warm_started` says whether the probe was accepted.
+A warm input on a bound of a finite box (the previous optimum often is)
+starts ``min(width, 1) / WARM_T_START`` inside it: the probe's center keeps
+a box slack of about ``1 / (t slope)``, and Newton on ``-log s`` can at
+most double a slack per step, so a probe started much nearer the wall
+stalls with its decrement near 1 until its cap runs out (an inset of 1e-6
+did so for every such probe on the shipped scenarios).
 
 Every stage that follows a center starts from a predictor step (Boyd &
 Vandenberghe, *Convex Optimization*, ch. 11; Nocedal & Wright, *Numerical
@@ -36,12 +43,17 @@ the Newton step at the next weight ``G t`` (``G = 10``) from ``x(t)`` is
 in ``1/t``, ``x(t) = x* + d / t``, so ``x(G t) - x(t) = (1/G - 1) d / t``,
 which is that Newton step times exactly ``1/G``: the predictor is the
 tangent of the path in ``1/t``. Centering at ``G t`` continues from it.
-It costs one Newton step and is counted as one iteration in
-``newton_iterations``; on the shipped scenarios it cuts the mean
-iterations per solve by a third or more (sim2 ``fixed`` 36.5 to 24.7,
-sim3 ``active`` 49.9 to 29.3, seeds 0-4). Predictor and corrector share
-one step routine, which halves a step until strictly interior and passes
-the accepted point's cone values on, so no point is evaluated twice.
+The weight enters only the z-gradient ``t - cp - cm``, so the Newton
+system (gradient in ``u``, factored Schur complement, z-block) is
+assembled once per point and back-solved at any weight: the predictor
+costs one back-solve of the system that the center's convergence test
+built, and an optimal solve assembles ``newton_iterations + 1`` systems.
+The predictor is counted as one iteration in ``newton_iterations``; on
+the shipped scenarios it cuts the mean iterations per solve by a third or
+more (sim2 ``fixed`` 36.5 to 24.7, sim3 ``active`` 49.9 to 29.3, seeds
+0-4). Predictor and corrector share one step routine, which halves a step
+until strictly interior and passes the accepted point's cone values on, so
+no point is evaluated twice.
 
 Each Newton iteration is one pass over Python floats (:class:`_Barrier`):
 the systems are tiny (every shipped scenario has at most two inputs, two
@@ -64,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -158,6 +171,7 @@ class RobustSolution:
     objective: float
     status: str
     newton_iterations: int
+    warm_started: bool = False
 
 
 def build_instance(model: UncertainModel, x, y_ref_next) -> TrackingInstance:
@@ -194,29 +208,43 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
 
     Returns the input, the per-output certified bounds ``z`` (recomputed at
     the returned point, so ``max(|lo|, |hi|) = z`` holds exactly), their
-    sum, a status string, and the Newton iteration count. ``u_warm`` seeds
-    the barrier schedule near a previous solution, for solve sequences.
+    sum, a status string, the Newton iteration count and whether the warm
+    probe was accepted. ``u_warm`` (one entry per input; any non-finite
+    entry means a cold solve) seeds the barrier schedule near a previous
+    solution, for solve sequences.
     """
     if bounds.m != instance.m:
         raise ValueError(f"bounds dimension {bounds.m} != inputs {instance.m}")
+    if u_warm is not None:
+        u_warm = np.atleast_1d(np.asarray(u_warm, dtype=float))
+        if u_warm.shape != (instance.m,):
+            raise ValueError(f"u_warm shape {u_warm.shape} != inputs "
+                             f"({instance.m},)")
     if not bounds.feasible():
         m = instance.m
         return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
                               np.nan, "infeasible", 0)
 
-    u, iters, status = _barrier_solve(instance, belief, bounds, u_warm)
+    u, iters, status, warm = _barrier_solve(instance, belief, bounds, u_warm)
     u = bounds.clip(u)
     mid, rad = _error_terms(instance, belief, u)
     z = np.abs(mid) + rad
-    return RobustSolution(u, z, float(np.sum(z)), status, iters)
+    return RobustSolution(u, z, float(np.sum(z)), status, iters, warm)
+
+
+@lru_cache(maxsize=8)
+def _point_belief(theta: tuple) -> ParameterBelief:
+    """The point belief at ``theta``, built and decomposed once per value."""
+    n = len(theta)
+    return ParameterBelief(Ellipsoid(theta, np.zeros((n, n))))
 
 
 def solve_known_theta(instance: TrackingInstance, theta_true,
                       bounds: ControlBounds, u_warm=None) -> RobustSolution:
     """Baseline with the parameter known exactly (point belief, noise kept)."""
     theta = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    point = ParameterBelief(Ellipsoid(theta, np.zeros((theta.size, theta.size))))
-    return solve_robust(instance, point, bounds, u_warm)
+    return solve_robust(instance, _point_belief(tuple(theta.tolist())), bounds,
+                        u_warm)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +345,19 @@ class _Barrier:
             cones.append((sp, sm, pp, pm, y, wn2))
         return cones
 
-    def newton_step(self, cones, u, t_b):
-        """Newton step ``(du, dz)`` at barrier weight ``t_b``, with decrement.
+    def assemble(self, cones, u):
+        """Newton system at ``u`` with its ``cones``, for every barrier weight.
 
         The objective is ``t_b * sum(z)`` plus ``-log psi`` for every cone and
-        ``-log`` of every finite box slack. ``z_t`` enters only output
+        ``-log`` of every finite box slack. The weight enters only the
+        z-gradient ``t_b - cp - cm``, so the system holds ``(cp, cm)`` per
+        output and everything else is independent of ``t_b``; one system
+        serves :meth:`newton_step` at any weight. ``z_t`` enters only output
         ``t``'s two cones, so the z-block of the Hessian is diagonal,
         ``2 (s^2 + |w|^2) / psi^2`` summed over the pair, and is eliminated:
         the ``nf x nf`` Schur complement left is factored as ``L D L^T``.
-        If it is singular, the step is the scaled gradient.
+        Returns ``(gu, low, dia, cpm, hz, kz)``: the u-gradient, the factor,
+        and per output ``(cp, cm)``, ``hzz`` and the (u, z_t) Hessian column.
         """
         n = self.nf
         gu = [0.0] * n
@@ -339,7 +371,7 @@ class _Barrier:
             s = 1.0 / (b - u[i])
             gu[i] += s
             dia[i] += s * s
-        gz, hz, kz = [], [], []
+        cpm, hz, kz = [], [], []
         for (sp, sm, pp, pm, y, wn2), (_, a, _, rt, rho, _), cols in zip(
                 cones, self._rows, self._cols):
             jw = [sum(map(mul, col, y)) for col in cols]   # Wm^T w
@@ -356,7 +388,7 @@ class _Barrier:
             for i, (ai, ji) in enumerate(zip(a, jw)):
                 gu[i] += gc * ai + c2 * ji
                 k.append(ka * ai - kj * ji)
-            gz.append(t_b - cp - cm)
+            cpm.append((cp, cm))
             hz.append(2.0 * (r2p * ip * ip + r2m * im * im))
             kz.append(k)
 
@@ -390,7 +422,18 @@ class _Barrier:
             else:
                 for row in rt:
                     _ldl_update(low, dia, c2, list(row))
+        return gu, low, dia, cpm, hz, kz
 
+    @staticmethod
+    def newton_step(system, t_b):
+        """Newton step ``(du, dz)`` of an :meth:`assemble` system at ``t_b``.
+
+        One back-solve of the factor, with the decrement. If the Schur
+        complement is singular, the step is the scaled gradient.
+        """
+        gu, low, dia, cpm, hz, kz = system
+        n = len(gu)
+        gz = [t_b - cp - cm for cp, cm in cpm]
         rhs = [-x for x in gu]
         for gzt, hzz, k in zip(gz, hz, kz):
             f = gzt / hzz
@@ -441,27 +484,31 @@ class _Barrier:
         From a point with its ``cones``: with a self-concordant barrier the
         step 1/(1 + lambda) stays strictly feasible and decreasing without a
         line search; full steps once the decrement is small. Returns
-        (u, z, cones, iterations, converged).
+        ``(u, z, cones, system, iterations, converged)``, where ``system`` is
+        the returned point's :meth:`assemble` system if it converged (its
+        decrement test needed it) and None otherwise.
         """
         for it in range(max_iter):
-            du, dz, decrement = self.newton_step(cones, u, t_b)
+            system = self.assemble(cones, u)
+            du, dz, decrement = self.newton_step(system, t_b)
             if decrement <= 2.0 * tol:
-                return u, z, cones, it, True
+                return u, z, cones, system, it, True
             lam = math.sqrt(max(decrement, 0.0))
             alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
             u, z, cones, moved = self.advance(u, z, cones, du, dz, alpha)
             if not moved:
-                return u, z, cones, it + 1, False
-        return u, z, cones, max_iter, False
+                return u, z, cones, None, it + 1, False
+        return u, z, cones, None, max_iter, False
 
-    def predict(self, u, z, cones, t_b):
+    def predict(self, u, z, cones, system, t_b):
         """Predictor from the center at ``t_b / BARRIER_GROWTH`` toward ``t_b``'s.
 
-        The Newton step at ``t_b`` scaled by ``1 / BARRIER_GROWTH``, the
-        tangent of the central path in ``1/t`` (see the module docstring),
-        taken through :meth:`advance`. Returns ``(u, z, cones)``.
+        The Newton step at ``t_b`` of the center's ``system`` (one back-solve)
+        scaled by ``1 / BARRIER_GROWTH``, the tangent of the central path in
+        ``1/t`` (see the module docstring), taken through :meth:`advance`.
+        Returns ``(u, z, cones)``.
         """
-        du, dz, _ = self.newton_step(cones, u, t_b)
+        du, dz, _ = self.newton_step(system, t_b)
         du = [d / BARRIER_GROWTH for d in du]
         dz = [d / BARRIER_GROWTH for d in dz]
         u, z, cones, _ = self.advance(u, z, cones, du, dz, 1.0)
@@ -514,7 +561,7 @@ def _ldl_solve(low, dia, b):
 def _barrier_solve(instance, belief, bounds, u_warm=None):
     prog = _Barrier(instance, belief, bounds)
     if prog.nf == 0:
-        return prog.u_fix, 0, "optimal"
+        return prog.u_fix, 0, "optimal", False
     l, free, lo, hi = prog.l, prog.free, prog.lo, prog.hi
 
     def stage_schedule(t_start):
@@ -528,17 +575,20 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
     if u_warm is not None and np.all(np.isfinite(u_warm)):
         # Probe a short high-weight schedule near the previous optimum; a
         # stale warm input fails to center quickly and falls back to the
-        # cold path, which is robust from any box point.
+        # cold path, which is robust from any box point. The center at
+        # weight t keeps a box slack of about 1 / (t * slope), and Newton on
+        # -log(s) can at most double a slack per step, so a warm input on
+        # a bound starts that far inside it rather than at the wall.
         width = hi - lo
         inset = np.where(np.isfinite(width),
-                         1e-6 * np.minimum(width, 1.0), 0.0) + 1e-12
-        u0 = np.asarray(u_warm, dtype=float)[free]
+                         np.minimum(width, 1.0) / WARM_T_START, 0.0) + 1e-12
+        u0 = u_warm[free]
         u0 = np.minimum(np.maximum(u0, lo + inset), hi - inset).tolist()
         stages = stage_schedule(WARM_T_START)
         z0 = prog.padded_z(u0, max(3.0 * l / WARM_T_START, 1e-3))
         cones = prog.evaluate(u0, z0)
         if cones is not None:
-            u, z, cones, iters, warm_ok = prog.center(
+            u, z, cones, system, iters, warm_ok = prog.center(
                 u0, z0, cones, stages[0], STAGE_TOL, WARM_PROBE_ITERS)
             total_iters += iters
     if warm_ok:
@@ -561,16 +611,20 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
         status, stages = "max_iter", []
     for i, t_b in enumerate(stages):
         if warm_ok or i:
-            # Every stage but the cold start's first follows a center.
-            u, z, cones = prog.predict(u, z, cones, t_b)
+            # Every stage but the cold start's first follows a center, whose
+            # system the predictor re-solves at the new weight; only a
+            # center that did not converge leaves it to be assembled here.
+            if system is None:
+                system = prog.assemble(cones, u)
+            u, z, cones = prog.predict(u, z, cones, system, t_b)
             total_iters += 1
         tol = NEWTON_TOL if t_b == stages[-1] else STAGE_TOL
-        u, z, cones, iters, done = prog.center(u, z, cones, t_b, tol,
-                                               MAX_NEWTON)
+        u, z, cones, system, iters, done = prog.center(
+            u, z, cones, t_b, tol, MAX_NEWTON)
         total_iters += iters
         if not done:
             status = "max_iter"
 
     u_full = prog.u_fix.copy()
     u_full[free] = u
-    return u_full, total_iters, status
+    return u_full, total_iters, status, warm_ok
