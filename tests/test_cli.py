@@ -237,3 +237,21 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"cannot load scenario {path}: " in err
         assert expected in err
+
+    @pytest.mark.parametrize("u_min, u_max, expected", [
+        (float("inf"), float("inf"), "same infinity"),
+        (float("-inf"), float("-inf"), "same infinity"),
+        (float("nan"), 25.0, "NaN"),
+    ], ids=["both-Infinity", "both-minus-Infinity", "u_min-NaN"])
+    def test_config_with_bounds_that_are_not_a_box(self, u_min, u_max,
+                                                   expected, tmp_path, capsys):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["u_min"], cfg["u_max"] = [u_min], [u_max]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))   # JSON's Infinity and NaN
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path), "--steps", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load scenario {path}: ValueError" in err
+        assert expected in err

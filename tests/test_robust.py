@@ -70,6 +70,21 @@ def noise_free_scalar():
     return instance, belief
 
 
+def flat_direction_case():
+    """One output, two inputs, no input-dependent uncertainty; the optimum is
+    a line. Returns ``(instance, belief, optimal objective)``."""
+    instance = TrackingInstance(
+        f=np.array([0.5]),
+        b0=np.array([[1.0, 0.5]]),
+        gx=(np.array([[0.3, -0.2], [0.1, 0.4]]) @ np.array([1.0, 1.0]))[None, :],
+        b_stack=np.zeros((0, 1, 2)),
+        q_shape=np.array([[0.1]]),
+    )
+    belief = ParameterBelief(Ellipsoid([0.2, -0.1], [[0.3, 0.1], [0.1, 0.2]]))
+    g = np.array([0.1, 0.5])
+    return instance, belief, np.sqrt(g @ belief.shape @ g) + np.sqrt(0.1)
+
+
 class TestControlBounds:
     def test_feasibility(self):
         assert ControlBounds([-1.0], [1.0]).feasible()
@@ -83,6 +98,25 @@ class TestControlBounds:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ControlBounds([0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan], [1.0]), ([0.0, -1.0], [1.0, np.nan]), ([np.nan], [np.nan])])
+    def test_nan_bound_is_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="NaN"):
+            ControlBounds(lower, upper)
+
+    @pytest.mark.parametrize("side", [np.inf, -np.inf])
+    def test_side_pinned_at_infinity_is_rejected(self, side):
+        # Such a side is neither a box nor a point: its width is nan, so the
+        # barrier could neither pin the input nor bound it.
+        with pytest.raises(ValueError, match="same infinity"):
+            ControlBounds([0.0, side], [1.0, side])
+
+    def test_infinite_sides_that_are_boxes_are_kept(self):
+        for lower, upper in (([-np.inf], [np.inf]), ([2.0], [np.inf]),
+                             ([-np.inf], [-3.0])):
+            assert ControlBounds(lower, upper).feasible()
+        assert not ControlBounds([np.inf], [-np.inf]).feasible()
 
 
 class TestBuildInstance:
@@ -326,17 +360,7 @@ class TestSolveRobust:
         # with mid(u) = 0 is optimal, and along that line only the box
         # barrier curves. The Schur complement is then huge across the line
         # and tiny along it; the solve must still center and stop.
-        instance = TrackingInstance(
-            f=np.array([0.5]),
-            b0=np.array([[1.0, 0.5]]),
-            gx=(np.array([[0.3, -0.2], [0.1, 0.4]]) @ np.array([1.0, 1.0]))[None, :],
-            b_stack=np.zeros((0, 1, 2)),
-            q_shape=np.array([[0.1]]),
-        )
-        belief = ParameterBelief(
-            Ellipsoid([0.2, -0.1], [[0.3, 0.1], [0.1, 0.2]]))
-        g = np.array([0.1, 0.5])
-        floor = np.sqrt(g @ belief.shape @ g) + np.sqrt(0.1)
+        instance, belief, floor = flat_direction_case()
         for lo, hi in (([-2.0, -2.0], [2.0, 2.0]), ([-4.0, -1.0], [1.5, 2.5])):
             sol = solve_robust(instance, belief, ControlBounds(lo, hi))
             assert sol.status == "optimal"
@@ -357,19 +381,24 @@ class TestSolveRobust:
         warm = solve_robust(instance, belief, bounds, u_warm=np.array([50.0]))
         assert_allclose(warm.u, cold.u, atol=1e-6)
 
-    def test_warm_started_reports_the_accepted_probe(self):
+    def test_warm_started_reports_the_accepted_probe(self, monkeypatch):
+        # A solve without a warm input probes from the program's own
+        # least-squares inputs, and a stale warm input loses that pick, so
+        # it changes nothing.
         spec, instance, belief = sim3_case()
-        cold = solve_robust(instance, belief, spec.bounds)
-        assert not cold.warm_started
-        near = solve_robust(instance, belief, spec.bounds, u_warm=cold.u)
-        assert near.warm_started
-        assert near.newton_iterations < cold.newton_iterations
-        # A stale input spends the probe's iterations and restarts cold.
+        plain = solve_robust(instance, belief, spec.bounds)
+        assert plain.warm_started
         stale = solve_robust(instance, belief, spec.bounds,
-                             u_warm=cold.u + np.array([5.0, 50.0]))
-        assert not stale.warm_started
-        assert stale.newton_iterations > cold.newton_iterations
-        assert_allclose(stale.objective, cold.objective, atol=1e-8)
+                             u_warm=plain.u + np.array([5.0, 50.0]))
+        np.testing.assert_array_equal(stale.u, plain.u)
+        assert stale.newton_iterations == plain.newton_iterations
+        assert stale.warm_started
+        # A probe that fails restarts cold and is reported as such.
+        monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
+        cold = solve_robust(instance, belief, spec.bounds, u_warm=plain.u)
+        assert not cold.warm_started
+        assert cold.newton_iterations > plain.newton_iterations
+        assert_allclose(cold.objective, plain.objective, atol=1e-8)
 
     def test_infeasible_and_pinned_programs_are_not_warm_started(self):
         _, instance, belief = sim1_case()
@@ -396,14 +425,100 @@ class TestSolveRobust:
                            match=rf"u_warm shape {shape} != inputs \(1,\)"):
             solve_robust(instance, belief, bounds, u_warm)
 
-    def test_nan_warm_input_takes_the_cold_path(self):
+    def test_nan_warm_input_is_ignored(self):
         _, instance, belief = sim1_case()
         bounds = ControlBounds([-25.0], [25.0])
-        cold = solve_robust(instance, belief, bounds)
+        plain = solve_robust(instance, belief, bounds)
         nan = solve_robust(instance, belief, bounds, u_warm=[np.nan])
-        assert not nan.warm_started
-        np.testing.assert_array_equal(nan.u, cold.u)
-        assert nan.newton_iterations == cold.newton_iterations
+        np.testing.assert_array_equal(nan.u, plain.u)
+        np.testing.assert_array_equal(nan.z, plain.z)
+        assert nan.newton_iterations == plain.newton_iterations
+        assert nan.warm_started == plain.warm_started
+
+
+class TestProbeStart:
+    """The warm probe starts from the best of the program's least-squares
+    inputs and the caller's warm input."""
+
+    def test_known_theta_returns_the_certainty_equivalent_input(self):
+        # With a point belief the radius does not depend on u, so the input
+        # that zeroes the error at theta is the only least-squares candidate
+        # and, wherever it lies inside the box, the optimum.
+        inside = 0
+        for instance, belief, bounds, _, sol in recorded_solves(
+                "sim2", "known_theta", [0]):
+            r = instance.gx.shape[1]
+            theta = belief.center
+            slope = instance.b0 + np.einsum("j,jtm->tm", theta[r:],
+                                            instance.b_stack)
+            ce = np.linalg.solve(slope, -(instance.f + instance.gx @ theta[:r]))
+            prog = robust._Barrier(instance, belief, bounds)
+            (candidate,) = prog.least_squares_inputs()
+            assert_allclose(candidate, ce, rtol=1e-12)
+            if np.all((bounds.lower < ce) & (ce < bounds.upper)):
+                inside += 1
+                assert sol.status == "optimal"
+                assert_allclose(sol.u, ce, rtol=1e-9, atol=1e-12)
+        assert inside > 0
+
+    def test_singular_certainty_equivalent_system_is_skipped(self):
+        # One output and two inputs: mid(u) = 0 is a line, so the normal
+        # equations have a zero pivot and there is nothing to probe from.
+        instance, belief, floor = flat_direction_case()
+        bounds = ControlBounds([-2.0, -2.0], [2.0, 2.0])
+        assert robust._Barrier(instance, belief, bounds).least_squares_inputs() == []
+        sol = solve_robust(instance, belief, bounds)
+        assert not sol.warm_started
+        assert sol.status == "optimal"
+        assert_allclose(sol.objective, floor, atol=1e-9)
+
+    def test_huge_candidate_never_wins_on_a_half_infinite_box(self):
+        # mid(u) = -1 + 1e-160 u is zeroed at u = 1e160, where the radius
+        # 0.5 u overflows to an infinite objective: that input loses to
+        # every candidate with a finite one.
+        instance = TrackingInstance(
+            f=np.array([-1.0]), b0=np.array([[1e-160]]), gx=np.zeros((1, 0)),
+            b_stack=np.array([[[1.0]]]), q_shape=np.array([[0.01]]))
+        belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
+        bounds = ControlBounds([0.0], [np.inf])
+        prog = robust._Barrier(instance, belief, bounds)
+        huge, _ = prog.least_squares_inputs()
+        assert huge[0] >= 1e159
+        assert sum(prog.padded_z(huge, 0.0)) == np.inf
+        for u_warm in (None, [3.0]):
+            start = robust._probe_start(prog, None if u_warm is None
+                                        else np.array(u_warm))
+            assert np.isfinite(sum(prog.padded_z(start, 0.0)))
+            sol = solve_robust(instance, belief, bounds, u_warm)
+            TestExactOneInputOracle.assert_matches_oracle(instance, belief,
+                                                          bounds, sol)
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim1", "learn"), ("sim3", "learn"), ("sim3", "active")])
+    def test_cold_fallback_matches_the_probe(self, name, mode, monkeypatch):
+        # With no probe iterations every probe fails, so every solve takes
+        # the cold path from weight 1; it must reach the same optimum.
+        solves = recorded_solves(name, mode, [0])
+        monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
+        for instance, belief, bounds, u_warm, sol in solves:
+            cold = solve_robust(instance, belief, bounds, u_warm)
+            assert not cold.warm_started
+            assert cold.status == "optimal"
+            assert_allclose(cold.objective, sol.objective, atol=1e-8)
+
+    @pytest.mark.parametrize("name, mode, before", [
+        ("sim2", "fixed", 2588), ("sim3", "active", 2829)],
+        ids=["sim2-fixed", "sim3-active"])
+    def test_probe_from_the_least_squares_inputs_cuts_the_newton_iterations(
+            self, name, mode, before):
+        # Total Newton iterations of seed 0 with the probe started from the
+        # previous step's input alone: 2588 on sim2 fixed and 2829 on sim3
+        # active. Started from the best of it and the step's least-squares
+        # inputs, they are 1362 and 1768.
+        solves = recorded_solves(name, mode, [0])
+        assert all(sol.status == "optimal" for *_, sol in solves)
+        total = sum(sol.newton_iterations for *_, sol in solves)
+        assert total <= 0.75 * before
 
 
 class TestExactOneInputOracle:
