@@ -51,12 +51,13 @@ of seeds 0-4, previous input only -> best candidate (all ``optimal``)::
     sim3 learn        19.39  18.58    48  22    484  500 of 500
     sim3 active       29.28  17.91    58  22    377  499 of 500
 
-A candidate on a bound of a finite box starts ``min(width, 1) /
-WARM_T_START`` inside it: the probe's center keeps a box slack of about
-``1 / (t slope)``, and Newton on ``-log s`` can at most double a slack per
-step, so a probe started much nearer the wall stalls with its decrement
-near 1 until its cap runs out (an inset of 1e-6 did so for every such
-probe on the shipped scenarios).
+A candidate on a finite bound starts ``min(width, 1) / WARM_T_START``
+inside it, ``1 / WARM_T_START`` when the other bound is infinite: the
+probe's center keeps a box slack of about ``1 / (t slope)``, and Newton on
+``-log s`` can at most double a slack per step, so a probe started much
+nearer the wall stalls with its decrement near 1 until its cap runs out
+(an inset of 1e-6 did so for every such probe on the shipped scenarios,
+and one of 1e-12 on a half-infinite box).
 
 Every stage that follows a center starts from a predictor step (Boyd &
 Vandenberghe, *Convex Optimization*, ch. 11; Nocedal & Wright, *Numerical
@@ -87,13 +88,35 @@ two cones, so the z-block of the Hessian is diagonal and is eliminated; the
 Schur complement left on the ``m`` inputs is assembled in closed form as a
 sum of nonnegative rank-one terms, added by rank-one ``L D L^T`` updates,
 so rounding near the cone boundary cannot make it indefinite. The input
-side of each cone is reduced by a thin QR factorization once per solve, so
-an iteration costs ``O(l m^2 min(p, m))`` interpreted operations for ``l``
-outputs, ``m`` inputs and ``p`` parameters. That cost grows faster than the
-dense numpy solve it replaced. On random programs (2 vCPU, Python 3.11,
-numpy 2.4, twelve per size) a solve took about a quarter of the dense
-solve's time at (l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about
-as long at (4, 4, 8), and four times as long at (8, 6, 12).
+side of each cone is reduced by a QR factorization, so an iteration costs
+``O(l m^2 min(p, m))`` interpreted operations for ``l`` outputs, ``m``
+inputs and ``p`` parameters. That cost grows faster than the dense numpy
+solve it replaced. On random programs (2 vCPU, Python 3.11, numpy 2.4,
+twelve per size) a solve took about a quarter of the dense solve's time at
+(l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
+(4, 4, 8), and four times as long at (8, 6, 12).
+
+That factorization, like nearly everything else a program is built from,
+depends on the step only through ``f`` and the state block ``gx``, which
+the program sees through fixed linear maps. So a program is split in two
+(:class:`_Geometry`): a geometry, built in numpy from the belief, the
+model constants ``b0``, ``b_stack`` and ``q_shape`` and the box, holds
+the input slopes, the QR factors and the projections of ``gx``, the
+pinned inputs' constants, the finite box sides, the probe box, the cold
+start and the factors of the least-squares normal equations; each step
+maps its ``(f, gx)`` through it over Python floats, at ``O(l p r)``
+operations. The last geometry is kept in a one-slot memo keyed by the
+belief's ellipsoid and the box, both by identity (each holds read-only
+arrays), and by the model constants' bytes, so a hand-built or mutated
+table gets a fresh build. The memo fills on the first solve and is
+rebuilt whenever the key changes: every solve, built or reused, runs
+through the same geometry and the same per-step map. A belief changes
+only when an update shrinks it, so over seeds 0-4 a run builds once in
+``fixed`` and ``known_theta`` mode (one geometry for all 500 sim2 solves
+of each mode) and once per new belief otherwise: sim1 ``learn`` 96
+builds for 230 solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and
+``active`` 158 for 500. Building a program fell from about 55-70 us to
+5-8 us per solve on sim2 (the geometry alone is 55-100 us on sim1-sim3).
 """
 
 from __future__ import annotations
@@ -284,70 +307,171 @@ def solve_known_theta(instance: TrackingInstance, theta_true,
 # Interior-point machinery.
 # ---------------------------------------------------------------------------
 
-class _Barrier:
-    """Log-barrier data of one tracking program, over its free inputs.
+class _Geometry:
+    """The part of a tracking program that does not depend on the step.
 
-    Inputs whose box collapses to a point are pinned at its midpoint and the
-    program runs over the ``nf`` others. Per output ``t`` the cone data are
-    affine in ``u``: ``mid_t(u) = mid0_t + a_t . u`` and
-    ``w_t(u) = wb_t + Wm_t u`` with ``|w_t(u)|^2 = g_t(u) P g_t(u)^T``.
-    With the thin QR factorization ``Wm_t = Q_t R_t``, keeping the nonzero
-    rows of ``R_t`` (at most ``min(p, nf)``), the cone sees ``w_t`` only
-    through::
+    Per output ``t`` the cone data are affine in ``u``: ``mid_t(u) = mid0_t
+    + a_t . u`` and ``w_t(u) = wb_t + Wm_t u`` with ``|w_t(u)|^2 = g_t(u) P
+    g_t(u)^T``. With ``S`` the root of ``P`` and ``S_r`` its first ``r``
+    columns, ``wb_t = S_r gx_t`` and ``mid0_t = f_t + gx_t . th_r`` are all
+    that a step changes: the input slopes ``a_t`` and ``Wm_t`` are read
+    from the belief and the model constants ``b0`` and ``b_stack`` alone.
+    Inputs whose box collapses to a point are pinned at its midpoint and
+    their constant terms folded in, leaving ``nf`` free inputs.
 
-        y_t(u) = Q_t^T w_t(u) = c_t + R_t u,   |w_t|^2 = |y_t|^2 + rho_t,
+    With the QR factorization ``Wm_t = Q_t R_t`` (``Q_t`` square), keeping
+    the nonzero rows of ``R_t`` (at most ``min(p, nf)``), the cone sees
+    ``w_t`` only through::
 
-    where ``rho_t`` is the squared part of ``wb_t`` that ``u`` cannot move,
-    so an iteration costs the same for any parameter count ``p``.
-    The data are held as nested lists; points ``u`` (``nf``) and ``z``
-    (``l``) are lists of floats, and each point carries its ``cones``
-    (:meth:`evaluate`) from the step that accepted it to the next one.
+        y_t(u) = Q_k^T w_t(u) = c_t + R_t u,   |w_t|^2 = |y_t|^2 + rho_t,
+        c_t = Q_k^T wb_t,   rho_t = |Q_o^T wb_t|^2 = |(I - Q_k Q_k^T) wb_t|^2,
+
+    where ``Q_k`` holds the columns of ``Q_t`` whose row of ``R_t`` is kept
+    and ``Q_o`` the others. Both are fixed projections of ``gx_t``, which
+    :meth:`rows` applies over Python floats, so an iteration costs the
+    same for any parameter count ``p``. Held here as lists: the slopes, the
+    kept rows of ``R_t`` and their columns, the two projections, the
+    finite box sides, the probe box and the cold start, and the normal
+    equations' factors of :meth:`_Barrier.least_squares_inputs`.
     """
 
-    def __init__(self, instance, belief, bounds):
+    def __init__(self, instance, ellipsoid, bounds):
         l, m = instance.l, instance.m
-        th = belief.center
-        sroot = belief.set.root
-        gx, r = instance.gx, instance.gx.shape[1]
+        r = instance.gx.shape[1]
+        th, sroot = ellipsoid.center, ellipsoid.root
         ws = instance.b_stack.reshape(-1, l * m)
-        mid0 = instance.f + gx @ th[:r]
-        wb = gx @ sroot[:, :r].T
         midu = instance.b0 + (th[r:] @ ws).reshape(l, m)
-        wm = (sroot[:, r:] @ ws).reshape(instance.p, l, m).transpose(1, 0, 2)
+        wm = (sroot[:, r:] @ ws).reshape(th.size, l, m).transpose(1, 0, 2)
 
         lo, hi = bounds.lower, bounds.upper
         width = hi - lo
         pinned = np.isfinite(width) & (width <= 1e-12)
-        self.u_fix = np.zeros(m)
-        self.u_fix[pinned] = 0.5 * (lo[pinned] + hi[pinned])
-        self.free = ~pinned
-        mid0 = mid0 + midu[:, pinned] @ self.u_fix[pinned]
-        wb = wb + wm[:, :, pinned] @ self.u_fix[pinned]
-        midu = midu[:, self.free]
-        wm = wm[:, :, self.free]
-        self.nf = midu.shape[1]
-        self.lo, self.hi = lo, hi = lo[self.free], hi[self.free]
+        free = ~pinned
+        u_fix = np.zeros(m)
+        mid_pin, w_pin = np.zeros(l), np.zeros((l, th.size))
+        if pinned.any():
+            u_fix[pinned] = 0.5 * (lo[pinned] + hi[pinned])
+            mid_pin = midu[:, pinned] @ u_fix[pinned]
+            w_pin = wm[:, :, pinned] @ u_fix[pinned]
+            midu, wm = midu[:, free], wm[:, :, free]
+            lo, hi = lo[free], hi[free]
+        nf = midu.shape[1]
 
-        qf, rf = np.linalg.qr(wm)
-        c = (wb[:, None, :] @ qf)[:, 0]                    # Q_t^T wb_t
-        rho = ((wb - (qf @ c[:, :, None])[:, :, 0]) ** 2).sum(axis=1)
+        qf, rf = np.linalg.qr(wm, mode="complete")
+        qt = qf.transpose(0, 2, 1)
+        proj = qt @ sroot[:, :r]                       # Q_t^T S_r
+        pin = (qt @ w_pin[:, :, None])[:, :, 0]        # Q_t^T (pinned part)
         qdiag = np.sqrt(np.maximum(np.diag(instance.q_shape), 0.0))
-        self.l = l
-        self._rows, self._cols = [], []
-        for m0, a, ct, rt, rhot, q in zip(mid0.tolist(), midu.tolist(),
-                                          c.tolist(), rf.tolist(),
-                                          rho.tolist(), qdiag.tolist()):
-            # A zero row of R_t leaves its coordinate of y_t constant.
-            rhot += sum(ci * ci for ci, ri in zip(ct, rt) if not any(ri))
-            ct = [ci for ci, ri in zip(ct, rt) if any(ri)]
+        self.th_r = th[:r].tolist()
+        self.outputs, cols = [], []
+        for mp, a, rt, pt, bt, q in zip(mid_pin.tolist(), midu.tolist(),
+                                        rf.tolist(), proj.tolist(),
+                                        pin.tolist(), qdiag.tolist()):
+            # A zero row of R_t leaves its coordinate of y_t constant, so
+            # that coordinate goes to rho_t; a zero one of those adds 0.
+            kept = [(b, row) for b, row, ri in zip(bt, pt, rt) if any(ri)]
+            other = [(b, row) for b, row, ri in zip(bt, pt, rt)
+                     if not any(ri) and (b or any(row))]
             rt = [ri for ri in rt if any(ri)]
-            self._rows.append((m0, a, ct, rt, rhot, q))
-            self._cols.append([[ri[j] for ri in rt] for j in range(self.nf)])
-        self._lo = [(i, b) for i, b in enumerate(lo.tolist())
-                    if math.isfinite(b)]
-        self._hi = [(i, b) for i, b in enumerate(hi.tolist())
-                    if math.isfinite(b)]
-        self.n_cons = 2 * l + len(self._lo) + len(self._hi)
+            self.outputs.append((mp, a, rt, q, kept, other))
+            cols.append([[ri[j] for ri in rt] for j in range(nf)])
+
+        box_lo = [(i, b) for i, b in enumerate(lo.tolist()) if math.isfinite(b)]
+        box_hi = [(i, b) for i, b in enumerate(hi.tolist()) if math.isfinite(b)]
+        probe_box, u_cold = [], []
+        for b_lo, b_hi in zip(lo.tolist(), hi.tolist()):
+            # A side with an infinite bound insets its finite one by
+            # min(inf, 1) / WARM_T_START, like a box wider than 1.
+            inset = 1e-12 + min(b_hi - b_lo, 1.0) / WARM_T_START
+            probe_box.append((b_lo + inset, b_hi - inset))
+            if math.isfinite(b_lo) and math.isfinite(b_hi):
+                u_cold.append(0.5 * (b_lo + b_hi))
+            elif math.isfinite(b_lo):
+                u_cold.append(b_lo + 1.0)
+            elif math.isfinite(b_hi):
+                u_cold.append(b_hi - 1.0)
+            else:
+                u_cold.append(0.0)
+
+        # The normal equations of sum_t mid_t^2 and then, adding the rows of
+        # every R_t, of sum_t (mid_t^2 + |y_t|^2); None for a zero pivot.
+        factors = []
+        if nf:
+            low = [[0.0] * nf for _ in range(nf)]
+            dia = [0.0] * nf
+            for rows in ([a for _, a, *_ in self.outputs],
+                         [ri for _, _, rt, *_ in self.outputs for ri in rt]):
+                if not rows:
+                    break
+                for row in rows:
+                    _ldl_update(low, dia, 1.0, list(row))
+                factors.append(None if 0.0 in dia else
+                               ([list(row) for row in low], list(dia)))
+
+        # The attributes every program of this geometry shares.
+        u_fix.flags.writeable = free.flags.writeable = False
+        self.shared = {
+            "l": l, "nf": nf, "free": free, "u_fix": u_fix,
+            "box": probe_box, "u_cold": u_cold, "_lo": box_lo, "_hi": box_hi,
+            "n_cons": 2 * l + len(box_lo) + len(box_hi), "_cols": cols,
+            "_factors": factors,
+        }
+
+    def rows(self, f, gx):
+        """Per-output ``(mid0, a, c, R, rho, q)`` of a step's ``f`` and ``gx``."""
+        th = self.th_r
+        rows = []
+        for ft, g, (mp, a, rt, q, kept, other) in zip(f.tolist(), gx.tolist(),
+                                                     self.outputs):
+            c = [b + sum(map(mul, row, g)) for b, row in kept]
+            rho = 0.0
+            for b, row in other:
+                v = b + sum(map(mul, row, g))
+                rho += v * v
+            rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, rho, q))
+        return rows
+
+
+# The geometry of the last program built, as one (key, geometry) pair that
+# is replaced whole. The key holds the belief's ellipsoid and the box, both
+# compared by identity (each owns read-only arrays), and the model
+# constants by value, so a hand-built or mutated instance is rebuilt.
+_memo = None
+
+
+def _geometry(instance, belief, bounds):
+    """The :class:`_Geometry` of a program, built once per key."""
+    global _memo
+    ellipsoid = belief.set
+    constants = (instance.gx.shape[1],
+                 *((a.dtype.str, a.shape, a.tobytes()) for a in
+                   (instance.b0, instance.b_stack, instance.q_shape)))
+    memo = _memo
+    if memo is not None:
+        (held, box, held_constants), geometry = memo
+        if held is ellipsoid and box is bounds and held_constants == constants:
+            return geometry
+    geometry = _Geometry(instance, ellipsoid, bounds)
+    _memo = (ellipsoid, bounds, constants), geometry
+    return geometry
+
+
+class _Barrier:
+    """Log-barrier data of one tracking program, over its free inputs.
+
+    A step's cone data ``(mid0_t, a_t, c_t, R_t, rho_t, q_t)`` per output
+    (see :class:`_Geometry`, which supplies everything but ``mid0_t``,
+    ``c_t`` and ``rho_t`` and is reused while the belief, the box and the
+    model constants stay the same). The data are held as nested lists;
+    points ``u`` (``nf``) and ``z`` (``l``) are lists of floats, and each
+    point carries its ``cones`` (:meth:`evaluate`) from the step that
+    accepted it to the next one.
+    """
+
+    def __init__(self, instance, belief, bounds):
+        geometry = _geometry(instance, belief, bounds)
+        vars(self).update(geometry.shared)
+        self._rows = geometry.rows(instance.f, instance.gx)
 
     def evaluate(self, u, z):
         """Cone slacks at ``(u, z)``; None unless it is strictly interior.
@@ -501,28 +625,25 @@ class _Barrier:
 
         The first minimizes ``sum_t mid_t(u)^2`` and zeroes the error at the
         belief center; the second minimizes ``sum_t (mid_t(u)^2 + |y_t(u)|^2)``
-        and also shrinks the input-dependent radius. Each is solved by its
-        normal equations, the second by adding the rows of ``R_t`` to the
-        first one's factor. An input whose factor has a zero pivot or whose
-        entries are not all finite is left out; the second is left out too
-        when no ``R_t`` has a row, since it then equals the first.
+        and also shrinks the input-dependent radius. Each solves its normal
+        equations by the geometry's factor, the second's right-hand side
+        adding the rows of ``R_t`` to the first's. An input whose factor has
+        a zero pivot or whose entries are not all finite is left out; the
+        second is left out too when no ``R_t`` has a row, since it then
+        equals the first.
         """
-        n = self.nf
-        low = [[0.0] * n for _ in range(n)]
-        dia = [0.0] * n
-        rhs = [0.0] * n
+        rhs = [0.0] * self.nf
         found = []
-        for terms in ([(m0, a) for m0, a, *_ in self._rows],
-                      [(ci, ri) for _, _, c, rt, _, _ in self._rows
-                       for ci, ri in zip(c, rt)]):
-            if not terms:
-                break
+        for factor, terms in zip(
+                self._factors,
+                ([(m0, a) for m0, a, *_ in self._rows],
+                 [(ci, ri) for _, _, c, rt, _, _ in self._rows
+                  for ci, ri in zip(c, rt)])):
             for b, row in terms:
-                _ldl_update(low, dia, 1.0, list(row))
                 for i, ri in enumerate(row):
                     rhs[i] -= b * ri
-            if 0.0 not in dia:
-                u = _ldl_solve(low, dia, rhs)
+            if factor is not None:
+                u = _ldl_solve(*factor, rhs)
                 if all(map(math.isfinite, u)):
                     found.append(u)
         return found
@@ -626,25 +747,20 @@ def _probe_start(prog, u_warm):
     """Start of the warm probe over the free inputs, or None if there is none.
 
     The candidates are the program's :meth:`_Barrier.least_squares_inputs`
-    and ``u_warm`` if it is finite, each clipped into the box less an inset;
-    the one with the smallest objective ``sum(z)`` wins, and a candidate
-    whose objective is not finite never does. The center at weight ``t``
-    keeps a box slack of about ``1 / (t * slope)``, and Newton on
-    ``-log(s)`` can at most double a slack per step, so a candidate on a
-    bound starts that far inside it rather than at the wall.
+    and ``u_warm`` if it is finite, each clipped into the probe box, the box
+    less an inset of ``min(width, 1) / WARM_T_START`` per side; the one with
+    the smallest objective ``sum(z)`` wins, and a candidate whose objective
+    is not finite never does. The center at weight ``t`` keeps a box slack
+    of about ``1 / (t * slope)``, and Newton on ``-log(s)`` can at most
+    double a slack per step, so a candidate on a bound starts that far
+    inside it rather than at the wall.
     """
     candidates = prog.least_squares_inputs()
     if u_warm is not None and np.all(np.isfinite(u_warm)):
         candidates.append(u_warm[prog.free].tolist())
-    box = []
-    for lo, hi in zip(prog.lo.tolist(), prog.hi.tolist()):
-        width = hi - lo
-        inset = 1e-12 + (min(width, 1.0) / WARM_T_START
-                         if math.isfinite(width) else 0.0)
-        box.append((lo + inset, hi - inset))
     start, best = None, math.inf
     for u in candidates:
-        u = [min(max(x, lo), hi) for x, (lo, hi) in zip(u, box)]
+        u = [min(max(x, lo), hi) for x, (lo, hi) in zip(u, prog.box)]
         objective = sum(prog.padded_z(u, 0.0))
         if objective < best:
             start, best = u, objective
@@ -654,8 +770,8 @@ def _probe_start(prog, u_warm):
 def _barrier_solve(instance, belief, bounds, u_warm=None):
     prog = _Barrier(instance, belief, bounds)
     if prog.nf == 0:
-        return prog.u_fix, 0, "optimal", False
-    l, free, lo, hi = prog.l, prog.free, prog.lo, prog.hi
+        return prog.u_fix.copy(), 0, "optimal", False
+    l = prog.l
 
     def stage_schedule(t_start):
         stages = [t_start]
@@ -680,13 +796,8 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
     if warm_ok:
         stages = stages[1:]
     else:
-        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
-        u0 = np.zeros(prog.nf)
-        both = fin_lo & fin_hi
-        u0[both] = 0.5 * (lo[both] + hi[both])
-        u0[fin_lo & ~fin_hi] = lo[fin_lo & ~fin_hi] + 1.0
-        u0[fin_hi & ~fin_lo] = hi[fin_hi & ~fin_lo] - 1.0
-        u, z = u0.tolist(), prog.padded_z(u0.tolist(), 1.0)
+        u = list(prog.u_cold)
+        z = prog.padded_z(u, 1.0)
         cones = prog.evaluate(u, z)
         stages = stage_schedule(1.0)
     status = "optimal"
@@ -712,5 +823,5 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
             status = "max_iter"
 
     u_full = prog.u_fix.copy()
-    u_full[free] = u
+    u_full[prog.free] = u
     return u_full, total_iters, status, warm_ok

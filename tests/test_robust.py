@@ -1,5 +1,7 @@
 """Tests for the worst-case tracking controller and its barrier solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -306,6 +308,60 @@ class TestSolveRobust:
         assert_allclose(a.u, b.u, atol=1e-12)
         assert_allclose(a.objective, b.objective, atol=1e-12)
 
+    def test_partly_pinned_box_matches_the_grid_minimum(self):
+        # sim3 with its second input pinned at 2, away from its optimum near
+        # 0: that input's terms fold into the program's constants and the
+        # first input alone is free. sim3's output t feels input t alone, so
+        # the tables are coupled here; otherwise the pinned terms would
+        # touch only an output the free input cannot move. The two steps
+        # share the belief, the box and the tables, so the second solve
+        # reuses the first one's program geometry.
+        spec = scenario("sim3")
+        belief = ParameterBelief(spec.belief0)
+        lo, hi, pin = -100.0, 100.0, 2.0
+        bounds = ControlBounds([lo, pin], [hi, pin])
+        b0 = spec.model.tracked.b0 + np.array([[0.0, 0.5], [0.3, 0.0]])
+        b_stack = spec.model.tracked.b_stack + np.array(
+            [[[0.0, 0.05], [0.0, 0.0]], [[0.0, 0.0], [0.02, 0.0]]])
+
+        def cost(instance, u0):
+            low, high = worst_case_interval(instance, belief, [u0, pin])
+            return float(np.maximum(np.abs(low), np.abs(high)).sum())
+
+        x = spec.x0
+        for k in (1, 2):
+            instance = dataclasses.replace(
+                build_instance(spec.model, x, spec.reference.value(k)),
+                b0=b0.copy(), b_stack=b_stack.copy())
+            # The program over the free input has the cone data of the full
+            # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t.
+            prog = robust._Barrier(instance, belief, bounds)
+            for u0 in (lo, 0.3, hi):
+                mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
+                for (m0, a, c, rt, rho, _), mid_t, w2_t in zip(prog._rows,
+                                                               mid, w2):
+                    y = [ci + ri[0] * u0 for ci, ri in zip(c, rt)]
+                    assert_allclose(m0 + a[0] * u0, mid_t, rtol=1e-12)
+                    assert_allclose(sum(yi * yi for yi in y) + rho, w2_t,
+                                    rtol=1e-12)
+            sol = solve_robust(instance, belief, bounds)
+            assert sol.status == "optimal"
+            assert sol.u[1] == pin
+            # A 2001-point grid of the free input, refined three times
+            # around its minimizer.
+            best, a, b = np.inf, lo, hi
+            for _ in range(4):
+                for u0 in np.linspace(a, b, 2001):
+                    value = cost(instance, u0)
+                    if value < best:
+                        best, at = value, u0
+                step = (b - a) / 2000
+                a, b = max(a, at - 2.0 * step), min(b, at + 2.0 * step)
+            assert sol.objective <= best + 1e-9
+            assert abs(sol.objective - best) <= 1e-6
+            x, _ = spec.model.step(x, sol.u, spec.theta_true,
+                                   np.zeros(spec.model.n))
+
     def test_parameter_free_instance(self):
         instance, _ = noise_free_scalar()
         bare = TrackingInstance(
@@ -473,25 +529,30 @@ class TestProbeStart:
         assert_allclose(sol.objective, floor, atol=1e-9)
 
     def test_huge_candidate_never_wins_on_a_half_infinite_box(self):
-        # mid(u) = -1 + 1e-160 u is zeroed at u = 1e160, where the radius
-        # 0.5 u overflows to an infinite objective: that input loses to
-        # every candidate with a finite one.
-        instance = TrackingInstance(
-            f=np.array([-1.0]), b0=np.array([[1e-160]]), gx=np.zeros((1, 0)),
-            b_stack=np.array([[[1.0]]]), q_shape=np.array([[0.01]]))
+        # mid(u) = -1 + sign 1e-160 u is zeroed at u = sign 1e160, where the
+        # radius 0.5 |u| overflows to an infinite objective: that input
+        # loses to every candidate with a finite one. The optimum lies on
+        # the box's finite bound, and a start inset 1 / WARM_T_START from
+        # it (as on a box wider than 1) lets the probe center within its cap.
         belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
-        bounds = ControlBounds([0.0], [np.inf])
-        prog = robust._Barrier(instance, belief, bounds)
-        huge, _ = prog.least_squares_inputs()
-        assert huge[0] >= 1e159
-        assert sum(prog.padded_z(huge, 0.0)) == np.inf
-        for u_warm in (None, [3.0]):
-            start = robust._probe_start(prog, None if u_warm is None
-                                        else np.array(u_warm))
-            assert np.isfinite(sum(prog.padded_z(start, 0.0)))
-            sol = solve_robust(instance, belief, bounds, u_warm)
-            TestExactOneInputOracle.assert_matches_oracle(instance, belief,
-                                                          bounds, sol)
+        for sign, bounds in ((1.0, ControlBounds([0.0], [np.inf])),
+                             (-1.0, ControlBounds([-np.inf], [0.0]))):
+            instance = TrackingInstance(
+                f=np.array([-1.0]), b0=np.array([[sign * 1e-160]]),
+                gx=np.zeros((1, 0)), b_stack=np.array([[[1.0]]]),
+                q_shape=np.array([[0.01]]))
+            prog = robust._Barrier(instance, belief, bounds)
+            huge, _ = prog.least_squares_inputs()
+            assert sign * huge[0] >= 1e159
+            assert sum(prog.padded_z(huge, 0.0)) == np.inf
+            for u_warm in (None, [sign * 3.0]):
+                start = robust._probe_start(prog, None if u_warm is None
+                                            else np.array(u_warm))
+                assert np.isfinite(sum(prog.padded_z(start, 0.0)))
+                sol = solve_robust(instance, belief, bounds, u_warm)
+                assert sol.warm_started
+                TestExactOneInputOracle.assert_matches_oracle(
+                    instance, belief, bounds, sol)
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim3", "learn"), ("sim3", "active")])
@@ -701,6 +762,116 @@ class TestBarrierKernel:
             outside = u.copy()
             outside[0] = bounds.upper[0] + 1e-9
             assert prog.evaluate(outside.tolist(), z.tolist()) is None
+
+
+class TestProgramGeometry:
+    """A program's step-independent geometry is built once per belief, box
+    and model constants, and a reused one gives the program a fresh build
+    gives."""
+
+    @staticmethod
+    def flat_rows(prog):
+        """Every float of a program's per-output cone data, in order."""
+        out = []
+        for m0, a, c, rt, rho, q in prog._rows:
+            out += [m0, *a, *c, *(x for row in rt for x in row), rho, q]
+        return np.array(out)
+
+    @staticmethod
+    def assert_same_solution(sol, ref):
+        np.testing.assert_array_equal(sol.u, ref.u)
+        np.testing.assert_array_equal(sol.z, ref.z)
+        assert sol.newton_iterations == ref.newton_iterations
+        assert sol.warm_started == ref.warm_started
+
+    @staticmethod
+    def cold_solve(monkeypatch, instance, belief, bounds, u_warm=None):
+        monkeypatch.setattr(robust, "_memo", None)
+        return solve_robust(instance, belief, bounds, u_warm)
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
+    def test_reused_geometry_equals_a_cold_build(self, name, mode, monkeypatch):
+        # Replayed in order, each program finds in the memo the geometry an
+        # earlier step of the same belief built at another state.
+        solves = recorded_solves(name, mode, [0])
+        monkeypatch.setattr(robust, "_memo", None)
+        hits = 0
+        for instance, belief, bounds, u_warm, _ in solves:
+            held = robust._memo
+            warm = robust._Barrier(instance, belief, bounds)
+            hits += robust._memo is held
+            warm_sol = solve_robust(instance, belief, bounds, u_warm)
+            monkeypatch.setattr(robust, "_memo", None)
+            cold = robust._Barrier(instance, belief, bounds)
+            assert [len(row[3]) for row in warm._rows] == \
+                [len(row[3]) for row in cold._rows]
+            assert_allclose(self.flat_rows(warm), self.flat_rows(cold),
+                            rtol=1e-12, atol=0.0)
+            self.assert_same_solution(
+                warm_sol, self.cold_solve(monkeypatch, instance, belief,
+                                          bounds, u_warm))
+        assert hits >= len(solves) // 2
+
+    def test_model_constants_are_keyed_by_value(self, monkeypatch):
+        # The same belief and box with other b0 or b_stack values, or with
+        # a writable table changed in place between solves, must not reuse
+        # the geometry of the constants held before.
+        spec, instance, belief = sim3_case()
+        bounds = spec.bounds
+        base = solve_robust(instance, belief, bounds)
+        for field in ("b0", "b_stack"):
+            other = dataclasses.replace(
+                instance, **{field: 1.25 * getattr(instance, field)})
+            solve_robust(instance, belief, bounds)
+            sol = solve_robust(other, belief, bounds)
+            assert not np.array_equal(sol.u, base.u)
+            self.assert_same_solution(
+                sol, self.cold_solve(monkeypatch, other, belief, bounds))
+        for field in ("b0", "b_stack"):
+            table = getattr(instance, field).copy()
+            mutable = dataclasses.replace(instance, **{field: table})
+            before = solve_robust(mutable, belief, bounds)
+            self.assert_same_solution(before, base)
+            table *= 1.25
+            sol = solve_robust(mutable, belief, bounds)
+            assert not np.array_equal(sol.u, base.u)
+            self.assert_same_solution(
+                sol, self.cold_solve(monkeypatch, mutable, belief, bounds))
+
+    @staticmethod
+    def qr_calls(monkeypatch, spec, mode):
+        """``np.linalg.qr`` calls of one run (seed 0) from an empty memo."""
+        qr = np.linalg.qr
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(robust, "_memo", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", counting)
+            record = run(spec, mode, 0)
+        assert not record.aborted
+        return calls[0], record
+
+    @pytest.mark.parametrize("mode", ["fixed", "known_theta"])
+    def test_a_fixed_belief_builds_one_geometry_per_run(self, mode,
+                                                        monkeypatch):
+        calls, record = self.qr_calls(monkeypatch, scenario("sim2"), mode)
+        assert record.steps == 100
+        assert calls == 1
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim1", "learn"), ("sim3", "active")])
+    def test_a_learning_run_builds_once_per_new_belief(self, name, mode,
+                                                       monkeypatch):
+        # Only an update that shrinks the set (rho > 0) makes a new belief;
+        # one that keeps the prior leaves the geometry in the memo valid.
+        calls, record = self.qr_calls(monkeypatch, scenario(name), mode)
+        shrinks = int(np.count_nonzero(record.rho > 0.0))
+        assert 1 < calls <= 1 + shrinks < record.steps
 
 
 class TestSolverContract:
