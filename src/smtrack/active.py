@@ -87,22 +87,20 @@ class InfoQuadratic(_FrozenArrays):
         return float(u @ self.pw @ u + self.pvwx @ u + self.const)
 
 
-def build_info_quadratic(model: UncertainModel, belief: ParameterBelief, x,
-                         output_map: str = "tracked") -> InfoQuadratic:
+def build_info_quadratic(model: UncertainModel, belief: ParameterBelief,
+                         x) -> InfoQuadratic:
     """Assemble the information quadratic at state ``x``.
 
-    ``output_map`` picks the regressor table: "tracked" uses the rows
-    ``C Ai``/``C Bj``; "state" the raw perturbation matrices (what the
-    closed-loop driver learns from). The identity
-    ``value(u) = tr(phi P phi^T)`` is exact for the matching regressor.
+    It reads the model's ``state`` regressor table, the raw perturbation
+    matrices that the closed-loop driver learns from, so the identity
+    ``value(u) = tr(phi P phi^T)`` is exact for the regressor of
+    :func:`~smtrack.estimator.build_state_observation`.
     """
-    if output_map not in ("tracked", "state"):
-        raise ValueError(f"output_map must be 'tracked' or 'state', got {output_map!r}")
-    table = getattr(model, output_map)
+    table = model.state
     x = np.asarray(x, dtype=float).ravel()
     r, shape = model.r, belief.shape
-    phix = table.state_block(x)                  # (l', r)
-    wstack = table.b_stack                       # (s, l', m)
+    phix = table.state_block(x)                  # (n, r)
+    wstack = table.b_stack                       # (s, n, m)
     const = float(np.einsum("ti,ij,tj->", phix, shape[:r, :r], phix))
     pw = np.einsum("atm,ab,btk->mk", wstack, shape[r:, r:], wstack)
     pvwx = 2.0 * np.einsum("ti,ia,atm->m", phix, shape[:r, r:], wstack)

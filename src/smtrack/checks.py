@@ -173,7 +173,7 @@ def check_information_identity(rng):
     spec = experiments.scenario("sim2")
     model, belief = spec.model, ParameterBelief(spec.belief0)
     x = rng.normal(size=model.n)
-    info = build_info_quadratic(model, belief, x, output_map="state")
+    info = build_info_quadratic(model, belief, x)
     for _ in range(25):
         u = rng.normal(size=model.m)
         phi = model.state.phi(x, u)

@@ -27,6 +27,7 @@ error 1-norm over steps 1..T for short windows (T <= 10) and over steps
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -121,6 +122,12 @@ class Reference:
         return cls(d["kind"], **d["params"])
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1; a bool is not one."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec(_FrozenArrays):
     """Everything needed to reproduce one closed-loop study."""
@@ -151,6 +158,13 @@ class ScenarioSpec(_FrozenArrays):
             raise ValueError("x0 does not match the state dimension")
         if self.belief0.dim != self.model.p:
             raise ValueError("belief0 does not match the parameter dimension")
+        if not _is_count(self.horizon):
+            raise ValueError(f"horizon must be an integer >= 1, "
+                             f"got {self.horizon!r}")
+        for t in self.t_windows:
+            if not _is_count(t):
+                raise ValueError(f"t_windows entries must be integers >= 1, "
+                                 f"got {t!r}")
         ref_shape = np.shape(self.reference.value(1))
         if ref_shape != (self.model.l,):
             raise ValueError(f"reference values have shape {ref_shape}, "
@@ -334,21 +348,19 @@ def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> R
 
     history = []
     diagnostic = ""
-    u_prev = None
     for k in range(1, horizon + 1):
         try:
             y_ref_next = spec.reference.value(k + 1)
             instance = build_instance(model, x, y_ref_next)
             if mode == "known_theta":
-                sol = solve_known_theta(instance, spec.theta_true, spec.bounds,
-                                        u_warm=u_prev)
+                sol = solve_known_theta(instance, spec.theta_true, spec.bounds)
             else:
-                sol = solve_robust(instance, belief, spec.bounds, u_warm=u_prev)
+                sol = solve_robust(instance, belief, spec.bounds)
             u = sol.u
             if not np.all(np.isfinite(u)):
                 raise RuntimeError(f"controller returned status {sol.status!r}")
             if mode == "active":
-                info = build_info_quadratic(model, belief, x, output_map="state")
+                info = build_info_quadratic(model, belief, x)
                 region = build_trust_region(belief, u, spec.ma)
                 u = solve_active(info, region, spec.bounds)
             omega = disturbances.sample_interior(rng)
@@ -360,7 +372,7 @@ def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> R
             diagnostic = f"step {k}: {type(exc).__name__}: {exc}"
             break
         history.append((x, u, y_ref, belief))
-        x, y_ref, u_prev = x_next, y_ref_next, sol.u
+        x, y_ref = x_next, y_ref_next
     return _record(spec, mode, seed, history, diagnostic)
 
 
@@ -605,7 +617,7 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
         bounds=ControlBounds(np.array(cfg["u_min"], dtype=float),
                              np.array(cfg["u_max"], dtype=float)),
         ma=np.array(cfg["ma"], dtype=float),
-        horizon=int(cfg["horizon"]),
+        horizon=cfg["horizon"],
         reference=Reference.from_dict(cfg["reference"]),
         update_policy=cfg.get("update_policy", "skip"),
         t_windows=tuple(cfg.get("t_windows", ())),

@@ -29,35 +29,23 @@ Every solve first probes a short schedule from weight ``WARM_T_START`` =
 1e4 near its likely optimum, and falls back to the cold schedule from
 weight 1 if that fails to center within ``WARM_PROBE_ITERS`` iterations;
 :attr:`RobustSolution.warm_started` says whether the probe was accepted.
-The probe starts from the candidate input with the smallest objective
-``sum(z)`` (:func:`_probe_start`): the certainty-equivalent input, the
-least-squares solution of ``sum_t mid_t(u)^2``, which zeroes the error at
-the belief center; the least-squares bound input, that of
-``sum_t (mid_t(u)^2 + |y_t(u)|^2)``, which also shrinks the
-input-dependent radius; and the caller's ``u_warm`` if it is finite. On
-sim2 ``fixed``, sim3 ``active`` and ``known_theta`` the optimum sits on
-the kink ``mid = 0``, next to the first; on sim3 ``learn`` the radius
-pulls it away from the kink, next to the second. The previous step's
-optimum alone had often been left by the new one, and each such probe ran
-out its cap and restarted cold. Newton iterations per solve, every solve
-of seeds 0-4, previous input only -> best candidate (all ``optimal``)::
-
-                        mean            p99       probes accepted
-    sim1 fixed        15.65  11.30    44  14    217  230 of 230
-    sim1 learn        18.57  15.17    45  19    207  230 of 230
-    sim1 active       18.79  15.13    46  19    206  230 of 230
-    sim2 fixed        24.66  13.66    45  17    312  500 of 500
-    sim2 known_theta  22.35  15.61    47  17    439  500 of 500
-    sim3 learn        19.39  18.58    48  22    484  500 of 500
-    sim3 active       29.28  17.91    58  22    377  499 of 500
+The probe starts from the better, by the objective ``sum(z)``
+(:func:`_probe_start`), of two inputs read from the program itself: the
+certainty-equivalent input, the least-squares solution of
+``sum_t mid_t(u)^2``, which zeroes the error at the belief center; and the
+least-squares bound input, that of ``sum_t (mid_t(u)^2 + |y_t(u)|^2)``,
+which also shrinks the input-dependent radius. On sim2 ``fixed``, sim3
+``active`` and ``known_theta`` the optimum sits on the kink ``mid = 0``,
+next to the first; on sim3 ``learn`` the radius pulls it away from the
+kink, next to the second. The previous step's optimum is no candidate: the
+new optimum has often left it, and a probe from there runs out its cap and
+restarts cold. README "Robust solver" has the Newton iterations per solve.
 
 A candidate on a finite bound starts ``min(width, 1) / WARM_T_START``
 inside it, ``1 / WARM_T_START`` when the other bound is infinite: the
 probe's center keeps a box slack of about ``1 / (t slope)``, and Newton on
 ``-log s`` can at most double a slack per step, so a probe started much
-nearer the wall stalls with its decrement near 1 until its cap runs out
-(an inset of 1e-6 did so for every such probe on the shipped scenarios,
-and one of 1e-12 on a half-infinite box).
+nearer the wall stalls with its decrement near 1 until its cap runs out.
 
 Every stage that follows a center starts from a predictor step (Boyd &
 Vandenberghe, *Convex Optimization*, ch. 11; Nocedal & Wright, *Numerical
@@ -115,8 +103,8 @@ only when an update shrinks it, so over seeds 0-4 a run builds once in
 ``fixed`` and ``known_theta`` mode (one geometry for all 500 sim2 solves
 of each mode) and once per new belief otherwise: sim1 ``learn`` 96
 builds for 230 solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and
-``active`` 158 for 500. Building a program fell from about 55-70 us to
-5-8 us per solve on sim2 (the geometry alone is 55-100 us on sim1-sim3).
+``active`` 158 for 500. A step's map through a held geometry costs 5-8 us
+on sim2, a geometry build 55-100 us on sim1-sim3.
 """
 
 from __future__ import annotations
@@ -259,29 +247,22 @@ def worst_case_interval(instance: TrackingInstance, belief: ParameterBelief, u):
 
 
 def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
-                 bounds: ControlBounds, u_warm=None) -> RobustSolution:
+                 bounds: ControlBounds) -> RobustSolution:
     """Minimize the summed worst-case error bounds over the input box.
 
     Returns the input, the per-output certified bounds ``z`` (recomputed at
     the returned point, so ``max(|lo|, |hi|) = z`` holds exactly), their
     sum, a status string, the Newton iteration count and whether the warm
-    probe was accepted. ``u_warm`` (one entry per input; ignored if any
-    entry is not finite) is one more candidate start of that probe, such as
-    the previous solution of a solve sequence.
+    probe was accepted.
     """
     if bounds.m != instance.m:
         raise ValueError(f"bounds dimension {bounds.m} != inputs {instance.m}")
-    if u_warm is not None:
-        u_warm = np.atleast_1d(np.asarray(u_warm, dtype=float))
-        if u_warm.shape != (instance.m,):
-            raise ValueError(f"u_warm shape {u_warm.shape} != inputs "
-                             f"({instance.m},)")
     if not bounds.feasible():
         m = instance.m
         return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
                               np.nan, "infeasible", 0)
 
-    u, iters, status, warm = _barrier_solve(instance, belief, bounds, u_warm)
+    u, iters, status, warm = _barrier_solve(instance, belief, bounds)
     u = bounds.clip(u)
     mid, rad = _error_terms(instance, belief, u)
     z = np.abs(mid) + rad
@@ -296,11 +277,10 @@ def _point_belief(theta: tuple) -> ParameterBelief:
 
 
 def solve_known_theta(instance: TrackingInstance, theta_true,
-                      bounds: ControlBounds, u_warm=None) -> RobustSolution:
+                      bounds: ControlBounds) -> RobustSolution:
     """Baseline with the parameter known exactly (point belief, noise kept)."""
     theta = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    return solve_robust(instance, _point_belief(tuple(theta.tolist())), bounds,
-                        u_warm)
+    return solve_robust(instance, _point_belief(tuple(theta.tolist())), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -743,23 +723,20 @@ def _ldl_solve(low, dia, b):
     return x
 
 
-def _probe_start(prog, u_warm):
+def _probe_start(prog):
     """Start of the warm probe over the free inputs, or None if there is none.
 
-    The candidates are the program's :meth:`_Barrier.least_squares_inputs`
-    and ``u_warm`` if it is finite, each clipped into the probe box, the box
-    less an inset of ``min(width, 1) / WARM_T_START`` per side; the one with
-    the smallest objective ``sum(z)`` wins, and a candidate whose objective
-    is not finite never does. The center at weight ``t`` keeps a box slack
-    of about ``1 / (t * slope)``, and Newton on ``-log(s)`` can at most
-    double a slack per step, so a candidate on a bound starts that far
-    inside it rather than at the wall.
+    The candidates are the program's :meth:`_Barrier.least_squares_inputs`,
+    each clipped into the probe box, the box less an inset of
+    ``min(width, 1) / WARM_T_START`` per side; the one with the smallest
+    objective ``sum(z)`` wins, and a candidate whose objective is not finite
+    never does. The center at weight ``t`` keeps a box slack of about
+    ``1 / (t * slope)``, and Newton on ``-log(s)`` can at most double a
+    slack per step, so a candidate on a bound starts that far inside it
+    rather than at the wall.
     """
-    candidates = prog.least_squares_inputs()
-    if u_warm is not None and np.all(np.isfinite(u_warm)):
-        candidates.append(u_warm[prog.free].tolist())
     start, best = None, math.inf
-    for u in candidates:
+    for u in prog.least_squares_inputs():
         u = [min(max(x, lo), hi) for x, (lo, hi) in zip(u, prog.box)]
         objective = sum(prog.padded_z(u, 0.0))
         if objective < best:
@@ -767,7 +744,7 @@ def _probe_start(prog, u_warm):
     return start
 
 
-def _barrier_solve(instance, belief, bounds, u_warm=None):
+def _barrier_solve(instance, belief, bounds):
     prog = _Barrier(instance, belief, bounds)
     if prog.nf == 0:
         return prog.u_fix.copy(), 0, "optimal", False
@@ -781,7 +758,7 @@ def _barrier_solve(instance, belief, bounds, u_warm=None):
 
     total_iters = 0
     warm_ok = False
-    u0 = _probe_start(prog, u_warm)
+    u0 = _probe_start(prog)
     if u0 is not None:
         # Probe a short high-weight schedule near the likely optimum; a
         # start that is not near it fails to center quickly and falls back

@@ -14,7 +14,7 @@ import pytest
 from smtrack import checks
 from smtrack.active import build_info_quadratic, solve_active
 from smtrack.ellipsoid import Ellipsoid
-from smtrack.estimator import ParameterBelief, build_observation
+from smtrack.estimator import ParameterBelief, build_state_observation
 from smtrack.experiments import monte_carlo, run, scenario
 from smtrack.model import UncertainModel
 from smtrack.robust import solve_robust
@@ -224,7 +224,7 @@ def test_criterion_10_trace_identity():
         x = rng.normal(size=n)
         u = rng.normal(size=m)
         info = build_info_quadratic(model, belief, x)
-        phi = build_observation(model, x, u, np.zeros(1)).phi
+        phi = build_state_observation(model, x, u, np.zeros(n)).phi
         direct = float(np.trace(phi @ belief.shape @ phi.T))
         worst = max(worst, abs(info.value(u) - direct))
     print(f"criterion 10: worst identity residual {worst:.2e} (<= 1e-10) "

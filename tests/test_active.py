@@ -49,32 +49,24 @@ class TestBuildInfoQuadratic:
                 Ellipsoid(rng.normal(size=p), random_spd(rng, p, jitter=0.2)))
             x = rng.normal(size=model.n)
             u = rng.normal(size=model.m)
-            for output_map, builder in (
-                ("tracked", build_observation),
-                ("state", build_state_observation),
-            ):
-                info = build_info_quadratic(model, belief, x, output_map)
-                rows = model.l if output_map == "tracked" else model.n
-                phi = builder(model, x, u, np.zeros(rows)).phi
-                direct = float(np.trace(phi @ belief.shape @ phi.T))
-                assert_allclose(info.value(u), direct, atol=1e-10 * (1 + abs(direct)))
+            info = build_info_quadratic(model, belief, x)
+            phi = build_state_observation(model, x, u, np.zeros(model.n)).phi
+            direct = float(np.trace(phi @ belief.shape @ phi.T))
+            assert_allclose(info.value(u), direct, atol=1e-10 * (1 + abs(direct)))
 
     def test_state_map_on_tracking_scenario(self):
         # Only the second input direction carries state-level information too,
-        # but with much larger weight than through the scalar output.
+        # but with much larger weight than through the scalar output, whose
+        # input curvature is tr(phi_u P_uu phi_u^T) at u = 1 (C kills the
+        # first input perturbation, leaving P_22 (C B2)^2).
         spec = scenario("sim1")
-        belief = ParameterBelief(spec.belief0)
-        tracked = build_info_quadratic(spec.model, belief, spec.x0, "tracked")
-        state = build_info_quadratic(spec.model, belief, spec.x0, "state")
-        assert state.pw[0, 0] > tracked.pw[0, 0]
-
-    def test_tracked_map_hand_value(self):
-        # C kills the first input perturbation, so only P_22 (C B2)^2 remains.
-        spec = scenario("sim1")
-        belief = ParameterBelief(spec.belief0)
-        info = build_info_quadratic(spec.model, belief, spec.x0, "tracked")
-        assert_allclose(info.pw[0, 0], 2.0 * 0.18**2, rtol=1e-9)
-        assert_allclose(info.const, 0.0)
+        model, belief = spec.model, ParameterBelief(spec.belief0)
+        r = model.r
+        phi_u = build_observation(model, spec.x0, [1.0],
+                                  np.zeros(model.l)).phi[:, r:]
+        tracked = np.trace(phi_u @ belief.shape[r:, r:] @ phi_u.T)
+        state = build_info_quadratic(model, belief, spec.x0)
+        assert state.pw[0, 0] > tracked
 
     def test_no_input_directions_leaves_constant_objective(self):
         rng = np.random.default_rng(12)
@@ -82,16 +74,10 @@ class TestBuildInfoQuadratic:
         belief = ParameterBelief(
             Ellipsoid(rng.normal(size=2), random_spd(rng, 2, jitter=0.2)))
         x = rng.normal(size=2)
-        info = build_info_quadratic(model, belief, x, "state")
+        info = build_info_quadratic(model, belief, x)
         assert_allclose(info.pw, 0.0)
         assert_allclose(info.pvwx, 0.0)
         assert info.const > 0.0
-
-    def test_invalid_output_map(self):
-        spec = scenario("sim1")
-        with pytest.raises(ValueError, match="output_map"):
-            build_info_quadratic(spec.model, ParameterBelief(spec.belief0),
-                                 spec.x0, "latent")
 
 
 class TestBuildTrustRegion:

@@ -255,3 +255,26 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"cannot load scenario {path}: ValueError" in err
         assert expected in err
+
+    @pytest.mark.parametrize("argv, field, value, expected", [
+        (["simulate"], "horizon", 0, "horizon must be an integer >= 1, got 0"),
+        (["simulate"], "horizon", -3, "horizon must be an integer >= 1, got -3"),
+        (["simulate"], "t_windows", [0, 5],
+         "t_windows entries must be integers >= 1, got 0"),
+        (["simulate"], "t_windows", ["a"],
+         "t_windows entries must be integers >= 1, got 'a'"),
+        (["montecarlo", "--runs", "1", "--modes", "fixed"], "t_windows", ["a"],
+         "t_windows entries must be integers >= 1, got 'a'"),
+    ], ids=["simulate-horizon-0", "simulate-horizon-negative",
+            "simulate-window-0", "simulate-window-a", "montecarlo-window-a"])
+    def test_config_with_a_bad_horizon_or_window(self, argv, field, value,
+                                                 expected, tmp_path, capsys):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load scenario {path}: ValueError: {expected}" in err

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -477,6 +478,36 @@ class TestConfigRoundTrip:
                             "params": {"const": 1.0, "amp": 1.0, "denom": 5.0}}
         with pytest.raises(ValueError, match="the model has 1 outputs"):
             scenario_from_config(cfg)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("horizon", 0, "horizon must be an integer >= 1, got 0"),
+        ("horizon", -3, "horizon must be an integer >= 1, got -3"),
+        ("horizon", 2.5, "horizon must be an integer >= 1, got 2.5"),
+        ("horizon", "3", "horizon must be an integer >= 1, got '3'"),
+        ("t_windows", [0, 5], "t_windows entries must be integers >= 1, got 0"),
+        ("t_windows", ["a"], "t_windows entries must be integers >= 1, got 'a'"),
+        ("t_windows", [2.5], "t_windows entries must be integers >= 1, got 2.5"),
+        ("t_windows", [True], "t_windows entries must be integers >= 1, "
+                              "got True"),
+    ], ids=["horizon-0", "horizon-negative", "horizon-float", "horizon-string",
+            "window-0", "window-a", "window-float", "window-bool"])
+    def test_bad_horizon_or_window_is_rejected_at_load(self, field, value,
+                                                       message):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario_from_config(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(scenario("sim1"), **{field: value})
+
+    def test_windows_past_the_horizon_are_kept(self):
+        # A run's --steps can go past the horizon, so such a window stays.
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["horizon"], cfg["t_windows"] = 4, [2, 10]
+        spec = scenario_from_config(cfg)
+        assert (spec.horizon, spec.t_windows) == (4, (2, 10))
+        assert monte_carlo(spec, modes=("fixed",), n_runs=1, seed0=0,
+                           t_windows=(2, 10), steps=10).t_windows == (2, 10)
 
     def test_modes_tuple_is_stable(self):
         assert MODES == ("fixed", "learn", "active", "known_theta")

@@ -41,13 +41,13 @@ def sim3_case():
 
 
 def recorded_solves(name, mode, seeds):
-    """``(instance, belief, bounds, u_warm, solution)`` of every solve in
-    closed-loop runs."""
+    """``(instance, belief, bounds, solution)`` of every solve in closed-loop
+    runs."""
     solves = []
 
-    def recording(instance, belief, bounds, u_warm=None):
-        sol = solve_robust(instance, belief, bounds, u_warm)
-        solves.append((instance, belief, bounds, u_warm, sol))
+    def recording(instance, belief, bounds):
+        sol = solve_robust(instance, belief, bounds)
+        solves.append((instance, belief, bounds, sol))
         return sol
 
     # known_theta reaches the solver through robust.solve_known_theta.
@@ -383,33 +383,12 @@ class TestSolveRobust:
         with pytest.raises(ValueError, match="bounds"):
             solve_robust(instance, belief, ControlBounds([-1.0, -1.0], [1.0, 1.0]))
 
-    def test_warm_start_agrees_with_cold(self):
-        _, instance, belief = sim1_case()
-        bounds = ControlBounds([-25.0], [25.0])
-        cold = solve_robust(instance, belief, bounds)
-        for shift in (0.0, 0.5, 5.0):
-            warm = solve_robust(instance, belief, bounds,
-                                u_warm=cold.u + shift)
-            assert warm.status == "optimal"
-            assert_allclose(warm.u, cold.u, atol=1e-6)
-            assert_allclose(warm.objective, cold.objective, atol=1e-8)
-
     def test_sim3_matches_dense_grid_minimum(self):
         spec, instance, belief = sim3_case()
         sol = solve_robust(instance, belief, spec.bounds)
         _, grid_best = oracles.grid_min_robust(instance, belief, spec.bounds)
         assert sol.status == "optimal"
         assert abs(sol.objective - grid_best) <= 1e-3
-
-    def test_sim3_warm_start_agrees_with_cold(self):
-        spec, instance, belief = sim3_case()
-        cold = solve_robust(instance, belief, spec.bounds)
-        for shift in ([0.0, 0.0], [0.5, -0.5], [5.0, 50.0], [3e4, -3e4]):
-            warm = solve_robust(instance, belief, spec.bounds,
-                                u_warm=cold.u + np.array(shift))
-            assert warm.status == "optimal"
-            assert_allclose(warm.u, cold.u, atol=1e-6)
-            assert_allclose(warm.objective, cold.objective, atol=1e-8)
 
     def test_flat_direction_reaches_optimal(self):
         # One output, two inputs and no input-dependent uncertainty: every u
@@ -430,28 +409,14 @@ class TestSolveRobust:
         assert sol.status == "max_iter"
         assert_allclose(sol.u, [1e17])
 
-    def test_warm_start_outside_box_is_recovered(self):
-        _, instance, belief = sim1_case()
-        bounds = ControlBounds([-2.0], [2.0])
-        cold = solve_robust(instance, belief, bounds)
-        warm = solve_robust(instance, belief, bounds, u_warm=np.array([50.0]))
-        assert_allclose(warm.u, cold.u, atol=1e-6)
-
     def test_warm_started_reports_the_accepted_probe(self, monkeypatch):
-        # A solve without a warm input probes from the program's own
-        # least-squares inputs, and a stale warm input loses that pick, so
-        # it changes nothing.
+        # The probe starts from the program's own least-squares inputs.
         spec, instance, belief = sim3_case()
         plain = solve_robust(instance, belief, spec.bounds)
         assert plain.warm_started
-        stale = solve_robust(instance, belief, spec.bounds,
-                             u_warm=plain.u + np.array([5.0, 50.0]))
-        np.testing.assert_array_equal(stale.u, plain.u)
-        assert stale.newton_iterations == plain.newton_iterations
-        assert stale.warm_started
         # A probe that fails restarts cold and is reported as such.
         monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
-        cold = solve_robust(instance, belief, spec.bounds, u_warm=plain.u)
+        cold = solve_robust(instance, belief, spec.bounds)
         assert not cold.warm_started
         assert cold.newton_iterations > plain.newton_iterations
         assert_allclose(cold.objective, plain.objective, atol=1e-8)
@@ -459,49 +424,20 @@ class TestSolveRobust:
     def test_infeasible_and_pinned_programs_are_not_warm_started(self):
         _, instance, belief = sim1_case()
         for lo, hi in (([1.0], [-1.0]), ([2.0], [2.0])):
-            sol = solve_robust(instance, belief, ControlBounds(lo, hi),
-                               u_warm=[2.0])
+            sol = solve_robust(instance, belief, ControlBounds(lo, hi))
             assert not sol.warm_started
-
-    def test_scalar_warm_input_reads_as_one_entry(self):
-        _, instance, belief = sim1_case()
-        bounds = ControlBounds([-25.0], [25.0])
-        scalar = solve_robust(instance, belief, bounds, u_warm=2.0)
-        vector = solve_robust(instance, belief, bounds, u_warm=[2.0])
-        assert scalar.warm_started
-        np.testing.assert_array_equal(scalar.u, vector.u)
-        assert scalar.newton_iterations == vector.newton_iterations
-
-    @pytest.mark.parametrize("u_warm, shape", [
-        ([1.0, 2.0], r"\(2,\)"), ([[1.0]], r"\(1, 1\)")])
-    def test_warm_input_of_the_wrong_shape_is_rejected(self, u_warm, shape):
-        _, instance, belief = sim1_case()
-        bounds = ControlBounds([-25.0], [25.0])
-        with pytest.raises(ValueError,
-                           match=rf"u_warm shape {shape} != inputs \(1,\)"):
-            solve_robust(instance, belief, bounds, u_warm)
-
-    def test_nan_warm_input_is_ignored(self):
-        _, instance, belief = sim1_case()
-        bounds = ControlBounds([-25.0], [25.0])
-        plain = solve_robust(instance, belief, bounds)
-        nan = solve_robust(instance, belief, bounds, u_warm=[np.nan])
-        np.testing.assert_array_equal(nan.u, plain.u)
-        np.testing.assert_array_equal(nan.z, plain.z)
-        assert nan.newton_iterations == plain.newton_iterations
-        assert nan.warm_started == plain.warm_started
 
 
 class TestProbeStart:
-    """The warm probe starts from the best of the program's least-squares
-    inputs and the caller's warm input."""
+    """The warm probe starts from the better of the program's least-squares
+    inputs."""
 
     def test_known_theta_returns_the_certainty_equivalent_input(self):
         # With a point belief the radius does not depend on u, so the input
         # that zeroes the error at theta is the only least-squares candidate
         # and, wherever it lies inside the box, the optimum.
         inside = 0
-        for instance, belief, bounds, _, sol in recorded_solves(
+        for instance, belief, bounds, sol in recorded_solves(
                 "sim2", "known_theta", [0]):
             r = instance.gx.shape[1]
             theta = belief.center
@@ -545,24 +481,24 @@ class TestProbeStart:
             huge, _ = prog.least_squares_inputs()
             assert sign * huge[0] >= 1e159
             assert sum(prog.padded_z(huge, 0.0)) == np.inf
-            for u_warm in (None, [sign * 3.0]):
-                start = robust._probe_start(prog, None if u_warm is None
-                                            else np.array(u_warm))
-                assert np.isfinite(sum(prog.padded_z(start, 0.0)))
-                sol = solve_robust(instance, belief, bounds, u_warm)
-                assert sol.warm_started
-                TestExactOneInputOracle.assert_matches_oracle(
-                    instance, belief, bounds, sol)
+            start = robust._probe_start(prog)
+            assert np.isfinite(sum(prog.padded_z(start, 0.0)))
+            sol = solve_robust(instance, belief, bounds)
+            assert sol.warm_started
+            TestExactOneInputOracle.assert_matches_oracle(
+                instance, belief, bounds, sol)
 
     @pytest.mark.parametrize("name, mode", [
-        ("sim1", "learn"), ("sim3", "learn"), ("sim3", "active")])
+        ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
+        ("sim3", "learn"), ("sim3", "active")])
     def test_cold_fallback_matches_the_probe(self, name, mode, monkeypatch):
         # With no probe iterations every probe fails, so every solve takes
-        # the cold path from weight 1; it must reach the same optimum.
+        # the cold path from weight 1; it must reach the same optimum, on
+        # the point-belief cones of known_theta too.
         solves = recorded_solves(name, mode, [0])
         monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
-        for instance, belief, bounds, u_warm, sol in solves:
-            cold = solve_robust(instance, belief, bounds, u_warm)
+        for instance, belief, bounds, sol in solves:
+            cold = solve_robust(instance, belief, bounds)
             assert not cold.warm_started
             assert cold.status == "optimal"
             assert_allclose(cold.objective, sol.objective, atol=1e-8)
@@ -574,7 +510,7 @@ class TestProbeStart:
             self, name, mode, before):
         # Total Newton iterations of seed 0 with the probe started from the
         # previous step's input alone: 2588 on sim2 fixed and 2829 on sim3
-        # active. Started from the best of it and the step's least-squares
+        # active. Started from the better of the step's least-squares
         # inputs, they are 1362 and 1768.
         solves = recorded_solves(name, mode, [0])
         assert all(sol.status == "optimal" for *_, sol in solves)
@@ -597,7 +533,7 @@ class TestExactOneInputOracle:
     def test_recorded_closed_loop_instances(self, name, mode):
         solves = recorded_solves(name, mode, range(3))
         assert len(solves) == 3 * scenario(name).horizon
-        for instance, belief, bounds, _, sol in solves:
+        for instance, belief, bounds, sol in solves:
             self.assert_matches_oracle(instance, belief, bounds, sol)
 
     def test_random_cases(self):
@@ -710,8 +646,7 @@ class TestBarrierKernel:
     def test_one_newton_system_per_point(self, name, mode, monkeypatch):
         # Each center's convergence test assembles the system its predictor
         # re-solves at the next weight, so a solve assembles one system per
-        # Newton iteration plus the one that ends the last center. Every
-        # recorded instance is solved cold and warm, as the closed loop does.
+        # Newton iteration plus the one that ends the last center.
         solves = recorded_solves(name, mode, [0])
         assemble = robust._Barrier.assemble
         count = [0]
@@ -721,12 +656,11 @@ class TestBarrierKernel:
             return assemble(self, cones, u)
 
         monkeypatch.setattr(robust._Barrier, "assemble", counting)
-        for instance, belief, bounds, u_warm, _ in solves:
-            for warm in (None, u_warm):
-                count[0] = 0
-                sol = solve_robust(instance, belief, bounds, warm)
-                assert sol.status == "optimal"
-                assert count[0] == sol.newton_iterations + 1
+        for instance, belief, bounds, _ in solves:
+            count[0] = 0
+            sol = solve_robust(instance, belief, bounds)
+            assert sol.status == "optimal"
+            assert count[0] == sol.newton_iterations + 1
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
@@ -734,8 +668,7 @@ class TestBarrierKernel:
                                                   monkeypatch):
         # Each accepted point carries its cones to the next Newton step, so
         # neither the predictor nor the corrector re-evaluates the point the
-        # other has just accepted. Every recorded instance is solved cold and
-        # warm from the previous step's input, as the closed loop does.
+        # other has just accepted.
         solves = recorded_solves(name, mode, [0])
         evaluate = robust._Barrier.evaluate
         points = []
@@ -745,12 +678,11 @@ class TestBarrierKernel:
             return evaluate(self, u, z)
 
         monkeypatch.setattr(robust._Barrier, "evaluate", recording)
-        for instance, belief, bounds, u_warm, _ in solves:
-            for warm in (None, u_warm):
-                points.clear()
-                solve_robust(instance, belief, bounds, warm)
-                assert len(points) > 1
-                assert not any(a == b for a, b in zip(points, points[1:]))
+        for instance, belief, bounds, _ in solves:
+            points.clear()
+            solve_robust(instance, belief, bounds)
+            assert len(points) > 1
+            assert not any(a == b for a, b in zip(points, points[1:]))
 
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
@@ -785,9 +717,9 @@ class TestProgramGeometry:
         assert sol.warm_started == ref.warm_started
 
     @staticmethod
-    def cold_solve(monkeypatch, instance, belief, bounds, u_warm=None):
+    def cold_solve(monkeypatch, instance, belief, bounds):
         monkeypatch.setattr(robust, "_memo", None)
-        return solve_robust(instance, belief, bounds, u_warm)
+        return solve_robust(instance, belief, bounds)
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
@@ -797,11 +729,11 @@ class TestProgramGeometry:
         solves = recorded_solves(name, mode, [0])
         monkeypatch.setattr(robust, "_memo", None)
         hits = 0
-        for instance, belief, bounds, u_warm, _ in solves:
+        for instance, belief, bounds, _ in solves:
             held = robust._memo
             warm = robust._Barrier(instance, belief, bounds)
             hits += robust._memo is held
-            warm_sol = solve_robust(instance, belief, bounds, u_warm)
+            warm_sol = solve_robust(instance, belief, bounds)
             monkeypatch.setattr(robust, "_memo", None)
             cold = robust._Barrier(instance, belief, bounds)
             assert [len(row[3]) for row in warm._rows] == \
@@ -810,7 +742,7 @@ class TestProgramGeometry:
                             rtol=1e-12, atol=0.0)
             self.assert_same_solution(
                 warm_sol, self.cold_solve(monkeypatch, instance, belief,
-                                          bounds, u_warm))
+                                          bounds))
         assert hits >= len(solves) // 2
 
     def test_model_constants_are_keyed_by_value(self, monkeypatch):
@@ -917,15 +849,14 @@ class TestSolverContract:
         # An optimum on a bound keeps a slack of about 1 / (t * slope) at
         # the end of the schedule, far below the probe's center's. Started
         # from 1 / WARM_T_START inside the bound, the probe centers within
-        # its cap for every such warm input.
+        # its cap for every solve whose optimum lies on a bound.
         def on_bound(u, bounds):
             lo, hi = bounds.lower, bounds.upper
             tol = 1e-6 * np.minimum(hi - lo, 1.0)
             return bool(np.any((u - lo <= tol) | (hi - u <= tol)))
 
-        on_edge = [sol for _, _, bounds, u_warm, sol in
+        on_edge = [sol for _, _, bounds, sol in
                    recorded_solves(name, mode, range(2))
-                   if u_warm is not None and on_bound(u_warm, bounds)
-                   and on_bound(sol.u, bounds)]
+                   if on_bound(sol.u, bounds)]
         assert on_edge
         assert all(sol.warm_started for sol in on_edge)
