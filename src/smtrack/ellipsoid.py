@@ -14,8 +14,11 @@ and ``intersection_bound`` for their intersection. Both depend on a scalar
 parameter whose volume-optimal value solves a rational root equation;
 ``optimal_tau`` and ``optimal_rho`` scan it on a fixed 200-point log grid
 in one array expression and refine its sign changes by one routine,
-``_bracket_roots``. The Minkowski family whitens by the cached ``eigh``
-``Pb = V diag(lambda) V^T`` of the second operand.
+``_bracket_roots``. It refines by ``_brent``, Brent's method over Python
+floats: a line-for-line port of scipy's ``brentq`` that returns the same
+roots, so importing the package loads no scipy. The Minkowski family
+whitens by the cached ``eigh`` ``Pb = V diag(lambda) V^T`` of the second
+operand.
 
 Intersection is one case of a single fusion kernel, which the
 set-membership estimator also uses: the prior ``E(P, c)`` fused with the
@@ -48,7 +51,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "DegenerateOperandError",
@@ -261,17 +263,88 @@ _RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
 _TAU_GRID = np.geomspace(1e-12, 1e12, 200)
 
 
+# scipy's ``brentq`` defaults, apart from the tighter relative tolerance.
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 1e-12
+BRENT_MAXITER = 100
+
+
+def _brent_value(func, x):
+    fx = func(x)
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brent(func, xa, xb, maxiter=BRENT_MAXITER):
+    """Root of ``func`` between the floats ``xa`` and ``xb`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq`` (its C ``brentq.c``) at
+    ``xtol=2e-12``, ``rtol=1e-12``: inverse quadratic or secant steps, a
+    short step taken only while ``2|stry| < min(|spre|, 3|sbis| - delta)``,
+    bisection otherwise, and the same checks. An end where ``func`` is
+    exactly 0 is returned at once; ends of one sign and a NaN value raise
+    ``ValueError``; no convergence in ``maxiter`` steps raises
+    ``RuntimeError``. Same arithmetic in the same order, so same roots.
+    """
+    xpre, xcur = xa, xb
+    fpre = _brent_value(func, xpre)
+    fcur = _brent_value(func, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Interpolate (secant).
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Extrapolate (inverse quadratic).
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(func, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _bracket_roots(func, grid, vals):
     """Roots from ``vals = func(grid)``: zeros, and Brent inside sign changes.
 
     Returns the (possibly empty) list of roots, one per sign change,
-    refined by Brent's method to relative tolerance 1e-12.
+    refined by :func:`_brent` over Python floats to relative tolerance
+    1e-12.
     """
     a, b = vals[:-1], vals[1:]
     crossing = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
     hits = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | crossing))
     roots = [float(grid[i]) if vals[i] == 0.0
-             else float(brentq(func, grid[i], grid[i + 1], rtol=1e-12))
+             else _brent(func, float(grid[i]), float(grid[i + 1]))
              for i in hits.tolist()]
     if len(vals) and vals[-1] == 0.0:
         roots.append(float(grid[-1]))
@@ -453,7 +526,8 @@ def optimal_rho(ea: Ellipsoid, eb: Ellipsoid) -> float:
     """Volume-optimal intersection-fusion parameter.
 
     Solves ``sum_i lambda_i/(1 + rho lambda_i) = n beta'(rho)/beta(rho)``
-    over a log bracket [1e-10, 1e8] (sign scan, then Brent refinement).
+    over a log bracket [1e-10, 1e8] (sign scan, then refinement by the
+    in-house float Brent, :func:`_brent`).
     The roots and the bracket's upper end (the ``rho -> infinity`` limit,
     which tends to ``eb`` and which no root marks when the volume falls
     monotonically in ``rho``) are candidates. The one of smallest fused

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
 
@@ -175,7 +174,13 @@ def zoh_discretize(a_cont, b_cont, dt: float):
     Computed through the exponential of the augmented matrix
     ``[[A, B], [0, 0]] * dt``: the top blocks of the result are
     ``Ad = exp(A dt)`` and ``Bd = int_0^dt exp(A tau) dtau B``.
+
+    The one package function that loads scipy, for ``scipy.linalg.expm``,
+    and only when called: the closed loop, the CLI and ``validate`` never
+    call it, so ``import smtrack`` loads numpy alone.
     """
+    from scipy.linalg import expm
+
     a_cont = _as_matrix(a_cont, name="a_cont")
     n = a_cont.shape[0]
     a_cont = _as_matrix(a_cont, n, n, "a_cont")

@@ -161,17 +161,29 @@ class TestValidate:
         assert "FAIL robust-worst-case: solver status max_iter" in text
         assert "5/6 checks passed" in text
 
-    def test_import_smtrack_loads_neither_checks_nor_cli(self):
+    @staticmethod
+    def loaded_after_import(module, condition):
+        """Modules named ``m`` with ``condition`` true, after a fresh import."""
         src = os.path.dirname(os.path.dirname(smtrack.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        code = ("import smtrack, sys; "
-                "print(sorted(m for m in sys.modules "
-                "if m in ('smtrack.checks', 'smtrack.cli')))")
+        code = (f"import {module}, sys; "
+                f"print(sorted(m for m in sys.modules if {condition}))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_import_smtrack_loads_neither_checks_nor_cli(self):
+        loaded = self.loaded_after_import(
+            "smtrack", "m in ('smtrack.checks', 'smtrack.cli')")
+        assert loaded == "[]"
+
+    @pytest.mark.parametrize("module", ["smtrack", "smtrack.cli"])
+    def test_import_loads_no_scipy(self, module):
+        loaded = self.loaded_after_import(
+            module, "m == 'scipy' or m.startswith('scipy.')")
+        assert loaded == "[]"
 
 
 class TestParser:

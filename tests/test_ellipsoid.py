@@ -1,11 +1,14 @@
 """Tests for the ellipsoid primitives and the two fusion rules."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from numpy.testing import assert_allclose
 
-from smtrack import checks
+from smtrack import checks, ellipsoid
 from smtrack.ellipsoid import (
     DegenerateOperandError,
     Ellipsoid,
@@ -14,6 +17,7 @@ from smtrack.ellipsoid import (
     minkowski_sum_bound,
     optimal_rho,
     optimal_tau,
+    _brent,
 )
 from smtrack.estimator import Observation, ParameterBelief, innovation_ellipsoid
 from smtrack.experiments import run, scenario
@@ -382,6 +386,125 @@ class TestIntersectionBound:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             intersection_bound(HAND_SET, Ellipsoid([0.0], [[1.0]]), 1.0)
+
+
+def _brentq(func, xa, xb, **kwargs):
+    """The oracle: scipy's ``brentq`` at the tolerance ``_brent`` uses."""
+    return scipy.optimize.brentq(func, xa, xb, rtol=1e-12, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def refined_brackets():
+    """Every ``(func, a, b)`` that ``_bracket_roots`` hands to ``_brent``.
+
+    Recorded from closed-loop ``learn`` and ``active`` runs of sim1-3, the
+    randomized ``optimal_tau`` / ``optimal_rho`` suites and random pairs.
+    """
+    brackets, counts = [], {}
+    refine = ellipsoid._brent
+
+    def recording(func, xa, xb):
+        brackets.append((func, xa, xb))
+        return refine(func, xa, xb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ellipsoid, "_brent", recording)
+        for name in ("sim1", "sim2", "sim3"):
+            for mode in ("learn", "active"):
+                for seed in (0, 1):
+                    run(scenario(name), mode=mode, seed=seed)
+        counts["closed loop"] = len(brackets)
+        rng = np.random.default_rng(107)
+        checks.check_fusion_containment(rng, n_pairs=60, n_samples=0)
+        checks.check_sum_containment(rng, n_pairs=60, n_samples=0)
+        checks.check_optimal_rho_anchor(rng, n_pairs=60)
+        for _ in range(150):
+            ea, eb, _ = checks.intersecting_pair(rng, 1 + int(rng.integers(4)))
+            optimal_tau(ea, eb)
+            optimal_rho(ea, eb)
+        counts["suites"] = len(brackets) - counts["closed loop"]
+    return brackets, counts
+
+
+class TestBrent:
+    """``_brent`` against scipy's ``brentq``, which it ports."""
+
+    def test_equals_brentq_on_every_recorded_bracket(self, refined_brackets):
+        brackets, counts = refined_brackets
+        assert counts["closed loop"] >= 100 and counts["suites"] >= 100
+        for func, xa, xb in brackets:
+            assert type(xa) is float and type(xb) is float
+            assert _brent(func, xa, xb) == _brentq(func, xa, xb)
+
+    @pytest.mark.parametrize("func, xa, xb", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(x) - 4.0, 0.0, 3.0),
+        (lambda x: x * math.exp(x) - 1.0, -1.0, 1.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**20 - 1.0, 0.0, 1.3),
+        (lambda x: math.atan(x) - 0.2, -50.0, 1e3),
+        (lambda x: 1.0 / x - 3.0, 0.01, 10.0),
+        (lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3), 0.0, 1.0),
+        (lambda x: math.log(x) + 1e-3 * x, 1e-6, 1e6),
+        # Flat ninth-order root: neither converges in 100 steps.
+        (lambda x: (x - 1.0) ** 9, 0.0, 1.7),
+    ])
+    def test_evaluates_the_same_points_as_brentq(self, func, xa, xb):
+        def solve(method):
+            points = []
+
+            def traced(x):
+                points.append(x)
+                return func(x)
+
+            try:
+                return method(traced, xa, xb), points
+            except RuntimeError:
+                return RuntimeError, points
+
+        assert solve(_brent) == solve(_brentq)
+
+    @pytest.mark.parametrize("xa, xb", [(0.25, 2.0), (-3.0, 0.25)])
+    def test_an_exact_zero_at_an_end_is_that_end(self, xa, xb):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return x - 0.25
+
+        assert _brent(func, xa, xb) == 0.25 == _brentq(func, xa, xb)
+        assert calls == [xa, xb, xa, xb]
+
+    def test_ends_of_one_sign_raise(self):
+        def func(x):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError, match="different signs"):
+            _brent(func, -1.0, 2.0)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(func, -1.0, 2.0)
+
+    @pytest.mark.parametrize("nan_at", ["end", "inside"])
+    def test_a_nan_value_raises(self, nan_at):
+        def func(x):
+            if nan_at == "end" and x == 2.0 or nan_at == "inside" and -1.0 < x < 2.0:
+                return math.nan
+            return x
+
+        with pytest.raises(ValueError, match="NaN"):
+            _brent(func, -1.0, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(func, -1.0, 2.0)
+
+    def test_no_convergence_raises(self):
+        def step(x):
+            return -1.0 if x < 0.3 else 1.0
+
+        with pytest.raises(RuntimeError, match="converge"):
+            _brent(step, 0.0, 1.0, maxiter=3)
+        with pytest.raises(RuntimeError, match="converge"):
+            _brentq(step, 0.0, 1.0, maxiter=3)
+        assert _brent(step, 0.0, 1.0) == _brentq(step, 0.0, 1.0)
 
 
 class TestOptimalRho:
