@@ -4,7 +4,7 @@ The package models linear systems whose state and input matrices depend
 affinely on an unknown parameter vector confined to an ellipsoid, and
 provides:
 
-- ellipsoidal calculus (outer bounds for sums and intersections),
+- ellipsoidal calculus (volume-minimal outer bounds of intersections),
 - a recursive set-membership estimator that never grows the belief volume,
 - a one-step worst-case tracking controller solved by an interior-point
   method over second-order cone constraints,
@@ -24,9 +24,7 @@ from .ellipsoid import (
     Ellipsoid,
     InconsistentSetsError,
     intersection_bound,
-    minkowski_sum_bound,
     optimal_rho,
-    optimal_tau,
 )
 from .estimator import (
     InconsistentObservationError,
@@ -34,7 +32,6 @@ from .estimator import (
     ParameterBelief,
     build_observation,
     build_state_observation,
-    innovation_ellipsoid,
     update,
 )
 from .experiments import (
@@ -56,7 +53,7 @@ from .experiments import (
     write_report_csv,
     write_run_csv,
 )
-from .model import UncertainModel, zoh_discretize
+from .model import UncertainModel
 from .robust import (
     ControlBounds,
     RobustSolution,
@@ -74,17 +71,13 @@ __all__ = [
     "Ellipsoid",
     "InconsistentSetsError",
     "intersection_bound",
-    "minkowski_sum_bound",
     "optimal_rho",
-    "optimal_tau",
     "UncertainModel",
-    "zoh_discretize",
     "InconsistentObservationError",
     "Observation",
     "ParameterBelief",
     "build_observation",
     "build_state_observation",
-    "innovation_ellipsoid",
     "update",
     "ControlBounds",
     "RobustSolution",

@@ -7,7 +7,7 @@ import numpy as np
 from . import experiments
 from .active import build_info_quadratic
 from .ellipsoid import (Ellipsoid, InconsistentSetsError, intersection_bound,
-                        minkowski_sum_bound, optimal_rho)
+                        optimal_rho)
 from .estimator import ParameterBelief, build_state_observation, update
 from .robust import build_instance, solve_robust
 
@@ -47,22 +47,6 @@ def check_fusion_containment(rng, n_pairs=500, d_max=4, n_samples=20,
             x = ea.sample_interior(rng)
             if eb.contains(x) and not fused.contains(x, tol):
                 failures.append(f"pair {i}: intersection sample escaped")
-                break
-    return failures
-
-
-def check_sum_containment(rng, n_pairs=500, d_max=4, n_samples=20, tol=1e-9):
-    """Sampled sums x_a + x_b stay inside the Minkowski outer bound."""
-    failures = []
-    for i in range(n_pairs):
-        n = 1 + int(rng.integers(d_max))
-        ea = Ellipsoid(rng.normal(size=n), random_spd(rng, n))
-        eb = Ellipsoid(rng.normal(size=n), random_spd(rng, n))
-        outer = minkowski_sum_bound(ea, eb)
-        for _ in range(n_samples):
-            s = ea.sample_interior(rng) + eb.sample_interior(rng)
-            if not outer.contains(s, tol):
-                failures.append(f"pair {i}: sum sample escaped the bound")
                 break
     return failures
 
@@ -126,7 +110,6 @@ def run_all(rng, scale=1.0):
     k = lambda n: max(int(n * scale), 1)
     return {
         "fusion_containment": check_fusion_containment(rng, n_pairs=k(500)),
-        "sum_containment": check_sum_containment(rng, n_pairs=k(500)),
         "support_consistency": check_support_consistency(
             rng, n_sets=k(10), n_inner=k(1000), n_boundary=k(100000)),
         "identity_fusion": check_identity_fusion(rng, n_sets=k(50)),
@@ -201,8 +184,6 @@ def check_discretization(_rng):
 VALIDATE = (
     ("fusion-containment", lambda rng: check_fusion_containment(
         rng, n_pairs=40, d_max=3, n_samples=0, tol=1e-7)),
-    ("sum-containment", lambda rng: check_sum_containment(
-        rng, n_pairs=40, d_max=3, n_samples=1, tol=1e-7)),
     ("estimator-contraction", check_estimator_contraction),
     ("robust-worst-case", check_robust_worst_case),
     ("information-identity", check_information_identity),

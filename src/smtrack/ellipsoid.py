@@ -1,4 +1,4 @@
-"""Ellipsoidal sets and the outer-bounding fusion rules.
+"""Ellipsoidal sets and the outer-bounding intersection fusion.
 
 An ellipsoid is parameterized by a center ``a`` and a symmetric positive
 semidefinite shape matrix ``P``::
@@ -8,17 +8,15 @@ semidefinite shape matrix ``P``::
 Degenerate (singular ``P``) sets are allowed; membership then additionally
 requires ``x - a`` to lie in the range of ``P``.
 
-Two fusion operations return minimal-volume outer bounds within their
-parametric families: ``minkowski_sum_bound`` for the sum of two ellipsoids
-and ``intersection_bound`` for their intersection. Both depend on a scalar
-parameter whose volume-optimal value solves a rational root equation;
-``optimal_tau`` and ``optimal_rho`` scan it on a fixed 200-point log grid
-in one array expression and refine its sign changes by one routine,
-``_bracket_roots``. It refines by ``_brent``, Brent's method over Python
-floats: a line-for-line port of scipy's ``brentq`` that returns the same
-roots, so importing the package loads no scipy. The Minkowski family
-whitens by the cached ``eigh`` ``Pb = V diag(lambda) V^T`` of the second
-operand.
+One fusion family, ``intersection_bound``, outer-bounds the intersection
+of two ellipsoids: the measurement update of a constant parameter set,
+which has no time update. It depends on a scalar parameter whose
+volume-optimal value solves a rational root equation; ``optimal_rho``
+scans it on a fixed 200-point log grid in one array expression and refines
+its sign changes by ``_bracket_roots``. That refines by ``_brent``,
+Brent's method over Python floats: a line-for-line port of scipy's
+``brentq`` that returns the same roots, so importing the package loads no
+scipy.
 
 Intersection is one case of a single fusion kernel, which the
 set-membership estimator also uses: the prior ``E(P, c)`` fused with the
@@ -56,8 +54,6 @@ __all__ = [
     "DegenerateOperandError",
     "InconsistentSetsError",
     "Ellipsoid",
-    "minkowski_sum_bound",
-    "optimal_tau",
     "intersection_bound",
     "optimal_rho",
 ]
@@ -68,7 +64,7 @@ PSD_TOL = 1e-9
 
 
 class DegenerateOperandError(ValueError):
-    """A fusion operand is singular where invertibility is required."""
+    """A fusion operand's noise shape cannot be factored: it is not PSD."""
 
 
 class InconsistentSetsError(RuntimeError):
@@ -147,8 +143,8 @@ class Ellipsoid(_FrozenArrays):
     construction, where its smallest eigenvalue checks the PSD slack. The
     symmetric square root (:attr:`root`) and :attr:`log_det` are computed
     on first use, at most once per instance, and all these arrays are
-    read-only. ``contains``, ``sample_interior``, both fusion families and
-    the robust controller read them, so a set is decomposed once, however
+    read-only. ``contains``, ``sample_interior``, the fusion kernel and the
+    robust controller read them, so a set is decomposed once, however
     often it is used. They equal ``np.linalg.eigh``, ``V diag(sqrt(max(
     lambda, 0))) V^T`` and ``np.linalg.slogdet`` of the stored shape.
     """
@@ -255,12 +251,11 @@ class Ellipsoid(_FrozenArrays):
 
 
 # ---------------------------------------------------------------------------
-# Scalar root solving shared by the fusion parameter searches.
+# Scalar root solving for the fusion parameter.
 # ---------------------------------------------------------------------------
 
 RHO_BRACKET = (1e-10, 1e8)
 _RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
-_TAU_GRID = np.geomspace(1e-12, 1e12, 200)
 
 
 # scipy's ``brentq`` defaults, apart from the tighter relative tolerance.
@@ -349,49 +344,6 @@ def _bracket_roots(func, grid, vals):
     if len(vals) and vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
-
-
-# ---------------------------------------------------------------------------
-# Minkowski sum.
-# ---------------------------------------------------------------------------
-
-def optimal_tau(ea: Ellipsoid, eb: Ellipsoid) -> float:
-    """Volume-optimal parameter of the Minkowski-sum bound.
-
-    Solves ``sum_i 1/(lambda_i + tau) = n / (tau (tau + 1))`` with
-    ``lambda_i`` the eigenvalues of ``Pa Pb^{-1}``, bracketed on
-    (1e-12, 1e12). ``Pb`` must be positive definite: its smallest
-    eigenvalue above the cut that ``Ellipsoid.contains`` treats as flat.
-    """
-    if ea.dim != eb.dim:
-        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    vals, vecs = eb.eigh
-    if _flat(vals)[0]:
-        raise DegenerateOperandError("second operand shape is singular")
-    white = vecs / np.sqrt(vals)
-    lam = np.clip(np.linalg.eigvalsh(white.T @ ea.shape @ white), 0.0, None)
-    n = ea.dim
-
-    def defect(tau):
-        return float(np.sum(1.0 / (lam + tau)) - n / (tau * (tau + 1.0)))
-
-    defects = ((1.0 / (lam + _TAU_GRID[:, None])).sum(axis=1)
-               - n / (_TAU_GRID * (_TAU_GRID + 1.0)))
-    roots = _bracket_roots(defect, _TAU_GRID, defects)
-    if not roots:
-        raise RuntimeError("no bracket for the sum-fusion parameter on (1e-12, 1e12)")
-    return roots[0]
-
-
-def minkowski_sum_bound(ea: Ellipsoid, eb: Ellipsoid) -> Ellipsoid:
-    """Minimal-volume ellipsoid of the family bounding ``ea + eb``.
-
-    Centers add; the shape is ``(1/tau + 1) Pa + (tau + 1) Pb`` at the
-    volume-optimal ``tau``.
-    """
-    tau = optimal_tau(ea, eb)
-    shape = (1.0 / tau + 1.0) * ea.shape + (tau + 1.0) * eb.shape
-    return Ellipsoid(ea.center + eb.center, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ellipsoid import (
-    DegenerateOperandError,
     Ellipsoid,
     InconsistentSetsError,
     _FrozenArrays,
     _Fusion,
     _set_frozen,
-    minkowski_sum_bound,
 )
 from .model import UncertainModel
 
@@ -52,7 +50,6 @@ __all__ = [
     "build_observation",
     "build_state_observation",
     "update",
-    "innovation_ellipsoid",
 ]
 
 BETA_SLACK = 1e-10
@@ -156,20 +153,3 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
         return replace(belief, last_rho=0.0, last_beta=1.0, skipped=True)
     rho, beta, posterior = fused
     return ParameterBelief(posterior, last_rho=rho, last_beta=beta, skipped=False)
-
-
-def innovation_ellipsoid(belief: ParameterBelief, obs: Observation) -> Ellipsoid:
-    """Outer bound on the innovation ``H - phi center`` (centered at zero).
-
-    ``minkowski_sum_bound`` of the propagated parameter uncertainty
-    ``E(phi P phi^T, 0)`` and the noise bound ``E(Q, 0)``. When the noise
-    shape is singular or the sum parameter has no bracket (e.g. a zero
-    regressor), it falls back to ``tau = 1``: shape ``2 (phi P phi^T + Q)``.
-    """
-    zero = np.zeros(obs.h.size)
-    spread = Ellipsoid(zero, obs.phi @ belief.shape @ obs.phi.T)
-    noise = Ellipsoid(zero, obs.q_shape)
-    try:
-        return minkowski_sum_bound(spread, noise)
-    except (DegenerateOperandError, RuntimeError):
-        return Ellipsoid(zero, 2.0 * (spread.shape + noise.shape))

@@ -158,6 +158,12 @@ class ScenarioSpec(_FrozenArrays):
             raise ValueError("x0 does not match the state dimension")
         if self.belief0.dim != self.model.p:
             raise ValueError("belief0 does not match the parameter dimension")
+        if self.bounds.m != self.model.m:
+            raise ValueError(f"bounds have {self.bounds.m} entries, "
+                             f"the model has {self.model.m} inputs")
+        if self.update_policy not in ("raise", "skip"):
+            raise ValueError(f"update_policy must be 'raise' or 'skip', "
+                             f"got {self.update_policy!r}")
         if not _is_count(self.horizon):
             raise ValueError(f"horizon must be an integer >= 1, "
                              f"got {self.horizon!r}")
@@ -275,7 +281,8 @@ def sim3_continuous():
 
     The tabulated discrete matrices in :func:`scenario` agree with one
     forward Euler step ``I + dt * Ac`` of these dynamics to machine
-    precision; an exact zero-order hold differs in the fast entries.
+    precision; an exact zero-order hold, ``expm(Ac * dt)``, differs in the
+    fast entries.
     """
     ac = np.array([[-0.038, 18.984, 0.0, -32.174],
                    [-0.001, -0.632, 1.0, 0.0],

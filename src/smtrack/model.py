@@ -26,7 +26,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
 
-__all__ = ["RegressorTable", "UncertainModel", "zoh_discretize"]
+__all__ = ["RegressorTable", "UncertainModel"]
 
 
 def _as_matrix(m, rows=None, cols=None, name="matrix"):
@@ -166,30 +166,3 @@ class UncertainModel(_FrozenArrays):
 
     def output(self, x):
         return self.c @ np.asarray(x, dtype=float).ravel()
-
-
-def zoh_discretize(a_cont, b_cont, dt: float):
-    """Zero-order-hold discretization of ``xdot = A x + B u``.
-
-    Computed through the exponential of the augmented matrix
-    ``[[A, B], [0, 0]] * dt``: the top blocks of the result are
-    ``Ad = exp(A dt)`` and ``Bd = int_0^dt exp(A tau) dtau B``.
-
-    The one package function that loads scipy, for ``scipy.linalg.expm``,
-    and only when called: the closed loop, the CLI and ``validate`` never
-    call it, so ``import smtrack`` loads numpy alone.
-    """
-    from scipy.linalg import expm
-
-    a_cont = _as_matrix(a_cont, name="a_cont")
-    n = a_cont.shape[0]
-    a_cont = _as_matrix(a_cont, n, n, "a_cont")
-    b_cont = _as_columns(b_cont, n, None, "b_cont")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    m = b_cont.shape[1]
-    aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = a_cont * dt
-    aug[:n, n:] = b_cont * dt
-    full = expm(aug)
-    return full[:n, :n], full[:n, n:]

@@ -58,9 +58,9 @@ def mc_sim2():
 def test_criterion_01_discretization_golden():
     # The tabulated sim3 plant is documented (sim3_continuous, _sim3, README)
     # as the dt = 0.1 forward-Euler discretization of the continuous aircraft
-    # model: A = I + dt Ac, B = dt Bc. zoh_discretize is checked separately
-    # against expm and a series oracle in tests/test_model.py. `smtrack
-    # validate` reads the same deviation.
+    # model: A = I + dt Ac, B = dt Bc. That an exact zero-order hold differs
+    # is checked in tests/test_model.py. `smtrack validate` reads the same
+    # deviation.
     t0 = time.perf_counter()
     dev_a, dev_b = checks.discretization_deviation()
     elapsed = time.perf_counter() - t0

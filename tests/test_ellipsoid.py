@@ -1,25 +1,20 @@
-"""Tests for the ellipsoid primitives and the two fusion rules."""
+"""Tests for the ellipsoid primitives and the intersection fusion."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from numpy.testing import assert_allclose
 
 from smtrack import checks, ellipsoid
 from smtrack.ellipsoid import (
-    DegenerateOperandError,
     Ellipsoid,
     InconsistentSetsError,
     intersection_bound,
-    minkowski_sum_bound,
     optimal_rho,
-    optimal_tau,
     _brent,
 )
-from smtrack.estimator import Observation, ParameterBelief, innovation_ellipsoid
 from smtrack.experiments import run, scenario
 
 
@@ -247,98 +242,6 @@ class TestSampling:
         assert_allclose(point.sample_interior(rng), [1.5, -2.0])
 
 
-class TestMinkowskiSum:
-    def test_equal_balls_double_the_radius(self):
-        ball = Ellipsoid(np.zeros(2), np.eye(2))
-        out = minkowski_sum_bound(ball, ball)
-        assert_allclose(optimal_tau(ball, ball), 1.0, rtol=1e-9)
-        assert_allclose(out.shape, 4.0 * np.eye(2), rtol=1e-9)
-
-    def test_scalar_hand_case(self):
-        ea = Ellipsoid([0.0], [[4.0]])
-        eb = Ellipsoid([0.0], [[1.0]])
-        assert_allclose(optimal_tau(ea, eb), 2.0, rtol=1e-9)
-        out = minkowski_sum_bound(ea, eb)
-        assert_allclose(out.shape, [[9.0]], rtol=1e-9)
-
-    def test_centers_add(self):
-        ea = Ellipsoid([1.0], [[4.0]])
-        eb = Ellipsoid([-2.0], [[1.0]])
-        assert_allclose(minkowski_sum_bound(ea, eb).center, [-1.0])
-
-    def test_scalar_law(self):
-        # In one dimension the optimum is sqrt(p/q), the bound (sqrt p + sqrt q)^2.
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            p, q = rng.uniform(0.01, 100.0, size=2)
-            ea = Ellipsoid([0.0], [[p]])
-            eb = Ellipsoid([0.0], [[q]])
-            assert_allclose(optimal_tau(ea, eb), np.sqrt(p / q), rtol=1e-8)
-            out = minkowski_sum_bound(ea, eb)
-            expect = (np.sqrt(p) + np.sqrt(q)) ** 2
-            assert_allclose(out.shape[0, 0], expect, rtol=1e-8)
-
-    def test_tau_zeroes_the_generalized_eigenvalue_defect(self):
-        # The defect built from scipy's generalized eigenvalues of (Pa, Pb),
-        # independent of the whitening optimal_tau uses.
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            n = 1 + int(rng.integers(4))
-            ea = Ellipsoid(rng.normal(size=n), checks.random_spd(rng, n))
-            eb = Ellipsoid(rng.normal(size=n), checks.random_spd(rng, n))
-            tau = optimal_tau(ea, eb)
-            lam = scipy.linalg.eigh(ea.shape, eb.shape, eigvals_only=True)
-            scale = n / (tau * (tau + 1.0))
-            defect = np.sum(1.0 / (lam + tau)) - scale
-            assert abs(defect) <= 1e-9 * scale
-
-            def log_det(t):
-                shape = (1.0 / t + 1.0) * ea.shape + (t + 1.0) * eb.shape
-                return np.linalg.slogdet(shape)[1]
-
-            for nearby in (tau * (1.0 - 1e-3), tau * (1.0 + 1e-3)):
-                assert log_det(tau) <= log_det(nearby) + 1e-12
-
-    def test_whitens_by_the_cached_decomposition(self, monkeypatch):
-        calls = []
-        cholesky = np.linalg.cholesky
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cholesky(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
-        ea = Ellipsoid([0.0, 1.0], [[3.0, 0.5], [0.5, 1.0]])
-        minkowski_sum_bound(ea, HAND_SET)
-        assert calls == []
-
-    def test_singular_second_operand_rejected(self):
-        ea = Ellipsoid([0.0], [[1.0]])
-        eb = Ellipsoid([0.0], [[0.0]])
-        with pytest.raises(DegenerateOperandError):
-            minkowski_sum_bound(ea, eb)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            optimal_tau(Ellipsoid([0.0], [[1.0]]), Ellipsoid(np.zeros(2), np.eye(2)))
-
-    def test_rank_deficient_second_operand_is_rejected(self):
-        # Pb = V V^T with V of rank n - 1 is singular; only rounding makes its
-        # smallest eigenvalue nonzero, so whether it is accepted must not
-        # depend on the sign of that rounding.
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            n = int(rng.integers(2, 5))
-            v = rng.normal(size=(n, n - 1))
-            ea = Ellipsoid(np.zeros(n), np.eye(n))
-            eb = Ellipsoid(np.zeros(n), v @ v.T)
-            with pytest.raises(DegenerateOperandError):
-                optimal_tau(ea, eb)
-            obs = Observation(np.zeros(n), np.eye(n), v @ v.T)
-            out = innovation_ellipsoid(ParameterBelief(ea), obs)
-            np.testing.assert_array_equal(out.shape, 2.0 * (np.eye(n) + obs.q_shape))
-
-
 class TestIntersectionBound:
     def test_rho_zero_returns_first_operand(self):
         other = Ellipsoid([0.0, 0.0], np.eye(2))
@@ -398,7 +301,7 @@ def refined_brackets():
     """Every ``(func, a, b)`` that ``_bracket_roots`` hands to ``_brent``.
 
     Recorded from closed-loop ``learn`` and ``active`` runs of sim1-3, the
-    randomized ``optimal_tau`` / ``optimal_rho`` suites and random pairs.
+    randomized ``optimal_rho`` suites and random pairs.
     """
     brackets, counts = [], {}
     refine = ellipsoid._brent
@@ -416,11 +319,9 @@ def refined_brackets():
         counts["closed loop"] = len(brackets)
         rng = np.random.default_rng(107)
         checks.check_fusion_containment(rng, n_pairs=60, n_samples=0)
-        checks.check_sum_containment(rng, n_pairs=60, n_samples=0)
         checks.check_optimal_rho_anchor(rng, n_pairs=60)
         for _ in range(150):
             ea, eb, _ = checks.intersecting_pair(rng, 1 + int(rng.integers(4)))
-            optimal_tau(ea, eb)
             optimal_rho(ea, eb)
         counts["suites"] = len(brackets) - counts["closed loop"]
     return brackets, counts
@@ -551,10 +452,6 @@ class TestRandomizedProperties:
     def test_fusion_containment(self):
         rng = np.random.default_rng(101)
         assert checks.check_fusion_containment(rng, n_pairs=60) == []
-
-    def test_sum_containment(self):
-        rng = np.random.default_rng(102)
-        assert checks.check_sum_containment(rng, n_pairs=60) == []
 
     def test_support_consistency(self):
         rng = np.random.default_rng(103)

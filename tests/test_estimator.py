@@ -5,16 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from smtrack import checks, estimator
-from smtrack.ellipsoid import (Ellipsoid, _Fusion, intersection_bound,
-                               minkowski_sum_bound)
+from smtrack.ellipsoid import (DegenerateOperandError, Ellipsoid, _Fusion,
+                               intersection_bound)
 from smtrack.estimator import (
     InconsistentObservationError,
     Observation,
     ParameterBelief,
     build_observation,
     build_state_observation,
-    innovation_ellipsoid,
     update,
 )
 from smtrack.experiments import scenario
@@ -169,6 +167,11 @@ class TestUpdate:
         with pytest.raises(ValueError, match="columns"):
             update(scalar_belief(0.0, 1.0), obs)
 
+    def test_indefinite_noise_shape_raises(self):
+        obs = Observation([0.0], [[1.0]], [[-1.0]])
+        with pytest.raises(DegenerateOperandError, match="not PSD"):
+            update(scalar_belief(0.0, 1.0), obs)
+
     def test_matches_generic_fusion_for_invertible_regressor(self):
         # With a square regressor the observation is itself an ellipsoid and
         # the gain-form update must agree with fusing the two sets directly.
@@ -275,63 +278,6 @@ class TestFusionKernel:
                     assert out.set.log_det > prior.log_det - 40.0
                 belief = out
                 phi = rng.normal(size=(2, 3))
-
-
-class TestInnovationEllipsoid:
-    def test_zero_regressor_doubles_the_noise_bound(self):
-        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
-        obs = Observation([0.0], [[0.0, 0.0]], [[1.05]])
-        out = innovation_ellipsoid(belief, obs)
-        assert_allclose(out.shape, [[2.1]], rtol=1e-9)
-        assert_allclose(out.center, [0.0])
-
-    def test_balanced_operands_quadruple(self):
-        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
-        obs = Observation(np.zeros(2), np.eye(2), np.eye(2))
-        out = innovation_ellipsoid(belief, obs)
-        assert_allclose(out.shape, 4.0 * np.eye(2), rtol=1e-9)
-
-    def test_is_the_minkowski_sum_bound_of_its_operands(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            belief = ParameterBelief(
-                Ellipsoid(rng.normal(size=3), checks.random_spd(rng, 3)))
-            obs = Observation(rng.normal(size=2), rng.normal(size=(2, 3)),
-                              checks.random_spd(rng, 2))
-            out = innovation_ellipsoid(belief, obs)
-            zero = np.zeros(2)
-            spread = obs.phi @ belief.shape @ obs.phi.T
-            expect = minkowski_sum_bound(Ellipsoid(zero, spread),
-                                         Ellipsoid(zero, obs.q_shape))
-            np.testing.assert_array_equal(out.center, expect.center)
-            np.testing.assert_array_equal(out.shape, expect.shape)
-
-    def test_programming_errors_propagate(self, monkeypatch):
-        # Only a singular noise shape or a missing bracket falls back to 1.
-        def broken(ea, eb):
-            raise TypeError("broken sum fusion")
-
-        monkeypatch.setattr(estimator, "minkowski_sum_bound", broken)
-        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
-        obs = Observation(np.zeros(2), np.eye(2), np.eye(2))
-        with pytest.raises(TypeError, match="broken"):
-            innovation_ellipsoid(belief, obs)
-
-    def test_contains_simulated_innovations(self):
-        spec = scenario("sim1")
-        model = spec.model
-        belief = ParameterBelief(spec.belief0)
-        rng = np.random.default_rng(123)
-        for _ in range(1000):
-            x = rng.normal(size=3)
-            u = rng.normal(size=1)
-            theta = belief.set.sample_interior(rng)
-            omega = model.disturbance_set().sample_interior(rng)
-            x_next, y_next = model.step(x, u, theta, omega)
-            obs = build_observation(model, x, u, y_next)
-            innovation = obs.h - obs.phi @ belief.center
-            bound = innovation_ellipsoid(belief, obs)
-            assert bound.contains(innovation, tol=1e-7)
 
 
 class TestClosedLoopLearning:

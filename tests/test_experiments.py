@@ -27,6 +27,7 @@ from smtrack.experiments import (
     write_report_csv,
     write_run_csv,
 )
+from smtrack.robust import ControlBounds
 
 
 def reachable_arrays(obj):
@@ -499,6 +500,32 @@ class TestConfigRoundTrip:
             scenario_from_config(cfg)
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(scenario("sim1"), **{field: value})
+
+    @pytest.mark.parametrize("value", ["bogus", "Skip", None],
+                             ids=["bogus", "capitalized", "none"])
+    def test_bad_update_policy_is_rejected_at_load(self, value):
+        message = f"update_policy must be 'raise' or 'skip', got {value!r}"
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["update_policy"] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario_from_config(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(scenario("sim1"), update_policy=value)
+        assert replace(scenario("sim1"), update_policy="raise").update_policy == "raise"
+
+    @pytest.mark.parametrize("name, width, message", [
+        ("sim1", 2, "bounds have 2 entries, the model has 1 inputs"),
+        ("sim3", 1, "bounds have 1 entries, the model has 2 inputs"),
+    ], ids=["sim1-two", "sim3-one"])
+    def test_bounds_of_the_wrong_size_are_rejected_at_load(self, name, width,
+                                                           message):
+        cfg = scenario_to_config(scenario(name))
+        cfg["u_min"], cfg["u_max"] = [-1.0] * width, [1.0] * width
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario_from_config(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(scenario(name), bounds=ControlBounds([-1.0] * width,
+                                                         [1.0] * width))
 
     def test_windows_past_the_horizon_are_kept(self):
         # A run's --steps can go past the horizon, so such a window stays.

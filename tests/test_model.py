@@ -1,4 +1,4 @@
-"""Tests for the affinely parameterized plant and the ZOH discretization."""
+"""Tests for the affinely parameterized plant and the sim3 discretization."""
 
 from dataclasses import replace
 
@@ -11,7 +11,7 @@ from smtrack.active import InfoQuadratic
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import Observation
 from smtrack.experiments import scenario, sim3_continuous
-from smtrack.model import UncertainModel, zoh_discretize
+from smtrack.model import UncertainModel
 from smtrack.robust import ControlBounds
 
 
@@ -199,49 +199,14 @@ class TestStep:
         assert_allclose(model.output([1.0, 1.0, 0.3]), [1.63])
 
 
-class TestZohDiscretize:
-    def test_zero_dynamics(self):
-        ad, bd = zoh_discretize(np.zeros((2, 2)), np.eye(2), 0.1)
-        assert_allclose(ad, np.eye(2), atol=1e-14)
-        assert_allclose(bd, 0.1 * np.eye(2), atol=1e-14)
-
-    def test_matches_truncated_series(self):
-        # Independent series evaluation of exp([[A,B],[0,0]] dt), 30 terms.
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            n, m = 3, 2
-            ac = rng.normal(scale=0.5, size=(n, n))
-            bc = rng.normal(size=(n, m))
-            dt = float(rng.uniform(0.05, 0.5))
-            aug = np.zeros((n + m, n + m))
-            aug[:n, :n] = ac * dt
-            aug[:n, n:] = bc * dt
-            term = np.eye(n + m)
-            total = np.eye(n + m)
-            for k in range(1, 30):
-                term = term @ aug / k
-                total = total + term
-            ad, bd = zoh_discretize(ac, bc, dt)
-            assert_allclose(ad, total[:n, :n], atol=1e-12)
-            assert_allclose(bd, total[:n, n:], atol=1e-12)
-
-    def test_semigroup_property(self):
-        ac, bc, _ = sim3_continuous()
-        a1, _ = zoh_discretize(ac, bc, 0.1)
-        a2, _ = zoh_discretize(ac, bc, 0.25)
-        a12, _ = zoh_discretize(ac, bc, 0.35)
-        assert_allclose(a12, a1 @ a2, atol=1e-9)
-
-    def test_state_matrix_is_exact_exponential(self):
-        ac, bc, dt = sim3_continuous()
-        ad, _ = zoh_discretize(ac, bc, dt)
-        assert_allclose(ad, expm(ac * dt), atol=1e-12)
-
-    def test_flat_input_vector(self):
-        ad, bd = zoh_discretize([[0.0]], [1.0], 0.5)
-        assert bd.shape == (1, 1)
-        assert_allclose(bd, [[0.5]])
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            zoh_discretize(np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+class TestSim3Discretization:
+    def test_exact_zero_order_hold_differs_in_the_fast_entries(self):
+        # The sim3 tables are one forward-Euler step (criterion 1). The exact
+        # zero-order hold of the same dynamics, expm(Ac dt), is not: it
+        # differs by up to 6.7e-2, in the velocity row's coupling entries.
+        ac, _, dt = sim3_continuous()
+        a0 = scenario("sim3").model.a0
+        assert_allclose(np.eye(4) + dt * ac, a0, rtol=0.0, atol=1e-12)
+        deviation = np.abs(expm(ac * dt) - a0)
+        assert 0.066 < deviation.max() < 0.067
+        assert np.argwhere(deviation > 1e-2).tolist() == [[0, 1], [0, 2]]
