@@ -23,8 +23,6 @@ from .ellipsoid import (
     DegenerateOperandError,
     Ellipsoid,
     InconsistentSetsError,
-    intersection_bound,
-    optimal_rho,
 )
 from .estimator import (
     InconsistentObservationError,
@@ -70,8 +68,6 @@ __all__ = [
     "DegenerateOperandError",
     "Ellipsoid",
     "InconsistentSetsError",
-    "intersection_bound",
-    "optimal_rho",
     "UncertainModel",
     "InconsistentObservationError",
     "Observation",

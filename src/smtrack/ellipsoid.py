@@ -8,22 +8,21 @@ semidefinite shape matrix ``P``::
 Degenerate (singular ``P``) sets are allowed; membership then additionally
 requires ``x - a`` to lie in the range of ``P``.
 
-One fusion family, ``intersection_bound``, outer-bounds the intersection
-of two ellipsoids: the measurement update of a constant parameter set,
-which has no time update. It depends on a scalar parameter whose
-volume-optimal value solves a rational root equation; ``optimal_rho``
+One fusion family outer-bounds the intersection of two ellipsoids: the
+measurement update of a constant parameter set, which has no time update.
+It depends on a scalar parameter whose volume-optimal value solves a rational root equation; ``_Fusion.fuse``
 scans it on a fixed 200-point log grid in one array expression and refines
 its sign changes by ``_bracket_roots``. That refines by ``_brent``,
 Brent's method over Python floats: a line-for-line port of scipy's
 ``brentq`` that returns the same roots, so importing the package loads no
 scipy.
 
-Intersection is one case of a single fusion kernel, which the
-set-membership estimator also uses: the prior ``E(P, c)`` fused with the
-observation set ``{x : (h - phi x)^T Q^{-1} (h - phi x) <= 1}``, where set
-intersection is ``phi = I``, ``Q = Pb``, ``h = b`` (Fogel & Huang,
+The kernel fuses the prior ``E(P, c)`` with the observation set
+``{x : (h - phi x)^T Q^{-1} (h - phi x) <= 1}`` (Fogel & Huang,
 Automatica 1982; Maksarov & Norton, IJC 1996); its member at ``rho > 0``
-is the gain-form posterior of :mod:`smtrack.estimator`. The kernel factors
+is the gain-form posterior of :mod:`smtrack.estimator`, whose ``update``
+is the kernel's one entry. Intersecting ``E(Pa, a)`` with ``E(Pb, b)`` is
+that update with ``phi = I``, ``Q = Pb``, ``h = b``. The kernel factors
 once per call: ``Q + 1e-13 (1 + tr Q) I = L L^T``, ``P = R R^T`` and one
 full SVD ``L^{-1} phi R = W diag(sigma) U^T``, with ``L^{-1} [phi R | eps]``
 (``eps = h - phi c``) from one linear solve. With ``nu = sigma^2`` and
@@ -54,8 +53,6 @@ __all__ = [
     "DegenerateOperandError",
     "InconsistentSetsError",
     "Ellipsoid",
-    "intersection_bound",
-    "optimal_rho",
 ]
 
 # Relative tolerances for the shape-matrix invariants.
@@ -216,23 +213,6 @@ class Ellipsoid(_FrozenArrays):
         q = float(coeff @ (inv_vals * coeff))
         return q <= 1.0 + tol
 
-    def support(self, eta, sense: str = "max") -> float:
-        """Extreme value of ``eta . x`` over the set.
-
-        ``sense="max"`` gives ``eta.a + sqrt(eta^T P eta)``, ``"min"`` the
-        mirrored value.
-        """
-        eta = np.asarray(eta, dtype=float)
-        if eta.size != self.dim:
-            raise ValueError(f"direction dimension {eta.size} != {self.dim}")
-        radius = float(np.sqrt(max(eta @ self.shape @ eta, 0.0)))
-        base = float(eta @ self.center)
-        if sense == "max":
-            return base + radius
-        if sense == "min":
-            return base - radius
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-
     def sample_interior(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one point uniformly (in volume) from the set.
 
@@ -347,8 +327,12 @@ def _bracket_roots(func, grid, vals):
 
 
 # ---------------------------------------------------------------------------
-# Intersection: the fusion kernel, shared with the estimator.
+# The fusion kernel, entered through ``estimator.update``.
 # ---------------------------------------------------------------------------
+
+# A candidate's ``beta`` may fall this far below zero, relative to
+# ``1 + rho``, and still be kept, clipped at zero: rounding at touching sets.
+BETA_SLACK = 1e-10
 
 
 class _Fusion:
@@ -420,11 +404,11 @@ class _Fusion:
         half = self.basis * np.sqrt(beta / den)
         return Ellipsoid(center, half @ half.T)
 
-    def fuse(self, beta_slack):
+    def fuse(self):
         """Volume-minimal member as ``(rho, beta, set)``; None when disjoint.
 
         Candidates are the defect roots and the ``rho -> infinity`` edge with
-        ``beta > -beta_slack (1 + rho)`` (then clipped at zero). Only the one
+        ``beta > -BETA_SLACK (1 + rho)`` (then clipped at zero). Only the one
         of least closed-form log det is built; it replaces the prior, the
         anchor ``(0, 1, prior)``, only if its built log det is lower.
         """
@@ -438,7 +422,7 @@ class _Fusion:
         best_rho, best_beta, best_gap = 0.0, 1.0, 0.0
         for rho in [*_bracket_roots(self.defect, _RHO_GRID, defects), RHO_BRACKET[1]]:
             beta = self.at(rho)[0]
-            if not beta > -beta_slack * (1.0 + rho):
+            if not beta > -BETA_SLACK * (1.0 + rho):
                 continue
             beta = max(beta, 0.0)
             gap = self.log_det_change(rho, beta)
@@ -450,46 +434,3 @@ class _Fusion:
                 return best_rho, best_beta, fused
         return 0.0, 1.0, self.prior
 
-
-def intersection_bound(ea: Ellipsoid, eb: Ellipsoid, rho: float):
-    """Outer bound of ``ea ∩ eb`` at fusion parameter ``rho >= 0``.
-
-    Returns ``(fused, beta)``. ``rho = 0`` returns ``ea`` unchanged with
-    ``beta = 1``; ``beta <= 0`` certifies an empty intersection and raises
-    :class:`InconsistentSetsError`. Singular shapes are allowed: a direction
-    flat in both sets stays flat in the fused set.
-    """
-    if ea.dim != eb.dim:
-        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    if rho < 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if rho == 0.0:
-        return ea, 1.0
-    fusion = _Fusion(ea, np.eye(ea.dim), eb.shape, eb.center)
-    beta = fusion.at(rho)[0]
-    if beta <= 0.0:
-        raise InconsistentSetsError(
-            f"fusion parameter {rho} certifies an empty intersection (beta={beta:.3e})"
-        )
-    return fusion.posterior(rho, beta), beta
-
-
-def optimal_rho(ea: Ellipsoid, eb: Ellipsoid) -> float:
-    """Volume-optimal intersection-fusion parameter.
-
-    Solves ``sum_i lambda_i/(1 + rho lambda_i) = n beta'(rho)/beta(rho)``
-    over a log bracket [1e-10, 1e8] (sign scan, then refinement by the
-    in-house float Brent, :func:`_brent`).
-    The roots and the bracket's upper end (the ``rho -> infinity`` limit,
-    which tends to ``eb`` and which no root marks when the volume falls
-    monotonically in ``rho``) are candidates. The one of smallest fused
-    volume is kept, and never one worse than the ``rho = 0`` anchor (which
-    preserves ``ea``). ``beta <= 0`` anywhere on the scan certifies disjoint
-    operands and raises :class:`InconsistentSetsError`.
-    """
-    if ea.dim != eb.dim:
-        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    fused = _Fusion(ea, np.eye(ea.dim), eb.shape, eb.center).fuse(0.0)
-    if fused is None:
-        raise InconsistentSetsError("operand sets are disjoint (beta <= 0 on the scan)")
-    return fused[0]

@@ -21,11 +21,13 @@ stationary point is larger). The prior (``rho = 0``) is kept only when no
 candidate is smaller; ``beta <= 0`` on the scan certifies that the prior
 and observation sets are disjoint.
 
-The fusion kernel of :mod:`smtrack.ellipsoid`, shared with
-``intersection_bound``, does the work: per update one Cholesky of ``Q``,
+The fusion kernel of :mod:`smtrack.ellipsoid`, entered only through
+:func:`update`, does the work: per update one Cholesky of ``Q``,
 one eigendecomposition of ``P`` and one SVD of ``L^{-1} phi R``. Then
 ``beta``, the defect and each member's log det are scalar rational
 functions of ``rho`` (closed forms in that module's docstring).
+Intersecting two sets ``E(Pa, a)`` and ``E(Pb, b)`` is an update of the
+belief ``E(Pa, a)`` by ``Observation(b, I, Pb)``.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ __all__ = [
     "build_state_observation",
     "update",
 ]
-
-BETA_SLACK = 1e-10
 
 
 class InconsistentObservationError(InconsistentSetsError):
@@ -144,7 +144,7 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
         raise ValueError(
             f"regressor has {obs.phi.shape[1]} columns, belief dim {prior.dim}"
         )
-    fused = _Fusion(prior, obs.phi, obs.q_shape, obs.h).fuse(BETA_SLACK)
+    fused = _Fusion(prior, obs.phi, obs.q_shape, obs.h).fuse()
     if fused is None:
         if policy == "raise":
             raise InconsistentObservationError(

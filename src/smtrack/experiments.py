@@ -161,6 +161,8 @@ class ScenarioSpec(_FrozenArrays):
         if self.bounds.m != self.model.m:
             raise ValueError(f"bounds have {self.bounds.m} entries, "
                              f"the model has {self.model.m} inputs")
+        if not self.bounds.feasible():
+            raise ValueError("bounds are empty: a lower bound exceeds its upper")
         if self.update_policy not in ("raise", "skip"):
             raise ValueError(f"update_policy must be 'raise' or 'skip', "
                              f"got {self.update_policy!r}")

@@ -77,7 +77,8 @@ class UncertainModel(_FrozenArrays):
     ``a_perturbations`` and ``b_perturbations`` are the tuples (Ai), (Bj)
     multiplying the unknown parameters; either may be empty. ``c`` maps the
     state to the tracked output and ``r_shape`` is the disturbance-bound
-    shape matrix (n x n, PSD).
+    shape matrix (n x n, PSD). The disturbance set ``E(r_shape, 0)`` is
+    built once, at construction; :meth:`disturbance_set` returns it.
     """
 
     a0: np.ndarray
@@ -88,6 +89,7 @@ class UncertainModel(_FrozenArrays):
     r_shape: np.ndarray
     state: RegressorTable = field(init=False, repr=False, compare=False)
     tracked: RegressorTable = field(init=False, repr=False, compare=False)
+    disturbance: Ellipsoid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a0 = _as_matrix(self.a0, name="a0")
@@ -109,6 +111,11 @@ class UncertainModel(_FrozenArrays):
             object.__setattr__(self, name, RegressorTable(
                 out @ a0, out @ b0, out @ a_stack, out @ b_stack,
                 out @ self.r_shape @ out.T))
+        try:
+            disturbance = Ellipsoid(np.zeros(n), self.r_shape)
+        except ValueError as exc:
+            raise ValueError(f"r_shape must be symmetric PSD: {exc}") from None
+        object.__setattr__(self, "disturbance", disturbance)
 
     @property
     def n(self) -> int:
@@ -136,7 +143,7 @@ class UncertainModel(_FrozenArrays):
         return self.r + self.s
 
     def disturbance_set(self) -> Ellipsoid:
-        return Ellipsoid(np.zeros(self.n), self.r_shape)
+        return self.disturbance
 
     def split_theta(self, theta):
         theta = np.asarray(theta, dtype=float).ravel()

@@ -58,13 +58,8 @@ class TestSimulate:
         assert code == 0
         assert "custom2" in capsys.readouterr().out
 
-    def test_aborted_run_exits_nonzero(self, tmp_path, capsys):
-        cfg = scenario_to_config(scenario("sim1"))
-        cfg["u_min"] = [1.0]
-        cfg["u_max"] = [-1.0]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        code = main(["simulate", "--config", str(path), "--steps", "4"])
+    def test_aborted_run_exits_nonzero(self, infeasible_controller, capsys):
+        code = main(["simulate", "--scenario", "sim1", "--steps", "4"])
         assert code == 1
         assert "aborted" in capsys.readouterr().out
 
@@ -324,8 +319,19 @@ class TestParser:
         (["montecarlo", "--runs", "1", "--steps", "4"],
          {"u_min": [-25.0, -25.0], "u_max": [25.0, 25.0]},
          "bounds have 2 entries, the model has 1 inputs"),
+        (["simulate"], {"u_min": [5.0], "u_max": [-5.0]},
+         "bounds are empty: a lower bound exceeds its upper"),
+        (["montecarlo", "--runs", "1", "--steps", "4"],
+         {"u_min": [5.0], "u_max": [-5.0]},
+         "bounds are empty: a lower bound exceeds its upper"),
+        (["simulate"], {"r_shape": [[0.5, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]},
+         "r_shape must be symmetric PSD"),
+        (["montecarlo", "--runs", "1", "--steps", "4"],
+         {"r_shape": [[0.5, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]},
+         "r_shape must be symmetric PSD"),
     ], ids=["simulate-policy", "montecarlo-policy", "simulate-bounds",
-            "montecarlo-bounds"])
+            "montecarlo-bounds", "simulate-empty-box", "montecarlo-empty-box",
+            "simulate-indefinite-r", "montecarlo-indefinite-r"])
     def test_config_with_a_bad_policy_or_bounds(self, argv, fields, expected,
                                                 tmp_path, capsys):
         cfg = scenario_to_config(scenario("sim1"))

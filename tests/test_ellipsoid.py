@@ -8,17 +8,18 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from smtrack import checks, ellipsoid
-from smtrack.ellipsoid import (
-    Ellipsoid,
-    InconsistentSetsError,
-    intersection_bound,
-    optimal_rho,
-    _brent,
-)
+from smtrack.ellipsoid import Ellipsoid, InconsistentSetsError, _Fusion, _brent
 from smtrack.experiments import run, scenario
 
 
 HAND_SET = Ellipsoid([0.8, 0.7], [[4.0, 1.0], [1.0, 2.0]])
+
+
+def member(ea, eb, rho):
+    """The intersection family's member at ``rho > 0``, with its ``beta``."""
+    fusion = _Fusion(ea, np.eye(ea.dim), eb.shape, eb.center)
+    beta = fusion.at(rho)[0]
+    return fusion.posterior(rho, beta), beta
 
 
 class TestConstruction:
@@ -193,36 +194,6 @@ class TestVolumeMeasures:
         assert Ellipsoid([0.0, 0.0], np.diag([1.0, 0.0])).log_det == -np.inf
 
 
-class TestSupport:
-    def test_unit_ball(self):
-        ball = Ellipsoid([0.0, 0.0], np.eye(2))
-        assert_allclose(ball.support([1.0, 0.0], "max"), 1.0)
-        assert_allclose(ball.support([1.0, 0.0], "min"), -1.0)
-
-    def test_hand_case(self):
-        assert_allclose(HAND_SET.support([1.0, 0.0], "max"), 2.8)
-        assert_allclose(HAND_SET.support([0.0, 1.0], "min"), 0.7 - np.sqrt(2.0))
-
-    def test_boundary_samples_attain_support(self):
-        rng = np.random.default_rng(11)
-        eta = np.array([1.0, 0.0])
-        hi = HAND_SET.support(eta, "max")
-        g = rng.normal(size=(20000, 2))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        boundary = HAND_SET.center + g @ HAND_SET.root.T
-        reached = (boundary @ eta).max()
-        assert reached <= hi + 1e-12
-        assert hi - reached <= 1e-3 * (1.0 + abs(hi))
-
-    def test_invalid_sense(self):
-        with pytest.raises(ValueError, match="sense"):
-            HAND_SET.support([1.0, 0.0], "sup")
-
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            HAND_SET.support([1.0], "max")
-
-
 class TestSampling:
     def test_samples_stay_inside_and_average_to_center(self):
         rng = np.random.default_rng(3)
@@ -243,24 +214,18 @@ class TestSampling:
 
 
 class TestIntersectionBound:
-    def test_rho_zero_returns_first_operand(self):
-        other = Ellipsoid([0.0, 0.0], np.eye(2))
-        fused, beta = intersection_bound(HAND_SET, other, 0.0)
-        assert fused is HAND_SET
-        assert beta == 1.0
-
     def test_scalar_hand_case(self):
         # [-2, 2] fused with [-1, 3] at rho = 1.
         ea = Ellipsoid([0.0], [[4.0]])
         eb = Ellipsoid([1.0], [[4.0]])
-        fused, beta = intersection_bound(ea, eb, 1.0)
+        fused, beta = member(ea, eb, 1.0)
         assert_allclose(beta, 1.875)
         assert_allclose(fused.center, [0.5])
         assert_allclose(fused.shape, [[3.75]])
 
     def test_self_fusion_is_identity(self):
         for rho in (0.1, 1.0, 10.0):
-            fused, _ = intersection_bound(HAND_SET, HAND_SET, rho)
+            fused, _ = member(HAND_SET, HAND_SET, rho)
             assert_allclose(fused.center, HAND_SET.center, atol=1e-12)
             assert_allclose(fused.shape, HAND_SET.shape, atol=1e-10)
 
@@ -268,27 +233,23 @@ class TestIntersectionBound:
         ea = Ellipsoid([0.0], [[1.0]])
         eb = Ellipsoid([10.0], [[1.0]])
         with pytest.raises(InconsistentSetsError):
-            intersection_bound(ea, eb, 1.0)
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError, match="rho"):
-            intersection_bound(HAND_SET, HAND_SET, -0.5)
+            checks.intersect(ea, eb)
 
     def test_shared_flat_direction_stays_flat(self):
         # Both sets are flat along the second axis: the fused set is too, and
         # an offset along that axis certifies an empty intersection.
         ea = Ellipsoid([0.0, 0.0], np.diag([4.0, 0.0]))
         eb = Ellipsoid([1.0, 0.0], np.diag([4.0, 0.0]))
-        fused, beta = intersection_bound(ea, eb, 1.0)
+        fused, beta = member(ea, eb, 1.0)
         assert_allclose(beta, 1.875)
         assert_allclose(fused.center, [0.5, 0.0], atol=1e-12)
         assert_allclose(fused.shape, np.diag([3.75, 0.0]), atol=1e-12)
         with pytest.raises(InconsistentSetsError):
-            intersection_bound(ea, Ellipsoid([1.0, 0.1], eb.shape), 1.0)
+            checks.intersect(ea, Ellipsoid([1.0, 0.1], eb.shape))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            intersection_bound(HAND_SET, Ellipsoid([0.0], [[1.0]]), 1.0)
+            checks.intersect(HAND_SET, Ellipsoid([0.0], [[1.0]]))
 
 
 def _brentq(func, xa, xb, **kwargs):
@@ -301,7 +262,7 @@ def refined_brackets():
     """Every ``(func, a, b)`` that ``_bracket_roots`` hands to ``_brent``.
 
     Recorded from closed-loop ``learn`` and ``active`` runs of sim1-3, the
-    randomized ``optimal_rho`` suites and random pairs.
+    randomized fusion suites and random pairs intersected through ``update``.
     """
     brackets, counts = [], {}
     refine = ellipsoid._brent
@@ -319,10 +280,10 @@ def refined_brackets():
         counts["closed loop"] = len(brackets)
         rng = np.random.default_rng(107)
         checks.check_fusion_containment(rng, n_pairs=60, n_samples=0)
-        checks.check_optimal_rho_anchor(rng, n_pairs=60)
+        checks.check_fusion_anchor(rng, n_pairs=60)
         for _ in range(150):
             ea, eb, _ = checks.intersecting_pair(rng, 1 + int(rng.integers(4)))
-            optimal_rho(ea, eb)
+            checks.intersect(ea, eb)
         counts["suites"] = len(brackets) - counts["closed loop"]
     return brackets, counts
 
@@ -412,11 +373,10 @@ class TestOptimalRho:
     def test_scalar_case_matches_dense_grid(self):
         ea = Ellipsoid([0.0], [[4.0]])
         eb = Ellipsoid([3.0], [[4.0]])
-        rho = optimal_rho(ea, eb)
-        fused, _ = intersection_bound(ea, eb, rho)
+        fused = checks.intersect(ea, eb).set
         grid_best = np.inf
         for r in np.geomspace(1e-6, 1e3, 4000):
-            cand, _ = intersection_bound(ea, eb, r)
+            cand, _ = member(ea, eb, r)
             grid_best = min(grid_best, cand.log_det)
         assert fused.log_det <= grid_best + 1e-6
         assert fused.log_det <= ea.log_det
@@ -425,7 +385,7 @@ class TestOptimalRho:
         ea = Ellipsoid([0.0], [[1.0]])
         eb = Ellipsoid([10.0], [[1.0]])
         with pytest.raises(InconsistentSetsError):
-            optimal_rho(ea, eb)
+            checks.intersect(ea, eb)
 
     def test_tighter_second_set_is_the_fused_set(self):
         # Fusing [-2, 2] with [-1, 1]: the fused shape 4(1+rho)/(4rho+1)
@@ -433,9 +393,9 @@ class TestOptimalRho:
         # volume-optimal choice is the bracket's upper end.
         ea = Ellipsoid([0.0], [[4.0]])
         eb = Ellipsoid([0.0], [[1.0]])
-        rho = optimal_rho(ea, eb)
-        assert rho > 0.0
-        fused, _ = intersection_bound(ea, eb, rho)
+        out = checks.intersect(ea, eb)
+        assert out.last_rho > 0.0
+        fused = out.set
         assert_allclose(fused.shape, [[1.0]], atol=1e-6)
         assert fused.log_det < ea.log_det
 
@@ -443,7 +403,7 @@ class TestOptimalRho:
         # A much larger superset cannot shrink the belief; expect the anchor 0.
         ea = Ellipsoid([0.0], [[1.0]])
         eb = Ellipsoid([0.0], [[400.0]])
-        assert optimal_rho(ea, eb) == 0.0
+        assert checks.intersect(ea, eb).last_rho == 0.0
 
 
 class TestRandomizedProperties:
@@ -453,16 +413,10 @@ class TestRandomizedProperties:
         rng = np.random.default_rng(101)
         assert checks.check_fusion_containment(rng, n_pairs=60) == []
 
-    def test_support_consistency(self):
-        rng = np.random.default_rng(103)
-        failures = checks.check_support_consistency(
-            rng, n_sets=4, n_inner=300, n_boundary=30000)
-        assert failures == []
-
     def test_identity_fusion(self):
         rng = np.random.default_rng(104)
         assert checks.check_identity_fusion(rng, n_sets=20) == []
 
-    def test_optimal_rho_anchor(self):
+    def test_fusion_anchor(self):
         rng = np.random.default_rng(105)
-        assert checks.check_optimal_rho_anchor(rng, n_pairs=60) == []
+        assert checks.check_fusion_anchor(rng, n_pairs=60) == []

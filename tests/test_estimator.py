@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from smtrack.ellipsoid import (DegenerateOperandError, Ellipsoid, _Fusion,
-                               intersection_bound)
+from smtrack.ellipsoid import DegenerateOperandError, Ellipsoid, _Fusion
 from smtrack.estimator import (
     InconsistentObservationError,
     Observation,
@@ -190,7 +189,9 @@ class TestUpdate:
             informative += 1
             phi_inv = np.linalg.inv(phi)
             obs_set = Ellipsoid(phi_inv @ h, phi_inv @ q @ phi_inv.T)
-            fused, beta = intersection_bound(prior, obs_set, out.last_rho)
+            fusion = _Fusion(prior, np.eye(2), obs_set.shape, obs_set.center)
+            beta = fusion.at(out.last_rho)[0]
+            fused = fusion.posterior(out.last_rho, beta)
             assert_allclose(out.center, fused.center, atol=1e-8)
             assert_allclose(out.shape, fused.shape, atol=1e-8)
             assert_allclose(out.last_beta, beta, atol=1e-8)

@@ -212,20 +212,15 @@ class TestRun:
         direct = np.abs(record.y - record.y_ref).sum(axis=1)
         assert_allclose(record.abs_err, direct, atol=1e-12)
 
-    def test_infeasible_scenario_reports_an_abort(self):
-        cfg = scenario_to_config(scenario("sim1"))
-        cfg["u_min"] = [1.0]
-        cfg["u_max"] = [-1.0]
-        record = run(scenario_from_config(cfg), "learn", 0, steps=5)
+    def test_infeasible_scenario_reports_an_abort(self, infeasible_controller):
+        record = run(scenario("sim1"), "learn", 0, steps=5)
         assert record.aborted
         assert record.steps == 0
         assert "step 1" in record.diagnostic
 
-    def test_step_one_abort_keeps_empty_arrays_of_the_right_shape(self):
-        cfg = scenario_to_config(scenario("sim3"))
-        cfg["u_min"] = [1.0, 1.0]
-        cfg["u_max"] = [-1.0, -1.0]
-        record = run(scenario_from_config(cfg), "active", 0, steps=5)
+    def test_step_one_abort_keeps_empty_arrays_of_the_right_shape(
+            self, infeasible_controller):
+        record = run(scenario("sim3"), "active", 0, steps=5)
         assert record.aborted
         assert record.diagnostic.startswith("step 1:")
         expected = {"k": (0,), "x": (0, 4), "u": (0, 2), "y": (0, 2),
@@ -353,12 +348,8 @@ class TestMonteCarlo:
                              n_runs=1, t_windows=(2,), steps=4)
         assert report.ratios == {}
 
-    def test_aborted_runs_are_excluded_and_flagged(self):
-        cfg = scenario_to_config(scenario("sim1"))
-        cfg["u_min"] = [1.0]
-        cfg["u_max"] = [-1.0]
-        spec = scenario_from_config(cfg)
-        report = monte_carlo(spec, modes=("fixed",), n_runs=2,
+    def test_aborted_runs_are_excluded_and_flagged(self, infeasible_controller):
+        report = monte_carlo(scenario("sim1"), modes=("fixed",), n_runs=2,
                              t_windows=(2,), steps=4)
         assert report.excluded["fixed"] == 2
         assert report.exclusion_flagged
@@ -526,6 +517,25 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(scenario(name), bounds=ControlBounds([-1.0] * width,
                                                          [1.0] * width))
+
+    def test_an_empty_input_box_is_rejected_at_load(self):
+        message = "bounds are empty: a lower bound exceeds its upper"
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["u_min"], cfg["u_max"] = [5.0], [-5.0]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario_from_config(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(scenario("sim1"), bounds=ControlBounds([5.0], [-5.0]))
+        # A box of one point is not empty.
+        assert replace(scenario("sim1"), bounds=ControlBounds([5.0], [5.0]))
+
+    def test_an_indefinite_disturbance_shape_is_rejected_at_load(self):
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg["r_shape"] = np.diag([0.5, -0.5, 0.5]).tolist()
+        with pytest.raises(ValueError, match="r_shape must be symmetric PSD"):
+            scenario_from_config(cfg)
+        with pytest.raises(ValueError, match="r_shape must be symmetric PSD"):
+            replace(scenario("sim1").model, r_shape=np.diag([0.5, -0.5, 0.5]))
 
     def test_windows_past_the_horizon_are_kept(self):
         # A run's --steps can go past the horizon, so such a window stays.

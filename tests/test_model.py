@@ -84,6 +84,17 @@ class TestConstruction:
         assert_allclose(dset.center, np.zeros(2))
         assert_allclose(dset.shape, 0.01 * np.eye(2))
 
+    def test_disturbance_set_is_built_once(self):
+        model = two_state_model()
+        assert model.disturbance_set() is model.disturbance_set()
+
+    def test_indefinite_disturbance_shape_rejected(self):
+        with pytest.raises(ValueError, match="r_shape must be symmetric PSD"):
+            UncertainModel(
+                a0=np.eye(2), a_perturbations=(),
+                b0=np.ones((2, 1)), b_perturbations=(),
+                c=np.ones((1, 2)), r_shape=np.diag([0.5, -0.5]))
+
 
 every_frozen_class = pytest.mark.parametrize("build", [
     lambda v, mat: Ellipsoid(v, mat),
