@@ -84,6 +84,19 @@ twelve per size) a solve took about a quarter of the dense solve's time at
 (l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
 (4, 4, 8), and four times as long at (8, 6, 12).
 
+A program with one free input after pinning (``nf == 1``: sim1 and sim2,
+or a two-input box with one side pinned) runs the scalar kernel
+(:class:`_ScalarBarrier`). Its Schur complement is 1 x 1, so the factor
+lists, the ``L D L^T`` updates and the back-solve of the general kernel
+reduce to float arithmetic: each update is ``dia += alpha * v ** 2`` and
+the back-solve ``rhs / dia``. It is the ``nf = 1`` case of the general
+kernel's arithmetic, operation for operation, so it gives the same iterates
+to the bit; the probe, the stage schedule, the centering and every
+tolerance are shared. It is not an exact one-input solver (such a solver
+would bypass the schedule): it runs the same barrier method, only without
+the lists. Every other program, sim3 included, runs the general kernel,
+which the tests hold the scalar one to.
+
 That factorization, like nearly everything else a program is built from,
 depends on the step only through ``f`` and the state block ``gx``, which
 the program sees through fixed linear maps. So a program is split in two
@@ -169,9 +182,6 @@ class ControlBounds(_FrozenArrays):
     def feasible(self) -> bool:
         return bool(np.all(self.lower <= self.upper))
 
-    def clip(self, u):
-        return np.clip(u, self.lower, self.upper)
-
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float)
         span = 1.0 + np.maximum(np.abs(self.lower), np.abs(self.upper))
@@ -226,23 +236,24 @@ def build_instance(model: UncertainModel, x, y_ref_next) -> TrackingInstance:
         raise ValueError(f"state has {x.size} entries, expected {model.n}")
     if y_ref.size != model.l:
         raise ValueError(f"reference has {y_ref.size} entries, expected {model.l}")
+    # A NaN cone passes every interior test of the barrier, which would then
+    # run out its iterations and return NaN; reject it here instead.
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"state is not finite: {x.tolist()}")
+    if not all(map(math.isfinite, y_ref.tolist())):
+        raise ValueError(f"reference is not finite: {y_ref.tolist()}")
     t = model.tracked
     return TrackingInstance(f=t.a0 @ x - y_ref, b0=t.b0, gx=t.state_block(x),
                             b_stack=t.b_stack, q_shape=t.q)
 
 
-def _error_terms(instance: TrackingInstance, belief: ParameterBelief, u):
-    """Per-output (mid, radius) of the worst-case error at input ``u``."""
+def worst_case_interval(instance: TrackingInstance, belief: ParameterBelief, u):
+    """Guaranteed per-output error interval ``[lo, hi]`` at input ``u``."""
     g = instance.regressor(u)
     mid = instance.f + instance.b0 @ np.atleast_1d(u) + g @ belief.center
     rad_p = np.sqrt(np.clip(np.einsum("ti,ij,tj->t", g, belief.shape, g), 0.0, None))
     rad_q = np.sqrt(np.clip(np.diag(instance.q_shape), 0.0, None))
-    return mid, rad_p + rad_q
-
-
-def worst_case_interval(instance: TrackingInstance, belief: ParameterBelief, u):
-    """Guaranteed per-output error interval ``[lo, hi]`` at input ``u``."""
-    mid, rad = _error_terms(instance, belief, u)
+    rad = rad_p + rad_q
     return mid - rad, mid + rad
 
 
@@ -251,9 +262,10 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
     """Minimize the summed worst-case error bounds over the input box.
 
     Returns the input, the per-output certified bounds ``z`` (recomputed at
-    the returned point, so ``max(|lo|, |hi|) = z`` holds exactly), their
-    sum, a status string, the Newton iteration count and whether the warm
-    probe was accepted.
+    the returned point from the program's rows, so ``max(|lo|, |hi|) = z``
+    holds to rounding for :func:`worst_case_interval`'s ``lo`` and ``hi``),
+    their sum, a status string, the Newton iteration count and whether the
+    warm probe was accepted.
     """
     if bounds.m != instance.m:
         raise ValueError(f"bounds dimension {bounds.m} != inputs {instance.m}")
@@ -262,11 +274,8 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
         return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
                               np.nan, "infeasible", 0)
 
-    u, iters, status, warm = _barrier_solve(instance, belief, bounds)
-    u = bounds.clip(u)
-    mid, rad = _error_terms(instance, belief, u)
-    z = np.abs(mid) + rad
-    return RobustSolution(u, z, float(np.sum(z)), status, iters, warm)
+    u, z, iters, status, warm = _barrier_solve(instance, belief, bounds)
+    return RobustSolution(u, np.array(z), sum(z), status, iters, warm)
 
 
 @lru_cache(maxsize=8)
@@ -319,6 +328,9 @@ class _Geometry:
         l, m = instance.l, instance.m
         r = instance.gx.shape[1]
         th, sroot = ellipsoid.center, ellipsoid.root
+        if th.size != instance.p:
+            raise ValueError(f"belief has {th.size} parameters, "
+                             f"the program {instance.p}")
         ws = instance.b_stack.reshape(-1, l * m)
         midu = instance.b0 + (th[r:] @ ws).reshape(l, m)
         wm = (sroot[:, r:] @ ws).reshape(th.size, l, m).transpose(1, 0, 2)
@@ -330,7 +342,9 @@ class _Geometry:
         u_fix = np.zeros(m)
         mid_pin, w_pin = np.zeros(l), np.zeros((l, th.size))
         if pinned.any():
-            u_fix[pinned] = 0.5 * (lo[pinned] + hi[pinned])
+            # Clamped, as u_cold below: the midpoint may overflow.
+            u_fix[pinned] = np.clip(0.5 * (lo[pinned] + hi[pinned]),
+                                    lo[pinned], hi[pinned])
             mid_pin = midu[:, pinned] @ u_fix[pinned]
             w_pin = wm[:, :, pinned] @ u_fix[pinned]
             midu, wm = midu[:, free], wm[:, :, free]
@@ -355,6 +369,12 @@ class _Geometry:
             rt = [ri for ri in rt if any(ri)]
             self.outputs.append((mp, a, rt, q, kept, other))
             cols.append([[ri[j] for ri in rt] for j in range(nf)])
+        if nf == 1:
+            # One input keeps at most one row of R_t, the first.
+            self.scalar_outputs = [
+                (mp, a[0], rt[0][0] if rt else 0.0, q,
+                 kept[0] if kept else (0.0, []), other)
+                for mp, a, rt, q, kept, other in self.outputs]
 
         box_lo = [(i, b) for i, b in enumerate(lo.tolist()) if math.isfinite(b)]
         box_hi = [(i, b) for i, b in enumerate(hi.tolist()) if math.isfinite(b)]
@@ -365,7 +385,9 @@ class _Geometry:
             inset = 1e-12 + min(b_hi - b_lo, 1.0) / WARM_T_START
             probe_box.append((b_lo + inset, b_hi - inset))
             if math.isfinite(b_lo) and math.isfinite(b_hi):
-                u_cold.append(0.5 * (b_lo + b_hi))
+                # Clamped, as the midpoint of a box near the float range
+                # overflows; every iterate after it is strictly inside.
+                u_cold.append(min(max(0.5 * (b_lo + b_hi), b_lo), b_hi))
             elif math.isfinite(b_lo):
                 u_cold.append(b_lo + 1.0)
             elif math.isfinite(b_hi):
@@ -411,6 +433,25 @@ class _Geometry:
             rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, rho, q))
         return rows
 
+    def scalar_rows(self, f, gx):
+        """:meth:`rows` of a one-input program, every entry a float.
+
+        ``R_t`` has at most one row then, and one entry: an output whose
+        ``R_t`` keeps no row gets ``c_t = R_t = 0``, whose terms in the
+        scalar kernel add exact zeros.
+        """
+        th = self.th_r
+        rows = []
+        for ft, g, (mp, a, rt, q, (b, row), other) in zip(
+                f.tolist(), gx.tolist(), self.scalar_outputs):
+            rho = 0.0
+            for bo, ro in other:
+                v = bo + sum(map(mul, ro, g))
+                rho += v * v
+            rows.append((ft + sum(map(mul, th, g)) + mp, a,
+                         b + sum(map(mul, row, g)), rt, rho, q))
+        return rows
+
 
 # The geometry of the last program built, as one (key, geometry) pair that
 # is replaced whole. The key holds the belief's ellipsoid and the box, both
@@ -436,6 +477,18 @@ def _geometry(instance, belief, bounds):
     return geometry
 
 
+def _program(instance, belief, bounds):
+    """The barrier of a program: :class:`_ScalarBarrier` if one input is free.
+
+    Both kernels run the same method on the same schedule and give the
+    same iterates; the scalar one only skips the list arithmetic of a 1 x 1
+    Schur complement. Every other program runs :class:`_Barrier`.
+    """
+    geometry = _geometry(instance, belief, bounds)
+    kernel = _ScalarBarrier if geometry.shared["nf"] == 1 else _Barrier
+    return kernel(geometry, instance)
+
+
 class _Barrier:
     """Log-barrier data of one tracking program, over its free inputs.
 
@@ -448,8 +501,7 @@ class _Barrier:
     accepted it to the next one.
     """
 
-    def __init__(self, instance, belief, bounds):
-        geometry = _geometry(instance, belief, bounds)
+    def __init__(self, geometry, instance):
         vars(self).update(geometry.shared)
         self._rows = geometry.rows(instance.f, instance.gx)
 
@@ -614,11 +666,7 @@ class _Barrier:
         """
         rhs = [0.0] * self.nf
         found = []
-        for factor, terms in zip(
-                self._factors,
-                ([(m0, a) for m0, a, *_ in self._rows],
-                 [(ci, ri) for _, _, c, rt, _, _ in self._rows
-                  for ci, ri in zip(c, rt)])):
+        for factor, terms in zip(self._factors, self._normal_terms()):
             for b, row in terms:
                 for i, ri in enumerate(row):
                     rhs[i] -= b * ri
@@ -627,6 +675,13 @@ class _Barrier:
                 if all(map(math.isfinite, u)):
                     found.append(u)
         return found
+
+    def _normal_terms(self):
+        """The ``(b, row)`` terms of :meth:`least_squares_inputs`: per
+        output ``(mid0_t, a_t)``, then every ``(c_ti, R_t row i)``."""
+        return ([(m0, a) for m0, a, *_ in self._rows],
+                [(ci, ri) for _, _, c, rt, _, _ in self._rows
+                 for ci, ri in zip(c, rt)])
 
     def advance(self, u, z, cones, du, dz, alpha):
         """First interior ``(u, z) + 2^-j alpha (du, dz)``, ``j < 40``.
@@ -678,6 +733,128 @@ class _Barrier:
         dz = [d / BARRIER_GROWTH for d in dz]
         u, z, cones, _ = self.advance(u, z, cones, du, dz, 1.0)
         return u, z, cones
+
+
+class _ScalarBarrier(_Barrier):
+    """:class:`_Barrier` of a program with one free input, over floats.
+
+    The ``nf = 1`` case of :class:`_Barrier`'s arithmetic, operation for
+    operation, so the iterates are the same to the bit: a row is
+    ``(mid0_t, a_t, c_t, R_t, rho_t, q_t)`` of floats
+    (:meth:`_Geometry.scalar_rows`), the gradient ``gu`` and the pivot
+    ``dia`` are floats, every ``_ldl_update`` is ``dia += alpha * v ** 2``
+    and the back-solve is ``rhs / dia``. Points stay lists, so
+    :meth:`~_Barrier.center`, :meth:`~_Barrier.advance`,
+    :meth:`~_Barrier.predict` and the least-squares inputs are shared.
+    """
+
+    def __init__(self, geometry, instance):
+        vars(self).update(geometry.shared)
+        self._rows = geometry.scalar_rows(instance.f, instance.gx)
+
+    def evaluate(self, u, z):
+        """:meth:`_Barrier.evaluate`; each cone's ``y`` is a float."""
+        (x,) = u
+        for _, b in self._lo:
+            if x <= b:
+                return None
+        for _, b in self._hi:
+            if x >= b:
+                return None
+        cones = []
+        for zt, (m0, a, c, rt, rho, q) in zip(z, self._rows):
+            mid = m0 + a * x
+            y = c + rt * x
+            wn2 = y * y + rho
+            sp = zt - mid - q
+            sm = zt + mid - q
+            if sp <= 0.0 or sm <= 0.0:
+                return None
+            pp = sp * sp - wn2
+            pm = sm * sm - wn2
+            if pp <= 0.0 or pm <= 0.0:
+                return None
+            cones.append((sp, sm, pp, pm, y, wn2))
+        return cones
+
+    def assemble(self, cones, u):
+        """:meth:`_Barrier.assemble`, with ``gu``, ``dia`` and each ``k`` floats.
+
+        Returns ``(gu, dia, cpm, hz, kz)``.
+        """
+        (x,) = u
+        gu = dia = 0.0
+        for _, b in self._lo:
+            s = 1.0 / (x - b)
+            gu -= s
+            dia += s * s
+        for _, b in self._hi:
+            s = 1.0 / (b - x)
+            gu += s
+            dia += s * s
+        cpm, hz, kz = [], [], []
+        for (sp, sm, pp, pm, y, wn2), (_, a, _, rt, rho, _) in zip(
+                cones, self._rows):
+            jw = rt * y                                     # Wm^T w
+            ip, im = 1.0 / pp, 1.0 / pm
+            r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
+            cp, cm = 2.0 * sp * ip, 2.0 * sm * im
+            c2 = 2.0 * (ip + im)
+            ka = 2.0 * (r2m * im * im - r2p * ip * ip)
+            kj = 4.0 * (sp * ip * ip + sm * im * im)
+            gu += (cp - cm) * a + c2 * jw
+            cpm.append((cp, cm))
+            hz.append(2.0 * (r2p * ip * ip + r2m * im * im))
+            kz.append(ka * a - kj * jw)
+
+            den = r2p * pm * pm + r2m * pp * pp
+            r = math.sqrt(wn2)
+            ep, em = pp / (sp + r), pm / (sm + r)
+            kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
+            dia += 8.0 * r2p * r2m / den * (a + kappa * jw) ** 2
+            root = math.sqrt(c2)
+            if r > 0.0:
+                delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
+                lam = (c2 * rho + delta * (wn2 - rho)) / wn2
+                gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
+                dia += (root * rt + gamma * y * jw) ** 2
+            else:
+                dia += c2 * rt ** 2
+        return gu, dia, cpm, hz, kz
+
+    @staticmethod
+    def newton_step(system, t_b):
+        """:meth:`_Barrier.newton_step` of an :meth:`assemble` system."""
+        gu, dia, cpm, hz, kz = system
+        gz = [t_b - cp - cm for cp, cm in cpm]
+        rhs = -gu
+        for gzt, hzz, k in zip(gz, hz, kz):
+            rhs += k * (gzt / hzz)
+        if dia == 0.0:
+            scale = -1.0 / (1.0 + math.sqrt(gu * gu + sum(map(mul, gz, gz))))
+            du = scale * gu
+            dz = [scale * x for x in gz]
+            return [du], dz, -(gu * du + sum(map(mul, gz, dz)))
+        du = rhs / dia
+        dz = [-(gzt + k * du) / hzz for gzt, hzz, k in zip(gz, hz, kz)]
+        decrement = rhs * du
+        for gzt, hzz in zip(gz, hz):
+            decrement += gzt * gzt / hzz
+        return [du], dz, decrement
+
+    def padded_z(self, u, pad):
+        """:meth:`_Barrier.padded_z` over the float rows."""
+        (x,) = u
+        z = []
+        for m0, a, c, rt, rho, q in self._rows:
+            y = c + rt * x
+            z.append(abs(m0 + a * x) + math.sqrt(y * y + rho) + q + pad)
+        return z
+
+    def _normal_terms(self):
+        """:meth:`_Barrier._normal_terms`; ``R_t = 0`` is a row it lacks."""
+        return ([(m0, (a,)) for m0, a, *_ in self._rows],
+                [(c, (rt,)) for _, _, c, rt, _, _ in self._rows if rt])
 
 
 def _ldl_update(low, dia, alpha, v):
@@ -745,9 +922,9 @@ def _probe_start(prog):
 
 
 def _barrier_solve(instance, belief, bounds):
-    prog = _Barrier(instance, belief, bounds)
+    prog = _program(instance, belief, bounds)
     if prog.nf == 0:
-        return prog.u_fix.copy(), 0, "optimal", False
+        return prog.u_fix.copy(), prog.padded_z([], 0.0), 0, "optimal", False
     l = prog.l
 
     def stage_schedule(t_start):
@@ -801,4 +978,4 @@ def _barrier_solve(instance, belief, bounds):
 
     u_full = prog.u_fix.copy()
     u_full[prog.free] = u
-    return u_full, total_iters, status, warm_ok
+    return u_full, prog.padded_z(u, 0.0), total_iters, status, warm_ok

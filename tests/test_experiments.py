@@ -27,6 +27,7 @@ from smtrack.experiments import (
     write_report_csv,
     write_run_csv,
 )
+from smtrack.model import UncertainModel
 from smtrack.robust import ControlBounds
 
 
@@ -254,6 +255,27 @@ class TestRun:
         whole = run(scenario("sim3"), "learn", 0, steps=2)
         assert np.array_equal(record.belief_shapes, whole.belief_shapes)
         assert np.array_equal(record.u, whole.u)
+
+    def test_a_non_finite_state_aborts_the_run(self, monkeypatch):
+        # A plant whose third transition returns NaN: the next step's
+        # program is rejected before the solve, and the run keeps the three
+        # completed steps.
+        step = UncertainModel.step
+        calls = []
+
+        def nan_third_step(self, *args):
+            calls.append(1)
+            x_next, y_next = step(self, *args)
+            if len(calls) == 3:
+                x_next = np.full_like(x_next, np.nan)
+            return x_next, y_next
+
+        monkeypatch.setattr(UncertainModel, "step", nan_third_step)
+        record = run(scenario("sim2"), "fixed", 0, steps=10)
+        assert record.aborted
+        assert record.diagnostic.startswith(
+            "step 4: ValueError: state is not finite")
+        assert record.steps == 3
 
     def test_belief_columns_agree_with_the_kept_shapes(self):
         record = run(scenario("sim1"), "learn", 0)

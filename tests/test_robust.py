@@ -59,6 +59,20 @@ def recorded_solves(name, mode, seeds):
     return solves
 
 
+def general_kernel(instance, belief, bounds):
+    """The program on the general kernel, whichever one it selects."""
+    return robust._Barrier(robust._geometry(instance, belief, bounds), instance)
+
+
+def row_values(row, u):
+    """``(mid_t, |w_t|^2)`` of a program row at free inputs ``u``; the row
+    may be a general kernel's lists or the scalar kernel's floats."""
+    m0, a, c, rt, rho, _ = row
+    u = np.asarray(u, dtype=float)
+    y = np.ravel(c) + np.reshape(rt, (-1, u.size)) @ u
+    return m0 + np.ravel(a) @ u, y @ y + rho
+
+
 def noise_free_scalar():
     """One-state noise-free plant with a single uncertain input direction."""
     instance = TrackingInstance(
@@ -136,6 +150,14 @@ class TestBuildInstance:
             build_instance(model, np.zeros(2), 0.0)
         with pytest.raises(ValueError, match="reference"):
             build_instance(model, np.zeros(3), [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_or_reference_is_rejected(self, bad):
+        model = scenario("sim1").model
+        with pytest.raises(ValueError, match="state is not finite"):
+            build_instance(model, [1.0, bad, 0.0], 0.0)
+        with pytest.raises(ValueError, match="reference is not finite"):
+            build_instance(model, np.zeros(3), bad)
 
     def test_regressor_matches_the_tracked_observation(self):
         # The controller and the estimator read one regressor table.
@@ -334,16 +356,17 @@ class TestSolveRobust:
                 build_instance(spec.model, x, spec.reference.value(k)),
                 b0=b0.copy(), b_stack=b_stack.copy())
             # The program over the free input has the cone data of the full
-            # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t.
-            prog = robust._Barrier(instance, belief, bounds)
-            for u0 in (lo, 0.3, hi):
-                mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
-                for (m0, a, c, rt, rho, _), mid_t, w2_t in zip(prog._rows,
-                                                               mid, w2):
-                    y = [ci + ri[0] * u0 for ci, ri in zip(c, rt)]
-                    assert_allclose(m0 + a[0] * u0, mid_t, rtol=1e-12)
-                    assert_allclose(sum(yi * yi for yi in y) + rho, w2_t,
-                                    rtol=1e-12)
+            # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t, in the rows of the
+            # scalar kernel it selects and of the general one.
+            prog = robust._program(instance, belief, bounds)
+            assert type(prog) is robust._ScalarBarrier
+            for prog in (prog, general_kernel(instance, belief, bounds)):
+                for u0 in (lo, 0.3, hi):
+                    mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
+                    for row, mid_t, w2_t in zip(prog._rows, mid, w2):
+                        row_mid, row_w2 = row_values(row, [u0])
+                        assert_allclose(row_mid, mid_t, rtol=1e-12)
+                        assert_allclose(row_w2, w2_t, rtol=1e-12)
             sol = solve_robust(instance, belief, bounds)
             assert sol.status == "optimal"
             assert sol.u[1] == pin
@@ -361,6 +384,41 @@ class TestSolveRobust:
             assert abs(sol.objective - best) <= 1e-6
             x, _ = spec.model.step(x, sol.u, spec.theta_true,
                                    np.zeros(spec.model.n))
+
+    @staticmethod
+    def assert_z_is_the_interval_bound(instance, belief, sol):
+        lo, hi = worst_case_interval(instance, belief, sol.u)
+        bound = np.maximum(np.abs(lo), np.abs(hi))
+        assert np.all(np.abs(sol.z - bound) <= 1e-12 * (1.0 + bound))
+        assert sol.objective == sum(sol.z.tolist())
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim1", "learn"), ("sim2", "known_theta"), ("sim3", "active")])
+    def test_z_is_the_worst_case_bound_at_the_returned_input(self, name, mode):
+        # z is read from the program's own rows at the returned input; the
+        # numpy interval is the public reference.
+        for instance, belief, _, sol in recorded_solves(name, mode, [0]):
+            self.assert_z_is_the_interval_bound(instance, belief, sol)
+
+    def test_z_of_a_partly_pinned_box_is_the_worst_case_bound(self):
+        # sim3 with its second input pinned runs the scalar kernel; the
+        # fully pinned box is test_pinned_input_is_returned_verbatim.
+        spec, instance, belief = sim3_case()
+        sol = solve_robust(instance, belief,
+                           ControlBounds([-100.0, 2.0], [100.0, 2.0]))
+        assert sol.u[1] == 2.0
+        self.assert_z_is_the_interval_bound(instance, belief, sol)
+
+    def test_a_belief_of_the_wrong_dimension_is_rejected(self):
+        spec = scenario("sim2")
+        instance = build_instance(spec.model, spec.x0, spec.reference.value(2))
+        theta = [0.1, 0.2]
+        message = "belief has 2 parameters, the program 3"
+        with pytest.raises(ValueError, match=message):
+            solve_robust(instance, ParameterBelief(Ellipsoid(theta, np.eye(2))),
+                         spec.bounds)
+        with pytest.raises(ValueError, match=message):
+            solve_known_theta(instance, theta, spec.bounds)
 
     def test_parameter_free_instance(self):
         instance, _ = noise_free_scalar()
@@ -409,6 +467,15 @@ class TestSolveRobust:
         assert sol.status == "max_iter"
         assert_allclose(sol.u, [1e17])
 
+    def test_a_box_at_the_float_range_returns_an_input_inside_it(self):
+        # The midpoint 0.5 (lo + hi) of these boxes overflows to inf, so the
+        # cold start is clamped back into the box; no stage can leave it.
+        _, instance, belief = sim1_case()
+        for lo, hi in ((1e308, 1.7e308), (-1.7e308, -1e308)):
+            sol = solve_robust(instance, belief, ControlBounds([lo], [hi]))
+            assert sol.status == "max_iter"
+            assert lo <= sol.u[0] <= hi
+
     def test_warm_started_reports_the_accepted_probe(self, monkeypatch):
         # The probe starts from the program's own least-squares inputs.
         spec, instance, belief = sim3_case()
@@ -444,7 +511,7 @@ class TestProbeStart:
             slope = instance.b0 + np.einsum("j,jtm->tm", theta[r:],
                                             instance.b_stack)
             ce = np.linalg.solve(slope, -(instance.f + instance.gx @ theta[:r]))
-            prog = robust._Barrier(instance, belief, bounds)
+            prog = robust._program(instance, belief, bounds)
             (candidate,) = prog.least_squares_inputs()
             assert_allclose(candidate, ce, rtol=1e-12)
             if np.all((bounds.lower < ce) & (ce < bounds.upper)):
@@ -458,7 +525,7 @@ class TestProbeStart:
         # equations have a zero pivot and there is nothing to probe from.
         instance, belief, floor = flat_direction_case()
         bounds = ControlBounds([-2.0, -2.0], [2.0, 2.0])
-        assert robust._Barrier(instance, belief, bounds).least_squares_inputs() == []
+        assert robust._program(instance, belief, bounds).least_squares_inputs() == []
         sol = solve_robust(instance, belief, bounds)
         assert not sol.warm_started
         assert sol.status == "optimal"
@@ -477,7 +544,7 @@ class TestProbeStart:
                 f=np.array([-1.0]), b0=np.array([[sign * 1e-160]]),
                 gx=np.zeros((1, 0)), b_stack=np.array([[[1.0]]]),
                 q_shape=np.array([[0.01]]))
-            prog = robust._Barrier(instance, belief, bounds)
+            prog = robust._program(instance, belief, bounds)
             huge, _ = prog.least_squares_inputs()
             assert sign * huge[0] >= 1e159
             assert sum(prog.padded_z(huge, 0.0)) == np.inf
@@ -545,12 +612,32 @@ class TestExactOneInputOracle:
 
 
 class TestBarrierKernel:
-    """The solver's Newton step against the dense barrier of ``oracles``."""
+    """The solver's Newton step against the dense barrier of ``oracles``.
+
+    The tests run the kernel that :func:`robust._program` selects: the
+    scalar one for a single free input, the general one otherwise.
+    """
+
+    KERNELS = {robust._Barrier, robust._ScalarBarrier}
 
     @staticmethod
-    def interior_points(rng, n_cases=20):
-        for _ in range(n_cases):
-            instance, belief, bounds = oracles.random_tracking_case(rng)
+    def programs(rng, n_cases, n_pinned=0, m=None):
+        """``n_cases`` random programs with ``m`` inputs (one or two if
+        None) and one or two outputs, then ``n_pinned`` with two inputs, one
+        of them pinned at a point of its box."""
+        for k in range(n_cases + n_pinned):
+            if k < n_cases:
+                yield oracles.random_tracking_case(rng, m=m)
+                continue
+            instance, belief, bounds = oracles.random_tracking_case(rng, m=2)
+            lo, hi = bounds.lower.copy(), bounds.upper.copy()
+            j = int(rng.integers(2))
+            lo[j] = hi[j] = rng.uniform(lo[j], hi[j])
+            yield instance, belief, ControlBounds(lo, hi)
+
+    @classmethod
+    def interior_points(cls, rng, n_cases=20, n_pinned=0):
+        for instance, belief, bounds in cls.programs(rng, n_cases, n_pinned):
             lo, hi = bounds.lower, bounds.upper
             u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size)
             mid, rho, q = oracles.cone_terms(instance, belief, u)
@@ -580,31 +667,55 @@ class TestBarrierKernel:
                 assert_allclose((gp - gm) / (2 * h), hess[:, i],
                                 rtol=1e-5, atol=1e-5)
 
+    @staticmethod
+    def dense(prog, instance, belief, bounds, u, z, t_b):
+        """The dense gradient and Hessian over ``prog``'s free inputs and
+        ``z``, at the full input ``u``: a pinned input keeps its value and
+        has no box term."""
+        free = prog.free
+        open_box = ControlBounds(np.where(free, bounds.lower, -np.inf),
+                                 np.where(free, bounds.upper, np.inf))
+        _, grad, hess = oracles.robust_barrier(instance, belief, open_box,
+                                               u, np.asarray(z), t_b)
+        keep = np.concatenate([free, np.ones(len(z), dtype=bool)])
+        return grad[keep], hess[np.ix_(keep, keep)]
+
+    @staticmethod
+    def full_input(prog, u):
+        u_full = prog.u_fix.copy()
+        u_full[prog.free] = u
+        return u_full
+
     def test_newton_step_matches_dense_reference(self):
         rng = np.random.default_rng(12)
-        for instance, belief, bounds, u, z in self.interior_points(rng):
-            prog = robust._Barrier(instance, belief, bounds)
-            cones = prog.evaluate(u.tolist(), z.tolist())
+        kernels = set()
+        for instance, belief, bounds, u, z in self.interior_points(rng,
+                                                                   n_pinned=10):
+            prog = robust._program(instance, belief, bounds)
+            kernels.add(type(prog))
+            cones = prog.evaluate(u[prog.free].tolist(), z.tolist())
             assert cones is not None
-            system = prog.assemble(cones, u.tolist())
+            system = prog.assemble(cones, u[prog.free].tolist())
             for t_b in (1.0, 1e2, 1e4):
                 du, dz, decrement = prog.newton_step(system, t_b)
-                _, grad, hess = oracles.robust_barrier(instance, belief,
-                                                       bounds, u, z, t_b)
+                grad, hess = self.dense(prog, instance, belief, bounds, u, z,
+                                        t_b)
                 ref = np.linalg.solve(hess, -grad)
                 step = np.concatenate([du, dz])
                 assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
                 ref_dec = float(-grad @ ref)
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
+        assert kernels == self.KERNELS
 
     def test_predictor_is_the_scaled_newton_step_at_the_next_weight(self):
         # The predictor moves by the dense Newton step at the next weight
         # over BARRIER_GROWTH, halved j >= 0 times to stay interior.
         rng = np.random.default_rng(14)
-        for _ in range(20):
-            instance, belief, bounds = oracles.random_tracking_case(rng)
-            prog = robust._Barrier(instance, belief, bounds)
-            u = (0.5 * (bounds.lower + bounds.upper)).tolist()
+        kernels = set()
+        for instance, belief, bounds in self.programs(rng, 20, 5):
+            prog = robust._program(instance, belief, bounds)
+            kernels.add(type(prog))
+            u = (0.5 * (bounds.lower + bounds.upper))[prog.free].tolist()
             z = prog.padded_z(u, 1.0)
             cones = prog.evaluate(u, z)
             t_b = 1.0
@@ -617,8 +728,8 @@ class TestBarrierKernel:
                     u_next, z_next, _ = prog.predict(u, z, cones, system,
                                                      t_next)
                     move = np.subtract(u_next + z_next, u + z)
-                    _, grad, hess = oracles.robust_barrier(
-                        instance, belief, bounds, np.array(u), np.array(z), t_next)
+                    grad, hess = self.dense(prog, instance, belief, bounds,
+                                            self.full_input(prog, u), z, t_next)
                     ref = np.linalg.solve(hess, -grad) / BARRIER_GROWTH
                     assert np.linalg.norm(move) > 0.0
                     j = round(np.log2(np.linalg.norm(ref) / np.linalg.norm(move)))
@@ -626,19 +737,24 @@ class TestBarrierKernel:
                     ref = ref / 2.0 ** j
                     assert np.linalg.norm(move - ref) <= 1e-8 * np.linalg.norm(ref)
                 t_b *= BARRIER_GROWTH
+        assert kernels == self.KERNELS
 
     def test_one_system_serves_every_weight(self):
         # The weight enters only the z-gradient, so a system assembled once
         # and back-solved at several weights gives a fresh system's step.
         rng = np.random.default_rng(15)
-        for instance, belief, bounds, u, z in self.interior_points(rng):
-            prog = robust._Barrier(instance, belief, bounds)
-            u, z = u.tolist(), z.tolist()
+        kernels = set()
+        for instance, belief, bounds, u, z in self.interior_points(rng,
+                                                                   n_pinned=10):
+            prog = robust._program(instance, belief, bounds)
+            kernels.add(type(prog))
+            u, z = u[prog.free].tolist(), z.tolist()
             cones = prog.evaluate(u, z)
             system = prog.assemble(cones, u)
             for t_b in (1.0, 1e2, 1e4):
                 fresh = prog.newton_step(prog.assemble(cones, u), t_b)
                 assert prog.newton_step(system, t_b) == fresh
+        assert kernels == self.KERNELS
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
@@ -647,20 +763,30 @@ class TestBarrierKernel:
         # Each center's convergence test assembles the system its predictor
         # re-solves at the next weight, so a solve assembles one system per
         # Newton iteration plus the one that ends the last center.
+        # sim1 and sim2 have one input and run the scalar kernel, sim3 the
+        # general one; each kernel's systems are counted.
         solves = recorded_solves(name, mode, [0])
-        assemble = robust._Barrier.assemble
         count = [0]
+        ran = set()
 
-        def counting(self, cones, u):
-            count[0] += 1
-            return assemble(self, cones, u)
+        def counting(kernel):
+            assemble = kernel.assemble
 
-        monkeypatch.setattr(robust._Barrier, "assemble", counting)
+            def assemble_counted(self, cones, u):
+                count[0] += 1
+                ran.add(kernel)
+                return assemble(self, cones, u)
+            return assemble_counted
+
+        for kernel in self.KERNELS:
+            monkeypatch.setattr(kernel, "assemble", counting(kernel))
         for instance, belief, bounds, _ in solves:
             count[0] = 0
             sol = solve_robust(instance, belief, bounds)
             assert sol.status == "optimal"
             assert count[0] == sol.newton_iterations + 1
+        assert ran == {robust._Barrier if name == "sim3"
+                       else robust._ScalarBarrier}
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
@@ -670,30 +796,72 @@ class TestBarrierKernel:
         # neither the predictor nor the corrector re-evaluates the point the
         # other has just accepted.
         solves = recorded_solves(name, mode, [0])
-        evaluate = robust._Barrier.evaluate
         points = []
+        ran = set()
 
-        def recording(self, u, z):
-            points.append((tuple(u), tuple(z)))
-            return evaluate(self, u, z)
+        def recording(kernel):
+            evaluate = kernel.evaluate
 
-        monkeypatch.setattr(robust._Barrier, "evaluate", recording)
+            def evaluate_recorded(self, u, z):
+                points.append((tuple(u), tuple(z)))
+                ran.add(kernel)
+                return evaluate(self, u, z)
+            return evaluate_recorded
+
+        for kernel in self.KERNELS:
+            monkeypatch.setattr(kernel, "evaluate", recording(kernel))
         for instance, belief, bounds, _ in solves:
             points.clear()
             solve_robust(instance, belief, bounds)
             assert len(points) > 1
             assert not any(a == b for a, b in zip(points, points[1:]))
+        assert ran == {robust._Barrier if name == "sim3"
+                       else robust._ScalarBarrier}
+
+    def test_scalar_kernel_replays_the_general_kernel(self, monkeypatch):
+        # Every one-input solve of the closed loop, and random one-input
+        # programs (one of them pinned out of two inputs), solved by the
+        # scalar kernel and again by the general one: the same arithmetic
+        # in the same order, so the same solution to the bit.
+        rng = np.random.default_rng(19)
+        programs = [(instance, belief, bounds)
+                    for name, mode in (("sim1", "learn"), ("sim1", "active"),
+                                       ("sim2", "fixed"), ("sim2", "learn"),
+                                       ("sim2", "known_theta"))
+                    for instance, belief, bounds, _ in
+                    recorded_solves(name, mode, range(3))]
+        assert len(programs) == 2 * 3 * 46 + 3 * 3 * 100
+        programs += self.programs(rng, 150, 50, m=1)
+        scalar = []
+        for instance, belief, bounds in programs:
+            assert type(robust._program(instance, belief, bounds)) \
+                is robust._ScalarBarrier
+            scalar.append(solve_robust(instance, belief, bounds))
+        monkeypatch.setattr(robust, "_ScalarBarrier", robust._Barrier)
+        for (instance, belief, bounds), sol in zip(programs, scalar):
+            assert type(robust._program(instance, belief, bounds)) \
+                is robust._Barrier
+            ref = solve_robust(instance, belief, bounds)
+            np.testing.assert_array_equal(sol.u, ref.u)
+            np.testing.assert_array_equal(sol.z, ref.z)
+            assert sol.newton_iterations == ref.newton_iterations
+            assert sol.status == ref.status
+            assert sol.warm_started == ref.warm_started
 
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
-        for instance, belief, bounds, u, z in self.interior_points(rng, 5):
-            prog = robust._Barrier(instance, belief, bounds)
+        kernels = set()
+        for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3):
+            prog = robust._program(instance, belief, bounds)
+            kernels.add(type(prog))
             mid, rho, q = oracles.cone_terms(instance, belief, u)
             edge = np.abs(mid) + np.sqrt(rho) + q
+            u = u[prog.free]
             assert prog.evaluate(u.tolist(), (edge - 1e-9).tolist()) is None
             outside = u.copy()
-            outside[0] = bounds.upper[0] + 1e-9
+            outside[0] = bounds.upper[prog.free][0] + 1e-9
             assert prog.evaluate(outside.tolist(), z.tolist()) is None
+        assert kernels == self.KERNELS
 
 
 class TestProgramGeometry:
@@ -706,7 +874,7 @@ class TestProgramGeometry:
         """Every float of a program's per-output cone data, in order."""
         out = []
         for m0, a, c, rt, rho, q in prog._rows:
-            out += [m0, *a, *c, *(x for row in rt for x in row), rho, q]
+            out += [m0, *np.ravel(a), *np.ravel(c), *np.ravel(rt), rho, q]
         return np.array(out)
 
     @staticmethod
@@ -731,13 +899,13 @@ class TestProgramGeometry:
         hits = 0
         for instance, belief, bounds, _ in solves:
             held = robust._memo
-            warm = robust._Barrier(instance, belief, bounds)
+            warm = robust._program(instance, belief, bounds)
             hits += robust._memo is held
             warm_sol = solve_robust(instance, belief, bounds)
             monkeypatch.setattr(robust, "_memo", None)
-            cold = robust._Barrier(instance, belief, bounds)
-            assert [len(row[3]) for row in warm._rows] == \
-                [len(row[3]) for row in cold._rows]
+            cold = robust._program(instance, belief, bounds)
+            assert [np.shape(row[3]) for row in warm._rows] == \
+                [np.shape(row[3]) for row in cold._rows]
             assert_allclose(self.flat_rows(warm), self.flat_rows(cold),
                             rtol=1e-12, atol=0.0)
             self.assert_same_solution(
