@@ -84,18 +84,23 @@ twelve per size) a solve took about a quarter of the dense solve's time at
 (l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
 (4, 4, 8), and four times as long at (8, 6, 12).
 
-A program with one free input after pinning (``nf == 1``: sim1 and sim2,
-or a two-input box with one side pinned) runs the scalar kernel
+The kernel is chosen by the number ``nf`` of free inputs after pinning,
+and there are three. A program with one (``nf == 1``: sim1 and sim2, or a
+two-input box with one side pinned) runs the scalar kernel
 (:class:`_ScalarBarrier`). Its Schur complement is 1 x 1, so the factor
 lists, the ``L D L^T`` updates and the back-solve of the general kernel
 reduce to float arithmetic: each update is ``dia += alpha * v ** 2`` and
-the back-solve ``rhs / dia``. It is the ``nf = 1`` case of the general
-kernel's arithmetic, operation for operation, so it gives the same iterates
-to the bit; the probe, the stage schedule, the centering and every
-tolerance are shared. It is not an exact one-input solver (such a solver
-would bypass the schedule): it runs the same barrier method, only without
-the lists. Every other program, sim3 included, runs the general kernel,
-which the tests hold the scalar one to.
+the back-solve ``rhs / dia``. A program with two (``nf == 2``: sim3, or a
+three-input box with one side pinned) runs the pair kernel
+(:class:`_PairBarrier`), whose factor is the three floats ``(d0, d1,
+l10)``, updated and back-solved by unrolled two-entry code. Each is the
+``nf = 1`` or ``nf = 2`` case of the general kernel's arithmetic,
+operation for operation, so it gives the same iterates to the bit; the
+probe, the stage schedule, the centering and every tolerance are shared.
+Neither is an exact solver (such a solver would bypass the schedule): each
+runs the same barrier method, only without the lists. Every program with
+three or more free inputs runs the general kernel, which the tests hold
+the other two to.
 
 That factorization, like nearly everything else a program is built from,
 depends on the step only through ``f`` and the state block ``gx``, which
@@ -220,6 +225,15 @@ class TrackingInstance:
 
 @dataclass(frozen=True)
 class RobustSolution:
+    """Result of :func:`solve_robust`.
+
+    ``status`` is ``"optimal"``; ``"max_iter"`` if a stage did not center
+    (or the cold start was lost to rounding); ``"infeasible"`` for an empty
+    box, with NaN ``u`` and ``z``; or ``"non_finite"`` if the schedule ended
+    but some bound ``z`` is not finite, as for an input pinned near the
+    float range.
+    """
+
     u: np.ndarray
     z: np.ndarray
     objective: float
@@ -342,9 +356,9 @@ class _Geometry:
         u_fix = np.zeros(m)
         mid_pin, w_pin = np.zeros(l), np.zeros((l, th.size))
         if pinned.any():
-            # Clamped, as u_cold below: the midpoint may overflow.
-            u_fix[pinned] = np.clip(0.5 * (lo[pinned] + hi[pinned]),
-                                    lo[pinned], hi[pinned])
+            # Half the width, not of the sum: lo + hi overflows near the
+            # float range, and lo + 0.5 (hi - lo) rounds into [lo, hi].
+            u_fix[pinned] = lo[pinned] + 0.5 * (hi[pinned] - lo[pinned])
             mid_pin = midu[:, pinned] @ u_fix[pinned]
             w_pin = wm[:, :, pinned] @ u_fix[pinned]
             midu, wm = midu[:, free], wm[:, :, free]
@@ -478,14 +492,18 @@ def _geometry(instance, belief, bounds):
 
 
 def _program(instance, belief, bounds):
-    """The barrier of a program: :class:`_ScalarBarrier` if one input is free.
+    """The barrier of a program, its kernel chosen by the free inputs ``nf``.
 
-    Both kernels run the same method on the same schedule and give the
-    same iterates; the scalar one only skips the list arithmetic of a 1 x 1
-    Schur complement. Every other program runs :class:`_Barrier`.
+    :class:`_ScalarBarrier` if one input is free, :class:`_PairBarrier` if
+    two are, :class:`_Barrier` otherwise. All three run the same method on
+    the same schedule and give the same iterates; the scalar and pair
+    kernels only skip the list arithmetic of a 1 x 1 or 2 x 2 Schur
+    complement.
     """
     geometry = _geometry(instance, belief, bounds)
-    kernel = _ScalarBarrier if geometry.shared["nf"] == 1 else _Barrier
+    nf = geometry.shared["nf"]
+    kernel = (_ScalarBarrier if nf == 1 else _PairBarrier if nf == 2
+              else _Barrier)
     return kernel(geometry, instance)
 
 
@@ -857,6 +875,161 @@ class _ScalarBarrier(_Barrier):
                 [(c, (rt,)) for _, _, c, rt, _, _ in self._rows if rt])
 
 
+class _PairBarrier(_Barrier):
+    """:class:`_Barrier` of a program with two free inputs, unrolled.
+
+    The ``nf = 2`` case of :class:`_Barrier`'s arithmetic, operation for
+    operation, so the iterates are the same to the bit. The rows are the
+    general kernel's (:meth:`_Geometry.rows`), each ``a_t`` and row of
+    ``R_t`` a pair; the gradient is ``gu = (g0, g1)`` and the factor the
+    three floats ``(d0, d1, l10)``. Every ``_ldl_update`` is
+    :func:`_pair_update`, the back-solve ``x1 = b1 - l10 b0, x0 = b0 / d0,
+    x1 /= d1, x0 -= l10 x1``, and each ``sum(map(mul, x, y))`` over the
+    inputs is ``0.0 + x0 y0 + x1 y1``, which keeps its rounding and its
+    signed zeros. Points stay lists, so :meth:`~_Barrier.center`,
+    :meth:`~_Barrier.advance`, :meth:`~_Barrier.predict` and the
+    least-squares inputs are shared.
+    """
+
+    def evaluate(self, u, z):
+        """:meth:`_Barrier.evaluate` over two inputs."""
+        for i, b in self._lo:
+            if u[i] <= b:
+                return None
+        for i, b in self._hi:
+            if u[i] >= b:
+                return None
+        x0, x1 = u
+        cones = []
+        for zt, (m0, (a0, a1), c, rt, rho, q) in zip(z, self._rows):
+            mid = m0 + (0.0 + a0 * x0 + a1 * x1)
+            y = [ci + (0.0 + r0 * x0 + r1 * x1) for ci, (r0, r1) in zip(c, rt)]
+            wn2 = sum(map(mul, y, y)) + rho
+            sp = zt - mid - q
+            sm = zt + mid - q
+            if sp <= 0.0 or sm <= 0.0:
+                return None
+            pp = sp * sp - wn2
+            pm = sm * sm - wn2
+            if pp <= 0.0 or pm <= 0.0:
+                return None
+            cones.append((sp, sm, pp, pm, y, wn2))
+        return cones
+
+    def assemble(self, cones, u):
+        """:meth:`_Barrier.assemble` over two inputs.
+
+        Returns ``(gu, factor, cpm, hz, kz)`` with ``gu = (g0, g1)``, the
+        factor ``(d0, d1, l10)`` and each output's ``k`` in ``kz`` a pair.
+        """
+        gu = [0.0, 0.0]
+        dia = [0.0, 0.0]
+        for i, b in self._lo:
+            s = 1.0 / (u[i] - b)
+            gu[i] -= s
+            dia[i] += s * s
+        for i, b in self._hi:
+            s = 1.0 / (b - u[i])
+            gu[i] += s
+            dia[i] += s * s
+        g0, g1 = gu
+        d0, d1 = dia
+        l10 = 0.0
+        cpm, hz, kz = [], [], []
+        for (sp, sm, pp, pm, y, wn2), (_, (a0, a1), _, rt, rho, _) in zip(
+                cones, self._rows):
+            j0 = j1 = 0.0                                   # Wm^T w
+            for yi, (r0, r1) in zip(y, rt):
+                j0 += r0 * yi
+                j1 += r1 * yi
+            ip, im = 1.0 / pp, 1.0 / pm
+            r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
+            cp, cm = 2.0 * sp * ip, 2.0 * sm * im
+            c2 = 2.0 * (ip + im)
+            ka = 2.0 * (r2m * im * im - r2p * ip * ip)
+            kj = 4.0 * (sp * ip * ip + sm * im * im)
+            gc = cp - cm
+            g0 += gc * a0 + c2 * j0
+            g1 += gc * a1 + c2 * j1
+            cpm.append((cp, cm))
+            hz.append(2.0 * (r2p * ip * ip + r2m * im * im))
+            kz.append((ka * a0 - kj * j0, ka * a1 - kj * j1))
+
+            den = r2p * pm * pm + r2m * pp * pp
+            r = math.sqrt(wn2)
+            ep, em = pp / (sp + r), pm / (sm + r)
+            kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
+            d0, d1, l10 = _pair_update(d0, d1, l10, 8.0 * r2p * r2m / den,
+                                       a0 + kappa * j0, a1 + kappa * j1)
+            root = math.sqrt(c2)
+            if r > 0.0:
+                delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
+                lam = (c2 * rho + delta * (wn2 - rho)) / wn2
+                gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
+                for yi, (r0, r1) in zip(y, rt):
+                    g = gamma * yi
+                    d0, d1, l10 = _pair_update(d0, d1, l10, 1.0,
+                                               root * r0 + g * j0,
+                                               root * r1 + g * j1)
+            else:
+                for r0, r1 in rt:
+                    d0, d1, l10 = _pair_update(d0, d1, l10, c2, r0, r1)
+        return (g0, g1), (d0, d1, l10), cpm, hz, kz
+
+    @staticmethod
+    def newton_step(system, t_b):
+        """:meth:`_Barrier.newton_step` of an :meth:`assemble` system."""
+        (g0, g1), (d0, d1, l10), cpm, hz, kz = system
+        gz = [t_b - cp - cm for cp, cm in cpm]
+        b0, b1 = -g0, -g1
+        for gzt, hzz, (k0, k1) in zip(gz, hz, kz):
+            f = gzt / hzz
+            b0 += k0 * f
+            b1 += k1 * f
+        if d0 == 0.0 or d1 == 0.0:
+            scale = -1.0 / (1.0 + math.sqrt(0.0 + g0 * g0 + g1 * g1
+                                            + sum(map(mul, gz, gz))))
+            du0, du1 = scale * g0, scale * g1
+            dz = [scale * x for x in gz]
+            return [du0, du1], dz, -(0.0 + g0 * du0 + g1 * du1
+                                     + sum(map(mul, gz, dz)))
+        x1 = b1 - l10 * b0
+        x0 = b0 / d0
+        x1 /= d1
+        x0 -= l10 * x1
+        dz = [-(gzt + (0.0 + k0 * x0 + k1 * x1)) / hzz
+              for gzt, hzz, (k0, k1) in zip(gz, hz, kz)]
+        decrement = 0.0 + b0 * x0 + b1 * x1
+        for gzt, hzz in zip(gz, hz):
+            decrement += gzt * gzt / hzz
+        return [x0, x1], dz, decrement
+
+    def padded_z(self, u, pad):
+        """:meth:`_Barrier.padded_z` over two inputs."""
+        x0, x1 = u
+        z = []
+        for m0, (a0, a1), c, rt, rho, q in self._rows:
+            mid = m0 + (0.0 + a0 * x0 + a1 * x1)
+            y = [ci + (0.0 + r0 * x0 + r1 * x1) for ci, (r0, r1) in zip(c, rt)]
+            z.append(abs(mid) + math.sqrt(sum(map(mul, y, y)) + rho) + q + pad)
+        return z
+
+
+def _pair_update(d0, d1, l10, alpha, v0, v1):
+    """:func:`_ldl_update` of the 2 x 2 factor ``(d0, d1, l10)`` by ``(v0,
+    v1)``, unrolled; returns the updated factor."""
+    if v0 != 0.0:
+        if alpha == 0.0:
+            return d0, d1, l10
+        dbar = d0 + alpha * v0 * v0
+        beta = alpha * v0 / dbar
+        alpha *= d0 / dbar
+        d0 = dbar
+        v1 -= v0 * l10
+        l10 += beta * v1
+    return d0, d1 + alpha * v1 ** 2, l10
+
+
 def _ldl_update(low, dia, alpha, v):
     """Replace ``L D L^T`` by ``L D L^T + alpha v v^T``, for ``alpha >= 0``.
 
@@ -922,9 +1095,27 @@ def _probe_start(prog):
 
 
 def _barrier_solve(instance, belief, bounds):
+    """``(u, z, iterations, status, warm_started)`` of a program.
+
+    An optimal solve whose bounds ``z`` are not all finite (inputs pinned
+    near the float range, say) reports ``"non_finite"``.
+    """
     prog = _program(instance, belief, bounds)
-    if prog.nf == 0:
-        return prog.u_fix.copy(), prog.padded_z([], 0.0), 0, "optimal", False
+    if prog.nf:
+        u, total_iters, status, warm_ok = _barrier_path(prog)
+    else:
+        u, total_iters, status, warm_ok = [], 0, "optimal", False
+    z = prog.padded_z(u, 0.0)
+    if status == "optimal" and not all(map(math.isfinite, z)):
+        status = "non_finite"
+    u_full = prog.u_fix.copy()
+    u_full[prog.free] = u
+    return u_full, z, total_iters, status, warm_ok
+
+
+def _barrier_path(prog):
+    """The barrier schedule over the free inputs of a program with ``nf >=
+    1``: ``(u, iterations, status, warm_started)``."""
     l = prog.l
 
     def stage_schedule(t_start):
@@ -975,7 +1166,4 @@ def _barrier_solve(instance, belief, bounds):
         total_iters += iters
         if not done:
             status = "max_iter"
-
-    u_full = prog.u_fix.copy()
-    u_full[prog.free] = u
-    return u_full, prog.padded_z(u, 0.0), total_iters, status, warm_ok
+    return u, total_iters, status, warm_ok

@@ -5,6 +5,8 @@ direct formulas) without touching the solvers under test, so agreement is
 evidence rather than tautology.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from smtrack.checks import random_spd
@@ -120,7 +122,7 @@ def cone_terms(instance, belief, u):
     return mid, rho, q
 
 
-def robust_barrier(instance, belief, bounds, u, z, t_b):
+def robust_barrier(instance, belief, bounds, u, z, t_b, exact=False):
     """Value, gradient and Hessian of the robust program's barrier at (u, z).
 
     The function of x = (u, z), assembled densely over all m inputs and l
@@ -134,46 +136,88 @@ def robust_barrier(instance, belief, bounds, u, z, t_b):
     and Hessian grad(psi) grad(psi)^T / psi^2 - hess(psi) / psi, where
     grad(s) = (-+ grad(mid_t), e_t), grad(rho_t) = 2 J_t^T P g_t and
     hess(rho_t) = 2 J_t^T P J_t with J_t = d g_t / du.
+
+    With ``exact`` the gradient and Hessian are object arrays of
+    :class:`fractions.Fraction`, exact for the program's float data, with
+    ``q_t = sqrt(Q_tt)`` rounded to a float first as the solver takes it;
+    the value, a sum of logarithms, is None. Formed in floats, the Hessian
+    cancels terms of order 1/psi^2 near the cone boundary, which can leave
+    its Newton step off by more than 1e-8 relative at weights of 1e5.
     """
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
+    num = _fractions if exact else (lambda a: np.asarray(a, dtype=float))
+    u = num(np.atleast_1d(np.asarray(u, dtype=float)))
+    z = num(z)
+    f, b0, gx, b_stack = map(num, (instance.f, instance.b0, instance.gx,
+                                   instance.b_stack))
+    center, shape = num(belief.center), num(belief.shape)
+    q = num(np.sqrt(np.clip(np.diag(instance.q_shape), 0.0, None)))
+    t_b = num(t_b)[()]
     l, m, p = instance.l, instance.m, instance.p
-    r = instance.gx.shape[1]
-    mid, rho, q = cone_terms(instance, belief, u)
-    g_all = instance.regressor(u)
+    r = gx.shape[1]
+    g_all = np.concatenate([gx, (b_stack @ u).T], axis=1)
+    mid = f + b0 @ u + g_all @ center
+    rho = ((g_all @ shape) * g_all).sum(axis=1)
     dim = m + l
-    value = t_b * z.sum()
-    grad = np.zeros(dim)
+    value = None if exact else t_b * z.sum()
+    grad = np.zeros(dim, dtype=u.dtype)
     grad[m:] = t_b
-    hess = np.zeros((dim, dim))
+    hess = np.zeros((dim, dim), dtype=u.dtype)
     for t in range(l):
-        jac = np.zeros((p, m))
-        for j, wj in enumerate(instance.b_stack):
+        jac = np.zeros((p, m), dtype=u.dtype)
+        for j, wj in enumerate(b_stack):
             jac[r + j] = wj[t]
-        dmid = instance.b0[t] + jac.T @ belief.center
-        drho = np.zeros(dim)
-        drho[:m] = 2.0 * jac.T @ belief.shape @ g_all[t]
-        d2rho = np.zeros((dim, dim))
-        d2rho[:m, :m] = 2.0 * jac.T @ belief.shape @ jac
-        for sign in (1.0, -1.0):
+        dmid = b0[t] + jac.T @ center
+        drho = np.zeros(dim, dtype=u.dtype)
+        drho[:m] = 2 * jac.T @ shape @ g_all[t]
+        d2rho = np.zeros((dim, dim), dtype=u.dtype)
+        d2rho[:m, :m] = 2 * jac.T @ shape @ jac
+        for sign in (1, -1):
             s = z[t] - sign * mid[t] - q[t]
-            ds = np.zeros(dim)
+            ds = np.zeros(dim, dtype=u.dtype)
             ds[:m] = -sign * dmid
-            ds[m + t] = 1.0
+            ds[m + t] = 1
             psi = s * s - rho[t]
-            dpsi = 2.0 * s * ds - drho
-            d2psi = 2.0 * np.outer(ds, ds) - d2rho
-            value -= np.log(psi)
+            dpsi = 2 * s * ds - drho
+            d2psi = 2 * np.outer(ds, ds) - d2rho
+            if not exact:
+                value -= np.log(psi)
             grad -= dpsi / psi
             hess += np.outer(dpsi, dpsi) / psi**2 - d2psi / psi
     for i in range(m):
-        for slack, sign in ((u[i] - bounds.lower[i], 1.0),
-                            (bounds.upper[i] - u[i], -1.0)):
-            if np.isfinite(slack):
-                value -= np.log(slack)
+        for bound, sign in ((bounds.lower[i], 1), (bounds.upper[i], -1)):
+            if np.isfinite(bound):
+                slack = sign * (u[i] - num(bound)[()])
+                if not exact:
+                    value -= np.log(slack)
                 grad[i] -= sign / slack
-                hess[i, i] += 1.0 / slack**2
+                hess[i, i] += 1 / slack**2
     return value, grad, hess
+
+
+def _fractions(a):
+    """Float array ``a`` as an object array of exact fractions."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape, dtype=object)
+    out.flat = [Fraction(x) for x in a.flat]
+    return out
+
+
+def exact_solve(a, b):
+    """Solve ``a x = b`` for a nonsingular square object array of fractions
+    by Gaussian elimination, exactly."""
+    n = len(b)
+    rows = [list(a[i]) + [b[i]] for i in range(n)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    x = [0] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j]
+                                 for j in range(k + 1, n))) / rows[k][k]
+    return np.array(x, dtype=object)
 
 
 def active_value_batch(info, us):

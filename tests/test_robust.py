@@ -1,6 +1,8 @@
 """Tests for the worst-case tracking controller and its barrier solver."""
 
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +44,17 @@ def sim3_case():
 
 def recorded_solves(name, mode, seeds):
     """``(instance, belief, bounds, solution)`` of every solve in closed-loop
-    runs."""
+    runs, as a tuple.
+
+    Each ``(name, mode, seeds)`` runs its closed loop once per test session
+    and every later call returns the same tuple, so callers must treat it
+    and the objects in it as read-only.
+    """
+    return _recorded_solves(name, mode, tuple(seeds))
+
+
+@functools.cache
+def _recorded_solves(name, mode, seeds):
     solves = []
 
     def recording(instance, belief, bounds):
@@ -56,7 +68,7 @@ def recorded_solves(name, mode, seeds):
         patch.setattr(robust, "solve_robust", recording)
         for seed in seeds:
             assert not run(scenario(name), mode, seed).aborted
-    return solves
+    return tuple(solves)
 
 
 def general_kernel(instance, belief, bounds):
@@ -476,6 +488,19 @@ class TestSolveRobust:
             assert sol.status == "max_iter"
             assert lo <= sol.u[0] <= hi
 
+    def test_a_side_pinned_at_the_float_range_is_not_reported_optimal(self):
+        # The pinned midpoint 0.5 (lo + hi) of [1e308, 1e308] overflowed with
+        # a RuntimeWarning, and the infinite bound z it leads to was
+        # reported optimal. The midpoint is now lo + 0.5 (hi - lo).
+        _, instance, belief = sim1_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_robust(instance, belief,
+                               ControlBounds([1e308], [1e308]))
+        assert sol.u.tolist() == [1e308]
+        assert not np.all(np.isfinite(sol.z))
+        assert sol.status == "non_finite"
+
     def test_warm_started_reports_the_accepted_probe(self, monkeypatch):
         # The probe starts from the program's own least-squares inputs.
         spec, instance, belief = sim3_case()
@@ -615,29 +640,35 @@ class TestBarrierKernel:
     """The solver's Newton step against the dense barrier of ``oracles``.
 
     The tests run the kernel that :func:`robust._program` selects: the
-    scalar one for a single free input, the general one otherwise.
+    scalar one for a single free input, the pair one for two, the general
+    one otherwise.
     """
 
-    KERNELS = {robust._Barrier, robust._ScalarBarrier}
+    KERNELS = {robust._Barrier, robust._ScalarBarrier, robust._PairBarrier}
 
     @staticmethod
-    def programs(rng, n_cases, n_pinned=0, m=None):
+    def programs(rng, n_cases, n_pinned=0, m=None, pinned_m=2, n_wide=0):
         """``n_cases`` random programs with ``m`` inputs (one or two if
-        None) and one or two outputs, then ``n_pinned`` with two inputs, one
-        of them pinned at a point of its box."""
+        None) and one or two outputs, then ``n_pinned`` with ``pinned_m``
+        inputs, one of them pinned at a point of its box, then ``n_wide``
+        with three inputs."""
         for k in range(n_cases + n_pinned):
             if k < n_cases:
                 yield oracles.random_tracking_case(rng, m=m)
                 continue
-            instance, belief, bounds = oracles.random_tracking_case(rng, m=2)
+            instance, belief, bounds = oracles.random_tracking_case(
+                rng, m=pinned_m)
             lo, hi = bounds.lower.copy(), bounds.upper.copy()
-            j = int(rng.integers(2))
+            j = int(rng.integers(pinned_m))
             lo[j] = hi[j] = rng.uniform(lo[j], hi[j])
             yield instance, belief, ControlBounds(lo, hi)
+        for _ in range(n_wide):
+            yield oracles.random_tracking_case(rng, m=3)
 
     @classmethod
-    def interior_points(cls, rng, n_cases=20, n_pinned=0):
-        for instance, belief, bounds in cls.programs(rng, n_cases, n_pinned):
+    def interior_points(cls, rng, n_cases=20, n_pinned=0, n_wide=0):
+        for instance, belief, bounds in cls.programs(rng, n_cases, n_pinned,
+                                                     n_wide=n_wide):
             lo, hi = bounds.lower, bounds.upper
             u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size)
             mid, rho, q = oracles.cone_terms(instance, belief, u)
@@ -669,16 +700,20 @@ class TestBarrierKernel:
 
     @staticmethod
     def dense(prog, instance, belief, bounds, u, z, t_b):
-        """The dense gradient and Hessian over ``prog``'s free inputs and
-        ``z``, at the full input ``u``: a pinned input keeps its value and
-        has no box term."""
+        """The dense Newton step and decrement over ``prog``'s free inputs
+        and ``z``, at the full input ``u``: a pinned input keeps its value
+        and has no box term. Solved in exact arithmetic and then rounded,
+        as a float Hessian would carry the cancellation the kernels avoid.
+        """
         free = prog.free
         open_box = ControlBounds(np.where(free, bounds.lower, -np.inf),
                                  np.where(free, bounds.upper, np.inf))
         _, grad, hess = oracles.robust_barrier(instance, belief, open_box,
-                                               u, np.asarray(z), t_b)
+                                               u, np.asarray(z), t_b,
+                                               exact=True)
         keep = np.concatenate([free, np.ones(len(z), dtype=bool)])
-        return grad[keep], hess[np.ix_(keep, keep)]
+        step = oracles.exact_solve(hess[np.ix_(keep, keep)], -grad[keep])
+        return step.astype(float), float(-grad[keep] @ step)
 
     @staticmethod
     def full_input(prog, u):
@@ -689,8 +724,8 @@ class TestBarrierKernel:
     def test_newton_step_matches_dense_reference(self):
         rng = np.random.default_rng(12)
         kernels = set()
-        for instance, belief, bounds, u, z in self.interior_points(rng,
-                                                                   n_pinned=10):
+        for instance, belief, bounds, u, z in self.interior_points(
+                rng, n_pinned=10, n_wide=10):
             prog = robust._program(instance, belief, bounds)
             kernels.add(type(prog))
             cones = prog.evaluate(u[prog.free].tolist(), z.tolist())
@@ -698,12 +733,10 @@ class TestBarrierKernel:
             system = prog.assemble(cones, u[prog.free].tolist())
             for t_b in (1.0, 1e2, 1e4):
                 du, dz, decrement = prog.newton_step(system, t_b)
-                grad, hess = self.dense(prog, instance, belief, bounds, u, z,
-                                        t_b)
-                ref = np.linalg.solve(hess, -grad)
+                ref, ref_dec = self.dense(prog, instance, belief, bounds, u,
+                                          z, t_b)
                 step = np.concatenate([du, dz])
                 assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
-                ref_dec = float(-grad @ ref)
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
         assert kernels == self.KERNELS
 
@@ -712,7 +745,7 @@ class TestBarrierKernel:
         # over BARRIER_GROWTH, halved j >= 0 times to stay interior.
         rng = np.random.default_rng(14)
         kernels = set()
-        for instance, belief, bounds in self.programs(rng, 20, 5):
+        for instance, belief, bounds in self.programs(rng, 20, 5, n_wide=5):
             prog = robust._program(instance, belief, bounds)
             kernels.add(type(prog))
             u = (0.5 * (bounds.lower + bounds.upper))[prog.free].tolist()
@@ -728,9 +761,9 @@ class TestBarrierKernel:
                     u_next, z_next, _ = prog.predict(u, z, cones, system,
                                                      t_next)
                     move = np.subtract(u_next + z_next, u + z)
-                    grad, hess = self.dense(prog, instance, belief, bounds,
-                                            self.full_input(prog, u), z, t_next)
-                    ref = np.linalg.solve(hess, -grad) / BARRIER_GROWTH
+                    ref, _ = self.dense(prog, instance, belief, bounds,
+                                        self.full_input(prog, u), z, t_next)
+                    ref = ref / BARRIER_GROWTH
                     assert np.linalg.norm(move) > 0.0
                     j = round(np.log2(np.linalg.norm(ref) / np.linalg.norm(move)))
                     assert j >= 0
@@ -744,8 +777,8 @@ class TestBarrierKernel:
         # and back-solved at several weights gives a fresh system's step.
         rng = np.random.default_rng(15)
         kernels = set()
-        for instance, belief, bounds, u, z in self.interior_points(rng,
-                                                                   n_pinned=10):
+        for instance, belief, bounds, u, z in self.interior_points(
+                rng, n_pinned=10, n_wide=10):
             prog = robust._program(instance, belief, bounds)
             kernels.add(type(prog))
             u, z = u[prog.free].tolist(), z.tolist()
@@ -763,8 +796,8 @@ class TestBarrierKernel:
         # Each center's convergence test assembles the system its predictor
         # re-solves at the next weight, so a solve assembles one system per
         # Newton iteration plus the one that ends the last center.
-        # sim1 and sim2 have one input and run the scalar kernel, sim3 the
-        # general one; each kernel's systems are counted.
+        # sim1 and sim2 have one input and run the scalar kernel, sim3 two
+        # and the pair kernel; each kernel's systems are counted.
         solves = recorded_solves(name, mode, [0])
         count = [0]
         ran = set()
@@ -785,7 +818,7 @@ class TestBarrierKernel:
             sol = solve_robust(instance, belief, bounds)
             assert sol.status == "optimal"
             assert count[0] == sol.newton_iterations + 1
-        assert ran == {robust._Barrier if name == "sim3"
+        assert ran == {robust._PairBarrier if name == "sim3"
                        else robust._ScalarBarrier}
 
     @pytest.mark.parametrize("name, mode", [
@@ -815,7 +848,7 @@ class TestBarrierKernel:
             solve_robust(instance, belief, bounds)
             assert len(points) > 1
             assert not any(a == b for a, b in zip(points, points[1:]))
-        assert ran == {robust._Barrier if name == "sim3"
+        assert ran == {robust._PairBarrier if name == "sim3"
                        else robust._ScalarBarrier}
 
     def test_scalar_kernel_replays_the_general_kernel(self, monkeypatch):
@@ -848,10 +881,99 @@ class TestBarrierKernel:
             assert sol.status == ref.status
             assert sol.warm_started == ref.warm_started
 
+    @staticmethod
+    def zero_pivot_case():
+        """Two inputs, the second without slope and unbounded on both sides:
+        the pair's Schur complement keeps a zero pivot at every point."""
+        instance = TrackingInstance(
+            f=np.array([0.5, -0.3]), b0=np.array([[1.0, 0.0], [0.4, 0.0]]),
+            gx=np.array([[0.3], [-0.2]]), b_stack=np.zeros((0, 2, 2)),
+            q_shape=np.array([[0.1, 0.0], [0.0, 0.05]]))
+        belief = ParameterBelief(Ellipsoid([0.2], [[0.3]]))
+        return instance, belief, ControlBounds([-2.0, -np.inf],
+                                               [2.0, np.inf])
+
+    @staticmethod
+    def zero_radius_case():
+        """Two inputs whose slopes and whose one row of ``R`` are parallel,
+        so neither normal equation has a solution and the solve starts
+        cold, at ``u = 0``, where ``|w| = 0``."""
+        instance = TrackingInstance(
+            f=np.array([0.5]), b0=np.array([[1.0, 0.5]]),
+            gx=np.zeros((1, 0)), b_stack=np.array([[[0.4, 0.2]]]),
+            q_shape=np.array([[0.1]]))
+        belief = ParameterBelief(Ellipsoid([0.3], [[0.25]]))
+        return instance, belief, ControlBounds([-1.0, -1.0], [1.0, 1.0])
+
+    def test_pair_kernel_replays_the_general_kernel(self, monkeypatch):
+        # Every two-input solve of the closed loop, random two-input
+        # programs and three-input ones with one side pinned, every fourth
+        # with an infinite box side, a program whose Schur complement has a
+        # zero pivot and one whose cold start has no radius (the kernels'
+        # branch for |w| = 0), solved by the pair kernel and again by the
+        # general one: the same arithmetic in the same order, so the same
+        # solution to the bit.
+        rng = np.random.default_rng(20)
+        programs = [(instance, belief, bounds)
+                    for mode in ("learn", "active")
+                    for instance, belief, bounds, _ in
+                    recorded_solves("sim3", mode, range(3))]
+        assert len(programs) == 2 * 3 * 100
+        for k, (instance, belief, bounds) in enumerate(
+                self.programs(rng, 150, 50, m=2, pinned_m=3)):
+            if k % 4 == 0:
+                lo, hi = bounds.lower.copy(), bounds.upper.copy()
+                j = int(rng.choice(np.flatnonzero(lo < hi)))
+                if rng.integers(2):
+                    lo[j] = -np.inf
+                else:
+                    hi[j] = np.inf
+                bounds = ControlBounds(lo, hi)
+            programs.append((instance, belief, bounds))
+        programs += [self.zero_pivot_case(), self.zero_radius_case()]
+
+        def solve_all(kernel):
+            sols = []
+            for instance, belief, bounds in programs:
+                prog = robust._program(instance, belief, bounds)
+                assert type(prog) is kernel
+                sols.append(solve_robust(instance, belief, bounds))
+            return sols
+
+        pair = solve_all(robust._PairBarrier)
+        monkeypatch.setattr(robust, "_PairBarrier", robust._Barrier)
+        for sol, ref in zip(pair, solve_all(robust._Barrier)):
+            np.testing.assert_array_equal(sol.u, ref.u)
+            np.testing.assert_array_equal(sol.z, ref.z)
+            assert sol.newton_iterations == ref.newton_iterations
+            assert sol.status == ref.status
+            assert sol.warm_started == ref.warm_started
+
+    def test_a_zero_pivot_takes_the_scaled_gradient_in_both_kernels(self):
+        # The second input moves no cone and has no box term, so no update
+        # reaches the second pivot: both kernels fall back to the scaled
+        # gradient, whose step leaves that input where it is.
+        instance, belief, bounds = self.zero_pivot_case()
+        geometry = robust._geometry(instance, belief, bounds)
+        steps = []
+        for kernel in (robust._PairBarrier, robust._Barrier):
+            prog = kernel(geometry, instance)
+            u = list(prog.u_cold)
+            z = prog.padded_z(u, 1.0)
+            system = prog.assemble(prog.evaluate(u, z), u)
+            pivots = system[1][:2] if kernel is robust._PairBarrier \
+                else system[2]
+            assert pivots[0] > 0.0 and pivots[1] == 0.0
+            steps.append(prog.newton_step(system, 1.0))
+        pair, general = steps
+        assert pair == general
+        assert pair[0][1] == 0.0
+
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
         kernels = set()
-        for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3):
+        for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
+                                                                   n_wide=3):
             prog = robust._program(instance, belief, bounds)
             kernels.add(type(prog))
             mid, rho, q = oracles.cone_terms(instance, belief, u)
