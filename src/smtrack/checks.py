@@ -6,7 +6,7 @@ import numpy as np
 
 from . import experiments
 from .active import build_info_quadratic
-from .ellipsoid import Ellipsoid, InconsistentSetsError
+from .ellipsoid import RHO_BRACKET, Ellipsoid, InconsistentSetsError, _Fusion
 from .estimator import (Observation, ParameterBelief, build_state_observation,
                         update)
 from .robust import build_instance, solve_robust
@@ -85,12 +85,81 @@ def check_fusion_anchor(rng, n_pairs=200, slack=1e-9):
     return failures
 
 
+def random_fusion(rng, d_max=4):
+    """A random consistent update ``(prior, obs)`` of dimension 1 to ``d_max``.
+
+    The regressor has random rank, often deficient; one prior in four is
+    singular; the noise shape is scaled over four decades, so the keep test
+    goes both ways.
+    """
+    dim = 1 + int(rng.integers(d_max))
+    rows = 1 + int(rng.integers(d_max))
+    rank = 1 + int(rng.integers(min(rows, dim)))
+    phi = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, dim))
+    vals = rng.uniform(0.2, 3.0, size=dim)
+    if rng.random() < 0.25:
+        vals[rng.integers(dim)] = 0.0
+    vecs = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    prior = Ellipsoid(rng.normal(size=dim), (vecs * vals) @ vecs.T)
+    q = 10.0 ** rng.uniform(-2.0, 2.0) * random_spd(rng, rows)
+    noise = Ellipsoid(np.zeros(rows), q).sample_interior(rng)
+    return prior, Observation(phi @ prior.sample_interior(rng) + noise, phi, q)
+
+
+# Where the keep-test check looks for a member smaller than the prior.
+KEEP_GRID = np.geomspace(*RHO_BRACKET, 400)
+SMALL_RHO = np.geomspace(1e-12, 1e-2, 50)
+
+
+def _log_det_changes(fusion, grid):
+    """Each member's log det minus the prior's, over the ``rho`` with ``beta > 0``."""
+    changes = []
+    for rho in grid.tolist():
+        beta = fusion.at(rho)[0]
+        if beta > 0.0:
+            changes.append(fusion.log_det_change(rho, beta))
+    return changes
+
+
+def check_fusion_keep_test(rng, n_cases=300, margin=1e-3, tol=1e-12):
+    """The closed-form keep test is sound and sharp on random updates.
+
+    When it holds, ``fuse`` returns the prior itself and no member on a
+    dense ``rho`` grid has a log det below the prior's by more than ``tol``.
+    When the defect at ``rho = 0`` exceeds ``margin``, some member at small
+    ``rho`` is smaller than the prior.
+    """
+    failures = []
+    sides = [0, 0]
+    for i in range(n_cases):
+        prior, obs = random_fusion(rng)
+        fusion = _Fusion(prior, obs.phi, obs.q_shape, obs.h)
+        if fusion.keeps_prior:
+            sides[0] += 1
+            if fusion.fuse()[2] is not prior:
+                failures.append(f"case {i}: a kept update did not return the prior")
+            worst = min(_log_det_changes(fusion, KEEP_GRID))
+            if worst < -tol:
+                failures.append(f"case {i}: the prior was kept, but a member is "
+                                f"smaller by {-worst:.3g} in log det")
+        elif fusion.defect(0.0) > margin:
+            sides[1] += 1
+            if not min(_log_det_changes(fusion, SMALL_RHO)) < 0.0:
+                failures.append(f"case {i}: defect {fusion.defect(0.0):.3g} at "
+                                f"rho = 0, but no small-rho member is smaller")
+    if not all(sides):
+        failures.append(f"only one side of the keep test ran ({sides[0]} kept, "
+                        f"{sides[1]} shrinking)")
+    return failures
+
+
 def run_all(rng):
     """Run every fusion suite at full size. Returns {name: failures}."""
     return {
         "fusion_containment": check_fusion_containment(rng),
         "identity_fusion": check_identity_fusion(rng),
         "fusion_anchor": check_fusion_anchor(rng),
+        "fusion_keep_test": check_fusion_keep_test(rng),
     }
 
 
@@ -161,6 +230,7 @@ def check_discretization(_rng):
 VALIDATE = (
     ("fusion-containment", lambda rng: check_fusion_containment(
         rng, n_pairs=40, d_max=3, n_samples=0, tol=1e-7)),
+    ("fusion-keep-test", lambda rng: check_fusion_keep_test(rng, n_cases=60)),
     ("estimator-contraction", check_estimator_contraction),
     ("robust-worst-case", check_robust_worst_case),
     ("information-identity", check_information_identity),

@@ -10,9 +10,10 @@ requires ``x - a`` to lie in the range of ``P``.
 
 One fusion family outer-bounds the intersection of two ellipsoids: the
 measurement update of a constant parameter set, which has no time update.
-It depends on a scalar parameter whose volume-optimal value solves a rational root equation; ``_Fusion.fuse``
-scans it on a fixed 200-point log grid in one array expression and refines
-its sign changes by ``_bracket_roots``. That refines by ``_brent``,
+It depends on a scalar parameter whose volume-optimal value solves a
+rational root equation. Unless a closed-form test keeps the prior first,
+``_Fusion.fuse`` scans it on a fixed 200-point log grid in one array
+expression and refines its sign changes by ``_bracket_roots``. That refines by ``_brent``,
 Brent's method over Python floats: a line-for-line port of scipy's
 ``brentq`` that returns the same roots, so importing the package loads no
 scipy.
@@ -23,11 +24,27 @@ Automatica 1982; Maksarov & Norton, IJC 1996); its member at ``rho > 0``
 is the gain-form posterior of :mod:`smtrack.estimator`, whose ``update``
 is the kernel's one entry. Intersecting ``E(Pa, a)`` with ``E(Pb, b)`` is
 that update with ``phi = I``, ``Q = Pb``, ``h = b``. The kernel factors
-once per call: ``Q + 1e-13 (1 + tr Q) I = L L^T``, ``P = R R^T`` and one
-full SVD ``L^{-1} phi R = W diag(sigma) U^T``, with ``L^{-1} [phi R | eps]``
-(``eps = h - phi c``) from one linear solve. With ``nu = sigma^2`` and
-``sigma`` zero-padded to ``dim P`` entries, ``e = W^T L^{-1} eps`` cut to
-those entries and ``|e_perp|^2`` the squared rest of ``W^T L^{-1} eps``,
+once per call: ``Q + 1e-13 (1 + tr Q) I = L L^T``, ``P = R R^T`` and
+``L^{-1} [phi R | eps]`` (``eps = h - phi c``) from one linear solve.
+
+Then it decides, in closed form, whether any member can be smaller than
+the prior. With ``E = |L^{-1} eps|^2`` the whitened innovation and
+``F = |L^{-1} phi R|_F^2 = sum nu_i`` (below), the prior is kept when::
+
+    dim (1 - E) >= F
+
+Every ``1/(1 + rho nu_i) <= 1``, so ``beta(rho) >= 1 + rho (1 - E)``;
+Jensen on the concave log gives ``sum log1p(rho nu_i) <= dim log1p(rho
+F/dim)``. Under the test the first bound is the larger, so every member
+has ``d log det >= 0`` and ``beta >= 1``: none is smaller than the prior
+or disjoint from it, and ``fuse`` returns the prior itself with no SVD
+and no scan. The test is sharp: when it fails, the defect at ``rho = 0``
+is ``F - dim (1 - E) > 0``, so members at small ``rho`` are smaller.
+
+Otherwise one full SVD ``L^{-1} phi R = W diag(sigma) U^T`` follows. With
+``nu = sigma^2`` and ``sigma`` zero-padded to ``dim P`` entries,
+``e = W^T L^{-1} eps`` cut to those entries and ``|e_perp|^2`` the
+squared rest of ``W^T L^{-1} eps`` (so ``E = sum e_i^2 + |e_perp|^2``),
 every quantity of the family is a scalar rational function of ``rho``::
 
     beta(rho)  = 1 + rho (1 - |e_perp|^2) - sum rho e_i^2/(1 + rho nu_i)
@@ -334,12 +351,18 @@ def _bracket_roots(func, grid, vals):
 # ``1 + rho``, and still be kept, clipped at zero: rounding at touching sets.
 BETA_SLACK = 1e-10
 
+# What ``_Fusion._decompose`` sets: the family's spectral description.
+_SPECTRAL = frozenset(("sigma", "nu", "e", "e2", "e_perp2", "basis", "_terms"))
+
 
 class _Fusion:
     """The rho-family fusing ``E(P, c)`` with ``{x : |h - phi x|_Q <= 1}``.
 
-    The constructor factors once (module docstring); the rest is scalar
-    arithmetic, apart from building a posterior.
+    The constructor factors once and decides the keep test (module
+    docstring). The SVD and the spectral attributes it gives are taken on
+    their first read: in ``fuse`` when the test fails, and by ``at``,
+    ``defect``, ``log_det_change`` or ``posterior`` in any case. The rest is
+    scalar arithmetic, apart from building a posterior.
     """
 
     def __init__(self, prior: Ellipsoid, phi, q, h):
@@ -351,21 +374,36 @@ class _Fusion:
         except np.linalg.LinAlgError as exc:
             raise DegenerateOperandError("noise shape is not PSD") from exc
         vals, vecs = prior.eigh
-        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        self.root = vecs * np.sqrt(np.clip(vals, 0.0, None))
         eps = h - phi @ prior.center
-        white = np.linalg.solve(chol, np.column_stack((phi @ root, eps)))
-        w, sigma, ut = np.linalg.svd(white[:, :dim])
-        proj = w.T @ white[:, dim]
-        k = sigma.size
-        pad = np.zeros(dim - k)
+        self.white = np.linalg.solve(chol, np.column_stack((phi @ self.root, eps)))
         self.prior = prior
         self.dim = dim
+        # The keep test (module docstring): dim (1 - E) >= F, with E and F
+        # the whitened innovation's and regressor's squared norms.
+        energy = (self.white * self.white).sum(axis=0)
+        self.keeps_prior = bool(dim * (1.0 - energy[dim]) >= energy[:dim].sum())
+
+    def __getattr__(self, name):
+        """The spectral attributes, set by the SVD on first read."""
+        if name not in _SPECTRAL:
+            raise AttributeError(name)
+        self._decompose()
+        return vars(self)[name]
+
+    def _decompose(self):
+        """The SVD ``L^{-1} phi R = W diag(sigma) U^T`` and what it gives."""
+        dim = self.dim
+        w, sigma, ut = np.linalg.svd(self.white[:, :dim])
+        proj = w.T @ self.white[:, dim]
+        k = sigma.size
+        pad = np.zeros(dim - k)
         self.sigma = np.concatenate((sigma, pad))
         self.nu = self.sigma**2
         self.e = np.concatenate((proj[:k], pad))
         self.e2 = self.e**2
         self.e_perp2 = float(proj[k:] @ proj[k:])
-        self.basis = root @ ut.T
+        self.basis = self.root @ ut.T
         self._terms = list(zip(self.nu.tolist(), self.e2.tolist()))
 
     def at(self, rho):
@@ -410,8 +448,12 @@ class _Fusion:
         Candidates are the defect roots and the ``rho -> infinity`` edge with
         ``beta > -BETA_SLACK (1 + rho)`` (then clipped at zero). Only the one
         of least closed-form log det is built; it replaces the prior, the
-        anchor ``(0, 1, prior)``, only if its built log det is lower.
+        anchor ``(0, 1, prior)``, only if its built log det is lower. When
+        the keep test holds, no member is smaller: the anchor is returned
+        at once, with no SVD and no scan.
         """
+        if self.keeps_prior:
+            return 0.0, 1.0, self.prior
         den = 1.0 + _RHO_GRID[:, None] * self.nu
         slope = 1.0 - self.e_perp2
         betas = 1.0 + _RHO_GRID * (slope - (self.e2 / den).sum(axis=1))

@@ -21,17 +21,30 @@ stationary point is larger). The prior (``rho = 0``) is kept only when no
 candidate is smaller; ``beta <= 0`` on the scan certifies that the prior
 and observation sets are disjoint.
 
+Most updates keep the prior, and a closed-form test decides exactly those
+before any scan. With ``L L^T = Q``, ``R R^T = P``, the whitened
+innovation ``E = |L^{-1} eps|^2`` and ``F = |L^{-1} phi R|_F^2``, the prior
+is kept when ``dim (1 - E) >= F``. Why: ``beta(rho) >= 1 + rho (1 - E)``,
+since each whitened direction's term ``e_i^2/(1 + rho nu_i)`` is at most
+``e_i^2``; and by Jensen ``log det(I + rho R^T phi^T Q^{-1} phi R) <= dim
+log1p(rho F/dim)``, which the test makes at most ``dim log beta``. So no
+member is smaller than the prior or disjoint from it. The test is sharp:
+when it fails, small ``rho`` shrinks the set.
+
 The fusion kernel of :mod:`smtrack.ellipsoid`, entered only through
-:func:`update`, does the work: per update one Cholesky of ``Q``,
-one eigendecomposition of ``P`` and one SVD of ``L^{-1} phi R``. Then
-``beta``, the defect and each member's log det are scalar rational
-functions of ``rho`` (closed forms in that module's docstring).
+:func:`update`, does the work: per update one Cholesky of ``Q`` and one
+linear solve against it (the prior's eigendecomposition is cached on the
+set), which is all a kept update costs. An update the test does not
+decide adds one SVD of ``L^{-1} phi R``; then ``beta``, the defect and
+each member's log det are scalar rational functions of ``rho`` (closed
+forms in that module's docstring).
 Intersecting two sets ``E(Pa, a)`` and ``E(Pb, b)`` is an update of the
 belief ``E(Pa, a)`` by ``Observation(b, I, Pb)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,17 +88,25 @@ class Observation(_FrozenArrays):
             raise ValueError(f"phi has {phi.shape[0]} rows, h has {h.size}")
         if q.shape != (h.size, h.size):
             raise ValueError(f"q_shape {q.shape} does not match h ({h.size})")
+        for name, value in (("h", h), ("phi", phi), ("q_shape", q)):
+            if not all(map(math.isfinite, value.ravel().tolist())):
+                raise ValueError(f"{name} is not finite")
         _set_frozen(self, h=h, phi=phi, q_shape=0.5 * (q + q.T))
 
 
 @dataclass(frozen=True)
 class ParameterBelief:
-    """Parameter ellipsoid plus diagnostics of the latest update."""
+    """Parameter ellipsoid plus diagnostics of the latest update.
+
+    ``kept_by_test`` is true when the closed-form keep test decided that
+    update: the prior was kept with no scan (module docstring).
+    """
 
     set: Ellipsoid
     last_rho: float = 0.0
     last_beta: float = 1.0
     skipped: bool = False
+    kept_by_test: bool = False
 
     @property
     def center(self) -> np.ndarray:
@@ -133,6 +154,15 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
     than the prior (the ``rho = 0`` anchor, which returns the prior
     unchanged).
 
+    The scan runs only when the closed-form keep test (module docstring)
+    fails. The test holds when ``dim (1 - E) >= F``, with ``E`` the squared
+    whitened innovation and ``F`` the squared Frobenius norm of the
+    whitened regressor ``L^{-1} phi R``. Then, at every ``rho > 0``,
+    ``dim log beta >= dim log1p(rho (1 - E)) >= dim log1p(rho F/dim)``,
+    which by Jensen is at least ``sum log1p(rho nu_i)``: no member's log
+    det is below the prior's. Such an update returns the prior object
+    itself, flagged ``kept_by_test=True``.
+
     ``policy="raise"`` raises :class:`InconsistentObservationError` when the
     observation set is disjoint from the prior; ``policy="skip"`` instead
     returns the prior flagged ``skipped=True``.
@@ -144,12 +174,15 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
         raise ValueError(
             f"regressor has {obs.phi.shape[1]} columns, belief dim {prior.dim}"
         )
-    fused = _Fusion(prior, obs.phi, obs.q_shape, obs.h).fuse()
+    fusion = _Fusion(prior, obs.phi, obs.q_shape, obs.h)
+    fused = fusion.fuse()
     if fused is None:
         if policy == "raise":
             raise InconsistentObservationError(
                 "observation set is disjoint from the prior parameter set"
             )
-        return replace(belief, last_rho=0.0, last_beta=1.0, skipped=True)
+        return replace(belief, last_rho=0.0, last_beta=1.0, skipped=True,
+                       kept_by_test=False)
     rho, beta, posterior = fused
-    return ParameterBelief(posterior, last_rho=rho, last_beta=beta, skipped=False)
+    return ParameterBelief(posterior, last_rho=rho, last_beta=beta, skipped=False,
+                           kept_by_test=fusion.keeps_prior)

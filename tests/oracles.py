@@ -391,6 +391,24 @@ def gain_form_posterior(prior, phi, q, h, rho):
     return prior.center + gain @ eps, beta * core, beta
 
 
+def gain_form_log_det_change(prior, phi, q, h, rho):
+    """Member minus prior log det at ``rho > 0`` from the dense gain form.
+
+    A singular prior has log det -inf; the sets are then compared as the
+    limit of ``P + delta I`` at ``delta -> 0``, in which every flat direction
+    of the prior is scaled by ``beta``: the log det change on ``range(P)``
+    plus ``(dim - rank P) log beta``. ``inf`` when ``beta <= 0``.
+    """
+    _, shape, beta = gain_form_posterior(prior, phi, q, h, rho)
+    if not beta > 0.0:
+        return np.inf
+    vals, vecs = np.linalg.eigh(prior.shape)
+    basis = vecs[:, vals > 1e-9 * max(vals[-1], 1.0)]
+    change = (np.linalg.slogdet(basis.T @ shape @ basis)[1]
+              - np.linalg.slogdet(basis.T @ prior.shape @ basis)[1])
+    return change + (prior.dim - basis.shape[1]) * np.log(beta)
+
+
 def random_fusion_case(rng, rows, dim, rank=None):
     """Random consistent ``(prior, phi, q, h, theta)``: ``theta`` is in both sets.
 

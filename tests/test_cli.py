@@ -136,13 +136,13 @@ class TestValidate:
             code = main(argv)
             text = capsys.readouterr().out
             assert code == 0
-            for name in ("fusion-containment", "estimator-contraction",
-                         "robust-worst-case", "information-identity",
-                         "discretization-consistency"):
+            for name in ("fusion-containment", "fusion-keep-test",
+                         "estimator-contraction", "robust-worst-case",
+                         "information-identity", "discretization-consistency"):
                 assert f"PASS {name}" in text
-            assert text.count("PASS ") == 5
+            assert text.count("PASS ") == 6
             assert "FAIL" not in text
-            assert "5/5 checks passed" in text
+            assert "6/6 checks passed" in text
 
     def test_unconverged_robust_solve_fails_its_check(self, capsys,
                                                       monkeypatch):
@@ -156,7 +156,7 @@ class TestValidate:
         text = capsys.readouterr().out
         assert code == 1
         assert "FAIL robust-worst-case: solver status max_iter" in text
-        assert "4/5 checks passed" in text
+        assert "5/6 checks passed" in text
 
     @staticmethod
     def loaded_after_import(module, condition):

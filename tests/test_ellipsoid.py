@@ -420,3 +420,22 @@ class TestRandomizedProperties:
     def test_fusion_anchor(self):
         rng = np.random.default_rng(105)
         assert checks.check_fusion_anchor(rng, n_pairs=60) == []
+
+    def test_fusion_keep_test(self):
+        rng = np.random.default_rng(106)
+        assert checks.check_fusion_keep_test(rng, n_cases=100) == []
+
+    @pytest.mark.parametrize("verdict,message", [
+        (True, "a member is smaller"), (False, "only one side of the keep test")])
+    def test_fusion_keep_test_sees_a_wrong_verdict(self, monkeypatch, verdict,
+                                                   message):
+        init = _Fusion.__init__
+
+        def forced(self, *args):
+            init(self, *args)
+            self.keeps_prior = verdict
+
+        monkeypatch.setattr(_Fusion, "__init__", forced)
+        rng = np.random.default_rng(106)
+        failures = checks.check_fusion_keep_test(rng, n_cases=40)
+        assert any(message in failure for failure in failures)

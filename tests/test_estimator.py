@@ -1,10 +1,13 @@
 """Tests for the recursive set-membership parameter estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from smtrack import checks, ellipsoid, experiments
 from smtrack.ellipsoid import DegenerateOperandError, Ellipsoid, _Fusion
 from smtrack.estimator import (
     InconsistentObservationError,
@@ -14,7 +17,7 @@ from smtrack.estimator import (
     build_state_observation,
     update,
 )
-from smtrack.experiments import scenario
+from smtrack.experiments import run, scenario
 
 
 def scalar_belief(center, radius_sq):
@@ -32,6 +35,16 @@ class TestObservation:
             Observation([1.0, 2.0], [[1.0]], [[1.0]])
         with pytest.raises(ValueError, match="q_shape"):
             Observation([1.0], [[1.0]], np.eye(2))
+
+    @pytest.mark.parametrize("field", ["h", "phi", "q_shape"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_are_rejected(self, field, bad):
+        # A NaN innovation used to pass as a kept update and an infinite one
+        # as a disjoint observation.
+        fields = {"h": [0.5], "phi": [[1.0]], "q_shape": [[1.0]]}
+        fields[field] = np.full_like(np.array(fields[field]), bad)
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            Observation(**fields)
 
     def test_arrays_are_frozen(self):
         obs = interval_obs(0.0, 1.0)
@@ -113,6 +126,7 @@ class TestUpdate:
         assert out.last_rho == 0.0
         assert out.last_beta == 1.0
         assert not out.skipped
+        assert out.kept_by_test
 
     def test_tighter_observation_set_is_the_posterior(self):
         # [-2, 2] fused with [-1, 1]: the posterior shape 4(1+rho)/(4rho+1)
@@ -125,6 +139,7 @@ class TestUpdate:
         assert out.set.log_det < belief.set.log_det
         assert out.last_rho > 0.0
         assert not out.skipped
+        assert not out.kept_by_test
 
     def test_partial_direction_shrinks_volume(self):
         # Observing only the first coordinate still tightens both axes.
@@ -150,11 +165,12 @@ class TestUpdate:
             update(scalar_belief(0.0, 4.0), interval_obs(10.0, 1.0))
 
     def test_disjoint_observation_skipped_on_request(self):
-        belief = scalar_belief(0.0, 4.0)
+        belief = replace(scalar_belief(0.0, 4.0), kept_by_test=True)
         out = update(belief, interval_obs(10.0, 1.0), policy="skip")
         assert out.skipped
         assert out.set is belief.set
         assert out.last_rho == 0.0
+        assert not out.kept_by_test
 
     def test_invalid_policy(self):
         with pytest.raises(ValueError, match="policy"):
@@ -279,6 +295,123 @@ class TestFusionKernel:
                     assert out.set.log_det > prior.log_det - 40.0
                 belief = out
                 phi = rng.normal(size=(2, 3))
+
+
+def recorded_updates(name, mode, seeds=range(5)):
+    """``(belief, obs)`` of every update in closed-loop runs."""
+    calls = []
+
+    def recording(belief, obs, policy="raise"):
+        calls.append((belief, obs))
+        return update(belief, obs, policy=policy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "update", recording)
+        for seed in seeds:
+            assert not run(scenario(name), mode, seed).aborted
+    return calls
+
+
+def scanned(belief, obs):
+    """``fuse`` with the keep test switched off: the scan decides alone."""
+    fusion = _Fusion(belief.set, obs.phi, obs.q_shape, obs.h)
+    fusion.keeps_prior = False
+    return fusion.fuse()
+
+
+def keep_test_terms(prior, obs):
+    """``(E, F)`` from dense algebra: ``eps^T Q^-1 eps`` and ``tr(phi P phi^T Q^-1)``."""
+    eps = obs.h - obs.phi @ prior.center
+    q_inv = np.linalg.inv(obs.q_shape)
+    return eps @ q_inv @ eps, np.trace(obs.phi @ prior.shape @ obs.phi.T @ q_inv)
+
+
+class TestKeepTest:
+    """The closed-form test ``dim (1 - E) >= F`` that keeps the prior unscanned."""
+
+    # (scenario, mode, kept updates, all updates) over seeds 0-4.
+    REPLAYS = [("sim1", "learn", 138, 230), ("sim1", "active", 143, 230),
+               ("sim2", "learn", 345, 500), ("sim2", "active", 345, 500),
+               ("sim3", "learn", 429, 500), ("sim3", "active", 345, 500)]
+
+    @pytest.mark.parametrize("name,mode,n_kept,n_updates", REPLAYS)
+    def test_recorded_updates_replay_the_scan(self, name, mode, n_kept, n_updates):
+        # Every recorded update makes the scan's keep/shrink decision with
+        # the scan's posterior, bit for bit, and the test keeps exactly the
+        # updates that the scan keeps.
+        calls = recorded_updates(name, mode)
+        assert len(calls) == n_updates
+        kept = 0
+        for belief, obs in calls:
+            out = update(belief, obs)
+            rho, beta, posterior = scanned(belief, obs)
+            assert (out.last_rho, out.last_beta) == (rho, beta)
+            assert np.array_equal(out.center, posterior.center)
+            assert np.array_equal(out.shape, posterior.shape)
+            assert out.kept_by_test == (posterior is belief.set)
+            assert (out.set is belief.set) == out.kept_by_test
+            kept += out.kept_by_test
+        assert kept == n_kept
+
+    def test_a_kept_update_takes_no_svd_and_no_root_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on a kept update")
+
+        belief = ParameterBelief(Ellipsoid([0.5, -0.2], [[4.0, 1.0], [1.0, 2.0]]))
+        obs = Observation([0.3], [[1.0, 0.5]], [[9.0]])
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(ellipsoid, "_bracket_roots", forbidden)
+        out = update(belief, obs)
+        assert out.kept_by_test
+        assert out.set is belief.set
+        assert (out.last_rho, out.last_beta) == (0.0, 1.0)
+
+    def test_a_kept_prior_has_no_smaller_member(self):
+        # Random updates, dim 1-4, rank-deficient regressors and singular
+        # priors: where the test holds, no member on a dense rho grid is
+        # smaller than the prior, by the dense gain form.
+        rng = np.random.default_rng(211)
+        certified = 0
+        for _ in range(120):
+            prior, obs = checks.random_fusion(rng)
+            if not _Fusion(prior, obs.phi, obs.q_shape, obs.h).keeps_prior:
+                continue
+            certified += 1
+            for rho in np.geomspace(1e-10, 1e8, 300):
+                change = oracles.gain_form_log_det_change(
+                    prior, obs.phi, obs.q_shape, obs.h, rho)
+                assert change >= -1e-12
+        assert certified >= 30
+
+    def test_a_positive_defect_at_zero_shrinks(self):
+        # Where the test fails by a margin, the defect at rho = 0, F - dim
+        # (1 - E), is the slope of -log det there: some small-rho member is
+        # smaller than the prior.
+        rng = np.random.default_rng(223)
+        shrinking = 0
+        for _ in range(120):
+            prior, obs = checks.random_fusion(rng)
+            fusion = _Fusion(prior, obs.phi, obs.q_shape, obs.h)
+            if fusion.keeps_prior or not fusion.defect(0.0) > 1e-3:
+                continue
+            shrinking += 1
+            assert min(oracles.gain_form_log_det_change(
+                prior, obs.phi, obs.q_shape, obs.h, rho)
+                for rho in np.geomspace(1e-12, 1e-2, 50)) < 0.0
+        assert shrinking >= 30
+
+    def test_the_boundary_is_decided_right(self):
+        # Scaling Q by s scales E and F by 1/s, so the test holds exactly
+        # when s >= E + F/dim (at s = 1). Just above that scale the prior is
+        # kept; just below it is not.
+        rng = np.random.default_rng(227)
+        for _ in range(100):
+            prior, obs = checks.random_fusion(rng)
+            e_sq, f_sq = keep_test_terms(prior, obs)
+            edge = e_sq + f_sq / prior.dim
+            for factor, kept in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+                q = factor * edge * obs.q_shape
+                assert _Fusion(prior, obs.phi, q, obs.h).keeps_prior == kept
 
 
 class TestClosedLoopLearning:
