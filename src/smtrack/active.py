@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _fixed, _freeze, _FrozenArrays, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 from .robust import ControlBounds
@@ -119,11 +119,47 @@ def exploration_weight(ma, m: int) -> np.ndarray:
     return ma
 
 
+# The last ``_fixed`` ``ma`` checked, its input count and its checked
+# weight, replaced whole; the key is compared by identity. ``ScenarioSpec``
+# fills it at load with the weight it stores, so a run checks none.
+_weight_memo = None
+
+
+def _checked_weight(ma, m: int) -> np.ndarray:
+    """:func:`exploration_weight` of ``ma``, checked finite and symmetric PSD.
+
+    A ``_fixed`` ``ma`` given again with the same ``m`` is not checked
+    again: the weight checked the first time is returned.
+    """
+    global _weight_memo
+    memo = _weight_memo
+    if memo is not None and memo[0] is ma and memo[1] == m:
+        return memo[2]
+    weight = exploration_weight(ma, m)
+    if not np.isfinite(weight).all():
+        raise ValueError("ma is not finite")
+    Ellipsoid(np.zeros(m), weight)  # raises unless symmetric PSD
+    _freeze(weight)
+    if _fixed(ma):
+        _weight_memo = ma, m, weight
+    return weight
+
+
 def build_trust_region(belief: ParameterBelief, u_ref, ma) -> Ellipsoid:
-    """Exploration ellipsoid ``E(trace(P) * Ma, u_ref)`` over the inputs."""
-    u_ref = np.atleast_1d(np.asarray(u_ref, dtype=float))
-    tr = max(float(np.trace(belief.shape)), 0.0)
-    return Ellipsoid(u_ref, tr * exploration_weight(ma, u_ref.size))
+    """Exploration ellipsoid ``E(trace(P) * Ma, u_ref)`` over the inputs.
+
+    ``ma`` is read as :func:`exploration_weight` reads it and must be
+    finite and symmetric PSD; a read-only ``ma`` is checked once (as the
+    ``ScenarioSpec`` copy is at load), any other on every call. The shape
+    is then PSD by construction, so the set is built unchecked and left
+    undecomposed, since :func:`solve_active` reads only its center and
+    shape.
+    """
+    u_ref = np.atleast_1d(np.array(u_ref, dtype=float))
+    if not all(map(math.isfinite, u_ref.tolist())):
+        raise ValueError("u_ref is not finite")
+    shape = max(belief.set.trace, 0.0) * _checked_weight(ma, u_ref.size)
+    return Ellipsoid._trusted(u_ref, 0.5 * (shape + shape.T))
 
 
 # ---------------------------------------------------------------------------

@@ -23,23 +23,33 @@ The kernel fuses the prior ``E(P, c)`` with the observation set
 Automatica 1982; Maksarov & Norton, IJC 1996); its member at ``rho > 0``
 is the gain-form posterior of :mod:`smtrack.estimator`, whose ``update``
 is the kernel's one entry. Intersecting ``E(Pa, a)`` with ``E(Pb, b)`` is
-that update with ``phi = I``, ``Q = Pb``, ``h = b``. The kernel factors
-once per call: ``Q + 1e-13 (1 + tr Q) I = L L^T``, ``P = R R^T`` and
-``L^{-1} [phi R | eps]`` (``eps = h - phi c``) from one linear solve.
+that update with ``phi = I``, ``Q = Pb``, ``h = b``. The kernel takes
+``Q + 1e-13 (1 + tr Q) I = L L^T`` once per read-only noise shape (the
+closed loop passes the same one every step) and ``P = R R^T`` once per
+prior (``Ellipsoid.factor``), so each call pays one linear solve for
+``L^{-1} [phi R | eps]`` (``eps = h - phi c``).
 
-Then it decides, in closed form, whether any member can be smaller than
-the prior. With ``E = |L^{-1} eps|^2`` the whitened innovation and
-``F = |L^{-1} phi R|_F^2 = sum nu_i`` (below), the prior is kept when::
+Volume is measured on ``range(P)``, of dimension ``k``, the prior's count
+of eigenvalues above ``1e-14`` of the largest (``Ellipsoid.rank``; ``k =
+dim`` for a full-rank prior). The columns of ``R`` that belong to the
+others, zero to rounding, are zeroed, so ``R`` spans exactly that range
+and every member lies in it: a singular prior shrinks like a full-rank
+one of dimension ``k``, and its null directions stay null. The kernel
+then decides, in closed form, whether any member can be smaller than the
+prior. With ``E = |L^{-1} eps|^2`` the whitened innovation and ``F =
+|L^{-1} phi R|_F^2 = sum nu_i`` (below), the prior is kept when::
 
-    dim (1 - E) >= F
+    k (1 - E) >= F    and    E <= 1
 
-Every ``1/(1 + rho nu_i) <= 1``, so ``beta(rho) >= 1 + rho (1 - E)``;
-Jensen on the concave log gives ``sum log1p(rho nu_i) <= dim log1p(rho
-F/dim)``. Under the test the first bound is the larger, so every member
-has ``d log det >= 0`` and ``beta >= 1``: none is smaller than the prior
-or disjoint from it, and ``fuse`` returns the prior itself with no SVD
-and no scan. The test is sharp: when it fails, the defect at ``rho = 0``
-is ``F - dim (1 - E) > 0``, so members at small ``rho`` are smaller.
+Every ``1/(1 + rho nu_i) <= 1``, so ``beta(rho) >= 1 + rho (1 - E)``; at
+most ``k`` of the ``nu_i`` are nonzero, and Jensen on the concave log
+gives ``sum log1p(rho nu_i) <= k log1p(rho F/k)``. Under the test the
+first bound is the larger, so every member has ``d log det >= 0`` and
+``beta >= 1``: none is smaller than the prior or disjoint from it, and
+``fuse`` returns the prior itself with no SVD and no scan. (``E <= 1``
+follows from the first inequality unless ``k = 0``, a point prior.) The
+test is sharp: when it fails with ``k > 0``, the defect at ``rho = 0`` is
+``F - k (1 - E) > 0``, so members at small ``rho`` are smaller.
 
 Otherwise one full SVD ``L^{-1} phi R = W diag(sigma) U^T`` follows. With
 ``nu = sigma^2`` and ``sigma`` zero-padded to ``dim P`` entries,
@@ -49,13 +59,14 @@ every quantity of the family is a scalar rational function of ``rho``::
 
     beta(rho)  = 1 + rho (1 - |e_perp|^2) - sum rho e_i^2/(1 + rho nu_i)
     beta'(rho) = 1 - |e_perp|^2 - sum e_i^2/(1 + rho nu_i)^2
-    defect     = sum nu_i/(1 + rho nu_i) - dim beta'/beta
-    d log det  = dim log beta - sum log1p(rho nu_i)
+    defect     = sum nu_i/(1 + rho nu_i) - k beta'/beta
+    d log det  = k log beta - sum log1p(rho nu_i)
     center'    = c + (R U) diag(rho sigma/(1 + rho nu)) e
     shape'     = beta (R U) diag(1/(1 + rho nu)) (R U)^T
 
 The 200-point scan is array arithmetic, candidates are compared by
-``d log det`` and only the winner is built, PSD by construction.
+``d log det`` and only the winner is built, PSD by construction; it
+replaces the prior when its ``d log det`` is negative.
 """
 
 from __future__ import annotations
@@ -93,6 +104,16 @@ def _freeze(value):
         for item in value:
             _freeze(item)
     return value
+
+
+def _fixed(value) -> bool:
+    """Whether ``value`` is an array whose values cannot change under a holder.
+
+    It is read-only and owns its data, so no writable view of another
+    array can reach it. The one-slot memos key such arrays by identity.
+    """
+    return (isinstance(value, np.ndarray) and not value.flags.writeable
+            and value.flags.owndata)
 
 
 def _set_frozen(obj, **arrays):
@@ -141,6 +162,17 @@ def _flat(vals):
     return vals <= max(vals[-1], 1.0) * 1e-13
 
 
+def _null(vals):
+    """Which ascending eigenvalues are zero to rounding: ``lambda <= 1e-14 lambda_max``.
+
+    Relative only, unlike :func:`_flat`'s membership slack: a small set
+    has the rank of the same set scaled up, and a direction a noise-free
+    observation pins to the factor ridge (about ``1e-13`` of the largest
+    eigenvalue) still has volume.
+    """
+    return vals <= vals[-1] * 1e-14
+
+
 @dataclass(frozen=True, eq=False)
 class Ellipsoid(_FrozenArrays):
     """Immutable ellipsoid ``E(shape, center)``.
@@ -155,12 +187,14 @@ class Ellipsoid(_FrozenArrays):
 
     The eigendecomposition of the shape (:attr:`eigh`) is taken once, at
     construction, where its smallest eigenvalue checks the PSD slack. The
-    symmetric square root (:attr:`root`) and :attr:`log_det` are computed
-    on first use, at most once per instance, and all these arrays are
-    read-only. ``contains``, ``sample_interior``, the fusion kernel and the
-    robust controller read them, so a set is decomposed once, however
-    often it is used. They equal ``np.linalg.eigh``, ``V diag(sqrt(max(
-    lambda, 0))) V^T`` and ``np.linalg.slogdet`` of the stored shape.
+    factor ``V diag(sqrt(max(lambda, 0)))`` (:attr:`factor`), the
+    symmetric square root (:attr:`root`), :attr:`trace`, :attr:`rank` and
+    :attr:`log_det` are computed on first use, at most once per instance,
+    and all these arrays are read-only. ``contains``, ``sample_interior``,
+    the fusion kernel and the robust controller read them, so a set is
+    decomposed once, however often it is used. They equal
+    ``np.linalg.eigh``, ``factor V^T``, ``np.trace`` and
+    ``np.linalg.slogdet`` of the stored shape.
     """
 
     center: np.ndarray
@@ -185,11 +219,22 @@ class Ellipsoid(_FrozenArrays):
         if eigmin < -PSD_TOL * (1.0 + self.trace):
             raise ValueError(f"shape matrix is not PSD (min eigenvalue {eigmin:.3e})")
 
+    @classmethod
+    def _trusted(cls, center, shape):
+        """The set of a float center and a shape that is symmetric PSD by construction.
+
+        The caller's arrays are stored read-only, as given: nothing is
+        checked, and nothing is decomposed until it is read.
+        """
+        ellipsoid = object.__new__(cls)
+        _set_frozen(ellipsoid, center=center, shape=shape)
+        return ellipsoid
+
     @property
     def dim(self) -> int:
         return self.center.size
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(np.trace(self.shape))
 
@@ -204,10 +249,20 @@ class Ellipsoid(_FrozenArrays):
         return _freeze(tuple(np.linalg.eigh(self.shape)))
 
     @cached_property
-    def root(self) -> np.ndarray:
-        """Symmetric PSD square root of the shape, read-only."""
+    def rank(self) -> int:
+        """How many eigenvalues of the shape are not zero to rounding (:func:`_null`)."""
+        return self.dim - int(np.count_nonzero(_null(self.eigh[0])))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """``V diag(sqrt(max(lambda, 0)))``, so ``factor factor^T`` is the shape; read-only."""
         vals, vecs = self.eigh
-        return _freeze((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T)
+        return _freeze(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Symmetric PSD square root of the shape, ``factor V^T``, read-only."""
+        return _freeze(self.factor @ self.eigh[1].T)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership test, tolerant: quadratic form <= 1 + tol.
@@ -354,6 +409,28 @@ BETA_SLACK = 1e-10
 # What ``_Fusion._decompose`` sets: the family's spectral description.
 _SPECTRAL = frozenset(("sigma", "nu", "e", "e2", "e_perp2", "basis", "_terms"))
 
+# The last noise shape factored and its factor, replaced whole. The key is
+# compared by identity, so only a ``_fixed`` array is held: in the closed
+# loop, the ``q_shape`` that every step's ``Observation`` shares.
+_factor_memo = None
+
+
+def _noise_factor(q):
+    """``chol(Q + 1e-13 (1 + tr Q) I)``, taken once per read-only ``Q``."""
+    global _factor_memo
+    memo = _factor_memo
+    if memo is not None and memo[0] is q:
+        return memo[1]
+    # The ridge lets a noise-free direction (singular Q) be factored.
+    ridge = 1e-13 * (1.0 + np.trace(q))
+    try:
+        chol = np.linalg.cholesky(q + ridge * np.eye(q.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateOperandError("noise shape is not PSD") from exc
+    if _fixed(q):
+        _factor_memo = q, _freeze(chol)
+    return chol
+
 
 class _Fusion:
     """The rho-family fusing ``E(P, c)`` with ``{x : |h - phi x|_Q <= 1}``.
@@ -367,22 +444,22 @@ class _Fusion:
 
     def __init__(self, prior: Ellipsoid, phi, q, h):
         dim = prior.dim
-        # The ridge lets a noise-free direction (singular Q) be factored.
-        ridge = 1e-13 * (1.0 + np.trace(q))
-        try:
-            chol = np.linalg.cholesky(q + ridge * np.eye(q.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateOperandError("noise shape is not PSD") from exc
-        vals, vecs = prior.eigh
-        self.root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        chol = _noise_factor(q)
+        self.rank = prior.rank
+        self.root = prior.factor
+        if self.rank < dim:
+            # Null directions carry no volume: with their columns of R zeroed
+            # they get nu = 0 and stay null in every member.
+            self.root = np.where(_null(prior.eigh[0]), 0.0, self.root)
         eps = h - phi @ prior.center
         self.white = np.linalg.solve(chol, np.column_stack((phi @ self.root, eps)))
         self.prior = prior
         self.dim = dim
-        # The keep test (module docstring): dim (1 - E) >= F, with E and F
-        # the whitened innovation's and regressor's squared norms.
+        # The keep test (module docstring): k (1 - E) >= F and E <= 1, with
+        # E and F the whitened innovation's and regressor's squared norms.
         energy = (self.white * self.white).sum(axis=0)
-        self.keeps_prior = bool(dim * (1.0 - energy[dim]) >= energy[:dim].sum())
+        self.keeps_prior = bool(self.rank * (1.0 - energy[dim]) >= energy[:dim].sum()
+                                and energy[dim] <= 1.0)
 
     def __getattr__(self, name):
         """The spectral attributes, set by the SVD on first read."""
@@ -426,13 +503,13 @@ class _Fusion:
             if dbeta == 0.0:
                 return 0.0
             return -1e308 if dbeta > 0.0 else 1e308
-        return info - self.dim * dbeta / beta
+        return info - self.rank * dbeta / beta
 
     def log_det_change(self, rho, beta):
-        """Posterior minus prior log det, ``dim log beta - sum log1p(rho nu)``."""
+        """Posterior minus prior log det on ``range(P)``, ``k log beta - sum log1p(rho nu)``."""
         if beta == 0.0:
             return -math.inf
-        return self.dim * math.log(beta) - sum(
+        return self.rank * math.log(beta) - sum(
             math.log1p(rho * nu) for nu, _ in self._terms)
 
     def posterior(self, rho, beta):
@@ -447,10 +524,10 @@ class _Fusion:
 
         Candidates are the defect roots and the ``rho -> infinity`` edge with
         ``beta > -BETA_SLACK (1 + rho)`` (then clipped at zero). Only the one
-        of least closed-form log det is built; it replaces the prior, the
-        anchor ``(0, 1, prior)``, only if its built log det is lower. When
-        the keep test holds, no member is smaller: the anchor is returned
-        at once, with no SVD and no scan.
+        of least closed-form log det change on ``range(P)`` is built, and
+        only if that change is negative; otherwise the anchor ``(0, 1,
+        prior)`` is returned. When the keep test holds, no member is
+        smaller: the anchor is returned at once, with no SVD and no scan.
         """
         if self.keeps_prior:
             return 0.0, 1.0, self.prior
@@ -460,7 +537,7 @@ class _Fusion:
         if np.any(betas <= 0.0):
             return None
         dbetas = slope - (self.e2 / den**2).sum(axis=1)
-        defects = (self.nu / den).sum(axis=1) - self.dim * dbetas / betas
+        defects = (self.nu / den).sum(axis=1) - self.rank * dbetas / betas
         best_rho, best_beta, best_gap = 0.0, 1.0, 0.0
         for rho in [*_bracket_roots(self.defect, _RHO_GRID, defects), RHO_BRACKET[1]]:
             beta = self.at(rho)[0]
@@ -471,8 +548,6 @@ class _Fusion:
             if gap < best_gap:
                 best_rho, best_beta, best_gap = rho, beta, gap
         if best_rho > 0.0:
-            fused = self.posterior(best_rho, best_beta)
-            if fused.log_det < self.prior.log_det:
-                return best_rho, best_beta, fused
+            return best_rho, best_beta, self.posterior(best_rho, best_beta)
         return 0.0, 1.0, self.prior
 

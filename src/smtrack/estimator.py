@@ -21,23 +21,28 @@ stationary point is larger). The prior (``rho = 0``) is kept only when no
 candidate is smaller; ``beta <= 0`` on the scan certifies that the prior
 and observation sets are disjoint.
 
-Most updates keep the prior, and a closed-form test decides exactly those
-before any scan. With ``L L^T = Q``, ``R R^T = P``, the whitened
-innovation ``E = |L^{-1} eps|^2`` and ``F = |L^{-1} phi R|_F^2``, the prior
-is kept when ``dim (1 - E) >= F``. Why: ``beta(rho) >= 1 + rho (1 - E)``,
-since each whitened direction's term ``e_i^2/(1 + rho nu_i)`` is at most
-``e_i^2``; and by Jensen ``log det(I + rho R^T phi^T Q^{-1} phi R) <= dim
-log1p(rho F/dim)``, which the test makes at most ``dim log beta``. So no
-member is smaller than the prior or disjoint from it. The test is sharp:
-when it fails, small ``rho`` shrinks the set.
+Volume is measured on the range of ``P``, of dimension ``k``, the number
+of its eigenvalues above ``1e-14`` of the largest (``k = dim`` for a
+full-rank prior), since every member lies in that range. Most updates keep the prior, and a
+closed-form test decides exactly those before any scan. With ``L L^T =
+Q``, ``R R^T = P``, the whitened innovation ``E = |L^{-1} eps|^2`` and ``F
+= |L^{-1} phi R|_F^2``, the prior is kept when ``k (1 - E) >= F`` and ``E
+<= 1``. Why: ``beta(rho) >= 1 + rho (1 - E)``, since each whitened
+direction's term ``e_i^2/(1 + rho nu_i)`` is at most ``e_i^2``; and by
+Jensen ``log det(I + rho R^T phi^T Q^{-1} phi R) <= k log1p(rho F/k)``,
+which the test makes at most ``k log beta``. So no member is smaller than
+the prior or disjoint from it. The test is sharp: when it fails, small
+``rho`` shrinks the set.
 
 The fusion kernel of :mod:`smtrack.ellipsoid`, entered only through
-:func:`update`, does the work: per update one Cholesky of ``Q`` and one
-linear solve against it (the prior's eigendecomposition is cached on the
-set), which is all a kept update costs. An update the test does not
-decide adds one SVD of ``L^{-1} phi R``; then ``beta``, the defect and
-each member's log det are scalar rational functions of ``rho`` (closed
-forms in that module's docstring).
+:func:`update`, does the work: per update one linear solve against the
+Cholesky factor of ``Q``, which is all a kept update costs. That factor
+is taken once per noise shape: :class:`Observation` stores a symmetric
+read-only ``Q`` (the closed loop's disturbance bound) as given, and the
+kernel factors that array once. ``R`` is cached on the prior set. An
+update the test does not decide adds one SVD of ``L^{-1} phi R``; then
+``beta``, the defect and each member's log det are scalar rational
+functions of ``rho`` (closed forms in that module's docstring).
 Intersecting two sets ``E(Pa, a)`` and ``E(Pb, b)`` is an update of the
 belief ``E(Pa, a)`` by ``Observation(b, I, Pb)``.
 """
@@ -52,6 +57,7 @@ import numpy as np
 from .ellipsoid import (
     Ellipsoid,
     InconsistentSetsError,
+    _fixed,
     _FrozenArrays,
     _Fusion,
     _set_frozen,
@@ -74,7 +80,14 @@ class InconsistentObservationError(InconsistentSetsError):
 
 @dataclass(frozen=True, eq=False)
 class Observation(_FrozenArrays):
-    """One linear parameter observation ``H = phi theta + noise``."""
+    """One linear parameter observation ``H = phi theta + noise``.
+
+    ``q_shape`` is checked and stored symmetrized and read-only. A noise
+    shape that is already symmetric and ``_fixed`` (read-only, owning its
+    data), as a model's regressor-table ``q`` is, is stored as given, since
+    symmetrizing it would change no bit; every closed-loop step then passes
+    the fusion kernel the same array, which it factors once.
+    """
 
     h: np.ndarray
     phi: np.ndarray
@@ -91,7 +104,9 @@ class Observation(_FrozenArrays):
         for name, value in (("h", h), ("phi", phi), ("q_shape", q)):
             if not all(map(math.isfinite, value.ravel().tolist())):
                 raise ValueError(f"{name} is not finite")
-        _set_frozen(self, h=h, phi=phi, q_shape=0.5 * (q + q.T))
+        if not (_fixed(q) and q.tolist() == q.T.tolist()):
+            q = 0.5 * (q + q.T)
+        _set_frozen(self, h=h, phi=phi, q_shape=q)
 
 
 @dataclass(frozen=True)
@@ -155,13 +170,14 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
     unchanged).
 
     The scan runs only when the closed-form keep test (module docstring)
-    fails. The test holds when ``dim (1 - E) >= F``, with ``E`` the squared
-    whitened innovation and ``F`` the squared Frobenius norm of the
-    whitened regressor ``L^{-1} phi R``. Then, at every ``rho > 0``,
-    ``dim log beta >= dim log1p(rho (1 - E)) >= dim log1p(rho F/dim)``,
-    which by Jensen is at least ``sum log1p(rho nu_i)``: no member's log
-    det is below the prior's. Such an update returns the prior object
-    itself, flagged ``kept_by_test=True``.
+    fails. The test holds when ``k (1 - E) >= F`` and ``E <= 1``, with
+    ``k`` the prior's rank (``Ellipsoid.rank``), ``E`` the squared whitened
+    innovation and ``F`` the squared Frobenius norm of the whitened
+    regressor ``L^{-1} phi R``. Then, at every ``rho > 0``, ``k log beta >=
+    k log1p(rho (1 - E)) >= k log1p(rho F/k)``, which by Jensen is at least
+    ``sum log1p(rho nu_i)``: no member's log det on the range of the
+    prior's shape is below the prior's. Such an update returns the
+    prior object itself, flagged ``kept_by_test=True``.
 
     ``policy="raise"`` raises :class:`InconsistentObservationError` when the
     observation set is disjoint from the prior; ``policy="skip"`` instead

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .active import (build_info_quadratic, build_trust_region, exploration_weight,
-                     solve_active)
-from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
+from .active import (_checked_weight, build_info_quadratic, build_trust_region,
+                     exploration_weight, solve_active)
+from .ellipsoid import Ellipsoid, _freeze, _FrozenArrays, _set_frozen
 from .estimator import ParameterBelief, build_state_observation, update
 from .model import UncertainModel
 from .robust import ControlBounds, build_instance, solve_known_theta, solve_robust
@@ -147,9 +147,9 @@ class ScenarioSpec(_FrozenArrays):
     def __post_init__(self):
         theta = np.atleast_1d(np.array(self.theta_true, dtype=float))
         x0 = np.array(self.x0, dtype=float).ravel()
-        ma = exploration_weight(self.ma, self.model.m)
+        ma = _freeze(exploration_weight(self.ma, self.model.m))
         try:
-            Ellipsoid(np.zeros(self.model.m), ma)
+            _checked_weight(ma, self.model.m)
         except ValueError as exc:
             raise ValueError(f"ma must be symmetric PSD: {exc}") from None
         if theta.size != self.model.p:
@@ -392,6 +392,10 @@ def _record(spec, mode, seed, history, diagnostic) -> RunRecord:
     xs, us, y_refs, beliefs = zip(*history) if history else ((),) * 4
     ys = [model.output(x) for x in xs]
     sets = [belief.set for belief in beliefs]
+    # Consecutive steps often share a set, and in ``fixed`` mode all do.
+    distinct = {id(s): s for s in sets}
+    inside = {key: s.contains(spec.theta_true, CONTAINMENT_TOL)
+              for key, s in distinct.items()}
     return RunRecord(
         scenario=spec.name, mode=mode, seed=seed,
         k=np.arange(1, n + 1),
@@ -405,8 +409,7 @@ def _record(spec, mode, seed, history, diagnostic) -> RunRecord:
         rho=np.array([b.last_rho for b in beliefs]),
         beta=np.array([b.last_beta for b in beliefs]),
         skipped=np.array([b.skipped for b in beliefs], dtype=bool),
-        contains_true=np.array([s.contains(spec.theta_true, CONTAINMENT_TOL)
-                                for s in sets], dtype=bool),
+        contains_true=np.array([inside[id(s)] for s in sets], dtype=bool),
         belief_centers=np.array([s.center for s in sets]).reshape(n, model.p),
         belief_shapes=np.array([s.shape for s in sets]).reshape(n, model.p, model.p),
         aborted=bool(diagnostic), diagnostic=diagnostic,

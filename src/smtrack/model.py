@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _freeze, _FrozenArrays, _set_frozen
 
 __all__ = ["RegressorTable", "UncertainModel"]
 
@@ -152,11 +152,23 @@ class UncertainModel(_FrozenArrays):
         return theta[: self.r], theta[self.r:]
 
     def assemble(self, theta):
-        """Realized ``(A, B)`` at a parameter vector."""
+        """Realized ``(A, B)`` at a parameter vector, as read-only arrays.
+
+        The model keeps the last pair, keyed by the bytes of ``theta`` as a
+        float vector, and returns those same arrays while ``theta``'s values
+        repeat, as they do at the true parameter on every closed-loop step.
+        """
+        theta = np.asarray(theta, dtype=float).ravel()
+        key = theta.tobytes()
+        memo = self.__dict__.get("_assembled")
+        if memo is not None and memo[0] == key:
+            return memo[1]
         alpha, beta = self.split_theta(theta)
         a = self.a0 + sum(al * ai for al, ai in zip(alpha, self.a_perturbations))
         b = self.b0 + sum(be * bj for be, bj in zip(beta, self.b_perturbations))
-        return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        pair = _freeze((np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+        object.__setattr__(self, "_assembled", (key, pair))
+        return pair
 
     def step(self, x, u, theta, omega):
         """One state transition; returns ``(x_next, y_next)``."""

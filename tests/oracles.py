@@ -5,6 +5,7 @@ direct formulas) without touching the solvers under test, so agreement is
 evidence rather than tautology.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -394,19 +395,17 @@ def gain_form_posterior(prior, phi, q, h, rho):
 def gain_form_log_det_change(prior, phi, q, h, rho):
     """Member minus prior log det at ``rho > 0`` from the dense gain form.
 
-    A singular prior has log det -inf; the sets are then compared as the
-    limit of ``P + delta I`` at ``delta -> 0``, in which every flat direction
-    of the prior is scaled by ``beta``: the log det change on ``range(P)``
-    plus ``(dim - rank P) log beta``. ``inf`` when ``beta <= 0``.
+    Measured on ``range(P)``, where every member lies, so a singular prior
+    (log det -inf) is compared on its non-flat directions. ``inf`` when
+    ``beta <= 0``.
     """
     _, shape, beta = gain_form_posterior(prior, phi, q, h, rho)
     if not beta > 0.0:
         return np.inf
     vals, vecs = np.linalg.eigh(prior.shape)
     basis = vecs[:, vals > 1e-9 * max(vals[-1], 1.0)]
-    change = (np.linalg.slogdet(basis.T @ shape @ basis)[1]
-              - np.linalg.slogdet(basis.T @ prior.shape @ basis)[1])
-    return change + (prior.dim - basis.shape[1]) * np.log(beta)
+    return (np.linalg.slogdet(basis.T @ shape @ basis)[1]
+            - np.linalg.slogdet(basis.T @ prior.shape @ basis)[1])
 
 
 def random_fusion_case(rng, rows, dim, rank=None):
@@ -424,3 +423,16 @@ def random_fusion_case(rng, rows, dim, rank=None):
     theta = prior.center + 0.9 * (prior.sample_interior(rng) - prior.center)
     noise = 0.9 * Ellipsoid(np.zeros(rows), q).sample_interior(rng)
     return prior, phi, q, phi @ theta + noise, theta
+
+
+def assert_records_identical(a, b):
+    """Every field of two ``RunRecord``s is equal: arrays in shape, dtype and
+    values (``np.array_equal``), everything else by ``==``."""
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray), field.name
+            assert (x.shape, x.dtype) == (y.shape, y.dtype), field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from smtrack import active
 from smtrack.active import (
     InfoQuadratic,
     build_info_quadratic,
@@ -106,6 +107,42 @@ class TestBuildTrustRegion:
         belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
         with pytest.raises(ValueError, match="ma"):
             build_trust_region(belief, [0.0], np.eye(3))
+
+    @pytest.mark.parametrize("ma", [-1.0, [[1.0, 0.5], [0.0, 1.0]], np.nan,
+                                    [[1.0, np.inf], [np.inf, 1.0]]],
+                             ids=["negative", "asymmetric", "nan", "inf"])
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_a_bad_weight_is_rejected(self, ma, read_only):
+        # Also read-only: only a weight that passed the check is remembered.
+        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
+        ma = np.array(ma, dtype=float)
+        ma.flags.writeable = not read_only
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build_trust_region(belief, [0.0, 0.0], ma)
+
+    def test_a_non_finite_reference_input_is_rejected(self):
+        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.eye(2)))
+        with pytest.raises(ValueError, match="u_ref"):
+            build_trust_region(belief, [np.nan], 1.0)
+
+    def test_a_read_only_weight_is_checked_once(self, monkeypatch):
+        # Changing which weight is remembered never changes the region.
+        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.diag([4.0, 2.0])))
+        ma = np.array([[0.5, 0.1], [0.1, 2.0]])
+        ma.flags.writeable = False
+        monkeypatch.setattr(active, "_weight_memo", None)
+        checked = []
+        post_init = Ellipsoid.__post_init__
+        monkeypatch.setattr(Ellipsoid, "__post_init__",
+                            lambda e: checked.append(e) or post_init(e))
+        regions = [build_trust_region(belief, [0.0, 1.0], ma) for _ in range(3)]
+        assert len(checked) == 1
+        fresh = build_trust_region(belief, [0.0, 1.0], ma.copy())
+        assert len(checked) == 2
+        for region in regions:
+            assert np.array_equal(region.shape, fresh.shape)
+            assert np.array_equal(region.center, fresh.center)
 
 
 class TestSolveActive:

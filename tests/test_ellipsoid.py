@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from smtrack import checks, ellipsoid
+from smtrack import checks, ellipsoid, experiments, robust
 from smtrack.ellipsoid import Ellipsoid, InconsistentSetsError, _Fusion, _brent
 from smtrack.experiments import run, scenario
 
@@ -133,20 +133,41 @@ class TestCachedDecomposition:
 
     @pytest.mark.parametrize("mode", ["fixed", "learn", "known_theta", "active"])
     def test_each_set_a_run_builds_is_decomposed_once(self, mode, monkeypatch):
-        # Posteriors, point beliefs and trust regions pay one
-        # eigendecomposition each, at construction, and none later.
-        calls = self.count_decompositions(monkeypatch)
-        built = []
-        post_init = Ellipsoid.__post_init__
+        # Counted by kind: each posterior and each point belief pays one
+        # eigendecomposition, and a trust region none; nothing else is
+        # decomposed during a run.
+        spec = scenario("sim2")
+        robust._point_belief.cache_clear()
+        decomposed = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: decomposed.append(a) or eigh(a))
+        kinds = {"posterior": [], "point": [], "region": []}
 
-        def counted(self):
-            built.append(self)
-            post_init(self)
+        def collect(kind, fn):
+            def collected(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                kinds[kind].append(out if isinstance(out, Ellipsoid) else out.set)
+                return out
+            return collected
 
-        monkeypatch.setattr(Ellipsoid, "__post_init__", counted)
-        run(scenario("sim2"), mode, 0, 6)
-        assert len(built) >= 3
-        assert calls["eig"] == len(built)
+        monkeypatch.setattr(_Fusion, "posterior", collect("posterior", _Fusion.posterior))
+        monkeypatch.setattr(robust, "_point_belief", collect("point", robust._point_belief))
+        monkeypatch.setattr(experiments, "build_trust_region",
+                            collect("region", experiments.build_trust_region))
+        run(spec, mode, 0, 6)
+        kinds = {kind: list({id(s): s for s in sets}.values())
+                 for kind, sets in kinds.items()}
+        counts = {kind: [sum(a is s.shape for a in decomposed) for s in sets]
+                  for kind, sets in kinds.items()}
+        built = {"fixed": set(), "learn": {"posterior"}, "known_theta": {"point"},
+                 "active": {"posterior", "region"}}[mode]
+        assert {kind for kind, sets in kinds.items() if sets} == built
+        assert counts["posterior"] == [1] * len(kinds["posterior"])
+        assert counts["point"] == [1] * len(kinds["point"])
+        assert counts["region"] == [0] * len(kinds["region"])
+        assert len(decomposed) == len(kinds["posterior"]) + len(kinds["point"])
+
 
 class TestMembership:
     def test_unit_ball_boundary_point(self):

@@ -35,6 +35,21 @@ class TestObservation:
             Observation([1.0, 2.0], [[1.0]], [[1.0]])
         with pytest.raises(ValueError, match="q_shape"):
             Observation([1.0], [[1.0]], np.eye(2))
+        # A row of noise shape is not broadcast into a square one.
+        for q in ([1.0, 1.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="q_shape"):
+                Observation([0.0, 0.0], np.eye(2), q)
+
+    def test_only_a_read_only_symmetric_noise_shape_is_kept_as_given(self):
+        q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        q.flags.writeable = False
+        assert Observation([0.0, 0.0], np.eye(2), q).q_shape is q
+        skew = np.array([[2.0, 0.5], [0.7, 1.0]])
+        skew.flags.writeable = False
+        for given in (q.copy(), skew):
+            kept = Observation([0.0, 0.0], np.eye(2), given).q_shape
+            assert kept is not given and not kept.flags.writeable
+            assert np.array_equal(kept, 0.5 * (given + given.T))
 
     @pytest.mark.parametrize("field", ["h", "phi", "q_shape"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -186,6 +201,100 @@ class TestUpdate:
         obs = Observation([0.0], [[1.0]], [[-1.0]])
         with pytest.raises(DegenerateOperandError, match="not PSD"):
             update(scalar_belief(0.0, 1.0), obs)
+
+    def test_a_singular_prior_shrinks_on_its_range(self):
+        # Volume is measured on range(P): the segment [-2, 2] x {0} fused
+        # with |theta_1| <= 1 ends at about [-1, 1] x {0}.
+        belief = ParameterBelief(Ellipsoid([0.0, 0.0], np.diag([4.0, 0.0])))
+        out = update(belief, Observation([0.0], [[1.0, 0.0]], [[1.0]]))
+        assert out.last_rho > 0.0
+        assert_allclose(out.center, [0.0, 0.0], atol=1e-12)
+        assert_allclose(out.shape, np.diag([1.0, 0.0]), atol=1e-6)
+
+    def test_null_directions_stay_null(self):
+        # A rotated segment with a null eigenvalue of 1e-16, as eigh may
+        # return for an exactly singular shape. That direction carries no
+        # volume and is never scaled by beta (1e8 here), so the posterior
+        # stays on the segment's line, shorter there than the prior. The
+        # segment t (cos 0.5, sin 0.5), |t| <= 2, cut by |theta_1| <= 1 ends
+        # at about |t| <= 1/cos 0.5.
+        c, s = np.cos(0.5), np.sin(0.5)
+        axis, normal = np.array([c, s]), np.array([-s, c])
+        prior = Ellipsoid([0.0, 0.0], 4.0 * np.outer(axis, axis)
+                          + 1e-16 * np.outer(normal, normal))
+        out = update(ParameterBelief(prior), Observation([0.0], [[1.0, 0.0]], [[1.0]]))
+        assert prior.rank == 1 and out.last_beta > 1e7
+        assert abs(normal @ out.shape @ normal) <= 1e-16
+        assert axis @ out.shape @ axis <= axis @ prior.shape @ axis
+        assert out.set.log_det <= prior.log_det
+        assert_allclose(out.shape, np.outer(axis, axis) / c**2, atol=1e-6)
+
+    def test_a_small_set_fuses_as_the_same_set_scaled_up(self):
+        # Rank is relative to the largest eigenvalue, so a set of scale
+        # 1e-14 is full rank: kept where the unit set is kept, and, seen
+        # through a regressor scaled by 1e7, shrunk to the scaled posterior
+        # of the unit set.
+        tiny = 1e-14
+        near = update(ParameterBelief(Ellipsoid([0.0, 0.0], tiny * np.eye(2))),
+                      Observation([0.5], [[1.0, 0.0]], [[1.0]]))
+        assert near.kept_by_test
+        unit = ParameterBelief(Ellipsoid([0.0, 0.0], np.diag([4.0, 1.0])))
+        small = ParameterBelief(Ellipsoid([0.0, 0.0], tiny * np.diag([4.0, 1.0])))
+        obs = Observation([0.0], [[1.0, 0.0]], [[1.0]])
+        want = update(unit, obs)
+        got = update(small, Observation([0.0], [[1e7, 0.0]], [[1.0]]))
+        assert want.last_rho > 0.0
+        assert_allclose(got.last_beta, want.last_beta, rtol=1e-9)
+        assert_allclose(got.shape / tiny, want.shape, rtol=1e-9, atol=1e-12)
+        assert got.set.log_det < small.set.log_det
+
+    def test_a_point_prior_is_kept_only_inside_the_observation(self):
+        point = ParameterBelief(Ellipsoid([0.5], [[0.0]]))
+        assert update(point, interval_obs(0.0, 1.0)).set is point.set
+        with pytest.raises(InconsistentObservationError):
+            update(ParameterBelief(Ellipsoid([3.0], [[0.0]])), interval_obs(0.0, 1.0))
+
+    def test_a_read_only_noise_shape_is_factored_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a) or cholesky(a))
+        monkeypatch.setattr(ellipsoid, "_factor_memo", None)
+        belief = ParameterBelief(Ellipsoid([0.5, -0.2], [[4.0, 1.0], [1.0, 2.0]]))
+        q = np.array([[9.0]])
+        q.flags.writeable = False
+        shapes = {id(Observation([h], [[1.0, 0.5]], q).q_shape) for h in (0.3, 0.1)}
+        for h in (0.3, -0.1, 0.2):
+            update(belief, Observation([h], [[1.0, 0.5]], q))
+        assert len(shapes) == 1
+        assert len(calls) == 1
+
+    def test_a_noise_shape_changed_in_place_is_read_again(self):
+        # A writable Q, or a read-only view of one, is memoized neither by
+        # Observation nor by the fusion kernel: changed in place between
+        # updates, it gives the results of fresh copies.
+        prior = Ellipsoid([0.5, -0.2], [[4.0, 1.0], [1.0, 2.0]])
+        phi, h = np.array([[1.0, 0.5]]), np.array([0.3])
+        values = (9.0, 0.01, 9.0, 0.04)
+        base = np.array([[0.0]])
+        view = base.view()
+        view.flags.writeable = False
+        for given in (base, view):
+            outs, whites = [], []
+            for value in values:
+                base[0, 0] = value
+                outs.append(update(ParameterBelief(prior), Observation(h, phi, given)))
+            for value in values:
+                base[0, 0] = value
+                whites.append(_Fusion(prior, phi, given, h).white)
+            for value, got, white in zip(values, outs, whites):
+                fresh = np.array([[value]])
+                want = update(ParameterBelief(prior), Observation(h, phi, fresh))
+                assert (got.last_rho, got.last_beta) == (want.last_rho, want.last_beta)
+                assert np.array_equal(got.center, want.center)
+                assert np.array_equal(got.shape, want.shape)
+                assert np.array_equal(white, _Fusion(prior, phi, fresh, h).white)
+            assert [out.last_rho > 0.0 for out in outs] == [False, True, False, True]
 
     def test_matches_generic_fusion_for_invertible_regressor(self):
         # With a square regressor the observation is itself an ellipsoid and
@@ -384,7 +493,7 @@ class TestKeepTest:
         assert certified >= 30
 
     def test_a_positive_defect_at_zero_shrinks(self):
-        # Where the test fails by a margin, the defect at rho = 0, F - dim
+        # Where the test fails by a margin, the defect at rho = 0, F - k
         # (1 - E), is the slope of -log det there: some small-rho member is
         # smaller than the prior.
         rng = np.random.default_rng(223)
@@ -402,13 +511,14 @@ class TestKeepTest:
 
     def test_the_boundary_is_decided_right(self):
         # Scaling Q by s scales E and F by 1/s, so the test holds exactly
-        # when s >= E + F/dim (at s = 1). Just above that scale the prior is
-        # kept; just below it is not.
+        # when s >= E + F/k (at s = 1), k the prior's rank; a point prior
+        # (k = 0, F = 0) is kept when s >= E. Just above that scale the
+        # prior is kept; just below it is not.
         rng = np.random.default_rng(227)
         for _ in range(100):
             prior, obs = checks.random_fusion(rng)
             e_sq, f_sq = keep_test_terms(prior, obs)
-            edge = e_sq + f_sq / prior.dim
+            edge = e_sq + (f_sq / prior.rank if prior.rank else 0.0)
             for factor, kept in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
                 q = factor * edge * obs.q_shape
                 assert _Fusion(prior, obs.phi, q, obs.h).keeps_prior == kept

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smtrack import experiments
-from smtrack.estimator import update
+import oracles
+from smtrack import active, ellipsoid, experiments
+from smtrack.active import build_trust_region
+from smtrack.ellipsoid import Ellipsoid
+from smtrack.estimator import (Observation, ParameterBelief, build_state_observation,
+                               update)
 from smtrack.experiments import (
     MODES,
     Reference,
@@ -165,9 +169,49 @@ class TestRun:
         spec = scenario("sim1")
         a = run(spec, "learn", seed=3, steps=12)
         b = run(spec, "learn", seed=3, steps=12)
-        for field in ("x", "u", "y", "abs_err", "trace_p", "log_det_p",
-                      "rho", "beta", "belief_centers", "belief_shapes"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        oracles.assert_records_identical(a, b)
+
+    def test_membership_is_recorded_per_step(self):
+        # Steps that share a set share its answer; each other set has its own.
+        spec = scenario("sim1")
+        outside = Ellipsoid(spec.theta_true + 10.0, np.eye(2))
+        sets = (spec.belief0, outside, outside, spec.belief0)
+        history = [(spec.x0, np.zeros(1), spec.reference.value(1), ParameterBelief(s))
+                   for s in sets]
+        record = experiments._record(spec, "learn", 0, history, "")
+        assert record.contains_true.tolist() == [True, False, False, True]
+
+    @pytest.mark.parametrize("name", ["sim1", "sim2", "sim3"])
+    def test_memos_change_no_record(self, name, monkeypatch):
+        # Each run replays bit for bit with every per-run memo defeated: the
+        # plant, the noise shape and the exploration weight arrive as fresh
+        # writable copies, and the memos are cleared before each use.
+        spec = scenario(name)
+        plain = [run(spec, mode, seed) for mode in MODES for seed in range(3)]
+
+        plant_step = UncertainModel.step
+
+        def step(model, x, u, theta, omega):
+            model.__dict__.pop("_assembled", None)
+            return plant_step(model, x, u, np.array(theta), omega)
+
+        def observe(model, x, u, x_next):
+            ellipsoid._factor_memo = None
+            obs = build_state_observation(model, x, u, x_next)
+            return Observation(obs.h, obs.phi, np.array(model.state.q))
+
+        def region(belief, u_ref, ma):
+            active._weight_memo = None
+            return build_trust_region(belief, u_ref, np.array(ma))
+
+        monkeypatch.setattr(UncertainModel, "step", step)
+        monkeypatch.setattr(active, "_weight_memo", None)
+        monkeypatch.setattr(ellipsoid, "_factor_memo", None)
+        monkeypatch.setattr(experiments, "build_state_observation", observe)
+        monkeypatch.setattr(experiments, "build_trust_region", region)
+        defeated = [run(spec, mode, seed) for mode in MODES for seed in range(3)]
+        for a, b in zip(plain, defeated):
+            oracles.assert_records_identical(a, b)
 
     def test_seed_changes_the_disturbances(self):
         spec = scenario("sim1")

@@ -170,6 +170,27 @@ class TestAssemble:
         with pytest.raises(ValueError, match="theta"):
             two_state_model().assemble([1.0])
 
+    def test_result_is_read_only(self):
+        a, b = two_state_model().assemble([0.3, -0.2])
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+    def test_alternating_parameters_step_as_a_fresh_model(self):
+        # The model keeps the last (A, B) by theta's values: alternating two
+        # parameters, written in place into one writable array, steps
+        # exactly as a model that has never stepped.
+        model = two_state_model()
+        rng = np.random.default_rng(23)
+        thetas = rng.normal(size=(2, 2))
+        x, u, omega = rng.normal(size=2), rng.normal(size=1), rng.normal(size=2)
+        theta = np.empty(2)
+        for k in range(6):
+            theta[:] = thetas[k % 2]
+            got = model.step(x, u, theta, omega)
+            want = two_state_model().step(x, u, theta.copy(), omega)
+            assert all(map(np.array_equal, got, want))
+
 
 class TestStep:
     def test_zero_state_reduces_to_input_map(self):
