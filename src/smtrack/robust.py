@@ -84,23 +84,25 @@ twelve per size) a solve took about a quarter of the dense solve's time at
 (l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
 (4, 4, 8), and four times as long at (8, 6, 12).
 
-The kernel is chosen by the number ``nf`` of free inputs after pinning,
-and there are three. A program with one (``nf == 1``: sim1 and sim2, or a
-two-input box with one side pinned) runs the scalar kernel
-(:class:`_ScalarBarrier`). Its Schur complement is 1 x 1, so the factor
-lists, the ``L D L^T`` updates and the back-solve of the general kernel
-reduce to float arithmetic: each update is ``dia += alpha * v ** 2`` and
-the back-solve ``rhs / dia``. A program with two (``nf == 2``: sim3, or a
-three-input box with one side pinned) runs the pair kernel
+The kernel is chosen by the number ``nf`` of free inputs after pinning
+and the number ``l`` of outputs, and there are three. A program with one
+free input and one output (sim1 and sim2) runs the scalar kernel
+(:class:`_ScalarBarrier`), in which the row, a point's cone and the Newton
+system are floats: the 1 x 1 Schur complement's ``L D L^T`` updates are
+``dia += alpha * v ** 2`` and its back-solve ``rhs / dia``. What the
+floats save is the per-output lists, ``zip``s and one-term sums that each
+iteration of the general kernel builds, not calls: fusing the centering
+loop into one call gained nothing. A program with two free inputs (sim3,
+or a three-input box with one side pinned) runs the pair kernel
 (:class:`_PairBarrier`), whose factor is the three floats ``(d0, d1,
 l10)``, updated and back-solved by unrolled two-entry code. Each is the
-``nf = 1`` or ``nf = 2`` case of the general kernel's arithmetic,
+``l = nf = 1`` or ``nf = 2`` case of the general kernel's arithmetic,
 operation for operation, so it gives the same iterates to the bit; the
 probe, the stage schedule, the centering and every tolerance are shared.
 Neither is an exact solver (such a solver would bypass the schedule): each
-runs the same barrier method, only without the lists. Every program with
-three or more free inputs runs the general kernel, which the tests hold
-the other two to.
+runs the same barrier method, only without the lists. Every other program
+(one free input and two or more outputs, or three or more free inputs)
+runs the general kernel, which the tests hold the other two to.
 
 That factorization, like nearly everything else a program is built from,
 depends on the step only through ``f`` and the state block ``gx``, which
@@ -319,8 +321,10 @@ class _Geometry:
     columns, ``wb_t = S_r gx_t`` and ``mid0_t = f_t + gx_t . th_r`` are all
     that a step changes: the input slopes ``a_t`` and ``Wm_t`` are read
     from the belief and the model constants ``b0`` and ``b_stack`` alone.
-    Inputs whose box collapses to a point are pinned at its midpoint and
-    their constant terms folded in, leaving ``nf`` free inputs.
+    Inputs whose box collapses to a point are pinned at its midpoint, and
+    inputs that move no cone (a zero column in ``a_t`` and in every
+    ``Wm_t``) at 0 clamped into their box; their constant terms are folded
+    in, leaving ``nf`` free inputs.
 
     With the QR factorization ``Wm_t = Q_t R_t`` (``Q_t`` square), keeping
     the nonzero rows of ``R_t`` (at most ``min(p, nf)``), the cone sees
@@ -351,14 +355,21 @@ class _Geometry:
 
         lo, hi = bounds.lower, bounds.upper
         width = hi - lo
-        pinned = np.isfinite(width) & (width <= 1e-12)
+        boxed = np.isfinite(width) & (width <= 1e-12)
+        # An input whose column is zero in the slopes and in every Wm_t
+        # moves no cone, so no value of it changes the objective; left free
+        # on an unbounded side it would leave a zero Schur pivot at every
+        # point. (A point belief zeroes every Wm_t, so the slopes decide.)
+        dead = ~boxed & ~midu.any(axis=0) & ~wm.any(axis=(0, 1))
+        pinned = boxed | dead
         free = ~pinned
         u_fix = np.zeros(m)
         mid_pin, w_pin = np.zeros(l), np.zeros((l, th.size))
         if pinned.any():
             # Half the width, not of the sum: lo + hi overflows near the
             # float range, and lo + 0.5 (hi - lo) rounds into [lo, hi].
-            u_fix[pinned] = lo[pinned] + 0.5 * (hi[pinned] - lo[pinned])
+            u_fix[boxed] = lo[boxed] + 0.5 * (hi[boxed] - lo[boxed])
+            u_fix[dead] = np.clip(0.0, lo[dead], hi[dead])
             mid_pin = midu[:, pinned] @ u_fix[pinned]
             w_pin = wm[:, :, pinned] @ u_fix[pinned]
             midu, wm = midu[:, free], wm[:, :, free]
@@ -383,12 +394,6 @@ class _Geometry:
             rt = [ri for ri in rt if any(ri)]
             self.outputs.append((mp, a, rt, q, kept, other))
             cols.append([[ri[j] for ri in rt] for j in range(nf)])
-        if nf == 1:
-            # One input keeps at most one row of R_t, the first.
-            self.scalar_outputs = [
-                (mp, a[0], rt[0][0] if rt else 0.0, q,
-                 kept[0] if kept else (0.0, []), other)
-                for mp, a, rt, q, kept, other in self.outputs]
 
         box_lo = [(i, b) for i, b in enumerate(lo.tolist()) if math.isfinite(b)]
         box_hi = [(i, b) for i, b in enumerate(hi.tolist()) if math.isfinite(b)]
@@ -447,24 +452,15 @@ class _Geometry:
             rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, rho, q))
         return rows
 
-    def scalar_rows(self, f, gx):
-        """:meth:`rows` of a one-input program, every entry a float.
+    def scalar_row(self, f, gx):
+        """The one row of :meth:`rows` of a one-output, one-input program,
+        every entry a float.
 
-        ``R_t`` has at most one row then, and one entry: an output whose
-        ``R_t`` keeps no row gets ``c_t = R_t = 0``, whose terms in the
-        scalar kernel add exact zeros.
+        ``R`` has at most one row then, and one entry: if it keeps none,
+        ``c = R = 0``, whose terms in the scalar kernel add exact zeros.
         """
-        th = self.th_r
-        rows = []
-        for ft, g, (mp, a, rt, q, (b, row), other) in zip(
-                f.tolist(), gx.tolist(), self.scalar_outputs):
-            rho = 0.0
-            for bo, ro in other:
-                v = bo + sum(map(mul, ro, g))
-                rho += v * v
-            rows.append((ft + sum(map(mul, th, g)) + mp, a,
-                         b + sum(map(mul, row, g)), rt, rho, q))
-        return rows
+        (m0, (a,), c, rt, rho, q), = self.rows(f, gx)
+        return m0, a, c[0] if c else 0.0, rt[0][0] if rt else 0.0, rho, q
 
 
 # The geometry of the last program built, as one (key, geometry) pair that
@@ -492,18 +488,19 @@ def _geometry(instance, belief, bounds):
 
 
 def _program(instance, belief, bounds):
-    """The barrier of a program, its kernel chosen by the free inputs ``nf``.
+    """The barrier of a program, its kernel chosen by its shape.
 
-    :class:`_ScalarBarrier` if one input is free, :class:`_PairBarrier` if
-    two are, :class:`_Barrier` otherwise. All three run the same method on
-    the same schedule and give the same iterates; the scalar and pair
-    kernels only skip the list arithmetic of a 1 x 1 or 2 x 2 Schur
-    complement.
+    :class:`_ScalarBarrier` if one input is free and there is one output,
+    :class:`_PairBarrier` if two inputs are free, :class:`_Barrier`
+    otherwise (one free input and two or more outputs, or three or more
+    free inputs). All three run the same method on the same schedule and
+    give the same iterates; the scalar and pair kernels only skip the list
+    arithmetic of one output's cones or of a 2 x 2 Schur complement.
     """
     geometry = _geometry(instance, belief, bounds)
-    nf = geometry.shared["nf"]
-    kernel = (_ScalarBarrier if nf == 1 else _PairBarrier if nf == 2
-              else _Barrier)
+    nf, l = geometry.shared["nf"], geometry.shared["l"]
+    kernel = (_ScalarBarrier if nf == 1 and l == 1 else
+              _PairBarrier if nf == 2 else _Barrier)
     return kernel(geometry, instance)
 
 
@@ -754,52 +751,52 @@ class _Barrier:
 
 
 class _ScalarBarrier(_Barrier):
-    """:class:`_Barrier` of a program with one free input, over floats.
+    """:class:`_Barrier` of a program with one output and one free input,
+    over floats.
 
-    The ``nf = 1`` case of :class:`_Barrier`'s arithmetic, operation for
-    operation, so the iterates are the same to the bit: a row is
-    ``(mid0_t, a_t, c_t, R_t, rho_t, q_t)`` of floats
-    (:meth:`_Geometry.scalar_rows`), the gradient ``gu`` and the pivot
-    ``dia`` are floats, every ``_ldl_update`` is ``dia += alpha * v ** 2``
-    and the back-solve is ``rhs / dia``. Points stay lists, so
-    :meth:`~_Barrier.center`, :meth:`~_Barrier.advance`,
-    :meth:`~_Barrier.predict` and the least-squares inputs are shared.
+    The ``l = nf = 1`` case of :class:`_Barrier`'s arithmetic, operation for
+    operation, so the iterates are the same to the bit. The row ``(mid0, a,
+    c, R, rho, q)`` (:meth:`_Geometry.scalar_row`), a point's cone ``(s+,
+    s-, psi+, psi-, y, |w|^2)`` and the Newton system ``(gu, dia, cp, cm,
+    hzz, k)`` are floats: every ``_ldl_update`` is ``dia += alpha * v **
+    2`` and the back-solve is ``rhs / dia``. What this saves is not calls
+    (a fused centering loop gained nothing) but the per-output lists,
+    ``zip``s and one-term sums that each iteration of the general kernel
+    builds. Points stay the one-entry lists ``[x]`` and ``[z]`` at the
+    kernel's edge, so :meth:`~_Barrier.center`, :meth:`~_Barrier.predict`
+    and the least-squares inputs are shared.
     """
 
     def __init__(self, geometry, instance):
         vars(self).update(geometry.shared)
-        self._rows = geometry.scalar_rows(instance.f, instance.gx)
+        self._row = geometry.scalar_row(instance.f, instance.gx)
 
     def evaluate(self, u, z):
-        """:meth:`_Barrier.evaluate`; each cone's ``y`` is a float."""
-        (x,) = u
+        """:meth:`_Barrier.evaluate`; the cone is one tuple of floats."""
+        (x,), (zt,) = u, z
         for _, b in self._lo:
             if x <= b:
                 return None
         for _, b in self._hi:
             if x >= b:
                 return None
-        cones = []
-        for zt, (m0, a, c, rt, rho, q) in zip(z, self._rows):
-            mid = m0 + a * x
-            y = c + rt * x
-            wn2 = y * y + rho
-            sp = zt - mid - q
-            sm = zt + mid - q
-            if sp <= 0.0 or sm <= 0.0:
-                return None
-            pp = sp * sp - wn2
-            pm = sm * sm - wn2
-            if pp <= 0.0 or pm <= 0.0:
-                return None
-            cones.append((sp, sm, pp, pm, y, wn2))
-        return cones
+        m0, a, c, rt, rho, q = self._row
+        mid = m0 + a * x
+        y = c + rt * x
+        wn2 = y * y + rho
+        sp = zt - mid - q
+        sm = zt + mid - q
+        if sp <= 0.0 or sm <= 0.0:
+            return None
+        pp = sp * sp - wn2
+        pm = sm * sm - wn2
+        if pp <= 0.0 or pm <= 0.0:
+            return None
+        return sp, sm, pp, pm, y, wn2
 
     def assemble(self, cones, u):
-        """:meth:`_Barrier.assemble`, with ``gu``, ``dia`` and each ``k`` floats.
-
-        Returns ``(gu, dia, cpm, hz, kz)``.
-        """
+        """:meth:`_Barrier.assemble` over floats: ``(gu, dia, cp, cm, hzz,
+        k)``."""
         (x,) = u
         gu = dia = 0.0
         for _, b in self._lo:
@@ -810,69 +807,68 @@ class _ScalarBarrier(_Barrier):
             s = 1.0 / (b - x)
             gu += s
             dia += s * s
-        cpm, hz, kz = [], [], []
-        for (sp, sm, pp, pm, y, wn2), (_, a, _, rt, rho, _) in zip(
-                cones, self._rows):
-            jw = rt * y                                     # Wm^T w
-            ip, im = 1.0 / pp, 1.0 / pm
-            r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
-            cp, cm = 2.0 * sp * ip, 2.0 * sm * im
-            c2 = 2.0 * (ip + im)
-            ka = 2.0 * (r2m * im * im - r2p * ip * ip)
-            kj = 4.0 * (sp * ip * ip + sm * im * im)
-            gu += (cp - cm) * a + c2 * jw
-            cpm.append((cp, cm))
-            hz.append(2.0 * (r2p * ip * ip + r2m * im * im))
-            kz.append(ka * a - kj * jw)
+        sp, sm, pp, pm, y, wn2 = cones
+        _, a, _, rt, rho, _ = self._row
+        jw = rt * y                                         # Wm^T w
+        ip, im = 1.0 / pp, 1.0 / pm
+        r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
+        cp, cm = 2.0 * sp * ip, 2.0 * sm * im
+        c2 = 2.0 * (ip + im)
+        ka = 2.0 * (r2m * im * im - r2p * ip * ip)
+        kj = 4.0 * (sp * ip * ip + sm * im * im)
+        gu += (cp - cm) * a + c2 * jw
 
-            den = r2p * pm * pm + r2m * pp * pp
-            r = math.sqrt(wn2)
-            ep, em = pp / (sp + r), pm / (sm + r)
-            kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
-            dia += 8.0 * r2p * r2m / den * (a + kappa * jw) ** 2
-            root = math.sqrt(c2)
-            if r > 0.0:
-                delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
-                lam = (c2 * rho + delta * (wn2 - rho)) / wn2
-                gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
-                dia += (root * rt + gamma * y * jw) ** 2
-            else:
-                dia += c2 * rt ** 2
-        return gu, dia, cpm, hz, kz
+        den = r2p * pm * pm + r2m * pp * pp
+        r = math.sqrt(wn2)
+        ep, em = pp / (sp + r), pm / (sm + r)
+        kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
+        dia += 8.0 * r2p * r2m / den * (a + kappa * jw) ** 2
+        root = math.sqrt(c2)
+        if r > 0.0:
+            delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
+            lam = (c2 * rho + delta * (wn2 - rho)) / wn2
+            gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
+            dia += (root * rt + gamma * y * jw) ** 2
+        else:
+            dia += c2 * rt ** 2
+        return (gu, dia, cp, cm, 2.0 * (r2p * ip * ip + r2m * im * im),
+                ka * a - kj * jw)
 
     @staticmethod
     def newton_step(system, t_b):
         """:meth:`_Barrier.newton_step` of an :meth:`assemble` system."""
-        gu, dia, cpm, hz, kz = system
-        gz = [t_b - cp - cm for cp, cm in cpm]
-        rhs = -gu
-        for gzt, hzz, k in zip(gz, hz, kz):
-            rhs += k * (gzt / hzz)
+        gu, dia, cp, cm, hzz, k = system
+        gz = t_b - cp - cm
+        rhs = -gu + k * (gz / hzz)
         if dia == 0.0:
-            scale = -1.0 / (1.0 + math.sqrt(gu * gu + sum(map(mul, gz, gz))))
-            du = scale * gu
-            dz = [scale * x for x in gz]
-            return [du], dz, -(gu * du + sum(map(mul, gz, dz)))
+            scale = -1.0 / (1.0 + math.sqrt(gu * gu + gz * gz))
+            du, dz = scale * gu, scale * gz
+            return [du], [dz], -((0.0 + gu * du) + (0.0 + gz * dz))
         du = rhs / dia
-        dz = [-(gzt + k * du) / hzz for gzt, hzz, k in zip(gz, hz, kz)]
-        decrement = rhs * du
-        for gzt, hzz in zip(gz, hz):
-            decrement += gzt * gzt / hzz
-        return [du], dz, decrement
+        return [du], [-(gz + k * du) / hzz], rhs * du + gz * gz / hzz
+
+    def advance(self, u, z, cones, du, dz, alpha):
+        """:meth:`_Barrier.advance` over floats."""
+        (x,), (zt,), (dx,), (dzt,) = u, z, du, dz
+        for _ in range(40):
+            u_try, z_try = [x + alpha * dx], [zt + alpha * dzt]
+            trial = self.evaluate(u_try, z_try)
+            if trial is not None:
+                return u_try, z_try, trial, True
+            alpha *= 0.5
+        return u, z, cones, False
 
     def padded_z(self, u, pad):
-        """:meth:`_Barrier.padded_z` over the float rows."""
+        """:meth:`_Barrier.padded_z` over the float row."""
         (x,) = u
-        z = []
-        for m0, a, c, rt, rho, q in self._rows:
-            y = c + rt * x
-            z.append(abs(m0 + a * x) + math.sqrt(y * y + rho) + q + pad)
-        return z
+        m0, a, c, rt, rho, q = self._row
+        y = c + rt * x
+        return [abs(m0 + a * x) + math.sqrt(y * y + rho) + q + pad]
 
     def _normal_terms(self):
-        """:meth:`_Barrier._normal_terms`; ``R_t = 0`` is a row it lacks."""
-        return ([(m0, (a,)) for m0, a, *_ in self._rows],
-                [(c, (rt,)) for _, _, c, rt, _, _ in self._rows if rt])
+        """:meth:`_Barrier._normal_terms`; ``R = 0`` is a row it lacks."""
+        m0, a, c, rt, _, _ = self._row
+        return [(m0, (a,))], [(c, (rt,))] if rt else []
 
 
 class _PairBarrier(_Barrier):

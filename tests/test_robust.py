@@ -71,14 +71,9 @@ def _recorded_solves(name, mode, seeds):
     return tuple(solves)
 
 
-def general_kernel(instance, belief, bounds):
-    """The program on the general kernel, whichever one it selects."""
-    return robust._Barrier(robust._geometry(instance, belief, bounds), instance)
-
-
 def row_values(row, u):
-    """``(mid_t, |w_t|^2)`` of a program row at free inputs ``u``; the row
-    may be a general kernel's lists or the scalar kernel's floats."""
+    """``(mid_t, |w_t|^2)`` of a general kernel's program row at free inputs
+    ``u``."""
     m0, a, c, rt, rho, _ = row
     u = np.asarray(u, dtype=float)
     y = np.ravel(c) + np.reshape(rt, (-1, u.size)) @ u
@@ -369,16 +364,15 @@ class TestSolveRobust:
                 b0=b0.copy(), b_stack=b_stack.copy())
             # The program over the free input has the cone data of the full
             # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t, in the rows of the
-            # scalar kernel it selects and of the general one.
+            # general kernel that one free input and two outputs select.
             prog = robust._program(instance, belief, bounds)
-            assert type(prog) is robust._ScalarBarrier
-            for prog in (prog, general_kernel(instance, belief, bounds)):
-                for u0 in (lo, 0.3, hi):
-                    mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
-                    for row, mid_t, w2_t in zip(prog._rows, mid, w2):
-                        row_mid, row_w2 = row_values(row, [u0])
-                        assert_allclose(row_mid, mid_t, rtol=1e-12)
-                        assert_allclose(row_w2, w2_t, rtol=1e-12)
+            assert type(prog) is robust._Barrier
+            for u0 in (lo, 0.3, hi):
+                mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
+                for row, mid_t, w2_t in zip(prog._rows, mid, w2):
+                    row_mid, row_w2 = row_values(row, [u0])
+                    assert_allclose(row_mid, mid_t, rtol=1e-12)
+                    assert_allclose(row_w2, w2_t, rtol=1e-12)
             sol = solve_robust(instance, belief, bounds)
             assert sol.status == "optimal"
             assert sol.u[1] == pin
@@ -413,7 +407,7 @@ class TestSolveRobust:
             self.assert_z_is_the_interval_bound(instance, belief, sol)
 
     def test_z_of_a_partly_pinned_box_is_the_worst_case_bound(self):
-        # sim3 with its second input pinned runs the scalar kernel; the
+        # sim3 with its second input pinned runs the general kernel; the
         # fully pinned box is test_pinned_input_is_returned_verbatim.
         spec, instance, belief = sim3_case()
         sol = solve_robust(instance, belief,
@@ -470,6 +464,30 @@ class TestSolveRobust:
             sol = solve_robust(instance, belief, ControlBounds(lo, hi))
             assert sol.status == "optimal"
             assert_allclose(sol.objective, floor, atol=1e-9)
+
+    def test_an_input_that_moves_no_cone_is_pinned(self):
+        # An input with no slope and a zero column in every Wm_t changes no
+        # objective. Pinned at 0 clamped into its box, it leaves no zero
+        # Schur pivot behind, and the solve ends optimal at the objective of
+        # the program whose box pins that input at 0.
+        instance, belief, bounds = TestBarrierKernel.zero_pivot_case()
+        assert robust._program(instance, belief, bounds).nf == 1
+        sol = solve_robust(instance, belief, bounds)
+        ref = solve_robust(instance, belief,
+                           ControlBounds([-2.0, 0.0], [2.0, 0.0]))
+        assert sol.status == ref.status == "optimal"
+        assert sol.u[1] == 0.0
+        assert abs(sol.objective - ref.objective) <= 1e-12
+        # One output whose only input is dead leaves nothing to solve.
+        dead = TrackingInstance(
+            f=np.array([0.5]), b0=np.array([[0.0]]), gx=np.array([[0.3]]),
+            b_stack=np.zeros((0, 1, 1)), q_shape=np.array([[0.1]]))
+        for lo, hi, u in ((-np.inf, np.inf, 0.0), (1.0, 3.0, 1.0),
+                          (-np.inf, -2.0, -2.0)):
+            sol = solve_robust(dead, belief, ControlBounds([lo], [hi]))
+            assert sol.status == "optimal"
+            assert sol.newton_iterations == 0
+            assert sol.u.tolist() == [u]
 
     def test_cold_start_lost_to_rounding_ends_at_max_iter(self):
         # At 1e17 the cold start lo + 1 rounds back onto the lower bound, so
@@ -640,24 +658,29 @@ class TestBarrierKernel:
     """The solver's Newton step against the dense barrier of ``oracles``.
 
     The tests run the kernel that :func:`robust._program` selects: the
-    scalar one for a single free input, the pair one for two, the general
-    one otherwise.
+    scalar one for a single free input and a single output, the pair one for
+    two free inputs, the general one otherwise.
     """
 
     KERNELS = {robust._Barrier, robust._ScalarBarrier, robust._PairBarrier}
+    # Each kernel's Schur pivots in its Newton system.
+    PIVOTS = {robust._ScalarBarrier: lambda system: (system[1],),
+              robust._PairBarrier: lambda system: system[1][:2],
+              robust._Barrier: lambda system: system[2]}
 
     @staticmethod
-    def programs(rng, n_cases, n_pinned=0, m=None, pinned_m=2, n_wide=0):
+    def programs(rng, n_cases, n_pinned=0, m=None, pinned_m=2, n_wide=0,
+                 l=None):
         """``n_cases`` random programs with ``m`` inputs (one or two if
-        None) and one or two outputs, then ``n_pinned`` with ``pinned_m``
-        inputs, one of them pinned at a point of its box, then ``n_wide``
-        with three inputs."""
+        None) and ``l`` outputs (one or two if None), then ``n_pinned`` with
+        ``pinned_m`` inputs, one of them pinned at a point of its box, then
+        ``n_wide`` with three inputs."""
         for k in range(n_cases + n_pinned):
             if k < n_cases:
-                yield oracles.random_tracking_case(rng, m=m)
+                yield oracles.random_tracking_case(rng, l=l, m=m)
                 continue
             instance, belief, bounds = oracles.random_tracking_case(
-                rng, m=pinned_m)
+                rng, l=l, m=pinned_m)
             lo, hi = bounds.lower.copy(), bounds.upper.copy()
             j = int(rng.integers(pinned_m))
             lo[j] = hi[j] = rng.uniform(lo[j], hi[j])
@@ -851,27 +874,32 @@ class TestBarrierKernel:
         assert ran == {robust._PairBarrier if name == "sim3"
                        else robust._ScalarBarrier}
 
-    def test_scalar_kernel_replays_the_general_kernel(self, monkeypatch):
-        # Every one-input solve of the closed loop, and random one-input
-        # programs (one of them pinned out of two inputs), solved by the
-        # scalar kernel and again by the general one: the same arithmetic
-        # in the same order, so the same solution to the bit.
-        rng = np.random.default_rng(19)
-        programs = [(instance, belief, bounds)
-                    for name, mode in (("sim1", "learn"), ("sim1", "active"),
-                                       ("sim2", "fixed"), ("sim2", "learn"),
-                                       ("sim2", "known_theta"))
-                    for instance, belief, bounds, _ in
-                    recorded_solves(name, mode, range(3))]
-        assert len(programs) == 2 * 3 * 46 + 3 * 3 * 100
-        programs += self.programs(rng, 150, 50, m=1)
-        scalar = []
+    @staticmethod
+    def with_infinite_sides(rng, programs):
+        """``programs`` with every fourth one's box opened to infinity on
+        one side of a free input."""
+        for k, (instance, belief, bounds) in enumerate(programs):
+            if k % 4 == 0:
+                lo, hi = bounds.lower.copy(), bounds.upper.copy()
+                j = int(rng.choice(np.flatnonzero(lo < hi)))
+                if rng.integers(2):
+                    lo[j] = -np.inf
+                else:
+                    hi[j] = np.inf
+                bounds = ControlBounds(lo, hi)
+            yield instance, belief, bounds
+
+    @staticmethod
+    def replays_the_general_kernel(monkeypatch, kernel, programs):
+        """Solve ``programs``, each of which must select ``kernel``, and
+        again on the general kernel: the same arithmetic in the same order,
+        so the same solution to the bit."""
+        sols = []
         for instance, belief, bounds in programs:
-            assert type(robust._program(instance, belief, bounds)) \
-                is robust._ScalarBarrier
-            scalar.append(solve_robust(instance, belief, bounds))
-        monkeypatch.setattr(robust, "_ScalarBarrier", robust._Barrier)
-        for (instance, belief, bounds), sol in zip(programs, scalar):
+            assert type(robust._program(instance, belief, bounds)) is kernel
+            sols.append(solve_robust(instance, belief, bounds))
+        monkeypatch.setattr(robust, kernel.__name__, robust._Barrier)
+        for (instance, belief, bounds), sol in zip(programs, sols):
             assert type(robust._program(instance, belief, bounds)) \
                 is robust._Barrier
             ref = solve_robust(instance, belief, bounds)
@@ -882,9 +910,47 @@ class TestBarrierKernel:
             assert sol.warm_started == ref.warm_started
 
     @staticmethod
+    def zero_radius_scalar_case():
+        """One output and one input with no slope at the belief center, so
+        the first normal equation has no solution and the probe starts at
+        the second's ``u = 0``, where ``|w| = 0``; the box is asymmetric, so
+        the u-gradient there is not zero and the pivot sets the step."""
+        instance = TrackingInstance(
+            f=np.array([0.5]), b0=np.array([[0.0]]), gx=np.zeros((1, 0)),
+            b_stack=np.array([[[0.4]]]), q_shape=np.array([[0.1]]))
+        belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
+        return instance, belief, ControlBounds([-1.0], [3.0])
+
+    def test_scalar_kernel_replays_the_general_kernel(self, monkeypatch):
+        # Every one-input solve of the closed loop, random one-output
+        # programs with one input or with one of two pinned, every fourth
+        # with an infinite box side, and one whose probe starts where
+        # |w| = 0 (the kernels' branch for it), solved by the scalar kernel
+        # and again by the general one.
+        rng = np.random.default_rng(19)
+        programs = [(instance, belief, bounds)
+                    for name, mode in (("sim1", "learn"), ("sim1", "active"),
+                                       ("sim2", "fixed"), ("sim2", "learn"),
+                                       ("sim2", "known_theta"))
+                    for instance, belief, bounds, _ in
+                    recorded_solves(name, mode, range(3))]
+        assert len(programs) == 2 * 3 * 46 + 3 * 3 * 100
+        programs += self.with_infinite_sides(
+            rng, self.programs(rng, 150, 50, m=1, l=1))
+        zero_radius = self.zero_radius_scalar_case()
+        prog = robust._program(*zero_radius)
+        u0 = robust._probe_start(prog)
+        assert u0 == [0.0]
+        assert prog.evaluate(u0, prog.padded_z(u0, 1.0))[5] == 0.0
+        programs.append(zero_radius)
+        self.replays_the_general_kernel(monkeypatch, robust._ScalarBarrier,
+                                        programs)
+
+    @staticmethod
     def zero_pivot_case():
-        """Two inputs, the second without slope and unbounded on both sides:
-        the pair's Schur complement keeps a zero pivot at every point."""
+        """Two outputs and two inputs, the second moving no cone and
+        unbounded on both sides. Left free, it would leave the pair's Schur
+        complement a zero pivot at every point."""
         instance = TrackingInstance(
             f=np.array([0.5, -0.3]), b0=np.array([[1.0, 0.0], [0.4, 0.0]]),
             gx=np.array([[0.3], [-0.2]]), b_stack=np.zeros((0, 2, 2)),
@@ -892,6 +958,19 @@ class TestBarrierKernel:
         belief = ParameterBelief(Ellipsoid([0.2], [[0.3]]))
         return instance, belief, ControlBounds([-2.0, -np.inf],
                                                [2.0, np.inf])
+
+    @staticmethod
+    def parallel_columns_case():
+        """One output and two inputs with equal columns, unbounded: every
+        input moves the cones, but along ``(1, -1)`` none does, so the
+        pair's ``L D L^T`` update leaves ``d1 == 0`` exactly."""
+        instance = TrackingInstance(
+            f=np.array([0.5]), b0=np.array([[1.0, 1.0]]),
+            gx=np.array([[0.3]]), b_stack=np.zeros((0, 1, 2)),
+            q_shape=np.array([[0.1]]))
+        belief = ParameterBelief(Ellipsoid([0.2], [[0.3]]))
+        return instance, belief, ControlBounds([-np.inf, -np.inf],
+                                               [np.inf, np.inf])
 
     @staticmethod
     def zero_radius_case():
@@ -911,63 +990,80 @@ class TestBarrierKernel:
         # with an infinite box side, a program whose Schur complement has a
         # zero pivot and one whose cold start has no radius (the kernels'
         # branch for |w| = 0), solved by the pair kernel and again by the
-        # general one: the same arithmetic in the same order, so the same
-        # solution to the bit.
+        # general one.
         rng = np.random.default_rng(20)
         programs = [(instance, belief, bounds)
                     for mode in ("learn", "active")
                     for instance, belief, bounds, _ in
                     recorded_solves("sim3", mode, range(3))]
         assert len(programs) == 2 * 3 * 100
-        for k, (instance, belief, bounds) in enumerate(
-                self.programs(rng, 150, 50, m=2, pinned_m=3)):
-            if k % 4 == 0:
-                lo, hi = bounds.lower.copy(), bounds.upper.copy()
-                j = int(rng.choice(np.flatnonzero(lo < hi)))
-                if rng.integers(2):
-                    lo[j] = -np.inf
-                else:
-                    hi[j] = np.inf
-                bounds = ControlBounds(lo, hi)
-            programs.append((instance, belief, bounds))
-        programs += [self.zero_pivot_case(), self.zero_radius_case()]
+        programs += self.with_infinite_sides(
+            rng, self.programs(rng, 150, 50, m=2, pinned_m=3))
+        programs += [self.parallel_columns_case(), self.zero_radius_case()]
+        self.replays_the_general_kernel(monkeypatch, robust._PairBarrier,
+                                        programs)
 
-        def solve_all(kernel):
-            sols = []
-            for instance, belief, bounds in programs:
-                prog = robust._program(instance, belief, bounds)
-                assert type(prog) is kernel
-                sols.append(solve_robust(instance, belief, bounds))
-            return sols
-
-        pair = solve_all(robust._PairBarrier)
-        monkeypatch.setattr(robust, "_PairBarrier", robust._Barrier)
-        for sol, ref in zip(pair, solve_all(robust._Barrier)):
-            np.testing.assert_array_equal(sol.u, ref.u)
-            np.testing.assert_array_equal(sol.z, ref.z)
-            assert sol.newton_iterations == ref.newton_iterations
-            assert sol.status == ref.status
-            assert sol.warm_started == ref.warm_started
+    @pytest.mark.parametrize("nf, l, kernel", [
+        (1, 1, robust._ScalarBarrier), (1, 2, robust._Barrier),
+        (2, 1, robust._PairBarrier), (2, 2, robust._PairBarrier),
+        (3, 1, robust._Barrier), (3, 2, robust._Barrier)])
+    def test_each_shape_runs_its_kernel(self, nf, l, kernel):
+        # nf free inputs, alone or beside one more input pinned by its box.
+        rng = np.random.default_rng(21)
+        for instance, belief, bounds in self.programs(rng, 3, 3, m=nf,
+                                                      pinned_m=nf + 1, l=l):
+            prog = robust._program(instance, belief, bounds)
+            assert (prog.nf, prog.l) == (nf, l)
+            assert type(prog) is kernel
 
     def test_a_zero_pivot_takes_the_scaled_gradient_in_both_kernels(self):
-        # The second input moves no cone and has no box term, so no update
-        # reaches the second pivot: both kernels fall back to the scaled
-        # gradient, whose step leaves that input where it is.
-        instance, belief, bounds = self.zero_pivot_case()
+        # Equal input columns and no box term: no update reaches the second
+        # pivot, so both kernels fall back to the scaled gradient, which
+        # moves the two inputs alike.
+        instance, belief, bounds = self.parallel_columns_case()
         geometry = robust._geometry(instance, belief, bounds)
+        assert geometry.shared["nf"] == 2
         steps = []
         for kernel in (robust._PairBarrier, robust._Barrier):
             prog = kernel(geometry, instance)
             u = list(prog.u_cold)
             z = prog.padded_z(u, 1.0)
             system = prog.assemble(prog.evaluate(u, z), u)
-            pivots = system[1][:2] if kernel is robust._PairBarrier \
-                else system[2]
+            pivots = self.PIVOTS[kernel](system)
             assert pivots[0] > 0.0 and pivots[1] == 0.0
             steps.append(prog.newton_step(system, 1.0))
         pair, general = steps
         assert pair == general
-        assert pair[0][1] == 0.0
+        (du0, du1), _, decrement = pair
+        assert du0 == du1 != 0.0
+        assert decrement > 0.0
+
+    def test_no_recorded_solve_takes_the_zero_pivot_fallback(self,
+                                                            monkeypatch):
+        # Every Newton step of every closed-loop solve of sim1-sim3, in
+        # every mode, has nonzero pivots: the scaled-gradient fallback is
+        # for degenerate programs alone.
+        steps, fallbacks = [0], [0]
+
+        def counting(kernel):
+            newton_step = kernel.newton_step
+
+            def counted(system, t_b):
+                steps[0] += 1
+                fallbacks[0] += 0.0 in self.PIVOTS[kernel](system)
+                return newton_step(system, t_b)
+            return staticmethod(counted)
+
+        for kernel in self.PIVOTS:
+            monkeypatch.setattr(kernel, "newton_step", counting(kernel))
+        for name in ("sim1", "sim2", "sim3"):
+            for mode in experiments.MODES:
+                for instance, belief, bounds, sol in recorded_solves(
+                        name, mode, range(3)):
+                    ref = solve_robust(instance, belief, bounds)
+                    assert ref.newton_iterations == sol.newton_iterations
+        assert steps[0] > 0
+        assert fallbacks[0] == 0
 
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
@@ -992,10 +1088,17 @@ class TestProgramGeometry:
     gives."""
 
     @staticmethod
-    def flat_rows(prog):
+    def rows(prog):
+        """A program's per-output cone data: the scalar kernel's one row,
+        or the rows of the others."""
+        return ([prog._row] if type(prog) is robust._ScalarBarrier
+                else prog._rows)
+
+    @classmethod
+    def flat_rows(cls, prog):
         """Every float of a program's per-output cone data, in order."""
         out = []
-        for m0, a, c, rt, rho, q in prog._rows:
+        for m0, a, c, rt, rho, q in cls.rows(prog):
             out += [m0, *np.ravel(a), *np.ravel(c), *np.ravel(rt), rho, q]
         return np.array(out)
 
@@ -1026,8 +1129,8 @@ class TestProgramGeometry:
             warm_sol = solve_robust(instance, belief, bounds)
             monkeypatch.setattr(robust, "_memo", None)
             cold = robust._program(instance, belief, bounds)
-            assert [np.shape(row[3]) for row in warm._rows] == \
-                [np.shape(row[3]) for row in cold._rows]
+            assert [np.shape(row[3]) for row in self.rows(warm)] == \
+                [np.shape(row[3]) for row in self.rows(cold)]
             assert_allclose(self.flat_rows(warm), self.flat_rows(cold),
                             rtol=1e-12, atol=0.0)
             self.assert_same_solution(
