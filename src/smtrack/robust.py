@@ -97,12 +97,28 @@ or a three-input box with one side pinned) runs the pair kernel
 (:class:`_PairBarrier`), whose factor is the three floats ``(d0, d1,
 l10)``, updated and back-solved by unrolled two-entry code. Each is the
 ``l = nf = 1`` or ``nf = 2`` case of the general kernel's arithmetic,
-operation for operation, so it gives the same iterates to the bit; the
-probe, the stage schedule, the centering and every tolerance are shared.
+operation for operation, so it gives the same iterates to the bit.
 Neither is an exact solver (such a solver would bypass the schedule): each
 runs the same barrier method, only without the lists. Every other program
 (one free input and two or more outputs, or three or more free inputs)
 runs the general kernel, which the tests hold the other two to.
+
+What does not depend on the number of inputs is written once and shared
+by the three kernels: each output's Newton coefficients and the closed
+form of its Schur complement (:func:`_cone_terms`), the step taken when
+the Schur complement has a zero pivot (:func:`_scaled_gradient`), the
+probe, the stage schedule, the centering, the predictor and every
+tolerance. The general and pair kernels also share the box barrier
+(:meth:`_Barrier._box_terms`) and the epigraph values ``padded_z``. Each
+kernel keeps its own code for what runs at every trial point or is the
+input-side algebra: ``evaluate``, ``advance``, the input side of
+``assemble`` (``Wm^T w``, the gradient, the Hessian column and the
+``L D L^T`` updates) and the back-solve of ``newton_step``; the scalar
+kernel also its ``padded_z`` and normal-equation terms. A helper shared by
+the three ``evaluate``s was tried and not kept: in the scalar kernel it
+slowed a sim2 ``fixed`` solve from 124.6 to 127.3 us (median over the
+300 solves of seeds 0-2, median of 30 in-process alternations; the inline
+test was faster in 24 of them; 2 vCPU, Python 3.11).
 
 That factorization, like nearly everything else a program is built from,
 depends on the step only through ``f`` and the state block ``gx``, which
@@ -562,11 +578,42 @@ class _Barrier:
         the ``nf x nf`` Schur complement left is factored as ``L D L^T``.
         Returns ``(gu, low, dia, cpm, hz, kz)``: the u-gradient, the factor,
         and per output ``(cp, cm)``, ``hzz`` and the (u, z_t) Hessian column.
+        Each output's terms that do not depend on the inputs come from
+        :func:`_cone_terms`; what is left here is the input-side algebra.
         """
-        n = self.nf
-        gu = [0.0] * n
-        low = [[0.0] * n for _ in range(n)]
-        dia = [0.0] * n
+        gu, dia = self._box_terms(u)
+        low = [[0.0] * self.nf for _ in range(self.nf)]
+        cpm, hz, kz = [], [], []
+        for (sp, sm, pp, pm, y, wn2), (_, a, _, rt, rho, _), cols in zip(
+                cones, self._rows, self._cols):
+            jw = [sum(map(mul, col, y)) for col in cols]   # Wm^T w
+            cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
+                sp, sm, pp, pm, wn2, rho)
+            gc = cp - cm
+            k = []
+            for i, (ai, ji) in enumerate(zip(a, jw)):
+                gu[i] += gc * ai + c2 * ji
+                k.append(ka * ai - kj * ji)
+            cpm.append((cp, cm))
+            hz.append(hzz)
+            kz.append(k)
+            _ldl_update(low, dia, qaa,
+                        [ai + kappa * ji for ai, ji in zip(a, jw)])
+            if gamma is None:
+                for row in rt:
+                    _ldl_update(low, dia, c2, list(row))
+            else:
+                for yi, row in zip(y, rt):
+                    g = gamma * yi
+                    _ldl_update(low, dia, 1.0,
+                                [root * x + g * ji for x, ji in zip(row, jw)])
+        return gu, low, dia, cpm, hz, kz
+
+    def _box_terms(self, u):
+        """The box barrier's u-gradient and diagonal Hessian at ``u``, as two
+        lists of ``nf`` floats."""
+        gu = [0.0] * self.nf
+        dia = [0.0] * self.nf
         for i, b in self._lo:
             s = 1.0 / (u[i] - b)
             gu[i] -= s
@@ -575,65 +622,14 @@ class _Barrier:
             s = 1.0 / (b - u[i])
             gu[i] += s
             dia[i] += s * s
-        cpm, hz, kz = [], [], []
-        for (sp, sm, pp, pm, y, wn2), (_, a, _, rt, rho, _), cols in zip(
-                cones, self._rows, self._cols):
-            jw = [sum(map(mul, col, y)) for col in cols]   # Wm^T w
-            ip, im = 1.0 / pp, 1.0 / pm
-            r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
-            # Gradient (cp - cm) a + c2 Wm^T w in u and t_b - cp - cm in
-            # z_t; Hessian ka a - kj Wm^T w in (u, z_t) and hzz in z_t.
-            cp, cm = 2.0 * sp * ip, 2.0 * sm * im
-            c2 = 2.0 * (ip + im)
-            ka = 2.0 * (r2m * im * im - r2p * ip * ip)
-            kj = 4.0 * (sp * ip * ip + sm * im * im)
-            gc = cp - cm
-            k = []
-            for i, (ai, ji) in enumerate(zip(a, jw)):
-                gu[i] += gc * ai + c2 * ji
-                k.append(ka * ai - kj * ji)
-            cpm.append((cp, cm))
-            hz.append(2.0 * (r2p * ip * ip + r2m * im * im))
-            kz.append(k)
-
-            # This output's Schur complement in closed form, as a sum of
-            # nonnegative rank-one terms. Formed as (u-block) - k k^T / hzz
-            # it would cancel terms of order 1/psi^2 near the cone boundary,
-            # which swamps the curvature of directions the cones leave flat.
-            # With r = |w| and e = y / r it is
-            #   qaa f f^T + R^T (c2 I + (delta - c2) e e^T) R,
-            #   qaa = 8 r2p r2m / (r2p psi-^2 + r2m psi+^2),
-            #   f = a + kappa Wm^T w,
-            #   kappa = (s+ s- - r^2)(s- - s+) / (r2p r2m),
-            #   delta = 2 / r2p + 2 / r2m,    r2 = s^2 + r^2,
-            # and the last term enters as the rows of R times the square
-            # root of its middle factor.
-            den = r2p * pm * pm + r2m * pp * pp
-            r = math.sqrt(wn2)
-            ep, em = pp / (sp + r), pm / (sm + r)          # s - |w|
-            kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
-            _ldl_update(low, dia, 8.0 * r2p * r2m / den,
-                        [ai + kappa * ji for ai, ji in zip(a, jw)])
-            root = math.sqrt(c2)
-            if r > 0.0:
-                delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
-                lam = (c2 * rho + delta * (wn2 - rho)) / wn2
-                gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
-                for yi, row in zip(y, rt):
-                    g = gamma * yi
-                    _ldl_update(low, dia, 1.0,
-                                [root * x + g * ji for x, ji in zip(row, jw)])
-            else:
-                for row in rt:
-                    _ldl_update(low, dia, c2, list(row))
-        return gu, low, dia, cpm, hz, kz
+        return gu, dia
 
     @staticmethod
     def newton_step(system, t_b):
         """Newton step ``(du, dz)`` of an :meth:`assemble` system at ``t_b``.
 
         One back-solve of the factor, with the decrement. If the Schur
-        complement is singular, the step is the scaled gradient.
+        complement has a zero pivot, the step is :func:`_scaled_gradient`.
         """
         gu, low, dia, cpm, hz, kz = system
         n = len(gu)
@@ -644,11 +640,7 @@ class _Barrier:
             for i in range(n):
                 rhs[i] += k[i] * f
         if 0.0 in dia:
-            scale = -1.0 / (1.0 + math.sqrt(sum(map(mul, gu, gu))
-                                            + sum(map(mul, gz, gz))))
-            du = [scale * x for x in gu]
-            dz = [scale * x for x in gz]
-            return du, dz, -(sum(map(mul, gu, du)) + sum(map(mul, gz, dz)))
+            return _scaled_gradient(gu, gz)
         du = _ldl_solve(low, dia, rhs)
         dz = [-(gzt + sum(map(mul, k, du))) / hzz
               for gzt, hzz, k in zip(gz, hz, kz)]
@@ -762,9 +754,14 @@ class _ScalarBarrier(_Barrier):
     2`` and the back-solve is ``rhs / dia``. What this saves is not calls
     (a fused centering loop gained nothing) but the per-output lists,
     ``zip``s and one-term sums that each iteration of the general kernel
-    builds. Points stay the one-entry lists ``[x]`` and ``[z]`` at the
-    kernel's edge, so :meth:`~_Barrier.center`, :meth:`~_Barrier.predict`
-    and the least-squares inputs are shared.
+    builds. Shared with the other kernels: the output's coefficients
+    (:func:`_cone_terms`) and the zero-pivot step (:func:`_scaled_gradient`,
+    given ``[gu], [gz]``). Its own, over floats: ``evaluate``, the box
+    terms and input side of ``assemble``, the back-solve, ``advance``,
+    ``padded_z`` and the normal-equation terms. Points stay the one-entry
+    lists ``[x]`` and ``[z]`` at the kernel's edge, so
+    :meth:`~_Barrier.center`, :meth:`~_Barrier.predict` and the
+    least-squares inputs are shared.
     """
 
     def __init__(self, geometry, instance):
@@ -810,29 +807,15 @@ class _ScalarBarrier(_Barrier):
         sp, sm, pp, pm, y, wn2 = cones
         _, a, _, rt, rho, _ = self._row
         jw = rt * y                                         # Wm^T w
-        ip, im = 1.0 / pp, 1.0 / pm
-        r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
-        cp, cm = 2.0 * sp * ip, 2.0 * sm * im
-        c2 = 2.0 * (ip + im)
-        ka = 2.0 * (r2m * im * im - r2p * ip * ip)
-        kj = 4.0 * (sp * ip * ip + sm * im * im)
+        cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
+            sp, sm, pp, pm, wn2, rho)
         gu += (cp - cm) * a + c2 * jw
-
-        den = r2p * pm * pm + r2m * pp * pp
-        r = math.sqrt(wn2)
-        ep, em = pp / (sp + r), pm / (sm + r)
-        kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
-        dia += 8.0 * r2p * r2m / den * (a + kappa * jw) ** 2
-        root = math.sqrt(c2)
-        if r > 0.0:
-            delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
-            lam = (c2 * rho + delta * (wn2 - rho)) / wn2
-            gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
-            dia += (root * rt + gamma * y * jw) ** 2
-        else:
+        dia += qaa * (a + kappa * jw) ** 2
+        if gamma is None:
             dia += c2 * rt ** 2
-        return (gu, dia, cp, cm, 2.0 * (r2p * ip * ip + r2m * im * im),
-                ka * a - kj * jw)
+        else:
+            dia += (root * rt + gamma * y * jw) ** 2
+        return gu, dia, cp, cm, hzz, ka * a - kj * jw
 
     @staticmethod
     def newton_step(system, t_b):
@@ -841,9 +824,7 @@ class _ScalarBarrier(_Barrier):
         gz = t_b - cp - cm
         rhs = -gu + k * (gz / hzz)
         if dia == 0.0:
-            scale = -1.0 / (1.0 + math.sqrt(gu * gu + gz * gz))
-            du, dz = scale * gu, scale * gz
-            return [du], [dz], -((0.0 + gu * du) + (0.0 + gz * dz))
+            return _scaled_gradient([gu], [gz])
         du = rhs / dia
         return [du], [-(gz + k * du) / hzz], rhs * du + gz * gz / hzz
 
@@ -882,9 +863,13 @@ class _PairBarrier(_Barrier):
     :func:`_pair_update`, the back-solve ``x1 = b1 - l10 b0, x0 = b0 / d0,
     x1 /= d1, x0 -= l10 x1``, and each ``sum(map(mul, x, y))`` over the
     inputs is ``0.0 + x0 y0 + x1 y1``, which keeps its rounding and its
-    signed zeros. Points stay lists, so :meth:`~_Barrier.center`,
-    :meth:`~_Barrier.advance`, :meth:`~_Barrier.predict` and the
-    least-squares inputs are shared.
+    signed zeros. Unrolled here: ``evaluate``, the input side of
+    ``assemble`` and the back-solve. Shared: the box terms
+    (:meth:`~_Barrier._box_terms`), each output's coefficients
+    (:func:`_cone_terms`), the zero-pivot step (:func:`_scaled_gradient`)
+    and, since points stay lists, :meth:`~_Barrier.padded_z`,
+    :meth:`~_Barrier.center`, :meth:`~_Barrier.advance`,
+    :meth:`~_Barrier.predict` and the least-squares inputs.
     """
 
     def evaluate(self, u, z):
@@ -918,16 +903,7 @@ class _PairBarrier(_Barrier):
         Returns ``(gu, factor, cpm, hz, kz)`` with ``gu = (g0, g1)``, the
         factor ``(d0, d1, l10)`` and each output's ``k`` in ``kz`` a pair.
         """
-        gu = [0.0, 0.0]
-        dia = [0.0, 0.0]
-        for i, b in self._lo:
-            s = 1.0 / (u[i] - b)
-            gu[i] -= s
-            dia[i] += s * s
-        for i, b in self._hi:
-            s = 1.0 / (b - u[i])
-            gu[i] += s
-            dia[i] += s * s
+        gu, dia = self._box_terms(u)
         g0, g1 = gu
         d0, d1 = dia
         l10 = 0.0
@@ -938,38 +914,25 @@ class _PairBarrier(_Barrier):
             for yi, (r0, r1) in zip(y, rt):
                 j0 += r0 * yi
                 j1 += r1 * yi
-            ip, im = 1.0 / pp, 1.0 / pm
-            r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
-            cp, cm = 2.0 * sp * ip, 2.0 * sm * im
-            c2 = 2.0 * (ip + im)
-            ka = 2.0 * (r2m * im * im - r2p * ip * ip)
-            kj = 4.0 * (sp * ip * ip + sm * im * im)
+            cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
+                sp, sm, pp, pm, wn2, rho)
             gc = cp - cm
             g0 += gc * a0 + c2 * j0
             g1 += gc * a1 + c2 * j1
             cpm.append((cp, cm))
-            hz.append(2.0 * (r2p * ip * ip + r2m * im * im))
+            hz.append(hzz)
             kz.append((ka * a0 - kj * j0, ka * a1 - kj * j1))
-
-            den = r2p * pm * pm + r2m * pp * pp
-            r = math.sqrt(wn2)
-            ep, em = pp / (sp + r), pm / (sm + r)
-            kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
-            d0, d1, l10 = _pair_update(d0, d1, l10, 8.0 * r2p * r2m / den,
-                                       a0 + kappa * j0, a1 + kappa * j1)
-            root = math.sqrt(c2)
-            if r > 0.0:
-                delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
-                lam = (c2 * rho + delta * (wn2 - rho)) / wn2
-                gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
+            d0, d1, l10 = _pair_update(d0, d1, l10, qaa, a0 + kappa * j0,
+                                       a1 + kappa * j1)
+            if gamma is None:
+                for r0, r1 in rt:
+                    d0, d1, l10 = _pair_update(d0, d1, l10, c2, r0, r1)
+            else:
                 for yi, (r0, r1) in zip(y, rt):
                     g = gamma * yi
                     d0, d1, l10 = _pair_update(d0, d1, l10, 1.0,
                                                root * r0 + g * j0,
                                                root * r1 + g * j1)
-            else:
-                for r0, r1 in rt:
-                    d0, d1, l10 = _pair_update(d0, d1, l10, c2, r0, r1)
         return (g0, g1), (d0, d1, l10), cpm, hz, kz
 
     @staticmethod
@@ -983,12 +946,7 @@ class _PairBarrier(_Barrier):
             b0 += k0 * f
             b1 += k1 * f
         if d0 == 0.0 or d1 == 0.0:
-            scale = -1.0 / (1.0 + math.sqrt(0.0 + g0 * g0 + g1 * g1
-                                            + sum(map(mul, gz, gz))))
-            du0, du1 = scale * g0, scale * g1
-            dz = [scale * x for x in gz]
-            return [du0, du1], dz, -(0.0 + g0 * du0 + g1 * du1
-                                     + sum(map(mul, gz, dz)))
+            return _scaled_gradient([g0, g1], gz)
         x1 = b1 - l10 * b0
         x0 = b0 / d0
         x1 /= d1
@@ -1000,15 +958,63 @@ class _PairBarrier(_Barrier):
             decrement += gzt * gzt / hzz
         return [x0, x1], dz, decrement
 
-    def padded_z(self, u, pad):
-        """:meth:`_Barrier.padded_z` over two inputs."""
-        x0, x1 = u
-        z = []
-        for m0, (a0, a1), c, rt, rho, q in self._rows:
-            mid = m0 + (0.0 + a0 * x0 + a1 * x1)
-            y = [ci + (0.0 + r0 * x0 + r1 * x1) for ci, (r0, r1) in zip(c, rt)]
-            z.append(abs(mid) + math.sqrt(sum(map(mul, y, y)) + rho) + q + pad)
-        return z
+
+def _cone_terms(sp, sm, pp, pm, wn2, rho):
+    """One output's Newton coefficients that do not depend on the inputs.
+
+    From a point's cone ``(s+, s-, psi+, psi-, |w|^2)`` and the constant
+    radius part ``rho``: the output's u-gradient is ``(cp - cm) a + c2 Wm^T
+    w`` and its z-gradient ``t_b - cp - cm``; its (u, z_t) Hessian column is
+    ``ka a - kj Wm^T w`` and its z-Hessian ``hzz``. Returns ``(cp, cm, c2,
+    ka, kj, hzz, qaa, kappa, root, gamma)``.
+
+    The rest is the output's Schur complement in closed form, as a sum of
+    nonnegative rank-one terms (Lobo, Vandenberghe, Boyd & Lebret 1998).
+    Formed as (u-block) - k k^T / hzz it would cancel terms of order
+    1/psi^2 near the cone boundary, which swamps the curvature of
+    directions the cones leave flat. With r = |w| and e = y / r it is::
+
+        qaa f f^T + R^T (c2 I + (delta - c2) e e^T) R,
+        qaa = 8 r2p r2m / (r2p psi-^2 + r2m psi+^2),
+        f = a + kappa Wm^T w,
+        kappa = (s+ s- - r^2)(s- - s+) / (r2p r2m),
+        delta = 2 / r2p + 2 / r2m,    r2 = s^2 + r^2,
+
+    and the last term enters as the rows of ``R`` times the square root of
+    its middle factor: row ``i`` becomes ``root R_i + gamma y_i Wm^T w``
+    with ``root = sqrt(c2)``. Each term is added by a rank-one ``L D L^T``
+    update (method C1 of Gill, Golub, Murray & Saunders 1974), so no pivot
+    can turn negative. ``gamma`` is None when ``|w| = 0``: ``e`` is then
+    undefined and the rows of ``R`` enter with weight ``c2``.
+    """
+    ip, im = 1.0 / pp, 1.0 / pm
+    r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
+    c2 = 2.0 * (ip + im)
+    ka = 2.0 * (r2m * im * im - r2p * ip * ip)
+    kj = 4.0 * (sp * ip * ip + sm * im * im)
+    hzz = 2.0 * (r2p * ip * ip + r2m * im * im)
+    qaa = 8.0 * r2p * r2m / (r2p * pm * pm + r2m * pp * pp)
+    r = math.sqrt(wn2)
+    ep, em = pp / (sp + r), pm / (sm + r)          # s - |w|
+    kappa = (sp * em + r * ep) * (sm - sp) / (r2p * r2m)
+    root = math.sqrt(c2)
+    gamma = None
+    if r > 0.0:
+        delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
+        lam = (c2 * rho + delta * (wn2 - rho)) / wn2
+        gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
+    return (2.0 * sp * ip, 2.0 * sm * im, c2, ka, kj, hzz, qaa, kappa, root,
+            gamma)
+
+
+def _scaled_gradient(gu, gz):
+    """The fallback step ``-(gu, gz) / (1 + |(gu, gz)|)`` for a Schur
+    complement with a zero pivot, as ``(du, dz, decrement)``."""
+    scale = -1.0 / (1.0 + math.sqrt(sum(map(mul, gu, gu))
+                                    + sum(map(mul, gz, gz))))
+    du = [scale * x for x in gu]
+    dz = [scale * x for x in gz]
+    return du, dz, -(sum(map(mul, gu, du)) + sum(map(mul, gz, dz)))
 
 
 def _pair_update(d0, d1, l10, alpha, v0, v1):

@@ -1,0 +1,82 @@
+"""Print a digest of every closed-loop run and every robust solve in it.
+
+For sim1-sim3, every mode of ``experiments.MODES`` and seeds 0-4, one line
+per scenario and mode gives the number of robust solves, their total Newton
+iterations and a sha256 over every ``RunRecord`` field and every solve's
+``u``, ``z``, objective, status, iterations and ``warm_started``. Two
+checkouts that print the same lines ran the same closed loops bit for bit::
+
+    python tests/digest.py > after.txt
+    python ../parent/tests/digest.py > before.txt
+    diff before.txt after.txt
+
+The script puts its own checkout's ``src`` first on the import path, so
+each run digests the code beside it. pytest does not collect it.
+"""
+
+import hashlib
+import os
+import struct
+import sys
+from dataclasses import fields
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+import numpy as np  # noqa: E402
+
+from smtrack import experiments, robust  # noqa: E402
+
+SCENARIOS = ("sim1", "sim2", "sim3")
+SEEDS = range(5)
+
+
+def _feed(h, value):
+    """Hash ``value`` with its type, shape and exact bits."""
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, float):
+        h.update(b"f" + struct.pack("<d", value))
+    else:
+        h.update(repr(value).encode())
+
+
+def digest(name, mode):
+    """``(solves, newton_iterations, sha256)`` of one scenario and mode."""
+    h = hashlib.sha256()
+    solves, iterations = [0], [0]
+    solve = robust.solve_robust
+
+    def recording(instance, belief, bounds):
+        sol = solve(instance, belief, bounds)
+        solves[0] += 1
+        iterations[0] += sol.newton_iterations
+        for value in (sol.u, sol.z, float(sol.objective), sol.status,
+                      sol.newton_iterations, sol.warm_started):
+            _feed(h, value)
+        return sol
+
+    # known_theta reaches the solver through robust.solve_known_theta.
+    experiments.solve_robust = robust.solve_robust = recording
+    try:
+        for seed in SEEDS:
+            record = experiments.run(experiments.scenario(name), mode, seed)
+            for field in fields(record):
+                h.update(field.name.encode())
+                _feed(h, getattr(record, field.name))
+    finally:
+        experiments.solve_robust = robust.solve_robust = solve
+    return solves[0], iterations[0], h.hexdigest()
+
+
+def main():
+    for name in SCENARIOS:
+        for mode in experiments.MODES:
+            solves, iterations, sha = digest(name, mode)
+            print(f"{name} {mode:<11} solves {solves:5d} "
+                  f"newton {iterations:6d} {sha}")
+
+
+if __name__ == "__main__":
+    main()

@@ -744,11 +744,37 @@ class TestBarrierKernel:
         u_full[prog.free] = u
         return u_full
 
+    @classmethod
+    def zero_radius_points(cls):
+        """``(instance, belief, bounds, u, z)`` at the start of each
+        hand-built program whose start has ``|w| = 0``: the scalar case's
+        probe start and the pair case's cold start, each with a far and a
+        near ``z``. Both have one output and a row of ``R``, so the rows
+        enter the Schur complement through the ``|w| = 0`` branch."""
+        for case, start, kernel in (
+                (cls.zero_radius_scalar_case(), robust._probe_start,
+                 robust._ScalarBarrier),
+                (cls.zero_radius_case(), lambda prog: list(prog.u_cold),
+                 robust._PairBarrier)):
+            prog = robust._program(*case)
+            assert type(prog) is kernel
+            u = start(prog)
+            for pad in (1.0, 1e-3):
+                z = prog.padded_z(u, pad)
+                cones = prog.evaluate(u, z)
+                (cone,) = [cones] if kernel is robust._ScalarBarrier else cones
+                assert cone[5] == 0.0
+                yield (*case, cls.full_input(prog, u), np.array(z))
+
     def test_newton_step_matches_dense_reference(self):
+        # Random interior points, and the two hand-built starts where
+        # |w| = 0, the branch of the kernels' Schur complement whose
+        # direction e = y / |w| is undefined.
         rng = np.random.default_rng(12)
         kernels = set()
-        for instance, belief, bounds, u, z in self.interior_points(
-                rng, n_pinned=10, n_wide=10):
+        points = list(self.interior_points(rng, n_pinned=10, n_wide=10))
+        points += self.zero_radius_points()
+        for instance, belief, bounds, u, z in points:
             prog = robust._program(instance, belief, bounds)
             kernels.add(type(prog))
             cones = prog.evaluate(u[prog.free].tolist(), z.tolist())
@@ -1016,14 +1042,23 @@ class TestBarrierKernel:
             assert (prog.nf, prog.l) == (nf, l)
             assert type(prog) is kernel
 
+    @staticmethod
+    def assert_scaled_gradient(step, gu, gz):
+        """``step`` is ``(du, dz, decrement)`` of the fallback
+        ``-(gu, gz) / (1 + |(gu, gz)|)``, formed here in numpy."""
+        g = np.concatenate([gu, gz])
+        ref = -g / (1.0 + np.linalg.norm(g))
+        du, dz, decrement = step
+        assert_allclose(np.concatenate([du, dz]), ref, rtol=1e-14, atol=0.0)
+        assert_allclose(decrement, -g @ ref, rtol=1e-14, atol=0.0)
+
     def test_a_zero_pivot_takes_the_scaled_gradient_in_both_kernels(self):
         # Equal input columns and no box term: no update reaches the second
-        # pivot, so both kernels fall back to the scaled gradient, which
-        # moves the two inputs alike.
+        # pivot, so the pair and the general kernel fall back to the scaled
+        # gradient, which moves the two inputs alike.
         instance, belief, bounds = self.parallel_columns_case()
         geometry = robust._geometry(instance, belief, bounds)
         assert geometry.shared["nf"] == 2
-        steps = []
         for kernel in (robust._PairBarrier, robust._Barrier):
             prog = kernel(geometry, instance)
             u = list(prog.u_cold)
@@ -1031,12 +1066,27 @@ class TestBarrierKernel:
             system = prog.assemble(prog.evaluate(u, z), u)
             pivots = self.PIVOTS[kernel](system)
             assert pivots[0] > 0.0 and pivots[1] == 0.0
-            steps.append(prog.newton_step(system, 1.0))
-        pair, general = steps
-        assert pair == general
-        (du0, du1), _, decrement = pair
-        assert du0 == du1 != 0.0
-        assert decrement > 0.0
+            for t_b in (1.0, 1e2):
+                step = prog.newton_step(system, t_b)
+                # Both systems hold the u-gradient first and the per-output
+                # (cp, cm) third from last.
+                gz = [t_b - cp - cm for cp, cm in system[-3]]
+                self.assert_scaled_gradient(step, system[0], gz)
+                (du0, du1), _, decrement = step
+                assert du0 == du1 != 0.0
+                assert decrement > 0.0
+
+    def test_a_zero_pivot_takes_the_scaled_gradient_in_the_scalar_kernel(
+            self):
+        # A free input moves a cone, which keeps the scalar kernel's one
+        # pivot positive short of underflow, and an input that moves none
+        # is pinned; so the system is built by hand: (gu, dia, cp, cm, hzz,
+        # k).
+        system = (0.7, 0.0, 1.5, 0.25, 2.0, 0.3)
+        for t_b in (1.0, 1e2):
+            step = robust._ScalarBarrier.newton_step(system, t_b)
+            self.assert_scaled_gradient(step, [0.7], [t_b - 1.5 - 0.25])
+            assert step[2] > 0.0
 
     def test_no_recorded_solve_takes_the_zero_pivot_fallback(self,
                                                             monkeypatch):
