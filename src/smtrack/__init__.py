@@ -11,97 +11,20 @@ provides:
 - an exploring variant that maximizes the next observation's information
   inside a trust region around the robust input, and
 - reproducible closed-loop studies with Monte Carlo averaging.
+
+The package exports ``__version__`` and the union of its modules' ``__all__``.
 """
 
-from .active import (
-    InfoQuadratic,
-    build_info_quadratic,
-    build_trust_region,
-    solve_active,
-)
-from .ellipsoid import (
-    DegenerateOperandError,
-    Ellipsoid,
-    InconsistentSetsError,
-)
-from .estimator import (
-    InconsistentObservationError,
-    Observation,
-    ParameterBelief,
-    build_observation,
-    build_state_observation,
-    update,
-)
-from .experiments import (
-    MODES,
-    MonteCarloReport,
-    Reference,
-    RunRecord,
-    ScenarioSpec,
-    accumulated_cost,
-    load_scenario,
-    monte_carlo,
-    run,
-    scenario,
-    scenario_from_config,
-    scenario_names,
-    scenario_to_config,
-    window_error,
-    write_cost_csv,
-    write_report_csv,
-    write_run_csv,
-)
-from .model import UncertainModel
-from .robust import (
-    ControlBounds,
-    RobustSolution,
-    TrackingInstance,
-    build_instance,
-    solve_known_theta,
-    solve_robust,
-    worst_case_interval,
-)
+from . import active, ellipsoid, estimator, experiments, model, robust
+from .active import *  # noqa: F403
+from .ellipsoid import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .model import *  # noqa: F403
+from .robust import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateOperandError",
-    "Ellipsoid",
-    "InconsistentSetsError",
-    "UncertainModel",
-    "InconsistentObservationError",
-    "Observation",
-    "ParameterBelief",
-    "build_observation",
-    "build_state_observation",
-    "update",
-    "ControlBounds",
-    "RobustSolution",
-    "TrackingInstance",
-    "build_instance",
-    "solve_known_theta",
-    "solve_robust",
-    "worst_case_interval",
-    "InfoQuadratic",
-    "build_info_quadratic",
-    "build_trust_region",
-    "solve_active",
-    "MODES",
-    "MonteCarloReport",
-    "Reference",
-    "RunRecord",
-    "ScenarioSpec",
-    "accumulated_cost",
-    "load_scenario",
-    "monte_carlo",
-    "run",
-    "scenario",
-    "scenario_from_config",
-    "scenario_names",
-    "scenario_to_config",
-    "window_error",
-    "write_cost_csv",
-    "write_report_csv",
-    "write_run_csv",
-    "__version__",
-]
+__all__ = [*ellipsoid.__all__, *model.__all__, *estimator.__all__,
+           *robust.__all__, *active.__all__, *experiments.__all__,
+           "__version__"]

@@ -23,16 +23,12 @@ and observation sets are disjoint.
 
 Volume is measured on the range of ``P``, of dimension ``k``, the number
 of its eigenvalues above ``1e-14`` of the largest (``k = dim`` for a
-full-rank prior), since every member lies in that range. Most updates keep the prior, and a
-closed-form test decides exactly those before any scan. With ``L L^T =
-Q``, ``R R^T = P``, the whitened innovation ``E = |L^{-1} eps|^2`` and ``F
-= |L^{-1} phi R|_F^2``, the prior is kept when ``k (1 - E) >= F`` and ``E
-<= 1``. Why: ``beta(rho) >= 1 + rho (1 - E)``, since each whitened
-direction's term ``e_i^2/(1 + rho nu_i)`` is at most ``e_i^2``; and by
-Jensen ``log det(I + rho R^T phi^T Q^{-1} phi R) <= k log1p(rho F/k)``,
-which the test makes at most ``k log beta``. So no member is smaller than
-the prior or disjoint from it. The test is sharp: when it fails, small
-``rho`` shrinks the set.
+full-rank prior), since every member lies in that range. Most updates keep
+the prior, and a closed-form test decides exactly those before any scan.
+With ``L L^T = Q``, ``R R^T = P``, the whitened innovation ``E = |L^{-1}
+eps|^2`` and ``F = |L^{-1} phi R|_F^2``, the prior is kept when ``k (1 -
+E) >= F`` and ``E <= 1``. The :mod:`smtrack.ellipsoid` module docstring
+derives why no member is then smaller and why the test is sharp.
 
 The fusion kernel of :mod:`smtrack.ellipsoid`, entered only through
 :func:`update`, does the work: per update one linear solve against the
@@ -169,15 +165,12 @@ def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
     than the prior (the ``rho = 0`` anchor, which returns the prior
     unchanged).
 
-    The scan runs only when the closed-form keep test (module docstring)
-    fails. The test holds when ``k (1 - E) >= F`` and ``E <= 1``, with
-    ``k`` the prior's rank (``Ellipsoid.rank``), ``E`` the squared whitened
-    innovation and ``F`` the squared Frobenius norm of the whitened
-    regressor ``L^{-1} phi R``. Then, at every ``rho > 0``, ``k log beta >=
-    k log1p(rho (1 - E)) >= k log1p(rho F/k)``, which by Jensen is at least
-    ``sum log1p(rho nu_i)``: no member's log det on the range of the
-    prior's shape is below the prior's. Such an update returns the
-    prior object itself, flagged ``kept_by_test=True``.
+    The scan runs only when the closed-form keep test fails. The test holds
+    when ``k (1 - E) >= F`` and ``E <= 1``, with ``k`` the prior's rank
+    (``Ellipsoid.rank``), ``E`` the squared whitened innovation and ``F``
+    the squared Frobenius norm of the whitened regressor ``L^{-1} phi R``;
+    the :mod:`smtrack.ellipsoid` module docstring derives it. Such an
+    update returns the prior object itself, flagged ``kept_by_test=True``.
 
     ``policy="raise"`` raises :class:`InconsistentObservationError` when the
     observation set is disjoint from the prior; ``policy="skip"`` instead

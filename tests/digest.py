@@ -11,7 +11,8 @@ checkouts that print the same lines ran the same closed loops bit for bit::
     diff before.txt after.txt
 
 The script puts its own checkout's ``src`` first on the import path, so
-each run digests the code beside it. pytest does not collect it.
+each run digests the code beside it. pytest does not collect it;
+``test_experiments.py::TestDigest`` runs it on one seed.
 """
 
 import hashlib

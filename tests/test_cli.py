@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -202,6 +203,30 @@ class TestValidate:
                 found += [f"{name}:{node.lineno} {m}" for m in modules
                           if m == "scipy" or m.startswith("scipy.")]
         assert found == []
+
+
+class TestPackage:
+    MODULES = ("active", "ellipsoid", "estimator", "experiments", "model",
+               "robust")
+
+    def test_exports_are_the_union_of_the_modules_all(self):
+        exported = {}
+        for name in self.MODULES:
+            module = getattr(smtrack, name)
+            exported.update((n, getattr(module, n)) for n in module.__all__)
+        assert len(smtrack.__all__) == len(set(smtrack.__all__))
+        assert set(smtrack.__all__) == {*exported, "__version__"}
+        for name, value in exported.items():
+            assert getattr(smtrack, name) is value
+
+    def test_pyproject_reads_the_package_version(self):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+        with warnings.catch_warnings():
+            # setuptools flags its [tool.setuptools] table as beta.
+            warnings.simplefilter("ignore")
+            config = pyprojecttoml.read_configuration(path)
+        assert config["project"]["version"] == smtrack.__version__
 
 
 class TestParser:

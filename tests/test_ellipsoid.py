@@ -427,6 +427,48 @@ class TestOptimalRho:
         assert checks.intersect(ea, eb).last_rho == 0.0
 
 
+class TestTouchingSets:
+    """The kernel's branches for a member with ``beta <= 0``, built by hand."""
+
+    @staticmethod
+    def far_fusion():
+        # [-1, 1] seen at h = 3 through phi = 1, Q = 1: up to the noise
+        # ridge, nu = 1 and e^2 = 9, so beta(rho) = 1 + rho (1 - 9/(1 + rho))
+        # is negative on (0.15, 6.85) and beta' = 1 - 9/(1 + rho)^2.
+        return _Fusion(Ellipsoid([0.0], [[1.0]]), np.eye(1), np.eye(1),
+                       np.array([3.0]))
+
+    def test_a_negative_beta_gives_the_pole_the_sign_of_its_slope(self):
+        fusion = self.far_fusion()
+        beta, dbeta, _ = fusion.at(1.0)
+        assert beta == pytest.approx(-2.5) and dbeta < 0.0
+        assert fusion.defect(1.0) == 1e308
+        beta, dbeta, _ = fusion.at(3.0)
+        assert beta == pytest.approx(-2.75) and dbeta > 0.0
+        assert fusion.defect(3.0) == -1e308
+
+    def test_a_negative_beta_with_a_flat_slope_has_zero_defect(self):
+        # The ridge moves e^2 off 9, so the spectrum is set by hand to put
+        # beta' = 1 - 9/(1 + rho)^2 at exactly zero at rho = 2.
+        fusion = self.far_fusion()
+        fusion._terms, fusion.e_perp2 = [(1.0, 9.0)], 0.0
+        assert fusion.at(2.0)[:2] == (-3.0, 0.0)
+        assert fusion.defect(2.0) == 0.0
+
+    def test_a_zero_beta_has_an_infinitely_negative_log_det_change(self):
+        assert self.far_fusion().log_det_change(0.5, 0.0) == -math.inf
+
+    def test_a_zero_at_the_last_grid_point_is_a_root(self):
+        def func(rho):
+            return (rho - 1.5) * (rho - 3.0)
+
+        grid = np.array([0.5, 1.0, 2.0, 3.0])
+        roots = ellipsoid._bracket_roots(func, grid, func(grid))
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(1.5, rel=1e-12)
+        assert roots[1] == 3.0
+
+
 class TestRandomizedProperties:
     """Reduced-size runs of the randomized suites; full sizes run elsewhere."""
 

@@ -3,6 +3,7 @@
 import json
 import pickle
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from smtrack import active, ellipsoid, experiments
+from smtrack import active, ellipsoid, experiments, robust
 from smtrack.active import build_trust_region
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import (Observation, ParameterBelief, build_state_observation,
@@ -614,3 +615,29 @@ class TestConfigRoundTrip:
 
     def test_modes_tuple_is_stable(self):
         assert MODES == ("fixed", "learn", "active", "known_theta")
+
+
+class TestDigest:
+    """``tests/digest.py``, which compares two checkouts bit for bit."""
+
+    @pytest.fixture
+    def digest(self, monkeypatch):
+        # The script puts its checkout's src first on the import path.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        import digest
+
+        monkeypatch.setattr(digest, "SEEDS", range(1))
+        return digest
+
+    def test_a_digest_is_repeatable_and_restores_the_solver(self, digest,
+                                                            monkeypatch):
+        solve = robust.solve_robust
+        assert experiments.solve_robust is solve
+        first = digest.digest("sim1", "learn")
+        assert digest.digest("sim1", "learn") == first
+        solves, iterations, sha = first
+        assert 0 < solves < iterations and len(sha) == 64
+        assert experiments.solve_robust is solve
+        assert robust.solve_robust is solve
+        monkeypatch.setattr(digest, "SEEDS", range(1, 2))
+        assert digest.digest("sim1", "learn")[2] != sha

@@ -1131,6 +1131,68 @@ class TestBarrierKernel:
             assert prog.evaluate(outside.tolist(), z.tolist()) is None
         assert kernels == self.KERNELS
 
+    def test_a_step_no_halving_brings_inside_is_not_taken(self):
+        # 1e300 halved 40 times is still about 1e288: every trial leaves the
+        # box, so advance returns the given point, unmoved.
+        rng = np.random.default_rng(13)
+        kernels = set()
+        for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
+                                                                   n_wide=3):
+            prog = robust._program(instance, belief, bounds)
+            kernels.add(type(prog))
+            u, z = u[prog.free].tolist(), z.tolist()
+            cones = prog.evaluate(u, z)
+            out = prog.advance(u, z, cones, [1.0] * prog.nf, [0.0] * prog.l,
+                               1e300)
+            assert out[0] is u and out[1] is z and out[2] is cones
+            assert out[3] is False
+        assert kernels == self.KERNELS
+
+    @staticmethod
+    def stuck_from(kernel, n):
+        """``kernel.advance``, with the ``n``-th and later steps scaled by
+        1e300 so that they cannot move."""
+        advance, calls = kernel.advance, [0]
+
+        def stuck(self, u, z, cones, du, dz, alpha):
+            calls[0] += 1
+            return advance(self, u, z, cones, du, dz,
+                           1e300 if calls[0] >= n else alpha)
+        return stuck
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_center_that_cannot_move_stops_unconverged(self, monkeypatch,
+                                                         n):
+        rng = np.random.default_rng(13)
+        kernels = set()
+        for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
+                                                                   n_wide=3):
+            prog = robust._program(instance, belief, bounds)
+            kernel = type(prog)
+            kernels.add(kernel)
+            monkeypatch.setattr(kernel, "advance", self.stuck_from(kernel, n))
+            u, z = u[prog.free].tolist(), z.tolist()
+            *_, system, iterations, converged = prog.center(
+                u, z, prog.evaluate(u, z), 1.0, 0.0, 50)
+            monkeypatch.undo()
+            assert system is None and converged is False
+            assert iterations == n
+        assert kernels == self.KERNELS
+
+    def test_a_solve_that_cannot_move_reports_max_iter(self, monkeypatch):
+        for kernel in (robust._Barrier, robust._ScalarBarrier):
+            monkeypatch.setattr(kernel, "advance", self.stuck_from(kernel, 1))
+        rng = np.random.default_rng(13)
+        kernels = set()
+        for instance, belief, bounds in self.programs(rng, 5, 3, n_wide=3):
+            prog = robust._program(instance, belief, bounds)
+            kernels.add(type(prog))
+            sol = solve_robust(instance, belief, bounds)
+            assert sol.status == "max_iter"
+            assert not sol.warm_started
+            assert sol.u[prog.free].tolist() == prog.u_cold
+        assert kernels == self.KERNELS
+
 
 class TestProgramGeometry:
     """A program's step-independent geometry is built once per belief, box
