@@ -18,16 +18,24 @@ With ``theta`` in the belief ellipsoid ``E(P, th)`` and ``v`` bounded by
     |f_t + b0_t u + g_t(u) th| + sqrt(g_t(u) P g_t(u)^T) + sqrt(Q_tt)
 
 The control minimizes the sum of these bounds over a box of admissible
-inputs. The epigraph form (one bound variable per output, two second-order
-cone constraints each) is solved by an embedded primal log-barrier
+inputs. A program with one free input and one output (every sim1 and sim2
+solve) is solved in closed form (:func:`_one_input`): its cost ``|m0 + a
+u| + sqrt((c + r u)^2 + rho) + q`` is convex, and its minimum lies among
+at most six candidates, the box ends, the kink, the apex and the two
+stationary points of the smooth piece, each scored over floats. Every
+other program is solved in epigraph form (one bound variable per output,
+two second-order cone constraints each) by an embedded primal log-barrier
 interior-point method: cone barrier ``-log(s^2 - |w|^2)``, damped Newton
 inner iterations, barrier parameter scaled by 10 per outer stage, stopping
 when the duality measure (constraint count / barrier parameter) falls
-below 1e-8.
+below 1e-8. On every sim1 and sim2 solve of seeds 0-2 the closed form's
+objective is never above the barrier's on the same program, and at most
+9.8e-10 relative below it; the inputs differ by at most 2.3e-9 (1 + |u|).
 
-Every solve first probes a short schedule from weight ``WARM_T_START`` =
-1e4 near its likely optimum, and falls back to the cold schedule from
-weight 1 if that fails to center within ``WARM_PROBE_ITERS`` iterations;
+Every barrier solve first probes a short schedule from weight
+``WARM_T_START`` = 1e4 near its likely optimum, and falls back to the cold
+schedule from weight 1 if that fails to center within
+``WARM_PROBE_ITERS`` iterations;
 :attr:`RobustSolution.warm_started` says whether the probe was accepted.
 The probe starts from the better, by the objective ``sum(z)``
 (:func:`_probe_start`), of two inputs read from the program itself: the
@@ -84,41 +92,29 @@ twelve per size) a solve took about a quarter of the dense solve's time at
 (l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
 (4, 4, 8), and four times as long at (8, 6, 12).
 
-The kernel is chosen by the number ``nf`` of free inputs after pinning
-and the number ``l`` of outputs, and there are three. A program with one
-free input and one output (sim1 and sim2) runs the scalar kernel
-(:class:`_ScalarBarrier`), in which the row, a point's cone and the Newton
-system are floats: the 1 x 1 Schur complement's ``L D L^T`` updates are
-``dia += alpha * v ** 2`` and its back-solve ``rhs / dia``. What the
-floats save is the per-output lists, ``zip``s and one-term sums that each
-iteration of the general kernel builds, not calls: fusing the centering
-loop into one call gained nothing. A program with two free inputs (sim3,
-or a three-input box with one side pinned) runs the pair kernel
-(:class:`_PairBarrier`), whose factor is the three floats ``(d0, d1,
-l10)``, updated and back-solved by unrolled two-entry code. Each is the
-``l = nf = 1`` or ``nf = 2`` case of the general kernel's arithmetic,
-operation for operation, so it gives the same iterates to the bit.
-Neither is an exact solver (such a solver would bypass the schedule): each
-runs the same barrier method, only without the lists. Every other program
-(one free input and two or more outputs, or three or more free inputs)
-runs the general kernel, which the tests hold the other two to.
+The barrier's kernel is chosen by the number ``nf`` of free inputs after
+pinning. A program with two free inputs (sim3, or a three-input box with
+one side pinned) runs the pair kernel (:class:`_PairBarrier`), whose
+factor is the three floats ``(d0, d1, l10)``, updated and back-solved by
+unrolled two-entry code. It is the ``nf = 2`` case of the general
+kernel's arithmetic, operation for operation, so it gives the same
+iterates to the bit. Every other program that the closed form does not
+take (one free input and two or more outputs, or three or more free
+inputs) runs the general kernel (:class:`_Barrier`), which the tests hold
+the pair kernel and the closed form to: the pair kernel's iterates to the
+bit, the closed form's objective to rounding.
 
 What does not depend on the number of inputs is written once and shared
-by the three kernels: each output's Newton coefficients and the closed
-form of its Schur complement (:func:`_cone_terms`), the step taken when
-the Schur complement has a zero pivot (:func:`_scaled_gradient`), the
-probe, the stage schedule, the centering, the predictor and every
-tolerance. The general and pair kernels also share the box barrier
-(:meth:`_Barrier._box_terms`) and the epigraph values ``padded_z``. Each
-kernel keeps its own code for what runs at every trial point or is the
-input-side algebra: ``evaluate``, ``advance``, the input side of
-``assemble`` (``Wm^T w``, the gradient, the Hessian column and the
-``L D L^T`` updates) and the back-solve of ``newton_step``; the scalar
-kernel also its ``padded_z`` and normal-equation terms. A helper shared by
-the three ``evaluate``s was tried and not kept: in the scalar kernel it
-slowed a sim2 ``fixed`` solve from 124.6 to 127.3 us (median over the
-300 solves of seeds 0-2, median of 30 in-process alternations; the inline
-test was faster in 24 of them; 2 vCPU, Python 3.11).
+by the two kernels: each output's Newton coefficients and the closed form
+of its Schur complement (:func:`_cone_terms`), the step taken when the
+Schur complement has a zero pivot (:func:`_scaled_gradient`), the box
+barrier (:meth:`_Barrier._box_terms`), the epigraph values ``padded_z``,
+``advance``, the probe, the stage schedule, the centering, the predictor
+and every tolerance. The pair kernel keeps its own code for what runs at
+every trial point or is the input-side algebra: ``evaluate``, the input
+side of ``assemble`` (``Wm^T w``, the gradient, the Hessian column and the
+``L D L^T`` updates) and the back-solve of ``newton_step``. The closed
+form shares only the geometry and its per-step rows with the kernels.
 
 That factorization, like nearly everything else a program is built from,
 depends on the step only through ``f`` and the state block ``gx``, which
@@ -146,6 +142,7 @@ on sim2, a geometry build 55-100 us on sim1-sim3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -247,9 +244,12 @@ class RobustSolution:
 
     ``status`` is ``"optimal"``; ``"max_iter"`` if a stage did not center
     (or the cold start was lost to rounding); ``"infeasible"`` for an empty
-    box, with NaN ``u`` and ``z``; or ``"non_finite"`` if the schedule ended
+    box, with NaN ``u`` and ``z``; or ``"non_finite"`` if the solve ended
     but some bound ``z`` is not finite, as for an input pinned near the
-    float range.
+    float range. A program with one free input and one output is solved in
+    closed form, with no iterations and no probe: ``newton_iterations`` is
+    0, ``warm_started`` False and ``status`` ``"optimal"`` or
+    ``"non_finite"``.
     """
 
     u: np.ndarray
@@ -353,9 +353,10 @@ class _Geometry:
     and ``Q_o`` the others. Both are fixed projections of ``gx_t``, which
     :meth:`rows` applies over Python floats, so an iteration costs the
     same for any parameter count ``p``. Held here as lists: the slopes, the
-    kept rows of ``R_t`` and their columns, the two projections, the
-    finite box sides, the probe box and the cold start, and the normal
-    equations' factors of :meth:`_Barrier.least_squares_inputs`.
+    kept rows of ``R_t`` and their columns, the two projections, the free
+    inputs' box (:attr:`bounds`) and its finite sides, the probe box and
+    the cold start, and the normal equations' factors of
+    :meth:`_Barrier.least_squares_inputs`.
     """
 
     def __init__(self, instance, ellipsoid, bounds):
@@ -411,10 +412,11 @@ class _Geometry:
             self.outputs.append((mp, a, rt, q, kept, other))
             cols.append([[ri[j] for ri in rt] for j in range(nf)])
 
+        self.bounds = list(zip(lo.tolist(), hi.tolist()))
         box_lo = [(i, b) for i, b in enumerate(lo.tolist()) if math.isfinite(b)]
         box_hi = [(i, b) for i, b in enumerate(hi.tolist()) if math.isfinite(b)]
         probe_box, u_cold = [], []
-        for b_lo, b_hi in zip(lo.tolist(), hi.tolist()):
+        for b_lo, b_hi in self.bounds:
             # A side with an infinite bound insets its finite one by
             # min(inf, 1) / WARM_T_START, like a box wider than 1.
             inset = 1e-12 + min(b_hi - b_lo, 1.0) / WARM_T_START
@@ -468,16 +470,6 @@ class _Geometry:
             rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, rho, q))
         return rows
 
-    def scalar_row(self, f, gx):
-        """The one row of :meth:`rows` of a one-output, one-input program,
-        every entry a float.
-
-        ``R`` has at most one row then, and one entry: if it keeps none,
-        ``c = R = 0``, whose terms in the scalar kernel add exact zeros.
-        """
-        (m0, (a,), c, rt, rho, q), = self.rows(f, gx)
-        return m0, a, c[0] if c else 0.0, rt[0][0] if rt else 0.0, rho, q
-
 
 # The geometry of the last program built, as one (key, geometry) pair that
 # is replaced whole. The key holds the belief's ellipsoid and the box, both
@@ -503,20 +495,16 @@ def _geometry(instance, belief, bounds):
     return geometry
 
 
-def _program(instance, belief, bounds):
+def _program(geometry, instance):
     """The barrier of a program, its kernel chosen by its shape.
 
-    :class:`_ScalarBarrier` if one input is free and there is one output,
     :class:`_PairBarrier` if two inputs are free, :class:`_Barrier`
-    otherwise (one free input and two or more outputs, or three or more
-    free inputs). All three run the same method on the same schedule and
-    give the same iterates; the scalar and pair kernels only skip the list
-    arithmetic of one output's cones or of a 2 x 2 Schur complement.
+    otherwise. Both run the same method on the same schedule and give the
+    same iterates; the pair kernel only skips the list arithmetic of a 2 x 2
+    Schur complement. :func:`_barrier_solve` solves a program with one
+    free input and one output in closed form instead, and runs neither.
     """
-    geometry = _geometry(instance, belief, bounds)
-    nf, l = geometry.shared["nf"], geometry.shared["l"]
-    kernel = (_ScalarBarrier if nf == 1 and l == 1 else
-              _PairBarrier if nf == 2 else _Barrier)
+    kernel = _PairBarrier if geometry.shared["nf"] == 2 else _Barrier
     return kernel(geometry, instance)
 
 
@@ -742,116 +730,6 @@ class _Barrier:
         return u, z, cones
 
 
-class _ScalarBarrier(_Barrier):
-    """:class:`_Barrier` of a program with one output and one free input,
-    over floats.
-
-    The ``l = nf = 1`` case of :class:`_Barrier`'s arithmetic, operation for
-    operation, so the iterates are the same to the bit. The row ``(mid0, a,
-    c, R, rho, q)`` (:meth:`_Geometry.scalar_row`), a point's cone ``(s+,
-    s-, psi+, psi-, y, |w|^2)`` and the Newton system ``(gu, dia, cp, cm,
-    hzz, k)`` are floats: every ``_ldl_update`` is ``dia += alpha * v **
-    2`` and the back-solve is ``rhs / dia``. What this saves is not calls
-    (a fused centering loop gained nothing) but the per-output lists,
-    ``zip``s and one-term sums that each iteration of the general kernel
-    builds. Shared with the other kernels: the output's coefficients
-    (:func:`_cone_terms`) and the zero-pivot step (:func:`_scaled_gradient`,
-    given ``[gu], [gz]``). Its own, over floats: ``evaluate``, the box
-    terms and input side of ``assemble``, the back-solve, ``advance``,
-    ``padded_z`` and the normal-equation terms. Points stay the one-entry
-    lists ``[x]`` and ``[z]`` at the kernel's edge, so
-    :meth:`~_Barrier.center`, :meth:`~_Barrier.predict` and the
-    least-squares inputs are shared.
-    """
-
-    def __init__(self, geometry, instance):
-        vars(self).update(geometry.shared)
-        self._row = geometry.scalar_row(instance.f, instance.gx)
-
-    def evaluate(self, u, z):
-        """:meth:`_Barrier.evaluate`; the cone is one tuple of floats."""
-        (x,), (zt,) = u, z
-        for _, b in self._lo:
-            if x <= b:
-                return None
-        for _, b in self._hi:
-            if x >= b:
-                return None
-        m0, a, c, rt, rho, q = self._row
-        mid = m0 + a * x
-        y = c + rt * x
-        wn2 = y * y + rho
-        sp = zt - mid - q
-        sm = zt + mid - q
-        if sp <= 0.0 or sm <= 0.0:
-            return None
-        pp = sp * sp - wn2
-        pm = sm * sm - wn2
-        if pp <= 0.0 or pm <= 0.0:
-            return None
-        return sp, sm, pp, pm, y, wn2
-
-    def assemble(self, cones, u):
-        """:meth:`_Barrier.assemble` over floats: ``(gu, dia, cp, cm, hzz,
-        k)``."""
-        (x,) = u
-        gu = dia = 0.0
-        for _, b in self._lo:
-            s = 1.0 / (x - b)
-            gu -= s
-            dia += s * s
-        for _, b in self._hi:
-            s = 1.0 / (b - x)
-            gu += s
-            dia += s * s
-        sp, sm, pp, pm, y, wn2 = cones
-        _, a, _, rt, rho, _ = self._row
-        jw = rt * y                                         # Wm^T w
-        cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
-            sp, sm, pp, pm, wn2, rho)
-        gu += (cp - cm) * a + c2 * jw
-        dia += qaa * (a + kappa * jw) ** 2
-        if gamma is None:
-            dia += c2 * rt ** 2
-        else:
-            dia += (root * rt + gamma * y * jw) ** 2
-        return gu, dia, cp, cm, hzz, ka * a - kj * jw
-
-    @staticmethod
-    def newton_step(system, t_b):
-        """:meth:`_Barrier.newton_step` of an :meth:`assemble` system."""
-        gu, dia, cp, cm, hzz, k = system
-        gz = t_b - cp - cm
-        rhs = -gu + k * (gz / hzz)
-        if dia == 0.0:
-            return _scaled_gradient([gu], [gz])
-        du = rhs / dia
-        return [du], [-(gz + k * du) / hzz], rhs * du + gz * gz / hzz
-
-    def advance(self, u, z, cones, du, dz, alpha):
-        """:meth:`_Barrier.advance` over floats."""
-        (x,), (zt,), (dx,), (dzt,) = u, z, du, dz
-        for _ in range(40):
-            u_try, z_try = [x + alpha * dx], [zt + alpha * dzt]
-            trial = self.evaluate(u_try, z_try)
-            if trial is not None:
-                return u_try, z_try, trial, True
-            alpha *= 0.5
-        return u, z, cones, False
-
-    def padded_z(self, u, pad):
-        """:meth:`_Barrier.padded_z` over the float row."""
-        (x,) = u
-        m0, a, c, rt, rho, q = self._row
-        y = c + rt * x
-        return [abs(m0 + a * x) + math.sqrt(y * y + rho) + q + pad]
-
-    def _normal_terms(self):
-        """:meth:`_Barrier._normal_terms`; ``R = 0`` is a row it lacks."""
-        m0, a, c, rt, _, _ = self._row
-        return [(m0, (a,))], [(c, (rt,))] if rt else []
-
-
 class _PairBarrier(_Barrier):
     """:class:`_Barrier` of a program with two free inputs, unrolled.
 
@@ -1029,7 +907,7 @@ def _pair_update(d0, d1, l10, alpha, v0, v1):
         d0 = dbar
         v1 -= v0 * l10
         l10 += beta * v1
-    return d0, d1 + alpha * v1 ** 2, l10
+    return d0, d1 + alpha * (v1 * v1), l10
 
 
 def _ldl_update(low, dia, alpha, v):
@@ -1056,7 +934,7 @@ def _ldl_update(low, dia, alpha, v):
         for i in range(j + 1, last + 1):
             v[i] -= p * low[i][j]
             low[i][j] += beta * v[i]
-    dia[last] += alpha * v[last] ** 2
+    dia[last] += alpha * (v[last] * v[last])
 
 
 def _ldl_solve(low, dia, b):
@@ -1096,23 +974,66 @@ def _probe_start(prog):
     return start
 
 
+def _one_input(geometry, instance):
+    """``(u, z)`` of a program with one free input and one output, exactly.
+
+    Its cost ``|m0 + a u| + sqrt((c + r u)^2 + rho) + q`` (the one row of
+    :meth:`_Geometry.rows`; ``c = r = 0`` if ``R`` keeps no row) is convex.
+    Off the kink ``m0 + a u = 0`` and the apex ``c + r u = 0`` it is smooth,
+    and it is stationary only where ``c + r u = +-|a| sqrt(rho / (r^2 -
+    a^2))``, which needs ``r^2 > a^2``. So its minimum over the box lies
+    among the box ends, the kink, the apex and those two points. Each is
+    clipped into the box, an infinite side standing for the largest float,
+    and scored over floats; the first of least cost wins.
+    """
+    (m0, (a,), c, rt, rho, q), = geometry.rows(instance.f, instance.gx)
+    c, r = (c[0], rt[0][0]) if rt else (0.0, 0.0)
+    (lo, hi), = geometry.bounds
+    big = sys.float_info.max
+    lo, hi = max(lo, -big), min(hi, big)
+    candidates = [lo, hi]
+    if a:
+        candidates.append(-m0 / a)
+    if r:
+        candidates.append(-c / r)
+        if r * r > a * a:
+            y = abs(a) * math.sqrt(rho / (r * r - a * a))
+            candidates += [(y - c) / r, (-y - c) / r]
+    best = None
+    for x in candidates:
+        x = min(max(x, lo), hi)
+        y = c + r * x
+        cost = abs(m0 + a * x) + math.sqrt(y * y + rho) + q
+        if best is None or cost < best:
+            u, best = x, cost
+    return [u], [best]
+
+
 def _barrier_solve(instance, belief, bounds):
     """``(u, z, iterations, status, warm_started)`` of a program.
 
-    An optimal solve whose bounds ``z`` are not all finite (inputs pinned
-    near the float range, say) reports ``"non_finite"``.
+    One free input and one output are solved by :func:`_one_input`, with no
+    iterations; any other program with a free input runs the barrier
+    schedule on its kernel. A solve whose bounds ``z`` are not all finite
+    (inputs pinned near the float range, say) reports ``"non_finite"``.
     """
-    prog = _program(instance, belief, bounds)
-    if prog.nf:
-        u, total_iters, status, warm_ok = _barrier_path(prog)
+    geometry = _geometry(instance, belief, bounds)
+    shared = geometry.shared
+    if shared["nf"] == shared["l"] == 1:
+        u, z = _one_input(geometry, instance)
+        iters, status, warm_ok = 0, "optimal", False
     else:
-        u, total_iters, status, warm_ok = [], 0, "optimal", False
-    z = prog.padded_z(u, 0.0)
+        prog = _program(geometry, instance)
+        if prog.nf:
+            u, iters, status, warm_ok = _barrier_path(prog)
+        else:
+            u, iters, status, warm_ok = [], 0, "optimal", False
+        z = prog.padded_z(u, 0.0)
     if status == "optimal" and not all(map(math.isfinite, z)):
         status = "non_finite"
-    u_full = prog.u_fix.copy()
-    u_full[prog.free] = u
-    return u_full, z, total_iters, status, warm_ok
+    u_full = shared["u_fix"].copy()
+    u_full[shared["free"]] = u
+    return u_full, z, iters, status, warm_ok
 
 
 def _barrier_path(prog):

@@ -71,6 +71,35 @@ def _recorded_solves(name, mode, seeds):
     return tuple(solves)
 
 
+def program(instance, belief, bounds):
+    """The barrier kernel that :func:`robust._program` selects for a
+    program: on one free input and one output the general one, although
+    :func:`solve_robust` solves that shape in closed form."""
+    return robust._program(robust._geometry(instance, belief, bounds),
+                           instance)
+
+
+def barrier_solution(instance, belief, bounds):
+    """The barrier schedule's solve of a program with a free input, as a
+    :class:`RobustSolution`: on one free input and one output the general
+    kernel's ``_barrier_path(robust._Barrier(geometry, instance))``, on
+    every other shape the solve :func:`solve_robust` runs."""
+    prog = program(instance, belief, bounds)
+    u, iterations, status, warm = robust._barrier_path(prog)
+    z = prog.padded_z(u, 0.0)
+    u_full = prog.u_fix.copy()
+    u_full[prog.free] = u
+    return RobustSolution(u_full, np.array(z), sum(z), status, iterations,
+                          warm)
+
+
+def barrier_replays(name, mode, seeds):
+    """:func:`barrier_solution` of every solve of :func:`recorded_solves`."""
+    return [barrier_solution(instance, belief, bounds)
+            for instance, belief, bounds, _ in
+            recorded_solves(name, mode, seeds)]
+
+
 def row_values(row, u):
     """``(mid_t, |w_t|^2)`` of a general kernel's program row at free inputs
     ``u``."""
@@ -365,7 +394,7 @@ class TestSolveRobust:
             # The program over the free input has the cone data of the full
             # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t, in the rows of the
             # general kernel that one free input and two outputs select.
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             assert type(prog) is robust._Barrier
             for u0 in (lo, 0.3, hi):
                 mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
@@ -471,7 +500,7 @@ class TestSolveRobust:
         # Schur pivot behind, and the solve ends optimal at the objective of
         # the program whose box pins that input at 0.
         instance, belief, bounds = TestBarrierKernel.zero_pivot_case()
-        assert robust._program(instance, belief, bounds).nf == 1
+        assert program(instance, belief, bounds).nf == 1
         sol = solve_robust(instance, belief, bounds)
         ref = solve_robust(instance, belief,
                            ControlBounds([-2.0, 0.0], [2.0, 0.0]))
@@ -491,20 +520,46 @@ class TestSolveRobust:
 
     def test_cold_start_lost_to_rounding_ends_at_max_iter(self):
         # At 1e17 the cold start lo + 1 rounds back onto the lower bound, so
-        # no stage can move; the solve reports it instead of failing.
+        # no stage of the barrier can move; it reports that instead of
+        # failing. The closed form clips every candidate onto that bound.
         _, instance, belief = sim1_case()
-        sol = solve_robust(instance, belief, ControlBounds([1e17], [np.inf]))
-        assert sol.status == "max_iter"
-        assert_allclose(sol.u, [1e17])
+        bounds = ControlBounds([1e17], [np.inf])
+        ref = barrier_solution(instance, belief, bounds)
+        assert ref.status == "max_iter"
+        assert_allclose(ref.u, [1e17])
+        sol = solve_robust(instance, belief, bounds)
+        assert sol.status == "optimal"
+        assert sol.u.tolist() == [1e17]
 
     def test_a_box_at_the_float_range_returns_an_input_inside_it(self):
         # The midpoint 0.5 (lo + hi) of these boxes overflows to inf, so the
-        # cold start is clamped back into the box; no stage can leave it.
+        # barrier's cold start is clamped back into the box; no stage can
+        # leave it. The closed form scores its candidates over floats, and
+        # reports a bound z that overflowed as not finite.
         _, instance, belief = sim1_case()
         for lo, hi in ((1e308, 1.7e308), (-1.7e308, -1e308)):
-            sol = solve_robust(instance, belief, ControlBounds([lo], [hi]))
-            assert sol.status == "max_iter"
+            bounds = ControlBounds([lo], [hi])
+            ref = barrier_solution(instance, belief, bounds)
+            assert ref.status == "max_iter"
+            assert lo <= ref.u[0] <= hi
+            sol = solve_robust(instance, belief, bounds)
             assert lo <= sol.u[0] <= hi
+            assert sol.newton_iterations == 0
+            finite = bool(np.all(np.isfinite(sol.z)))
+            assert sol.status == ("optimal" if finite else "non_finite")
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_slope_near_the_float_range_returns_a_status(self, m):
+        # The normal equations' factor squared a slope of 1e200 with float
+        # **, which raises OverflowError where * gives inf.
+        instance = TrackingInstance(
+            f=np.array([0.5]), b0=np.full((1, m), 1e200),
+            gx=np.array([[0.3]]), b_stack=np.zeros((0, 1, m)),
+            q_shape=np.array([[0.1]]))
+        belief = ParameterBelief(Ellipsoid([0.2], [[0.3]]))
+        sol = solve_robust(instance, belief,
+                           ControlBounds(-np.ones(m), np.ones(m)))
+        assert isinstance(sol, RobustSolution)
 
     def test_a_side_pinned_at_the_float_range_is_not_reported_optimal(self):
         # The pinned midpoint 0.5 (lo + hi) of [1e308, 1e308] overflowed with
@@ -554,7 +609,7 @@ class TestProbeStart:
             slope = instance.b0 + np.einsum("j,jtm->tm", theta[r:],
                                             instance.b_stack)
             ce = np.linalg.solve(slope, -(instance.f + instance.gx @ theta[:r]))
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             (candidate,) = prog.least_squares_inputs()
             assert_allclose(candidate, ce, rtol=1e-12)
             if np.all((bounds.lower < ce) & (ce < bounds.upper)):
@@ -568,7 +623,7 @@ class TestProbeStart:
         # equations have a zero pivot and there is nothing to probe from.
         instance, belief, floor = flat_direction_case()
         bounds = ControlBounds([-2.0, -2.0], [2.0, 2.0])
-        assert robust._program(instance, belief, bounds).least_squares_inputs() == []
+        assert program(instance, belief, bounds).least_squares_inputs() == []
         sol = solve_robust(instance, belief, bounds)
         assert not sol.warm_started
         assert sol.status == "optimal"
@@ -587,28 +642,29 @@ class TestProbeStart:
                 f=np.array([-1.0]), b0=np.array([[sign * 1e-160]]),
                 gx=np.zeros((1, 0)), b_stack=np.array([[[1.0]]]),
                 q_shape=np.array([[0.01]]))
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             huge, _ = prog.least_squares_inputs()
             assert sign * huge[0] >= 1e159
             assert sum(prog.padded_z(huge, 0.0)) == np.inf
             start = robust._probe_start(prog)
             assert np.isfinite(sum(prog.padded_z(start, 0.0)))
-            sol = solve_robust(instance, belief, bounds)
-            assert sol.warm_started
-            TestExactOneInputOracle.assert_matches_oracle(
-                instance, belief, bounds, sol)
+            ref = barrier_solution(instance, belief, bounds)
+            assert ref.warm_started
+            for sol in (ref, solve_robust(instance, belief, bounds)):
+                TestExactOneInputOracle.assert_matches_oracle(
+                    instance, belief, bounds, sol)
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
         ("sim3", "learn"), ("sim3", "active")])
     def test_cold_fallback_matches_the_probe(self, name, mode, monkeypatch):
-        # With no probe iterations every probe fails, so every solve takes
-        # the cold path from weight 1; it must reach the same optimum, on
-        # the point-belief cones of known_theta too.
+        # With no probe iterations every probe fails, so every barrier solve
+        # takes the cold path from weight 1; it must reach the same optimum,
+        # on the point-belief cones of known_theta too.
         solves = recorded_solves(name, mode, [0])
         monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
         for instance, belief, bounds, sol in solves:
-            cold = solve_robust(instance, belief, bounds)
+            cold = barrier_solution(instance, belief, bounds)
             assert not cold.warm_started
             assert cold.status == "optimal"
             assert_allclose(cold.objective, sol.objective, atol=1e-8)
@@ -622,10 +678,10 @@ class TestProbeStart:
         # previous step's input alone: 2588 on sim2 fixed and 2829 on sim3
         # active. Started from the better of the step's least-squares
         # inputs, they are 1362 and 1768.
-        solves = recorded_solves(name, mode, [0])
-        assert all(sol.status == "optimal" for *_, sol in solves)
-        total = sum(sol.newton_iterations for *_, sol in solves)
-        assert total <= 0.75 * before
+        sols = barrier_replays(name, mode, [0])
+        assert all(sol.status == "optimal" for sol in sols)
+        total = sum(sol.newton_iterations for sol in sols)
+        assert 0 < total <= 0.75 * before
 
 
 class TestExactOneInputOracle:
@@ -654,18 +710,134 @@ class TestExactOneInputOracle:
             self.assert_matches_oracle(instance, belief, bounds, sol)
 
 
+class TestOneInputClosedForm:
+    """One free input and one output are solved in closed form, held to the
+    general kernel's barrier on the same program."""
+
+    @staticmethod
+    def assert_not_above_the_barrier(instance, belief, bounds, same_u=True):
+        """The closed form's objective is never above the barrier's by more
+        than rounding and, if ``same_u``, its input agrees with the
+        barrier's. Returns the closed form's solution."""
+        sol = solve_robust(instance, belief, bounds)
+        ref = barrier_solution(instance, belief, bounds)
+        assert sol.status == ref.status == "optimal"
+        assert sol.newton_iterations == 0 and not sol.warm_started
+        assert ref.newton_iterations > 0
+        assert sol.objective - ref.objective <= 1e-12 * abs(ref.objective)
+        if same_u:
+            assert np.all(np.abs(sol.u - ref.u) <= 1e-8 * (1.0 + np.abs(sol.u)))
+        return sol
+
+    def test_replays_of_the_barrier(self):
+        # Every one-input solve of the closed loop, random one-output
+        # programs with one input or with one of two pinned, every fourth
+        # with an infinite box side, and one with no slope at the belief
+        # center. On the random programs the barrier's input can be 1e-7
+        # off: it stops a central-path slack inside a bound, or on a shallow
+        # optimum, where its objective is 1e-10 relative above the closed
+        # form's. There the input is held to the oracle's candidates.
+        rng = np.random.default_rng(19)
+        recorded = [(instance, belief, bounds)
+                    for name, mode in (("sim1", "learn"), ("sim1", "active"),
+                                       ("sim2", "fixed"), ("sim2", "learn"),
+                                       ("sim2", "known_theta"))
+                    for instance, belief, bounds, _ in
+                    recorded_solves(name, mode, range(3))]
+        assert len(recorded) == 2 * 3 * 46 + 3 * 3 * 100
+        recorded.append(TestBarrierKernel.zero_radius_scalar_case())
+        for instance, belief, bounds in recorded:
+            self.assert_not_above_the_barrier(instance, belief, bounds)
+        for instance, belief, bounds in TestBarrierKernel.with_infinite_sides(
+                rng, TestBarrierKernel.programs(rng, 150, 50, m=1, l=1)):
+            sol = self.assert_not_above_the_barrier(instance, belief, bounds,
+                                                    same_u=False)
+            if bounds.m == 1:
+                u, _ = oracles.robust_min_one_input(instance, belief, bounds)
+                assert_allclose(sol.u, u, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def hand_built(f, b0, gx, b1, center, shape, q=0.01, lo=-2.0, hi=3.0):
+        """One output and one input with ``g(u) = (gx, b1 u)``."""
+        instance = TrackingInstance(
+            f=np.array([f]), b0=np.array([[b0]]), gx=np.array([gx]),
+            b_stack=np.array([[[b1]]]), q_shape=np.array([[q]]))
+        belief = ParameterBelief(Ellipsoid(center, shape))
+        return instance, belief, ControlBounds([lo], [hi])
+
+    def test_apex_without_constant_radius(self):
+        # No state block: |w| = 0.5 |u|, so rho = 0 and the apex u = 0 wins
+        # over the kink u = -2.5, where the radius grows faster than the
+        # error falls.
+        case = self.hand_built(0.5, 0.2, [], 1.0, [0.0], [[0.25]])
+        sol = self.assert_not_above_the_barrier(*case)
+        assert sol.u.tolist() == [0.0]
+        TestExactOneInputOracle.assert_matches_oracle(*case, sol)
+
+    def test_no_stationary_point_when_the_slope_dominates(self):
+        # a = 1 and r = 0.2: r^2 <= a^2, so the radius never balances the
+        # error's slope and the kink u = -0.3 wins, with rho > 0.
+        case = self.hand_built(0.3, 1.0, [0.3], 0.4, [0.0, 0.0],
+                               [[0.25, 0.0], [0.0, 0.25]])
+        sol = self.assert_not_above_the_barrier(*case)
+        assert_allclose(sol.u, [-0.3], rtol=1e-15)
+        TestExactOneInputOracle.assert_matches_oracle(*case, sol)
+
+    def test_stationary_point_off_the_kinks(self):
+        # a = 0.1, r = 0.5 and rho = 0.04: the optimum is the stationary
+        # point 0.5 u = -0.1 sqrt(0.04 / 0.24), neither the kink u = -3 nor
+        # the apex u = 0 nor a box end.
+        case = self.hand_built(0.3, 0.1, [1.0], 1.0, [0.0, 0.0],
+                               [[0.04, 0.0], [0.0, 0.25]])
+        sol = self.assert_not_above_the_barrier(*case)
+        assert_allclose(sol.u, [-0.2 * np.sqrt(0.04 / 0.24)], rtol=1e-12)
+        TestExactOneInputOracle.assert_matches_oracle(*case, sol)
+
+    def test_point_belief(self):
+        # r = 0: the radius is constant and the kink wins.
+        case = self.hand_built(0.3, 1.0, [0.3], 0.4, [0.1, 0.2],
+                               np.zeros((2, 2)))
+        sol = self.assert_not_above_the_barrier(*case)
+        assert_allclose(sol.u, [-(0.3 + 0.03) / (1.0 + 0.08)], rtol=1e-14)
+        TestExactOneInputOracle.assert_matches_oracle(*case, sol)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-np.inf, np.inf), (-np.inf, -1.0), (1.0, np.inf), (-np.inf, 0.0)])
+    def test_infinite_box_sides(self, lo, hi):
+        # The cost grows without bound on an infinite side, so the optimum
+        # is a finite candidate: the kink of the open box, the finite bound
+        # of the boxes that cut it off.
+        _, instance, belief = sim1_case()
+        bounds = ControlBounds([lo], [hi])
+        sol = self.assert_not_above_the_barrier(instance, belief, bounds)
+        assert np.isfinite(sol.u).all()
+        TestExactOneInputOracle.assert_matches_oracle(instance, belief, bounds,
+                                                      sol)
+
+    @pytest.mark.parametrize("lo, hi, u", [
+        (-1.0, 2.0, 1.0), (0.25, 0.75, 0.25)])
+    def test_a_flat_tie_goes_to_the_first_candidate(self, lo, hi, u):
+        # |u - 1| + |u| is flat on [0, 1]: on [-1, 2] the kink u = 1 ties
+        # with the apex u = 0 and comes first; on [0.25, 0.75] both box
+        # ends tie with the clipped kink and apex, and the lower end is the
+        # first candidate.
+        case = self.hand_built(-1.0, 1.0, [], 1.0, [0.0], [[1.0]], q=0.0,
+                               lo=lo, hi=hi)
+        sol = self.assert_not_above_the_barrier(*case, same_u=False)
+        assert sol.u.tolist() == [u]
+        assert sol.objective == 1.0
+
+
 class TestBarrierKernel:
     """The solver's Newton step against the dense barrier of ``oracles``.
 
     The tests run the kernel that :func:`robust._program` selects: the
-    scalar one for a single free input and a single output, the pair one for
-    two free inputs, the general one otherwise.
+    pair one for two free inputs, the general one otherwise.
     """
 
-    KERNELS = {robust._Barrier, robust._ScalarBarrier, robust._PairBarrier}
+    KERNELS = {robust._Barrier, robust._PairBarrier}
     # Each kernel's Schur pivots in its Newton system.
-    PIVOTS = {robust._ScalarBarrier: lambda system: (system[1],),
-              robust._PairBarrier: lambda system: system[1][:2],
+    PIVOTS = {robust._PairBarrier: lambda system: system[1][:2],
               robust._Barrier: lambda system: system[2]}
 
     @staticmethod
@@ -747,22 +919,21 @@ class TestBarrierKernel:
     @classmethod
     def zero_radius_points(cls):
         """``(instance, belief, bounds, u, z)`` at the start of each
-        hand-built program whose start has ``|w| = 0``: the scalar case's
-        probe start and the pair case's cold start, each with a far and a
-        near ``z``. Both have one output and a row of ``R``, so the rows
-        enter the Schur complement through the ``|w| = 0`` branch."""
+        hand-built program whose start has ``|w| = 0``: the one-input
+        case's probe start and the pair case's cold start, each with a far
+        and a near ``z``. Both have one output and a row of ``R``, so the
+        rows enter the Schur complement through the ``|w| = 0`` branch."""
         for case, start, kernel in (
                 (cls.zero_radius_scalar_case(), robust._probe_start,
-                 robust._ScalarBarrier),
+                 robust._Barrier),
                 (cls.zero_radius_case(), lambda prog: list(prog.u_cold),
                  robust._PairBarrier)):
-            prog = robust._program(*case)
+            prog = program(*case)
             assert type(prog) is kernel
             u = start(prog)
             for pad in (1.0, 1e-3):
                 z = prog.padded_z(u, pad)
-                cones = prog.evaluate(u, z)
-                (cone,) = [cones] if kernel is robust._ScalarBarrier else cones
+                (cone,) = prog.evaluate(u, z)
                 assert cone[5] == 0.0
                 yield (*case, cls.full_input(prog, u), np.array(z))
 
@@ -775,7 +946,7 @@ class TestBarrierKernel:
         points = list(self.interior_points(rng, n_pinned=10, n_wide=10))
         points += self.zero_radius_points()
         for instance, belief, bounds, u, z in points:
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernels.add(type(prog))
             cones = prog.evaluate(u[prog.free].tolist(), z.tolist())
             assert cones is not None
@@ -795,7 +966,7 @@ class TestBarrierKernel:
         rng = np.random.default_rng(14)
         kernels = set()
         for instance, belief, bounds in self.programs(rng, 20, 5, n_wide=5):
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernels.add(type(prog))
             u = (0.5 * (bounds.lower + bounds.upper))[prog.free].tolist()
             z = prog.padded_z(u, 1.0)
@@ -828,7 +999,7 @@ class TestBarrierKernel:
         kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(
                 rng, n_pinned=10, n_wide=10):
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernels.add(type(prog))
             u, z = u[prog.free].tolist(), z.tolist()
             cones = prog.evaluate(u, z)
@@ -845,7 +1016,7 @@ class TestBarrierKernel:
         # Each center's convergence test assembles the system its predictor
         # re-solves at the next weight, so a solve assembles one system per
         # Newton iteration plus the one that ends the last center.
-        # sim1 and sim2 have one input and run the scalar kernel, sim3 two
+        # sim1 and sim2 have one input and run the general kernel, sim3 two
         # and the pair kernel; each kernel's systems are counted.
         solves = recorded_solves(name, mode, [0])
         count = [0]
@@ -864,11 +1035,12 @@ class TestBarrierKernel:
             monkeypatch.setattr(kernel, "assemble", counting(kernel))
         for instance, belief, bounds, _ in solves:
             count[0] = 0
-            sol = solve_robust(instance, belief, bounds)
+            sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "optimal"
+            assert sol.newton_iterations > 0
             assert count[0] == sol.newton_iterations + 1
         assert ran == {robust._PairBarrier if name == "sim3"
-                       else robust._ScalarBarrier}
+                       else robust._Barrier}
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
@@ -894,11 +1066,11 @@ class TestBarrierKernel:
             monkeypatch.setattr(kernel, "evaluate", recording(kernel))
         for instance, belief, bounds, _ in solves:
             points.clear()
-            solve_robust(instance, belief, bounds)
+            barrier_solution(instance, belief, bounds)
             assert len(points) > 1
             assert not any(a == b for a, b in zip(points, points[1:]))
         assert ran == {robust._PairBarrier if name == "sim3"
-                       else robust._ScalarBarrier}
+                       else robust._Barrier}
 
     @staticmethod
     def with_infinite_sides(rng, programs):
@@ -922,11 +1094,11 @@ class TestBarrierKernel:
         so the same solution to the bit."""
         sols = []
         for instance, belief, bounds in programs:
-            assert type(robust._program(instance, belief, bounds)) is kernel
+            assert type(program(instance, belief, bounds)) is kernel
             sols.append(solve_robust(instance, belief, bounds))
         monkeypatch.setattr(robust, kernel.__name__, robust._Barrier)
         for (instance, belief, bounds), sol in zip(programs, sols):
-            assert type(robust._program(instance, belief, bounds)) \
+            assert type(program(instance, belief, bounds)) \
                 is robust._Barrier
             ref = solve_robust(instance, belief, bounds)
             np.testing.assert_array_equal(sol.u, ref.u)
@@ -946,31 +1118,6 @@ class TestBarrierKernel:
             b_stack=np.array([[[0.4]]]), q_shape=np.array([[0.1]]))
         belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
         return instance, belief, ControlBounds([-1.0], [3.0])
-
-    def test_scalar_kernel_replays_the_general_kernel(self, monkeypatch):
-        # Every one-input solve of the closed loop, random one-output
-        # programs with one input or with one of two pinned, every fourth
-        # with an infinite box side, and one whose probe starts where
-        # |w| = 0 (the kernels' branch for it), solved by the scalar kernel
-        # and again by the general one.
-        rng = np.random.default_rng(19)
-        programs = [(instance, belief, bounds)
-                    for name, mode in (("sim1", "learn"), ("sim1", "active"),
-                                       ("sim2", "fixed"), ("sim2", "learn"),
-                                       ("sim2", "known_theta"))
-                    for instance, belief, bounds, _ in
-                    recorded_solves(name, mode, range(3))]
-        assert len(programs) == 2 * 3 * 46 + 3 * 3 * 100
-        programs += self.with_infinite_sides(
-            rng, self.programs(rng, 150, 50, m=1, l=1))
-        zero_radius = self.zero_radius_scalar_case()
-        prog = robust._program(*zero_radius)
-        u0 = robust._probe_start(prog)
-        assert u0 == [0.0]
-        assert prog.evaluate(u0, prog.padded_z(u0, 1.0))[5] == 0.0
-        programs.append(zero_radius)
-        self.replays_the_general_kernel(monkeypatch, robust._ScalarBarrier,
-                                        programs)
 
     @staticmethod
     def zero_pivot_case():
@@ -1030,17 +1177,31 @@ class TestBarrierKernel:
                                         programs)
 
     @pytest.mark.parametrize("nf, l, kernel", [
-        (1, 1, robust._ScalarBarrier), (1, 2, robust._Barrier),
+        (1, 1, None), (1, 2, robust._Barrier),
         (2, 1, robust._PairBarrier), (2, 2, robust._PairBarrier),
         (3, 1, robust._Barrier), (3, 2, robust._Barrier)])
-    def test_each_shape_runs_its_kernel(self, nf, l, kernel):
+    def test_each_shape_runs_its_kernel(self, nf, l, kernel, monkeypatch):
         # nf free inputs, alone or beside one more input pinned by its box.
+        # One free input and one output are solved in closed form, by no
+        # kernel.
+        built = []
+        select = robust._program
+
+        def recording(geometry, instance):
+            built.append(select(geometry, instance))
+            return built[-1]
+
+        monkeypatch.setattr(robust, "_program", recording)
         rng = np.random.default_rng(21)
         for instance, belief, bounds in self.programs(rng, 3, 3, m=nf,
                                                       pinned_m=nf + 1, l=l):
-            prog = robust._program(instance, belief, bounds)
-            assert (prog.nf, prog.l) == (nf, l)
-            assert type(prog) is kernel
+            shared = robust._geometry(instance, belief, bounds).shared
+            assert (shared["nf"], shared["l"]) == (nf, l)
+            built.clear()
+            sol = solve_robust(instance, belief, bounds)
+            assert [type(prog) for prog in built] == ([kernel] if kernel
+                                                      else [])
+            assert (sol.newton_iterations > 0) == (kernel is not None)
 
     @staticmethod
     def assert_scaled_gradient(step, gu, gz):
@@ -1076,18 +1237,6 @@ class TestBarrierKernel:
                 assert du0 == du1 != 0.0
                 assert decrement > 0.0
 
-    def test_a_zero_pivot_takes_the_scaled_gradient_in_the_scalar_kernel(
-            self):
-        # A free input moves a cone, which keeps the scalar kernel's one
-        # pivot positive short of underflow, and an input that moves none
-        # is pinned; so the system is built by hand: (gu, dia, cp, cm, hzz,
-        # k).
-        system = (0.7, 0.0, 1.5, 0.25, 2.0, 0.3)
-        for t_b in (1.0, 1e2):
-            step = robust._ScalarBarrier.newton_step(system, t_b)
-            self.assert_scaled_gradient(step, [0.7], [t_b - 1.5 - 0.25])
-            assert step[2] > 0.0
-
     def test_no_recorded_solve_takes_the_zero_pivot_fallback(self,
                                                             monkeypatch):
         # Every Newton step of every closed-loop solve of sim1-sim3, in
@@ -1108,10 +1257,10 @@ class TestBarrierKernel:
             monkeypatch.setattr(kernel, "newton_step", counting(kernel))
         for name in ("sim1", "sim2", "sim3"):
             for mode in experiments.MODES:
-                for instance, belief, bounds, sol in recorded_solves(
+                for instance, belief, bounds, _ in recorded_solves(
                         name, mode, range(3)):
-                    ref = solve_robust(instance, belief, bounds)
-                    assert ref.newton_iterations == sol.newton_iterations
+                    assert barrier_solution(
+                        instance, belief, bounds).status == "optimal"
         assert steps[0] > 0
         assert fallbacks[0] == 0
 
@@ -1120,7 +1269,7 @@ class TestBarrierKernel:
         kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernels.add(type(prog))
             mid, rho, q = oracles.cone_terms(instance, belief, u)
             edge = np.abs(mid) + np.sqrt(rho) + q
@@ -1138,7 +1287,7 @@ class TestBarrierKernel:
         kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernels.add(type(prog))
             u, z = u[prog.free].tolist(), z.tolist()
             cones = prog.evaluate(u, z)
@@ -1167,7 +1316,7 @@ class TestBarrierKernel:
         kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernel = type(prog)
             kernels.add(kernel)
             monkeypatch.setattr(kernel, "advance", self.stuck_from(kernel, n))
@@ -1180,14 +1329,15 @@ class TestBarrierKernel:
         assert kernels == self.KERNELS
 
     def test_a_solve_that_cannot_move_reports_max_iter(self, monkeypatch):
-        for kernel in (robust._Barrier, robust._ScalarBarrier):
-            monkeypatch.setattr(kernel, "advance", self.stuck_from(kernel, 1))
+        # The pair kernel inherits the general kernel's advance.
+        monkeypatch.setattr(robust._Barrier, "advance",
+                            self.stuck_from(robust._Barrier, 1))
         rng = np.random.default_rng(13)
         kernels = set()
         for instance, belief, bounds in self.programs(rng, 5, 3, n_wide=3):
-            prog = robust._program(instance, belief, bounds)
+            prog = program(instance, belief, bounds)
             kernels.add(type(prog))
-            sol = solve_robust(instance, belief, bounds)
+            sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "max_iter"
             assert not sol.warm_started
             assert sol.u[prog.free].tolist() == prog.u_cold
@@ -1200,17 +1350,10 @@ class TestProgramGeometry:
     gives."""
 
     @staticmethod
-    def rows(prog):
-        """A program's per-output cone data: the scalar kernel's one row,
-        or the rows of the others."""
-        return ([prog._row] if type(prog) is robust._ScalarBarrier
-                else prog._rows)
-
-    @classmethod
-    def flat_rows(cls, prog):
+    def flat_rows(prog):
         """Every float of a program's per-output cone data, in order."""
         out = []
-        for m0, a, c, rt, rho, q in cls.rows(prog):
+        for m0, a, c, rt, rho, q in prog._rows:
             out += [m0, *np.ravel(a), *np.ravel(c), *np.ravel(rt), rho, q]
         return np.array(out)
 
@@ -1222,32 +1365,37 @@ class TestProgramGeometry:
         assert sol.warm_started == ref.warm_started
 
     @staticmethod
-    def cold_solve(monkeypatch, instance, belief, bounds):
+    def cold_solve(monkeypatch, instance, belief, bounds, solve=solve_robust):
         monkeypatch.setattr(robust, "_memo", None)
-        return solve_robust(instance, belief, bounds)
+        return solve(instance, belief, bounds)
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
     def test_reused_geometry_equals_a_cold_build(self, name, mode, monkeypatch):
         # Replayed in order, each program finds in the memo the geometry an
-        # earlier step of the same belief built at another state.
+        # earlier step of the same belief built at another state. Each is
+        # solved as solve_robust does (in closed form on sim1 and sim2) and
+        # by the barrier.
         solves = recorded_solves(name, mode, [0])
+        solvers = (solve_robust, barrier_solution)
         monkeypatch.setattr(robust, "_memo", None)
         hits = 0
         for instance, belief, bounds, _ in solves:
             held = robust._memo
-            warm = robust._program(instance, belief, bounds)
+            warm = program(instance, belief, bounds)
             hits += robust._memo is held
-            warm_sol = solve_robust(instance, belief, bounds)
+            warm_sols = [solve(instance, belief, bounds) for solve in solvers]
+            assert warm_sols[1].newton_iterations > 0
             monkeypatch.setattr(robust, "_memo", None)
-            cold = robust._program(instance, belief, bounds)
-            assert [np.shape(row[3]) for row in self.rows(warm)] == \
-                [np.shape(row[3]) for row in self.rows(cold)]
+            cold = program(instance, belief, bounds)
+            assert [np.shape(row[3]) for row in warm._rows] == \
+                [np.shape(row[3]) for row in cold._rows]
             assert_allclose(self.flat_rows(warm), self.flat_rows(cold),
                             rtol=1e-12, atol=0.0)
-            self.assert_same_solution(
-                warm_sol, self.cold_solve(monkeypatch, instance, belief,
-                                          bounds))
+            for solve, warm_sol in zip(solvers, warm_sols):
+                self.assert_same_solution(
+                    warm_sol, self.cold_solve(monkeypatch, instance, belief,
+                                              bounds, solve))
         assert hits >= len(solves) // 2
 
     def test_model_constants_are_keyed_by_value(self, monkeypatch):
@@ -1317,10 +1465,15 @@ class TestSolverContract:
         assert DUALITY_TARGET == 1e-8
 
     def test_solution_reports_iteration_count(self):
+        # sim1 is solved in closed form, with no iterations; the barrier
+        # counts its own on the same program.
         _, instance, belief = sim1_case()
-        sol = solve_robust(instance, belief, ControlBounds([-25.0], [25.0]))
+        bounds = ControlBounds([-25.0], [25.0])
+        sol = solve_robust(instance, belief, bounds)
         assert isinstance(sol, RobustSolution)
-        assert sol.newton_iterations > 0
+        assert sol.newton_iterations == 0
+        assert barrier_solution(instance, belief,
+                                bounds).newton_iterations > 0
 
     @pytest.mark.parametrize("name, mode, before", [
         ("sim2", "fixed", 3829 / 100), ("sim1", "learn", 1519 / 46)],
@@ -1330,10 +1483,11 @@ class TestSolverContract:
         # repeatable: sim2 fixed seed 0 took 3829 over 100 solves (38.29),
         # sim1 learn seed 0 took 1519 over 46 (33.02). With it they are
         # 25.88 and 22.15; a predictor that is never taken, or whose step is
-        # always rejected, lands above the bound.
-        solves = recorded_solves(name, mode, [0])
-        mean = np.mean([sol.newton_iterations for *_, sol in solves])
-        assert mean <= 0.75 * before
+        # always rejected, lands above the bound. The general kernel runs
+        # the schedule on the programs that solve_robust solves exactly.
+        mean = np.mean([sol.newton_iterations
+                        for sol in barrier_replays(name, mode, [0])])
+        assert 0 < mean <= 0.75 * before
 
     @pytest.mark.parametrize("name, mode, before", [
         ("sim1", "learn", 1019), ("sim2", "known_theta", 2504)],
@@ -1344,9 +1498,9 @@ class TestSolverContract:
         # the box width from a bound, where every such probe failed: 1019 on
         # sim1 learn and 2504 on sim2 known_theta. Started 1 / WARM_T_START
         # inside, they are 875 and 2274.
-        solves = recorded_solves(name, mode, [0])
-        total = sum(sol.newton_iterations for *_, sol in solves)
-        assert total <= 0.92 * before
+        total = sum(sol.newton_iterations
+                    for sol in barrier_replays(name, mode, [0]))
+        assert 0 < total <= 0.92 * before
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim1", "active"), ("sim2", "known_theta")])
@@ -1360,8 +1514,9 @@ class TestSolverContract:
             tol = 1e-6 * np.minimum(hi - lo, 1.0)
             return bool(np.any((u - lo <= tol) | (hi - u <= tol)))
 
-        on_edge = [sol for _, _, bounds, sol in
-                   recorded_solves(name, mode, range(2))
+        solves = recorded_solves(name, mode, range(2))
+        on_edge = [sol for (_, _, bounds, _), sol in
+                   zip(solves, barrier_replays(name, mode, range(2)))
                    if on_bound(sol.u, bounds)]
         assert on_edge
         assert all(sol.warm_started for sol in on_edge)
