@@ -18,19 +18,23 @@ With ``theta`` in the belief ellipsoid ``E(P, th)`` and ``v`` bounded by
     |f_t + b0_t u + g_t(u) th| + sqrt(g_t(u) P g_t(u)^T) + sqrt(Q_tt)
 
 The control minimizes the sum of these bounds over a box of admissible
-inputs. A program with one free input and one output (every sim1 and sim2
-solve) is solved in closed form (:func:`_one_input`): its cost ``|m0 + a
-u| + sqrt((c + r u)^2 + rho) + q`` is convex, and its minimum lies among
-at most six candidates, the box ends, the kink, the apex and the two
-stationary points of the smooth piece, each scored over floats. Every
+inputs. A program *splits* when each output moves at most one free input
+and each free input moves exactly one output. Every shipped program does:
+sim1 and sim2 have one input and one output, and in sim3 output 0 feels
+input 0 alone and output 1 input 1 alone, through exact zeros of ``C B0``,
+``C B1`` and ``C B2`` that every belief keeps. A split program is a sum of
+one-input programs, each solved in closed form (:func:`_split`): its cost
+``|m0 + a u| + sqrt((c + r u)^2 + rho) + q`` is convex, and its minimum
+lies among at most six candidates, the box ends, the kink, the apex and the
+two stationary points of the smooth piece, each scored over floats. Every
 other program is solved in epigraph form (one bound variable per output,
 two second-order cone constraints each) by an embedded primal log-barrier
 interior-point method: cone barrier ``-log(s^2 - |w|^2)``, damped Newton
 inner iterations, barrier parameter scaled by 10 per outer stage, stopping
 when the duality measure (constraint count / barrier parameter) falls
-below 1e-8. On every sim1 and sim2 solve of seeds 0-2 the closed form's
+below 1e-8. On every sim1-sim3 solve of seeds 0-2 the closed form's
 objective is never above the barrier's on the same program, and at most
-9.8e-10 relative below it; the inputs differ by at most 2.3e-9 (1 + |u|).
+1.1e-9 relative below it.
 
 Every barrier solve first probes a short schedule from weight
 ``WARM_T_START`` = 1e4 near its likely optimum, and falls back to the cold
@@ -76,10 +80,12 @@ more (sim2 ``fixed`` 36.5 to 24.7, sim3 ``active`` 49.9 to 29.3, seeds
 until strictly interior and passes the accepted point's cone values on, so
 no point is evaluated twice.
 
-Each Newton iteration is one pass over Python floats (:class:`_Barrier`):
-the systems are tiny (every shipped scenario has at most two inputs, two
-outputs and four parameters), and numpy's per-call overhead would cost more
-than the arithmetic. A bound variable ``z_t`` enters only its own output's
+The barrier has one kernel (:class:`_Barrier`), which runs every program
+that does not split and which the tests hold the closed form to. Each of
+its Newton iterations is one pass over Python floats: the systems are
+tiny (every shipped scenario has at most two inputs, two outputs and four
+parameters), and numpy's per-call overhead would cost more than the
+arithmetic. A bound variable ``z_t`` enters only its own output's
 two cones, so the z-block of the Hessian is diagonal and is eliminated; the
 Schur complement left on the ``m`` inputs is assembled in closed form as a
 sum of nonnegative rank-one terms, added by rank-one ``L D L^T`` updates,
@@ -92,51 +98,29 @@ twelve per size) a solve took about a quarter of the dense solve's time at
 (l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
 (4, 4, 8), and four times as long at (8, 6, 12).
 
-The barrier's kernel is chosen by the number ``nf`` of free inputs after
-pinning. A program with two free inputs (sim3, or a three-input box with
-one side pinned) runs the pair kernel (:class:`_PairBarrier`), whose
-factor is the three floats ``(d0, d1, l10)``, updated and back-solved by
-unrolled two-entry code. It is the ``nf = 2`` case of the general
-kernel's arithmetic, operation for operation, so it gives the same
-iterates to the bit. Every other program that the closed form does not
-take (one free input and two or more outputs, or three or more free
-inputs) runs the general kernel (:class:`_Barrier`), which the tests hold
-the pair kernel and the closed form to: the pair kernel's iterates to the
-bit, the closed form's objective to rounding.
-
-What does not depend on the number of inputs is written once and shared
-by the two kernels: each output's Newton coefficients and the closed form
-of its Schur complement (:func:`_cone_terms`), the step taken when the
-Schur complement has a zero pivot (:func:`_scaled_gradient`), the box
-barrier (:meth:`_Barrier._box_terms`), the epigraph values ``padded_z``,
-``advance``, the probe, the stage schedule, the centering, the predictor
-and every tolerance. The pair kernel keeps its own code for what runs at
-every trial point or is the input-side algebra: ``evaluate``, the input
-side of ``assemble`` (``Wm^T w``, the gradient, the Hessian column and the
-``L D L^T`` updates) and the back-solve of ``newton_step``. The closed
-form shares only the geometry and its per-step rows with the kernels.
-
 That factorization, like nearly everything else a program is built from,
 depends on the step only through ``f`` and the state block ``gx``, which
 the program sees through fixed linear maps. So a program is split in two
 (:class:`_Geometry`): a geometry, built in numpy from the belief, the
 model constants ``b0``, ``b_stack`` and ``q_shape`` and the box, holds
 the input slopes, the QR factors and the projections of ``gx``, the
-pinned inputs' constants, the finite box sides, the probe box, the cold
-start and the factors of the least-squares normal equations; each step
-maps its ``(f, gx)`` through it over Python floats, at ``O(l p r)``
-operations. The last geometry is kept in a one-slot memo keyed by the
-belief's ellipsoid and the box, both by identity (each holds read-only
-arrays), and by the model constants' bytes, so a hand-built or mutated
-table gets a fresh build. The memo fills on the first solve and is
-rebuilt whenever the key changes: every solve, built or reused, runs
-through the same geometry and the same per-step map. A belief changes
-only when an update shrinks it, so over seeds 0-4 a run builds once in
-``fixed`` and ``known_theta`` mode (one geometry for all 500 sim2 solves
-of each mode) and once per new belief otherwise: sim1 ``learn`` 96
-builds for 230 solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and
-``active`` 158 for 500. A step's map through a held geometry costs 5-8 us
-on sim2, a geometry build 55-100 us on sim1-sim3.
+pinned inputs' constants and whether and how the program splits; the
+fields only the barrier reads (the finite box sides, the probe box, the
+cold start and the factors of the least-squares normal equations) are
+built on the barrier's first use of the geometry. Each step maps its
+``(f, gx)`` through it over Python floats, at ``O(l p r)`` operations.
+The last geometry is kept in a one-slot memo keyed by the belief's
+ellipsoid and the box, both by identity (each holds read-only arrays),
+and by the model constants' bytes, so a hand-built or mutated table gets
+a fresh build. The memo fills on the first solve and is rebuilt whenever
+the key changes: every solve, built or reused, runs through the same
+geometry and the same per-step map. A belief changes only when an update
+shrinks it, so over seeds 0-4 a run builds once in ``fixed`` and
+``known_theta`` mode (one geometry for all 500 sim2 solves of each mode)
+and once per new belief otherwise: sim1 ``learn`` 96 builds for 230
+solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and ``active`` 158
+for 500. A step's map through a held geometry costs 5-8 us on sim2, a
+geometry build 50-70 us on sim1-sim3.
 """
 
 from __future__ import annotations
@@ -144,7 +128,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 import numpy as np
@@ -246,10 +230,10 @@ class RobustSolution:
     (or the cold start was lost to rounding); ``"infeasible"`` for an empty
     box, with NaN ``u`` and ``z``; or ``"non_finite"`` if the solve ended
     but some bound ``z`` is not finite, as for an input pinned near the
-    float range. A program with one free input and one output is solved in
-    closed form, with no iterations and no probe: ``newton_iterations`` is
-    0, ``warm_started`` False and ``status`` ``"optimal"`` or
-    ``"non_finite"``.
+    float range. A program that splits into one-input programs (every
+    shipped one; see :class:`_Geometry`) is solved in closed form, with no
+    iterations and no probe: ``newton_iterations`` is 0, ``warm_started``
+    False and ``status`` ``"optimal"`` or ``"non_finite"``.
     """
 
     u: np.ndarray
@@ -268,8 +252,8 @@ def build_instance(model: UncertainModel, x, y_ref_next) -> TrackingInstance:
         raise ValueError(f"state has {x.size} entries, expected {model.n}")
     if y_ref.size != model.l:
         raise ValueError(f"reference has {y_ref.size} entries, expected {model.l}")
-    # A NaN cone passes every interior test of the barrier, which would then
-    # run out its iterations and return NaN; reject it here instead.
+    # A NaN state or reference gives NaN cones, which certify no bound;
+    # reject it here instead.
     if not all(map(math.isfinite, x.tolist())):
         raise ValueError(f"state is not finite: {x.tolist()}")
     if not all(map(math.isfinite, y_ref.tolist())):
@@ -342,6 +326,13 @@ class _Geometry:
     ``Wm_t``) at 0 clamped into their box; their constant terms are folded
     in, leaving ``nf`` free inputs.
 
+    The program splits when each output moves at most one free input and
+    each free input moves exactly one output, reading "moves" from the exact
+    zeros of the slopes and of ``Wm_t``. :attr:`split` then maps each output
+    to the index of the free input it moves, or to None for an output that
+    moves none; it is None when the program does not split. A program with
+    no free input splits.
+
     With the QR factorization ``Wm_t = Q_t R_t`` (``Q_t`` square), keeping
     the nonzero rows of ``R_t`` (at most ``min(p, nf)``), the cone sees
     ``w_t`` only through::
@@ -353,10 +344,9 @@ class _Geometry:
     and ``Q_o`` the others. Both are fixed projections of ``gx_t``, which
     :meth:`rows` applies over Python floats, so an iteration costs the
     same for any parameter count ``p``. Held here as lists: the slopes, the
-    kept rows of ``R_t`` and their columns, the two projections, the free
-    inputs' box (:attr:`bounds`) and its finite sides, the probe box and
-    the cold start, and the normal equations' factors of
-    :meth:`_Barrier.least_squares_inputs`.
+    kept rows of ``R_t``, the two projections and the free inputs' box
+    (:attr:`bounds`). What only the barrier reads is built on its first
+    use (:attr:`barrier`).
     """
 
     def __init__(self, instance, ellipsoid, bounds):
@@ -392,6 +382,11 @@ class _Geometry:
             midu, wm = midu[:, free], wm[:, :, free]
             lo, hi = lo[free], hi[free]
         nf = midu.shape[1]
+        moves = (midu != 0.0) | wm.any(axis=1)
+        self.split = None
+        if (moves.sum(axis=1) <= 1).all() and (moves.sum(axis=0) == 1).all():
+            self.split = [int(row.argmax()) if row.any() else None
+                          for row in moves]
 
         qf, rf = np.linalg.qr(wm, mode="complete")
         qt = qf.transpose(0, 2, 1)
@@ -399,7 +394,7 @@ class _Geometry:
         pin = (qt @ w_pin[:, :, None])[:, :, 0]        # Q_t^T (pinned part)
         qdiag = np.sqrt(np.maximum(np.diag(instance.q_shape), 0.0))
         self.th_r = th[:r].tolist()
-        self.outputs, cols = [], []
+        self.outputs = []
         for mp, a, rt, pt, bt, q in zip(mid_pin.tolist(), midu.tolist(),
                                         rf.tolist(), proj.tolist(),
                                         pin.tolist(), qdiag.tolist()):
@@ -410,11 +405,24 @@ class _Geometry:
                      if not any(ri) and (b or any(row))]
             rt = [ri for ri in rt if any(ri)]
             self.outputs.append((mp, a, rt, q, kept, other))
-            cols.append([[ri[j] for ri in rt] for j in range(nf)])
 
         self.bounds = list(zip(lo.tolist(), hi.tolist()))
-        box_lo = [(i, b) for i, b in enumerate(lo.tolist()) if math.isfinite(b)]
-        box_hi = [(i, b) for i, b in enumerate(hi.tolist()) if math.isfinite(b)]
+        # The attributes every program of this geometry shares.
+        u_fix.flags.writeable = free.flags.writeable = False
+        self.shared = {"l": l, "nf": nf, "free": free, "u_fix": u_fix}
+
+    @cached_property
+    def barrier(self):
+        """The attributes only :class:`_Barrier` reads, built once on its
+        first use: the finite box sides ``_lo`` and ``_hi``, the probe box
+        ``box``, the cold start ``u_cold``, the constraint count ``n_cons``,
+        each output's columns of ``R_t`` (``_cols``) and the normal
+        equations' factors (``_factors``)."""
+        nf = self.shared["nf"]
+        box_lo = [(i, b) for i, (b, _) in enumerate(self.bounds)
+                  if math.isfinite(b)]
+        box_hi = [(i, b) for i, (_, b) in enumerate(self.bounds)
+                  if math.isfinite(b)]
         probe_box, u_cold = [], []
         for b_lo, b_hi in self.bounds:
             # A side with an infinite bound insets its finite one by
@@ -435,24 +443,22 @@ class _Geometry:
         # The normal equations of sum_t mid_t^2 and then, adding the rows of
         # every R_t, of sum_t (mid_t^2 + |y_t|^2); None for a zero pivot.
         factors = []
-        if nf:
-            low = [[0.0] * nf for _ in range(nf)]
-            dia = [0.0] * nf
-            for rows in ([a for _, a, *_ in self.outputs],
-                         [ri for _, _, rt, *_ in self.outputs for ri in rt]):
-                if not rows:
-                    break
-                for row in rows:
-                    _ldl_update(low, dia, 1.0, list(row))
-                factors.append(None if 0.0 in dia else
-                               ([list(row) for row in low], list(dia)))
+        low = [[0.0] * nf for _ in range(nf)]
+        dia = [0.0] * nf
+        for rows in ([a for _, a, *_ in self.outputs],
+                     [ri for _, _, rt, *_ in self.outputs for ri in rt]):
+            if not rows:
+                break
+            for row in rows:
+                _ldl_update(low, dia, 1.0, list(row))
+            factors.append(None if 0.0 in dia else
+                           ([list(row) for row in low], list(dia)))
 
-        # The attributes every program of this geometry shares.
-        u_fix.flags.writeable = free.flags.writeable = False
-        self.shared = {
-            "l": l, "nf": nf, "free": free, "u_fix": u_fix,
+        return {
             "box": probe_box, "u_cold": u_cold, "_lo": box_lo, "_hi": box_hi,
-            "n_cons": 2 * l + len(box_lo) + len(box_hi), "_cols": cols,
+            "n_cons": 2 * self.shared["l"] + len(box_lo) + len(box_hi),
+            "_cols": [[[ri[j] for ri in rt] for j in range(nf)]
+                      for _, _, rt, *_ in self.outputs],
             "_factors": factors,
         }
 
@@ -495,19 +501,6 @@ def _geometry(instance, belief, bounds):
     return geometry
 
 
-def _program(geometry, instance):
-    """The barrier of a program, its kernel chosen by its shape.
-
-    :class:`_PairBarrier` if two inputs are free, :class:`_Barrier`
-    otherwise. Both run the same method on the same schedule and give the
-    same iterates; the pair kernel only skips the list arithmetic of a 2 x 2
-    Schur complement. :func:`_barrier_solve` solves a program with one
-    free input and one output in closed form instead, and runs neither.
-    """
-    kernel = _PairBarrier if geometry.shared["nf"] == 2 else _Barrier
-    return kernel(geometry, instance)
-
-
 class _Barrier:
     """Log-barrier data of one tracking program, over its free inputs.
 
@@ -522,6 +515,7 @@ class _Barrier:
 
     def __init__(self, geometry, instance):
         vars(self).update(geometry.shared)
+        vars(self).update(geometry.barrier)
         self._rows = geometry.rows(instance.f, instance.gx)
 
     def evaluate(self, u, z):
@@ -531,11 +525,12 @@ class _Barrier:
         ``s+ = z - mid - q >= |w|`` and ``s- = z + mid - q >= |w|``, with
         ``psi = s^2 - |w|^2``.
         """
+        # Each test is written so that a NaN fails it.
         for i, b in self._lo:
-            if u[i] <= b:
+            if not u[i] > b:
                 return None
         for i, b in self._hi:
-            if u[i] >= b:
+            if not u[i] < b:
                 return None
         cones = []
         for zt, (m0, a, c, rt, rho, q) in zip(z, self._rows):
@@ -544,11 +539,11 @@ class _Barrier:
             wn2 = sum(map(mul, y, y)) + rho
             sp = zt - mid - q
             sm = zt + mid - q
-            if sp <= 0.0 or sm <= 0.0:
+            if not (sp > 0.0 and sm > 0.0):
                 return None
             pp = sp * sp - wn2
             pm = sm * sm - wn2
-            if pp <= 0.0 or pm <= 0.0:
+            if not (pp > 0.0 and pm > 0.0):
                 return None
             cones.append((sp, sm, pp, pm, y, wn2))
         return cones
@@ -730,113 +725,6 @@ class _Barrier:
         return u, z, cones
 
 
-class _PairBarrier(_Barrier):
-    """:class:`_Barrier` of a program with two free inputs, unrolled.
-
-    The ``nf = 2`` case of :class:`_Barrier`'s arithmetic, operation for
-    operation, so the iterates are the same to the bit. The rows are the
-    general kernel's (:meth:`_Geometry.rows`), each ``a_t`` and row of
-    ``R_t`` a pair; the gradient is ``gu = (g0, g1)`` and the factor the
-    three floats ``(d0, d1, l10)``. Every ``_ldl_update`` is
-    :func:`_pair_update`, the back-solve ``x1 = b1 - l10 b0, x0 = b0 / d0,
-    x1 /= d1, x0 -= l10 x1``, and each ``sum(map(mul, x, y))`` over the
-    inputs is ``0.0 + x0 y0 + x1 y1``, which keeps its rounding and its
-    signed zeros. Unrolled here: ``evaluate``, the input side of
-    ``assemble`` and the back-solve. Shared: the box terms
-    (:meth:`~_Barrier._box_terms`), each output's coefficients
-    (:func:`_cone_terms`), the zero-pivot step (:func:`_scaled_gradient`)
-    and, since points stay lists, :meth:`~_Barrier.padded_z`,
-    :meth:`~_Barrier.center`, :meth:`~_Barrier.advance`,
-    :meth:`~_Barrier.predict` and the least-squares inputs.
-    """
-
-    def evaluate(self, u, z):
-        """:meth:`_Barrier.evaluate` over two inputs."""
-        for i, b in self._lo:
-            if u[i] <= b:
-                return None
-        for i, b in self._hi:
-            if u[i] >= b:
-                return None
-        x0, x1 = u
-        cones = []
-        for zt, (m0, (a0, a1), c, rt, rho, q) in zip(z, self._rows):
-            mid = m0 + (0.0 + a0 * x0 + a1 * x1)
-            y = [ci + (0.0 + r0 * x0 + r1 * x1) for ci, (r0, r1) in zip(c, rt)]
-            wn2 = sum(map(mul, y, y)) + rho
-            sp = zt - mid - q
-            sm = zt + mid - q
-            if sp <= 0.0 or sm <= 0.0:
-                return None
-            pp = sp * sp - wn2
-            pm = sm * sm - wn2
-            if pp <= 0.0 or pm <= 0.0:
-                return None
-            cones.append((sp, sm, pp, pm, y, wn2))
-        return cones
-
-    def assemble(self, cones, u):
-        """:meth:`_Barrier.assemble` over two inputs.
-
-        Returns ``(gu, factor, cpm, hz, kz)`` with ``gu = (g0, g1)``, the
-        factor ``(d0, d1, l10)`` and each output's ``k`` in ``kz`` a pair.
-        """
-        gu, dia = self._box_terms(u)
-        g0, g1 = gu
-        d0, d1 = dia
-        l10 = 0.0
-        cpm, hz, kz = [], [], []
-        for (sp, sm, pp, pm, y, wn2), (_, (a0, a1), _, rt, rho, _) in zip(
-                cones, self._rows):
-            j0 = j1 = 0.0                                   # Wm^T w
-            for yi, (r0, r1) in zip(y, rt):
-                j0 += r0 * yi
-                j1 += r1 * yi
-            cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
-                sp, sm, pp, pm, wn2, rho)
-            gc = cp - cm
-            g0 += gc * a0 + c2 * j0
-            g1 += gc * a1 + c2 * j1
-            cpm.append((cp, cm))
-            hz.append(hzz)
-            kz.append((ka * a0 - kj * j0, ka * a1 - kj * j1))
-            d0, d1, l10 = _pair_update(d0, d1, l10, qaa, a0 + kappa * j0,
-                                       a1 + kappa * j1)
-            if gamma is None:
-                for r0, r1 in rt:
-                    d0, d1, l10 = _pair_update(d0, d1, l10, c2, r0, r1)
-            else:
-                for yi, (r0, r1) in zip(y, rt):
-                    g = gamma * yi
-                    d0, d1, l10 = _pair_update(d0, d1, l10, 1.0,
-                                               root * r0 + g * j0,
-                                               root * r1 + g * j1)
-        return (g0, g1), (d0, d1, l10), cpm, hz, kz
-
-    @staticmethod
-    def newton_step(system, t_b):
-        """:meth:`_Barrier.newton_step` of an :meth:`assemble` system."""
-        (g0, g1), (d0, d1, l10), cpm, hz, kz = system
-        gz = [t_b - cp - cm for cp, cm in cpm]
-        b0, b1 = -g0, -g1
-        for gzt, hzz, (k0, k1) in zip(gz, hz, kz):
-            f = gzt / hzz
-            b0 += k0 * f
-            b1 += k1 * f
-        if d0 == 0.0 or d1 == 0.0:
-            return _scaled_gradient([g0, g1], gz)
-        x1 = b1 - l10 * b0
-        x0 = b0 / d0
-        x1 /= d1
-        x0 -= l10 * x1
-        dz = [-(gzt + (0.0 + k0 * x0 + k1 * x1)) / hzz
-              for gzt, hzz, (k0, k1) in zip(gz, hz, kz)]
-        decrement = 0.0 + b0 * x0 + b1 * x1
-        for gzt, hzz in zip(gz, hz):
-            decrement += gzt * gzt / hzz
-        return [x0, x1], dz, decrement
-
-
 def _cone_terms(sp, sm, pp, pm, wn2, rho):
     """One output's Newton coefficients that do not depend on the inputs.
 
@@ -893,21 +781,6 @@ def _scaled_gradient(gu, gz):
     du = [scale * x for x in gu]
     dz = [scale * x for x in gz]
     return du, dz, -(sum(map(mul, gu, du)) + sum(map(mul, gz, dz)))
-
-
-def _pair_update(d0, d1, l10, alpha, v0, v1):
-    """:func:`_ldl_update` of the 2 x 2 factor ``(d0, d1, l10)`` by ``(v0,
-    v1)``, unrolled; returns the updated factor."""
-    if v0 != 0.0:
-        if alpha == 0.0:
-            return d0, d1, l10
-        dbar = d0 + alpha * v0 * v0
-        beta = alpha * v0 / dbar
-        alpha *= d0 / dbar
-        d0 = dbar
-        v1 -= v0 * l10
-        l10 += beta * v1
-    return d0, d1 + alpha * (v1 * v1), l10
 
 
 def _ldl_update(low, dia, alpha, v):
@@ -974,63 +847,88 @@ def _probe_start(prog):
     return start
 
 
-def _one_input(geometry, instance):
-    """``(u, z)`` of a program with one free input and one output, exactly.
+def _split(geometry, instance):
+    """``(u, z)`` of a program that splits into one-input programs, exactly.
 
-    Its cost ``|m0 + a u| + sqrt((c + r u)^2 + rho) + q`` (the one row of
-    :meth:`_Geometry.rows`; ``c = r = 0`` if ``R`` keeps no row) is convex.
-    Off the kink ``m0 + a u = 0`` and the apex ``c + r u = 0`` it is smooth,
-    and it is stationary only where ``c + r u = +-|a| sqrt(rho / (r^2 -
-    a^2))``, which needs ``r^2 > a^2``. So its minimum over the box lies
-    among the box ends, the kink, the apex and those two points. Each is
-    clipped into the box, an infinite side standing for the largest float,
-    and scored over floats; the first of least cost wins.
+    Output ``t`` moves at most the free input ``i = split[t]``, which moves
+    no other output, so the cost is a sum of one-input costs ``|m0 + a u_i|
+    + sqrt((c + r u_i)^2 + rho) + q``, each minimized over its own side of
+    the box. From output ``t``'s row of :meth:`_Geometry.rows`, ``a`` is
+    ``a_t[i]`` and ``r`` column ``i`` of the kept rows of ``R_t`` (``c = r
+    = 0`` if none is kept). A column of two or more rows (the QR of ``Wm_t
+    = [0, v]`` keeps two) is reduced to one: ``r = |col|``, ``c = c . col /
+    r``, and the part of ``c`` off ``col`` goes to ``rho``.
+
+    Each such cost is convex. Off the kink ``m0 + a u = 0`` and the apex ``c
+    + r u = 0`` it is smooth, and it is stationary only where ``c + r u =
+    +-|a| sqrt(rho / (r^2 - a^2))``, which needs ``r^2 > a^2``. So its
+    minimum over the box lies among the box ends, the kink, the apex and
+    those two points. Each is clipped into the box, an infinite side
+    standing for the largest float, and scored over floats; the first of
+    least cost wins. An output that moves no input adds its constant bound.
     """
-    (m0, (a,), c, rt, rho, q), = geometry.rows(instance.f, instance.gx)
-    c, r = (c[0], rt[0][0]) if rt else (0.0, 0.0)
-    (lo, hi), = geometry.bounds
     big = sys.float_info.max
-    lo, hi = max(lo, -big), min(hi, big)
-    candidates = [lo, hi]
-    if a:
-        candidates.append(-m0 / a)
-    if r:
-        candidates.append(-c / r)
-        if r * r > a * a:
-            y = abs(a) * math.sqrt(rho / (r * r - a * a))
-            candidates += [(y - c) / r, (-y - c) / r]
-    best = None
-    for x in candidates:
-        x = min(max(x, lo), hi)
-        y = c + r * x
-        cost = abs(m0 + a * x) + math.sqrt(y * y + rho) + q
-        if best is None or cost < best:
-            u, best = x, cost
-    return [u], [best]
+    u = [0.0] * geometry.shared["nf"]
+    z = []
+    for i, (m0, a, c, rt, rho, q) in zip(
+            geometry.split, geometry.rows(instance.f, instance.gx)):
+        if i is None:
+            z.append(abs(m0) + math.sqrt(rho) + q)
+            continue
+        a = a[i]
+        col = [row[i] for row in rt]
+        if not col:
+            c = r = 0.0
+        elif len(col) == 1:
+            c, r = c[0], col[0]
+        else:
+            r = math.hypot(*col)
+            e = [x / r for x in col]
+            ce = sum(map(mul, c, e))
+            for ci, ei in zip(c, e):
+                d = ci - ce * ei
+                rho += d * d
+            c = ce
+        lo, hi = geometry.bounds[i]
+        lo, hi = max(lo, -big), min(hi, big)
+        candidates = [lo, hi]
+        if a:
+            candidates.append(-m0 / a)
+        if r:
+            candidates.append(-c / r)
+            if r * r > a * a:
+                y = abs(a) * math.sqrt(rho / (r * r - a * a))
+                candidates += [(y - c) / r, (-y - c) / r]
+        best = None
+        for x in candidates:
+            x = min(max(x, lo), hi)
+            y = c + r * x
+            cost = abs(m0 + a * x) + math.sqrt(y * y + rho) + q
+            if best is None or cost < best:
+                u[i], best = x, cost
+        z.append(best)
+    return u, z
 
 
 def _barrier_solve(instance, belief, bounds):
     """``(u, z, iterations, status, warm_started)`` of a program.
 
-    One free input and one output are solved by :func:`_one_input`, with no
-    iterations; any other program with a free input runs the barrier
-    schedule on its kernel. A solve whose bounds ``z`` are not all finite
-    (inputs pinned near the float range, say) reports ``"non_finite"``.
+    A program that splits is solved by :func:`_split`, with no iterations;
+    any other runs the barrier schedule on :class:`_Barrier`. A solve whose
+    bounds ``z`` are not all finite (inputs pinned near the float range,
+    say) reports ``"non_finite"``.
     """
     geometry = _geometry(instance, belief, bounds)
-    shared = geometry.shared
-    if shared["nf"] == shared["l"] == 1:
-        u, z = _one_input(geometry, instance)
+    if geometry.split is not None:
+        u, z = _split(geometry, instance)
         iters, status, warm_ok = 0, "optimal", False
     else:
-        prog = _program(geometry, instance)
-        if prog.nf:
-            u, iters, status, warm_ok = _barrier_path(prog)
-        else:
-            u, iters, status, warm_ok = [], 0, "optimal", False
+        prog = _Barrier(geometry, instance)
+        u, iters, status, warm_ok = _barrier_path(prog)
         z = prog.padded_z(u, 0.0)
     if status == "optimal" and not all(map(math.isfinite, z)):
         status = "non_finite"
+    shared = geometry.shared
     u_full = shared["u_fix"].copy()
     u_full[shared["free"]] = u
     return u_full, z, iters, status, warm_ok

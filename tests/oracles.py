@@ -68,33 +68,40 @@ def grid_min_robust(instance, belief, bounds, points=None, stages=3):
 
 
 def robust_min_one_input(instance, belief, bounds):
-    """Exact minimum of the certified cost for one output and one input.
+    """Exact minimum of the certified cost for one output and one free input.
 
-    With ``l = m = 1`` the regressor is affine in ``u``, ``g(u) = g0 + u g1``,
-    so the cost is the convex function::
+    Every input but one must be pinned by its box (``lower == upper``); with
+    ``m = 1`` the one input is free. Along the free input ``j`` the regressor
+    is affine, ``g(u) = g0 + u_j g1``, so the cost is the convex function::
 
-        |m0 + a u| + sqrt((c + r u)^2 + rho) + q
+        |m0 + a u_j| + sqrt((c + r u_j)^2 + rho) + q
 
-    with ``m0 = f + g0 th``, ``a = b0 + g1 th``, ``r^2 = g1 P g1``,
-    ``c r = g0 P g1``, ``rho = g0 P g0 - c^2`` and ``q = sqrt(Q)``. Off the
-    kink, a stationary point has ``c + r u = +-|a| sqrt(rho / (r^2 - a^2))``,
-    which exists only when ``r^2 > a^2``. So the minimum over the box is
-    attained at one of: the box ends, the kink ``m0 + a u = 0``, the zero
-    of ``c + r u`` and those two points. Each candidate inside the box is
-    scored by :func:`robust_cost_batch`. Returns ``(u, value)``.
+    with ``m0 = f + b0 u0 + g0 th``, ``a = b0_j + g1 th``, ``r^2 = g1 P g1``,
+    ``c r = g0 P g1``, ``rho = g0 P g0 - c^2`` and ``q = sqrt(Q)``, where
+    ``u0`` is the pinned point with ``u_j = 0``. Off the kink, a stationary
+    point has ``c + r u_j = +-|a| sqrt(rho / (r^2 - a^2))``, which exists
+    only when ``r^2 > a^2``. So the minimum over the box is attained at one
+    of: the box ends, the kink ``m0 + a u_j = 0``, the zero of ``c + r u_j``
+    and those two points. Each candidate inside the box is scored by
+    :func:`robust_cost_batch`. Returns ``(u, value)``.
     """
-    if instance.l != 1 or instance.m != 1:
-        raise ValueError("the oracle needs one output and one input")
-    r_dim = instance.gx.shape[1]
-    g0 = np.concatenate([instance.gx[0], np.zeros(instance.b_stack.shape[0])])
-    g1 = np.concatenate([np.zeros(r_dim), instance.b_stack[:, 0, 0]])
+    lo, hi = bounds.lower, bounds.upper
+    free = np.flatnonzero(lo < hi)
+    if instance.l != 1 or (instance.m > 1 and free.size != 1):
+        raise ValueError("the oracle needs one output and one free input")
+    j = int(free[0]) if instance.m > 1 else 0
+    u0 = lo.copy()
+    u0[j] = 0.0
+    g0 = instance.regressor(u0)[0]
+    g1 = instance.regressor(np.eye(instance.m)[j])[0] - \
+        instance.regressor(np.zeros(instance.m))[0]
     th, p = belief.center, belief.shape
-    m0 = instance.f[0] + g0 @ th
-    a = instance.b0[0, 0] + g1 @ th
+    m0 = instance.f[0] + instance.b0[0] @ u0 + g0 @ th
+    a = instance.b0[0, j] + g1 @ th
     r = np.sqrt(max(g1 @ p @ g1, 0.0))
     c = (g0 @ p @ g1) / r if r > 0.0 else 0.0
     rho = max(g0 @ p @ g0 - c * c, 0.0)
-    lo, hi = bounds.lower[0], bounds.upper[0]
+    lo, hi = lo[j], hi[j]
     cands = [lo, hi]
     if a != 0.0:
         cands.append(-m0 / a)
@@ -104,9 +111,11 @@ def robust_min_one_input(instance, belief, bounds):
             y = abs(a) * np.sqrt(rho / (r * r - a * a))
             cands += [(y - c) / r, (-y - c) / r]
     us = [u for u in cands if np.isfinite(u) and lo <= u <= hi] or [0.0]
-    vals = robust_cost_batch(instance, belief, np.array(us)[:, None])
+    points = np.repeat(u0[None, :], len(us), axis=0)
+    points[:, j] = us
+    vals = robust_cost_batch(instance, belief, points)
     i = int(np.argmin(vals))
-    return np.array([us[i]]), float(vals[i])
+    return points[i], float(vals[i])
 
 
 def cone_terms(instance, belief, u):

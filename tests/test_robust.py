@@ -72,18 +72,17 @@ def _recorded_solves(name, mode, seeds):
 
 
 def program(instance, belief, bounds):
-    """The barrier kernel that :func:`robust._program` selects for a
-    program: on one free input and one output the general one, although
-    :func:`solve_robust` solves that shape in closed form."""
-    return robust._program(robust._geometry(instance, belief, bounds),
+    """The barrier of a program, :class:`robust._Barrier`, which
+    :func:`solve_robust` runs only on a program that does not split."""
+    return robust._Barrier(robust._geometry(instance, belief, bounds),
                            instance)
 
 
 def barrier_solution(instance, belief, bounds):
     """The barrier schedule's solve of a program with a free input, as a
-    :class:`RobustSolution`: on one free input and one output the general
-    kernel's ``_barrier_path(robust._Barrier(geometry, instance))``, on
-    every other shape the solve :func:`solve_robust` runs."""
+    :class:`RobustSolution`: ``_barrier_path(robust._Barrier(geometry,
+    instance))``, which is the solve :func:`solve_robust` runs on a
+    program that does not split."""
     prog = program(instance, belief, bounds)
     u, iterations, status, warm = robust._barrier_path(prog)
     z = prog.padded_z(u, 0.0)
@@ -101,8 +100,7 @@ def barrier_replays(name, mode, seeds):
 
 
 def row_values(row, u):
-    """``(mid_t, |w_t|^2)`` of a general kernel's program row at free inputs
-    ``u``."""
+    """``(mid_t, |w_t|^2)`` of a program row at free inputs ``u``."""
     m0, a, c, rt, rho, _ = row
     u = np.asarray(u, dtype=float)
     y = np.ravel(c) + np.reshape(rt, (-1, u.size)) @ u
@@ -371,7 +369,8 @@ class TestSolveRobust:
         # 0: that input's terms fold into the program's constants and the
         # first input alone is free. sim3's output t feels input t alone, so
         # the tables are coupled here; otherwise the pinned terms would
-        # touch only an output the free input cannot move. The two steps
+        # touch only an output the free input cannot move, and the program
+        # would split. The two steps
         # share the belief, the box and the tables, so the second solve
         # reuses the first one's program geometry.
         spec = scenario("sim3")
@@ -392,10 +391,10 @@ class TestSolveRobust:
                 build_instance(spec.model, x, spec.reference.value(k)),
                 b0=b0.copy(), b_stack=b_stack.copy())
             # The program over the free input has the cone data of the full
-            # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t, in the rows of the
-            # general kernel that one free input and two outputs select.
+            # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t, in the barrier's
+            # rows. The free input moves both outputs: no split.
             prog = program(instance, belief, bounds)
-            assert type(prog) is robust._Barrier
+            assert robust._geometry(instance, belief, bounds).split is None
             for u0 in (lo, 0.3, hi):
                 mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
                 for row, mid_t, w2_t in zip(prog._rows, mid, w2):
@@ -436,8 +435,9 @@ class TestSolveRobust:
             self.assert_z_is_the_interval_bound(instance, belief, sol)
 
     def test_z_of_a_partly_pinned_box_is_the_worst_case_bound(self):
-        # sim3 with its second input pinned runs the general kernel; the
-        # fully pinned box is test_pinned_input_is_returned_verbatim.
+        # sim3 with its second input pinned splits: output 0 moves the free
+        # input and output 1 none. The fully pinned box is
+        # test_pinned_input_is_returned_verbatim.
         spec, instance, belief = sim3_case()
         sol = solve_robust(instance, belief,
                            ControlBounds([-100.0, 2.0], [100.0, 2.0]))
@@ -551,15 +551,20 @@ class TestSolveRobust:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_a_slope_near_the_float_range_returns_a_status(self, m):
         # The normal equations' factor squared a slope of 1e200 with float
-        # **, which raises OverflowError where * gives inf.
+        # **, which raises OverflowError where * gives inf. With two or more
+        # inputs the barrier's Newton step overflows to NaN, and a NaN trial
+        # point passed every interior test written as x <= b: the solve
+        # returned u = NaN after 609 iterations.
         instance = TrackingInstance(
             f=np.array([0.5]), b0=np.full((1, m), 1e200),
             gx=np.array([[0.3]]), b_stack=np.zeros((0, 1, m)),
             q_shape=np.array([[0.1]]))
         belief = ParameterBelief(Ellipsoid([0.2], [[0.3]]))
-        sol = solve_robust(instance, belief,
-                           ControlBounds(-np.ones(m), np.ones(m)))
+        bounds = ControlBounds(-np.ones(m), np.ones(m))
+        sol = solve_robust(instance, belief, bounds)
         assert isinstance(sol, RobustSolution)
+        assert np.all(np.isfinite(sol.u))
+        assert bounds.contains(sol.u, tol=0.0)
 
     def test_a_side_pinned_at_the_float_range_is_not_reported_optimal(self):
         # The pinned midpoint 0.5 (lo + hi) of [1e308, 1e308] overflowed with
@@ -576,12 +581,13 @@ class TestSolveRobust:
 
     def test_warm_started_reports_the_accepted_probe(self, monkeypatch):
         # The probe starts from the program's own least-squares inputs.
+        # sim3 splits, so the barrier runs on its program directly.
         spec, instance, belief = sim3_case()
-        plain = solve_robust(instance, belief, spec.bounds)
+        plain = barrier_solution(instance, belief, spec.bounds)
         assert plain.warm_started
         # A probe that fails restarts cold and is reported as such.
         monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
-        cold = solve_robust(instance, belief, spec.bounds)
+        cold = barrier_solution(instance, belief, spec.bounds)
         assert not cold.warm_started
         assert cold.newton_iterations > plain.newton_iterations
         assert_allclose(cold.objective, plain.objective, atol=1e-8)
@@ -712,7 +718,7 @@ class TestExactOneInputOracle:
 
 class TestOneInputClosedForm:
     """One free input and one output are solved in closed form, held to the
-    general kernel's barrier on the same program."""
+    barrier on the same program."""
 
     @staticmethod
     def assert_not_above_the_barrier(instance, belief, bounds, same_u=True):
@@ -828,17 +834,138 @@ class TestOneInputClosedForm:
         assert sol.objective == 1.0
 
 
+class TestSplitClosedForm:
+    """A program whose outputs each move their own input splits into
+    one-input programs, each solved in closed form. Held to the barrier on
+    the same program, and each input to the one-input oracle of its output
+    with every other input pinned."""
+
+    @staticmethod
+    def assert_exact(instance, belief, bounds):
+        """``solve_robust`` splits the program and solves it exactly: its
+        objective is never above the barrier's by more than rounding, each
+        output's bound is the worst case at the returned input, and each
+        moved output's input and bound are the oracle's. Returns the
+        program's geometry."""
+        geometry = robust._geometry(instance, belief, bounds)
+        assert geometry.split is not None
+        free = np.flatnonzero(geometry.shared["free"])
+        sol = solve_robust(instance, belief, bounds)
+        assert sol.status == "optimal"
+        assert sol.newton_iterations == 0 and not sol.warm_started
+        TestSolveRobust.assert_z_is_the_interval_bound(instance, belief, sol)
+        ref = barrier_solution(instance, belief, bounds)
+        assert ref.status == "optimal"
+        assert sol.objective - ref.objective <= 1e-12 * abs(ref.objective)
+        for t, i in enumerate(geometry.split):
+            if i is None:
+                continue
+            j = free[i]
+            lower, upper = sol.u.copy(), sol.u.copy()
+            lower[j], upper[j] = bounds.lower[j], bounds.upper[j]
+            one = TrackingInstance(
+                f=instance.f[t:t + 1], b0=instance.b0[t:t + 1],
+                gx=instance.gx[t:t + 1], b_stack=instance.b_stack[:, t:t + 1],
+                q_shape=instance.q_shape[t:t + 1, t:t + 1])
+            u, value = oracles.robust_min_one_input(
+                one, belief, ControlBounds(lower, upper))
+            assert abs(sol.u[j] - u[j]) <= 1e-12 * (1.0 + abs(u[j]))
+            assert abs(sol.z[t] - value) <= 1e-12 * value
+        return geometry
+
+    def test_replays_of_the_barrier(self):
+        # Every sim3 solve of seeds 0-2. In 588 of them the QR of output
+        # 1's input block [0, v] keeps two rows, which the closed form
+        # reduces to one. The barrier's input can be 4e-6 (1 + |u|) off on
+        # a flat output, so the inputs are held to the oracle instead.
+        two_rows = 0
+        for mode in experiments.MODES:
+            for instance, belief, bounds, _ in recorded_solves("sim3", mode,
+                                                               range(3)):
+                geometry = self.assert_exact(instance, belief, bounds)
+                assert geometry.split == [0, 1]
+                two_rows += any(len(rt) > 1 for _, _, rt, *_ in
+                                geometry.outputs)
+        assert two_rows > 0
+
+    def test_every_shipped_solve_is_exact(self):
+        # A rounding-level slope where sim3 has an exact zero would stop a
+        # program from splitting and send it to the barrier.
+        for name in ("sim1", "sim2", "sim3"):
+            for mode in experiments.MODES:
+                for *_, sol in recorded_solves(name, mode, range(3)):
+                    assert sol.status == "optimal"
+                    assert sol.newton_iterations == 0
+
+    @staticmethod
+    def hand_built(b0, b_stack, lower, upper):
+        """A program with the given slopes, a state block of one column, a
+        dense belief and a box from ``lower`` to ``upper``."""
+        b0, b_stack = np.array(b0), np.array(b_stack)
+        l = b0.shape[0]
+        p = 1 + b_stack.shape[0]
+        rng = np.random.default_rng(23)
+        instance = TrackingInstance(
+            f=rng.normal(size=l), b0=b0, gx=rng.normal(size=(l, 1)),
+            b_stack=b_stack, q_shape=0.01 * np.eye(l))
+        belief = ParameterBelief(Ellipsoid(rng.normal(scale=0.3, size=p),
+                                           oracles.random_spd(rng, p, 0.1)))
+        return instance, belief, ControlBounds(lower, upper)
+
+    # Output t moves input t alone, as in sim3.
+    OWN = ([[1.0, 0.0], [0.0, 0.8]],
+           [[[0.3, 0.0], [0.0, 0.2]], [[-0.1, 0.0], [0.0, 0.4]]])
+
+    @pytest.mark.parametrize("b0, b_stack, lower, upper, split, rows", [
+        (*OWN, [-2.0, -2.0], [3.0, 3.0], [0, 1], [1, 2]),
+        ([[0.0, 0.8], [1.0, 0.0]],
+         [[[0.0, 0.2], [0.3, 0.0]], [[0.0, 0.4], [-0.1, 0.0]]],
+         [-2.0, -2.0], [3.0, 3.0], [1, 0], [2, 1]),
+        ([[1.0, 0.0], [0.0, 0.8], [0.0, 0.0]],
+         [[[0.3, 0.0], [0.0, 0.2], [0.0, 0.0]],
+          [[-0.1, 0.0], [0.0, 0.4], [0.0, 0.0]]],
+         [-2.0, -2.0], [3.0, 3.0], [0, 1, None], [1, 2, 0]),
+        ([[1.0, 0.0, 0.5], [0.0, 0.8, -0.4]],
+         [[[0.3, 0.0, 0.2], [0.0, 0.2, 0.1]],
+          [[-0.1, 0.0, 0.3], [0.0, 0.4, -0.2]]],
+         [-2.0, -2.0, 0.7], [3.0, 3.0, 0.7], [0, 1], [1, 2]),
+        (*OWN, [-np.inf, -np.inf], [np.inf, np.inf], [0, 1], [1, 2]),
+        (*OWN, [-np.inf, 1.0], [0.5, np.inf], [0, 1], [1, 2])],
+        ids=["own-inputs", "permuted", "an-output-moves-none",
+             "pinned-third-input", "open-box", "half-open-sides"])
+    def test_hand_built_split(self, b0, b_stack, lower, upper, split, rows):
+        # The QR of an input block [0, v] keeps two rows, which the closed
+        # form reduces to one; a pinned input may move every output, and an
+        # output that moves no input adds its constant bound.
+        geometry = self.assert_exact(*self.hand_built(b0, b_stack, lower,
+                                                      upper))
+        assert geometry.split == split
+        assert [len(rt) for _, _, rt, *_ in geometry.outputs] == rows
+
+    @pytest.mark.parametrize("b0, b_stack", [
+        ([[1.0, 0.5], [0.0, 0.8]], np.zeros((0, 2, 2))),
+        ([[1.0, 0.0], [0.4, 0.0], [0.0, 0.8]], np.zeros((0, 3, 2))),
+        ([[1.0, 0.0], [0.0, 0.8]], [[[0.3, 0.1], [0.0, 0.2]]])],
+        ids=["an-output-moves-two", "an-input-moves-two",
+             "coupled-through-the-belief"])
+    def test_a_coupled_program_does_not_split(self, b0, b_stack):
+        # Centered at 0, the belief leaves the slopes b0 alone, so in the
+        # last program only Wm_0 couples the two inputs.
+        instance, belief, bounds = self.hand_built(b0, b_stack, [-2.0, -2.0],
+                                                   [3.0, 3.0])
+        belief = ParameterBelief(Ellipsoid(np.zeros(belief.center.size),
+                                           belief.shape))
+        assert robust._geometry(instance, belief, bounds).split is None
+        sol = solve_robust(instance, belief, bounds)
+        assert sol.status == "optimal" and sol.newton_iterations > 0
+
+
 class TestBarrierKernel:
     """The solver's Newton step against the dense barrier of ``oracles``.
 
-    The tests run the kernel that :func:`robust._program` selects: the
-    pair one for two free inputs, the general one otherwise.
+    :func:`solve_robust` runs the barrier only on a program that does not
+    split; these tests run it on programs of every shape.
     """
-
-    KERNELS = {robust._Barrier, robust._PairBarrier}
-    # Each kernel's Schur pivots in its Newton system.
-    PIVOTS = {robust._PairBarrier: lambda system: system[1][:2],
-              robust._Barrier: lambda system: system[2]}
 
     @staticmethod
     def programs(rng, n_cases, n_pinned=0, m=None, pinned_m=2, n_wide=0,
@@ -898,7 +1025,7 @@ class TestBarrierKernel:
         """The dense Newton step and decrement over ``prog``'s free inputs
         and ``z``, at the full input ``u``: a pinned input keeps its value
         and has no box term. Solved in exact arithmetic and then rounded,
-        as a float Hessian would carry the cancellation the kernels avoid.
+        as a float Hessian would carry the cancellation the barrier avoids.
         """
         free = prog.free
         open_box = ControlBounds(np.where(free, bounds.lower, -np.inf),
@@ -920,16 +1047,14 @@ class TestBarrierKernel:
     def zero_radius_points(cls):
         """``(instance, belief, bounds, u, z)`` at the start of each
         hand-built program whose start has ``|w| = 0``: the one-input
-        case's probe start and the pair case's cold start, each with a far
-        and a near ``z``. Both have one output and a row of ``R``, so the
-        rows enter the Schur complement through the ``|w| = 0`` branch."""
-        for case, start, kernel in (
-                (cls.zero_radius_scalar_case(), robust._probe_start,
-                 robust._Barrier),
-                (cls.zero_radius_case(), lambda prog: list(prog.u_cold),
-                 robust._PairBarrier)):
+        case's probe start and the two-input case's cold start, each with a
+        far and a near ``z``. Both have one output and a row of ``R``, so
+        the rows enter the Schur complement through the ``|w| = 0``
+        branch."""
+        for case, start in (
+                (cls.zero_radius_scalar_case(), robust._probe_start),
+                (cls.zero_radius_case(), lambda prog: list(prog.u_cold))):
             prog = program(*case)
-            assert type(prog) is kernel
             u = start(prog)
             for pad in (1.0, 1e-3):
                 z = prog.padded_z(u, pad)
@@ -939,15 +1064,13 @@ class TestBarrierKernel:
 
     def test_newton_step_matches_dense_reference(self):
         # Random interior points, and the two hand-built starts where
-        # |w| = 0, the branch of the kernels' Schur complement whose
+        # |w| = 0, the branch of the barrier's Schur complement whose
         # direction e = y / |w| is undefined.
         rng = np.random.default_rng(12)
-        kernels = set()
         points = list(self.interior_points(rng, n_pinned=10, n_wide=10))
         points += self.zero_radius_points()
         for instance, belief, bounds, u, z in points:
             prog = program(instance, belief, bounds)
-            kernels.add(type(prog))
             cones = prog.evaluate(u[prog.free].tolist(), z.tolist())
             assert cones is not None
             system = prog.assemble(cones, u[prog.free].tolist())
@@ -958,16 +1081,13 @@ class TestBarrierKernel:
                 step = np.concatenate([du, dz])
                 assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
-        assert kernels == self.KERNELS
 
     def test_predictor_is_the_scaled_newton_step_at_the_next_weight(self):
         # The predictor moves by the dense Newton step at the next weight
         # over BARRIER_GROWTH, halved j >= 0 times to stay interior.
         rng = np.random.default_rng(14)
-        kernels = set()
         for instance, belief, bounds in self.programs(rng, 20, 5, n_wide=5):
             prog = program(instance, belief, bounds)
-            kernels.add(type(prog))
             u = (0.5 * (bounds.lower + bounds.upper))[prog.free].tolist()
             z = prog.padded_z(u, 1.0)
             cones = prog.evaluate(u, z)
@@ -990,24 +1110,20 @@ class TestBarrierKernel:
                     ref = ref / 2.0 ** j
                     assert np.linalg.norm(move - ref) <= 1e-8 * np.linalg.norm(ref)
                 t_b *= BARRIER_GROWTH
-        assert kernels == self.KERNELS
 
     def test_one_system_serves_every_weight(self):
         # The weight enters only the z-gradient, so a system assembled once
         # and back-solved at several weights gives a fresh system's step.
         rng = np.random.default_rng(15)
-        kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(
                 rng, n_pinned=10, n_wide=10):
             prog = program(instance, belief, bounds)
-            kernels.add(type(prog))
             u, z = u[prog.free].tolist(), z.tolist()
             cones = prog.evaluate(u, z)
             system = prog.assemble(cones, u)
             for t_b in (1.0, 1e2, 1e4):
                 fresh = prog.newton_step(prog.assemble(cones, u), t_b)
                 assert prog.newton_step(system, t_b) == fresh
-        assert kernels == self.KERNELS
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
@@ -1016,31 +1132,21 @@ class TestBarrierKernel:
         # Each center's convergence test assembles the system its predictor
         # re-solves at the next weight, so a solve assembles one system per
         # Newton iteration plus the one that ends the last center.
-        # sim1 and sim2 have one input and run the general kernel, sim3 two
-        # and the pair kernel; each kernel's systems are counted.
         solves = recorded_solves(name, mode, [0])
         count = [0]
-        ran = set()
+        assemble = robust._Barrier.assemble
 
-        def counting(kernel):
-            assemble = kernel.assemble
+        def assemble_counted(self, cones, u):
+            count[0] += 1
+            return assemble(self, cones, u)
 
-            def assemble_counted(self, cones, u):
-                count[0] += 1
-                ran.add(kernel)
-                return assemble(self, cones, u)
-            return assemble_counted
-
-        for kernel in self.KERNELS:
-            monkeypatch.setattr(kernel, "assemble", counting(kernel))
+        monkeypatch.setattr(robust._Barrier, "assemble", assemble_counted)
         for instance, belief, bounds, _ in solves:
             count[0] = 0
             sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "optimal"
             assert sol.newton_iterations > 0
             assert count[0] == sol.newton_iterations + 1
-        assert ran == {robust._PairBarrier if name == "sim3"
-                       else robust._Barrier}
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
@@ -1051,26 +1157,18 @@ class TestBarrierKernel:
         # other has just accepted.
         solves = recorded_solves(name, mode, [0])
         points = []
-        ran = set()
+        evaluate = robust._Barrier.evaluate
 
-        def recording(kernel):
-            evaluate = kernel.evaluate
+        def evaluate_recorded(self, u, z):
+            points.append((tuple(u), tuple(z)))
+            return evaluate(self, u, z)
 
-            def evaluate_recorded(self, u, z):
-                points.append((tuple(u), tuple(z)))
-                ran.add(kernel)
-                return evaluate(self, u, z)
-            return evaluate_recorded
-
-        for kernel in self.KERNELS:
-            monkeypatch.setattr(kernel, "evaluate", recording(kernel))
+        monkeypatch.setattr(robust._Barrier, "evaluate", evaluate_recorded)
         for instance, belief, bounds, _ in solves:
             points.clear()
             barrier_solution(instance, belief, bounds)
             assert len(points) > 1
             assert not any(a == b for a, b in zip(points, points[1:]))
-        assert ran == {robust._PairBarrier if name == "sim3"
-                       else robust._Barrier}
 
     @staticmethod
     def with_infinite_sides(rng, programs):
@@ -1088,26 +1186,6 @@ class TestBarrierKernel:
             yield instance, belief, bounds
 
     @staticmethod
-    def replays_the_general_kernel(monkeypatch, kernel, programs):
-        """Solve ``programs``, each of which must select ``kernel``, and
-        again on the general kernel: the same arithmetic in the same order,
-        so the same solution to the bit."""
-        sols = []
-        for instance, belief, bounds in programs:
-            assert type(program(instance, belief, bounds)) is kernel
-            sols.append(solve_robust(instance, belief, bounds))
-        monkeypatch.setattr(robust, kernel.__name__, robust._Barrier)
-        for (instance, belief, bounds), sol in zip(programs, sols):
-            assert type(program(instance, belief, bounds)) \
-                is robust._Barrier
-            ref = solve_robust(instance, belief, bounds)
-            np.testing.assert_array_equal(sol.u, ref.u)
-            np.testing.assert_array_equal(sol.z, ref.z)
-            assert sol.newton_iterations == ref.newton_iterations
-            assert sol.status == ref.status
-            assert sol.warm_started == ref.warm_started
-
-    @staticmethod
     def zero_radius_scalar_case():
         """One output and one input with no slope at the belief center, so
         the first normal equation has no solution and the probe starts at
@@ -1122,7 +1200,7 @@ class TestBarrierKernel:
     @staticmethod
     def zero_pivot_case():
         """Two outputs and two inputs, the second moving no cone and
-        unbounded on both sides. Left free, it would leave the pair's Schur
+        unbounded on both sides. Left free, it would leave the Schur
         complement a zero pivot at every point."""
         instance = TrackingInstance(
             f=np.array([0.5, -0.3]), b0=np.array([[1.0, 0.0], [0.4, 0.0]]),
@@ -1136,7 +1214,7 @@ class TestBarrierKernel:
     def parallel_columns_case():
         """One output and two inputs with equal columns, unbounded: every
         input moves the cones, but along ``(1, -1)`` none does, so the
-        pair's ``L D L^T`` update leaves ``d1 == 0`` exactly."""
+        ``L D L^T`` updates leave the second pivot 0 exactly."""
         instance = TrackingInstance(
             f=np.array([0.5]), b0=np.array([[1.0, 1.0]]),
             gx=np.array([[0.3]]), b_stack=np.zeros((0, 1, 2)),
@@ -1157,46 +1235,29 @@ class TestBarrierKernel:
         belief = ParameterBelief(Ellipsoid([0.3], [[0.25]]))
         return instance, belief, ControlBounds([-1.0, -1.0], [1.0, 1.0])
 
-    def test_pair_kernel_replays_the_general_kernel(self, monkeypatch):
-        # Every two-input solve of the closed loop, random two-input
-        # programs and three-input ones with one side pinned, every fourth
-        # with an infinite box side, a program whose Schur complement has a
-        # zero pivot and one whose cold start has no radius (the kernels'
-        # branch for |w| = 0), solved by the pair kernel and again by the
-        # general one.
-        rng = np.random.default_rng(20)
-        programs = [(instance, belief, bounds)
-                    for mode in ("learn", "active")
-                    for instance, belief, bounds, _ in
-                    recorded_solves("sim3", mode, range(3))]
-        assert len(programs) == 2 * 3 * 100
-        programs += self.with_infinite_sides(
-            rng, self.programs(rng, 150, 50, m=2, pinned_m=3))
-        programs += [self.parallel_columns_case(), self.zero_radius_case()]
-        self.replays_the_general_kernel(monkeypatch, robust._PairBarrier,
-                                        programs)
-
     @pytest.mark.parametrize("nf, l, kernel", [
         (1, 1, None), (1, 2, robust._Barrier),
-        (2, 1, robust._PairBarrier), (2, 2, robust._PairBarrier),
+        (2, 1, robust._Barrier), (2, 2, robust._Barrier),
         (3, 1, robust._Barrier), (3, 2, robust._Barrier)])
     def test_each_shape_runs_its_kernel(self, nf, l, kernel, monkeypatch):
         # nf free inputs, alone or beside one more input pinned by its box.
-        # One free input and one output are solved in closed form, by no
-        # kernel.
+        # Every output of a random program moves every input, so only one
+        # free input and one output split, and are solved in closed form,
+        # by no kernel.
         built = []
-        select = robust._program
+        barrier = robust._Barrier
 
         def recording(geometry, instance):
-            built.append(select(geometry, instance))
+            built.append(barrier(geometry, instance))
             return built[-1]
 
-        monkeypatch.setattr(robust, "_program", recording)
+        monkeypatch.setattr(robust, "_Barrier", recording)
         rng = np.random.default_rng(21)
         for instance, belief, bounds in self.programs(rng, 3, 3, m=nf,
                                                       pinned_m=nf + 1, l=l):
-            shared = robust._geometry(instance, belief, bounds).shared
-            assert (shared["nf"], shared["l"]) == (nf, l)
+            geometry = robust._geometry(instance, belief, bounds)
+            assert (geometry.shared["nf"], geometry.shared["l"]) == (nf, l)
+            assert (geometry.split is None) == (kernel is not None)
             built.clear()
             sol = solve_robust(instance, belief, bounds)
             assert [type(prog) for prog in built] == ([kernel] if kernel
@@ -1215,27 +1276,24 @@ class TestBarrierKernel:
 
     def test_a_zero_pivot_takes_the_scaled_gradient_in_both_kernels(self):
         # Equal input columns and no box term: no update reaches the second
-        # pivot, so the pair and the general kernel fall back to the scaled
-        # gradient, which moves the two inputs alike.
+        # pivot, so the barrier falls back to the scaled gradient, which
+        # moves the two inputs alike. (The name dates from a second, now
+        # deleted, barrier kernel for two free inputs.)
         instance, belief, bounds = self.parallel_columns_case()
-        geometry = robust._geometry(instance, belief, bounds)
-        assert geometry.shared["nf"] == 2
-        for kernel in (robust._PairBarrier, robust._Barrier):
-            prog = kernel(geometry, instance)
-            u = list(prog.u_cold)
-            z = prog.padded_z(u, 1.0)
-            system = prog.assemble(prog.evaluate(u, z), u)
-            pivots = self.PIVOTS[kernel](system)
-            assert pivots[0] > 0.0 and pivots[1] == 0.0
-            for t_b in (1.0, 1e2):
-                step = prog.newton_step(system, t_b)
-                # Both systems hold the u-gradient first and the per-output
-                # (cp, cm) third from last.
-                gz = [t_b - cp - cm for cp, cm in system[-3]]
-                self.assert_scaled_gradient(step, system[0], gz)
-                (du0, du1), _, decrement = step
-                assert du0 == du1 != 0.0
-                assert decrement > 0.0
+        prog = program(instance, belief, bounds)
+        assert prog.nf == 2
+        u = list(prog.u_cold)
+        z = prog.padded_z(u, 1.0)
+        system = prog.assemble(prog.evaluate(u, z), u)
+        gu, _, pivots, cpm, _, _ = system
+        assert pivots[0] > 0.0 and pivots[1] == 0.0
+        for t_b in (1.0, 1e2):
+            step = prog.newton_step(system, t_b)
+            gz = [t_b - cp - cm for cp, cm in cpm]
+            self.assert_scaled_gradient(step, gu, gz)
+            (du0, du1), _, decrement = step
+            assert du0 == du1 != 0.0
+            assert decrement > 0.0
 
     def test_no_recorded_solve_takes_the_zero_pivot_fallback(self,
                                                             monkeypatch):
@@ -1243,18 +1301,15 @@ class TestBarrierKernel:
         # every mode, has nonzero pivots: the scaled-gradient fallback is
         # for degenerate programs alone.
         steps, fallbacks = [0], [0]
+        newton_step = robust._Barrier.newton_step
 
-        def counting(kernel):
-            newton_step = kernel.newton_step
+        def counted(system, t_b):
+            steps[0] += 1
+            fallbacks[0] += 0.0 in system[2]           # the Schur pivots
+            return newton_step(system, t_b)
 
-            def counted(system, t_b):
-                steps[0] += 1
-                fallbacks[0] += 0.0 in self.PIVOTS[kernel](system)
-                return newton_step(system, t_b)
-            return staticmethod(counted)
-
-        for kernel in self.PIVOTS:
-            monkeypatch.setattr(kernel, "newton_step", counting(kernel))
+        monkeypatch.setattr(robust._Barrier, "newton_step",
+                            staticmethod(counted))
         for name in ("sim1", "sim2", "sim3"):
             for mode in experiments.MODES:
                 for instance, belief, bounds, _ in recorded_solves(
@@ -1266,11 +1321,9 @@ class TestBarrierKernel:
 
     def test_points_outside_the_cones_are_rejected(self):
         rng = np.random.default_rng(13)
-        kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
             prog = program(instance, belief, bounds)
-            kernels.add(type(prog))
             mid, rho, q = oracles.cone_terms(instance, belief, u)
             edge = np.abs(mid) + np.sqrt(rho) + q
             u = u[prog.free]
@@ -1278,30 +1331,26 @@ class TestBarrierKernel:
             outside = u.copy()
             outside[0] = bounds.upper[prog.free][0] + 1e-9
             assert prog.evaluate(outside.tolist(), z.tolist()) is None
-        assert kernels == self.KERNELS
 
     def test_a_step_no_halving_brings_inside_is_not_taken(self):
         # 1e300 halved 40 times is still about 1e288: every trial leaves the
         # box, so advance returns the given point, unmoved.
         rng = np.random.default_rng(13)
-        kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
             prog = program(instance, belief, bounds)
-            kernels.add(type(prog))
             u, z = u[prog.free].tolist(), z.tolist()
             cones = prog.evaluate(u, z)
             out = prog.advance(u, z, cones, [1.0] * prog.nf, [0.0] * prog.l,
                                1e300)
             assert out[0] is u and out[1] is z and out[2] is cones
             assert out[3] is False
-        assert kernels == self.KERNELS
 
     @staticmethod
-    def stuck_from(kernel, n):
-        """``kernel.advance``, with the ``n``-th and later steps scaled by
+    def stuck_from(n):
+        """``_Barrier.advance``, with the ``n``-th and later steps scaled by
         1e300 so that they cannot move."""
-        advance, calls = kernel.advance, [0]
+        advance, calls = robust._Barrier.advance, [0]
 
         def stuck(self, u, z, cones, du, dz, alpha):
             calls[0] += 1
@@ -1313,35 +1362,26 @@ class TestBarrierKernel:
     def test_a_center_that_cannot_move_stops_unconverged(self, monkeypatch,
                                                          n):
         rng = np.random.default_rng(13)
-        kernels = set()
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
             prog = program(instance, belief, bounds)
-            kernel = type(prog)
-            kernels.add(kernel)
-            monkeypatch.setattr(kernel, "advance", self.stuck_from(kernel, n))
+            monkeypatch.setattr(robust._Barrier, "advance", self.stuck_from(n))
             u, z = u[prog.free].tolist(), z.tolist()
             *_, system, iterations, converged = prog.center(
                 u, z, prog.evaluate(u, z), 1.0, 0.0, 50)
             monkeypatch.undo()
             assert system is None and converged is False
             assert iterations == n
-        assert kernels == self.KERNELS
 
     def test_a_solve_that_cannot_move_reports_max_iter(self, monkeypatch):
-        # The pair kernel inherits the general kernel's advance.
-        monkeypatch.setattr(robust._Barrier, "advance",
-                            self.stuck_from(robust._Barrier, 1))
+        monkeypatch.setattr(robust._Barrier, "advance", self.stuck_from(1))
         rng = np.random.default_rng(13)
-        kernels = set()
         for instance, belief, bounds in self.programs(rng, 5, 3, n_wide=3):
             prog = program(instance, belief, bounds)
-            kernels.add(type(prog))
             sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "max_iter"
             assert not sol.warm_started
             assert sol.u[prog.free].tolist() == prog.u_cold
-        assert kernels == self.KERNELS
 
 
 class TestProgramGeometry:
@@ -1374,8 +1414,7 @@ class TestProgramGeometry:
     def test_reused_geometry_equals_a_cold_build(self, name, mode, monkeypatch):
         # Replayed in order, each program finds in the memo the geometry an
         # earlier step of the same belief built at another state. Each is
-        # solved as solve_robust does (in closed form on sim1 and sim2) and
-        # by the barrier.
+        # solved as solve_robust does (in closed form) and by the barrier.
         solves = recorded_solves(name, mode, [0])
         solvers = (solve_robust, barrier_solution)
         monkeypatch.setattr(robust, "_memo", None)
@@ -1423,6 +1462,21 @@ class TestProgramGeometry:
             assert not np.array_equal(sol.u, base.u)
             self.assert_same_solution(
                 sol, self.cold_solve(monkeypatch, mutable, belief, bounds))
+
+    def test_the_barrier_fields_are_built_on_first_use(self):
+        # A split program never reads the probe box, the cold start or the
+        # normal equations' factors; the barrier builds them once per
+        # geometry.
+        spec, instance, belief = sim3_case()
+        solve_robust(instance, belief, spec.bounds)
+        geometry = robust._geometry(instance, belief, spec.bounds)
+        assert "barrier" not in vars(geometry)
+        fields = program(instance, belief, spec.bounds).__dict__
+        assert geometry.barrier is vars(geometry)["barrier"]
+        assert all(fields[key] is value
+                   for key, value in geometry.barrier.items())
+        again = program(instance, belief, spec.bounds)
+        assert again.u_cold is fields["u_cold"]
 
     @staticmethod
     def qr_calls(monkeypatch, spec, mode):
@@ -1483,8 +1537,8 @@ class TestSolverContract:
         # repeatable: sim2 fixed seed 0 took 3829 over 100 solves (38.29),
         # sim1 learn seed 0 took 1519 over 46 (33.02). With it they are
         # 25.88 and 22.15; a predictor that is never taken, or whose step is
-        # always rejected, lands above the bound. The general kernel runs
-        # the schedule on the programs that solve_robust solves exactly.
+        # always rejected, lands above the bound. The barrier runs the
+        # schedule on the programs that solve_robust solves exactly.
         mean = np.mean([sol.newton_iterations
                         for sol in barrier_replays(name, mode, [0])])
         assert 0 < mean <= 0.75 * before
