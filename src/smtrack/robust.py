@@ -36,49 +36,17 @@ below 1e-8. On every sim1-sim3 solve of seeds 0-2 the closed form's
 objective is never above the barrier's on the same program, and at most
 1.1e-9 relative below it.
 
-Every barrier solve first probes a short schedule from weight
-``WARM_T_START`` = 1e4 near its likely optimum, and falls back to the cold
-schedule from weight 1 if that fails to center within
-``WARM_PROBE_ITERS`` iterations;
-:attr:`RobustSolution.warm_started` says whether the probe was accepted.
-The probe starts from the better, by the objective ``sum(z)``
-(:func:`_probe_start`), of two inputs read from the program itself: the
-certainty-equivalent input, the least-squares solution of
-``sum_t mid_t(u)^2``, which zeroes the error at the belief center; and the
-least-squares bound input, that of ``sum_t (mid_t(u)^2 + |y_t(u)|^2)``,
-which also shrinks the input-dependent radius. On sim2 ``fixed``, sim3
-``active`` and ``known_theta`` the optimum sits on the kink ``mid = 0``,
-next to the first; on sim3 ``learn`` the radius pulls it away from the
-kink, next to the second. The previous step's optimum is no candidate: the
-new optimum has often left it, and a probe from there runs out its cap and
-restarts cold. README "Robust solver" has the Newton iterations per solve.
-
-A candidate on a finite bound starts ``min(width, 1) / WARM_T_START``
-inside it, ``1 / WARM_T_START`` when the other bound is infinite: the
-probe's center keeps a box slack of about ``1 / (t slope)``, and Newton on
-``-log s`` can at most double a slack per step, so a probe started much
-nearer the wall stalls with its decrement near 1 until its cap runs out.
-
-Every stage that follows a center starts from a predictor step (Boyd &
-Vandenberghe, *Convex Optimization*, ch. 11; Nocedal & Wright, *Numerical
-Optimization*, ch. 14). The weight enters the objective ``t sum(z)``
-linearly, so the centers ``x(t)`` satisfy ``t c + grad phi(x(t)) = 0`` and
-the Newton step at the next weight ``G t`` (``G = 10``) from ``x(t)`` is
-``(G - 1) t dx/dt``. Near the optimum the central path is close to affine
-in ``1/t``, ``x(t) = x* + d / t``, so ``x(G t) - x(t) = (1/G - 1) d / t``,
-which is that Newton step times exactly ``1/G``: the predictor is the
-tangent of the path in ``1/t``. Centering at ``G t`` continues from it.
-The weight enters only the z-gradient ``t - cp - cm``, so the Newton
-system (gradient in ``u``, factored Schur complement, z-block) is
-assembled once per point and back-solved at any weight: the predictor
-costs one back-solve of the system that the center's convergence test
-built, and an optimal solve assembles ``newton_iterations + 1`` systems.
-The predictor is counted as one iteration in ``newton_iterations``; on
-the shipped scenarios it cuts the mean iterations per solve by a third or
-more (sim2 ``fixed`` 36.5 to 24.7, sim3 ``active`` 49.9 to 29.3, seeds
-0-4). Predictor and corrector share one step routine, which halves a step
-until strictly interior and passes the accepted point's cone values on, so
-no point is evaluated twice.
+The barrier is the textbook path (Boyd & Vandenberghe, *Convex
+Optimization*, 11.3). It starts at the cold start: each input at its box's
+midpoint, 1 inside the finite bound of a half-infinite side, or at 0, and
+each bound ``z_t`` 1 above its cone's, at weight 1. Each later stage starts
+at the center before it. The weight enters only the z-gradient ``t - cp -
+cm``, so the Newton system (gradient in ``u``, factored Schur complement,
+z-block) is assembled once per point and back-solved at any weight: the
+system that a center's convergence test built starts the next stage, and
+an optimal solve assembles ``newton_iterations + 1`` systems. One step
+routine halves a step until the point is strictly interior and passes that
+point's cone values on, so no point is evaluated twice.
 
 The barrier has one kernel (:class:`_Barrier`), which runs every program
 that does not split and which the tests hold the closed form to. Each of
@@ -105,11 +73,10 @@ the program sees through fixed linear maps. So a program is split in two
 model constants ``b0``, ``b_stack`` and ``q_shape`` and the box, holds
 the input slopes, the QR factors and the projections of ``gx``, the
 pinned inputs' constants and whether and how the program splits; the
-fields only the barrier reads (the finite box sides, the probe box, the
-cold start and the factors of the least-squares normal equations) are
-built on the barrier's first use of the geometry. Each step maps its
-``(f, gx)`` through it over Python floats, at ``O(l p r)`` operations.
-The last geometry is kept in a one-slot memo keyed by the belief's
+fields only the barrier reads (the finite box sides, the cold start and
+each output's columns of ``R_t``) are built on the barrier's first use of
+the geometry. Each step maps its ``(f, gx)`` through it over Python
+floats, at ``O(l p r)`` operations. The last geometry is kept in a one-slot memo keyed by the belief's
 ellipsoid and the box, both by identity (each holds read-only arrays),
 and by the model constants' bytes, so a hand-built or mutated table gets
 a fresh build. The memo fills on the first solve and is rebuilt whenever
@@ -152,8 +119,6 @@ BARRIER_GROWTH = 10.0
 NEWTON_TOL = 1e-9
 STAGE_TOL = 2e-3
 MAX_NEWTON = 60
-WARM_T_START = 1e4
-WARM_PROBE_ITERS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +197,8 @@ class RobustSolution:
     but some bound ``z`` is not finite, as for an input pinned near the
     float range. A program that splits into one-input programs (every
     shipped one; see :class:`_Geometry`) is solved in closed form, with no
-    iterations and no probe: ``newton_iterations`` is 0, ``warm_started``
-    False and ``status`` ``"optimal"`` or ``"non_finite"``.
+    iterations: ``newton_iterations`` is 0 and ``status`` ``"optimal"`` or
+    ``"non_finite"``.
     """
 
     u: np.ndarray
@@ -241,7 +206,6 @@ class RobustSolution:
     objective: float
     status: str
     newton_iterations: int
-    warm_started: bool = False
 
 
 def build_instance(model: UncertainModel, x, y_ref_next) -> TrackingInstance:
@@ -280,8 +244,7 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
     Returns the input, the per-output certified bounds ``z`` (recomputed at
     the returned point from the program's rows, so ``max(|lo|, |hi|) = z``
     holds to rounding for :func:`worst_case_interval`'s ``lo`` and ``hi``),
-    their sum, a status string, the Newton iteration count and whether the
-    warm probe was accepted.
+    their sum, a status string and the Newton iteration count.
     """
     if bounds.m != instance.m:
         raise ValueError(f"bounds dimension {bounds.m} != inputs {instance.m}")
@@ -290,8 +253,8 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
         return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
                               np.nan, "infeasible", 0)
 
-    u, z, iters, status, warm = _barrier_solve(instance, belief, bounds)
-    return RobustSolution(u, np.array(z), sum(z), status, iters, warm)
+    u, z, iters, status = _barrier_solve(instance, belief, bounds)
+    return RobustSolution(u, np.array(z), sum(z), status, iters)
 
 
 @lru_cache(maxsize=8)
@@ -345,8 +308,8 @@ class _Geometry:
     :meth:`rows` applies over Python floats, so an iteration costs the
     same for any parameter count ``p``. Held here as lists: the slopes, the
     kept rows of ``R_t``, the two projections and the free inputs' box
-    (:attr:`bounds`). What only the barrier reads is built on its first
-    use (:attr:`barrier`).
+    (:attr:`bounds`). What only the barrier reads, its cold start among
+    it, is built on its first use (:attr:`barrier`).
     """
 
     def __init__(self, instance, ellipsoid, bounds):
@@ -414,21 +377,16 @@ class _Geometry:
     @cached_property
     def barrier(self):
         """The attributes only :class:`_Barrier` reads, built once on its
-        first use: the finite box sides ``_lo`` and ``_hi``, the probe box
-        ``box``, the cold start ``u_cold``, the constraint count ``n_cons``,
-        each output's columns of ``R_t`` (``_cols``) and the normal
-        equations' factors (``_factors``)."""
+        first use: the finite box sides ``_lo`` and ``_hi``, the cold start
+        ``u_cold``, the constraint count ``n_cons`` and each output's
+        columns of ``R_t`` (``_cols``)."""
         nf = self.shared["nf"]
         box_lo = [(i, b) for i, (b, _) in enumerate(self.bounds)
                   if math.isfinite(b)]
         box_hi = [(i, b) for i, (_, b) in enumerate(self.bounds)
                   if math.isfinite(b)]
-        probe_box, u_cold = [], []
+        u_cold = []
         for b_lo, b_hi in self.bounds:
-            # A side with an infinite bound insets its finite one by
-            # min(inf, 1) / WARM_T_START, like a box wider than 1.
-            inset = 1e-12 + min(b_hi - b_lo, 1.0) / WARM_T_START
-            probe_box.append((b_lo + inset, b_hi - inset))
             if math.isfinite(b_lo) and math.isfinite(b_hi):
                 # Clamped, as the midpoint of a box near the float range
                 # overflows; every iterate after it is strictly inside.
@@ -439,27 +397,11 @@ class _Geometry:
                 u_cold.append(b_hi - 1.0)
             else:
                 u_cold.append(0.0)
-
-        # The normal equations of sum_t mid_t^2 and then, adding the rows of
-        # every R_t, of sum_t (mid_t^2 + |y_t|^2); None for a zero pivot.
-        factors = []
-        low = [[0.0] * nf for _ in range(nf)]
-        dia = [0.0] * nf
-        for rows in ([a for _, a, *_ in self.outputs],
-                     [ri for _, _, rt, *_ in self.outputs for ri in rt]):
-            if not rows:
-                break
-            for row in rows:
-                _ldl_update(low, dia, 1.0, list(row))
-            factors.append(None if 0.0 in dia else
-                           ([list(row) for row in low], list(dia)))
-
         return {
-            "box": probe_box, "u_cold": u_cold, "_lo": box_lo, "_hi": box_hi,
+            "u_cold": u_cold, "_lo": box_lo, "_hi": box_hi,
             "n_cons": 2 * self.shared["l"] + len(box_lo) + len(box_hi),
             "_cols": [[[ri[j] for ri in rt] for j in range(nf)]
                       for _, _, rt, *_ in self.outputs],
-            "_factors": factors,
         }
 
     def rows(self, f, gx):
@@ -642,37 +584,6 @@ class _Barrier:
             z.append(abs(mid) + math.sqrt(sum(map(mul, y, y)) + rho) + q + pad)
         return z
 
-    def least_squares_inputs(self):
-        """The certainty-equivalent and least-squares bound inputs.
-
-        The first minimizes ``sum_t mid_t(u)^2`` and zeroes the error at the
-        belief center; the second minimizes ``sum_t (mid_t(u)^2 + |y_t(u)|^2)``
-        and also shrinks the input-dependent radius. Each solves its normal
-        equations by the geometry's factor, the second's right-hand side
-        adding the rows of ``R_t`` to the first's. An input whose factor has
-        a zero pivot or whose entries are not all finite is left out; the
-        second is left out too when no ``R_t`` has a row, since it then
-        equals the first.
-        """
-        rhs = [0.0] * self.nf
-        found = []
-        for factor, terms in zip(self._factors, self._normal_terms()):
-            for b, row in terms:
-                for i, ri in enumerate(row):
-                    rhs[i] -= b * ri
-            if factor is not None:
-                u = _ldl_solve(*factor, rhs)
-                if all(map(math.isfinite, u)):
-                    found.append(u)
-        return found
-
-    def _normal_terms(self):
-        """The ``(b, row)`` terms of :meth:`least_squares_inputs`: per
-        output ``(mid0_t, a_t)``, then every ``(c_ti, R_t row i)``."""
-        return ([(m0, a) for m0, a, *_ in self._rows],
-                [(ci, ri) for _, _, c, rt, _, _ in self._rows
-                 for ci, ri in zip(c, rt)])
-
     def advance(self, u, z, cones, du, dz, alpha):
         """First interior ``(u, z) + 2^-j alpha (du, dz)``, ``j < 40``.
 
@@ -688,41 +599,30 @@ class _Barrier:
             alpha *= 0.5
         return u, z, cones, False
 
-    def center(self, u, z, cones, t_b, tol, max_iter):
+    def center(self, u, z, cones, t_b, tol, max_iter, system=None):
         """Damped Newton toward the center at barrier weight ``t_b``.
 
-        From a point with its ``cones``: with a self-concordant barrier the
-        step 1/(1 + lambda) stays strictly feasible and decreasing without a
-        line search; full steps once the decrement is small. Returns
-        ``(u, z, cones, system, iterations, converged)``, where ``system`` is
-        the returned point's :meth:`assemble` system if it converged (its
-        decrement test needed it) and None otherwise.
+        From a point with its ``cones`` and, if given, its :meth:`assemble`
+        ``system``: with a self-concordant barrier the step 1/(1 + lambda)
+        stays strictly feasible and decreasing without a line search; full
+        steps once the decrement is small. Returns ``(u, z, cones, system,
+        iterations, converged)``, where ``system`` is the returned point's
+        system if it converged (its decrement test needed it) and None
+        otherwise.
         """
         for it in range(max_iter):
-            system = self.assemble(cones, u)
+            if system is None:
+                system = self.assemble(cones, u)
             du, dz, decrement = self.newton_step(system, t_b)
             if decrement <= 2.0 * tol:
                 return u, z, cones, system, it, True
             lam = math.sqrt(max(decrement, 0.0))
             alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
             u, z, cones, moved = self.advance(u, z, cones, du, dz, alpha)
+            system = None
             if not moved:
                 return u, z, cones, None, it + 1, False
         return u, z, cones, None, max_iter, False
-
-    def predict(self, u, z, cones, system, t_b):
-        """Predictor from the center at ``t_b / BARRIER_GROWTH`` toward ``t_b``'s.
-
-        The Newton step at ``t_b`` of the center's ``system`` (one back-solve)
-        scaled by ``1 / BARRIER_GROWTH``, the tangent of the central path in
-        ``1/t`` (see the module docstring), taken through :meth:`advance`.
-        Returns ``(u, z, cones)``.
-        """
-        du, dz, _ = self.newton_step(system, t_b)
-        du = [d / BARRIER_GROWTH for d in du]
-        dz = [d / BARRIER_GROWTH for d in dz]
-        u, z, cones, _ = self.advance(u, z, cones, du, dz, 1.0)
-        return u, z, cones
 
 
 def _cone_terms(sp, sm, pp, pm, wn2, rho):
@@ -826,27 +726,6 @@ def _ldl_solve(low, dia, b):
     return x
 
 
-def _probe_start(prog):
-    """Start of the warm probe over the free inputs, or None if there is none.
-
-    The candidates are the program's :meth:`_Barrier.least_squares_inputs`,
-    each clipped into the probe box, the box less an inset of
-    ``min(width, 1) / WARM_T_START`` per side; the one with the smallest
-    objective ``sum(z)`` wins, and a candidate whose objective is not finite
-    never does. The center at weight ``t`` keeps a box slack of about
-    ``1 / (t * slope)``, and Newton on ``-log(s)`` can at most double a
-    slack per step, so a candidate on a bound starts that far inside it
-    rather than at the wall.
-    """
-    start, best = None, math.inf
-    for u in prog.least_squares_inputs():
-        u = [min(max(x, lo), hi) for x, (lo, hi) in zip(u, prog.box)]
-        objective = sum(prog.padded_z(u, 0.0))
-        if objective < best:
-            start, best = u, objective
-    return start
-
-
 def _split(geometry, instance):
     """``(u, z)`` of a program that splits into one-input programs, exactly.
 
@@ -911,7 +790,7 @@ def _split(geometry, instance):
 
 
 def _barrier_solve(instance, belief, bounds):
-    """``(u, z, iterations, status, warm_started)`` of a program.
+    """``(u, z, iterations, status)`` of a program.
 
     A program that splits is solved by :func:`_split`, with no iterations;
     any other runs the barrier schedule on :class:`_Barrier`. A solve whose
@@ -921,70 +800,45 @@ def _barrier_solve(instance, belief, bounds):
     geometry = _geometry(instance, belief, bounds)
     if geometry.split is not None:
         u, z = _split(geometry, instance)
-        iters, status, warm_ok = 0, "optimal", False
+        iters, status = 0, "optimal"
     else:
         prog = _Barrier(geometry, instance)
-        u, iters, status, warm_ok = _barrier_path(prog)
+        u, iters, status = _barrier_path(prog)
         z = prog.padded_z(u, 0.0)
     if status == "optimal" and not all(map(math.isfinite, z)):
         status = "non_finite"
     shared = geometry.shared
     u_full = shared["u_fix"].copy()
     u_full[shared["free"]] = u
-    return u_full, z, iters, status, warm_ok
+    return u_full, z, iters, status
 
 
 def _barrier_path(prog):
     """The barrier schedule over the free inputs of a program with ``nf >=
-    1``: ``(u, iterations, status, warm_started)``."""
-    l = prog.l
+    1``: ``(u, iterations, status)``.
 
-    def stage_schedule(t_start):
-        stages = [t_start]
-        while prog.n_cons / stages[-1] >= DUALITY_TARGET:
-            stages.append(stages[-1] * BARRIER_GROWTH)
-        return stages
-
-    total_iters = 0
-    warm_ok = False
-    u0 = _probe_start(prog)
-    if u0 is not None:
-        # Probe a short high-weight schedule near the likely optimum; a
-        # start that is not near it fails to center quickly and falls back
-        # to the cold path, which is robust from any box point.
-        stages = stage_schedule(WARM_T_START)
-        z0 = prog.padded_z(u0, max(3.0 * l / WARM_T_START, 1e-3))
-        cones = prog.evaluate(u0, z0)
-        if cones is not None:
-            u, z, cones, system, iters, warm_ok = prog.center(
-                u0, z0, cones, stages[0], STAGE_TOL, WARM_PROBE_ITERS)
-            total_iters += iters
-    if warm_ok:
-        stages = stages[1:]
-    else:
-        u = list(prog.u_cold)
-        z = prog.padded_z(u, 1.0)
-        cones = prog.evaluate(u, z)
-        stages = stage_schedule(1.0)
-    status = "optimal"
+    From the cold start ``u_cold``, with each bound ``z_t`` 1 above its
+    cone's, each stage centers at its weight, from 1 up by factors of
+    ``BARRIER_GROWTH``, and the first weight ``t`` with ``n_cons / t`` below
+    ``DUALITY_TARGET`` is the last stage. Each stage starts at the center
+    before it, with that center's Newton system.
+    """
+    u = list(prog.u_cold)
+    z = prog.padded_z(u, 1.0)
+    cones = prog.evaluate(u, z)
     if cones is None:
         # Only rounding at extreme magnitudes puts the cold start on a
-        # boundary. No stage can leave it; each predictor still counts.
-        total_iters += len(stages) - 1
-        status, stages = "max_iter", []
-    for i, t_b in enumerate(stages):
-        if warm_ok or i:
-            # Every stage but the cold start's first follows a center, whose
-            # system the predictor re-solves at the new weight; only a
-            # center that did not converge leaves it to be assembled here.
-            if system is None:
-                system = prog.assemble(cones, u)
-            u, z, cones = prog.predict(u, z, cones, system, t_b)
-            total_iters += 1
-        tol = NEWTON_TOL if t_b == stages[-1] else STAGE_TOL
+        # boundary, and no stage can leave it.
+        return u, 0, "max_iter"
+    t_b, system, iterations, status = 1.0, None, 0, "optimal"
+    while True:
+        last = prog.n_cons / t_b < DUALITY_TARGET
         u, z, cones, system, iters, done = prog.center(
-            u, z, cones, t_b, tol, MAX_NEWTON)
-        total_iters += iters
+            u, z, cones, t_b, NEWTON_TOL if last else STAGE_TOL, MAX_NEWTON,
+            system)
+        iterations += iters
         if not done:
             status = "max_iter"
-    return u, total_iters, status, warm_ok
+        if last:
+            return u, iterations, status
+        t_b *= BARRIER_GROWTH

@@ -84,12 +84,11 @@ def barrier_solution(instance, belief, bounds):
     instance))``, which is the solve :func:`solve_robust` runs on a
     program that does not split."""
     prog = program(instance, belief, bounds)
-    u, iterations, status, warm = robust._barrier_path(prog)
+    u, iterations, status = robust._barrier_path(prog)
     z = prog.padded_z(u, 0.0)
     u_full = prog.u_fix.copy()
     u_full[prog.free] = u
-    return RobustSolution(u_full, np.array(z), sum(z), status, iterations,
-                          warm)
+    return RobustSolution(u_full, np.array(z), sum(z), status, iterations)
 
 
 def barrier_replays(name, mode, seeds):
@@ -579,34 +578,10 @@ class TestSolveRobust:
         assert not np.all(np.isfinite(sol.z))
         assert sol.status == "non_finite"
 
-    def test_warm_started_reports_the_accepted_probe(self, monkeypatch):
-        # The probe starts from the program's own least-squares inputs.
-        # sim3 splits, so the barrier runs on its program directly.
-        spec, instance, belief = sim3_case()
-        plain = barrier_solution(instance, belief, spec.bounds)
-        assert plain.warm_started
-        # A probe that fails restarts cold and is reported as such.
-        monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
-        cold = barrier_solution(instance, belief, spec.bounds)
-        assert not cold.warm_started
-        assert cold.newton_iterations > plain.newton_iterations
-        assert_allclose(cold.objective, plain.objective, atol=1e-8)
-
-    def test_infeasible_and_pinned_programs_are_not_warm_started(self):
-        _, instance, belief = sim1_case()
-        for lo, hi in (([1.0], [-1.0]), ([2.0], [2.0])):
-            sol = solve_robust(instance, belief, ControlBounds(lo, hi))
-            assert not sol.warm_started
-
-
-class TestProbeStart:
-    """The warm probe starts from the better of the program's least-squares
-    inputs."""
-
     def test_known_theta_returns_the_certainty_equivalent_input(self):
         # With a point belief the radius does not depend on u, so the input
-        # that zeroes the error at theta is the only least-squares candidate
-        # and, wherever it lies inside the box, the optimum.
+        # that zeroes the error at theta is, wherever it lies inside the
+        # box, the optimum.
         inside = 0
         for instance, belief, bounds, sol in recorded_solves(
                 "sim2", "known_theta", [0]):
@@ -615,79 +590,11 @@ class TestProbeStart:
             slope = instance.b0 + np.einsum("j,jtm->tm", theta[r:],
                                             instance.b_stack)
             ce = np.linalg.solve(slope, -(instance.f + instance.gx @ theta[:r]))
-            prog = program(instance, belief, bounds)
-            (candidate,) = prog.least_squares_inputs()
-            assert_allclose(candidate, ce, rtol=1e-12)
             if np.all((bounds.lower < ce) & (ce < bounds.upper)):
                 inside += 1
                 assert sol.status == "optimal"
                 assert_allclose(sol.u, ce, rtol=1e-9, atol=1e-12)
         assert inside > 0
-
-    def test_singular_certainty_equivalent_system_is_skipped(self):
-        # One output and two inputs: mid(u) = 0 is a line, so the normal
-        # equations have a zero pivot and there is nothing to probe from.
-        instance, belief, floor = flat_direction_case()
-        bounds = ControlBounds([-2.0, -2.0], [2.0, 2.0])
-        assert program(instance, belief, bounds).least_squares_inputs() == []
-        sol = solve_robust(instance, belief, bounds)
-        assert not sol.warm_started
-        assert sol.status == "optimal"
-        assert_allclose(sol.objective, floor, atol=1e-9)
-
-    def test_huge_candidate_never_wins_on_a_half_infinite_box(self):
-        # mid(u) = -1 + sign 1e-160 u is zeroed at u = sign 1e160, where the
-        # radius 0.5 |u| overflows to an infinite objective: that input
-        # loses to every candidate with a finite one. The optimum lies on
-        # the box's finite bound, and a start inset 1 / WARM_T_START from
-        # it (as on a box wider than 1) lets the probe center within its cap.
-        belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
-        for sign, bounds in ((1.0, ControlBounds([0.0], [np.inf])),
-                             (-1.0, ControlBounds([-np.inf], [0.0]))):
-            instance = TrackingInstance(
-                f=np.array([-1.0]), b0=np.array([[sign * 1e-160]]),
-                gx=np.zeros((1, 0)), b_stack=np.array([[[1.0]]]),
-                q_shape=np.array([[0.01]]))
-            prog = program(instance, belief, bounds)
-            huge, _ = prog.least_squares_inputs()
-            assert sign * huge[0] >= 1e159
-            assert sum(prog.padded_z(huge, 0.0)) == np.inf
-            start = robust._probe_start(prog)
-            assert np.isfinite(sum(prog.padded_z(start, 0.0)))
-            ref = barrier_solution(instance, belief, bounds)
-            assert ref.warm_started
-            for sol in (ref, solve_robust(instance, belief, bounds)):
-                TestExactOneInputOracle.assert_matches_oracle(
-                    instance, belief, bounds, sol)
-
-    @pytest.mark.parametrize("name, mode", [
-        ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
-        ("sim3", "learn"), ("sim3", "active")])
-    def test_cold_fallback_matches_the_probe(self, name, mode, monkeypatch):
-        # With no probe iterations every probe fails, so every barrier solve
-        # takes the cold path from weight 1; it must reach the same optimum,
-        # on the point-belief cones of known_theta too.
-        solves = recorded_solves(name, mode, [0])
-        monkeypatch.setattr(robust, "WARM_PROBE_ITERS", 0)
-        for instance, belief, bounds, sol in solves:
-            cold = barrier_solution(instance, belief, bounds)
-            assert not cold.warm_started
-            assert cold.status == "optimal"
-            assert_allclose(cold.objective, sol.objective, atol=1e-8)
-
-    @pytest.mark.parametrize("name, mode, before", [
-        ("sim2", "fixed", 2588), ("sim3", "active", 2829)],
-        ids=["sim2-fixed", "sim3-active"])
-    def test_probe_from_the_least_squares_inputs_cuts_the_newton_iterations(
-            self, name, mode, before):
-        # Total Newton iterations of seed 0 with the probe started from the
-        # previous step's input alone: 2588 on sim2 fixed and 2829 on sim3
-        # active. Started from the better of the step's least-squares
-        # inputs, they are 1362 and 1768.
-        sols = barrier_replays(name, mode, [0])
-        assert all(sol.status == "optimal" for sol in sols)
-        total = sum(sol.newton_iterations for sol in sols)
-        assert 0 < total <= 0.75 * before
 
 
 class TestExactOneInputOracle:
@@ -715,6 +622,22 @@ class TestExactOneInputOracle:
             sol = solve_robust(instance, belief, bounds)
             self.assert_matches_oracle(instance, belief, bounds, sol)
 
+    def test_tiny_slopes_on_half_infinite_boxes_match_the_oracle(self):
+        # mid(u) = -1 + sign 1e-160 u is zeroed only at u = sign 1e160,
+        # where the radius 0.5 |u| overflows to an infinite objective. The
+        # optimum lies on the box's finite bound, and the barrier and the
+        # closed form both reach it.
+        belief = ParameterBelief(Ellipsoid([0.0], [[0.25]]))
+        for sign, bounds in ((1.0, ControlBounds([0.0], [np.inf])),
+                             (-1.0, ControlBounds([-np.inf], [0.0]))):
+            instance = TrackingInstance(
+                f=np.array([-1.0]), b0=np.array([[sign * 1e-160]]),
+                gx=np.zeros((1, 0)), b_stack=np.array([[[1.0]]]),
+                q_shape=np.array([[0.01]]))
+            for sol in (barrier_solution(instance, belief, bounds),
+                        solve_robust(instance, belief, bounds)):
+                self.assert_matches_oracle(instance, belief, bounds, sol)
+
 
 class TestOneInputClosedForm:
     """One free input and one output are solved in closed form, held to the
@@ -728,7 +651,7 @@ class TestOneInputClosedForm:
         sol = solve_robust(instance, belief, bounds)
         ref = barrier_solution(instance, belief, bounds)
         assert sol.status == ref.status == "optimal"
-        assert sol.newton_iterations == 0 and not sol.warm_started
+        assert sol.newton_iterations == 0
         assert ref.newton_iterations > 0
         assert sol.objective - ref.objective <= 1e-12 * abs(ref.objective)
         if same_u:
@@ -852,7 +775,7 @@ class TestSplitClosedForm:
         free = np.flatnonzero(geometry.shared["free"])
         sol = solve_robust(instance, belief, bounds)
         assert sol.status == "optimal"
-        assert sol.newton_iterations == 0 and not sol.warm_started
+        assert sol.newton_iterations == 0
         TestSolveRobust.assert_z_is_the_interval_bound(instance, belief, sol)
         ref = barrier_solution(instance, belief, bounds)
         assert ref.status == "optimal"
@@ -1045,14 +968,13 @@ class TestBarrierKernel:
 
     @classmethod
     def zero_radius_points(cls):
-        """``(instance, belief, bounds, u, z)`` at the start of each
-        hand-built program whose start has ``|w| = 0``: the one-input
-        case's probe start and the two-input case's cold start, each with a
-        far and a near ``z``. Both have one output and a row of ``R``, so
-        the rows enter the Schur complement through the ``|w| = 0``
-        branch."""
+        """``(instance, belief, bounds, u, z)`` at a point with ``|w| = 0``
+        of each hand-built program: ``u = 0`` of the one-input case and the
+        two-input case's cold start, each with a far and a near ``z``. Both
+        have one output and a row of ``R``, so the rows enter the Schur
+        complement through the ``|w| = 0`` branch."""
         for case, start in (
-                (cls.zero_radius_scalar_case(), robust._probe_start),
+                (cls.zero_radius_scalar_case(), lambda prog: [0.0]),
                 (cls.zero_radius_case(), lambda prog: list(prog.u_cold))):
             prog = program(*case)
             u = start(prog)
@@ -1082,35 +1004,6 @@ class TestBarrierKernel:
                 assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
 
-    def test_predictor_is_the_scaled_newton_step_at_the_next_weight(self):
-        # The predictor moves by the dense Newton step at the next weight
-        # over BARRIER_GROWTH, halved j >= 0 times to stay interior.
-        rng = np.random.default_rng(14)
-        for instance, belief, bounds in self.programs(rng, 20, 5, n_wide=5):
-            prog = program(instance, belief, bounds)
-            u = (0.5 * (bounds.lower + bounds.upper))[prog.free].tolist()
-            z = prog.padded_z(u, 1.0)
-            cones = prog.evaluate(u, z)
-            t_b = 1.0
-            while t_b <= 1e4:
-                u, z, cones, system, _, done = prog.center(
-                    u, z, cones, t_b, robust.NEWTON_TOL, robust.MAX_NEWTON)
-                assert done
-                if t_b in (1.0, 1e2, 1e4):
-                    t_next = BARRIER_GROWTH * t_b
-                    u_next, z_next, _ = prog.predict(u, z, cones, system,
-                                                     t_next)
-                    move = np.subtract(u_next + z_next, u + z)
-                    ref, _ = self.dense(prog, instance, belief, bounds,
-                                        self.full_input(prog, u), z, t_next)
-                    ref = ref / BARRIER_GROWTH
-                    assert np.linalg.norm(move) > 0.0
-                    j = round(np.log2(np.linalg.norm(ref) / np.linalg.norm(move)))
-                    assert j >= 0
-                    ref = ref / 2.0 ** j
-                    assert np.linalg.norm(move - ref) <= 1e-8 * np.linalg.norm(ref)
-                t_b *= BARRIER_GROWTH
-
     def test_one_system_serves_every_weight(self):
         # The weight enters only the z-gradient, so a system assembled once
         # and back-solved at several weights gives a fresh system's step.
@@ -1129,9 +1022,9 @@ class TestBarrierKernel:
         ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
         ("sim3", "active")])
     def test_one_newton_system_per_point(self, name, mode, monkeypatch):
-        # Each center's convergence test assembles the system its predictor
-        # re-solves at the next weight, so a solve assembles one system per
-        # Newton iteration plus the one that ends the last center.
+        # Each center's convergence test assembles the system that starts
+        # the next stage, so a solve assembles one system per Newton
+        # iteration plus the one that ends the last center.
         solves = recorded_solves(name, mode, [0])
         count = [0]
         assemble = robust._Barrier.assemble
@@ -1153,8 +1046,8 @@ class TestBarrierKernel:
     def test_no_point_is_evaluated_twice_in_a_row(self, name, mode,
                                                   monkeypatch):
         # Each accepted point carries its cones to the next Newton step, so
-        # neither the predictor nor the corrector re-evaluates the point the
-        # other has just accepted.
+        # no Newton step, in its stage or in the next, re-evaluates the
+        # point the step before it accepted.
         solves = recorded_solves(name, mode, [0])
         points = []
         evaluate = robust._Barrier.evaluate
@@ -1169,6 +1062,44 @@ class TestBarrierKernel:
             barrier_solution(instance, belief, bounds)
             assert len(points) > 1
             assert not any(a == b for a, b in zip(points, points[1:]))
+
+    def test_each_stage_starts_at_the_center_before_it(self, monkeypatch):
+        # The first stage centers from the cold start at weight 1; each
+        # later one from the point and the Newton system the stage before
+        # it returned, at BARRIER_GROWTH times its weight, and the stage
+        # whose duality measure is below DUALITY_TARGET is the last.
+        rng = np.random.default_rng(25)
+        coupled = oracles.random_tracking_case(rng, l=2, m=2)
+        assert robust._geometry(*coupled).split is None
+        cases = [solve[:3] for name, mode in (("sim1", "learn"),
+                                              ("sim2", "fixed"),
+                                              ("sim3", "active"))
+                 for solve in recorded_solves(name, mode, [0])]
+        calls = []
+        center = robust._Barrier.center
+
+        def recorded(self, u, z, cones, t_b, tol, max_iter, system=None):
+            out = center(self, u, z, cones, t_b, tol, max_iter, system)
+            calls.append(((u, z, t_b, system), out))
+            return out
+
+        monkeypatch.setattr(robust._Barrier, "center", recorded)
+        for instance, belief, bounds in [*cases, coupled]:
+            calls.clear()
+            prog = program(instance, belief, bounds)
+            sol = barrier_solution(instance, belief, bounds)
+            assert sol.status == "optimal"
+            (u, z, t_b, system), _ = calls[0]
+            assert u == prog.u_cold
+            assert z == prog.padded_z(prog.u_cold, 1.0)
+            assert t_b == 1.0 and system is None
+            for ((_, _, t_prev, _), out), ((u, z, t_b, system), _) in zip(
+                    calls, calls[1:]):
+                assert u is out[0] and z is out[1] and system is out[3]
+                assert t_b == BARRIER_GROWTH * t_prev
+                assert prog.n_cons / t_prev >= DUALITY_TARGET
+            assert prog.n_cons / calls[-1][0][2] < DUALITY_TARGET
+            assert sum(out[4] for _, out in calls) == sol.newton_iterations
 
     @staticmethod
     def with_infinite_sides(rng, programs):
@@ -1187,10 +1118,9 @@ class TestBarrierKernel:
 
     @staticmethod
     def zero_radius_scalar_case():
-        """One output and one input with no slope at the belief center, so
-        the first normal equation has no solution and the probe starts at
-        the second's ``u = 0``, where ``|w| = 0``; the box is asymmetric, so
-        the u-gradient there is not zero and the pivot sets the step."""
+        """One output and one input with no slope at the belief center and
+        ``|w| = 0`` at ``u = 0``; the box is asymmetric, so the u-gradient
+        there is not zero and the pivot sets the step."""
         instance = TrackingInstance(
             f=np.array([0.5]), b0=np.array([[0.0]]), gx=np.zeros((1, 0)),
             b_stack=np.array([[[0.4]]]), q_shape=np.array([[0.1]]))
@@ -1226,8 +1156,7 @@ class TestBarrierKernel:
     @staticmethod
     def zero_radius_case():
         """Two inputs whose slopes and whose one row of ``R`` are parallel,
-        so neither normal equation has a solution and the solve starts
-        cold, at ``u = 0``, where ``|w| = 0``."""
+        and ``|w| = 0`` at the cold start ``u = 0``."""
         instance = TrackingInstance(
             f=np.array([0.5]), b0=np.array([[1.0, 0.5]]),
             gx=np.zeros((1, 0)), b_stack=np.array([[[0.4, 0.2]]]),
@@ -1380,7 +1309,6 @@ class TestBarrierKernel:
             prog = program(instance, belief, bounds)
             sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "max_iter"
-            assert not sol.warm_started
             assert sol.u[prog.free].tolist() == prog.u_cold
 
 
@@ -1402,7 +1330,6 @@ class TestProgramGeometry:
         np.testing.assert_array_equal(sol.u, ref.u)
         np.testing.assert_array_equal(sol.z, ref.z)
         assert sol.newton_iterations == ref.newton_iterations
-        assert sol.warm_started == ref.warm_started
 
     @staticmethod
     def cold_solve(monkeypatch, instance, belief, bounds, solve=solve_robust):
@@ -1464,9 +1391,8 @@ class TestProgramGeometry:
                 sol, self.cold_solve(monkeypatch, mutable, belief, bounds))
 
     def test_the_barrier_fields_are_built_on_first_use(self):
-        # A split program never reads the probe box, the cold start or the
-        # normal equations' factors; the barrier builds them once per
-        # geometry.
+        # A split program never reads the cold start, the finite box sides
+        # or the columns of R_t; the barrier builds them once per geometry.
         spec, instance, belief = sim3_case()
         solve_robust(instance, belief, spec.bounds)
         geometry = robust._geometry(instance, belief, spec.bounds)
@@ -1528,49 +1454,3 @@ class TestSolverContract:
         assert sol.newton_iterations == 0
         assert barrier_solution(instance, belief,
                                 bounds).newton_iterations > 0
-
-    @pytest.mark.parametrize("name, mode, before", [
-        ("sim2", "fixed", 3829 / 100), ("sim1", "learn", 1519 / 46)],
-        ids=["sim2-fixed", "sim1-learn"])
-    def test_predictor_cuts_the_newton_iterations(self, name, mode, before):
-        # Mean Newton iterations per solve without the predictor, exact and
-        # repeatable: sim2 fixed seed 0 took 3829 over 100 solves (38.29),
-        # sim1 learn seed 0 took 1519 over 46 (33.02). With it they are
-        # 25.88 and 22.15; a predictor that is never taken, or whose step is
-        # always rejected, lands above the bound. The barrier runs the
-        # schedule on the programs that solve_robust solves exactly.
-        mean = np.mean([sol.newton_iterations
-                        for sol in barrier_replays(name, mode, [0])])
-        assert 0 < mean <= 0.75 * before
-
-    @pytest.mark.parametrize("name, mode, before", [
-        ("sim1", "learn", 1019), ("sim2", "known_theta", 2504)],
-        ids=["sim1-learn", "sim2-known_theta"])
-    def test_warm_probe_off_the_box_edge_cuts_the_newton_iterations(
-            self, name, mode, before):
-        # Total Newton iterations of seed 0 with the probe started 1e-6 of
-        # the box width from a bound, where every such probe failed: 1019 on
-        # sim1 learn and 2504 on sim2 known_theta. Started 1 / WARM_T_START
-        # inside, they are 875 and 2274.
-        total = sum(sol.newton_iterations
-                    for sol in barrier_replays(name, mode, [0]))
-        assert 0 < total <= 0.92 * before
-
-    @pytest.mark.parametrize("name, mode", [
-        ("sim1", "learn"), ("sim1", "active"), ("sim2", "known_theta")])
-    def test_warm_input_on_a_box_bound_is_accepted(self, name, mode):
-        # An optimum on a bound keeps a slack of about 1 / (t * slope) at
-        # the end of the schedule, far below the probe's center's. Started
-        # from 1 / WARM_T_START inside the bound, the probe centers within
-        # its cap for every solve whose optimum lies on a bound.
-        def on_bound(u, bounds):
-            lo, hi = bounds.lower, bounds.upper
-            tol = 1e-6 * np.minimum(hi - lo, 1.0)
-            return bool(np.any((u - lo <= tol) | (hi - u <= tol)))
-
-        solves = recorded_solves(name, mode, range(2))
-        on_edge = [sol for (_, _, bounds, _), sol in
-                   zip(solves, barrier_replays(name, mode, range(2)))
-                   if on_bound(sol.u, bounds)]
-        assert on_edge
-        assert all(sol.warm_started for sol in on_edge)
