@@ -55,39 +55,36 @@ tiny (every shipped scenario has at most two inputs, two outputs and four
 parameters), and numpy's per-call overhead would cost more than the
 arithmetic. A bound variable ``z_t`` enters only its own output's
 two cones, so the z-block of the Hessian is diagonal and is eliminated; the
-Schur complement left on the ``m`` inputs is assembled in closed form as a
-sum of nonnegative rank-one terms, added by rank-one ``L D L^T`` updates,
-so rounding near the cone boundary cannot make it indefinite. The input
-side of each cone is reduced by a QR factorization, so an iteration costs
-``O(l m^2 min(p, m))`` interpreted operations for ``l`` outputs, ``m``
-inputs and ``p`` parameters. That cost grows faster than the dense numpy
-solve it replaced. On random programs (2 vCPU, Python 3.11, numpy 2.4,
-twelve per size) a solve took about a quarter of the dense solve's time at
-(l, m, p) = (1, 1, 3) and about half at (2, 2, 4), about as long at
-(4, 4, 8), and four times as long at (8, 6, 12).
+Schur complement left on the ``nf`` free inputs is assembled in closed
+form as a sum of nonnegative rank-one terms, added by rank-one ``L D L^T``
+updates, so rounding near the cone boundary cannot make it indefinite. Each
+cone reads its ``p`` rows directly, so an iteration costs ``O(l p nf^2)``
+interpreted operations for ``l`` outputs and ``p`` parameters.
 
-That factorization, like nearly everything else a program is built from,
-depends on the step only through ``f`` and the state block ``gx``, which
-the program sees through fixed linear maps. So a program is split in two
-(:class:`_Geometry`): a geometry, built in numpy from the belief, the
-model constants ``b0``, ``b_stack`` and ``q_shape`` and the box, holds
-the input slopes, the QR factors and the projections of ``gx``, the
+Nearly everything a program is built from depends on the step only through
+``f`` and the state block ``gx``, which the program sees through fixed
+linear maps. So a program is split in two (:class:`_Geometry`): a
+geometry, built in numpy from the belief, the model constants ``b0``,
+``b_stack`` and ``q_shape`` and the box, holds the input slopes, each
+output's input block ``Wm_t``, the map of ``gx`` onto the cone offsets, the
 pinned inputs' constants and whether and how the program splits; the
 fields only the barrier reads (the finite box sides, the cold start and
-each output's columns of ``R_t``) are built on the barrier's first use of
+each output's columns of ``Wm_t``) are built on the barrier's first use of
 the geometry. Each step maps its ``(f, gx)`` through it over Python
-floats, at ``O(l p r)`` operations. The last geometry is kept in a one-slot memo keyed by the belief's
-ellipsoid and the box, both by identity (each holds read-only arrays),
-and by the model constants' bytes, so a hand-built or mutated table gets
-a fresh build. The memo fills on the first solve and is rebuilt whenever
-the key changes: every solve, built or reused, runs through the same
-geometry and the same per-step map. A belief changes only when an update
+floats, at ``O(l p r)`` operations. The last geometry is kept in a
+one-slot memo keyed by the belief's ellipsoid and the box, both by
+identity (each holds read-only arrays), and by the model constants'
+bytes, so a hand-built or mutated table gets a fresh build. The memo
+fills on the first solve and is rebuilt whenever the key changes: every
+solve, built or reused, runs through the same geometry and the same
+per-step map. A belief changes only when an update
 shrinks it, so over seeds 0-4 a run builds once in ``fixed`` and
 ``known_theta`` mode (one geometry for all 500 sim2 solves of each mode)
 and once per new belief otherwise: sim1 ``learn`` 96 builds for 230
 solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and ``active`` 158
-for 500. A step's map through a held geometry costs 5-8 us on sim2, a
-geometry build 50-70 us on sim1-sim3.
+for 500. A sim2 split solve through a held geometry costs 7-8 us, a
+geometry build about 30 us on sim1-sim3 (timeit at each scenario's first
+program; 2 vCPU, Python 3.11).
 """
 
 from __future__ import annotations
@@ -296,20 +293,12 @@ class _Geometry:
     moves none; it is None when the program does not split. A program with
     no free input splits.
 
-    With the QR factorization ``Wm_t = Q_t R_t`` (``Q_t`` square), keeping
-    the nonzero rows of ``R_t`` (at most ``min(p, nf)``), the cone sees
-    ``w_t`` only through::
-
-        y_t(u) = Q_k^T w_t(u) = c_t + R_t u,   |w_t|^2 = |y_t|^2 + rho_t,
-        c_t = Q_k^T wb_t,   rho_t = |Q_o^T wb_t|^2 = |(I - Q_k Q_k^T) wb_t|^2,
-
-    where ``Q_k`` holds the columns of ``Q_t`` whose row of ``R_t`` is kept
-    and ``Q_o`` the others. Both are fixed projections of ``gx_t``, which
-    :meth:`rows` applies over Python floats, so an iteration costs the
-    same for any parameter count ``p``. Held here as lists: the slopes, the
-    kept rows of ``R_t``, the two projections and the free inputs' box
-    (:attr:`bounds`). What only the barrier reads, its cold start among
-    it, is built on its first use (:attr:`barrier`).
+    The pinned inputs add ``w_pin_t`` to the offset, so a step's cone reads
+    ``w_t(u) = wb_t + Wm_t u`` with ``wb_t = S_r gx_t + w_pin_t``, which
+    :meth:`rows` forms over Python floats. Held here as lists: the slopes,
+    each ``Wm_t`` (``p x nf``), ``S_r``, each ``w_pin_t`` and the free
+    inputs' box (:attr:`bounds`). What only the barrier reads, its cold
+    start among it, is built on its first use (:attr:`barrier`).
     """
 
     def __init__(self, instance, ellipsoid, bounds):
@@ -351,23 +340,11 @@ class _Geometry:
             self.split = [int(row.argmax()) if row.any() else None
                           for row in moves]
 
-        qf, rf = np.linalg.qr(wm, mode="complete")
-        qt = qf.transpose(0, 2, 1)
-        proj = qt @ sroot[:, :r]                       # Q_t^T S_r
-        pin = (qt @ w_pin[:, :, None])[:, :, 0]        # Q_t^T (pinned part)
         qdiag = np.sqrt(np.maximum(np.diag(instance.q_shape), 0.0))
         self.th_r = th[:r].tolist()
-        self.outputs = []
-        for mp, a, rt, pt, bt, q in zip(mid_pin.tolist(), midu.tolist(),
-                                        rf.tolist(), proj.tolist(),
-                                        pin.tolist(), qdiag.tolist()):
-            # A zero row of R_t leaves its coordinate of y_t constant, so
-            # that coordinate goes to rho_t; a zero one of those adds 0.
-            kept = [(b, row) for b, row, ri in zip(bt, pt, rt) if any(ri)]
-            other = [(b, row) for b, row, ri in zip(bt, pt, rt)
-                     if not any(ri) and (b or any(row))]
-            rt = [ri for ri in rt if any(ri)]
-            self.outputs.append((mp, a, rt, q, kept, other))
+        self.s_r = sroot[:, :r].tolist()
+        self.outputs = list(zip(mid_pin.tolist(), midu.tolist(),
+                                wm.tolist(), qdiag.tolist(), w_pin.tolist()))
 
         self.bounds = list(zip(lo.tolist(), hi.tolist()))
         # The attributes every program of this geometry shares.
@@ -379,7 +356,7 @@ class _Geometry:
         """The attributes only :class:`_Barrier` reads, built once on its
         first use: the finite box sides ``_lo`` and ``_hi``, the cold start
         ``u_cold``, the constraint count ``n_cons`` and each output's
-        columns of ``R_t`` (``_cols``)."""
+        columns of ``Wm_t`` (``_cols``)."""
         nf = self.shared["nf"]
         box_lo = [(i, b) for i, (b, _) in enumerate(self.bounds)
                   if math.isfinite(b)]
@@ -405,17 +382,14 @@ class _Geometry:
         }
 
     def rows(self, f, gx):
-        """Per-output ``(mid0, a, c, R, rho, q)`` of a step's ``f`` and ``gx``."""
-        th = self.th_r
+        """Per-output ``(mid0, a, c, R, q)`` of a step's ``f`` and ``gx``:
+        ``c`` is ``wb_t`` and ``R`` is ``Wm_t``."""
+        th, s_r = self.th_r, self.s_r
         rows = []
-        for ft, g, (mp, a, rt, q, kept, other) in zip(f.tolist(), gx.tolist(),
-                                                     self.outputs):
-            c = [b + sum(map(mul, row, g)) for b, row in kept]
-            rho = 0.0
-            for b, row in other:
-                v = b + sum(map(mul, row, g))
-                rho += v * v
-            rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, rho, q))
+        for ft, g, (mp, a, rt, q, pin) in zip(f.tolist(), gx.tolist(),
+                                              self.outputs):
+            c = [b + sum(map(mul, row, g)) for b, row in zip(pin, s_r)]
+            rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, q))
         return rows
 
 
@@ -446,13 +420,13 @@ def _geometry(instance, belief, bounds):
 class _Barrier:
     """Log-barrier data of one tracking program, over its free inputs.
 
-    A step's cone data ``(mid0_t, a_t, c_t, R_t, rho_t, q_t)`` per output
-    (see :class:`_Geometry`, which supplies everything but ``mid0_t``,
-    ``c_t`` and ``rho_t`` and is reused while the belief, the box and the
-    model constants stay the same). The data are held as nested lists;
-    points ``u`` (``nf``) and ``z`` (``l``) are lists of floats, and each
-    point carries its ``cones`` (:meth:`evaluate`) from the step that
-    accepted it to the next one.
+    A step's cone data ``(mid0_t, a_t, c_t, R_t, q_t)`` per output, with
+    ``c_t = wb_t`` and ``R_t = Wm_t`` (see :class:`_Geometry`, which
+    supplies everything but ``mid0_t`` and ``c_t`` and is reused while the
+    belief, the box and the model constants stay the same). The data are
+    held as nested lists; points ``u`` (``nf``) and ``z`` (``l``) are lists
+    of floats, and each point carries its ``cones`` (:meth:`evaluate`) from
+    the step that accepted it to the next one.
     """
 
     def __init__(self, geometry, instance):
@@ -463,7 +437,7 @@ class _Barrier:
     def evaluate(self, u, z):
         """Cone slacks at ``(u, z)``; None unless it is strictly interior.
 
-        Per output: ``(s+, s-, psi+, psi-, y, |w|^2)`` for the cones
+        Per output: ``(s+, s-, psi+, psi-, w, |w|^2)`` for the cones
         ``s+ = z - mid - q >= |w|`` and ``s- = z + mid - q >= |w|``, with
         ``psi = s^2 - |w|^2``.
         """
@@ -475,10 +449,10 @@ class _Barrier:
             if not u[i] < b:
                 return None
         cones = []
-        for zt, (m0, a, c, rt, rho, q) in zip(z, self._rows):
+        for zt, (m0, a, c, rt, q) in zip(z, self._rows):
             mid = m0 + sum(map(mul, a, u))
-            y = [ci + sum(map(mul, row, u)) for ci, row in zip(c, rt)]
-            wn2 = sum(map(mul, y, y)) + rho
+            w = [ci + sum(map(mul, row, u)) for ci, row in zip(c, rt)]
+            wn2 = sum(map(mul, w, w))
             sp = zt - mid - q
             sm = zt + mid - q
             if not (sp > 0.0 and sm > 0.0):
@@ -487,7 +461,7 @@ class _Barrier:
             pm = sm * sm - wn2
             if not (pp > 0.0 and pm > 0.0):
                 return None
-            cones.append((sp, sm, pp, pm, y, wn2))
+            cones.append((sp, sm, pp, pm, w, wn2))
         return cones
 
     def assemble(self, cones, u):
@@ -509,11 +483,11 @@ class _Barrier:
         gu, dia = self._box_terms(u)
         low = [[0.0] * self.nf for _ in range(self.nf)]
         cpm, hz, kz = [], [], []
-        for (sp, sm, pp, pm, y, wn2), (_, a, _, rt, rho, _), cols in zip(
+        for (sp, sm, pp, pm, w, wn2), (_, a, _, rt, _), cols in zip(
                 cones, self._rows, self._cols):
-            jw = [sum(map(mul, col, y)) for col in cols]   # Wm^T w
+            jw = [sum(map(mul, col, w)) for col in cols]   # Wm^T w
             cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
-                sp, sm, pp, pm, wn2, rho)
+                sp, sm, pp, pm, wn2)
             gc = cp - cm
             k = []
             for i, (ai, ji) in enumerate(zip(a, jw)):
@@ -528,8 +502,8 @@ class _Barrier:
                 for row in rt:
                     _ldl_update(low, dia, c2, list(row))
             else:
-                for yi, row in zip(y, rt):
-                    g = gamma * yi
+                for wi, row in zip(w, rt):
+                    g = gamma * wi
                     _ldl_update(low, dia, 1.0,
                                 [root * x + g * ji for x, ji in zip(row, jw)])
         return gu, low, dia, cpm, hz, kz
@@ -578,10 +552,10 @@ class _Barrier:
     def padded_z(self, u, pad):
         """Epigraph values strictly above the cone bounds at ``u``."""
         z = []
-        for m0, a, c, rt, rho, q in self._rows:
+        for m0, a, c, rt, q in self._rows:
             mid = m0 + sum(map(mul, a, u))
-            y = [ci + sum(map(mul, row, u)) for ci, row in zip(c, rt)]
-            z.append(abs(mid) + math.sqrt(sum(map(mul, y, y)) + rho) + q + pad)
+            w = [ci + sum(map(mul, row, u)) for ci, row in zip(c, rt)]
+            z.append(abs(mid) + math.sqrt(sum(map(mul, w, w))) + q + pad)
         return z
 
     def advance(self, u, z, cones, du, dz, alpha):
@@ -625,12 +599,12 @@ class _Barrier:
         return u, z, cones, None, max_iter, False
 
 
-def _cone_terms(sp, sm, pp, pm, wn2, rho):
+def _cone_terms(sp, sm, pp, pm, wn2):
     """One output's Newton coefficients that do not depend on the inputs.
 
-    From a point's cone ``(s+, s-, psi+, psi-, |w|^2)`` and the constant
-    radius part ``rho``: the output's u-gradient is ``(cp - cm) a + c2 Wm^T
-    w`` and its z-gradient ``t_b - cp - cm``; its (u, z_t) Hessian column is
+    From a point's cone ``(s+, s-, psi+, psi-, |w|^2)``: the output's
+    u-gradient is ``(cp - cm) a + c2 Wm^T w`` and its z-gradient
+    ``t_b - cp - cm``; its (u, z_t) Hessian column is
     ``ka a - kj Wm^T w`` and its z-Hessian ``hzz``. Returns ``(cp, cm, c2,
     ka, kj, hzz, qaa, kappa, root, gamma)``.
 
@@ -638,20 +612,21 @@ def _cone_terms(sp, sm, pp, pm, wn2, rho):
     nonnegative rank-one terms (Lobo, Vandenberghe, Boyd & Lebret 1998).
     Formed as (u-block) - k k^T / hzz it would cancel terms of order
     1/psi^2 near the cone boundary, which swamps the curvature of
-    directions the cones leave flat. With r = |w| and e = y / r it is::
+    directions the cones leave flat. With r = |w| and e = w / r it is::
 
-        qaa f f^T + R^T (c2 I + (delta - c2) e e^T) R,
+        qaa f f^T + Wm^T (c2 I + (delta - c2) e e^T) Wm,
         qaa = 8 r2p r2m / (r2p psi-^2 + r2m psi+^2),
         f = a + kappa Wm^T w,
         kappa = (s+ s- - r^2)(s- - s+) / (r2p r2m),
         delta = 2 / r2p + 2 / r2m,    r2 = s^2 + r^2,
 
-    and the last term enters as the rows of ``R`` times the square root of
-    its middle factor: row ``i`` becomes ``root R_i + gamma y_i Wm^T w``
-    with ``root = sqrt(c2)``. Each term is added by a rank-one ``L D L^T``
-    update (method C1 of Gill, Golub, Murray & Saunders 1974), so no pivot
-    can turn negative. ``gamma`` is None when ``|w| = 0``: ``e`` is then
-    undefined and the rows of ``R`` enter with weight ``c2``.
+    and the last term enters as the rows of ``Wm`` times the square root of
+    its middle factor, ``root I + (sqrt(delta) - root) e e^T`` as ``|e| =
+    1``: row ``i`` becomes ``root Wm_i + gamma w_i Wm^T w`` with ``root =
+    sqrt(c2)``. Each term is added by a rank-one ``L D L^T`` update (method
+    C1 of Gill, Golub, Murray & Saunders 1974), so no pivot can turn
+    negative. ``gamma`` is None when ``|w| = 0``: ``e`` is then undefined
+    and the rows of ``Wm`` enter with weight ``c2``.
     """
     ip, im = 1.0 / pp, 1.0 / pm
     r2p, r2m = wn2 + sp * sp, wn2 + sm * sm
@@ -667,8 +642,7 @@ def _cone_terms(sp, sm, pp, pm, wn2, rho):
     gamma = None
     if r > 0.0:
         delta = 2.0 * (1.0 / r2p + 1.0 / r2m)
-        lam = (c2 * rho + delta * (wn2 - rho)) / wn2
-        gamma = (delta - c2) / (math.sqrt(lam) + root) / wn2
+        gamma = (delta - c2) / (math.sqrt(delta) + root) / wn2
     return (2.0 * sp * ip, 2.0 * sm * im, c2, ka, kj, hzz, qaa, kappa, root,
             gamma)
 
@@ -733,10 +707,9 @@ def _split(geometry, instance):
     no other output, so the cost is a sum of one-input costs ``|m0 + a u_i|
     + sqrt((c + r u_i)^2 + rho) + q``, each minimized over its own side of
     the box. From output ``t``'s row of :meth:`_Geometry.rows`, ``a`` is
-    ``a_t[i]`` and ``r`` column ``i`` of the kept rows of ``R_t`` (``c = r
-    = 0`` if none is kept). A column of two or more rows (the QR of ``Wm_t
-    = [0, v]`` keeps two) is reduced to one: ``r = |col|``, ``c = c . col /
-    r``, and the part of ``c`` off ``col`` goes to ``rho``.
+    ``a_t[i]``, and column ``i`` of ``Wm_t`` is reduced to one row: ``r =
+    |col|``, ``c = wb_t . col / r``, and the part of ``wb_t`` off ``col``
+    goes to ``rho`` (all of ``|wb_t|^2`` if ``r = 0``).
 
     Each such cost is convex. Off the kink ``m0 + a u = 0`` and the apex ``c
     + r u = 0`` it is smooth, and it is stationary only where ``c + r u =
@@ -749,25 +722,21 @@ def _split(geometry, instance):
     big = sys.float_info.max
     u = [0.0] * geometry.shared["nf"]
     z = []
-    for i, (m0, a, c, rt, rho, q) in zip(
+    for i, (m0, a, c, rt, q) in zip(
             geometry.split, geometry.rows(instance.f, instance.gx)):
         if i is None:
-            z.append(abs(m0) + math.sqrt(rho) + q)
+            z.append(abs(m0) + math.sqrt(sum(map(mul, c, c))) + q)
             continue
         a = a[i]
         col = [row[i] for row in rt]
-        if not col:
-            c = r = 0.0
-        elif len(col) == 1:
-            c, r = c[0], col[0]
-        else:
-            r = math.hypot(*col)
-            e = [x / r for x in col]
-            ce = sum(map(mul, c, e))
-            for ci, ei in zip(c, e):
-                d = ci - ce * ei
-                rho += d * d
-            c = ce
+        r = math.hypot(*col)
+        e = [x / r for x in col] if r else col
+        ce = sum(map(mul, c, e))
+        rho = 0.0
+        for ci, ei in zip(c, e):
+            d = ci - ce * ei
+            rho += d * d
+        c = ce
         lo, hi = geometry.bounds[i]
         lo, hi = max(lo, -big), min(hi, big)
         candidates = [lo, hi]

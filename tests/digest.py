@@ -2,9 +2,11 @@
 
 For sim1-sim3, every mode of ``experiments.MODES`` and seeds 0-4, one line
 per scenario and mode gives the number of robust solves, their total Newton
-iterations and a sha256 over every ``RunRecord`` field and every solve's
-``u``, ``z``, objective, status and iterations. Two checkouts that print
-the same lines ran the same closed loops bit for bit::
+iterations and two sha256 digests: one over every ``RunRecord`` field and
+one over every solve's ``u``, ``z``, objective, status and iterations. Two
+checkouts that print the same first digest ran the same closed loops bit
+for bit, even where a change moves only the solves' ``z`` at rounding; the
+same second digest means every solve returned the same bits too::
 
     python tests/digest.py > after.txt
     python ../parent/tests/digest.py > before.txt
@@ -44,8 +46,9 @@ def _feed(h, value):
 
 
 def digest(name, mode):
-    """``(solves, newton_iterations, sha256)`` of one scenario and mode."""
-    h = hashlib.sha256()
+    """``(solves, newton_iterations, runs_sha256, solves_sha256)`` of one
+    scenario and mode."""
+    runs, sols = hashlib.sha256(), hashlib.sha256()
     solves, iterations = [0], [0]
     solve = robust.solve_robust
 
@@ -55,7 +58,7 @@ def digest(name, mode):
         iterations[0] += sol.newton_iterations
         for value in (sol.u, sol.z, float(sol.objective), sol.status,
                       sol.newton_iterations):
-            _feed(h, value)
+            _feed(sols, value)
         return sol
 
     # known_theta reaches the solver through robust.solve_known_theta.
@@ -64,19 +67,19 @@ def digest(name, mode):
         for seed in SEEDS:
             record = experiments.run(experiments.scenario(name), mode, seed)
             for field in fields(record):
-                h.update(field.name.encode())
-                _feed(h, getattr(record, field.name))
+                runs.update(field.name.encode())
+                _feed(runs, getattr(record, field.name))
     finally:
         experiments.solve_robust = robust.solve_robust = solve
-    return solves[0], iterations[0], h.hexdigest()
+    return solves[0], iterations[0], runs.hexdigest(), sols.hexdigest()
 
 
 def main():
     for name in SCENARIOS:
         for mode in experiments.MODES:
-            solves, iterations, sha = digest(name, mode)
+            solves, iterations, runs, sols = digest(name, mode)
             print(f"{name} {mode:<11} solves {solves:5d} "
-                  f"newton {iterations:6d} {sha}")
+                  f"newton {iterations:6d} runs {runs} solves {sols}")
 
 
 if __name__ == "__main__":

@@ -637,9 +637,11 @@ class TestDigest:
         assert experiments.solve_robust is solve
         first = digest.digest("sim3", "learn")
         assert digest.digest("sim3", "learn") == first
-        solves, iterations, sha = first
-        assert solves > 0 and iterations == 0 and len(sha) == 64
+        solves, iterations, runs, sols = first
+        assert solves > 0 and iterations == 0
+        assert len(runs) == len(sols) == 64 and runs != sols
         assert experiments.solve_robust is solve
         assert robust.solve_robust is solve
         monkeypatch.setattr(digest, "SEEDS", range(1, 2))
-        assert digest.digest("sim3", "learn")[2] != sha
+        other = digest.digest("sim3", "learn")
+        assert other[2] != runs and other[3] != sols

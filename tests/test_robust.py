@@ -100,10 +100,10 @@ def barrier_replays(name, mode, seeds):
 
 def row_values(row, u):
     """``(mid_t, |w_t|^2)`` of a program row at free inputs ``u``."""
-    m0, a, c, rt, rho, _ = row
+    m0, a, c, rt, _ = row
     u = np.asarray(u, dtype=float)
-    y = np.ravel(c) + np.reshape(rt, (-1, u.size)) @ u
-    return m0 + np.ravel(a) @ u, y @ y + rho
+    w = np.ravel(c) + np.reshape(rt, (-1, u.size)) @ u
+    return m0 + np.ravel(a) @ u, w @ w
 
 
 def noise_free_scalar():
@@ -390,8 +390,8 @@ class TestSolveRobust:
                 build_instance(spec.model, x, spec.reference.value(k)),
                 b0=b0.copy(), b_stack=b_stack.copy())
             # The program over the free input has the cone data of the full
-            # input, mid_t and |w_t|^2 = |y_t|^2 + rho_t, in the barrier's
-            # rows. The free input moves both outputs: no split.
+            # input, mid_t and |w_t|^2, in the barrier's rows. The free
+            # input moves both outputs: no split.
             prog = program(instance, belief, bounds)
             assert robust._geometry(instance, belief, bounds).split is None
             for u0 in (lo, 0.3, hi):
@@ -549,11 +549,12 @@ class TestSolveRobust:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_a_slope_near_the_float_range_returns_a_status(self, m):
-        # The normal equations' factor squared a slope of 1e200 with float
-        # **, which raises OverflowError where * gives inf. With two or more
-        # inputs the barrier's Newton step overflows to NaN, and a NaN trial
-        # point passed every interior test written as x <= b: the solve
-        # returned u = NaN after 609 iterations.
+        # With two or more inputs the program does not split, and the
+        # barrier's Schur complement squares the slopes of 1e200 to inf,
+        # so every Newton step is NaN. Each interior test is written so
+        # that a NaN trial point fails it: the step is rejected and the
+        # input stays finite inside the box (a NaN trial passed tests
+        # written as x <= b, and the solve returned u = NaN).
         instance = TrackingInstance(
             f=np.array([0.5]), b0=np.full((1, m), 1e200),
             gx=np.array([[0.3]]), b_stack=np.zeros((0, 1, m)),
@@ -797,19 +798,14 @@ class TestSplitClosedForm:
         return geometry
 
     def test_replays_of_the_barrier(self):
-        # Every sim3 solve of seeds 0-2. In 588 of them the QR of output
-        # 1's input block [0, v] keeps two rows, which the closed form
-        # reduces to one. The barrier's input can be 4e-6 (1 + |u|) off on
-        # a flat output, so the inputs are held to the oracle instead.
-        two_rows = 0
+        # Every sim3 solve of seeds 0-2. The barrier's input can be 4e-6
+        # (1 + |u|) off on a flat output, so the inputs are held to the
+        # oracle instead.
         for mode in experiments.MODES:
             for instance, belief, bounds, _ in recorded_solves("sim3", mode,
                                                                range(3)):
                 geometry = self.assert_exact(instance, belief, bounds)
                 assert geometry.split == [0, 1]
-                two_rows += any(len(rt) > 1 for _, _, rt, *_ in
-                                geometry.outputs)
-        assert two_rows > 0
 
     def test_every_shipped_solve_is_exact(self):
         # A rounding-level slope where sim3 has an exact zero would stop a
@@ -839,31 +835,30 @@ class TestSplitClosedForm:
     OWN = ([[1.0, 0.0], [0.0, 0.8]],
            [[[0.3, 0.0], [0.0, 0.2]], [[-0.1, 0.0], [0.0, 0.4]]])
 
-    @pytest.mark.parametrize("b0, b_stack, lower, upper, split, rows", [
-        (*OWN, [-2.0, -2.0], [3.0, 3.0], [0, 1], [1, 2]),
+    @pytest.mark.parametrize("b0, b_stack, lower, upper, split", [
+        (*OWN, [-2.0, -2.0], [3.0, 3.0], [0, 1]),
         ([[0.0, 0.8], [1.0, 0.0]],
          [[[0.0, 0.2], [0.3, 0.0]], [[0.0, 0.4], [-0.1, 0.0]]],
-         [-2.0, -2.0], [3.0, 3.0], [1, 0], [2, 1]),
+         [-2.0, -2.0], [3.0, 3.0], [1, 0]),
         ([[1.0, 0.0], [0.0, 0.8], [0.0, 0.0]],
          [[[0.3, 0.0], [0.0, 0.2], [0.0, 0.0]],
           [[-0.1, 0.0], [0.0, 0.4], [0.0, 0.0]]],
-         [-2.0, -2.0], [3.0, 3.0], [0, 1, None], [1, 2, 0]),
+         [-2.0, -2.0], [3.0, 3.0], [0, 1, None]),
         ([[1.0, 0.0, 0.5], [0.0, 0.8, -0.4]],
          [[[0.3, 0.0, 0.2], [0.0, 0.2, 0.1]],
           [[-0.1, 0.0, 0.3], [0.0, 0.4, -0.2]]],
-         [-2.0, -2.0, 0.7], [3.0, 3.0, 0.7], [0, 1], [1, 2]),
-        (*OWN, [-np.inf, -np.inf], [np.inf, np.inf], [0, 1], [1, 2]),
-        (*OWN, [-np.inf, 1.0], [0.5, np.inf], [0, 1], [1, 2])],
+         [-2.0, -2.0, 0.7], [3.0, 3.0, 0.7], [0, 1]),
+        (*OWN, [-np.inf, -np.inf], [np.inf, np.inf], [0, 1]),
+        (*OWN, [-np.inf, 1.0], [0.5, np.inf], [0, 1])],
         ids=["own-inputs", "permuted", "an-output-moves-none",
              "pinned-third-input", "open-box", "half-open-sides"])
-    def test_hand_built_split(self, b0, b_stack, lower, upper, split, rows):
-        # The QR of an input block [0, v] keeps two rows, which the closed
-        # form reduces to one; a pinned input may move every output, and an
-        # output that moves no input adds its constant bound.
+    def test_hand_built_split(self, b0, b_stack, lower, upper, split):
+        # Each moved output's column of Wm_t is reduced to one row; a
+        # pinned input may move every output, and an output that moves no
+        # input adds its constant bound.
         geometry = self.assert_exact(*self.hand_built(b0, b_stack, lower,
                                                       upper))
         assert geometry.split == split
-        assert [len(rt) for _, _, rt, *_ in geometry.outputs] == rows
 
     @pytest.mark.parametrize("b0, b_stack", [
         ([[1.0, 0.5], [0.0, 0.8]], np.zeros((0, 2, 2))),
@@ -912,14 +907,19 @@ class TestBarrierKernel:
 
     @classmethod
     def interior_points(cls, rng, n_cases=20, n_pinned=0, n_wide=0):
-        for instance, belief, bounds in cls.programs(rng, n_cases, n_pinned,
-                                                     n_wide=n_wide):
-            lo, hi = bounds.lower, bounds.upper
-            u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size)
-            mid, rho, q = oracles.cone_terms(instance, belief, u)
-            pad = rng.uniform(0.05, 2.0, size=mid.size)
-            z = np.abs(mid) + np.sqrt(rho) + q + pad
-            yield instance, belief, bounds, u, z
+        for case in cls.programs(rng, n_cases, n_pinned, n_wide=n_wide):
+            yield cls.interior_point(rng, *case)
+
+    @staticmethod
+    def interior_point(rng, instance, belief, bounds):
+        """``(instance, belief, bounds, u, z)`` at a random point strictly
+        inside a program's box and cones."""
+        lo, hi = bounds.lower, bounds.upper
+        u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size)
+        mid, rho, q = oracles.cone_terms(instance, belief, u)
+        pad = rng.uniform(0.05, 2.0, size=mid.size)
+        z = np.abs(mid) + np.sqrt(rho) + q + pad
+        return instance, belief, bounds, u, z
 
     def test_dense_reference_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -971,7 +971,7 @@ class TestBarrierKernel:
         """``(instance, belief, bounds, u, z)`` at a point with ``|w| = 0``
         of each hand-built program: ``u = 0`` of the one-input case and the
         two-input case's cold start, each with a far and a near ``z``. Both
-        have one output and a row of ``R``, so the rows enter the Schur
+        have one output and a row of ``Wm_t``, so the rows enter the Schur
         complement through the ``|w| = 0`` branch."""
         for case, start in (
                 (cls.zero_radius_scalar_case(), lambda prog: [0.0]),
@@ -985,11 +985,25 @@ class TestBarrierKernel:
                 yield (*case, cls.full_input(prog, u), np.array(z))
 
     def test_newton_step_matches_dense_reference(self):
-        # Random interior points, and the two hand-built starts where
-        # |w| = 0, the branch of the barrier's Schur complement whose
-        # direction e = y / |w| is undefined.
+        # Random interior points; points of seed 0's sim2 fixed programs,
+        # whose one input meets three rows of Wm_t, and of its sim3 active
+        # ones, where a zero row of Wm_t beside a nonzero offset c_t enters
+        # the Schur complement as gamma w_i Wm^T w alone; and the two
+        # hand-built starts where |w| = 0, the branch whose direction
+        # e = w / |w| is undefined.
         rng = np.random.default_rng(12)
         points = list(self.interior_points(rng, n_pinned=10, n_wide=10))
+        offsets = 0
+        for name, mode in (("sim2", "fixed"), ("sim3", "active")):
+            solves = recorded_solves(name, mode, [0])
+            for instance, belief, bounds, _ in solves[::len(solves) // 5]:
+                points.append(self.interior_point(rng, instance, belief,
+                                                  bounds))
+                offsets += sum(ci != 0.0 and not any(row)
+                               for _, _, c, rt, _ in program(
+                                   instance, belief, bounds)._rows
+                               for ci, row in zip(c, rt))
+        assert offsets > 0
         points += self.zero_radius_points()
         for instance, belief, bounds, u, z in points:
             prog = program(instance, belief, bounds)
@@ -1155,7 +1169,7 @@ class TestBarrierKernel:
 
     @staticmethod
     def zero_radius_case():
-        """Two inputs whose slopes and whose one row of ``R`` are parallel,
+        """Two inputs whose slopes and whose one row of ``Wm_t`` are parallel,
         and ``|w| = 0`` at the cold start ``u = 0``."""
         instance = TrackingInstance(
             f=np.array([0.5]), b0=np.array([[1.0, 0.5]]),
@@ -1321,8 +1335,8 @@ class TestProgramGeometry:
     def flat_rows(prog):
         """Every float of a program's per-output cone data, in order."""
         out = []
-        for m0, a, c, rt, rho, q in prog._rows:
-            out += [m0, *np.ravel(a), *np.ravel(c), *np.ravel(rt), rho, q]
+        for m0, a, c, rt, q in prog._rows:
+            out += [m0, *np.ravel(a), *np.ravel(c), *np.ravel(rt), q]
         return np.array(out)
 
     @staticmethod
@@ -1392,7 +1406,7 @@ class TestProgramGeometry:
 
     def test_the_barrier_fields_are_built_on_first_use(self):
         # A split program never reads the cold start, the finite box sides
-        # or the columns of R_t; the barrier builds them once per geometry.
+        # or the columns of Wm_t; the barrier builds them once per geometry.
         spec, instance, belief = sim3_case()
         solve_robust(instance, belief, spec.bounds)
         geometry = robust._geometry(instance, belief, spec.bounds)
@@ -1405,18 +1419,19 @@ class TestProgramGeometry:
         assert again.u_cold is fields["u_cold"]
 
     @staticmethod
-    def qr_calls(monkeypatch, spec, mode):
-        """``np.linalg.qr`` calls of one run (seed 0) from an empty memo."""
-        qr = np.linalg.qr
+    def geometry_builds(monkeypatch, spec, mode):
+        """:class:`robust._Geometry` builds of one run (seed 0) from an
+        empty memo."""
+        build = robust._Geometry
         calls = [0]
 
         def counting(*args, **kwargs):
             calls[0] += 1
-            return qr(*args, **kwargs)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(robust, "_memo", None)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "qr", counting)
+            patch.setattr(robust, "_Geometry", counting)
             record = run(spec, mode, 0)
         assert not record.aborted
         return calls[0], record
@@ -1424,7 +1439,8 @@ class TestProgramGeometry:
     @pytest.mark.parametrize("mode", ["fixed", "known_theta"])
     def test_a_fixed_belief_builds_one_geometry_per_run(self, mode,
                                                         monkeypatch):
-        calls, record = self.qr_calls(monkeypatch, scenario("sim2"), mode)
+        calls, record = self.geometry_builds(monkeypatch, scenario("sim2"),
+                                             mode)
         assert record.steps == 100
         assert calls == 1
 
@@ -1434,7 +1450,8 @@ class TestProgramGeometry:
                                                        monkeypatch):
         # Only an update that shrinks the set (rho > 0) makes a new belief;
         # one that keeps the prior leaves the geometry in the memo valid.
-        calls, record = self.qr_calls(monkeypatch, scenario(name), mode)
+        calls, record = self.geometry_builds(monkeypatch, scenario(name),
+                                             mode)
         shrinks = int(np.count_nonzero(record.rho > 0.0))
         assert 1 < calls <= 1 + shrinks < record.steps
 
