@@ -6,8 +6,10 @@ provides:
 
 - ellipsoidal calculus (volume-minimal outer bounds of intersections),
 - a recursive set-membership estimator that never grows the belief volume,
-- a one-step worst-case tracking controller solved by an interior-point
-  method over second-order cone constraints,
+- a one-step worst-case tracking controller over second-order cone
+  constraints, solved in closed form when the program splits into
+  one-input programs (every shipped scenario's does) and otherwise by an
+  interior-point method,
 - an exploring variant that maximizes the next observation's information
   inside a trust region around the robust input, and
 - reproducible closed-loop studies with Monte Carlo averaging.

@@ -142,10 +142,10 @@ def check_fusion_keep_test(rng, n_cases=300, margin=1e-3, tol=1e-12):
             if worst < -tol:
                 failures.append(f"case {i}: the prior was kept, but a member is "
                                 f"smaller by {-worst:.3g} in log det")
-        elif fusion.defect(0.0) > margin:
+        elif fusion.defect(0.0)[0] > margin:
             sides[1] += 1
             if not min(_log_det_changes(fusion, SMALL_RHO)) < 0.0:
-                failures.append(f"case {i}: defect {fusion.defect(0.0):.3g} at "
+                failures.append(f"case {i}: defect {fusion.defect(0.0)[0]:.3g} at "
                                 f"rho = 0, but no small-rho member is smaller")
     if not all(sides):
         failures.append(f"only one side of the keep test ran ({sides[0]} kept, "

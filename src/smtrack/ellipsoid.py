@@ -13,10 +13,8 @@ measurement update of a constant parameter set, which has no time update.
 It depends on a scalar parameter whose volume-optimal value solves a
 rational root equation. Unless a closed-form test keeps the prior first,
 ``_Fusion.fuse`` scans it on a fixed 200-point log grid in one array
-expression and refines its sign changes by ``_bracket_roots``. That refines by ``_brent``,
-Brent's method over Python floats: a line-for-line port of scipy's
-``brentq`` that returns the same roots, so importing the package loads no
-scipy.
+expression, and ``_bracket_roots`` refines each sign change by bracketed
+Newton on the defect's closed-form slope (``_refine``).
 
 The kernel fuses the prior ``E(P, c)`` with the observation set
 ``{x : (h - phi x)^T Q^{-1} (h - phi x) <= 1}`` (Fogel & Huang,
@@ -59,14 +57,22 @@ every quantity of the family is a scalar rational function of ``rho``::
 
     beta(rho)  = 1 + rho (1 - |e_perp|^2) - sum rho e_i^2/(1 + rho nu_i)
     beta'(rho) = 1 - |e_perp|^2 - sum e_i^2/(1 + rho nu_i)^2
+    beta''(rho) = 2 sum e_i^2 nu_i/(1 + rho nu_i)^3
     defect     = sum nu_i/(1 + rho nu_i) - k beta'/beta
+    defect'    = -sum nu_i^2/(1 + rho nu_i)^2 - k (beta''/beta - (beta'/beta)^2)
     d log det  = k log beta - sum log1p(rho nu_i)
     center'    = c + (R U) diag(rho sigma/(1 + rho nu)) e
     shape'     = beta (R U) diag(1/(1 + rho nu)) (R U)^T
 
-The 200-point scan is array arithmetic, candidates are compared by
-``d log det`` and only the winner is built, PSD by construction; it
-replaces the prior when its ``d log det`` is negative.
+The 200-point scan is array arithmetic. Each grid cell whose ends have
+opposite signs holds a root, which Newton steps on ``defect'`` refine from
+the cell's midpoint, bisecting whenever a step would leave the shrinking
+bracket, to a step of at most ``1e-12`` relative; one loop over the spectrum
+gives the defect and its slope together. Where ``beta <= 0`` the defect is
+a signed pole of zero slope, so the refinement bisects onto it. The
+candidates, these roots and ``rho = 1e8``, are compared by ``d log det``
+and only the winner is built, PSD by construction; it replaces the prior
+when its ``d log det`` is negative.
 """
 
 from __future__ import annotations
@@ -180,8 +186,9 @@ class Ellipsoid(_FrozenArrays):
     Parameters
     ----------
     center : (n,) array_like
+        Finite.
     shape : (n, n) array_like
-        Symmetric PSD matrix. Symmetry is checked to a relative 1e-10,
+        Finite symmetric PSD matrix. Symmetry is checked to a relative 1e-10,
         positive semidefiniteness up to an eigenvalue slack of
         ``-1e-9 * (1 + trace)``. The stored shape is symmetrized exactly.
 
@@ -211,7 +218,11 @@ class Ellipsoid(_FrozenArrays):
             raise ValueError(
                 f"dimension mismatch: center {center.size}, shape {shape.shape}"
             )
+        if not np.isfinite(center).all():
+            raise ValueError("center is not finite")
         scale = 1.0 + np.abs(shape).max(initial=0.0)
+        if not math.isfinite(scale):
+            raise ValueError("shape matrix is not finite")
         if np.abs(shape - shape.T).max(initial=0.0) > SYMMETRY_TOL * scale:
             raise ValueError("shape matrix is not symmetric")
         _set_frozen(self, center=center, shape=0.5 * (shape + shape.T))
@@ -310,88 +321,52 @@ RHO_BRACKET = (1e-10, 1e8)
 _RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
 
 
-# scipy's ``brentq`` defaults, apart from the tighter relative tolerance.
-BRENT_XTOL = 2e-12
-BRENT_RTOL = 1e-12
-BRENT_MAXITER = 100
+# A refinement stops when a step moves its point by at most this, relative.
+REFINE_RTOL = 1e-12
 
 
-def _brent_value(func, x):
-    fx = func(x)
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    return fx
+def _refine(func, lo, hi, lo_positive):
+    """Root of ``func`` inside ``(lo, hi)`` by bracketed Newton.
 
-
-def _brent(func, xa, xb, maxiter=BRENT_MAXITER):
-    """Root of ``func`` between the floats ``xa`` and ``xb`` by Brent's method.
-
-    A line-for-line port of scipy's ``brentq`` (its C ``brentq.c``) at
-    ``xtol=2e-12``, ``rtol=1e-12``: inverse quadratic or secant steps, a
-    short step taken only while ``2|stry| < min(|spre|, 3|sbis| - delta)``,
-    bisection otherwise, and the same checks. An end where ``func`` is
-    exactly 0 is returned at once; ends of one sign and a NaN value raise
-    ``ValueError``; no convergence in ``maxiter`` steps raises
-    ``RuntimeError``. Same arithmetic in the same order, so same roots.
+    ``func`` returns ``(value, slope)`` and its value changes sign on the
+    bracket: positive at ``lo`` iff ``lo_positive``. From the midpoint,
+    each evaluation shrinks the bracket to the side of the sign change;
+    the Newton step is taken when it lands strictly inside that bracket
+    and the bracket is bisected otherwise (also at a zero or non-finite
+    slope). The point is returned once a step moves it by at most
+    ``REFINE_RTOL`` relative, or once its value is exactly zero. The
+    bracket shrinks at every evaluation, so the loop ends.
     """
-    xpre, xcur = xa, xb
-    fpre = _brent_value(func, xpre)
-    fcur = _brent_value(func, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # Interpolate (secant).
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # Extrapolate (inverse quadratic).
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    x = 0.5 * (lo + hi)
+    while True:
+        value, slope = func(x)
+        if value == 0.0:
+            return x
+        if (value > 0.0) == lo_positive:
+            lo = x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _brent_value(func, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+            hi = x
+        step = x - value / slope if slope else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= REFINE_RTOL * abs(step):
+            return step
+        x = step
 
 
 def _bracket_roots(func, grid, vals):
-    """Roots from ``vals = func(grid)``: zeros, and Brent inside sign changes.
+    """Roots from ``vals``, the values of ``func`` on ``grid``.
 
-    Returns the (possibly empty) list of roots, one per sign change,
-    refined by :func:`_brent` over Python floats to relative tolerance
-    1e-12.
+    ``func`` returns ``(value, slope)`` at one point. A grid point whose
+    value is exactly zero is a root, and every cell whose ends have
+    opposite finite signs holds one, refined by :func:`_refine` from the
+    sign of its lower end. Returns the (possibly empty) list of roots.
     """
     a, b = vals[:-1], vals[1:]
     crossing = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
     hits = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | crossing))
     roots = [float(grid[i]) if vals[i] == 0.0
-             else _brent(func, float(grid[i]), float(grid[i + 1]))
+             else _refine(func, float(grid[i]), float(grid[i + 1]), bool(vals[i] > 0.0))
              for i in hits.tolist()]
     if len(vals) and vals[-1] == 0.0:
         roots.append(float(grid[-1]))
@@ -484,26 +459,39 @@ class _Fusion:
         self._terms = list(zip(self.nu.tolist(), self.e2.tolist()))
 
     def at(self, rho):
-        """``(beta, beta', sum nu/(1 + rho nu))`` at one ``rho``, in floats."""
-        info = acc = dacc = 0.0
+        """``(beta, beta', beta'', sum nu/d, sum nu^2/d^2)`` at one ``rho``, in floats.
+
+        Here ``d = 1 + rho nu`` and ``beta'' = 2 sum e^2 nu/d^3``.
+        """
+        info = dinfo = acc = dacc = ddacc = 0.0
         for nu, e2 in self._terms:
             den = 1.0 + rho * nu
-            info += nu / den
+            share = nu / den
+            info += share
+            dinfo += share * share
             acc += e2 / den
-            dacc += e2 / (den * den)
+            sq = e2 / (den * den)
+            dacc += sq
+            ddacc += sq * share
         slope = 1.0 - self.e_perp2
-        return 1.0 + rho * (slope - acc), slope - dacc, info
+        return 1.0 + rho * (slope - acc), slope - dacc, 2.0 * ddacc, info, dinfo
 
     def defect(self, rho):
-        """The scan's defect at one ``rho``: the negated slope of log det."""
-        beta, dbeta, info = self.at(rho)
+        """The scan's defect at one ``rho`` and its slope, ``(D, D')``.
+
+        ``D = sum nu/d - k beta'/beta`` is the negated slope of log det and
+        ``D' = -sum nu^2/d^2 - k (beta''/beta - (beta'/beta)^2)``.
+        """
+        beta, dbeta, ddbeta, info, dinfo = self.at(rho)
         if not beta > 0.0:
             # Touching sets put a pole here; keep the crossing's sign so the
-            # refinement converges onto the pole location.
+            # refinement converges onto the pole location, by bisection.
             if dbeta == 0.0:
-                return 0.0
-            return -1e308 if dbeta > 0.0 else 1e308
-        return info - self.rank * dbeta / beta
+                return 0.0, 0.0
+            return (-1e308 if dbeta > 0.0 else 1e308), 0.0
+        ratio = dbeta / beta
+        return (info - self.rank * ratio,
+                -dinfo - self.rank * (ddbeta / beta - ratio * ratio))
 
     def log_det_change(self, rho, beta):
         """Posterior minus prior log det on ``range(P)``, ``k log beta - sum log1p(rho nu)``."""

@@ -152,6 +152,9 @@ class ScenarioSpec(_FrozenArrays):
             _checked_weight(ma, self.model.m)
         except ValueError as exc:
             raise ValueError(f"ma must be symmetric PSD: {exc}") from None
+        for name, value in (("theta_true", theta), ("x0", x0)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} is not finite")
         if theta.size != self.model.p:
             raise ValueError("theta_true does not match the model parameters")
         if x0.size != self.model.n:

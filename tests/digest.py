@@ -2,11 +2,15 @@
 
 For sim1-sim3, every mode of ``experiments.MODES`` and seeds 0-4, one line
 per scenario and mode gives the number of robust solves, their total Newton
-iterations and two sha256 digests: one over every ``RunRecord`` field and
-one over every solve's ``u``, ``z``, objective, status and iterations. Two
-checkouts that print the same first digest ran the same closed loops bit
-for bit, even where a change moves only the solves' ``z`` at rounding; the
-same second digest means every solve returned the same bits too::
+iterations, the number of belief updates that shrank the set (``rho > 0``)
+and of updates that were skipped, and two sha256 digests: one over every
+``RunRecord`` field and one over every solve's ``u``, ``z``, objective,
+status and iterations. Two checkouts that print the same first digest ran
+the same closed loops bit for bit, even where a change moves only the
+solves' ``z`` at rounding; the same second digest means every solve
+returned the same bits too. Where a change moves the estimator's sets at
+rounding, both digests of ``learn`` and ``active`` move, and equal shrink
+and skip counts show that every update still made the same decision::
 
     python tests/digest.py > after.txt
     python ../parent/tests/digest.py > before.txt
@@ -46,10 +50,11 @@ def _feed(h, value):
 
 
 def digest(name, mode):
-    """``(solves, newton_iterations, runs_sha256, solves_sha256)`` of one
-    scenario and mode."""
+    """``(solves, newton_iterations, shrinks, skips, runs_sha256,
+    solves_sha256)`` of one scenario and mode."""
     runs, sols = hashlib.sha256(), hashlib.sha256()
     solves, iterations = [0], [0]
+    shrinks = skips = 0
     solve = robust.solve_robust
 
     def recording(instance, belief, bounds):
@@ -66,20 +71,24 @@ def digest(name, mode):
     try:
         for seed in SEEDS:
             record = experiments.run(experiments.scenario(name), mode, seed)
+            shrinks += int(np.count_nonzero(record.rho > 0.0))
+            skips += int(np.count_nonzero(record.skipped))
             for field in fields(record):
                 runs.update(field.name.encode())
                 _feed(runs, getattr(record, field.name))
     finally:
         experiments.solve_robust = robust.solve_robust = solve
-    return solves[0], iterations[0], runs.hexdigest(), sols.hexdigest()
+    return (solves[0], iterations[0], shrinks, skips, runs.hexdigest(),
+            sols.hexdigest())
 
 
 def main():
     for name in SCENARIOS:
         for mode in experiments.MODES:
-            solves, iterations, runs, sols = digest(name, mode)
+            solves, iterations, shrinks, skips, runs, sols = digest(name, mode)
             print(f"{name} {mode:<11} solves {solves:5d} "
-                  f"newton {iterations:6d} runs {runs} solves {sols}")
+                  f"newton {iterations:6d} shrinks {shrinks:4d} "
+                  f"skips {skips:4d} runs {runs} solves {sols}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -354,9 +355,14 @@ class TestParser:
         (["montecarlo", "--runs", "1", "--steps", "4"],
          {"r_shape": [[0.5, 0, 0], [0, -0.5, 0], [0, 0, 0.5]]},
          "r_shape must be symmetric PSD"),
+        (["simulate", "--steps", "3"], {"belief_center": [math.nan, 0.7]},
+         "center is not finite"),
+        (["simulate", "--steps", "3"], {"theta_true": [0.2, math.inf]},
+         "theta_true is not finite"),
     ], ids=["simulate-policy", "montecarlo-policy", "simulate-bounds",
             "montecarlo-bounds", "simulate-empty-box", "montecarlo-empty-box",
-            "simulate-indefinite-r", "montecarlo-indefinite-r"])
+            "simulate-indefinite-r", "montecarlo-indefinite-r",
+            "simulate-nan-belief", "simulate-inf-theta"])
     def test_config_with_a_bad_policy_or_bounds(self, argv, fields, expected,
                                                 tmp_path, capsys):
         cfg = scenario_to_config(scenario("sim1"))

@@ -8,7 +8,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from smtrack import checks, ellipsoid, experiments, robust
-from smtrack.ellipsoid import Ellipsoid, InconsistentSetsError, _Fusion, _brent
+from smtrack.ellipsoid import Ellipsoid, InconsistentSetsError, _Fusion, _refine
 from smtrack.experiments import run, scenario
 
 
@@ -38,6 +38,19 @@ class TestConstruction:
     def test_rejects_nonsquare_shape(self):
         with pytest.raises(ValueError, match="square"):
             Ellipsoid([0.0], np.ones((1, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["center", "shape"])
+    def test_rejects_a_non_finite_entry(self, where, bad):
+        center, shape = [0.0, 1.0], [[1.0, 0.0], [0.0, 2.0]]
+        if where == "center":
+            center[0] = bad
+            message = "center is not finite"
+        else:
+            shape[1][1] = bad
+            message = "shape matrix is not finite"
+        with pytest.raises(ValueError, match=message):
+            Ellipsoid(center, shape)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -273,27 +286,42 @@ class TestIntersectionBound:
             checks.intersect(HAND_SET, Ellipsoid([0.0], [[1.0]]))
 
 
-def _brentq(func, xa, xb, **kwargs):
-    """The oracle: scipy's ``brentq`` at the tolerance ``_brent`` uses."""
-    return scipy.optimize.brentq(func, xa, xb, rtol=1e-12, **kwargs)
+def _brentq(func, lo, hi):
+    """The oracle: scipy's ``brentq`` on the value of ``func``, to full precision."""
+    return scipy.optimize.brentq(lambda x: func(x)[0], lo, hi, xtol=1e-300,
+                                 rtol=4 * np.finfo(float).eps, maxiter=1000)
+
+
+def _traced(func):
+    """``func`` and the list of the points it is evaluated at."""
+    points = []
+
+    def traced(x):
+        points.append(x)
+        return func(x)
+
+    return traced, points
 
 
 @pytest.fixture(scope="module")
 def refined_brackets():
-    """Every ``(func, a, b)`` that ``_bracket_roots`` hands to ``_brent``.
+    """Every bracket that ``_bracket_roots`` hands to ``_refine``.
 
-    Recorded from closed-loop ``learn`` and ``active`` runs of sim1-3, the
+    Each entry is ``(func, lo, hi, lo_positive, root, evaluations)``,
+    recorded from closed-loop ``learn`` and ``active`` runs of sim1-3, the
     randomized fusion suites and random pairs intersected through ``update``.
     """
     brackets, counts = [], {}
-    refine = ellipsoid._brent
+    refine = ellipsoid._refine
 
-    def recording(func, xa, xb):
-        brackets.append((func, xa, xb))
-        return refine(func, xa, xb)
+    def recording(func, lo, hi, lo_positive):
+        traced, points = _traced(func)
+        root = refine(traced, lo, hi, lo_positive)
+        brackets.append((func, lo, hi, lo_positive, root, len(points)))
+        return root
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ellipsoid, "_brent", recording)
+        mp.setattr(ellipsoid, "_refine", recording)
         for name in ("sim1", "sim2", "sim3"):
             for mode in ("learn", "active"):
                 for seed in (0, 1):
@@ -309,85 +337,82 @@ def refined_brackets():
     return brackets, counts
 
 
-class TestBrent:
-    """``_brent`` against scipy's ``brentq``, which it ports."""
+class TestRefine:
+    """``_refine``, the bracketed Newton search for the defect's roots."""
 
-    def test_equals_brentq_on_every_recorded_bracket(self, refined_brackets):
+    def test_agrees_with_brentq_on_every_recorded_bracket(self, refined_brackets):
         brackets, counts = refined_brackets
         assert counts["closed loop"] >= 100 and counts["suites"] >= 100
-        for func, xa, xb in brackets:
-            assert type(xa) is float and type(xb) is float
-            assert _brent(func, xa, xb) == _brentq(func, xa, xb)
+        for func, lo, hi, lo_positive, root, _ in brackets:
+            assert type(lo) is float and type(hi) is float
+            assert (func(lo)[0] > 0.0) == lo_positive != (func(hi)[0] > 0.0)
+            assert lo < root < hi
+            assert root == pytest.approx(_brentq(func, lo, hi), rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("func, xa, xb", [
-        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-        (lambda x: math.exp(x) - 4.0, 0.0, 3.0),
-        (lambda x: x * math.exp(x) - 1.0, -1.0, 1.0),
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: x**20 - 1.0, 0.0, 1.3),
-        (lambda x: math.atan(x) - 0.2, -50.0, 1e3),
-        (lambda x: 1.0 / x - 3.0, 0.01, 10.0),
-        (lambda x: math.copysign(abs(x - 0.3) ** 0.1, x - 0.3), 0.0, 1.0),
-        (lambda x: math.log(x) + 1e-3 * x, 1e-6, 1e6),
-        # Flat ninth-order root: neither converges in 100 steps.
-        (lambda x: (x - 1.0) ** 9, 0.0, 1.7),
+    def test_a_closed_loop_root_takes_few_evaluations(self, refined_brackets):
+        brackets, counts = refined_brackets
+        closed_loop = [entry[-1] for entry in brackets[:counts["closed loop"]]]
+        assert np.mean(closed_loop) <= 6.0
+
+    def test_the_defect_slope_is_its_derivative(self):
+        rng = np.random.default_rng(109)
+        checked = 0
+        for _ in range(40):
+            prior, obs = checks.random_fusion(rng)
+            fusion = _Fusion(prior, obs.phi, obs.q_shape, obs.h)
+            for rho in (1e-3, 0.1, 1.0, 10.0):
+                if not fusion.at(rho * (1 - 1e-5))[0] > 0.0:
+                    continue
+                value, slope = fusion.defect(rho)
+                h = 1e-6 * rho
+                numeric = (fusion.defect(rho + h)[0]
+                           - fusion.defect(rho - h)[0]) / (2 * h)
+                assert slope == pytest.approx(numeric, rel=1e-5,
+                                              abs=1e-7 * (1 + abs(value)))
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda x: (x**3 - 2.0 * x - 5.0, 3.0 * x * x - 2.0), 2.0, 3.0),
+        (lambda x: (math.exp(x) - 4.0, math.exp(x)), 0.0, 3.0),
+        (lambda x: (x * math.exp(x) - 1.0, (1.0 + x) * math.exp(x)), -1.0, 1.0),
+        (lambda x: (math.cos(x) - x, -math.sin(x) - 1.0), 0.0, 1.0),
+        (lambda x: (x**20 - 1.0, 20.0 * x**19), 0.0, 1.3),
+        (lambda x: (math.atan(x) - 0.2, 1.0 / (1.0 + x * x)), -50.0, 1e3),
+        (lambda x: (1.0 / x - 3.0, -1.0 / (x * x)), 0.01, 10.0),
+        # Newton steps overshoot this cusp nine-fold, so the bracket decides.
+        (lambda x: (math.copysign(abs(x - 0.3) ** 0.1, x - 0.3),
+                    0.1 * abs(x - 0.3) ** -0.9 if x != 0.3 else math.inf), 0.0, 1.0),
+        (lambda x: (math.log(x) + 1e-3 * x, 1.0 / x + 1e-3), 1e-6, 1e6),
+        # A flat ninth-order root: Newton converges only linearly.
+        (lambda x: ((x - 1.0) ** 9, 9.0 * (x - 1.0) ** 8), 0.0, 1.7),
     ])
-    def test_evaluates_the_same_points_as_brentq(self, func, xa, xb):
-        def solve(method):
-            points = []
+    def test_finds_the_root_brentq_finds(self, func, lo, hi):
+        traced, points = _traced(func)
+        root = _refine(traced, lo, hi, func(lo)[0] > 0.0)
+        assert root == pytest.approx(_brentq(func, lo, hi), rel=1e-10, abs=0.0)
+        assert all(lo <= x <= hi for x in points)
 
-            def traced(x):
-                points.append(x)
-                return func(x)
+    def test_a_newton_step_out_of_the_bracket_bisects(self):
+        # From the midpoint 475 of [-50, 1e3] the tangent of the flat arctan
+        # lands far below -50, so the refine bisects [-50, 475] next.
+        traced, points = _traced(lambda x: (math.atan(x) - 0.2, 1.0 / (1.0 + x * x)))
+        root = _refine(traced, -50.0, 1e3, False)
+        assert points[:2] == [475.0, 212.5]
+        assert root == pytest.approx(math.tan(0.2), rel=1e-12)
 
-            try:
-                return method(traced, xa, xb), points
-            except RuntimeError:
-                return RuntimeError, points
+    def test_a_zero_slope_bisects_onto_a_jump(self):
+        # A sign jump with a flat value, like the defect's signed pole.
+        root = _refine(lambda x: (-1.0 if x < 0.3 else 1.0, 0.0), 0.0, 1.0, False)
+        assert root == pytest.approx(0.3, rel=1e-12)
 
-        assert solve(_brent) == solve(_brentq)
-
-    @pytest.mark.parametrize("xa, xb", [(0.25, 2.0), (-3.0, 0.25)])
-    def test_an_exact_zero_at_an_end_is_that_end(self, xa, xb):
-        calls = []
-
-        def func(x):
-            calls.append(x)
-            return x - 0.25
-
-        assert _brent(func, xa, xb) == 0.25 == _brentq(func, xa, xb)
-        assert calls == [xa, xb, xa, xb]
-
-    def test_ends_of_one_sign_raise(self):
-        def func(x):
-            return x * x + 1.0
-
-        with pytest.raises(ValueError, match="different signs"):
-            _brent(func, -1.0, 2.0)
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(func, -1.0, 2.0)
-
-    @pytest.mark.parametrize("nan_at", ["end", "inside"])
-    def test_a_nan_value_raises(self, nan_at):
-        def func(x):
-            if nan_at == "end" and x == 2.0 or nan_at == "inside" and -1.0 < x < 2.0:
-                return math.nan
-            return x
-
-        with pytest.raises(ValueError, match="NaN"):
-            _brent(func, -1.0, 2.0)
-        with pytest.raises(ValueError, match="NaN"):
-            _brentq(func, -1.0, 2.0)
-
-    def test_no_convergence_raises(self):
-        def step(x):
-            return -1.0 if x < 0.3 else 1.0
-
-        with pytest.raises(RuntimeError, match="converge"):
-            _brent(step, 0.0, 1.0, maxiter=3)
-        with pytest.raises(RuntimeError, match="converge"):
-            _brentq(step, 0.0, 1.0, maxiter=3)
-        assert _brent(step, 0.0, 1.0) == _brentq(step, 0.0, 1.0)
+    @pytest.mark.parametrize("lo, hi, evaluated", [
+        (-0.5, 1.0, [0.25]), (0.0, 2.0, [1.0, 0.25])],
+        ids=["at-the-midpoint", "after-a-newton-step"])
+    def test_an_exact_zero_is_returned_at_once(self, lo, hi, evaluated):
+        traced, points = _traced(lambda x: (x - 0.25, 1.0))
+        assert _refine(traced, lo, hi, False) == 0.25
+        assert points == evaluated
 
 
 class TestOptimalRho:
@@ -440,12 +465,12 @@ class TestTouchingSets:
 
     def test_a_negative_beta_gives_the_pole_the_sign_of_its_slope(self):
         fusion = self.far_fusion()
-        beta, dbeta, _ = fusion.at(1.0)
+        beta, dbeta = fusion.at(1.0)[:2]
         assert beta == pytest.approx(-2.5) and dbeta < 0.0
-        assert fusion.defect(1.0) == 1e308
-        beta, dbeta, _ = fusion.at(3.0)
+        assert fusion.defect(1.0) == (1e308, 0.0)
+        beta, dbeta = fusion.at(3.0)[:2]
         assert beta == pytest.approx(-2.75) and dbeta > 0.0
-        assert fusion.defect(3.0) == -1e308
+        assert fusion.defect(3.0) == (-1e308, 0.0)
 
     def test_a_negative_beta_with_a_flat_slope_has_zero_defect(self):
         # The ridge moves e^2 off 9, so the spectrum is set by hand to put
@@ -453,17 +478,18 @@ class TestTouchingSets:
         fusion = self.far_fusion()
         fusion._terms, fusion.e_perp2 = [(1.0, 9.0)], 0.0
         assert fusion.at(2.0)[:2] == (-3.0, 0.0)
-        assert fusion.defect(2.0) == 0.0
+        assert fusion.defect(2.0) == (0.0, 0.0)
 
     def test_a_zero_beta_has_an_infinitely_negative_log_det_change(self):
         assert self.far_fusion().log_det_change(0.5, 0.0) == -math.inf
 
     def test_a_zero_at_the_last_grid_point_is_a_root(self):
         def func(rho):
-            return (rho - 1.5) * (rho - 3.0)
+            return (rho - 1.5) * (rho - 3.0), 2.0 * rho - 4.5
 
         grid = np.array([0.5, 1.0, 2.0, 3.0])
-        roots = ellipsoid._bracket_roots(func, grid, func(grid))
+        vals = np.array([func(rho)[0] for rho in grid])
+        roots = ellipsoid._bracket_roots(func, grid, vals)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(1.5, rel=1e-12)
         assert roots[1] == 3.0

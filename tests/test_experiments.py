@@ -1,6 +1,7 @@
 """Tests for the closed-loop studies, metrics, CSV output, and configs."""
 
 import json
+import math
 import pickle
 import re
 import sys
@@ -548,8 +549,11 @@ class TestConfigRoundTrip:
         ("t_windows", [2.5], "t_windows entries must be integers >= 1, got 2.5"),
         ("t_windows", [True], "t_windows entries must be integers >= 1, "
                               "got True"),
+        ("theta_true", [math.nan, 0.1], "theta_true is not finite"),
+        ("x0", [0.0, math.inf], "x0 is not finite"),
     ], ids=["horizon-0", "horizon-negative", "horizon-float", "horizon-string",
-            "window-0", "window-a", "window-float", "window-bool"])
+            "window-0", "window-a", "window-float", "window-bool", "theta-nan",
+            "x0-inf"])
     def test_bad_horizon_or_window_is_rejected_at_load(self, field, value,
                                                        message):
         cfg = scenario_to_config(scenario("sim1"))
@@ -637,11 +641,14 @@ class TestDigest:
         assert experiments.solve_robust is solve
         first = digest.digest("sim3", "learn")
         assert digest.digest("sim3", "learn") == first
-        solves, iterations, runs, sols = first
+        solves, iterations, shrinks, skips, runs, sols = first
         assert solves > 0 and iterations == 0
+        record = run(scenario("sim3"), "learn", 0)
+        assert 0 < shrinks == np.count_nonzero(record.rho > 0.0) < solves
+        assert skips == np.count_nonzero(record.skipped)
         assert len(runs) == len(sols) == 64 and runs != sols
         assert experiments.solve_robust is solve
         assert robust.solve_robust is solve
         monkeypatch.setattr(digest, "SEEDS", range(1, 2))
         other = digest.digest("sim3", "learn")
-        assert other[2] != runs and other[3] != sols
+        assert other[4] != runs and other[5] != sols
