@@ -73,7 +73,8 @@ class Reference:
     ``const_sine`` (two outputs: a constant and a sinusoid). All extend
     naturally beyond any printed horizon, which the driver needs since step
     ``k`` tracks the reference at ``k + 1``. The parameters are checked
-    here, so a malformed reference fails at load, not at some later step.
+    here, finite among the rest, so a malformed reference fails at load,
+    not at some later step.
     """
 
     KINDS = {"triangle": ("peak", "up_end"), "steps": ("levels", "breaks"),
@@ -85,6 +86,9 @@ class Reference:
         missing = [key for key in self.KINDS[kind] if key not in params]
         if missing:
             raise ValueError(f"{kind} reference needs {', '.join(missing)}")
+        for key in self.KINDS[kind]:
+            if not np.isfinite(np.asarray(params[key], dtype=float)).all():
+                raise ValueError(f"{kind} reference {key} is not finite")
         if kind == "triangle" and not params["up_end"] > 0:
             raise ValueError(f"triangle up_end must be positive, got {params['up_end']}")
         if kind == "steps" and len(params["levels"]) != len(params["breaks"]) + 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _freeze, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _fixed, _freeze, _FrozenArrays, _set_frozen
 
 __all__ = ["RegressorTable", "UncertainModel"]
 
@@ -35,6 +35,10 @@ def _as_matrix(m, rows=None, cols=None, name="matrix"):
         raise ValueError(f"{name} has {out.shape[0]} rows, expected {rows}")
     if cols is not None and out.shape[1] != cols:
         raise ValueError(f"{name} has {out.shape[1]} columns, expected {cols}")
+    # A NaN or infinite entry would reach the regressor tables and every
+    # step; it is rejected here, before any product is formed.
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} is not finite")
     return out
 
 
@@ -77,8 +81,9 @@ class UncertainModel(_FrozenArrays):
     ``a_perturbations`` and ``b_perturbations`` are the tuples (Ai), (Bj)
     multiplying the unknown parameters; either may be empty. ``c`` maps the
     state to the tracked output and ``r_shape`` is the disturbance-bound
-    shape matrix (n x n, PSD). The disturbance set ``E(r_shape, 0)`` is
-    built once, at construction; :meth:`disturbance_set` returns it.
+    shape matrix (n x n, PSD). Every entry must be finite. The disturbance
+    set ``E(r_shape, 0)`` is built once, at construction;
+    :meth:`disturbance_set` returns it.
     """
 
     a0: np.ndarray
@@ -154,20 +159,20 @@ class UncertainModel(_FrozenArrays):
     def assemble(self, theta):
         """Realized ``(A, B)`` at a parameter vector, as read-only arrays.
 
-        The model keeps the last pair, keyed by the bytes of ``theta`` as a
-        float vector, and returns those same arrays while ``theta``'s values
-        repeat, as they do at the true parameter on every closed-loop step.
+        The model keeps the last pair of a ``_fixed`` ``theta``, keyed by its
+        identity as passed, and returns those same arrays while the same
+        array is passed again, as the scenario's read-only true parameter is
+        on every closed-loop step. Any other ``theta`` is assembled afresh.
         """
-        theta = np.asarray(theta, dtype=float).ravel()
-        key = theta.tobytes()
         memo = self.__dict__.get("_assembled")
-        if memo is not None and memo[0] == key:
+        if memo is not None and memo[0] is theta:
             return memo[1]
         alpha, beta = self.split_theta(theta)
         a = self.a0 + sum(al * ai for al, ai in zip(alpha, self.a_perturbations))
         b = self.b0 + sum(be * bj for be, bj in zip(beta, self.b_perturbations))
         pair = _freeze((np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-        object.__setattr__(self, "_assembled", (key, pair))
+        if _fixed(theta):
+            object.__setattr__(self, "_assembled", (theta, pair))
         return pair
 
     def step(self, x, u, theta, omega):

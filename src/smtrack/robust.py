@@ -40,13 +40,10 @@ The barrier is the textbook path (Boyd & Vandenberghe, *Convex
 Optimization*, 11.3). It starts at the cold start: each input at its box's
 midpoint, 1 inside the finite bound of a half-infinite side, or at 0, and
 each bound ``z_t`` 1 above its cone's, at weight 1. Each later stage starts
-at the center before it. The weight enters only the z-gradient ``t - cp -
-cm``, so the Newton system (gradient in ``u``, factored Schur complement,
-z-block) is assembled once per point and back-solved at any weight: the
-system that a center's convergence test built starts the next stage, and
-an optimal solve assembles ``newton_iterations + 1`` systems. One step
-routine halves a step until the point is strictly interior and passes that
-point's cone values on, so no point is evaluated twice.
+at the center before it. Each Newton step assembles and solves its system at
+its point and weight. One step routine halves a step until the point is
+strictly interior and passes that point's cone values on, so no point is
+evaluated twice.
 
 The barrier has one kernel (:class:`_Barrier`), which runs every program
 that does not split and which the tests hold the closed form to. Each of
@@ -67,17 +64,15 @@ linear maps. So a program is split in two (:class:`_Geometry`): a
 geometry, built in numpy from the belief, the model constants ``b0``,
 ``b_stack`` and ``q_shape`` and the box, holds the input slopes, each
 output's input block ``Wm_t``, the map of ``gx`` onto the cone offsets, the
-pinned inputs' constants and whether and how the program splits; the
-fields only the barrier reads (the finite box sides, the cold start and
-each output's columns of ``Wm_t``) are built on the barrier's first use of
-the geometry. Each step maps its ``(f, gx)`` through it over Python
-floats, at ``O(l p r)`` operations. The last geometry is kept in a
-one-slot memo keyed by the belief's ellipsoid and the box, both by
-identity (each holds read-only arrays), and by the model constants'
-bytes, so a hand-built or mutated table gets a fresh build. The memo
-fills on the first solve and is rebuilt whenever the key changes: every
-solve, built or reused, runs through the same geometry and the same
-per-step map. A belief changes only when an update
+pinned inputs' constants and whether and how the program splits. Each step
+maps its ``(f, gx)`` through it over Python floats, at ``O(l p r)``
+operations. The last geometry is kept in a one-slot memo keyed by the
+identity of the belief's ellipsoid, the box and the model constants, and
+held only when those constants are read-only arrays that own their data
+(as the model's ``tracked`` table holds them), so a hand-built writable
+instance gets a fresh build on every solve. The memo is rebuilt whenever
+the key changes: every solve, built or reused, runs through the same
+geometry and the same per-step map. A belief changes only when an update
 shrinks it, so over seeds 0-4 a run builds once in ``fixed`` and
 ``known_theta`` mode (one geometry for all 500 sim2 solves of each mode)
 and once per new belief otherwise: sim1 ``learn`` 96 builds for 230
@@ -92,12 +87,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import mul
+from functools import lru_cache
+from operator import is_, mul
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _fixed, _FrozenArrays, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 
@@ -241,7 +236,11 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
     Returns the input, the per-output certified bounds ``z`` (recomputed at
     the returned point from the program's rows, so ``max(|lo|, |hi|) = z``
     holds to rounding for :func:`worst_case_interval`'s ``lo`` and ``hi``),
-    their sum, a status string and the Newton iteration count.
+    their sum, a status string and the Newton iteration count. A program
+    that splits is solved by :func:`_split`, with no iterations; any other
+    runs the barrier schedule (:func:`_barrier_path`). A solve whose bounds
+    ``z`` are not all finite (inputs pinned near the float range, say)
+    reports ``"non_finite"``.
     """
     if bounds.m != instance.m:
         raise ValueError(f"bounds dimension {bounds.m} != inputs {instance.m}")
@@ -250,8 +249,19 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
         return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
                               np.nan, "infeasible", 0)
 
-    u, z, iters, status = _barrier_solve(instance, belief, bounds)
-    return RobustSolution(u, np.array(z), sum(z), status, iters)
+    geometry = _geometry(instance, belief, bounds)
+    if geometry.split is not None:
+        u, z = _split(geometry, instance)
+        iters, status = 0, "optimal"
+    else:
+        prog = _Barrier(geometry, instance)
+        u, iters, status = _barrier_path(prog)
+        z = prog.padded_z(u, 0.0)
+    if status == "optimal" and not all(map(math.isfinite, z)):
+        status = "non_finite"
+    u_full = geometry.u_fix.copy()
+    u_full[geometry.free] = u
+    return RobustSolution(u_full, np.array(z), sum(z), status, iters)
 
 
 @lru_cache(maxsize=8)
@@ -297,8 +307,9 @@ class _Geometry:
     ``w_t(u) = wb_t + Wm_t u`` with ``wb_t = S_r gx_t + w_pin_t``, which
     :meth:`rows` forms over Python floats. Held here as lists: the slopes,
     each ``Wm_t`` (``p x nf``), ``S_r``, each ``w_pin_t`` and the free
-    inputs' box (:attr:`bounds`). What only the barrier reads, its cold
-    start among it, is built on its first use (:attr:`barrier`).
+    inputs' box (:attr:`bounds`); and as read-only arrays the mask ``free``
+    of the free inputs and the full input ``u_fix`` holding the pinned
+    values.
     """
 
     def __init__(self, instance, ellipsoid, bounds):
@@ -347,39 +358,8 @@ class _Geometry:
                                 wm.tolist(), qdiag.tolist(), w_pin.tolist()))
 
         self.bounds = list(zip(lo.tolist(), hi.tolist()))
-        # The attributes every program of this geometry shares.
         u_fix.flags.writeable = free.flags.writeable = False
-        self.shared = {"l": l, "nf": nf, "free": free, "u_fix": u_fix}
-
-    @cached_property
-    def barrier(self):
-        """The attributes only :class:`_Barrier` reads, built once on its
-        first use: the finite box sides ``_lo`` and ``_hi``, the cold start
-        ``u_cold``, the constraint count ``n_cons`` and each output's
-        columns of ``Wm_t`` (``_cols``)."""
-        nf = self.shared["nf"]
-        box_lo = [(i, b) for i, (b, _) in enumerate(self.bounds)
-                  if math.isfinite(b)]
-        box_hi = [(i, b) for i, (_, b) in enumerate(self.bounds)
-                  if math.isfinite(b)]
-        u_cold = []
-        for b_lo, b_hi in self.bounds:
-            if math.isfinite(b_lo) and math.isfinite(b_hi):
-                # Clamped, as the midpoint of a box near the float range
-                # overflows; every iterate after it is strictly inside.
-                u_cold.append(min(max(0.5 * (b_lo + b_hi), b_lo), b_hi))
-            elif math.isfinite(b_lo):
-                u_cold.append(b_lo + 1.0)
-            elif math.isfinite(b_hi):
-                u_cold.append(b_hi - 1.0)
-            else:
-                u_cold.append(0.0)
-        return {
-            "u_cold": u_cold, "_lo": box_lo, "_hi": box_hi,
-            "n_cons": 2 * self.shared["l"] + len(box_lo) + len(box_hi),
-            "_cols": [[[ri[j] for ri in rt] for j in range(nf)]
-                      for _, _, rt, *_ in self.outputs],
-        }
+        self.l, self.nf, self.free, self.u_fix = l, nf, free, u_fix
 
     def rows(self, f, gx):
         """Per-output ``(mid0, a, c, R, q)`` of a step's ``f`` and ``gx``:
@@ -394,26 +374,23 @@ class _Geometry:
 
 
 # The geometry of the last program built, as one (key, geometry) pair that
-# is replaced whole. The key holds the belief's ellipsoid and the box, both
-# compared by identity (each owns read-only arrays), and the model
-# constants by value, so a hand-built or mutated instance is rebuilt.
+# is replaced whole. The key holds the belief's ellipsoid, the box and the
+# model constants ``b0``, ``b_stack`` and ``q_shape``, all compared by
+# identity. Only a geometry whose constants are ``_fixed`` is held, so a
+# writable instance is rebuilt on every solve.
 _memo = None
 
 
 def _geometry(instance, belief, bounds):
     """The :class:`_Geometry` of a program, built once per key."""
     global _memo
-    ellipsoid = belief.set
-    constants = (instance.gx.shape[1],
-                 *((a.dtype.str, a.shape, a.tobytes()) for a in
-                   (instance.b0, instance.b_stack, instance.q_shape)))
+    key = (belief.set, bounds, instance.b0, instance.b_stack, instance.q_shape)
     memo = _memo
-    if memo is not None:
-        (held, box, held_constants), geometry = memo
-        if held is ellipsoid and box is bounds and held_constants == constants:
-            return geometry
-    geometry = _Geometry(instance, ellipsoid, bounds)
-    _memo = (ellipsoid, bounds, constants), geometry
+    if memo is not None and all(map(is_, memo[0], key)):
+        return memo[1]
+    geometry = _Geometry(instance, belief.set, bounds)
+    if all(map(_fixed, key[2:])):
+        _memo = key, geometry
     return geometry
 
 
@@ -422,17 +399,32 @@ class _Barrier:
 
     A step's cone data ``(mid0_t, a_t, c_t, R_t, q_t)`` per output, with
     ``c_t = wb_t`` and ``R_t = Wm_t`` (see :class:`_Geometry`, which
-    supplies everything but ``mid0_t`` and ``c_t`` and is reused while the
-    belief, the box and the model constants stay the same). The data are
-    held as nested lists; points ``u`` (``nf``) and ``z`` (``l``) are lists
-    of floats, and each point carries its ``cones`` (:meth:`evaluate`) from
-    the step that accepted it to the next one.
+    supplies everything but ``mid0_t`` and ``c_t``), the finite box sides
+    ``_lo`` and ``_hi``, the cold start ``u_cold`` and the constraint count
+    ``n_cons``. The data are held as nested lists; points ``u`` (``nf``) and
+    ``z`` (``l``) are lists of floats, and each point carries its ``cones``
+    (:meth:`evaluate`) from the step that accepted it to the next one.
     """
 
     def __init__(self, geometry, instance):
-        vars(self).update(geometry.shared)
-        vars(self).update(geometry.barrier)
+        self.l, self.nf = geometry.l, geometry.nf
         self._rows = geometry.rows(instance.f, instance.gx)
+        box = geometry.bounds
+        self._lo = [(i, b) for i, (b, _) in enumerate(box) if math.isfinite(b)]
+        self._hi = [(i, b) for i, (_, b) in enumerate(box) if math.isfinite(b)]
+        self.n_cons = 2 * self.l + len(self._lo) + len(self._hi)
+        self.u_cold = []
+        for b_lo, b_hi in box:
+            if math.isfinite(b_lo) and math.isfinite(b_hi):
+                # Clamped, as the midpoint of a box near the float range
+                # overflows; every iterate after it is strictly inside.
+                self.u_cold.append(min(max(0.5 * (b_lo + b_hi), b_lo), b_hi))
+            elif math.isfinite(b_lo):
+                self.u_cold.append(b_lo + 1.0)
+            elif math.isfinite(b_hi):
+                self.u_cold.append(b_hi - 1.0)
+            else:
+                self.u_cold.append(0.0)
 
     def evaluate(self, u, z):
         """Cone slacks at ``(u, z)``; None unless it is strictly interior.
@@ -464,28 +456,29 @@ class _Barrier:
             cones.append((sp, sm, pp, pm, w, wn2))
         return cones
 
-    def assemble(self, cones, u):
-        """Newton system at ``u`` with its ``cones``, for every barrier weight.
+    def newton_step(self, cones, u, t_b):
+        """Newton step ``(du, dz, decrement)`` at ``u`` with its ``cones``
+        and barrier weight ``t_b``.
 
         The objective is ``t_b * sum(z)`` plus ``-log psi`` for every cone and
-        ``-log`` of every finite box slack. The weight enters only the
-        z-gradient ``t_b - cp - cm``, so the system holds ``(cp, cm)`` per
-        output and everything else is independent of ``t_b``; one system
-        serves :meth:`newton_step` at any weight. ``z_t`` enters only output
-        ``t``'s two cones, so the z-block of the Hessian is diagonal,
-        ``2 (s^2 + |w|^2) / psi^2`` summed over the pair, and is eliminated:
-        the ``nf x nf`` Schur complement left is factored as ``L D L^T``.
-        Returns ``(gu, low, dia, cpm, hz, kz)``: the u-gradient, the factor,
-        and per output ``(cp, cm)``, ``hzz`` and the (u, z_t) Hessian column.
-        Each output's terms that do not depend on the inputs come from
-        :func:`_cone_terms`; what is left here is the input-side algebra.
+        ``-log`` of every finite box slack. ``z_t`` enters only output ``t``'s
+        two cones, so the z-block of the Hessian is diagonal, ``2 (s^2 +
+        |w|^2) / psi^2`` summed over the pair, and is eliminated: the ``nf x
+        nf`` Schur complement left is factored as ``L D L^T`` and
+        back-solved, with the decrement. Each output's terms that do not
+        depend on the inputs come from :func:`_cone_terms`; what is left here
+        is the input-side algebra. If the Schur complement has a zero pivot,
+        the step is :func:`_scaled_gradient`.
         """
         gu, dia = self._box_terms(u)
         low = [[0.0] * self.nf for _ in range(self.nf)]
-        cpm, hz, kz = [], [], []
-        for (sp, sm, pp, pm, w, wn2), (_, a, _, rt, _), cols in zip(
-                cones, self._rows, self._cols):
-            jw = [sum(map(mul, col, w)) for col in cols]   # Wm^T w
+        gz, hz, kz = [], [], []
+        for (sp, sm, pp, pm, w, wn2), (_, a, _, rt, _) in zip(cones,
+                                                              self._rows):
+            # Wm^T w, by the columns of the rows; a program with no
+            # parameter has no rows.
+            jw = ([sum(map(mul, col, w)) for col in zip(*rt)] if rt
+                  else [0.0] * self.nf)
             cp, cm, c2, ka, kj, hzz, qaa, kappa, root, gamma = _cone_terms(
                 sp, sm, pp, pm, wn2)
             gc = cp - cm
@@ -493,7 +486,7 @@ class _Barrier:
             for i, (ai, ji) in enumerate(zip(a, jw)):
                 gu[i] += gc * ai + c2 * ji
                 k.append(ka * ai - kj * ji)
-            cpm.append((cp, cm))
+            gz.append(t_b - cp - cm)
             hz.append(hzz)
             kz.append(k)
             _ldl_update(low, dia, qaa,
@@ -506,7 +499,21 @@ class _Barrier:
                     g = gamma * wi
                     _ldl_update(low, dia, 1.0,
                                 [root * x + g * ji for x, ji in zip(row, jw)])
-        return gu, low, dia, cpm, hz, kz
+        rhs = [-x for x in gu]
+        for gzt, hzz, k in zip(gz, hz, kz):
+            f = gzt / hzz
+            for i in range(self.nf):
+                rhs[i] += k[i] * f
+        if 0.0 in dia:
+            return _scaled_gradient(gu, gz)
+        du = _ldl_solve(low, dia, rhs)
+        dz = [-(gzt + sum(map(mul, k, du))) / hzz
+              for gzt, hzz, k in zip(gz, hz, kz)]
+        # -g.(du, dz), summed as the nonnegative rhs.du + sum gz^2 / hzz.
+        decrement = sum(map(mul, rhs, du))
+        for gzt, hzz in zip(gz, hz):
+            decrement += gzt * gzt / hzz
+        return du, dz, decrement
 
     def _box_terms(self, u):
         """The box barrier's u-gradient and diagonal Hessian at ``u``, as two
@@ -522,32 +529,6 @@ class _Barrier:
             gu[i] += s
             dia[i] += s * s
         return gu, dia
-
-    @staticmethod
-    def newton_step(system, t_b):
-        """Newton step ``(du, dz)`` of an :meth:`assemble` system at ``t_b``.
-
-        One back-solve of the factor, with the decrement. If the Schur
-        complement has a zero pivot, the step is :func:`_scaled_gradient`.
-        """
-        gu, low, dia, cpm, hz, kz = system
-        n = len(gu)
-        gz = [t_b - cp - cm for cp, cm in cpm]
-        rhs = [-x for x in gu]
-        for gzt, hzz, k in zip(gz, hz, kz):
-            f = gzt / hzz
-            for i in range(n):
-                rhs[i] += k[i] * f
-        if 0.0 in dia:
-            return _scaled_gradient(gu, gz)
-        du = _ldl_solve(low, dia, rhs)
-        dz = [-(gzt + sum(map(mul, k, du))) / hzz
-              for gzt, hzz, k in zip(gz, hz, kz)]
-        # -g.(du, dz), summed as the nonnegative rhs.du + sum gz^2 / hzz.
-        decrement = sum(map(mul, rhs, du))
-        for gzt, hzz in zip(gz, hz):
-            decrement += gzt * gzt / hzz
-        return du, dz, decrement
 
     def padded_z(self, u, pad):
         """Epigraph values strictly above the cone bounds at ``u``."""
@@ -573,30 +554,24 @@ class _Barrier:
             alpha *= 0.5
         return u, z, cones, False
 
-    def center(self, u, z, cones, t_b, tol, max_iter, system=None):
+    def center(self, u, z, cones, t_b, tol, max_iter):
         """Damped Newton toward the center at barrier weight ``t_b``.
 
-        From a point with its ``cones`` and, if given, its :meth:`assemble`
-        ``system``: with a self-concordant barrier the step 1/(1 + lambda)
-        stays strictly feasible and decreasing without a line search; full
-        steps once the decrement is small. Returns ``(u, z, cones, system,
-        iterations, converged)``, where ``system`` is the returned point's
-        system if it converged (its decrement test needed it) and None
-        otherwise.
+        From a point with its ``cones``: with a self-concordant barrier the
+        step 1/(1 + lambda) stays strictly feasible and decreasing without a
+        line search; full steps once the decrement is small. Returns ``(u,
+        z, cones, iterations, converged)``.
         """
         for it in range(max_iter):
-            if system is None:
-                system = self.assemble(cones, u)
-            du, dz, decrement = self.newton_step(system, t_b)
+            du, dz, decrement = self.newton_step(cones, u, t_b)
             if decrement <= 2.0 * tol:
-                return u, z, cones, system, it, True
+                return u, z, cones, it, True
             lam = math.sqrt(max(decrement, 0.0))
             alpha = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
             u, z, cones, moved = self.advance(u, z, cones, du, dz, alpha)
-            system = None
             if not moved:
-                return u, z, cones, None, it + 1, False
-        return u, z, cones, None, max_iter, False
+                return u, z, cones, it + 1, False
+        return u, z, cones, max_iter, False
 
 
 def _cone_terms(sp, sm, pp, pm, wn2):
@@ -720,7 +695,7 @@ def _split(geometry, instance):
     least cost wins. An output that moves no input adds its constant bound.
     """
     big = sys.float_info.max
-    u = [0.0] * geometry.shared["nf"]
+    u = [0.0] * geometry.nf
     z = []
     for i, (m0, a, c, rt, q) in zip(
             geometry.split, geometry.rows(instance.f, instance.gx)):
@@ -758,30 +733,6 @@ def _split(geometry, instance):
     return u, z
 
 
-def _barrier_solve(instance, belief, bounds):
-    """``(u, z, iterations, status)`` of a program.
-
-    A program that splits is solved by :func:`_split`, with no iterations;
-    any other runs the barrier schedule on :class:`_Barrier`. A solve whose
-    bounds ``z`` are not all finite (inputs pinned near the float range,
-    say) reports ``"non_finite"``.
-    """
-    geometry = _geometry(instance, belief, bounds)
-    if geometry.split is not None:
-        u, z = _split(geometry, instance)
-        iters, status = 0, "optimal"
-    else:
-        prog = _Barrier(geometry, instance)
-        u, iters, status = _barrier_path(prog)
-        z = prog.padded_z(u, 0.0)
-    if status == "optimal" and not all(map(math.isfinite, z)):
-        status = "non_finite"
-    shared = geometry.shared
-    u_full = shared["u_fix"].copy()
-    u_full[shared["free"]] = u
-    return u_full, z, iters, status
-
-
 def _barrier_path(prog):
     """The barrier schedule over the free inputs of a program with ``nf >=
     1``: ``(u, iterations, status)``.
@@ -790,7 +741,7 @@ def _barrier_path(prog):
     cone's, each stage centers at its weight, from 1 up by factors of
     ``BARRIER_GROWTH``, and the first weight ``t`` with ``n_cons / t`` below
     ``DUALITY_TARGET`` is the last stage. Each stage starts at the center
-    before it, with that center's Newton system.
+    before it.
     """
     u = list(prog.u_cold)
     z = prog.padded_z(u, 1.0)
@@ -799,12 +750,11 @@ def _barrier_path(prog):
         # Only rounding at extreme magnitudes puts the cold start on a
         # boundary, and no stage can leave it.
         return u, 0, "max_iter"
-    t_b, system, iterations, status = 1.0, None, 0, "optimal"
+    t_b, iterations, status = 1.0, 0, "optimal"
     while True:
         last = prog.n_cons / t_b < DUALITY_TARGET
-        u, z, cones, system, iters, done = prog.center(
-            u, z, cones, t_b, NEWTON_TOL if last else STAGE_TOL, MAX_NEWTON,
-            system)
+        u, z, cones, iters, done = prog.center(
+            u, z, cones, t_b, NEWTON_TOL if last else STAGE_TOL, MAX_NEWTON)
         iterations += iters
         if not done:
             status = "max_iter"

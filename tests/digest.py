@@ -16,6 +16,14 @@ and skip counts show that every update still made the same decision::
     python ../parent/tests/digest.py > before.txt
     diff before.txt after.txt
 
+A last line digests the log-barrier fallback, which no shipped program
+reaches: it replays the barrier on every robust solve of sim1-sim3 in every
+mode for seeds 0-1, and on 300 random programs of
+``oracles.random_tracking_case`` (seed 2024), and gives the number of
+programs, their total Newton iterations and a sha256 over every replay's
+``u``, ``z``, status and iterations. The same line on two checkouts means
+the barrier returned the same bits on every one of those programs.
+
 The script puts its own checkout's ``src`` first on the import path, so
 each run digests the code beside it. pytest does not collect it;
 ``test_experiments.py::TestDigest`` runs it on one seed.
@@ -34,8 +42,12 @@ import numpy as np  # noqa: E402
 
 from smtrack import experiments, robust  # noqa: E402
 
+import oracles  # noqa: E402
+
 SCENARIOS = ("sim1", "sim2", "sim3")
 SEEDS = range(5)
+BARRIER_SEEDS = range(2)
+RANDOM_PROGRAMS = 300
 
 
 def _feed(h, value):
@@ -82,6 +94,50 @@ def digest(name, mode):
             sols.hexdigest())
 
 
+def barrier_programs():
+    """``(instance, belief, bounds)`` of every robust solve of the closed
+    loops of ``SCENARIOS``, every mode and ``BARRIER_SEEDS``, then of
+    ``RANDOM_PROGRAMS`` random programs drawn from seed 2024."""
+    programs = []
+    solve = robust.solve_robust
+
+    def recording(instance, belief, bounds):
+        programs.append((instance, belief, bounds))
+        return solve(instance, belief, bounds)
+
+    experiments.solve_robust = robust.solve_robust = recording
+    try:
+        for name in SCENARIOS:
+            for mode in experiments.MODES:
+                for seed in BARRIER_SEEDS:
+                    experiments.run(experiments.scenario(name), mode, seed)
+    finally:
+        experiments.solve_robust = robust.solve_robust = solve
+    rng = np.random.default_rng(2024)
+    programs += [oracles.random_tracking_case(rng)
+                 for _ in range(RANDOM_PROGRAMS)]
+    return programs
+
+
+def barrier_digest():
+    """``(programs, newton_iterations, sha256)`` of the barrier schedule
+    replayed on every program of :func:`barrier_programs`, as
+    ``solve_robust`` runs it on a program that does not split."""
+    h = hashlib.sha256()
+    programs = barrier_programs()
+    iterations = 0
+    for instance, belief, bounds in programs:
+        geometry = robust._geometry(instance, belief, bounds)
+        prog = robust._Barrier(geometry, instance)
+        u, iters, status = robust._barrier_path(prog)
+        u_full = geometry.u_fix.copy()
+        u_full[geometry.free] = u
+        iterations += iters
+        for value in (u_full, np.array(prog.padded_z(u, 0.0)), status, iters):
+            _feed(h, value)
+    return len(programs), iterations, h.hexdigest()
+
+
 def main():
     for name in SCENARIOS:
         for mode in experiments.MODES:
@@ -89,6 +145,9 @@ def main():
             print(f"{name} {mode:<11} solves {solves:5d} "
                   f"newton {iterations:6d} shrinks {shrinks:4d} "
                   f"skips {skips:4d} runs {runs} solves {sols}")
+    programs, iterations, barrier = barrier_digest()
+    print(f"barrier replays {programs:5d} newton {iterations:6d} "
+          f"sha256 {barrier}")
 
 
 if __name__ == "__main__":

@@ -278,9 +278,12 @@ class TestParser:
          "the model has 1 outputs"),
         ("sim1", {"kind": "steps", "params": {"levels": 1.0, "breaks": []}},
          "TypeError"),
+        ("sim1", {"kind": "triangle", "params": {"peak": math.nan,
+                                                  "up_end": 23}},
+         "ValueError: triangle reference peak is not finite"),
     ], ids=["triangle-no-up_end", "triangle-up_end-0", "const_sine-denom-0",
             "steps-one-level-one-break", "two-outputs-on-sim1",
-            "steps-levels-not-a-list"])
+            "steps-levels-not-a-list", "triangle-nan-peak"])
     def test_config_with_a_bad_reference(self, name, ref, expected, tmp_path,
                                          capsys):
         cfg = scenario_to_config(scenario(name))
@@ -359,10 +362,19 @@ class TestParser:
          "center is not finite"),
         (["simulate", "--steps", "3"], {"theta_true": [0.2, math.inf]},
          "theta_true is not finite"),
+        (["simulate", "--steps", "3"],
+         {"a0": [[math.nan, 1, 0], [0, 0, 1], [-0.3, 0.4, 0.2]]},
+         "a0 is not finite"),
+        (["simulate", "--steps", "3"], {"c": [[1.0, math.nan, 0.3]]},
+         "c is not finite"),
+        (["simulate", "--steps", "3"],
+         {"r_shape": [[0.5, 0, 0], [0, math.inf, 0], [0, 0, 0.5]]},
+         "r_shape is not finite"),
     ], ids=["simulate-policy", "montecarlo-policy", "simulate-bounds",
             "montecarlo-bounds", "simulate-empty-box", "montecarlo-empty-box",
             "simulate-indefinite-r", "montecarlo-indefinite-r",
-            "simulate-nan-belief", "simulate-inf-theta"])
+            "simulate-nan-belief", "simulate-inf-theta", "simulate-nan-a0",
+            "simulate-nan-c", "simulate-inf-r"])
     def test_config_with_a_bad_policy_or_bounds(self, argv, fields, expected,
                                                 tmp_path, capsys):
         cfg = scenario_to_config(scenario("sim1"))

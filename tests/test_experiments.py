@@ -100,8 +100,14 @@ class TestReference:
         ("steps", {"levels": [1.0], "breaks": [5]}, "one more level than breaks"),
         ("steps", {"levels": [1.0, 2.0]}, "needs breaks"),
         ("const_sine", {"const": 1.0, "amp": 1.0, "denom": 0}, "denom must be nonzero"),
+        ("triangle", {"peak": math.nan, "up_end": 23}, "peak is not finite"),
+        ("steps", {"levels": [1.0, math.inf], "breaks": [5]},
+         "levels is not finite"),
+        ("const_sine", {"const": 1.0, "amp": -math.inf, "denom": 5.0},
+         "amp is not finite"),
     ], ids=["triangle-no-up_end", "triangle-up_end-0", "steps-one-level-one-break",
-            "steps-no-breaks", "const_sine-denom-0"])
+            "steps-no-breaks", "const_sine-denom-0", "triangle-nan-peak",
+            "steps-inf-level", "const_sine-inf-amp"])
     def test_malformed_parameters_are_rejected(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             Reference(kind, **params)
@@ -600,6 +606,25 @@ class TestConfigRoundTrip:
         # A box of one point is not empty.
         assert replace(scenario("sim1"), bounds=ControlBounds([5.0], [5.0]))
 
+    @pytest.mark.parametrize("field, index, value, message", [
+        ("a0", (0, 0), math.nan, "a0 is not finite"),
+        ("b0", (1, 0), math.inf, "b0 is not finite"),
+        ("b_perturbations", (1, 2, 0), math.nan,
+         "b_perturbations[1] is not finite"),
+        ("c", (0, 1), math.nan, "c is not finite"),
+        ("r_shape", (2, 2), math.inf, "r_shape is not finite"),
+    ], ids=["a0-nan", "b0-inf", "perturbation-nan", "c-nan", "r_shape-inf"])
+    def test_a_non_finite_model_entry_is_rejected_at_load(self, field, index,
+                                                          value, message):
+        # Before any product is formed: an infinite r_shape used to warn in
+        # a matmul first, and a NaN in c to run with every error NaN.
+        cfg = scenario_to_config(scenario("sim1"))
+        entry = np.array(cfg[field])
+        entry[index] = value
+        cfg[field] = entry.tolist()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario_from_config(cfg)
+
     def test_an_indefinite_disturbance_shape_is_rejected_at_load(self):
         cfg = scenario_to_config(scenario("sim1"))
         cfg["r_shape"] = np.diag([0.5, -0.5, 0.5]).tolist()
@@ -652,3 +677,24 @@ class TestDigest:
         monkeypatch.setattr(digest, "SEEDS", range(1, 2))
         other = digest.digest("sim3", "learn")
         assert other[4] != runs and other[5] != sols
+
+    def test_the_barrier_digest_replays_every_recorded_program(self, digest,
+                                                              monkeypatch):
+        # The barrier runs on every program, split or not, and counts its
+        # Newton iterations; the random programs follow the recorded ones.
+        monkeypatch.setattr(digest, "SCENARIOS", ("sim1",))
+        monkeypatch.setattr(digest, "BARRIER_SEEDS", range(1))
+        monkeypatch.setattr(digest, "RANDOM_PROGRAMS", 10)
+        solve = robust.solve_robust
+        first = digest.barrier_digest()
+        assert digest.barrier_digest() == first
+        programs, iterations, sha = first
+        assert programs == len(MODES) * 46 + 10
+        assert iterations > programs
+        assert len(sha) == 64
+        assert experiments.solve_robust is solve
+        assert robust.solve_robust is solve
+        monkeypatch.setattr(digest, "RANDOM_PROGRAMS", 11)
+        more, more_iterations, other = digest.barrier_digest()
+        assert more == programs + 1 and more_iterations > iterations
+        assert other != sha

@@ -177,9 +177,9 @@ class TestAssemble:
             a[0, 0] = 1.0
 
     def test_alternating_parameters_step_as_a_fresh_model(self):
-        # The model keeps the last (A, B) by theta's values: alternating two
-        # parameters, written in place into one writable array, steps
-        # exactly as a model that has never stepped.
+        # The model keeps the last (A, B) only of a read-only theta, by
+        # identity: alternating two parameters, written in place into one
+        # writable array, steps exactly as a model that has never stepped.
         model = two_state_model()
         rng = np.random.default_rng(23)
         thetas = rng.normal(size=(2, 2))
@@ -190,6 +190,19 @@ class TestAssemble:
             got = model.step(x, u, theta, omega)
             want = two_state_model().step(x, u, theta.copy(), omega)
             assert all(map(np.array_equal, got, want))
+
+    def test_a_read_only_parameter_is_held_by_identity(self):
+        # The scenario's true parameter is read-only, so every closed-loop
+        # step reuses its (A, B); an equal writable copy is assembled afresh
+        # and leaves the held pair in place.
+        spec = scenario("sim1")
+        model = spec.model
+        pair = model.assemble(spec.theta_true)
+        assert model._assembled[0] is spec.theta_true
+        assert model.assemble(spec.theta_true) is pair
+        fresh = model.assemble(spec.theta_true.copy())
+        assert fresh is not pair and all(map(np.array_equal, fresh, pair))
+        assert model.assemble(spec.theta_true) is pair
 
 
 class TestStep:

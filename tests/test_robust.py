@@ -78,6 +78,20 @@ def program(instance, belief, bounds):
                            instance)
 
 
+def full_input(instance, belief, bounds, u):
+    """The full input of a program whose free inputs are at ``u``, each
+    pinned input at its pinned value (:class:`robust._Geometry`)."""
+    geometry = robust._geometry(instance, belief, bounds)
+    u_full = geometry.u_fix.copy()
+    u_full[geometry.free] = u
+    return u_full
+
+
+def free_inputs(instance, belief, bounds):
+    """The mask of a program's free inputs."""
+    return robust._geometry(instance, belief, bounds).free
+
+
 def barrier_solution(instance, belief, bounds):
     """The barrier schedule's solve of a program with a free input, as a
     :class:`RobustSolution`: ``_barrier_path(robust._Barrier(geometry,
@@ -86,9 +100,8 @@ def barrier_solution(instance, belief, bounds):
     prog = program(instance, belief, bounds)
     u, iterations, status = robust._barrier_path(prog)
     z = prog.padded_z(u, 0.0)
-    u_full = prog.u_fix.copy()
-    u_full[prog.free] = u
-    return RobustSolution(u_full, np.array(z), sum(z), status, iterations)
+    return RobustSolution(full_input(instance, belief, bounds, u),
+                          np.array(z), sum(z), status, iterations)
 
 
 def barrier_replays(name, mode, seeds):
@@ -773,7 +786,7 @@ class TestSplitClosedForm:
         program's geometry."""
         geometry = robust._geometry(instance, belief, bounds)
         assert geometry.split is not None
-        free = np.flatnonzero(geometry.shared["free"])
+        free = np.flatnonzero(geometry.free)
         sol = solve_robust(instance, belief, bounds)
         assert sol.status == "optimal"
         assert sol.newton_iterations == 0
@@ -944,13 +957,14 @@ class TestBarrierKernel:
                                 rtol=1e-5, atol=1e-5)
 
     @staticmethod
-    def dense(prog, instance, belief, bounds, u, z, t_b):
-        """The dense Newton step and decrement over ``prog``'s free inputs
-        and ``z``, at the full input ``u``: a pinned input keeps its value
-        and has no box term. Solved in exact arithmetic and then rounded,
-        as a float Hessian would carry the cancellation the barrier avoids.
+    def dense(instance, belief, bounds, u, z, t_b):
+        """The dense Newton step and decrement over the program's free
+        inputs and ``z``, at the full input ``u``: a pinned input keeps its
+        value and has no box term. Solved in exact arithmetic and then
+        rounded, as a float Hessian would carry the cancellation the barrier
+        avoids.
         """
-        free = prog.free
+        free = free_inputs(instance, belief, bounds)
         open_box = ControlBounds(np.where(free, bounds.lower, -np.inf),
                                  np.where(free, bounds.upper, np.inf))
         _, grad, hess = oracles.robust_barrier(instance, belief, open_box,
@@ -959,12 +973,6 @@ class TestBarrierKernel:
         keep = np.concatenate([free, np.ones(len(z), dtype=bool)])
         step = oracles.exact_solve(hess[np.ix_(keep, keep)], -grad[keep])
         return step.astype(float), float(-grad[keep] @ step)
-
-    @staticmethod
-    def full_input(prog, u):
-        u_full = prog.u_fix.copy()
-        u_full[prog.free] = u
-        return u_full
 
     @classmethod
     def zero_radius_points(cls):
@@ -982,7 +990,7 @@ class TestBarrierKernel:
                 z = prog.padded_z(u, pad)
                 (cone,) = prog.evaluate(u, z)
                 assert cone[5] == 0.0
-                yield (*case, cls.full_input(prog, u), np.array(z))
+                yield (*case, full_input(*case, u), np.array(z))
 
     def test_newton_step_matches_dense_reference(self):
         # Random interior points; points of seed 0's sim2 fixed programs,
@@ -1007,53 +1015,15 @@ class TestBarrierKernel:
         points += self.zero_radius_points()
         for instance, belief, bounds, u, z in points:
             prog = program(instance, belief, bounds)
-            cones = prog.evaluate(u[prog.free].tolist(), z.tolist())
+            u_free = u[free_inputs(instance, belief, bounds)].tolist()
+            cones = prog.evaluate(u_free, z.tolist())
             assert cones is not None
-            system = prog.assemble(cones, u[prog.free].tolist())
             for t_b in (1.0, 1e2, 1e4):
-                du, dz, decrement = prog.newton_step(system, t_b)
-                ref, ref_dec = self.dense(prog, instance, belief, bounds, u,
-                                          z, t_b)
+                du, dz, decrement = prog.newton_step(cones, u_free, t_b)
+                ref, ref_dec = self.dense(instance, belief, bounds, u, z, t_b)
                 step = np.concatenate([du, dz])
                 assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
                 assert abs(decrement - ref_dec) <= 1e-8 * abs(ref_dec)
-
-    def test_one_system_serves_every_weight(self):
-        # The weight enters only the z-gradient, so a system assembled once
-        # and back-solved at several weights gives a fresh system's step.
-        rng = np.random.default_rng(15)
-        for instance, belief, bounds, u, z in self.interior_points(
-                rng, n_pinned=10, n_wide=10):
-            prog = program(instance, belief, bounds)
-            u, z = u[prog.free].tolist(), z.tolist()
-            cones = prog.evaluate(u, z)
-            system = prog.assemble(cones, u)
-            for t_b in (1.0, 1e2, 1e4):
-                fresh = prog.newton_step(prog.assemble(cones, u), t_b)
-                assert prog.newton_step(system, t_b) == fresh
-
-    @pytest.mark.parametrize("name, mode", [
-        ("sim1", "learn"), ("sim2", "fixed"), ("sim2", "known_theta"),
-        ("sim3", "active")])
-    def test_one_newton_system_per_point(self, name, mode, monkeypatch):
-        # Each center's convergence test assembles the system that starts
-        # the next stage, so a solve assembles one system per Newton
-        # iteration plus the one that ends the last center.
-        solves = recorded_solves(name, mode, [0])
-        count = [0]
-        assemble = robust._Barrier.assemble
-
-        def assemble_counted(self, cones, u):
-            count[0] += 1
-            return assemble(self, cones, u)
-
-        monkeypatch.setattr(robust._Barrier, "assemble", assemble_counted)
-        for instance, belief, bounds, _ in solves:
-            count[0] = 0
-            sol = barrier_solution(instance, belief, bounds)
-            assert sol.status == "optimal"
-            assert sol.newton_iterations > 0
-            assert count[0] == sol.newton_iterations + 1
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
@@ -1079,9 +1049,9 @@ class TestBarrierKernel:
 
     def test_each_stage_starts_at_the_center_before_it(self, monkeypatch):
         # The first stage centers from the cold start at weight 1; each
-        # later one from the point and the Newton system the stage before
-        # it returned, at BARRIER_GROWTH times its weight, and the stage
-        # whose duality measure is below DUALITY_TARGET is the last.
+        # later one from the point and the cones the stage before it
+        # returned, at BARRIER_GROWTH times its weight, and the stage whose
+        # duality measure is below DUALITY_TARGET is the last.
         rng = np.random.default_rng(25)
         coupled = oracles.random_tracking_case(rng, l=2, m=2)
         assert robust._geometry(*coupled).split is None
@@ -1092,9 +1062,9 @@ class TestBarrierKernel:
         calls = []
         center = robust._Barrier.center
 
-        def recorded(self, u, z, cones, t_b, tol, max_iter, system=None):
-            out = center(self, u, z, cones, t_b, tol, max_iter, system)
-            calls.append(((u, z, t_b, system), out))
+        def recorded(self, u, z, cones, t_b, tol, max_iter):
+            out = center(self, u, z, cones, t_b, tol, max_iter)
+            calls.append(((u, z, cones, t_b), out))
             return out
 
         monkeypatch.setattr(robust._Barrier, "center", recorded)
@@ -1103,17 +1073,18 @@ class TestBarrierKernel:
             prog = program(instance, belief, bounds)
             sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "optimal"
-            (u, z, t_b, system), _ = calls[0]
+            (u, z, cones, t_b), _ = calls[0]
             assert u == prog.u_cold
             assert z == prog.padded_z(prog.u_cold, 1.0)
-            assert t_b == 1.0 and system is None
-            for ((_, _, t_prev, _), out), ((u, z, t_b, system), _) in zip(
+            assert cones == prog.evaluate(u, z)
+            assert t_b == 1.0
+            for ((*_, t_prev), out), ((u, z, cones, t_b), _) in zip(
                     calls, calls[1:]):
-                assert u is out[0] and z is out[1] and system is out[3]
+                assert u is out[0] and z is out[1] and cones is out[2]
                 assert t_b == BARRIER_GROWTH * t_prev
                 assert prog.n_cons / t_prev >= DUALITY_TARGET
-            assert prog.n_cons / calls[-1][0][2] < DUALITY_TARGET
-            assert sum(out[4] for _, out in calls) == sol.newton_iterations
+            assert prog.n_cons / calls[-1][0][3] < DUALITY_TARGET
+            assert sum(out[3] for _, out in calls) == sol.newton_iterations
 
     @staticmethod
     def with_infinite_sides(rng, programs):
@@ -1199,7 +1170,7 @@ class TestBarrierKernel:
         for instance, belief, bounds in self.programs(rng, 3, 3, m=nf,
                                                       pinned_m=nf + 1, l=l):
             geometry = robust._geometry(instance, belief, bounds)
-            assert (geometry.shared["nf"], geometry.shared["l"]) == (nf, l)
+            assert (geometry.nf, geometry.l) == (nf, l)
             assert (geometry.split is None) == (kernel is not None)
             built.clear()
             sol = solve_robust(instance, belief, bounds)
@@ -1217,22 +1188,37 @@ class TestBarrierKernel:
         assert_allclose(np.concatenate([du, dz]), ref, rtol=1e-14, atol=0.0)
         assert_allclose(decrement, -g @ ref, rtol=1e-14, atol=0.0)
 
-    def test_a_zero_pivot_takes_the_scaled_gradient_in_both_kernels(self):
+    def test_a_zero_pivot_takes_the_scaled_gradient_in_both_kernels(
+            self, monkeypatch):
         # Equal input columns and no box term: no update reaches the second
         # pivot, so the barrier falls back to the scaled gradient, which
-        # moves the two inputs alike. (The name dates from a second, now
-        # deleted, barrier kernel for two free inputs.)
+        # moves the two inputs alike. The gradient it scales is the
+        # barrier's, held to the dense one in exact arithmetic. (The name
+        # dates from a second, now deleted, barrier kernel for two free
+        # inputs.)
         instance, belief, bounds = self.parallel_columns_case()
         prog = program(instance, belief, bounds)
         assert prog.nf == 2
         u = list(prog.u_cold)
         z = prog.padded_z(u, 1.0)
-        system = prog.assemble(prog.evaluate(u, z), u)
-        gu, _, pivots, cpm, _, _ = system
-        assert pivots[0] > 0.0 and pivots[1] == 0.0
+        cones = prog.evaluate(u, z)
+        gradients = []
+        scaled_gradient = robust._scaled_gradient
+
+        def recorded(gu, gz):
+            gradients.append((gu, gz))
+            return scaled_gradient(gu, gz)
+
+        monkeypatch.setattr(robust, "_scaled_gradient", recorded)
         for t_b in (1.0, 1e2):
-            step = prog.newton_step(system, t_b)
-            gz = [t_b - cp - cm for cp, cm in cpm]
+            gradients.clear()
+            step = prog.newton_step(cones, u, t_b)
+            ((gu, gz),) = gradients
+            _, grad, _ = oracles.robust_barrier(instance, belief, bounds,
+                                                np.array(u), np.array(z), t_b,
+                                                exact=True)
+            assert_allclose(gu + gz, grad.astype(float), rtol=1e-12,
+                            atol=1e-15)
             self.assert_scaled_gradient(step, gu, gz)
             (du0, du1), _, decrement = step
             assert du0 == du1 != 0.0
@@ -1245,14 +1231,18 @@ class TestBarrierKernel:
         # for degenerate programs alone.
         steps, fallbacks = [0], [0]
         newton_step = robust._Barrier.newton_step
+        scaled_gradient = robust._scaled_gradient
 
-        def counted(system, t_b):
+        def counted(self, cones, u, t_b):
             steps[0] += 1
-            fallbacks[0] += 0.0 in system[2]           # the Schur pivots
-            return newton_step(system, t_b)
+            return newton_step(self, cones, u, t_b)
 
-        monkeypatch.setattr(robust._Barrier, "newton_step",
-                            staticmethod(counted))
+        def fallback(gu, gz):
+            fallbacks[0] += 1
+            return scaled_gradient(gu, gz)
+
+        monkeypatch.setattr(robust._Barrier, "newton_step", counted)
+        monkeypatch.setattr(robust, "_scaled_gradient", fallback)
         for name in ("sim1", "sim2", "sim3"):
             for mode in experiments.MODES:
                 for instance, belief, bounds, _ in recorded_solves(
@@ -1269,10 +1259,11 @@ class TestBarrierKernel:
             prog = program(instance, belief, bounds)
             mid, rho, q = oracles.cone_terms(instance, belief, u)
             edge = np.abs(mid) + np.sqrt(rho) + q
-            u = u[prog.free]
+            free = free_inputs(instance, belief, bounds)
+            u = u[free]
             assert prog.evaluate(u.tolist(), (edge - 1e-9).tolist()) is None
             outside = u.copy()
-            outside[0] = bounds.upper[prog.free][0] + 1e-9
+            outside[0] = bounds.upper[free][0] + 1e-9
             assert prog.evaluate(outside.tolist(), z.tolist()) is None
 
     def test_a_step_no_halving_brings_inside_is_not_taken(self):
@@ -1282,7 +1273,8 @@ class TestBarrierKernel:
         for instance, belief, bounds, u, z in self.interior_points(rng, 5, 3,
                                                                    n_wide=3):
             prog = program(instance, belief, bounds)
-            u, z = u[prog.free].tolist(), z.tolist()
+            free = free_inputs(instance, belief, bounds)
+            u, z = u[free].tolist(), z.tolist()
             cones = prog.evaluate(u, z)
             out = prog.advance(u, z, cones, [1.0] * prog.nf, [0.0] * prog.l,
                                1e300)
@@ -1309,11 +1301,12 @@ class TestBarrierKernel:
                                                                    n_wide=3):
             prog = program(instance, belief, bounds)
             monkeypatch.setattr(robust._Barrier, "advance", self.stuck_from(n))
-            u, z = u[prog.free].tolist(), z.tolist()
-            *_, system, iterations, converged = prog.center(
+            free = free_inputs(instance, belief, bounds)
+            u, z = u[free].tolist(), z.tolist()
+            *_, iterations, converged = prog.center(
                 u, z, prog.evaluate(u, z), 1.0, 0.0, 50)
             monkeypatch.undo()
-            assert system is None and converged is False
+            assert converged is False
             assert iterations == n
 
     def test_a_solve_that_cannot_move_reports_max_iter(self, monkeypatch):
@@ -1323,7 +1316,8 @@ class TestBarrierKernel:
             prog = program(instance, belief, bounds)
             sol = barrier_solution(instance, belief, bounds)
             assert sol.status == "max_iter"
-            assert sol.u[prog.free].tolist() == prog.u_cold
+            assert sol.u[free_inputs(instance, belief,
+                                     bounds)].tolist() == prog.u_cold
 
 
 class TestProgramGeometry:
@@ -1379,9 +1373,10 @@ class TestProgramGeometry:
         assert hits >= len(solves) // 2
 
     def test_model_constants_are_keyed_by_value(self, monkeypatch):
-        # The same belief and box with other b0 or b_stack values, or with
-        # a writable table changed in place between solves, must not reuse
-        # the geometry of the constants held before.
+        # The memo compares the constants by identity and holds only
+        # read-only ones, so the same belief and box with other b0 or
+        # b_stack values, or with a writable table changed in place between
+        # solves, never reuse the geometry of the constants held before.
         spec, instance, belief = sim3_case()
         bounds = spec.bounds
         base = solve_robust(instance, belief, bounds)
@@ -1404,19 +1399,34 @@ class TestProgramGeometry:
             self.assert_same_solution(
                 sol, self.cold_solve(monkeypatch, mutable, belief, bounds))
 
-    def test_the_barrier_fields_are_built_on_first_use(self):
-        # A split program never reads the cold start, the finite box sides
-        # or the columns of Wm_t; the barrier builds them once per geometry.
+    def test_a_writable_copy_of_the_constants_is_built_afresh(self,
+                                                              monkeypatch):
+        # A writable copy of a held constant, equal in every value, could
+        # change under the memo: it gets a fresh build, and the geometry of
+        # the read-only constants stays held.
         spec, instance, belief = sim3_case()
-        solve_robust(instance, belief, spec.bounds)
-        geometry = robust._geometry(instance, belief, spec.bounds)
-        assert "barrier" not in vars(geometry)
-        fields = program(instance, belief, spec.bounds).__dict__
-        assert geometry.barrier is vars(geometry)["barrier"]
-        assert all(fields[key] is value
-                   for key, value in geometry.barrier.items())
-        again = program(instance, belief, spec.bounds)
-        assert again.u_cold is fields["u_cold"]
+        bounds = spec.bounds
+        monkeypatch.setattr(robust, "_memo", None)
+        base = solve_robust(instance, belief, bounds)
+        held = robust._memo
+        assert held is not None
+        build, builds = robust._Geometry, [0]
+
+        def counting(*args):
+            builds[0] += 1
+            return build(*args)
+
+        monkeypatch.setattr(robust, "_Geometry", counting)
+        for field in ("b0", "b_stack", "q_shape"):
+            copy = dataclasses.replace(
+                instance, **{field: getattr(instance, field).copy()})
+            builds[0] = 0
+            self.assert_same_solution(solve_robust(copy, belief, bounds), base)
+            assert builds[0] == 1
+            assert robust._memo is held
+        builds[0] = 0
+        self.assert_same_solution(solve_robust(instance, belief, bounds), base)
+        assert builds[0] == 0
 
     @staticmethod
     def geometry_builds(monkeypatch, spec, mode):
