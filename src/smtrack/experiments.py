@@ -27,6 +27,7 @@ error 1-norm over steps 1..T for short windows (T <= 10) and over steps
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -351,7 +352,11 @@ _SCENARIOS = {"sim1": _sim1, "sim2": _sim2, "sim3": _sim3}
 # ---------------------------------------------------------------------------
 
 def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> RunRecord:
-    """Simulate one closed-loop run; same (spec, mode, seed) replays exactly."""
+    """Simulate one closed-loop run; same (spec, mode, seed) replays exactly.
+
+    A step whose robust solve does not end ``"optimal"`` aborts the run with
+    the diagnostic ``controller returned status '...'``.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     model = spec.model
@@ -373,7 +378,10 @@ def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> R
             else:
                 sol = solve_robust(instance, belief, spec.bounds)
             u = sol.u
-            if not np.all(np.isfinite(u)):
+            # A solve that is not optimal certifies no bound, even with a
+            # finite input, so the run stops there, as validate does.
+            if (sol.status != "optimal"
+                    or not all(map(math.isfinite, u.tolist()))):
                 raise RuntimeError(f"controller returned status {sol.status!r}")
             if mode == "active":
                 info = build_info_quadratic(model, belief, x)
@@ -397,7 +405,11 @@ def _record(spec, mode, seed, history, diagnostic) -> RunRecord:
     model = spec.model
     n = len(history)
     xs, us, y_refs, beliefs = zip(*history) if history else ((),) * 4
-    ys = [model.output(x) for x in xs]
+    x = np.array(xs).reshape(n, model.n)
+    y_ref = np.array(y_refs).reshape(n, model.l)
+    # One matrix-vector product per step, stacked, rounds as
+    # ``model.output`` does; a single ``x @ c.T`` would not.
+    y = (model.c @ x[:, :, None]).reshape(n, model.l)
     sets = [belief.set for belief in beliefs]
     # Consecutive steps often share a set, and in ``fixed`` mode all do.
     distinct = {id(s): s for s in sets}
@@ -406,11 +418,11 @@ def _record(spec, mode, seed, history, diagnostic) -> RunRecord:
     return RunRecord(
         scenario=spec.name, mode=mode, seed=seed,
         k=np.arange(1, n + 1),
-        x=np.array(xs).reshape(n, model.n),
+        x=x,
         u=np.array(us).reshape(n, model.m),
-        y=np.array(ys).reshape(n, model.l),
-        y_ref=np.array(y_refs).reshape(n, model.l),
-        abs_err=np.array([float(np.sum(np.abs(y - r))) for y, r in zip(ys, y_refs)]),
+        y=y,
+        y_ref=y_ref,
+        abs_err=np.abs(y - y_ref).sum(axis=1),
         trace_p=np.array([s.trace for s in sets]),
         log_det_p=np.array([s.log_det for s in sets]),
         rho=np.array([b.last_rho for b in beliefs]),

@@ -64,22 +64,23 @@ linear maps. So a program is split in two (:class:`_Geometry`): a
 geometry, built in numpy from the belief, the model constants ``b0``,
 ``b_stack`` and ``q_shape`` and the box, holds the input slopes, each
 output's input block ``Wm_t``, the map of ``gx`` onto the cone offsets, the
-pinned inputs' constants and whether and how the program splits. Each step
-maps its ``(f, gx)`` through it over Python floats, at ``O(l p r)``
-operations. The last geometry is kept in a one-slot memo keyed by the
-identity of the belief's ellipsoid, the box and the model constants, and
-held only when those constants are read-only arrays that own their data
-(as the model's ``tracked`` table holds them), so a hand-built writable
-instance gets a fresh build on every solve. The memo is rebuilt whenever
-the key changes: every solve, built or reused, runs through the same
-geometry and the same per-step map. A belief changes only when an update
+pinned inputs' constants and whether and how the program splits; for a
+program that splits it also holds each output's one-input reduction, which
+no step changes. Each step maps its ``(f, gx)`` through it over Python
+floats, at ``O(l p r)`` operations. The last geometry is kept in a
+one-slot memo keyed by the identity of the belief's ellipsoid, the box and
+the model constants, and held only when those constants are read-only
+arrays that own their data (as the model's ``tracked`` table holds them),
+so a hand-built writable instance gets a fresh build on every solve. The
+memo is rebuilt whenever the key changes: every solve, built or reused,
+runs through the same geometry and the same per-step map. A belief changes only when an update
 shrinks it, so over seeds 0-4 a run builds once in ``fixed`` and
 ``known_theta`` mode (one geometry for all 500 sim2 solves of each mode)
 and once per new belief otherwise: sim1 ``learn`` 96 builds for 230
 solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and ``active`` 158
-for 500. A sim2 split solve through a held geometry costs 7-8 us, a
-geometry build about 30 us on sim1-sim3 (timeit at each scenario's first
-program; 2 vCPU, Python 3.11).
+for 500. A sim2 solve through a held geometry costs 8-9 us, of which the
+closed form (:func:`_split`) is 5-6 us, and a geometry build 30-35 us on
+sim1-sim3 (timeit, best of 7 or more; 2 vCPU, Python 3.11).
 """
 
 from __future__ import annotations
@@ -135,13 +136,15 @@ class ControlBounds(_FrozenArrays):
             raise ValueError("a side's lower and upper bounds are the same "
                              "infinity")
         _set_frozen(self, lower=lower, upper=upper)
+        object.__setattr__(self, "_feasible", bool(np.all(lower <= upper)))
 
     @property
     def m(self) -> int:
         return self.lower.size
 
     def feasible(self) -> bool:
-        return bool(np.all(self.lower <= self.upper))
+        """Whether no lower bound exceeds its upper, decided at construction."""
+        return self._feasible
 
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float)
@@ -259,8 +262,11 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
         z = prog.padded_z(u, 0.0)
     if status == "optimal" and not all(map(math.isfinite, z)):
         status = "non_finite"
-    u_full = geometry.u_fix.copy()
-    u_full[geometry.free] = u
+    if geometry.nf == geometry.u_fix.size:
+        u_full = np.array(u)
+    else:
+        u_full = geometry.u_fix.copy()
+        u_full[geometry.free] = u
     return RobustSolution(u_full, np.array(z), sum(z), status, iters)
 
 
@@ -305,11 +311,20 @@ class _Geometry:
 
     The pinned inputs add ``w_pin_t`` to the offset, so a step's cone reads
     ``w_t(u) = wb_t + Wm_t u`` with ``wb_t = S_r gx_t + w_pin_t``, which
-    :meth:`rows` forms over Python floats. Held here as lists: the slopes,
-    each ``Wm_t`` (``p x nf``), ``S_r``, each ``w_pin_t`` and the free
-    inputs' box (:attr:`bounds`); and as read-only arrays the mask ``free``
-    of the free inputs and the full input ``u_fix`` holding the pinned
-    values.
+    :meth:`offsets` forms over Python floats with ``mid0_t``; :meth:`rows`
+    adds the fixed slopes. Held here as lists: per output the pinned terms
+    (:attr:`pins`) and the slopes, ``Wm_t`` (``p x nf``) and noise radius
+    (:attr:`cones`), ``S_r`` and the free inputs' box (:attr:`bounds`); and
+    as read-only arrays the mask ``free`` of the free inputs and the full
+    input ``u_fix`` holding the pinned values.
+
+    A program that splits also holds, per output, its noise radius ``q``
+    and the reduction of its one-input cost that no step changes
+    (:attr:`reduced`, read by :func:`_split`): None for an output that moves
+    no input, else ``(i, a, r, e, lo, hi)``, the input ``i`` it moves, the
+    slope ``a = a_t[i]``, the length ``r`` of column ``i`` of ``Wm_t``, the
+    unit column ``e`` (the zero column itself if ``r = 0``) and the input's
+    box with each infinite side clamped to the largest float.
     """
 
     def __init__(self, instance, ellipsoid, bounds):
@@ -354,23 +369,39 @@ class _Geometry:
         qdiag = np.sqrt(np.maximum(np.diag(instance.q_shape), 0.0))
         self.th_r = th[:r].tolist()
         self.s_r = sroot[:, :r].tolist()
-        self.outputs = list(zip(mid_pin.tolist(), midu.tolist(),
-                                wm.tolist(), qdiag.tolist(), w_pin.tolist()))
-
+        self.pins = list(zip(mid_pin.tolist(), w_pin.tolist()))
+        self.cones = list(zip(midu.tolist(), wm.tolist(), qdiag.tolist()))
         self.bounds = list(zip(lo.tolist(), hi.tolist()))
+        if self.split is not None:
+            big = sys.float_info.max
+            self.reduced = []
+            for i, (a, rt, q) in zip(self.split, self.cones):
+                if i is None:
+                    self.reduced.append((q, None))
+                    continue
+                col = [row[i] for row in rt]
+                norm = math.hypot(*col)
+                e = [x / norm for x in col] if norm else col
+                b_lo, b_hi = self.bounds[i]
+                self.reduced.append(
+                    (q, (i, a[i], norm, e, max(b_lo, -big), min(b_hi, big))))
         u_fix.flags.writeable = free.flags.writeable = False
         self.l, self.nf, self.free, self.u_fix = l, nf, free, u_fix
+
+    def offsets(self, f, gx):
+        """Per-output ``(mid0, c)`` of a step's ``f`` and ``gx``: ``mid0_t``
+        and ``c = wb_t``, the only cone data a step changes."""
+        th, s_r = self.th_r, self.s_r
+        return [(ft + sum(map(mul, th, g)) + mp,
+                 [b + sum(map(mul, row, g)) for b, row in zip(pin, s_r)])
+                for ft, g, (mp, pin) in zip(f.tolist(), gx.tolist(),
+                                            self.pins)]
 
     def rows(self, f, gx):
         """Per-output ``(mid0, a, c, R, q)`` of a step's ``f`` and ``gx``:
         ``c`` is ``wb_t`` and ``R`` is ``Wm_t``."""
-        th, s_r = self.th_r, self.s_r
-        rows = []
-        for ft, g, (mp, a, rt, q, pin) in zip(f.tolist(), gx.tolist(),
-                                              self.outputs):
-            c = [b + sum(map(mul, row, g)) for b, row in zip(pin, s_r)]
-            rows.append((ft + sum(map(mul, th, g)) + mp, a, c, rt, q))
-        return rows
+        return [(m0, a, c, rt, q) for (m0, c), (a, rt, q)
+                in zip(self.offsets(f, gx), self.cones)]
 
 
 # The geometry of the last program built, as one (key, geometry) pair that
@@ -681,10 +712,12 @@ def _split(geometry, instance):
     Output ``t`` moves at most the free input ``i = split[t]``, which moves
     no other output, so the cost is a sum of one-input costs ``|m0 + a u_i|
     + sqrt((c + r u_i)^2 + rho) + q``, each minimized over its own side of
-    the box. From output ``t``'s row of :meth:`_Geometry.rows`, ``a`` is
-    ``a_t[i]``, and column ``i`` of ``Wm_t`` is reduced to one row: ``r =
-    |col|``, ``c = wb_t . col / r``, and the part of ``wb_t`` off ``col``
-    goes to ``rho`` (all of ``|wb_t|^2`` if ``r = 0``).
+    the box. The geometry holds each such output's reduction
+    (:attr:`_Geometry.reduced`): ``a = a_t[i]``, ``r = |col|`` for column
+    ``i`` of ``Wm_t``, the unit column ``e`` and the clamped box. A step
+    forms the rest from its offsets (:meth:`_Geometry.offsets`): ``c =
+    wb_t . e``, and the part of ``wb_t`` off ``e`` goes to ``rho`` (all of
+    ``|wb_t|^2`` if ``r = 0``).
 
     Each such cost is convex. Off the kink ``m0 + a u = 0`` and the apex ``c
     + r u = 0`` it is smooth, and it is stationary only where ``c + r u =
@@ -694,26 +727,20 @@ def _split(geometry, instance):
     standing for the largest float, and scored over floats; the first of
     least cost wins. An output that moves no input adds its constant bound.
     """
-    big = sys.float_info.max
     u = [0.0] * geometry.nf
     z = []
-    for i, (m0, a, c, rt, q) in zip(
-            geometry.split, geometry.rows(instance.f, instance.gx)):
-        if i is None:
+    for (m0, c), (q, reduced) in zip(
+            geometry.offsets(instance.f, instance.gx), geometry.reduced):
+        if reduced is None:
             z.append(abs(m0) + math.sqrt(sum(map(mul, c, c))) + q)
             continue
-        a = a[i]
-        col = [row[i] for row in rt]
-        r = math.hypot(*col)
-        e = [x / r for x in col] if r else col
+        i, a, r, e, lo, hi = reduced
         ce = sum(map(mul, c, e))
         rho = 0.0
         for ci, ei in zip(c, e):
             d = ci - ce * ei
             rho += d * d
         c = ce
-        lo, hi = geometry.bounds[i]
-        lo, hi = max(lo, -big), min(hi, big)
         candidates = [lo, hi]
         if a:
             candidates.append(-m0 / a)

@@ -2,10 +2,10 @@
 
 For sim1-sim3, every mode of ``experiments.MODES`` and seeds 0-4, one line
 per scenario and mode gives the number of robust solves, their total Newton
-iterations, the number of belief updates that shrank the set (``rho > 0``)
-and of updates that were skipped, and two sha256 digests: one over every
-``RunRecord`` field and one over every solve's ``u``, ``z``, objective,
-status and iterations. Two checkouts that print the same first digest ran
+iterations, the number of belief updates that shrank the set (``rho > 0``),
+of updates that were skipped and of runs that aborted, and two sha256
+digests: one over every ``RunRecord`` field and one over every solve's
+``u``, ``z``, objective, status and iterations. Two checkouts that print the same first digest ran
 the same closed loops bit for bit, even where a change moves only the
 solves' ``z`` at rounding; the same second digest means every solve
 returned the same bits too. Where a change moves the estimator's sets at
@@ -62,11 +62,11 @@ def _feed(h, value):
 
 
 def digest(name, mode):
-    """``(solves, newton_iterations, shrinks, skips, runs_sha256,
+    """``(solves, newton_iterations, shrinks, skips, aborted, runs_sha256,
     solves_sha256)`` of one scenario and mode."""
     runs, sols = hashlib.sha256(), hashlib.sha256()
     solves, iterations = [0], [0]
-    shrinks = skips = 0
+    shrinks = skips = aborted = 0
     solve = robust.solve_robust
 
     def recording(instance, belief, bounds):
@@ -85,13 +85,14 @@ def digest(name, mode):
             record = experiments.run(experiments.scenario(name), mode, seed)
             shrinks += int(np.count_nonzero(record.rho > 0.0))
             skips += int(np.count_nonzero(record.skipped))
+            aborted += record.aborted
             for field in fields(record):
                 runs.update(field.name.encode())
                 _feed(runs, getattr(record, field.name))
     finally:
         experiments.solve_robust = robust.solve_robust = solve
-    return (solves[0], iterations[0], shrinks, skips, runs.hexdigest(),
-            sols.hexdigest())
+    return (solves[0], iterations[0], shrinks, skips, aborted,
+            runs.hexdigest(), sols.hexdigest())
 
 
 def barrier_programs():
@@ -141,10 +142,12 @@ def barrier_digest():
 def main():
     for name in SCENARIOS:
         for mode in experiments.MODES:
-            solves, iterations, shrinks, skips, runs, sols = digest(name, mode)
+            (solves, iterations, shrinks, skips, aborted, runs,
+             sols) = digest(name, mode)
             print(f"{name} {mode:<11} solves {solves:5d} "
                   f"newton {iterations:6d} shrinks {shrinks:4d} "
-                  f"skips {skips:4d} runs {runs} solves {sols}")
+                  f"skips {skips:4d} aborted {aborted:2d} runs {runs} "
+                  f"solves {sols}")
     programs, iterations, barrier = barrier_digest()
     print(f"barrier replays {programs:5d} newton {iterations:6d} "
           f"sha256 {barrier}")

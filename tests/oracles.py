@@ -5,8 +5,11 @@ direct formulas) without touching the solvers under test, so agreement is
 evidence rather than tautology.
 """
 
+import math
+import sys
 from dataclasses import fields
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -116,6 +119,56 @@ def robust_min_one_input(instance, belief, bounds):
     vals = robust_cost_batch(instance, belief, points)
     i = int(np.argmin(vals))
     return points[i], float(vals[i])
+
+
+def split_reference(geometry, instance):
+    """``(u, z)`` of a split program, reduced per step from its rows.
+
+    The closed form of ``robust._split`` with each output's one-input cost
+    reduced on every call, as it was before the geometry held the
+    reduction: from output ``t``'s row of ``geometry.rows``, ``a = a_t[i]``,
+    ``r = |col|`` for column ``i`` of ``Wm_t``, ``e = col / r``, ``c = wb_t
+    . e`` and ``rho = |wb_t - c e|^2``, each candidate clipped into the box
+    with infinite sides at the largest float. The same floats in the same
+    order, so the held reduction must give the same bits.
+    """
+    big = sys.float_info.max
+    u = [0.0] * geometry.nf
+    z = []
+    for i, (m0, a, c, rt, q) in zip(
+            geometry.split, geometry.rows(instance.f, instance.gx)):
+        if i is None:
+            z.append(abs(m0) + math.sqrt(sum(map(mul, c, c))) + q)
+            continue
+        a = a[i]
+        col = [row[i] for row in rt]
+        r = math.hypot(*col)
+        e = [x / r for x in col] if r else col
+        ce = sum(map(mul, c, e))
+        rho = 0.0
+        for ci, ei in zip(c, e):
+            d = ci - ce * ei
+            rho += d * d
+        c = ce
+        lo, hi = geometry.bounds[i]
+        lo, hi = max(lo, -big), min(hi, big)
+        candidates = [lo, hi]
+        if a:
+            candidates.append(-m0 / a)
+        if r:
+            candidates.append(-c / r)
+            if r * r > a * a:
+                y = abs(a) * math.sqrt(rho / (r * r - a * a))
+                candidates += [(y - c) / r, (-y - c) / r]
+        best = None
+        for x in candidates:
+            x = min(max(x, lo), hi)
+            y = c + r * x
+            cost = abs(m0 + a * x) + math.sqrt(y * y + rho) + q
+            if best is None or cost < best:
+                u[i], best = x, cost
+        z.append(best)
+    return u, z
 
 
 def cone_terms(instance, belief, u):

@@ -265,11 +265,40 @@ class TestRun:
         direct = np.abs(record.y - record.y_ref).sum(axis=1)
         assert_allclose(record.abs_err, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_outputs_and_errors_are_the_per_step_values(self, mode):
+        # Built as whole arrays, bit for bit what model.output and one
+        # np.sum per step give; sim3 has two outputs.
+        spec = scenario("sim3")
+        record = run(spec, mode, 0)
+        assert not record.aborted
+        ys = [spec.model.output(x) for x in record.x]
+        errors = [float(np.sum(np.abs(y - r)))
+                  for y, r in zip(ys, record.y_ref)]
+        assert record.y.tobytes() == np.array(ys).tobytes()
+        assert record.abs_err.tobytes() == np.array(errors).tobytes()
+
     def test_infeasible_scenario_reports_an_abort(self, infeasible_controller):
         record = run(scenario("sim1"), "learn", 0, steps=5)
         assert record.aborted
         assert record.steps == 0
-        assert "step 1" in record.diagnostic
+        assert record.diagnostic == ("step 1: RuntimeError: controller "
+                                     "returned status 'infeasible'")
+
+    @pytest.mark.parametrize("status", ["max_iter", "non_finite"])
+    def test_a_finite_input_of_a_solve_that_is_not_optimal_aborts(
+            self, status, monkeypatch):
+        # The input is finite, but its solve certifies no bound.
+        def solve(instance, belief, bounds):
+            sol = robust.solve_robust(instance, belief, bounds)
+            return replace(sol, status=status, newton_iterations=600)
+
+        monkeypatch.setattr(experiments, "solve_robust", solve)
+        record = run(scenario("sim1"), "learn", 0, steps=5)
+        assert record.aborted
+        assert record.steps == 0
+        assert record.diagnostic == (f"step 1: RuntimeError: controller "
+                                     f"returned status {status!r}")
 
     def test_step_one_abort_keeps_empty_arrays_of_the_right_shape(
             self, infeasible_controller):
@@ -282,6 +311,7 @@ class TestRun:
                     "skipped": (0,), "contains_true": (0,),
                     "belief_centers": (0, 4), "belief_shapes": (0, 4, 4)}
         assert {f: getattr(record, f).shape for f in expected} == expected
+        assert record.y.dtype == record.abs_err.dtype == np.float64
 
     def test_mid_run_abort_keeps_exactly_the_completed_steps(self, monkeypatch):
         calls = []
@@ -666,17 +696,31 @@ class TestDigest:
         assert experiments.solve_robust is solve
         first = digest.digest("sim3", "learn")
         assert digest.digest("sim3", "learn") == first
-        solves, iterations, shrinks, skips, runs, sols = first
+        solves, iterations, shrinks, skips, aborted, runs, sols = first
         assert solves > 0 and iterations == 0
         record = run(scenario("sim3"), "learn", 0)
         assert 0 < shrinks == np.count_nonzero(record.rho > 0.0) < solves
         assert skips == np.count_nonzero(record.skipped)
+        assert aborted == record.aborted == 0
         assert len(runs) == len(sols) == 64 and runs != sols
         assert experiments.solve_robust is solve
         assert robust.solve_robust is solve
         monkeypatch.setattr(digest, "SEEDS", range(1, 2))
         other = digest.digest("sim3", "learn")
-        assert other[4] != runs and other[5] != sols
+        assert other[5] != runs and other[6] != sols
+
+    def test_the_aborted_count_is_the_records(self, digest, monkeypatch):
+        # A failing update aborts every learning run at step 1; a fixed run
+        # never updates and runs to its end.
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(digest, "SEEDS", range(2))
+        monkeypatch.setattr(experiments, "update", failing)
+        for mode, expected in (("learn", 2), ("fixed", 0)):
+            records = [run(scenario("sim1"), mode, seed) for seed in range(2)]
+            assert sum(record.aborted for record in records) == expected
+            assert digest.digest("sim1", mode)[4] == expected
 
     def test_the_barrier_digest_replays_every_recorded_program(self, digest,
                                                               monkeypatch):

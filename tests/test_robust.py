@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import pickle
 import warnings
 
 import numpy as np
@@ -173,6 +174,23 @@ class TestControlBounds:
         # barrier could neither pin the input nor bound it.
         with pytest.raises(ValueError, match="same infinity"):
             ControlBounds([0.0, side], [1.0, side])
+
+    @pytest.mark.parametrize("lower, upper, feasible", [
+        ([-1.0, 0.0], [1.0, 0.0], True), ([1.0], [-1.0], False),
+        ([np.inf], [-np.inf], False)])
+    def test_feasibility_survives_a_pickle_round_trip(self, lower, upper,
+                                                      feasible):
+        # monte_carlo sends each scenario, its box included, to its workers
+        # by pickle; the flag is decided once, at construction.
+        box = pickle.loads(pickle.dumps(ControlBounds(lower, upper)))
+        assert box.feasible() is feasible
+        assert box == ControlBounds(lower, upper)
+
+    def test_equal_boxes_compare_equal(self):
+        assert ControlBounds([-1.0, 0.0], [1.0, 2.0]) == \
+            ControlBounds(np.array([-1, 0]), (1.0, 2.0))
+        assert ControlBounds([1.0], [-1.0]) == ControlBounds([1.0], [-1.0])
+        assert ControlBounds([-1.0], [1.0]) != ControlBounds([-1.0], [2.0])
 
     def test_infinite_sides_that_are_boxes_are_kept(self):
         for lower, upper in (([-np.inf], [np.inf]), ([2.0], [np.inf]),
@@ -830,6 +848,25 @@ class TestSplitClosedForm:
                     assert sol.newton_iterations == 0
 
     @staticmethod
+    def assert_reference_bits(instance, belief, bounds):
+        """``_split`` through the geometry's held reduction returns the bits
+        of ``oracles.split_reference``, which reduces from the rows."""
+        geometry = robust._geometry(instance, belief, bounds)
+        assert geometry.split is not None
+        got = robust._split(geometry, instance)
+        ref = oracles.split_reference(geometry, instance)
+        for held, reduced in zip(got, ref):
+            assert np.array(held).tobytes() == np.array(reduced).tobytes()
+
+    def test_every_recorded_solve_matches_the_per_step_reduction(self):
+        # known_theta's point belief has zero columns (r = 0).
+        for name in ("sim1", "sim2", "sim3"):
+            for mode in experiments.MODES:
+                for instance, belief, bounds, _ in recorded_solves(
+                        name, mode, range(1)):
+                    self.assert_reference_bits(instance, belief, bounds)
+
+    @staticmethod
     def hand_built(b0, b_stack, lower, upper):
         """A program with the given slopes, a state block of one column, a
         dense belief and a box from ``lower`` to ``upper``."""
@@ -869,9 +906,10 @@ class TestSplitClosedForm:
         # Each moved output's column of Wm_t is reduced to one row; a
         # pinned input may move every output, and an output that moves no
         # input adds its constant bound.
-        geometry = self.assert_exact(*self.hand_built(b0, b_stack, lower,
-                                                      upper))
+        program = self.hand_built(b0, b_stack, lower, upper)
+        geometry = self.assert_exact(*program)
         assert geometry.split == split
+        self.assert_reference_bits(*program)
 
     @pytest.mark.parametrize("b0, b_stack", [
         ([[1.0, 0.5], [0.0, 0.8]], np.zeros((0, 2, 2))),
