@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _fixed, _freeze, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _freeze, _FrozenArrays, _held, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 from .robust import ControlBounds
@@ -64,7 +64,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class InfoQuadratic(_FrozenArrays):
-    """Information objective ``u^T pw u + pvwx . u + const``."""
+    """Information objective ``u^T pw u + pvwx . u + const``; every entry
+    must be finite."""
 
     pw: np.ndarray
     pvwx: np.ndarray
@@ -75,6 +76,10 @@ class InfoQuadratic(_FrozenArrays):
         pvwx = np.atleast_1d(np.array(self.pvwx, dtype=float))
         if pw.shape[0] != pw.shape[1] or pw.shape[0] != pvwx.size:
             raise ValueError("inconsistent quadratic dimensions")
+        for name, value in (("pw", pw.ravel().tolist()), ("pvwx", pvwx.tolist()),
+                            ("const", [self.const])):
+            if not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} is not finite")
         pw = 0.5 * (pw + pw.T)
         _set_frozen(self, pw=pw, pvwx=pvwx)
 
@@ -119,30 +124,19 @@ def exploration_weight(ma, m: int) -> np.ndarray:
     return ma
 
 
-# The last ``_fixed`` ``ma`` checked, its input count and its checked
-# weight, replaced whole; the key is compared by identity. ``ScenarioSpec``
-# fills it at load with the weight it stores, so a run checks none.
-_weight_memo = None
-
-
+@_held
 def _checked_weight(ma, m: int) -> np.ndarray:
     """:func:`exploration_weight` of ``ma``, checked finite and symmetric PSD.
 
-    A ``_fixed`` ``ma`` given again with the same ``m`` is not checked
-    again: the weight checked the first time is returned.
+    The read-only weight is held while the same read-only ``ma`` comes back
+    with the same ``m``. ``ScenarioSpec`` checks the weight it stores at
+    load, so a run checks none.
     """
-    global _weight_memo
-    memo = _weight_memo
-    if memo is not None and memo[0] is ma and memo[1] == m:
-        return memo[2]
     weight = exploration_weight(ma, m)
     if not np.isfinite(weight).all():
         raise ValueError("ma is not finite")
     Ellipsoid(np.zeros(m), weight)  # raises unless symmetric PSD
-    _freeze(weight)
-    if _fixed(ma):
-        _weight_memo = ma, m, weight
-    return weight
+    return _freeze(weight)
 
 
 def build_trust_region(belief: ParameterBelief, u_ref, ma) -> Ellipsoid:

@@ -79,7 +79,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
+from operator import is_
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def _fixed(value) -> bool:
     """Whether ``value`` is an array whose values cannot change under a holder.
 
     It is read-only and owns its data, so no writable view of another
-    array can reach it. The one-slot memos key such arrays by identity.
+    array can reach it. :func:`_held` keys such arrays by identity.
     """
     return (isinstance(value, np.ndarray) and not value.flags.writeable
             and value.flags.owndata)
@@ -161,6 +162,49 @@ class _FrozenArrays:
         for value in state.values():
             _freeze(value)
         self.__dict__.update(state)
+
+
+# Every function wrapped by ``_held``, so that each held value can be cleared.
+_HELD = []
+
+
+def _same(held, arg):
+    """Whether an argument is the held one: the same object, or an equal ``int``."""
+    return held is arg or type(held) is int and type(arg) is int and held == arg
+
+
+def _holdable(arg):
+    """Whether an argument cannot change under a holder (see :func:`_held`)."""
+    return _fixed(arg) or isinstance(arg, _FrozenArrays) or type(arg) is int
+
+
+def _held(build):
+    """``build``, keeping its last result while the same arguments come back.
+
+    Arguments are compared by identity, an ``int`` by value. A result is
+    held only when every argument is a :func:`_fixed` array, a
+    :class:`_FrozenArrays` object or an ``int``, none of which can change
+    while it is held; a call with any other argument, or by keyword, is
+    built afresh and leaves the held result in place. The wrapper's
+    ``clear()`` forgets the result.
+    """
+    slot = []
+
+    @wraps(build, updated=())
+    def held(*args, **kwargs):
+        # Identity first: it decides every hit of a closed-loop step.
+        if (slot and not kwargs and len(args) == len(slot[0])
+                and (all(map(is_, slot[0], args))
+                     or all(map(_same, slot[0], args)))):
+            return slot[1]
+        result = build(*args, **kwargs)
+        if not kwargs and all(map(_holdable, args)):
+            slot[:] = args, result
+        return result
+
+    held.clear = slot.clear
+    _HELD.append(held)
+    return held
 
 
 def _flat(vals):
@@ -384,27 +428,20 @@ BETA_SLACK = 1e-10
 # What ``_Fusion._decompose`` sets: the family's spectral description.
 _SPECTRAL = frozenset(("sigma", "nu", "e", "e2", "e_perp2", "basis", "_terms"))
 
-# The last noise shape factored and its factor, replaced whole. The key is
-# compared by identity, so only a ``_fixed`` array is held: in the closed
-# loop, the ``q_shape`` that every step's ``Observation`` shares.
-_factor_memo = None
-
-
+@_held
 def _noise_factor(q):
-    """``chol(Q + 1e-13 (1 + tr Q) I)``, taken once per read-only ``Q``."""
-    global _factor_memo
-    memo = _factor_memo
-    if memo is not None and memo[0] is q:
-        return memo[1]
+    """``chol(Q + 1e-13 (1 + tr Q) I)``, read-only.
+
+    Held while the same ``_fixed`` ``Q`` comes back: in the closed loop,
+    the ``q_shape`` that every step's ``Observation`` shares.
+    """
     # The ridge lets a noise-free direction (singular Q) be factored.
     ridge = 1e-13 * (1.0 + np.trace(q))
     try:
         chol = np.linalg.cholesky(q + ridge * np.eye(q.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise DegenerateOperandError("noise shape is not PSD") from exc
-    if _fixed(q):
-        _factor_memo = q, _freeze(chol)
-    return chol
+    return _freeze(chol)
 
 
 class _Fusion:

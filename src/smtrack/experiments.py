@@ -133,6 +133,12 @@ def _is_count(value) -> bool:
             and value >= 1)
 
 
+def _check_count(name, value):
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1."""
+    if not _is_count(value):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec(_FrozenArrays):
     """Everything needed to reproduce one closed-loop study."""
@@ -174,9 +180,7 @@ class ScenarioSpec(_FrozenArrays):
         if self.update_policy not in ("raise", "skip"):
             raise ValueError(f"update_policy must be 'raise' or 'skip', "
                              f"got {self.update_policy!r}")
-        if not _is_count(self.horizon):
-            raise ValueError(f"horizon must be an integer >= 1, "
-                             f"got {self.horizon!r}")
+        _check_count("horizon", self.horizon)
         for t in self.t_windows:
             if not _is_count(t):
                 raise ValueError(f"t_windows entries must be integers >= 1, "
@@ -354,11 +358,15 @@ _SCENARIOS = {"sim1": _sim1, "sim2": _sim2, "sim3": _sim3}
 def run(spec: ScenarioSpec, mode: str, seed: int, steps: int | None = None) -> RunRecord:
     """Simulate one closed-loop run; same (spec, mode, seed) replays exactly.
 
-    A step whose robust solve does not end ``"optimal"`` aborts the run with
-    the diagnostic ``controller returned status '...'``.
+    ``steps``, when given, replaces the scenario's horizon and must be an
+    integer >= 1. A step whose robust solve does not end ``"optimal"``
+    aborts the run with the diagnostic ``controller returned status
+    '...'``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if steps is not None:
+        _check_count("steps", steps)
     model = spec.model
     horizon = int(steps) if steps is not None else spec.horizon
     rng = np.random.default_rng(seed)
@@ -476,8 +484,9 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     """Across-seed averages per mode; seeds ``seed0 .. seed0 + n_runs - 1``.
 
     ``t_windows=None`` takes the scenario's windows that fit the horizon.
-    Every input is checked before the first run: a window outside the
-    horizon, or no window at all, raises ``ValueError``.
+    Every input is checked before the first run: an ``n_runs`` or a
+    ``steps`` that is not an integer >= 1, a window outside the horizon, or
+    no window at all, raises ``ValueError``.
     Aborted runs are excluded from the averages and counted; the report is
     flagged when exclusions exceed 5% anywhere. ``jobs > 1`` distributes
     runs over processes, folding results in submission order so the report
@@ -490,6 +499,9 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+    _check_count("n_runs", n_runs)
+    if steps is not None:
+        _check_count("steps", steps)
     horizon = int(steps) if steps is not None else spec.horizon
     t_windows = (tuple(t_windows) if t_windows is not None
                  else tuple(t for t in spec.t_windows if t <= horizon))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _fixed, _freeze, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _freeze, _FrozenArrays, _held, _set_frozen
 
 __all__ = ["RegressorTable", "UncertainModel"]
 
@@ -156,24 +156,19 @@ class UncertainModel(_FrozenArrays):
             raise ValueError(f"theta has {theta.size} entries, expected {self.p}")
         return theta[: self.r], theta[self.r:]
 
+    @_held
     def assemble(self, theta):
         """Realized ``(A, B)`` at a parameter vector, as read-only arrays.
 
-        The model keeps the last pair of a ``_fixed`` ``theta``, keyed by its
-        identity as passed, and returns those same arrays while the same
-        array is passed again, as the scenario's read-only true parameter is
-        on every closed-loop step. Any other ``theta`` is assembled afresh.
+        The pair is held while the same model and the same read-only
+        ``theta`` come back (``ellipsoid._held``), as the scenario's true
+        parameter does on every closed-loop step; any other ``theta`` is
+        assembled afresh.
         """
-        memo = self.__dict__.get("_assembled")
-        if memo is not None and memo[0] is theta:
-            return memo[1]
         alpha, beta = self.split_theta(theta)
         a = self.a0 + sum(al * ai for al, ai in zip(alpha, self.a_perturbations))
         b = self.b0 + sum(be * bj for be, bj in zip(beta, self.b_perturbations))
-        pair = _freeze((np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-        if _fixed(theta):
-            object.__setattr__(self, "_assembled", (theta, pair))
-        return pair
+        return _freeze((np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
     def step(self, x, u, theta, omega):
         """One state transition; returns ``(x_next, y_next)``."""

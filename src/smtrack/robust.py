@@ -67,18 +67,19 @@ output's input block ``Wm_t``, the map of ``gx`` onto the cone offsets, the
 pinned inputs' constants and whether and how the program splits; for a
 program that splits it also holds each output's one-input reduction, which
 no step changes. Each step maps its ``(f, gx)`` through it over Python
-floats, at ``O(l p r)`` operations. The last geometry is kept in a
-one-slot memo keyed by the identity of the belief's ellipsoid, the box and
-the model constants, and held only when those constants are read-only
-arrays that own their data (as the model's ``tracked`` table holds them),
-so a hand-built writable instance gets a fresh build on every solve. The
-memo is rebuilt whenever the key changes: every solve, built or reused,
-runs through the same geometry and the same per-step map. A belief changes only when an update
-shrinks it, so over seeds 0-4 a run builds once in ``fixed`` and
-``known_theta`` mode (one geometry for all 500 sim2 solves of each mode)
-and once per new belief otherwise: sim1 ``learn`` 96 builds for 230
-solves, sim2 ``learn`` 160 for 500, sim3 ``learn`` 74 and ``active`` 158
-for 500. A sim2 solve through a held geometry costs 8-9 us, of which the
+floats, at ``O(l p r)`` operations. The geometry is a held value
+(``ellipsoid._held``): it is kept while the same belief ellipsoid, box and
+model constants come back, each compared by identity, and held only when
+those constants are read-only arrays that own their data (as the model's
+``tracked`` table holds them), so a hand-built writable instance gets a
+fresh build on every solve. Every solve, built or reused, runs through the
+same geometry and the same per-step map. A belief changes only when an
+update shrinks it, so over seeds 0-4 of one scenario object the runs of a
+``fixed`` or ``known_theta`` mode build once (one geometry for all 500
+sim2 solves of each mode) and the others once per new belief: sim1
+``learn`` 96 builds for 230 solves, sim2 ``learn`` 160 for 500, sim3
+``learn`` 74 and ``active`` 158 for 500 (``tests/digest.py`` prints each
+count). A sim2 solve through a held geometry costs 8-9 us, of which the
 closed form (:func:`_split`) is 5-6 us, and a geometry build 30-35 us on
 sim1-sim3 (timeit, best of 7 or more; 2 vCPU, Python 3.11).
 """
@@ -88,12 +89,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import is_, mul
+from operator import mul
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _fixed, _FrozenArrays, _set_frozen
+from .ellipsoid import Ellipsoid, _FrozenArrays, _held, _set_frozen
 from .estimator import ParameterBelief
 from .model import UncertainModel
 
@@ -252,7 +252,8 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
         return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
                               np.nan, "infeasible", 0)
 
-    geometry = _geometry(instance, belief, bounds)
+    geometry = _geometry(instance.gx.shape[1], belief.set, bounds, instance.b0,
+                         instance.b_stack, instance.q_shape)
     if geometry.split is not None:
         u, z = _split(geometry, instance)
         iters, status = 0, "optimal"
@@ -270,18 +271,18 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
     return RobustSolution(u_full, np.array(z), sum(z), status, iters)
 
 
-@lru_cache(maxsize=8)
-def _point_belief(theta: tuple) -> ParameterBelief:
-    """The point belief at ``theta``, built and decomposed once per value."""
-    n = len(theta)
-    return ParameterBelief(Ellipsoid(theta, np.zeros((n, n))))
+@_held
+def _point_belief(theta) -> ParameterBelief:
+    """The point belief at ``theta``, held while the same read-only ``theta``
+    comes back, so a run builds and decomposes it once."""
+    return ParameterBelief(Ellipsoid(theta, np.zeros((theta.size, theta.size))))
 
 
 def solve_known_theta(instance: TrackingInstance, theta_true,
                       bounds: ControlBounds) -> RobustSolution:
     """Baseline with the parameter known exactly (point belief, noise kept)."""
     theta = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    return solve_robust(instance, _point_belief(tuple(theta.tolist())), bounds)
+    return solve_robust(instance, _point_belief(theta), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +326,22 @@ class _Geometry:
     slope ``a = a_t[i]``, the length ``r`` of column ``i`` of ``Wm_t``, the
     unit column ``e`` (the zero column itself if ``r = 0``) and the input's
     box with each infinite side clamped to the largest float.
+
+    It is built from the parts of a program that a run keeps: the number
+    ``r`` of state columns of ``g``, the belief's ellipsoid, the box and the
+    model constants ``b0``, ``b_stack`` and ``q_shape``, never from a step's
+    :class:`TrackingInstance`, so that ``_geometry`` can hold it while those
+    parts come back.
     """
 
-    def __init__(self, instance, ellipsoid, bounds):
-        l, m = instance.l, instance.m
-        r = instance.gx.shape[1]
+    def __init__(self, r, ellipsoid, bounds, b0, b_stack, q_shape):
+        l, m = b0.shape
         th, sroot = ellipsoid.center, ellipsoid.root
-        if th.size != instance.p:
+        if th.size != r + len(b_stack):
             raise ValueError(f"belief has {th.size} parameters, "
-                             f"the program {instance.p}")
-        ws = instance.b_stack.reshape(-1, l * m)
-        midu = instance.b0 + (th[r:] @ ws).reshape(l, m)
+                             f"the program {r + len(b_stack)}")
+        ws = b_stack.reshape(-1, l * m)
+        midu = b0 + (th[r:] @ ws).reshape(l, m)
         wm = (sroot[:, r:] @ ws).reshape(th.size, l, m).transpose(1, 0, 2)
 
         lo, hi = bounds.lower, bounds.upper
@@ -366,7 +372,7 @@ class _Geometry:
             self.split = [int(row.argmax()) if row.any() else None
                           for row in moves]
 
-        qdiag = np.sqrt(np.maximum(np.diag(instance.q_shape), 0.0))
+        qdiag = np.sqrt(np.maximum(np.diag(q_shape), 0.0))
         self.th_r = th[:r].tolist()
         self.s_r = sroot[:, :r].tolist()
         self.pins = list(zip(mid_pin.tolist(), w_pin.tolist()))
@@ -404,25 +410,8 @@ class _Geometry:
                 in zip(self.offsets(f, gx), self.cones)]
 
 
-# The geometry of the last program built, as one (key, geometry) pair that
-# is replaced whole. The key holds the belief's ellipsoid, the box and the
-# model constants ``b0``, ``b_stack`` and ``q_shape``, all compared by
-# identity. Only a geometry whose constants are ``_fixed`` is held, so a
-# writable instance is rebuilt on every solve.
-_memo = None
-
-
-def _geometry(instance, belief, bounds):
-    """The :class:`_Geometry` of a program, built once per key."""
-    global _memo
-    key = (belief.set, bounds, instance.b0, instance.b_stack, instance.q_shape)
-    memo = _memo
-    if memo is not None and all(map(is_, memo[0], key)):
-        return memo[1]
-    geometry = _Geometry(instance, belief.set, bounds)
-    if all(map(_fixed, key[2:])):
-        _memo = key, geometry
-    return geometry
+# The geometry of a program, held while its parts come back.
+_geometry = _held(_Geometry)
 
 
 class _Barrier:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from smtrack import experiments
+from smtrack import ellipsoid, experiments
 from smtrack.robust import ControlBounds, solve_robust
+
+
+@pytest.fixture(autouse=True)
+def nothing_held():
+    """Each test starts with no value held by ``ellipsoid._held``."""
+    for held in ellipsoid._HELD:
+        held.clear()
 
 
 @pytest.fixture

@@ -3,14 +3,19 @@
 For sim1-sim3, every mode of ``experiments.MODES`` and seeds 0-4, one line
 per scenario and mode gives the number of robust solves, their total Newton
 iterations, the number of belief updates that shrank the set (``rho > 0``),
-of updates that were skipped and of runs that aborted, and two sha256
-digests: one over every ``RunRecord`` field and one over every solve's
-``u``, ``z``, objective, status and iterations. Two checkouts that print the same first digest ran
-the same closed loops bit for bit, even where a change moves only the
-solves' ``z`` at rounding; the same second digest means every solve
-returned the same bits too. Where a change moves the estimator's sets at
-rounding, both digests of ``learn`` and ``active`` move, and equal shrink
-and skip counts show that every update still made the same decision::
+of updates that were skipped, of runs that aborted and of program
+geometries built (``robust._Geometry``), and two sha256 digests: one over
+every ``RunRecord`` field and one over every solve's ``u``, ``z``,
+objective, status and iterations. Two checkouts that print the same first
+digest ran the same closed loops bit for bit, even where a change moves
+only the solves' ``z`` at rounding; the same second digest means every
+solve returned the same bits too. The runs of a line share one scenario and
+start with nothing held (``ellipsoid._held``), so the build count shows
+whether a held geometry is still reused, which bit identity cannot show: a
+belief that never changes, as in ``fixed`` mode, is built once for all the
+solves of its line. Where a change moves the estimator's sets at rounding,
+both digests of ``learn`` and ``active`` move, and equal shrink and skip
+counts show that every update still made the same decision::
 
     python tests/digest.py > after.txt
     python ../parent/tests/digest.py > before.txt
@@ -40,7 +45,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 import numpy as np  # noqa: E402
 
-from smtrack import experiments, robust  # noqa: E402
+from smtrack import ellipsoid, experiments, robust  # noqa: E402
 
 import oracles  # noqa: E402
 
@@ -62,12 +67,17 @@ def _feed(h, value):
 
 
 def digest(name, mode):
-    """``(solves, newton_iterations, shrinks, skips, aborted, runs_sha256,
-    solves_sha256)`` of one scenario and mode."""
+    """``(solves, newton_iterations, shrinks, skips, aborted, builds,
+    runs_sha256, solves_sha256)`` of one scenario and mode."""
     runs, sols = hashlib.sha256(), hashlib.sha256()
-    solves, iterations = [0], [0]
+    solves, iterations, builds = [0], [0], [0]
     shrinks = skips = aborted = 0
     solve = robust.solve_robust
+    build = robust._Geometry.__init__
+
+    def counting(self, *args):
+        builds[0] += 1
+        build(self, *args)
 
     def recording(instance, belief, bounds):
         sol = solve(instance, belief, bounds)
@@ -78,11 +88,15 @@ def digest(name, mode):
             _feed(sols, value)
         return sol
 
+    for held in ellipsoid._HELD:
+        held.clear()
+    spec = experiments.scenario(name)
     # known_theta reaches the solver through robust.solve_known_theta.
     experiments.solve_robust = robust.solve_robust = recording
+    robust._Geometry.__init__ = counting
     try:
         for seed in SEEDS:
-            record = experiments.run(experiments.scenario(name), mode, seed)
+            record = experiments.run(spec, mode, seed)
             shrinks += int(np.count_nonzero(record.rho > 0.0))
             skips += int(np.count_nonzero(record.skipped))
             aborted += record.aborted
@@ -91,7 +105,8 @@ def digest(name, mode):
                 _feed(runs, getattr(record, field.name))
     finally:
         experiments.solve_robust = robust.solve_robust = solve
-    return (solves[0], iterations[0], shrinks, skips, aborted,
+        robust._Geometry.__init__ = build
+    return (solves[0], iterations[0], shrinks, skips, aborted, builds[0],
             runs.hexdigest(), sols.hexdigest())
 
 
@@ -128,7 +143,9 @@ def barrier_digest():
     programs = barrier_programs()
     iterations = 0
     for instance, belief, bounds in programs:
-        geometry = robust._geometry(instance, belief, bounds)
+        geometry = robust._geometry(instance.gx.shape[1], belief.set, bounds,
+                                    instance.b0, instance.b_stack,
+                                    instance.q_shape)
         prog = robust._Barrier(geometry, instance)
         u, iters, status = robust._barrier_path(prog)
         u_full = geometry.u_fix.copy()
@@ -142,12 +159,12 @@ def barrier_digest():
 def main():
     for name in SCENARIOS:
         for mode in experiments.MODES:
-            (solves, iterations, shrinks, skips, aborted, runs,
+            (solves, iterations, shrinks, skips, aborted, builds, runs,
              sols) = digest(name, mode)
             print(f"{name} {mode:<11} solves {solves:5d} "
                   f"newton {iterations:6d} shrinks {shrinks:4d} "
-                  f"skips {skips:4d} aborted {aborted:2d} runs {runs} "
-                  f"solves {sols}")
+                  f"skips {skips:4d} aborted {aborted:2d} builds {builds:4d} "
+                  f"runs {runs} solves {sols}")
     programs, iterations, barrier = barrier_digest()
     print(f"barrier replays {programs:5d} newton {iterations:6d} "
           f"sha256 {barrier}")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smtrack import active
 from smtrack.active import (
     InfoQuadratic,
     build_info_quadratic,
@@ -36,6 +35,23 @@ class TestInfoQuadratic:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             InfoQuadratic(np.eye(2), [1.0], 0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("pw", [[np.nan, 0.0], [0.0, 1.0]]), ("pvwx", [np.inf, 0.0]),
+        ("const", np.nan)], ids=["pw-nan", "pvwx-inf", "const-nan"])
+    def test_a_non_finite_entry_is_rejected(self, field, value):
+        # Before, each reached solve_active and failed there.
+        args = {"pw": np.eye(2), "pvwx": [1.0, 0.5], "const": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} is not finite$"):
+            InfoQuadratic(**args)
+
+    def test_a_finite_quadratic_is_stored_unchanged(self):
+        rng = np.random.default_rng(3)
+        pw = rng.normal(size=(2, 2))
+        pvwx = rng.normal(size=2)
+        info = InfoQuadratic(pw, pvwx, 0.25)
+        assert np.array_equal(info.pw, 0.5 * (pw + pw.T))
+        assert np.array_equal(info.pvwx, pvwx) and info.const == 0.25
 
 
 class TestBuildInfoQuadratic:
@@ -131,7 +147,6 @@ class TestBuildTrustRegion:
         belief = ParameterBelief(Ellipsoid(np.zeros(2), np.diag([4.0, 2.0])))
         ma = np.array([[0.5, 0.1], [0.1, 2.0]])
         ma.flags.writeable = False
-        monkeypatch.setattr(active, "_weight_memo", None)
         checked = []
         post_init = Ellipsoid.__post_init__
         monkeypatch.setattr(Ellipsoid, "__post_init__",

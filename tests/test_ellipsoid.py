@@ -150,7 +150,6 @@ class TestCachedDecomposition:
         # eigendecomposition, and a trust region none; nothing else is
         # decomposed during a run.
         spec = scenario("sim2")
-        robust._point_belief.cache_clear()
         decomposed = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -180,6 +179,109 @@ class TestCachedDecomposition:
         assert counts["point"] == [1] * len(kinds["point"])
         assert counts["region"] == [0] * len(kinds["region"])
         assert len(decomposed) == len(kinds["posterior"]) + len(kinds["point"])
+
+
+class TestHeld:
+    """``ellipsoid._held``: a function's last result, kept while the same
+    arguments come back."""
+
+    @pytest.fixture(autouse=True)
+    def own_registry(self, monkeypatch):
+        # The functions held here stay out of the package's registry.
+        monkeypatch.setattr(ellipsoid, "_HELD", list(ellipsoid._HELD))
+
+    @staticmethod
+    def counted():
+        """A held function of its arguments and the list of its builds."""
+        builds = []
+
+        def build(*args, **kwargs):
+            builds.append(args)
+            return object()
+
+        return ellipsoid._held(build), builds
+
+    @staticmethod
+    def fixed(values):
+        """A read-only array that owns its data."""
+        arr = np.array(values, dtype=float)
+        arr.flags.writeable = False
+        return arr
+
+    def test_a_fixed_array_a_frozen_object_and_an_int_are_held(self):
+        held, builds = self.counted()
+        args = (self.fixed([1.0, 2.0]), Ellipsoid([0.0], [[1.0]]), 1000)
+        first = held(*args)
+        assert held(*args) is first
+        # An int is compared by value, not by identity.
+        same = int("1000")
+        assert same is not args[2] and held(*args[:2], same) is first
+        assert len(builds) == 1
+
+    def test_a_writable_array_is_built_on_every_call(self):
+        held, builds = self.counted()
+        arr = np.array([1.0, 2.0])
+        assert held(arr) is not held(arr)
+        assert len(builds) == 2
+
+    def test_a_read_only_view_is_built_on_every_call(self):
+        # The view cannot change itself, but a writable base under it can.
+        held, builds = self.counted()
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[1:]
+        view.flags.writeable = False
+        assert held(view) is not held(view)
+        assert len(builds) == 2
+
+    def test_a_different_int_or_fixed_array_rebuilds_and_is_held(self):
+        held, builds = self.counted()
+        arr = self.fixed([1.0])
+        first = held(arr, 3)
+        fourth = held(arr, 4)
+        assert fourth is not first and held(arr, 4) is fourth
+        other = self.fixed([1.0])
+        equal = held(other, 4)
+        assert equal is not fourth and held(other, 4) is equal
+        assert held(arr, 3) is not first
+        # Fewer arguments are other arguments, even when each one matches.
+        assert held(arr) is not held(arr, 3)
+        assert len(builds) == 6
+
+    def test_an_unholdable_call_rebuilds_and_leaves_the_held_result(self):
+        # A bool, a float, a list or a keyword is never held, and neither
+        # is a call with one of them.
+        held, builds = self.counted()
+        arr = self.fixed([1.0])
+        first = held(arr, 3)
+        for args in ((arr, True), (arr, 3.0), (arr, [3])):
+            assert held(*args) is not first
+        assert held(arr, count=3) is not first
+        assert held(arr, 3) is first
+        assert len(builds) == 5
+
+    def test_a_failed_build_holds_nothing(self):
+        arr = self.fixed([1.0])
+        calls = []
+
+        def build(value):
+            calls.append(value)
+            raise ValueError("bad")
+
+        held = ellipsoid._held(build)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad"):
+                held(arr)
+        assert len(calls) == 2
+
+    def test_clear_forgets(self):
+        held, builds = self.counted()
+        arr = self.fixed([1.0])
+        first = held(arr)
+        held.clear()
+        second = held(arr)
+        assert second is not first and held(arr) is second
+        assert len(builds) == 2
+        assert held in ellipsoid._HELD
 
 
 class TestMembership:

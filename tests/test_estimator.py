@@ -259,7 +259,6 @@ class TestUpdate:
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: calls.append(a) or cholesky(a))
-        monkeypatch.setattr(ellipsoid, "_factor_memo", None)
         belief = ParameterBelief(Ellipsoid([0.5, -0.2], [[4.0, 1.0], [1.0, 2.0]]))
         q = np.array([[9.0]])
         q.flags.writeable = False
@@ -270,7 +269,7 @@ class TestUpdate:
         assert len(calls) == 1
 
     def test_a_noise_shape_changed_in_place_is_read_again(self):
-        # A writable Q, or a read-only view of one, is memoized neither by
+        # A writable Q, or a read-only view of one, is held neither by
         # Observation nor by the fusion kernel: changed in place between
         # updates, it gives the results of fresh copies.
         prior = Ellipsoid([0.5, -0.2], [[4.0, 1.0], [1.0, 2.0]])

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from smtrack import active, ellipsoid, experiments, robust
+from smtrack import ellipsoid, experiments, robust
 from smtrack.active import build_trust_region
 from smtrack.ellipsoid import Ellipsoid
 from smtrack.estimator import (Observation, ParameterBelief, build_state_observation,
@@ -191,30 +191,32 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["sim1", "sim2", "sim3"])
     def test_memos_change_no_record(self, name, monkeypatch):
-        # Each run replays bit for bit with every per-run memo defeated: the
+        # Each run replays bit for bit with every held value defeated: the
         # plant, the noise shape and the exploration weight arrive as fresh
-        # writable copies, and the memos are cleared before each use.
+        # writable copies, and every held value is cleared before each use.
         spec = scenario(name)
         plain = [run(spec, mode, seed) for mode in MODES for seed in range(3)]
 
         plant_step = UncertainModel.step
 
+        def clear_held():
+            for held in ellipsoid._HELD:
+                held.clear()
+
         def step(model, x, u, theta, omega):
-            model.__dict__.pop("_assembled", None)
+            clear_held()
             return plant_step(model, x, u, np.array(theta), omega)
 
         def observe(model, x, u, x_next):
-            ellipsoid._factor_memo = None
+            clear_held()
             obs = build_state_observation(model, x, u, x_next)
             return Observation(obs.h, obs.phi, np.array(model.state.q))
 
         def region(belief, u_ref, ma):
-            active._weight_memo = None
+            clear_held()
             return build_trust_region(belief, u_ref, np.array(ma))
 
         monkeypatch.setattr(UncertainModel, "step", step)
-        monkeypatch.setattr(active, "_weight_memo", None)
-        monkeypatch.setattr(ellipsoid, "_factor_memo", None)
         monkeypatch.setattr(experiments, "build_state_observation", observe)
         monkeypatch.setattr(experiments, "build_trust_region", region)
         defeated = [run(spec, mode, seed) for mode in MODES for seed in range(3)]
@@ -599,6 +601,29 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(scenario("sim1"), **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("steps", -2), ("steps", 2.9), ("steps", True),
+        ("steps", "3"), ("n_runs", 0), ("n_runs", -1), ("n_runs", 1.5),
+        ("n_runs", False),
+    ], ids=["steps-0", "steps-negative", "steps-float", "steps-bool",
+            "steps-string", "runs-0", "runs-negative", "runs-float",
+            "runs-bool"])
+    def test_a_bad_step_or_run_count_is_rejected_before_any_run(
+            self, field, value, monkeypatch):
+        message = f"{field} must be an integer >= 1, got {value!r}"
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step started before the count was checked")
+
+        monkeypatch.setattr(experiments, "build_instance", no_step)
+        spec = scenario("sim1")
+        if field == "steps":
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run(spec, "fixed", 0, steps=value)
+        kwargs = {"n_runs": 1, "steps": 4, field: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo(spec, modes=("fixed",), t_windows=(2,), **kwargs)
+
     @pytest.mark.parametrize("value", ["bogus", "Skip", None],
                              ids=["bogus", "capitalized", "none"])
     def test_bad_update_policy_is_rejected_at_load(self, value):
@@ -676,6 +701,25 @@ class TestConfigRoundTrip:
         assert MODES == ("fixed", "learn", "active", "known_theta")
 
 
+def geometry_builds(monkeypatch, name, mode, n_runs):
+    """:class:`robust._Geometry` builds of ``n_runs`` runs (seeds from 0) of
+    one scenario object, with nothing held before the first."""
+    for held in ellipsoid._HELD:
+        held.clear()
+    spec = scenario(name)
+    init, builds = robust._Geometry.__init__, [0]
+
+    def counting(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(robust._Geometry, "__init__", counting)
+        for seed in range(n_runs):
+            assert not run(spec, mode, seed).aborted
+    return builds[0]
+
+
 class TestDigest:
     """``tests/digest.py``, which compares two checkouts bit for bit."""
 
@@ -694,20 +738,35 @@ class TestDigest:
         # its solves count no Newton iterations.
         solve = robust.solve_robust
         assert experiments.solve_robust is solve
+        build = robust._Geometry.__init__
         first = digest.digest("sim3", "learn")
         assert digest.digest("sim3", "learn") == first
-        solves, iterations, shrinks, skips, aborted, runs, sols = first
+        solves, iterations, shrinks, skips, aborted, builds, runs, sols = first
         assert solves > 0 and iterations == 0
         record = run(scenario("sim3"), "learn", 0)
         assert 0 < shrinks == np.count_nonzero(record.rho > 0.0) < solves
         assert skips == np.count_nonzero(record.skipped)
         assert aborted == record.aborted == 0
+        assert builds == geometry_builds(monkeypatch, "sim3", "learn", 1)
         assert len(runs) == len(sols) == 64 and runs != sols
         assert experiments.solve_robust is solve
         assert robust.solve_robust is solve
+        assert robust._Geometry.__init__ is build
         monkeypatch.setattr(digest, "SEEDS", range(1, 2))
         other = digest.digest("sim3", "learn")
-        assert other[5] != runs and other[6] != sols
+        assert other[6] != runs and other[7] != sols
+
+    @pytest.mark.parametrize("name, mode", [
+        ("sim2", "fixed"), ("sim2", "known_theta"), ("sim1", "learn")])
+    def test_the_build_count_is_the_runs(self, digest, name, mode,
+                                         monkeypatch):
+        # The runs of a line share one scenario, so a belief that never
+        # changes is built once for all of them.
+        monkeypatch.setattr(digest, "SEEDS", range(2))
+        builds = digest.digest(name, mode)[5]
+        assert builds == geometry_builds(monkeypatch, name, mode, 2)
+        if mode != "learn":
+            assert builds == 1
 
     def test_the_aborted_count_is_the_records(self, digest, monkeypatch):
         # A failing update aborts every learning run at step 1; a fixed run

@@ -194,15 +194,18 @@ class TestAssemble:
     def test_a_read_only_parameter_is_held_by_identity(self):
         # The scenario's true parameter is read-only, so every closed-loop
         # step reuses its (A, B); an equal writable copy is assembled afresh
-        # and leaves the held pair in place.
+        # and leaves the held pair in place, and so does a keyword call.
         spec = scenario("sim1")
         model = spec.model
         pair = model.assemble(spec.theta_true)
-        assert model._assembled[0] is spec.theta_true
         assert model.assemble(spec.theta_true) is pair
         fresh = model.assemble(spec.theta_true.copy())
         assert fresh is not pair and all(map(np.array_equal, fresh, pair))
+        by_keyword = model.assemble(theta=spec.theta_true)
+        assert by_keyword is not pair and all(map(np.array_equal, by_keyword, pair))
         assert model.assemble(spec.theta_true) is pair
+        other = scenario("sim1").model
+        assert other.assemble(spec.theta_true) is not pair
 
 
 class TestStep:

@@ -72,17 +72,23 @@ def _recorded_solves(name, mode, seeds):
     return tuple(solves)
 
 
+def geometry_of(instance, belief, bounds):
+    """The :class:`robust._Geometry` of a program, read as
+    :func:`solve_robust` reads it, through the held one."""
+    return robust._geometry(instance.gx.shape[1], belief.set, bounds,
+                            instance.b0, instance.b_stack, instance.q_shape)
+
+
 def program(instance, belief, bounds):
     """The barrier of a program, :class:`robust._Barrier`, which
     :func:`solve_robust` runs only on a program that does not split."""
-    return robust._Barrier(robust._geometry(instance, belief, bounds),
-                           instance)
+    return robust._Barrier(geometry_of(instance, belief, bounds), instance)
 
 
 def full_input(instance, belief, bounds, u):
     """The full input of a program whose free inputs are at ``u``, each
     pinned input at its pinned value (:class:`robust._Geometry`)."""
-    geometry = robust._geometry(instance, belief, bounds)
+    geometry = geometry_of(instance, belief, bounds)
     u_full = geometry.u_fix.copy()
     u_full[geometry.free] = u
     return u_full
@@ -90,7 +96,20 @@ def full_input(instance, belief, bounds, u):
 
 def free_inputs(instance, belief, bounds):
     """The mask of a program's free inputs."""
-    return robust._geometry(instance, belief, bounds).free
+    return geometry_of(instance, belief, bounds).free
+
+
+def counted_geometry_builds(monkeypatch):
+    """A one-item list that counts :class:`robust._Geometry` builds from now
+    on, until ``monkeypatch`` is undone."""
+    init, builds = robust._Geometry.__init__, [0]
+
+    def counting(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(robust._Geometry, "__init__", counting)
+    return builds
 
 
 def barrier_solution(instance, belief, bounds):
@@ -372,10 +391,10 @@ class TestSolveRobust:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        spec = scenario("sim2")
         counts = []
         for steps in (10, 20):
-            robust._point_belief.cache_clear()
+            # A new scenario's read-only theta has no point belief held.
+            spec = scenario("sim2")
             calls[0] = 0
             assert run(spec, "known_theta", 0, steps).steps == steps
             counts.append(calls[0])
@@ -424,7 +443,7 @@ class TestSolveRobust:
             # input, mid_t and |w_t|^2, in the barrier's rows. The free
             # input moves both outputs: no split.
             prog = program(instance, belief, bounds)
-            assert robust._geometry(instance, belief, bounds).split is None
+            assert geometry_of(instance, belief, bounds).split is None
             for u0 in (lo, 0.3, hi):
                 mid, w2, _ = oracles.cone_terms(instance, belief, [u0, pin])
                 for row, mid_t, w2_t in zip(prog._rows, mid, w2):
@@ -802,7 +821,7 @@ class TestSplitClosedForm:
         output's bound is the worst case at the returned input, and each
         moved output's input and bound are the oracle's. Returns the
         program's geometry."""
-        geometry = robust._geometry(instance, belief, bounds)
+        geometry = geometry_of(instance, belief, bounds)
         assert geometry.split is not None
         free = np.flatnonzero(geometry.free)
         sol = solve_robust(instance, belief, bounds)
@@ -851,7 +870,7 @@ class TestSplitClosedForm:
     def assert_reference_bits(instance, belief, bounds):
         """``_split`` through the geometry's held reduction returns the bits
         of ``oracles.split_reference``, which reduces from the rows."""
-        geometry = robust._geometry(instance, belief, bounds)
+        geometry = geometry_of(instance, belief, bounds)
         assert geometry.split is not None
         got = robust._split(geometry, instance)
         ref = oracles.split_reference(geometry, instance)
@@ -924,7 +943,7 @@ class TestSplitClosedForm:
                                                    [3.0, 3.0])
         belief = ParameterBelief(Ellipsoid(np.zeros(belief.center.size),
                                            belief.shape))
-        assert robust._geometry(instance, belief, bounds).split is None
+        assert geometry_of(instance, belief, bounds).split is None
         sol = solve_robust(instance, belief, bounds)
         assert sol.status == "optimal" and sol.newton_iterations > 0
 
@@ -1092,7 +1111,7 @@ class TestBarrierKernel:
         # duality measure is below DUALITY_TARGET is the last.
         rng = np.random.default_rng(25)
         coupled = oracles.random_tracking_case(rng, l=2, m=2)
-        assert robust._geometry(*coupled).split is None
+        assert geometry_of(*coupled).split is None
         cases = [solve[:3] for name, mode in (("sim1", "learn"),
                                               ("sim2", "fixed"),
                                               ("sim3", "active"))
@@ -1207,7 +1226,7 @@ class TestBarrierKernel:
         rng = np.random.default_rng(21)
         for instance, belief, bounds in self.programs(rng, 3, 3, m=nf,
                                                       pinned_m=nf + 1, l=l):
-            geometry = robust._geometry(instance, belief, bounds)
+            geometry = geometry_of(instance, belief, bounds)
             assert (geometry.nf, geometry.l) == (nf, l)
             assert (geometry.split is None) == (kernel is not None)
             built.clear()
@@ -1378,27 +1397,27 @@ class TestProgramGeometry:
         assert sol.newton_iterations == ref.newton_iterations
 
     @staticmethod
-    def cold_solve(monkeypatch, instance, belief, bounds, solve=solve_robust):
-        monkeypatch.setattr(robust, "_memo", None)
+    def cold_solve(instance, belief, bounds, solve=solve_robust):
+        robust._geometry.clear()
         return solve(instance, belief, bounds)
 
     @pytest.mark.parametrize("name, mode", [
         ("sim1", "learn"), ("sim2", "fixed"), ("sim3", "active")])
     def test_reused_geometry_equals_a_cold_build(self, name, mode, monkeypatch):
-        # Replayed in order, each program finds in the memo the geometry an
-        # earlier step of the same belief built at another state. Each is
-        # solved as solve_robust does (in closed form) and by the barrier.
+        # Replayed in order, each program finds held the geometry an earlier
+        # step of the same belief built at another state. Each is solved as
+        # solve_robust does (in closed form) and by the barrier.
         solves = recorded_solves(name, mode, [0])
         solvers = (solve_robust, barrier_solution)
-        monkeypatch.setattr(robust, "_memo", None)
+        builds = counted_geometry_builds(monkeypatch)
         hits = 0
         for instance, belief, bounds, _ in solves:
-            held = robust._memo
+            before = builds[0]
             warm = program(instance, belief, bounds)
-            hits += robust._memo is held
+            hits += builds[0] == before
             warm_sols = [solve(instance, belief, bounds) for solve in solvers]
             assert warm_sols[1].newton_iterations > 0
-            monkeypatch.setattr(robust, "_memo", None)
+            robust._geometry.clear()
             cold = program(instance, belief, bounds)
             assert [np.shape(row[3]) for row in warm._rows] == \
                 [np.shape(row[3]) for row in cold._rows]
@@ -1406,13 +1425,12 @@ class TestProgramGeometry:
                             rtol=1e-12, atol=0.0)
             for solve, warm_sol in zip(solvers, warm_sols):
                 self.assert_same_solution(
-                    warm_sol, self.cold_solve(monkeypatch, instance, belief,
-                                              bounds, solve))
+                    warm_sol, self.cold_solve(instance, belief, bounds, solve))
         assert hits >= len(solves) // 2
 
-    def test_model_constants_are_keyed_by_value(self, monkeypatch):
-        # The memo compares the constants by identity and holds only
-        # read-only ones, so the same belief and box with other b0 or
+    def test_model_constants_are_keyed_by_value(self):
+        # The geometry is held by the identity of read-only constants
+        # alone, so the same belief and box with other b0 or
         # b_stack values, or with a writable table changed in place between
         # solves, never reuse the geometry of the constants held before.
         spec, instance, belief = sim3_case()
@@ -1425,7 +1443,7 @@ class TestProgramGeometry:
             sol = solve_robust(other, belief, bounds)
             assert not np.array_equal(sol.u, base.u)
             self.assert_same_solution(
-                sol, self.cold_solve(monkeypatch, other, belief, bounds))
+                sol, self.cold_solve(other, belief, bounds))
         for field in ("b0", "b_stack"):
             table = getattr(instance, field).copy()
             mutable = dataclasses.replace(instance, **{field: table})
@@ -1435,54 +1453,42 @@ class TestProgramGeometry:
             sol = solve_robust(mutable, belief, bounds)
             assert not np.array_equal(sol.u, base.u)
             self.assert_same_solution(
-                sol, self.cold_solve(monkeypatch, mutable, belief, bounds))
+                sol, self.cold_solve(mutable, belief, bounds))
 
     def test_a_writable_copy_of_the_constants_is_built_afresh(self,
                                                               monkeypatch):
         # A writable copy of a held constant, equal in every value, could
-        # change under the memo: it gets a fresh build, and the geometry of
-        # the read-only constants stays held.
+        # change while held: it gets a fresh build on every solve, and the
+        # geometry of the read-only constants stays held.
         spec, instance, belief = sim3_case()
         bounds = spec.bounds
-        monkeypatch.setattr(robust, "_memo", None)
         base = solve_robust(instance, belief, bounds)
-        held = robust._memo
-        assert held is not None
-        build, builds = robust._Geometry, [0]
-
-        def counting(*args):
-            builds[0] += 1
-            return build(*args)
-
-        monkeypatch.setattr(robust, "_Geometry", counting)
+        builds = counted_geometry_builds(monkeypatch)
+        held = geometry_of(instance, belief, bounds)
+        assert builds[0] == 0
         for field in ("b0", "b_stack", "q_shape"):
             copy = dataclasses.replace(
                 instance, **{field: getattr(instance, field).copy()})
             builds[0] = 0
-            self.assert_same_solution(solve_robust(copy, belief, bounds), base)
-            assert builds[0] == 1
-            assert robust._memo is held
+            for _ in range(2):
+                self.assert_same_solution(solve_robust(copy, belief, bounds),
+                                          base)
+            assert builds[0] == 2
+            assert geometry_of(instance, belief, bounds) is held
+            assert builds[0] == 2
         builds[0] = 0
         self.assert_same_solution(solve_robust(instance, belief, bounds), base)
         assert builds[0] == 0
 
     @staticmethod
     def geometry_builds(monkeypatch, spec, mode):
-        """:class:`robust._Geometry` builds of one run (seed 0) from an
-        empty memo."""
-        build = robust._Geometry
-        calls = [0]
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(robust, "_memo", None)
-        with monkeypatch.context() as patch:
-            patch.setattr(robust, "_Geometry", counting)
-            record = run(spec, mode, 0)
+        """:class:`robust._Geometry` builds of one run (seed 0) with nothing
+        held before it."""
+        robust._geometry.clear()
+        builds = counted_geometry_builds(monkeypatch)
+        record = run(spec, mode, 0)
         assert not record.aborted
-        return calls[0], record
+        return builds[0], record
 
     @pytest.mark.parametrize("mode", ["fixed", "known_theta"])
     def test_a_fixed_belief_builds_one_geometry_per_run(self, mode,
@@ -1497,7 +1503,7 @@ class TestProgramGeometry:
     def test_a_learning_run_builds_once_per_new_belief(self, name, mode,
                                                        monkeypatch):
         # Only an update that shrinks the set (rho > 0) makes a new belief;
-        # one that keeps the prior leaves the geometry in the memo valid.
+        # one that keeps the prior leaves the held geometry valid.
         calls, record = self.geometry_builds(monkeypatch, scenario(name),
                                              mode)
         shrinks = int(np.count_nonzero(record.rho > 0.0))
