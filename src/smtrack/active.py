@@ -39,7 +39,7 @@ enumerated:
 
 With one input the same list is the center, the two ends of
 ``[max(lo, c - sqrt(T)), min(hi, c + sqrt(T))]`` and the vertex when
-concave. The best feasible candidate is clipped into the box once.
+concave. The best admissible candidate is clipped into the box once.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def _disk_points(a, b, cuts):
 
     ``a`` is a symmetric 2x2 and ``b`` a 2-vector, both as Python floats;
     ``cuts`` lists the half-planes as ``((s0, s1), r)`` with finite ``r``.
-    Returns ``(objective, w)`` pairs; every ``w`` is feasible, up to
-    rounding on the cut lines.
+    Returns ``(objective, w)`` pairs; every ``w`` lies in the cut disk, up
+    to rounding on the cut lines.
     """
     cuts = [(s, r) for s, r in cuts if r < math.hypot(s[0], s[1])]   # others hold on all of it
     mean, half, off = 0.5 * (a[0][0] + a[1][1]), 0.5 * (a[0][0] - a[1][1]), a[0][1]

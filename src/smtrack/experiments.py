@@ -139,6 +139,14 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_windows(t_windows):
+    """Raise ``ValueError`` unless every error window is an integer >= 1."""
+    for t in t_windows:
+        if not _is_count(t):
+            raise ValueError(f"t_windows entries must be integers >= 1, "
+                             f"got {t!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec(_FrozenArrays):
     """Everything needed to reproduce one closed-loop study."""
@@ -175,16 +183,11 @@ class ScenarioSpec(_FrozenArrays):
         if self.bounds.m != self.model.m:
             raise ValueError(f"bounds have {self.bounds.m} entries, "
                              f"the model has {self.model.m} inputs")
-        if not self.bounds.feasible():
-            raise ValueError("bounds are empty: a lower bound exceeds its upper")
         if self.update_policy not in ("raise", "skip"):
             raise ValueError(f"update_policy must be 'raise' or 'skip', "
                              f"got {self.update_policy!r}")
         _check_count("horizon", self.horizon)
-        for t in self.t_windows:
-            if not _is_count(t):
-                raise ValueError(f"t_windows entries must be integers >= 1, "
-                                 f"got {t!r}")
+        _check_windows(self.t_windows)
         ref_shape = np.shape(self.reference.value(1))
         if ref_shape != (self.model.l,):
             raise ValueError(f"reference values have shape {ref_shape}, "
@@ -449,7 +452,8 @@ def _record(spec, mode, seed, history, diagnostic) -> RunRecord:
 
 def window_error(record: RunRecord, t: int) -> float:
     """Windowed mean output error: steps 1..T (T <= 10) or 11..T."""
-    if t < 1 or t > record.steps:
+    _check_count("window", t)
+    if t > record.steps:
         raise ValueError(f"window {t} outside the recorded {record.steps} steps")
     err = record.abs_err
     if t <= 10:
@@ -484,9 +488,10 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     """Across-seed averages per mode; seeds ``seed0 .. seed0 + n_runs - 1``.
 
     ``t_windows=None`` takes the scenario's windows that fit the horizon.
-    Every input is checked before the first run: an ``n_runs`` or a
-    ``steps`` that is not an integer >= 1, a window outside the horizon, or
-    no window at all, raises ``ValueError``.
+    Every input is checked before the first run: an unknown or repeated
+    mode, an ``n_runs``, ``jobs``, ``steps`` or window that is not an
+    integer >= 1, a window outside the horizon, or no window at all, raises
+    ``ValueError``.
     Aborted runs are excluded from the averages and counted; the report is
     flagged when exclusions exceed 5% anywhere. ``jobs > 1`` distributes
     runs over processes, folding results in submission order so the report
@@ -496,17 +501,21 @@ def monte_carlo(spec: ScenarioSpec, modes=("fixed", "learn", "active"),
     if not modes:
         raise ValueError("no mode given; expected at least one of "
                          f"{', '.join(MODES)}")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if mode in modes[:i]:
+            raise ValueError(f"mode {mode!r} is given twice")
     _check_count("n_runs", n_runs)
+    _check_count("jobs", jobs)
     if steps is not None:
         _check_count("steps", steps)
     horizon = int(steps) if steps is not None else spec.horizon
     t_windows = (tuple(t_windows) if t_windows is not None
                  else tuple(t for t in spec.t_windows if t <= horizon))
+    _check_windows(t_windows)
     for t in t_windows:
-        if not 1 <= t <= horizon:
+        if t > horizon:
             raise ValueError(f"window {t} outside the {horizon}-step horizon")
     if not t_windows:
         raise ValueError(f"no error window fits the {horizon}-step horizon")

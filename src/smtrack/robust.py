@@ -79,9 +79,7 @@ update shrinks it, so over seeds 0-4 of one scenario object the runs of a
 sim2 solves of each mode) and the others once per new belief: sim1
 ``learn`` 96 builds for 230 solves, sim2 ``learn`` 160 for 500, sim3
 ``learn`` 74 and ``active`` 158 for 500 (``tests/digest.py`` prints each
-count). A sim2 solve through a held geometry costs 8-9 us, of which the
-closed form (:func:`_split`) is 5-6 us, and a geometry build 30-35 us on
-sim1-sim3 (timeit, best of 7 or more; 2 vCPU, Python 3.11).
+count).
 """
 
 from __future__ import annotations
@@ -118,8 +116,11 @@ MAX_NEWTON = 60
 class ControlBounds(_FrozenArrays):
     """Box of admissible inputs; entries may be infinite.
 
-    A NaN bound, or a side whose two bounds are the same infinity (a point
-    at infinity, which has no midpoint to pin the input at), is rejected.
+    A NaN bound, a side whose two bounds are the same infinity (a point at
+    infinity, which has no midpoint to pin the input at) and an empty box
+    (a lower bound above its upper, ``[inf], [-inf]`` included) are
+    rejected. So every box holds a point, and every robust program over it
+    has an input to choose.
     """
 
     lower: np.ndarray
@@ -135,16 +136,13 @@ class ControlBounds(_FrozenArrays):
         if np.any((lower == upper) & np.isinf(lower)):
             raise ValueError("a side's lower and upper bounds are the same "
                              "infinity")
+        if np.any(lower > upper):
+            raise ValueError("bounds are empty: a lower bound exceeds its upper")
         _set_frozen(self, lower=lower, upper=upper)
-        object.__setattr__(self, "_feasible", bool(np.all(lower <= upper)))
 
     @property
     def m(self) -> int:
         return self.lower.size
-
-    def feasible(self) -> bool:
-        """Whether no lower bound exceeds its upper, decided at construction."""
-        return self._feasible
 
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float)
@@ -187,13 +185,13 @@ class RobustSolution:
     """Result of :func:`solve_robust`.
 
     ``status`` is ``"optimal"``; ``"max_iter"`` if a stage did not center
-    (or the cold start was lost to rounding); ``"infeasible"`` for an empty
-    box, with NaN ``u`` and ``z``; or ``"non_finite"`` if the solve ended
-    but some bound ``z`` is not finite, as for an input pinned near the
-    float range. A program that splits into one-input programs (every
-    shipped one; see :class:`_Geometry`) is solved in closed form, with no
-    iterations: ``newton_iterations`` is 0 and ``status`` ``"optimal"`` or
-    ``"non_finite"``.
+    (or the cold start was lost to rounding); or ``"non_finite"`` if the
+    solve ended but some bound ``z`` is not finite, as for an input pinned
+    near the float range. Each status is a solver outcome: a box is never
+    empty (:class:`ControlBounds` rejects one). A program that splits into
+    one-input programs (every shipped one; see :class:`_Geometry`) is
+    solved in closed form, with no iterations: ``newton_iterations`` is 0
+    and ``status`` ``"optimal"`` or ``"non_finite"``.
     """
 
     u: np.ndarray
@@ -247,11 +245,6 @@ def solve_robust(instance: TrackingInstance, belief: ParameterBelief,
     """
     if bounds.m != instance.m:
         raise ValueError(f"bounds dimension {bounds.m} != inputs {instance.m}")
-    if not bounds.feasible():
-        m = instance.m
-        return RobustSolution(np.full(m, np.nan), np.full(instance.l, np.nan),
-                              np.nan, "infeasible", 0)
-
     geometry = _geometry(instance.gx.shape[1], belief.set, bounds, instance.b0,
                          instance.b_stack, instance.q_shape)
     if geometry.split is not None:
@@ -578,7 +571,7 @@ class _Barrier:
         """Damped Newton toward the center at barrier weight ``t_b``.
 
         From a point with its ``cones``: with a self-concordant barrier the
-        step 1/(1 + lambda) stays strictly feasible and decreasing without a
+        step 1/(1 + lambda) stays strictly interior and decreasing without a
         line search; full steps once the decrement is small. Returns ``(u,
         z, cones, iterations, converged)``.
         """

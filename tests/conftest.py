@@ -1,10 +1,12 @@
 """Fixtures shared by the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smtrack import ellipsoid, experiments
-from smtrack.robust import ControlBounds, solve_robust
+from smtrack.robust import solve_robust
 
 
 @pytest.fixture(autouse=True)
@@ -15,15 +17,14 @@ def nothing_held():
 
 
 @pytest.fixture
-def infeasible_controller(monkeypatch):
-    """Every closed-loop robust solve sees an empty input box.
+def nonoptimal_controller(monkeypatch):
+    """Every closed-loop robust solve ends ``"max_iter"`` with a NaN input.
 
-    It then reports status ``"infeasible"`` with a NaN input, and the run
-    aborts at step 1. A scenario with an empty box is rejected at load, so
-    this is how a test reaches that abort.
+    The run then aborts at step 1. No shipped program reaches that status,
+    so this is how a test reaches that abort.
     """
     def solve(instance, belief, bounds):
-        empty = ControlBounds(np.ones(bounds.m), -np.ones(bounds.m))
-        return solve_robust(instance, belief, empty)
+        sol = solve_robust(instance, belief, bounds)
+        return replace(sol, u=np.full(sol.u.shape, np.nan), status="max_iter")
 
     monkeypatch.setattr(experiments, "solve_robust", solve)

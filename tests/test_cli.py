@@ -60,7 +60,7 @@ class TestSimulate:
         assert code == 0
         assert "custom2" in capsys.readouterr().out
 
-    def test_aborted_run_exits_nonzero(self, infeasible_controller, capsys):
+    def test_aborted_run_exits_nonzero(self, nonoptimal_controller, capsys):
         code = main(["simulate", "--scenario", "sim1", "--steps", "4"])
         assert code == 1
         assert "aborted" in capsys.readouterr().out
@@ -251,12 +251,15 @@ class TestParser:
         (["validate", "--seed", "-1"], "non-negative integer"),
         (["montecarlo", "--t-windows", "a"], "positive integer, got a"),
         (["montecarlo", "--modes", "bogus"], "expected modes among"),
+        (["montecarlo", "--runs", "1", "--steps", "4", "--modes", "fixed,fixed"],
+         "each once, got 'fixed,fixed'"),
         (["simulate", "--config", "/nonexistent.json"],
          "cannot load scenario /nonexistent.json"),
         (["simulate", "--config", "/dev/null"], "cannot load scenario /dev/null"),
     ], ids=["steps-0", "steps-negative", "runs-0", "jobs-0",
             "seed-negative", "seed0-negative", "validate-seed-negative",
-            "t-windows-not-a-number", "modes-unknown", "config-missing",
+            "t-windows-not-a-number", "modes-unknown", "modes-repeated",
+            "config-missing",
             "config-not-json"])
     def test_count_must_be_positive(self, argv, expected, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,10 @@ import json
 import math
 import pickle
 import re
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,12 +282,12 @@ class TestRun:
         assert record.y.tobytes() == np.array(ys).tobytes()
         assert record.abs_err.tobytes() == np.array(errors).tobytes()
 
-    def test_infeasible_scenario_reports_an_abort(self, infeasible_controller):
+    def test_infeasible_scenario_reports_an_abort(self, nonoptimal_controller):
         record = run(scenario("sim1"), "learn", 0, steps=5)
         assert record.aborted
         assert record.steps == 0
         assert record.diagnostic == ("step 1: RuntimeError: controller "
-                                     "returned status 'infeasible'")
+                                     "returned status 'max_iter'")
 
     @pytest.mark.parametrize("status", ["max_iter", "non_finite"])
     def test_a_finite_input_of_a_solve_that_is_not_optimal_aborts(
@@ -303,7 +305,7 @@ class TestRun:
                                      f"returned status {status!r}")
 
     def test_step_one_abort_keeps_empty_arrays_of_the_right_shape(
-            self, infeasible_controller):
+            self, nonoptimal_controller):
         record = run(scenario("sim3"), "active", 0, steps=5)
         assert record.aborted
         assert record.diagnostic.startswith("step 1:")
@@ -399,6 +401,10 @@ class TestMetrics:
             window_error(record, 0)
         with pytest.raises(ValueError, match="window"):
             window_error(record, 7)
+        for t in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"window must be an integer >= 1, got {t!r}")):
+                window_error(record, t)
 
     def test_accumulated_cost_matches_a_loop(self):
         record = run(scenario("sim1"), "fixed", 3, steps=9)
@@ -454,7 +460,7 @@ class TestMonteCarlo:
                              n_runs=1, t_windows=(2,), steps=4)
         assert report.ratios == {}
 
-    def test_aborted_runs_are_excluded_and_flagged(self, infeasible_controller):
+    def test_aborted_runs_are_excluded_and_flagged(self, nonoptimal_controller):
         report = monte_carlo(scenario("sim1"), modes=("fixed",), n_runs=2,
                              t_windows=(2,), steps=4)
         assert report.excluded["fixed"] == 2
@@ -475,7 +481,11 @@ class TestMonteCarlo:
             raise AssertionError("a run started before the windows were checked")
 
         monkeypatch.setattr(experiments, "run", no_run)
-        with pytest.raises(ValueError, match="window 0 outside the 6-step"):
+        with pytest.raises(ValueError, match="window 7 outside the 6-step"):
+            monte_carlo(spec, modes=("fixed",), n_runs=1, t_windows=(2, 7),
+                        steps=6)
+        with pytest.raises(ValueError, match=re.escape(
+                "t_windows entries must be integers >= 1, got 0")):
             monte_carlo(spec, modes=("fixed",), n_runs=1, t_windows=(0,), steps=6)
 
     def test_no_window_within_the_horizon_fails_before_any_run(self, monkeypatch):
@@ -604,10 +614,10 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("field, value", [
         ("steps", 0), ("steps", -2), ("steps", 2.9), ("steps", True),
         ("steps", "3"), ("n_runs", 0), ("n_runs", -1), ("n_runs", 1.5),
-        ("n_runs", False),
+        ("n_runs", False), ("jobs", 0), ("jobs", 2.5), ("jobs", True),
     ], ids=["steps-0", "steps-negative", "steps-float", "steps-bool",
             "steps-string", "runs-0", "runs-negative", "runs-float",
-            "runs-bool"])
+            "runs-bool", "jobs-0", "jobs-float", "jobs-bool"])
     def test_a_bad_step_or_run_count_is_rejected_before_any_run(
             self, field, value, monkeypatch):
         message = f"{field} must be an integer >= 1, got {value!r}"
@@ -623,6 +633,26 @@ class TestConfigRoundTrip:
         kwargs = {"n_runs": 1, "steps": 4, field: value}
         with pytest.raises(ValueError, match=re.escape(message)):
             monte_carlo(spec, modes=("fixed",), t_windows=(2,), **kwargs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("t_windows", (2.5,), "t_windows entries must be integers >= 1, got 2.5"),
+        ("t_windows", (True,), "t_windows entries must be integers >= 1, "
+                               "got True"),
+        ("t_windows", (2, "a"), "t_windows entries must be integers >= 1, "
+                                "got 'a'"),
+        ("modes", ("fixed", "fixed"), "mode 'fixed' is given twice"),
+        ("modes", ("learn", "fixed", "learn"), "mode 'learn' is given twice"),
+    ], ids=["window-float", "window-bool", "window-string", "modes-repeated",
+            "modes-repeated-apart"])
+    def test_a_bad_window_or_mode_is_rejected_before_any_run(
+            self, field, value, message, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step started before the input was checked")
+
+        monkeypatch.setattr(experiments, "build_instance", no_step)
+        kwargs = {"modes": ("fixed",), "t_windows": (2,), field: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo(scenario("sim1"), n_runs=2, steps=4, **kwargs)
 
     @pytest.mark.parametrize("value", ["bogus", "Skip", None],
                              ids=["bogus", "capitalized", "none"])
@@ -801,3 +831,39 @@ class TestDigest:
         more, more_iterations, other = digest.barrier_digest()
         assert more == programs + 1 and more_iterations > iterations
         assert other != sha
+
+
+class TestCodeLines:
+    """``tests/codelines.py``, the code-line count of ``src/smtrack``."""
+
+    def test_the_total_is_the_sum_of_the_modules(self):
+        script = Path(__file__).with_name("codelines.py")
+        out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                             text=True, check=True).stdout
+        *modules, (label, total) = (line.split() for line in out.splitlines())
+        src = Path(experiments.__file__).parent
+        assert [name for name, _ in modules] == sorted(
+            path.name for path in src.glob("*.py"))
+        assert label == "total"
+        assert int(total) == sum(int(n) for _, n in modules) > 0
+
+    def test_docstrings_comments_and_blank_lines_do_not_count(self, tmp_path):
+        import codelines
+
+        path = tmp_path / "module.py"
+        path.write_text('''"""Module docstring,
+over two lines."""
+
+# A comment.
+X = ("a",   # a comment after code
+     "b")
+
+
+def f():
+    """Docstring."""
+    s = """a string
+that is not a docstring"""
+    return s
+''')
+        # X's two lines, def, the string's two lines and return.
+        assert codelines.code_lines(path) == 6

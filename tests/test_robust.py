@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +28,8 @@ from smtrack.robust import (
 
 import oracles
 from oracles import random_model
+
+EMPTY = "bounds are empty: a lower bound exceeds its upper"
 
 
 def sim1_case(y_ref=5.0 / 23.0):
@@ -169,8 +172,16 @@ def flat_direction_case():
 
 class TestControlBounds:
     def test_feasibility(self):
-        assert ControlBounds([-1.0], [1.0]).feasible()
-        assert not ControlBounds([1.0], [-1.0]).feasible()
+        # A box is never empty: no program is built over one.
+        for lower, upper in (([1.0], [-1.0]), ([np.inf], [-np.inf]),
+                             ([-1.0, 1.0], [1.0, 0.5]),
+                             ([-np.inf, 3.0], [np.inf, -np.inf])):
+            with pytest.raises(ValueError, match=re.escape(EMPTY)):
+                ControlBounds(lower, upper)
+        for lower, upper in (([-1.0], [1.0]), ([5.0], [5.0]),
+                             ([-1.0, 5.0], [1.0, 5.0])):
+            box = ControlBounds(lower, upper)
+            assert box.contains(box.lower) and box.contains(box.upper)
 
     def test_contains_with_infinite_sides(self):
         box = ControlBounds([-np.inf], [2.0])
@@ -200,22 +211,31 @@ class TestControlBounds:
     def test_feasibility_survives_a_pickle_round_trip(self, lower, upper,
                                                       feasible):
         # monte_carlo sends each scenario, its box included, to its workers
-        # by pickle; the flag is decided once, at construction.
+        # by pickle. Unpickling runs no check, so an empty box must never
+        # be built to be sent.
+        if not feasible:
+            with pytest.raises(ValueError, match=re.escape(EMPTY)):
+                ControlBounds(lower, upper)
+            return
         box = pickle.loads(pickle.dumps(ControlBounds(lower, upper)))
-        assert box.feasible() is feasible
         assert box == ControlBounds(lower, upper)
+        assert not box.lower.flags.writeable
 
     def test_equal_boxes_compare_equal(self):
         assert ControlBounds([-1.0, 0.0], [1.0, 2.0]) == \
             ControlBounds(np.array([-1, 0]), (1.0, 2.0))
-        assert ControlBounds([1.0], [-1.0]) == ControlBounds([1.0], [-1.0])
+        assert ControlBounds([5.0], [5.0]) == ControlBounds([5], (5.0,))
         assert ControlBounds([-1.0], [1.0]) != ControlBounds([-1.0], [2.0])
+        with pytest.raises(ValueError, match=re.escape(EMPTY)):
+            ControlBounds([1.0], [-1.0])
 
     def test_infinite_sides_that_are_boxes_are_kept(self):
         for lower, upper in (([-np.inf], [np.inf]), ([2.0], [np.inf]),
                              ([-np.inf], [-3.0])):
-            assert ControlBounds(lower, upper).feasible()
-        assert not ControlBounds([np.inf], [-np.inf]).feasible()
+            box = ControlBounds(lower, upper)
+            assert [box.lower.tolist(), box.upper.tolist()] == [lower, upper]
+        with pytest.raises(ValueError, match=re.escape(EMPTY)):
+            ControlBounds([np.inf], [-np.inf])
 
 
 class TestBuildInstance:
@@ -514,11 +534,14 @@ class TestSolveRobust:
         assert_allclose(sol.u, [-0.3], atol=1e-6)
 
     def test_infeasible_bounds(self):
+        # An empty box cannot be built, so no solve can be handed one; the
+        # statuses left are solver outcomes.
+        with pytest.raises(ValueError, match=re.escape(EMPTY)):
+            ControlBounds([1.0], [-1.0])
         _, instance, belief = sim1_case()
-        sol = solve_robust(instance, belief, ControlBounds([1.0], [-1.0]))
-        assert sol.status == "infeasible"
-        assert np.isnan(sol.u).all()
-        assert np.isnan(sol.objective)
+        sol = solve_robust(instance, belief, ControlBounds([5.0], [5.0]))
+        assert sol.status == "optimal"
+        assert sol.u.tolist() == [5.0]
 
     def test_bounds_dimension_checked(self):
         _, instance, belief = sim1_case()
