@@ -38,7 +38,11 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _windows(text: str) -> tuple:
-    return tuple(_positive_int(s) for s in text.split(","))
+    windows = tuple(_positive_int(s) for s in text.split(","))
+    if len(set(windows)) < len(windows):
+        raise argparse.ArgumentTypeError(
+            f"expected each window once, got {text!r}")
+    return windows
 
 
 def _modes(text: str) -> tuple:

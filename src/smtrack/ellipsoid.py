@@ -23,16 +23,19 @@ is the gain-form posterior of :mod:`smtrack.estimator`, whose ``update``
 is the kernel's one entry. Intersecting ``E(Pa, a)`` with ``E(Pb, b)`` is
 that update with ``phi = I``, ``Q = Pb``, ``h = b``. The kernel takes
 ``Q + 1e-13 (1 + tr Q) I = L L^T`` once per read-only noise shape (the
-closed loop passes the same one every step) and ``P = R R^T`` once per
-prior (``Ellipsoid.factor``), so each call pays one linear solve for
-``L^{-1} [phi R | eps]`` (``eps = h - phi c``).
+closed loop passes the same one every step) and reads ``P = R R^T`` from
+the prior (``Ellipsoid.factor``), so each call pays one linear solve for
+``L^{-1} [phi R | eps]`` (``eps = h - phi c``). The member it builds
+keeps its factor, ``(R U) diag(sqrt(beta/(1 + rho nu)))`` (below), for
+the next update and the program geometry: each set has one square root.
 
 Volume is measured on ``range(P)``, of dimension ``k``, the prior's count
 of eigenvalues above ``1e-14`` of the largest (``Ellipsoid.rank``; ``k =
-dim`` for a full-rank prior). The columns of ``R`` that belong to the
-others, zero to rounding, are zeroed, so ``R`` spans exactly that range
-and every member lies in it: a singular prior shrinks like a full-rank
-one of dimension ``k``, and its null directions stay null. The kernel
+dim`` for a full-rank prior); a fused set carries its prior's. A checked
+set's factor drops the other eigenvalues, zero to rounding, and a fused
+one is ``R U`` scaled, so ``R`` spans exactly that range and every member
+lies in it: a singular prior shrinks like a full-rank one of dimension
+``k``, and its null directions stay null. The kernel
 then decides, in closed form, whether any member can be smaller than the
 prior. With ``E = |L^{-1} eps|^2`` the whitened innovation and ``F =
 |L^{-1} phi R|_F^2 = sum nu_i`` (below), the prior is kept when::
@@ -71,8 +74,11 @@ bracket, to a step of at most ``1e-12`` relative; one loop over the spectrum
 gives the defect and its slope together. Where ``beta <= 0`` the defect is
 a signed pole of zero slope, so the refinement bisects onto it. The
 candidates, these roots and ``rho = 1e8``, are compared by ``d log det``
-and only the winner is built, PSD by construction; it replaces the prior
-when its ``d log det`` is negative.
+and only the winner is built, PSD by construction and unchecked; it
+replaces the prior when its ``d log det`` is negative. Its ``log_det`` is
+still ``slogdet`` of the shape built, not the prior's plus ``d log det``:
+the record and the checks then read the set that was made, not the
+number the scan minimized.
 """
 
 from __future__ import annotations
@@ -207,9 +213,14 @@ def _held(build):
     return held
 
 
+def _top(vals):
+    """The largest of ascending eigenvalues, 0 for a set of no dimension."""
+    return vals[-1] if vals.size else 0.0
+
+
 def _flat(vals):
     """Which ascending eigenvalues are flat: ``lambda <= 1e-13 max(lambda_max, 1)``."""
-    return vals <= max(vals[-1], 1.0) * 1e-13
+    return vals <= max(_top(vals), 1.0) * 1e-13
 
 
 def _null(vals):
@@ -220,7 +231,7 @@ def _null(vals):
     observation pins to the factor ridge (about ``1e-13`` of the largest
     eigenvalue) still has volume.
     """
-    return vals <= vals[-1] * 1e-14
+    return vals <= _top(vals) * 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,14 +249,16 @@ class Ellipsoid(_FrozenArrays):
 
     The eigendecomposition of the shape (:attr:`eigh`) is taken once, at
     construction, where its smallest eigenvalue checks the PSD slack. The
-    factor ``V diag(sqrt(max(lambda, 0)))`` (:attr:`factor`), the
-    symmetric square root (:attr:`root`), :attr:`trace`, :attr:`rank` and
-    :attr:`log_det` are computed on first use, at most once per instance,
-    and all these arrays are read-only. ``contains``, ``sample_interior``,
-    the fusion kernel and the robust controller read them, so a set is
-    decomposed once, however often it is used. They equal
-    ``np.linalg.eigh``, ``factor V^T``, ``np.trace`` and
-    ``np.linalg.slogdet`` of the stored shape.
+    set's one square root, :attr:`factor` (some ``F`` with ``F F^T`` the
+    shape), :attr:`trace`, :attr:`rank` and :attr:`log_det` are computed on
+    first use, at most once per instance, and all these arrays are
+    read-only. ``contains``, ``sample_interior``, the fusion kernel and the
+    robust controller read them, so a set is decomposed once, however often
+    it is used. Of a checked set they equal ``np.linalg.eigh``, the
+    symmetric root with the null eigenvalues dropped, ``np.trace`` and
+    ``np.linalg.slogdet`` of the stored shape. A fused set is built by
+    :meth:`_trusted`, unchecked, with the factor and rank the fusion gives
+    it, and takes its ``eigh`` only where something reads it.
     """
 
     center: np.ndarray
@@ -275,14 +288,16 @@ class Ellipsoid(_FrozenArrays):
             raise ValueError(f"shape matrix is not PSD (min eigenvalue {eigmin:.3e})")
 
     @classmethod
-    def _trusted(cls, center, shape):
+    def _trusted(cls, center, shape, **known):
         """The set of a float center and a shape that is symmetric PSD by construction.
 
-        The caller's arrays are stored read-only, as given: nothing is
-        checked, and nothing is decomposed until it is read.
+        The caller's arrays are stored read-only, as given, and so is each
+        value in ``known`` that the caller already has (the fusion passes
+        ``factor`` and ``rank``): nothing is checked, and nothing is
+        decomposed until it is read.
         """
         ellipsoid = object.__new__(cls)
-        _set_frozen(ellipsoid, center=center, shape=shape)
+        _set_frozen(ellipsoid, center=center, shape=shape, **known)
         return ellipsoid
 
     @property
@@ -310,14 +325,15 @@ class Ellipsoid(_FrozenArrays):
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """``V diag(sqrt(max(lambda, 0)))``, so ``factor factor^T`` is the shape; read-only."""
-        vals, vecs = self.eigh
-        return _freeze(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+        """Some ``F`` with ``F F^T`` the shape, read-only.
 
-    @cached_property
-    def root(self) -> np.ndarray:
-        """Symmetric PSD square root of the shape, ``factor V^T``, read-only."""
-        return _freeze(self.factor @ self.eigh[1].T)
+        Of a checked set, the symmetric root with its null eigenvalues
+        (:func:`_null`, every negative one among them) dropped, ``V
+        diag(sqrt(lambda)) V^T`` over the others; of a fused set, the
+        fusion's own factor.
+        """
+        vals, vecs = self.eigh
+        return _freeze((vecs * np.sqrt(np.where(_null(vals), 0.0, vals))) @ vecs.T)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership test, tolerant: quadratic form <= 1 + tol.
@@ -344,8 +360,8 @@ class Ellipsoid(_FrozenArrays):
         """Draw one point uniformly (in volume) from the set.
 
         Direction uniform on the sphere, radius ``u^(1/n)``, mapped through
-        the symmetric square root of the shape. A degenerate shape samples
-        uniformly over the corresponding lower-dimensional slice.
+        :attr:`factor`. A degenerate shape samples uniformly over the
+        corresponding lower-dimensional slice.
         """
         n = self.dim
         g = rng.standard_normal(n)
@@ -354,7 +370,7 @@ class Ellipsoid(_FrozenArrays):
             return self.center.copy()
         direction = g / norm
         radius = rng.random() ** (1.0 / n)
-        return self.center + self.root @ (radius * direction)
+        return self.center + self.factor @ (radius * direction)
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +463,22 @@ def _noise_factor(q):
 class _Fusion:
     """The rho-family fusing ``E(P, c)`` with ``{x : |h - phi x|_Q <= 1}``.
 
-    The constructor factors once and decides the keep test (module
-    docstring). The SVD and the spectral attributes it gives are taken on
-    their first read: in ``fuse`` when the test fails, and by ``at``,
-    ``defect``, ``log_det_change`` or ``posterior`` in any case. The rest is
-    scalar arithmetic, apart from building a posterior.
+    The constructor reads the prior's one square root ``R``
+    (``Ellipsoid.factor``) and its rank, factors the noise shape, and
+    decides the keep test (module docstring). The SVD and the spectral
+    attributes it gives are taken on their first read: in ``fuse`` when the
+    test fails, and by ``at``, ``defect``, ``log_det_change`` or
+    ``posterior`` in any case. The rest is scalar arithmetic, apart from
+    building a posterior.
     """
 
     def __init__(self, prior: Ellipsoid, phi, q, h):
         dim = prior.dim
         chol = _noise_factor(q)
         self.rank = prior.rank
-        self.root = prior.factor
-        if self.rank < dim:
-            # Null directions carry no volume: with their columns of R zeroed
-            # they get nu = 0 and stay null in every member.
-            self.root = np.where(_null(prior.eigh[0]), 0.0, self.root)
+        self.factor = prior.factor
         eps = h - phi @ prior.center
-        self.white = np.linalg.solve(chol, np.column_stack((phi @ self.root, eps)))
+        self.white = np.linalg.solve(chol, np.column_stack((phi @ self.factor, eps)))
         self.prior = prior
         self.dim = dim
         # The keep test (module docstring): k (1 - E) >= F and E <= 1, with
@@ -492,7 +506,7 @@ class _Fusion:
         self.e = np.concatenate((proj[:k], pad))
         self.e2 = self.e**2
         self.e_perp2 = float(proj[k:] @ proj[k:])
-        self.basis = self.root @ ut.T
+        self.basis = self.factor @ ut.T
         self._terms = list(zip(self.nu.tolist(), self.e2.tolist()))
 
     def at(self, rho):
@@ -538,11 +552,17 @@ class _Fusion:
             math.log1p(rho * nu) for nu, _ in self._terms)
 
     def posterior(self, rho, beta):
-        """The member at ``rho > 0`` with its ``beta >= 0``, PSD by construction."""
+        """The member at ``rho > 0`` with its ``beta >= 0``, PSD by construction.
+
+        It is built unchecked, with its factor ``half`` and its rank: the
+        prior's ``k``, or 0 when ``beta = 0`` collapses it to its center.
+        """
         den = 1.0 + rho * self.nu
         center = self.prior.center + self.basis @ (rho * self.sigma * self.e / den)
         half = self.basis * np.sqrt(beta / den)
-        return Ellipsoid(center, half @ half.T)
+        shape = half @ half.T
+        return Ellipsoid._trusted(center, 0.5 * (shape + shape.T), factor=half,
+                                  rank=self.rank if beta > 0.0 else 0)
 
     def fuse(self):
         """Volume-minimal member as ``(rho, beta, set)``; None when disjoint.

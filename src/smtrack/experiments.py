@@ -140,11 +140,13 @@ def _check_count(name, value):
 
 
 def _check_windows(t_windows):
-    """Raise ``ValueError`` unless every error window is an integer >= 1."""
-    for t in t_windows:
+    """Raise ``ValueError`` unless the error windows are distinct integers >= 1."""
+    for i, t in enumerate(t_windows):
         if not _is_count(t):
             raise ValueError(f"t_windows entries must be integers >= 1, "
                              f"got {t!r}")
+        if t in t_windows[:i]:
+            raise ValueError(f"window {t} is given twice")
 
 
 @dataclass(frozen=True, eq=False)

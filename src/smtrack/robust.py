@@ -287,14 +287,15 @@ class _Geometry:
 
     Per output ``t`` the cone data are affine in ``u``: ``mid_t(u) = mid0_t
     + a_t . u`` and ``w_t(u) = wb_t + Wm_t u`` with ``|w_t(u)|^2 = g_t(u) P
-    g_t(u)^T``. With ``S`` the root of ``P`` and ``S_r`` its first ``r``
-    columns, ``wb_t = S_r gx_t`` and ``mid0_t = f_t + gx_t . th_r`` are all
-    that a step changes: the input slopes ``a_t`` and ``Wm_t`` are read
-    from the belief and the model constants ``b0`` and ``b_stack`` alone.
-    Inputs whose box collapses to a point are pinned at its midpoint, and
-    inputs that move no cone (a zero column in ``a_t`` and in every
-    ``Wm_t``) at 0 clamped into their box; their constant terms are folded
-    in, leaving ``nf`` free inputs.
+    g_t(u)^T``, which any factor ``F F^T = P`` gives as ``w_t = F^T
+    g_t^T``; the belief's one (``Ellipsoid.factor``) is read. With ``S =
+    F^T`` and ``S_r`` its first ``r`` columns, ``wb_t = S_r gx_t`` and
+    ``mid0_t = f_t + gx_t . th_r`` are all that a step changes: the input
+    slopes ``a_t`` and ``Wm_t`` are read from the belief and the model
+    constants ``b0`` and ``b_stack`` alone. Inputs whose box collapses to a
+    point are pinned at its midpoint, and inputs that move no cone (a zero
+    column in ``a_t`` and in every ``Wm_t``) at 0 clamped into their box;
+    their constant terms are folded in, leaving ``nf`` free inputs.
 
     The program splits when each output moves at most one free input and
     each free input moves exactly one output, reading "moves" from the exact
@@ -329,13 +330,13 @@ class _Geometry:
 
     def __init__(self, r, ellipsoid, bounds, b0, b_stack, q_shape):
         l, m = b0.shape
-        th, sroot = ellipsoid.center, ellipsoid.root
+        th, s = ellipsoid.center, ellipsoid.factor.T
         if th.size != r + len(b_stack):
             raise ValueError(f"belief has {th.size} parameters, "
                              f"the program {r + len(b_stack)}")
         ws = b_stack.reshape(-1, l * m)
         midu = b0 + (th[r:] @ ws).reshape(l, m)
-        wm = (sroot[:, r:] @ ws).reshape(th.size, l, m).transpose(1, 0, 2)
+        wm = (s[:, r:] @ ws).reshape(th.size, l, m).transpose(1, 0, 2)
 
         lo, hi = bounds.lower, bounds.upper
         width = hi - lo
@@ -367,7 +368,7 @@ class _Geometry:
 
         qdiag = np.sqrt(np.maximum(np.diag(q_shape), 0.0))
         self.th_r = th[:r].tolist()
-        self.s_r = sroot[:, :r].tolist()
+        self.s_r = s[:, :r].tolist()
         self.pins = list(zip(mid_pin.tolist(), w_pin.tolist()))
         self.cones = list(zip(midu.tolist(), wm.tolist(), qdiag.tolist()))
         self.bounds = list(zip(lo.tolist(), hi.tolist()))

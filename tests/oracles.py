@@ -498,3 +498,15 @@ def assert_records_identical(a, b):
             assert np.array_equal(x, y), field.name
         else:
             assert x == y, field.name
+
+
+def assert_carries_its_factor(fused):
+    """A fused set carries a factor that squares back to its shape and the
+    rank of the same set built and checked afresh."""
+    from smtrack.ellipsoid import Ellipsoid
+
+    assert {"factor", "rank"} <= vars(fused).keys()
+    scale = 1.0 + np.abs(fused.shape).max()
+    np.testing.assert_allclose(fused.factor @ fused.factor.T, fused.shape,
+                               rtol=0.0, atol=1e-12 * scale)
+    assert fused.rank == Ellipsoid(fused.center, fused.shape).rank

@@ -250,6 +250,7 @@ class TestParser:
         (["montecarlo", "--seed0", "-1"], "non-negative integer"),
         (["validate", "--seed", "-1"], "non-negative integer"),
         (["montecarlo", "--t-windows", "a"], "positive integer, got a"),
+        (["montecarlo", "--t-windows", "2,4,2"], "each window once, got '2,4,2'"),
         (["montecarlo", "--modes", "bogus"], "expected modes among"),
         (["montecarlo", "--runs", "1", "--steps", "4", "--modes", "fixed,fixed"],
          "each once, got 'fixed,fixed'"),
@@ -258,7 +259,8 @@ class TestParser:
         (["simulate", "--config", "/dev/null"], "cannot load scenario /dev/null"),
     ], ids=["steps-0", "steps-negative", "runs-0", "jobs-0",
             "seed-negative", "seed0-negative", "validate-seed-negative",
-            "t-windows-not-a-number", "modes-unknown", "modes-repeated",
+            "t-windows-not-a-number", "t-windows-repeated", "modes-unknown",
+            "modes-repeated",
             "config-missing",
             "config-not-json"])
     def test_count_must_be_positive(self, argv, expected, capsys):
@@ -327,8 +329,11 @@ class TestParser:
          "t_windows entries must be integers >= 1, got 'a'"),
         (["montecarlo", "--runs", "1", "--modes", "fixed"], "t_windows", ["a"],
          "t_windows entries must be integers >= 1, got 'a'"),
+        (["montecarlo", "--runs", "1", "--modes", "fixed"], "t_windows",
+         [2, 2, 4], "window 2 is given twice"),
     ], ids=["simulate-horizon-0", "simulate-horizon-negative",
-            "simulate-window-0", "simulate-window-a", "montecarlo-window-a"])
+            "simulate-window-0", "simulate-window-a", "montecarlo-window-a",
+            "montecarlo-window-repeated"])
     def test_config_with_a_bad_horizon_or_window(self, argv, field, value,
                                                  expected, tmp_path, capsys):
         cfg = scenario_to_config(scenario("sim1"))

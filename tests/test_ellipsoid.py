@@ -7,8 +7,10 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
+import oracles
 from smtrack import checks, ellipsoid, experiments, robust
 from smtrack.ellipsoid import Ellipsoid, InconsistentSetsError, _Fusion, _refine
+from smtrack.estimator import Observation, ParameterBelief, update
 from smtrack.experiments import run, scenario
 
 
@@ -87,23 +89,34 @@ class TestCachedDecomposition:
             vals, vecs = np.linalg.eigh(e.shape)
             np.testing.assert_array_equal(e.eigh[0], vals)
             np.testing.assert_array_equal(e.eigh[1], vecs)
-            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-            np.testing.assert_array_equal(e.root, root)
+            # The symmetric root, its null eigenvalues dropped: for a
+            # full-rank set every one of them is kept.
+            null = vals <= max(vals[-1], 0.0) * 1e-14
+            root = (vecs * np.sqrt(np.where(null, 0.0, vals))) @ vecs.T
+            np.testing.assert_array_equal(e.factor, root)
+            if not null.any():
+                np.testing.assert_array_equal(
+                    e.factor, (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T)
             sign, log_det = np.linalg.slogdet(e.shape)
             assert e.log_det == (log_det if sign > 0 else -np.inf)
 
-    def test_root_squares_back(self):
+    def test_factor_squares_back(self):
         for e in self.sets():
             scale = 1.0 + np.abs(e.shape).max()
-            assert_allclose(e.root @ e.root, e.shape, atol=1e-12 * scale)
+            assert_allclose(e.factor @ e.factor.T, e.shape, atol=1e-12 * scale)
 
     def test_cached_arrays_are_read_only(self):
         e = Ellipsoid([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
-        assert e.eigh is e.eigh and e.root is e.root
-        for arr in (*e.eigh, e.root):
+        assert e.eigh is e.eigh and e.factor is e.factor
+        for arr in (*e.eigh, e.factor):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            e.root[0, 0] = 1.0
+            e.factor[0, 0] = 1.0
+
+    def test_a_set_of_no_dimension_has_rank_0(self):
+        e = Ellipsoid(np.zeros(0), np.zeros((0, 0)))
+        assert (e.rank, e.factor.shape) == (0, (0, 0))
+        assert e.contains(np.zeros(0))
 
     @staticmethod
     def count_decompositions(monkeypatch):
@@ -380,6 +393,8 @@ class TestIntersectionBound:
         assert_allclose(beta, 1.875)
         assert_allclose(fused.center, [0.5, 0.0], atol=1e-12)
         assert_allclose(fused.shape, np.diag([3.75, 0.0]), atol=1e-12)
+        oracles.assert_carries_its_factor(fused)
+        assert fused.rank == 1
         with pytest.raises(InconsistentSetsError):
             checks.intersect(ea, Ellipsoid([1.0, 0.1], eb.shape))
 
@@ -585,6 +600,11 @@ class TestTouchingSets:
     def test_a_zero_beta_has_an_infinitely_negative_log_det_change(self):
         assert self.far_fusion().log_det_change(0.5, 0.0) == -math.inf
 
+    def test_a_zero_beta_member_is_a_point_of_rank_0(self):
+        point = self.far_fusion().posterior(0.5, 0.0)
+        oracles.assert_carries_its_factor(point)
+        assert point.rank == 0 and not point.factor.any()
+
     def test_a_zero_at_the_last_grid_point_is_a_root(self):
         def func(rho):
             return (rho - 1.5) * (rho - 3.0), 2.0 * rho - 4.5
@@ -615,6 +635,27 @@ class TestRandomizedProperties:
     def test_fusion_keep_test(self):
         rng = np.random.default_rng(106)
         assert checks.check_fusion_keep_test(rng, n_cases=100) == []
+
+    def test_each_posterior_carries_its_factor_and_rank(self):
+        # Random intersecting pairs, then random updates of which one prior
+        # in four is singular, each fused twice: the second time from the
+        # first posterior, read through its carried factor and rank.
+        rng = np.random.default_rng(107)
+        fused = 0
+        for i in range(120):
+            if i < 60:
+                ea, eb, _ = checks.intersecting_pair(rng, 1 + i % 4)
+                belief, obs = ParameterBelief(ea), Observation(
+                    eb.center, np.eye(eb.dim), eb.shape)
+            else:
+                prior, obs = checks.random_fusion(rng)
+                belief = ParameterBelief(prior)
+            for _ in range(2):
+                belief = update(belief, obs, policy="skip")
+                if belief.last_rho > 0.0:
+                    oracles.assert_carries_its_factor(belief.set)
+                    fused += 1
+        assert fused > 60
 
     @pytest.mark.parametrize("verdict,message", [
         (True, "a member is smaller"), (False, "only one side of the keep test")])

@@ -131,6 +131,7 @@ class TestUpdate:
         assert_allclose(out.shape, [[0.0]], atol=1e-6)
         assert_allclose(out.last_rho, 0.5, rtol=1e-6)
         assert out.last_beta <= 1e-9
+        oracles.assert_carries_its_factor(out.set)
 
     def test_uninformative_observation_keeps_the_prior(self):
         # [-2, 2] fused with [-3, 3]: the posterior shape 36(1+rho)/(4rho+9)
@@ -210,6 +211,8 @@ class TestUpdate:
         assert out.last_rho > 0.0
         assert_allclose(out.center, [0.0, 0.0], atol=1e-12)
         assert_allclose(out.shape, np.diag([1.0, 0.0]), atol=1e-6)
+        oracles.assert_carries_its_factor(out.set)
+        assert out.set.rank == 1
 
     def test_null_directions_stay_null(self):
         # A rotated segment with a null eigenvalue of 1e-16, as eigh may
@@ -228,6 +231,8 @@ class TestUpdate:
         assert axis @ out.shape @ axis <= axis @ prior.shape @ axis
         assert out.set.log_det <= prior.log_det
         assert_allclose(out.shape, np.outer(axis, axis) / c**2, atol=1e-6)
+        oracles.assert_carries_its_factor(out.set)
+        assert out.set.rank == 1
 
     def test_a_small_set_fuses_as_the_same_set_scaled_up(self):
         # Rank is relative to the largest eigenvalue, so a set of scale
@@ -247,6 +252,25 @@ class TestUpdate:
         assert_allclose(got.last_beta, want.last_beta, rtol=1e-9)
         assert_allclose(got.shape / tiny, want.shape, rtol=1e-9, atol=1e-12)
         assert got.set.log_det < small.set.log_det
+
+    def test_a_shrinking_update_checks_and_decomposes_nothing(self, monkeypatch):
+        # The posterior is built unchecked with its factor and rank, which
+        # the next update reads: two shrinking updates in a row take no
+        # eigendecomposition, no slogdet and no checked construction.
+        belief = ParameterBelief(Ellipsoid(np.zeros(2), np.diag([4.0, 1.0])))
+        belief.set.factor, belief.set.rank
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a shrinking update checked or decomposed a set")
+
+        for name in ("eigh", "eigvalsh", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        monkeypatch.setattr(Ellipsoid, "__post_init__", refused)
+        for h in (0.0, 0.3):
+            belief = update(belief, Observation([h], [[1.0, 1.0]], [[0.5]]))
+            assert belief.last_rho > 0.0
+        monkeypatch.undo()
+        oracles.assert_carries_its_factor(belief.set)
 
     def test_a_point_prior_is_kept_only_inside_the_observation(self):
         point = ParameterBelief(Ellipsoid([0.5], [[0.0]]))

@@ -152,7 +152,7 @@ class TestScenarios:
         assert spec.model == again.model
         assert spec.belief0 == again.belief0
         assert spec == again
-        spec.belief0.root  # cached values are not compared
+        spec.belief0.factor  # cached values are not compared
         assert spec.belief0 == again.belief0
         shape = spec.belief0.shape.copy()
         shape[0, 0] += 0.5
@@ -180,6 +180,20 @@ class TestRun:
         a = run(spec, "learn", seed=3, steps=12)
         b = run(spec, "learn", seed=3, steps=12)
         oracles.assert_records_identical(a, b)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_scenario_with_no_uncertain_parameter_runs(self, mode):
+        # With p = 0 the belief is a set of no dimension: it holds the
+        # (empty) truth, has rank 0 and nothing to learn.
+        spec = scenario("sim1")
+        model = spec.model
+        spec = replace(spec, model=UncertainModel(model.a0, (), model.b0, (),
+                                                  model.c, model.r_shape),
+                       theta_true=np.zeros(0),
+                       belief0=Ellipsoid(np.zeros(0), np.zeros((0, 0))))
+        record = run(spec, mode, 0, steps=6)
+        assert record.steps == 6 and not record.aborted
+        assert record.contains_true.all() and not record.rho.any()
 
     def test_membership_is_recorded_per_step(self):
         # Steps that share a set share its answer; each other set has its own.
@@ -447,10 +461,10 @@ class TestMonteCarlo:
     def test_pickled_scenarios_keep_their_arrays_read_only(self, name):
         # Workers receive the scenario through pickle.
         spec = scenario(name)
-        spec.belief0.root  # the cached decomposition travels along
+        spec.belief0.factor  # the cached decomposition travels along
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
-        assert "eigh" in vars(back.belief0) and "root" in vars(back.belief0)
+        assert "eigh" in vars(back.belief0) and "factor" in vars(back.belief0)
         arrays = reachable_arrays(back)
         assert len(arrays) >= 20
         assert [a for a in arrays if a.flags.writeable] == []
@@ -597,11 +611,12 @@ class TestConfigRoundTrip:
         ("t_windows", [2.5], "t_windows entries must be integers >= 1, got 2.5"),
         ("t_windows", [True], "t_windows entries must be integers >= 1, "
                               "got True"),
+        ("t_windows", [2, 2, 4], "window 2 is given twice"),
         ("theta_true", [math.nan, 0.1], "theta_true is not finite"),
         ("x0", [0.0, math.inf], "x0 is not finite"),
     ], ids=["horizon-0", "horizon-negative", "horizon-float", "horizon-string",
-            "window-0", "window-a", "window-float", "window-bool", "theta-nan",
-            "x0-inf"])
+            "window-0", "window-a", "window-float", "window-bool",
+            "window-repeated", "theta-nan", "x0-inf"])
     def test_bad_horizon_or_window_is_rejected_at_load(self, field, value,
                                                        message):
         cfg = scenario_to_config(scenario("sim1"))
@@ -640,10 +655,12 @@ class TestConfigRoundTrip:
                                "got True"),
         ("t_windows", (2, "a"), "t_windows entries must be integers >= 1, "
                                 "got 'a'"),
+        ("t_windows", (2, 2), "window 2 is given twice"),
+        ("t_windows", (4, 2, 4), "window 4 is given twice"),
         ("modes", ("fixed", "fixed"), "mode 'fixed' is given twice"),
         ("modes", ("learn", "fixed", "learn"), "mode 'learn' is given twice"),
-    ], ids=["window-float", "window-bool", "window-string", "modes-repeated",
-            "modes-repeated-apart"])
+    ], ids=["window-float", "window-bool", "window-string", "window-repeated",
+            "window-repeated-apart", "modes-repeated", "modes-repeated-apart"])
     def test_a_bad_window_or_mode_is_rejected_before_any_run(
             self, field, value, message, monkeypatch):
         def no_step(*args, **kwargs):
@@ -831,6 +848,59 @@ class TestDigest:
         more, more_iterations, other = digest.barrier_digest()
         assert more == programs + 1 and more_iterations > iterations
         assert other != sha
+
+    def test_save_and_compare_print_the_drift_and_the_flags(
+            self, digest, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(digest, "SCENARIOS", ("sim1",))
+        monkeypatch.setattr(digest, "barrier_programs", list)
+        saved = tmp_path / "before.npz"
+        digest.main(["--save", str(saved)])
+        lines = capsys.readouterr().out.splitlines()
+        with np.load(saved) as before:  # plain arrays: no pickle is needed
+            arrays = dict(before)
+        assert len(arrays) == len(MODES) * 10
+        record = run(scenario("sim1"), "learn", 0)
+        assert np.array_equal(arrays["sim1/learn/0/belief_shapes"],
+                              record.belief_shapes)
+        assert arrays["sim1/learn/0/aborted"] == record.aborted
+
+        def compare(path):
+            digest.main(["--compare", str(path)])
+            out = capsys.readouterr().out.splitlines()
+            assert out[::2] == lines
+            return dict(zip((line.split()[1] for line in lines), out[1::2]))
+
+        same = compare(saved)
+        assert set(same) == set(MODES)
+        for drift in same.values():
+            assert drift == ("  drift u 0.0e+00 x 0.0e+00 shapes 0.0e+00 "
+                             "centers 0.0e+00 log_det_p 0.0e+00 trace_p "
+                             "0.0e+00 rho 0.0e+00 flags equal")
+        # A doctored parent: one learn input moved by 1e-9 of the run's
+        # largest, one skip flag flipped and one active run missing.
+        u = arrays["sim1/learn/0/u"].copy()
+        u.flat[3] += 1e-9 * np.abs(u).max()
+        arrays["sim1/learn/0/u"] = u
+        arrays["sim1/learn/0/skipped"] = ~arrays["sim1/learn/0/skipped"]
+        del arrays["sim1/active/0/rho"], arrays["sim1/active/0/u"]
+        doctored = tmp_path / "doctored.npz"
+        np.savez(doctored, **arrays)
+        drifts = compare(doctored)
+        assert drifts["learn"].startswith("  drift u 1.0e-09 x 0.0e+00 ")
+        assert drifts["learn"].endswith(" flags differ: skipped")
+        assert drifts["active"].startswith("  drift u inf x inf ")
+        assert drifts["active"].endswith(
+            " flags differ: rho > 0, skipped, contains_true, aborted")
+        assert drifts["fixed"] == same["fixed"]
+
+    def test_the_relative_drift(self, digest):
+        drift = digest.relative_drift
+        old = np.array([4.0, -8.0, np.nan, -np.inf])
+        assert drift(old.copy(), old) == 0.0
+        assert drift(old + [0.0, 2.0, 0.0, 0.0], old) == 0.25
+        assert drift(np.array([4.0, -8.0, 1.0, -np.inf]), old) == math.inf
+        assert drift(old[:2], old) == math.inf
+        assert drift(np.ones(2), np.zeros(2)) == math.inf
 
 
 class TestCodeLines:
