@@ -12,9 +12,10 @@ One fusion family outer-bounds the intersection of two ellipsoids: the
 measurement update of a constant parameter set, which has no time update.
 It depends on a scalar parameter whose volume-optimal value solves a
 rational root equation. Unless a closed-form test keeps the prior first,
-``_Fusion.fuse`` scans it on a fixed 200-point log grid in one array
-expression, and ``_bracket_roots`` refines each sign change by bracketed
-Newton on the defect's closed-form slope (``_refine``).
+``_Fusion.fuse`` settles it by two one-dimensional facts, each found by
+bracketed Newton in ``log rho`` on a closed-form slope (``_refine``): where
+``beta`` is least, which decides whether the sets are disjoint, and the
+one root of the defect, if its signs at the ends of the bracket differ.
 
 The kernel fuses the prior ``E(P, c)`` with the observation set
 ``{x : (h - phi x)^T Q^{-1} (h - phi x) <= 1}`` (Fogel & Huang,
@@ -47,7 +48,7 @@ most ``k`` of the ``nu_i`` are nonzero, and Jensen on the concave log
 gives ``sum log1p(rho nu_i) <= k log1p(rho F/k)``. Under the test the
 first bound is the larger, so every member has ``d log det >= 0`` and
 ``beta >= 1``: none is smaller than the prior or disjoint from it, and
-``fuse`` returns the prior itself with no SVD and no scan. (``E <= 1``
+``fuse`` returns the prior itself with no SVD and no search. (``E <= 1``
 follows from the first inequality unless ``k = 0``, a point prior.) The
 test is sharp: when it fails with ``k > 0``, the defect at ``rho = 0`` is
 ``F - k (1 - E) > 0``, so members at small ``rho`` are smaller.
@@ -67,18 +68,32 @@ every quantity of the family is a scalar rational function of ``rho``::
     center'    = c + (R U) diag(rho sigma/(1 + rho nu)) e
     shape'     = beta (R U) diag(1/(1 + rho nu)) (R U)^T
 
-The 200-point scan is array arithmetic. Each grid cell whose ends have
-opposite signs holds a root, which Newton steps on ``defect'`` refine from
-the cell's midpoint, bisecting whenever a step would leave the shrinking
-bracket, to a step of at most ``1e-12`` relative; one loop over the spectrum
-gives the defect and its slope together. Where ``beta <= 0`` the defect is
-a signed pole of zero slope, so the refinement bisects onto it. The
-candidates, these roots and ``rho = 1e8``, are compared by ``d log det``
-and only the winner is built, PSD by construction and unchecked; it
+Two facts replace a search over ``rho``. First, ``beta`` is convex with
+``beta(0) = 1`` (``beta'' >= 0``), and ``beta'`` is nondecreasing and
+concave (``beta''' <= 0``). So ``beta`` is least on ``[0, 1e8]`` at 0 when
+``beta'(0) = 1 - E >= 0``, at ``1e8`` when ``beta'(1e8) <= 0``, and
+otherwise at the one root of ``beta'`` between, which ``_refine`` finds on
+``RHO_BRACKET`` (a root below ``1e-10``, where ``beta >= 1 - 1e-10 (E -
+1)``, is returned as ``1e-10``). The sets are disjoint when that least
+``beta`` is below ``-BETA_SLACK (1 + rho)``; touching sets, whose least
+``beta`` is zero to rounding, are not, and collapse to their common point.
+Second, the defect, the negated slope of ``d log det``, crosses zero at
+most once on the bracket. No proof is written down here: a test holds the
+former 200-point grid scan (``tests/oracles.py``) to at most one crossing
+on the random fusion battery and on the sim1-sim3 closed loops, and holds
+this search to that scan's decisions. So the defect's signs at the two
+ends of ``RHO_BRACKET`` decide between no crossing and one, and ``_refine``
+finds that one in ``log rho`` from the bracket's geometric midpoint,
+bisecting whenever a Newton step on ``defect'`` would leave the shrinking
+bracket, to a step of at most ``1e-12`` relative; one loop over the
+spectrum gives the defect and its slope together. Where ``beta <= 0`` the
+defect is a signed pole of zero slope, so the refinement bisects onto it.
+The candidates, this root and ``rho = 1e8``, are compared by ``d log
+det`` and only the winner is built, PSD by construction and unchecked; it
 replaces the prior when its ``d log det`` is negative. Its ``log_det`` is
 still ``slogdet`` of the shape built, not the prior's plus ``d log det``:
 the record and the checks then read the set that was made, not the
-number the scan minimized.
+number the search minimized.
 """
 
 from __future__ import annotations
@@ -359,18 +374,25 @@ class Ellipsoid(_FrozenArrays):
     def sample_interior(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one point uniformly (in volume) from the set.
 
-        Direction uniform on the sphere, radius ``u^(1/n)``, mapped through
-        :attr:`factor`. A degenerate shape samples uniformly over the
-        corresponding lower-dimensional slice.
+        Direction uniform on the sphere of dimension ``k`` (:attr:`rank`),
+        radius ``u^(1/k)``, mapped through :attr:`factor` when ``k`` is the
+        dimension, and otherwise through the ``k`` columns ``v_i
+        sqrt(lambda_i)`` of the largest eigenvalues: a degenerate set is
+        sampled uniformly over its ``k``-dimensional slice, and a point set
+        (``k = 0``) returns its center.
         """
-        n = self.dim
+        n, half = self.rank, self.factor
+        if n < self.dim:
+            vals, vecs = self.eigh
+            top = slice(self.dim - n, None)
+            half = vecs[:, top] * np.sqrt(np.maximum(vals[top], 0.0))
         g = rng.standard_normal(n)
         norm = np.linalg.norm(g)
         if norm == 0.0:
             return self.center.copy()
         direction = g / norm
         radius = rng.random() ** (1.0 / n)
-        return self.center + self.factor @ (radius * direction)
+        return self.center + half @ (radius * direction)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +400,13 @@ class Ellipsoid(_FrozenArrays):
 # ---------------------------------------------------------------------------
 
 RHO_BRACKET = (1e-10, 1e8)
-_RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
 
 
 # A refinement stops when a step moves its point by at most this, relative.
 REFINE_RTOL = 1e-12
 
 
-def _refine(func, lo, hi, lo_positive):
+def _refine(func, lo, hi, lo_positive, log=False):
     """Root of ``func`` inside ``(lo, hi)`` by bracketed Newton.
 
     ``func`` returns ``(value, slope)`` and its value changes sign on the
@@ -396,41 +417,32 @@ def _refine(func, lo, hi, lo_positive):
     slope). The point is returned once a step moves it by at most
     ``REFINE_RTOL`` relative, or once its value is exactly zero. The
     bracket shrinks at every evaluation, so the loop ends.
+
+    With ``log`` (and ``0 < lo``) the search runs in ``t = log x``: the
+    midpoint is the geometric mean, a Newton step in ``t`` divides the value
+    by ``x`` times the slope, and a step of at most ``REFINE_RTOL`` in ``t``
+    moves ``x`` by that much relative. ``func`` still takes ``x``.
     """
-    x = 0.5 * (lo + hi)
+    if log:
+        lo, hi = math.log(lo), math.log(hi)
+    t = 0.5 * (lo + hi)
     while True:
+        x = math.exp(t) if log else t
         value, slope = func(x)
         if value == 0.0:
             return x
         if (value > 0.0) == lo_positive:
-            lo = x
+            lo = t
         else:
-            hi = x
-        step = x - value / slope if slope else math.nan
+            hi = t
+        if log:
+            slope *= x
+        step = t - value / slope if slope else math.nan
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
-        if abs(step - x) <= REFINE_RTOL * abs(step):
-            return step
-        x = step
-
-
-def _bracket_roots(func, grid, vals):
-    """Roots from ``vals``, the values of ``func`` on ``grid``.
-
-    ``func`` returns ``(value, slope)`` at one point. A grid point whose
-    value is exactly zero is a root, and every cell whose ends have
-    opposite finite signs holds one, refined by :func:`_refine` from the
-    sign of its lower end. Returns the (possibly empty) list of roots.
-    """
-    a, b = vals[:-1], vals[1:]
-    crossing = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
-    hits = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | crossing))
-    roots = [float(grid[i]) if vals[i] == 0.0
-             else _refine(func, float(grid[i]), float(grid[i + 1]), bool(vals[i] > 0.0))
-             for i in hits.tolist()]
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+        if abs(step - t) <= REFINE_RTOL * (1.0 if log else abs(step)):
+            return math.exp(step) if log else step
+        t = step
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +496,9 @@ class _Fusion:
         # The keep test (module docstring): k (1 - E) >= F and E <= 1, with
         # E and F the whitened innovation's and regressor's squared norms.
         energy = (self.white * self.white).sum(axis=0)
-        self.keeps_prior = bool(self.rank * (1.0 - energy[dim]) >= energy[:dim].sum()
-                                and energy[dim] <= 1.0)
+        self.innovation = float(energy[dim])
+        self.keeps_prior = bool(self.rank * (1.0 - self.innovation) >= energy[:dim].sum()
+                                and self.innovation <= 1.0)
 
     def __getattr__(self, name):
         """The spectral attributes, set by the SVD on first read."""
@@ -528,7 +541,7 @@ class _Fusion:
         return 1.0 + rho * (slope - acc), slope - dacc, 2.0 * ddacc, info, dinfo
 
     def defect(self, rho):
-        """The scan's defect at one ``rho`` and its slope, ``(D, D')``.
+        """The defect at one ``rho`` and its slope, ``(D, D')``.
 
         ``D = sum nu/d - k beta'/beta`` is the negated slope of log det and
         ``D' = -sum nu^2/d^2 - k (beta''/beta - (beta'/beta)^2)``.
@@ -567,24 +580,32 @@ class _Fusion:
     def fuse(self):
         """Volume-minimal member as ``(rho, beta, set)``; None when disjoint.
 
-        Candidates are the defect roots and the ``rho -> infinity`` edge with
-        ``beta > -BETA_SLACK (1 + rho)`` (then clipped at zero). Only the one
-        of least closed-form log det change on ``range(P)`` is built, and
-        only if that change is negative; otherwise the anchor ``(0, 1,
-        prior)`` is returned. When the keep test holds, no member is
-        smaller: the anchor is returned at once, with no SVD and no scan.
+        The sets are disjoint when the least ``beta`` on ``[0, RHO_BRACKET[1]]``
+        is below ``-BETA_SLACK (1 + rho)`` at its ``rho``. Candidates are the
+        defect's root, when its signs at the two ends of ``RHO_BRACKET``
+        differ, and the ``rho -> infinity`` edge, each with ``beta >
+        -BETA_SLACK (1 + rho)`` (then clipped at zero). Only the one of least
+        closed-form log det change on ``range(P)`` is built, and only if that
+        change is negative; otherwise the anchor ``(0, 1, prior)`` is
+        returned. When the keep test holds, no member is smaller: the anchor
+        is returned at once, with no SVD and no root search.
         """
         if self.keeps_prior:
             return 0.0, 1.0, self.prior
-        den = 1.0 + _RHO_GRID[:, None] * self.nu
-        slope = 1.0 - self.e_perp2
-        betas = 1.0 + _RHO_GRID * (slope - (self.e2 / den).sum(axis=1))
-        if np.any(betas <= 0.0):
-            return None
-        dbetas = slope - (self.e2 / den**2).sum(axis=1)
-        defects = (self.nu / den).sum(axis=1) - self.rank * dbetas / betas
+        lo, hi = RHO_BRACKET
+        if self.innovation > 1.0:
+            # beta falls from beta(0) = 1 at slope 1 - E: it is least at hi
+            # or at the one root of its nondecreasing slope below hi.
+            least = (hi if self.at(hi)[1] <= 0.0 else
+                     _refine(lambda rho: self.at(rho)[1:3], lo, hi, False, log=True))
+            if self.at(least)[0] < -BETA_SLACK * (1.0 + least):
+                return None
+        candidates = [hi]
+        ends = self.defect(lo)[0], self.defect(hi)[0]
+        if min(ends) < 0.0 < max(ends):
+            candidates.insert(0, _refine(self.defect, lo, hi, ends[0] > 0.0, log=True))
         best_rho, best_beta, best_gap = 0.0, 1.0, 0.0
-        for rho in [*_bracket_roots(self.defect, _RHO_GRID, defects), RHO_BRACKET[1]]:
+        for rho in candidates:
             beta = self.at(rho)[0]
             if not beta > -BETA_SLACK * (1.0 + rho):
                 continue
@@ -595,4 +616,3 @@ class _Fusion:
         if best_rho > 0.0:
             return best_rho, best_beta, self.posterior(best_rho, best_beta)
         return 0.0, 1.0, self.prior
-

@@ -14,17 +14,19 @@ prior parameter ellipsoid gives the posterior::
     beta(rho) = 1 + rho - eps^T (Q/rho + phi P phi^T)^{-1} eps
 
 The fusion parameter ``rho`` minimizes posterior volume. The candidates
-are the roots of the stationarity equation on a log bracket and the
-bracket's upper end, where the posterior tends to the observation set (the
-tightest member when ``phi`` has full column rank and every interior
-stationary point is larger). The prior (``rho = 0``) is kept only when no
-candidate is smaller; ``beta <= 0`` on the scan certifies that the prior
-and observation sets are disjoint.
+are the one root of the stationarity equation on a log bracket, when its
+signs at the bracket's ends differ, and the bracket's upper end, where the
+posterior tends to the observation set (the tightest member when ``phi``
+has full column rank and every interior stationary point is larger). The
+prior (``rho = 0``) is kept only when no candidate is smaller. ``beta`` is
+convex with ``beta(0) = 1``, so its least value on the bracket, at an end
+or at the root of its nondecreasing slope, certifies by its sign that the
+prior and observation sets are disjoint.
 
 Volume is measured on the range of ``P``, of dimension ``k``, the number
 of its eigenvalues above ``1e-14`` of the largest (``k = dim`` for a
 full-rank prior), since every member lies in that range. Most updates keep
-the prior, and a closed-form test decides exactly those before any scan.
+the prior, and a closed-form test decides exactly those before any search.
 With ``L L^T = Q``, ``R R^T = P``, the whitened innovation ``E = |L^{-1}
 eps|^2`` and ``F = |L^{-1} phi R|_F^2``, the prior is kept when ``k (1 -
 E) >= F`` and ``E <= 1``. The :mod:`smtrack.ellipsoid` module docstring
@@ -110,7 +112,7 @@ class ParameterBelief:
     """Parameter ellipsoid plus diagnostics of the latest update.
 
     ``kept_by_test`` is true when the closed-form keep test decided that
-    update: the prior was kept with no scan (module docstring).
+    update: the prior was kept with no root search (module docstring).
     """
 
     set: Ellipsoid
@@ -158,14 +160,18 @@ def _observation(table, x, u, target) -> Observation:
 def update(belief: ParameterBelief, obs: Observation, policy: str = "raise"):
     """Fuse one observation into the belief at the volume-optimal ``rho``.
 
-    All defect-equation roots found on the scan bracket are evaluated, and
-    so is the bracket's upper end ``ellipsoid.RHO_BRACKET[1]`` (the observation-set
-    limit, which no root marks when the volume falls monotonically in
-    ``rho``). The posterior of smallest log-volume is kept, never one larger
-    than the prior (the ``rho = 0`` anchor, which returns the prior
-    unchanged).
+    The sets are disjoint when ``beta``, convex with ``beta(0) = 1``, falls
+    below zero (less a rounding slack) at its least value on ``[0,
+    ellipsoid.RHO_BRACKET[1]]``: at an end, or at the root of its
+    nondecreasing slope. Otherwise the defect equation's root, found when
+    its signs at the ends of ``ellipsoid.RHO_BRACKET`` differ (it crosses
+    zero at most once there), is evaluated, and so is the bracket's upper
+    end (the observation-set limit, which no root marks when the volume
+    falls monotonically in ``rho``). The posterior of smallest log-volume is
+    kept, never one larger than the prior (the ``rho = 0`` anchor, which
+    returns the prior unchanged).
 
-    The scan runs only when the closed-form keep test fails. The test holds
+    The search runs only when the closed-form keep test fails. The test holds
     when ``k (1 - E) >= F`` and ``E <= 1``, with ``k`` the prior's rank
     (``Ellipsoid.rank``), ``E`` the squared whitened innovation and ``F``
     the squared Frobenius norm of the whitened regressor ``L^{-1} phi R``;

@@ -661,13 +661,16 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
         np.array(cfg["c"], dtype=float),
         np.array(cfg["r_shape"], dtype=float),
     )
+    belief_shape = np.array(cfg["belief_shape"], dtype=float)
+    if not belief_shape.size:
+        # With no uncertain parameter the shape is saved as [], read as (0,).
+        belief_shape = belief_shape.reshape(0, 0)
     return ScenarioSpec(
         name=cfg.get("name", "custom"),
         model=model,
         theta_true=np.array(cfg["theta_true"], dtype=float),
         x0=np.array(cfg["x0"], dtype=float),
-        belief0=Ellipsoid(np.array(cfg["belief_center"], dtype=float),
-                          np.array(cfg["belief_shape"], dtype=float)),
+        belief0=Ellipsoid(np.array(cfg["belief_center"], dtype=float), belief_shape),
         bounds=ControlBounds(np.array(cfg["u_min"], dtype=float),
                              np.array(cfg["u_max"], dtype=float)),
         ma=np.array(cfg["ma"], dtype=float),

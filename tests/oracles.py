@@ -2,7 +2,10 @@
 
 Everything here recomputes objectives from first principles (dense grids,
 direct formulas) without touching the solvers under test, so agreement is
-evidence rather than tautology.
+evidence rather than tautology. The fusion's grid scan (:func:`grid_fuse`)
+reads the kernel's closed forms and refines its grid cells with
+``_refine``'s linear mode, so it checks the search for ``rho``, not the
+algebra.
 """
 
 import math
@@ -14,6 +17,7 @@ from operator import mul
 import numpy as np
 
 from smtrack.checks import random_spd
+from smtrack.ellipsoid import BETA_SLACK, RHO_BRACKET, _refine
 
 
 def robust_cost_batch(instance, belief, us):
@@ -485,6 +489,76 @@ def random_fusion_case(rng, rows, dim, rank=None):
     theta = prior.center + 0.9 * (prior.sample_interior(rng) - prior.center)
     noise = 0.9 * Ellipsoid(np.zeros(rows), q).sample_interior(rng)
     return prior, phi, q, phi @ theta + noise, theta
+
+
+# The fixed log grid on which the fusion once scanned its defect.
+RHO_GRID = np.geomspace(*RHO_BRACKET, 200)
+
+
+def grid_scan(fusion):
+    """``(betas, defects)`` of a ``_Fusion`` on :data:`RHO_GRID`, as arrays.
+
+    ``beta = 1 + rho (1 - |e_perp|^2 - sum e^2/d)`` and ``defect = sum nu/d -
+    k beta'/beta`` with ``d = 1 + rho nu``, from the fusion's spectrum, in one
+    array expression; a defect where ``beta <= 0`` is not meaningful.
+    """
+    den = 1.0 + RHO_GRID[:, None] * fusion.nu
+    slope = 1.0 - fusion.e_perp2
+    betas = 1.0 + RHO_GRID * (slope - (fusion.e2 / den).sum(axis=1))
+    dbetas = slope - (fusion.e2 / den**2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        defects = (fusion.nu / den).sum(axis=1) - fusion.rank * dbetas / betas
+    return betas, defects
+
+
+def grid_crossings(defects):
+    """Indices ``i`` of the grid cells whose ends have opposite finite signs."""
+    a, b = defects[:-1], defects[1:]
+    crossing = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
+    return np.flatnonzero(np.isfinite(a) & np.isfinite(b) & crossing)
+
+
+def grid_roots(func, grid, vals):
+    """Roots from ``vals``, the values of ``func`` on ``grid``.
+
+    ``func`` returns ``(value, slope)`` at one point. A grid point whose
+    value is exactly zero is a root, and every cell whose ends have opposite
+    finite signs holds one, refined by ``ellipsoid._refine`` on the cell from
+    the sign of its lower end.
+    """
+    hits = sorted({*grid_crossings(vals).tolist(),
+                   *np.flatnonzero(vals == 0.0).tolist()})
+    return [float(grid[i]) if vals[i] == 0.0
+            else _refine(func, float(grid[i]), float(grid[i + 1]), bool(vals[i] > 0.0))
+            for i in hits]
+
+
+def grid_fuse(fusion):
+    """``fusion.fuse()`` by the grid scan: ``(rho, beta, set)``, None when disjoint.
+
+    The sets are disjoint when ``beta <= 0`` at a point of
+    :data:`RHO_GRID`, which misses a dip between two points. The candidates
+    are the roots of :func:`grid_roots` and the grid's upper end, compared as
+    ``fuse`` compares them; the prior is kept when the keep test holds or no
+    candidate is smaller.
+    """
+    if fusion.keeps_prior:
+        return 0.0, 1.0, fusion.prior
+    betas, defects = grid_scan(fusion)
+    if np.any(betas <= 0.0):
+        return None
+    best_rho, best_beta, best_gap = 0.0, 1.0, 0.0
+    for rho in [*grid_roots(fusion.defect, RHO_GRID, defects), RHO_BRACKET[1]]:
+        beta = fusion.at(rho)[0]
+        if not beta > -BETA_SLACK * (1.0 + rho):
+            continue
+        beta = max(beta, 0.0)
+        gap = fusion.log_det_change(rho, beta)
+        if gap < best_gap:
+            best_rho, best_beta, best_gap = rho, beta, gap
+    if best_rho > 0.0:
+        return best_rho, best_beta, fusion.posterior(best_rho, best_beta)
+    return 0.0, 1.0, fusion.prior
 
 
 def assert_records_identical(a, b):

@@ -188,6 +188,35 @@ class TestUpdate:
         assert out.last_rho == 0.0
         assert not out.kept_by_test
 
+    @staticmethod
+    def narrow_dips():
+        """Disjoint pairs whose ``beta`` is negative only between two points
+        of the former 200-point grid, where it is positive throughout."""
+        # [-1, 1] seen at c = 1.0001 (1 + 1e-7) with Q = 1e-8: the noise set
+        # [c - 1e-4, c + 1e-4] misses the prior by 1e-7, and min beta is -2e-7.
+        c = 1.0001 * (1.0 + 1e-7)
+        yield scalar_belief(0.0, 1.0), Observation([c], [[1.0]], [[1e-8]])
+        # The same gap on one axis of a rotated 2-D pair, whose other axis
+        # sees an innovation well inside its noise.
+        angle = np.pi / 6
+        rot = np.array([[np.cos(angle), -np.sin(angle)],
+                        [np.sin(angle), np.cos(angle)]])
+        prior = Ellipsoid([0.0, 0.0], rot @ np.diag([1.0, 2.0]) @ rot.T)
+        yield ParameterBelief(prior), Observation(
+            rot @ [c, 0.03], np.eye(2), rot @ np.diag([1e-8, 1.0]) @ rot.T)
+
+    def test_a_dip_between_the_old_grid_points_is_disjoint(self):
+        for belief, obs in self.narrow_dips():
+            fusion = _Fusion(belief.set, obs.phi, obs.q_shape, obs.h)
+            betas, _ = oracles.grid_scan(fusion)
+            assert betas.min() > 0.0
+            assert oracles.grid_fuse(fusion)[0] > 0.0
+            with pytest.raises(InconsistentObservationError):
+                update(belief, obs)
+            out = update(belief, obs, policy="skip")
+            assert out.skipped and out.set is belief.set
+            assert (out.last_rho, out.last_beta) == (0.0, 1.0)
+
     def test_invalid_policy(self):
         with pytest.raises(ValueError, match="policy"):
             update(scalar_belief(0.0, 1.0), interval_obs(0.0, 1.0),
@@ -445,7 +474,7 @@ def recorded_updates(name, mode, seeds=range(5)):
 
 
 def scanned(belief, obs):
-    """``fuse`` with the keep test switched off: the scan decides alone."""
+    """``fuse`` with the keep test switched off: the search decides alone."""
     fusion = _Fusion(belief.set, obs.phi, obs.q_shape, obs.h)
     fusion.keeps_prior = False
     return fusion.fuse()
@@ -459,7 +488,7 @@ def keep_test_terms(prior, obs):
 
 
 class TestKeepTest:
-    """The closed-form test ``dim (1 - E) >= F`` that keeps the prior unscanned."""
+    """The closed-form test ``dim (1 - E) >= F`` that keeps the prior with no search."""
 
     # (scenario, mode, kept updates, all updates) over seeds 0-4.
     REPLAYS = [("sim1", "learn", 138, 230), ("sim1", "active", 143, 230),
@@ -468,9 +497,9 @@ class TestKeepTest:
 
     @pytest.mark.parametrize("name,mode,n_kept,n_updates", REPLAYS)
     def test_recorded_updates_replay_the_scan(self, name, mode, n_kept, n_updates):
-        # Every recorded update makes the scan's keep/shrink decision with
-        # the scan's posterior, bit for bit, and the test keeps exactly the
-        # updates that the scan keeps.
+        # Every recorded update makes the search's keep/shrink decision with
+        # the search's posterior, bit for bit, and the test keeps exactly the
+        # updates that the search keeps.
         calls = recorded_updates(name, mode)
         assert len(calls) == n_updates
         kept = 0
@@ -492,7 +521,7 @@ class TestKeepTest:
         belief = ParameterBelief(Ellipsoid([0.5, -0.2], [[4.0, 1.0], [1.0, 2.0]]))
         obs = Observation([0.3], [[1.0, 0.5]], [[9.0]])
         monkeypatch.setattr(np.linalg, "svd", forbidden)
-        monkeypatch.setattr(ellipsoid, "_bracket_roots", forbidden)
+        monkeypatch.setattr(ellipsoid, "_refine", forbidden)
         out = update(belief, obs)
         assert out.kept_by_test
         assert out.set is belief.set

@@ -572,6 +572,17 @@ class TestConfigRoundTrip:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.u, b.u)
 
+    def test_a_config_with_no_uncertain_parameter_round_trips(self):
+        # p = 0 saves the belief shape as [], which must load as (0, 0).
+        cfg = scenario_to_config(scenario("sim1"))
+        cfg.update(a_perturbations=[], b_perturbations=[], theta_true=[],
+                   belief_center=[], belief_shape=[])
+        spec = scenario_from_config(json.loads(json.dumps(cfg)))
+        assert spec.model.p == 0
+        assert spec.belief0.shape.shape == (0, 0)
+        assert scenario_to_config(spec) == cfg
+        assert not run(spec, "learn", 0, steps=4).aborted
+
     def test_load_scenario_from_json(self, tmp_path):
         cfg = scenario_to_config(scenario("sim1"))
         path = tmp_path / "scenario.json"
